@@ -19,7 +19,7 @@ resample.
 
 Soundness is never left to the alternation: every reported attack carries its
 own mu-certificate, and `certify_infeasible` additionally runs an independent
-phase-1 oracle at the inflated point (1 + 1e-4) * delta.
+feasibility probe at the inflated point (1 + 1e-4) * delta.
 """
 
 import time
@@ -85,7 +85,7 @@ class AttackReport:
 
 
 def certify_infeasible(mats, delta, policy=DEFAULT_POLICY):
-    """Independent phase-1 oracle for F(delta).
+    """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta).
 
     Returns (True, ray) with a normalized verified Farkas ray when F(delta) is
     empty, or (False, witness_dispatch) when it is not.
@@ -105,45 +105,58 @@ def fixed_dispatch_lb(mats, p0, policy=DEFAULT_POLICY):
 
 def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
     """The minimum-norm delta that makes the binding row of fixed_dispatch_lb
-    tight -- the natural first place to look for an attack.  For a dispatch
-    already sitting on its binding row the projection is zero; the row's own
-    crossing direction is returned instead."""
-    _t, row, _per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None, policy)
-    if row is None:
+    tight -- the natural first place to look for an attack.
+
+    Rows with |margin| <= feas_tol count as tight (radius 0), and ties go to
+    the lowest row index, so rounding noise in p0 cannot pick the row.  A
+    tight row's own unit crossing direction is returned, since its projection
+    is noise-sized and its sign follows the noise."""
+    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None,
+                                            policy)
+    tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= policy.feas_tol)
+    per = np.where(tight, 0.0, per)
+    if not np.any(np.isfinite(per)):
         return None, None
+    row = int(np.argmin(per))
+    if tight[row]:
+        return mats.B[row] / np.linalg.norm(mats.B[row]), row
     proj = lin_solve.project_fixed(p0, mats.A[row], mats.B[row], float(mats.c[row]),
                                    policy)
-    d = proj.delta
-    if d is None or not np.linalg.norm(d) > 0:
-        b = mats.B[row]
-        nb = np.linalg.norm(b)
-        if nb == 0:
-            return None, row
-        d = b / nb
-    return d, row
+    return proj.delta, row
 
 
 def ray_boundary(mats, direction, policy=DEFAULT_POLICY):
     """Largest s >= 0 with F(s * u) nonempty along u = direction/||direction||,
-    or None when the ray never leaves the feasible set."""
+    or None when the ray never leaves the feasible set.
+
+    Solved as the dual of  max s s.t. A p + s B u <= -c,  which keeps the
+    basis at n_reduced + 1 rows:
+
+        min -c^T mu  s.t.  A^T mu = 0,  (B u)^T mu >= 1,  mu >= 0.
+
+    The optimal mu proves F(s' u) empty for every s' > s, and the equality
+    duals give a dispatch p in F(s u), re-checked here.  An infeasible wide LP
+    means no multiplier separates any point of the ray; an unbounded one means
+    F(s u) is empty for every s >= 0."""
     u = np.asarray(direction, float)
     nrm = float(np.linalg.norm(u))
     if nrm == 0:
         raise ValueError("zero direction")
     u = u / nrm
-    n_red = mats.n_reduced
-    cost = np.zeros(n_red + 1)
-    cost[-1] = -1.0
-    A_ub = np.hstack([mats.A, (mats.B @ u)[:, None]])
-    lb = np.full(n_red + 1, -np.inf)
-    lb[-1] = 0.0
-    res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=cost, A_ub=A_ub, b_ub=-mats.c, lb=lb), policy)
-    if res.status == lin_solve.UNBOUNDED:
+    res = lin_solve.lp_solve(lin_solve.LpProblem(
+        c=-mats.c, A_ub=-(mats.B @ u)[None, :], b_ub=[-1.0], A_eq=mats.A.T,
+        b_eq=np.zeros(mats.n_reduced), lb=0.0), policy)
+    if res.status == lin_solve.INFEASIBLE:
         return None
-    if res.status != lin_solve.OPTIMAL:
+    if res.status == lin_solve.UNBOUNDED:
         raise AttackError("ray search failed: F(0) is empty (nominally infeasible case)")
-    return float(res.x[-1])
+    s = float(res.objective)
+    p = -res.dual_eq
+    worst = float(np.max(mats.margins(p, s * u)))
+    if worst > policy.feas_tol * (1.0 + float(np.max(np.abs(mats.c)))):
+        raise AttackError(f"ray search: dispatch at s={s:.6e} violates a row "
+                          f"by {worst:.3e}")
+    return s
 
 
 def _mu_lp(mats, delta, eps, policy):

@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import lin_solve
-from .errors import ModelError, PreconditionError
+from .errors import ModelError, PreconditionError, SolverError
 from .numerics import DEFAULT_POLICY
 
 
@@ -260,21 +260,35 @@ def solve_dcopf(mats, delta=None, policy=DEFAULT_POLICY):
 
     The slack generator's cost is folded into the reduced objective through the
     power-balance substitution, so the reported cost is the true total cost.
+
+    The LP  min c_red^T p s.t. A p <= rhs  is solved through its dual
+
+        min rhs^T mu  s.t.  A^T mu = -c_red,  mu >= 0,
+
+    whose basis has n_reduced rows instead of m.  The dispatch is read off the
+    equality duals and returned only once it satisfies every row and closes
+    the duality gap; an unbounded dual is a Farkas ray of F(delta).
     """
     case = mats.case
     costs = case.gen_costs()
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
     res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=red_cost, A_ub=mats.A, b_ub=rhs), policy)
-    if res.status == lin_solve.INFEASIBLE:
-        ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.certificate.y_ub,
-                                             policy)
+        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost, lb=0.0), policy)
+    if res.status == lin_solve.UNBOUNDED:
+        ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray, policy)
         return DcopfResult(feasible=False, ray=ray)
     if res.status != lin_solve.OPTIMAL:
         raise ModelError(
-            f"dispatch LP returned {res.status}; generator bounds should make "
-            "the polytope bounded")
-    p_full = mats.full_dispatch(res.x, delta)
-    return DcopfResult(feasible=True, p_hat=res.x, p_full=p_full,
+            f"dispatch dual LP returned {res.status}; generator bounds should "
+            "make the polytope bounded")
+    p_hat = -res.dual_eq
+    tol = policy.feas_tol * (1.0 + float(np.max(np.abs(rhs))))
+    worst = float(np.max(mats.A @ p_hat - rhs))
+    gap = float(red_cost @ p_hat + res.objective)
+    if worst > tol or abs(gap) > tol * (1.0 + float(np.abs(res.x) @ np.abs(rhs))):
+        raise SolverError(f"dispatch from the dual LP fails its check: worst row "
+                          f"{worst:.3e}, duality gap {gap:.3e}")
+    p_full = mats.full_dispatch(p_hat, delta)
+    return DcopfResult(feasible=True, p_hat=p_hat, p_full=p_full,
                        cost=float(costs @ p_full))

@@ -82,7 +82,7 @@ class DefenseConfig:
 def t_tilde(mats, p0, G, policy=DEFAULT_POLICY):
     """Exact certified radius of the policy and its binding row."""
     p0 = np.asarray(p0, float)
-    margins = (mats.A @ p0 if mats.A.size else np.zeros(mats.m)) + mats.c
+    margins = mats.margins(p0)
     bad = np.flatnonzero(margins > policy.feas_tol)
     if bad.size:
         names = [mats.row_labels[i] for i in bad[:5]]
@@ -116,7 +116,7 @@ def _surrogate(mats, p0, G, temp, bias=None, bias_weight=1.0):
     """Softmin value and ascent gradients; returns None when no row binds.
     An optional bias direction upweights rows whose crossing direction aligns
     with it (gradient only; the reported value stays the exact softmin)."""
-    m = (mats.A @ p0 if mats.A.size else np.zeros(mats.m)) + mats.c
+    m = mats.margins(p0)
     dirs = (mats.A @ G if mats.A.size else 0.0) + mats.B
     den = np.einsum("ij,ij->i", dirs, dirs)
     # Rows whose direction norm sits at floating-point-noise level relative to
@@ -148,11 +148,11 @@ def _surrogate(mats, p0, G, temp, bias=None, bias_weight=1.0):
 def _repair(mats, p_try, p_anchor, policy):
     """Pull an infeasible dispatch back along the segment to the strictly
     interior anchor until all rows are satisfied again."""
-    m_try = (mats.A @ p_try if mats.A.size else np.zeros(mats.m)) + mats.c
+    m_try = mats.margins(p_try)
     viol = m_try > 0.0
     if not np.any(viol):
         return p_try
-    m_anchor = (mats.A @ p_anchor if mats.A.size else np.zeros(mats.m)) + mats.c
+    m_anchor = mats.margins(p_anchor)
     gap = m_try[viol] - m_anchor[viol]
     if np.any(gap <= 0):
         return p_anchor.copy()
@@ -176,7 +176,7 @@ def _push_radius(mats, p0, G, s, iters, policy):
     eta = 0.5
     scale = 1.0 + float(np.max(np.abs(mats.c), initial=0.0))
     for _ in range(iters):
-        m = (mats.A @ p if mats.A.size else np.zeros(mats.m)) + mats.c
+        m = mats.margins(p)
         dirs = (mats.A @ Gm if mats.A.size else 0.0) + mats.B
         nrm = np.linalg.norm(dirs, axis=1)
         h = s * nrm + m
@@ -199,7 +199,7 @@ def _push_radius(mats, p0, G, s, iters, policy):
         for _bt in range(30):
             p_t = p - step * gp
             G_t = Gm - step * gG
-            m_t = (mats.A @ p_t) + mats.c
+            m_t = mats.margins(p_t)
             d_t = (mats.A @ G_t) + mats.B
             h_t = s * np.linalg.norm(d_t, axis=1) + m_t
             a_t = h_t > 0
@@ -211,7 +211,7 @@ def _push_radius(mats, p0, G, s, iters, policy):
             step *= 0.5
         else:
             return p, Gm, V
-    m = (mats.A @ p) + mats.c
+    m = mats.margins(p)
     dirs = (mats.A @ Gm) + mats.B
     h = s * np.linalg.norm(dirs, axis=1) + m
     act = h > 0
@@ -340,7 +340,7 @@ def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
         if proj.delta is not None and np.linalg.norm(proj.delta) > 0:
             probe = proj.delta / np.linalg.norm(proj.delta) * r
             deltas = np.vstack([deltas, probe[None, :]])
-    margins = (mats.A @ pol.p0 if mats.A.size else np.zeros(mats.m)) + mats.c
+    margins = mats.margins(pol.p0)
     dirs = (mats.A @ pol.G if mats.A.size else 0.0) + mats.B
     viol = margins[:, None] + dirs @ deltas.T > policy.feas_tol
     if np.any(viol):

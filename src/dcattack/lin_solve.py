@@ -6,6 +6,17 @@ explicit basis inverse with periodic refactorization is fast enough and easy
 to audit. Certificates are first class: an INFEASIBLE verdict always carries
 a Farkas ray that has been re-verified numerically before being returned.
 
+The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
+(408 against 23 on a 120-bus network), and a simplex basis is as large as the
+row count.  So the attack path solves each of its LPs in the wide multiplier
+form  min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0,  whose basis has only
+n_reduced + 1 rows: the attack's mu-step, the ray search
+(`attack.ray_boundary`), the feasibility probe (`check_feasible`) and the
+nominal dispatch (`dc_model.solve_dcopf`).  Primal points are read off the
+equality duals and re-checked against the rows; Farkas rays are the
+multipliers themselves.  The defense's max-margin warm start stays tall:
+its maximizer is not unique and the dispatch it picks steers the defense.
+
 Also home to the closed-form row projections (minimum-norm perturbation that
 makes one polytope row tight, with or without an affine response policy) —
 they are the geometric primitives shared by the attack and defense modules.
@@ -439,23 +450,50 @@ def normalize_farkas_ray(rows, rhs, y, policy: NumericPolicy = DEFAULT_POLICY):
 
 
 def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
-    """Phase-1 feasibility of {x : rows @ x <= rhs} with x free.
+    """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
-    Returns (True, x, None) with a feasible witness, or (False, None, y) where
-    y is a Farkas ray normalized to ||y||_1 = 1 satisfying y >= 0,
-    ||rows^T y||_inf <= cert_tol and y @ rhs < 0.
+        min rhs^T y  s.t.  rows^T y = 0,  1^T y = 1,  y >= 0,
+
+    whose basis has n + 1 rows however many rows the system has.  A negative
+    optimum is a Farkas ray.  Otherwise the equality duals (x, t) solve the
+    dual  max t s.t. rows x + t <= rhs, so x is a max-margin witness.  When no
+    such y exists at all (typical for m <= n), Gordan's theorem gives a
+    direction z with rows z < 0, and a scaled z is the witness.
+
+    Returns (True, x, None) with a witness re-checked against rows x <= rhs,
+    or (False, None, y) where y is a Farkas ray normalized to ||y||_1 = 1
+    satisfying y >= 0, ||rows^T y||_inf <= cert_tol and y @ rhs < 0.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     rhs = np.asarray(rhs, dtype=float).ravel()
-    prob = LpProblem(c=np.zeros(rows.shape[1]), A_ub=rows, b_ub=rhs)
+    m, n = rows.shape
+    if m == 0:
+        return True, np.zeros(n), None
+    e = np.zeros(n + 1)
+    e[-1] = 1.0
+    prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e,
+                     lb=0.0)
     res = lp_solve(prob, policy)
+    rhs_scale = 1.0 + float(np.max(np.abs(rhs)))
     if res.status == OPTIMAL:
-        return True, res.x, None
-    if res.status != INFEASIBLE:
+        if res.objective < -policy.feas_tol * rhs_scale:
+            return False, None, normalize_farkas_ray(rows, rhs, res.x, policy)
+        x = -res.dual_eq[:n]
+    elif res.status == INFEASIBLE:
+        # the certificate h = rows g + s 1 >= 0 with s < 0 gives rows(-g) < 0
+        z = -res.certificate.y_eq[:n]
+        slope = rows @ z
+        if not np.all(slope < 0.0):
+            raise SolverError("Gordan direction failed re-verification")
+        x = 2.0 * max(0.0, float(np.max(rhs / slope))) * z
+    else:
         raise SolverError(f"feasibility probe returned {res.status}")
-    return False, None, normalize_farkas_ray(rows, rhs, res.certificate.y_ub, policy)
+    worst = float(np.max(rows @ x - rhs))
+    if worst > policy.feas_tol * rhs_scale:
+        raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
+    return True, x, None
 
 
 # -- closed-form row projections ---------------------------------------------

@@ -14,8 +14,6 @@ class NumericPolicy:
     feas_tol: float = 1e-8
     # Farkas certificate residuals: ||A^T y||_inf for a normalized ray
     cert_tol: float = 1e-9
-    # closed-form projections vs. their KKT oracle
-    proj_tol: float = 1e-12
     # simplex pivot / reduced-cost zero threshold
     lp_tol: float = 1e-9
     # retry tolerance when an alternation stalls at the tight setting

@@ -65,3 +65,14 @@ def pglib_path(stem):
     if os.path.exists(bundled):
         return bundled
     return None
+
+
+BUNDLED = ("case5_pjm", "case14_ieee", "case24_ieee_rts", "case30_as")
+
+
+@pytest.fixture(scope="module", params=BUNDLED)
+def bundled_mats(request):
+    """The reduced polytope of each bundled network (slack = generator 0)."""
+    from dcattack.case_ingest import load_case
+    from dcattack.dc_model import build_feasibility
+    return build_feasibility(load_case(pglib_path(request.param)))

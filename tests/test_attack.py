@@ -141,6 +141,7 @@ def test_unbounded_direction_raises_restart():
                       [(1, 0.0, 10.0, 1.0)])
     mats = build_feasibility(case)
     assert ray_boundary(mats, np.array([1.0, -1.0])) is None
+    assert oracle_utils.direction_boundary(mats, np.array([1.0, -1.0])) is None
     with pytest.raises(RestartSignal):
         attack_local(mats, np.array([1.0, -1.0]))
 
@@ -157,6 +158,48 @@ def test_fixed_lb_bounds_every_certified_attack(desk2, desk2_limited, desk3):
     for case in (desk2, desk2_limited, desk3):
         mats, rep = _attack(case)
         assert rep.fixed_lb <= rep.best.norm_sq + 1e-9
+
+
+def test_ray_boundary_matches_tall_lp_oracle(bundled_mats):
+    """The wide-form ray search against scipy's tall LP max s s.t. A p + s B u
+    <= -c, along seeded directions."""
+    mats = bundled_mats
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        u = rng.normal(size=mats.n_delta)
+        u /= np.linalg.norm(u)
+        s = ray_boundary(mats, u)
+        ref = oracle_utils.direction_boundary(mats, u)
+        if ref is None:
+            assert s is None
+        else:
+            assert s == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+def test_ray_boundary_raises_when_the_ray_starts_infeasible():
+    # load 10 against 4 units of capacity: adding load never helps
+    case = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)], [(1, 2, 0.1, None)],
+                      [(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)])
+    mats = build_feasibility(case)
+    with pytest.raises(AttackError):
+        ray_boundary(mats, np.array([1.0]))
+    # shedding load does reach feasible points, up to the whole load
+    assert ray_boundary(mats, np.array([-1.0])) == pytest.approx(10.0, rel=1e-9)
+    assert oracle_utils.direction_boundary(mats, np.array([-1.0])) == \
+        pytest.approx(10.0, rel=1e-9)
+
+
+def test_binding_row_ignores_rounding_noise(bundled_mats):
+    """A nominal dispatch is tight on several rows; 1e-14 noise in it must not
+    change which row (and direction) seeds the attack."""
+    mats = bundled_mats
+    p_nom = solve_dcopf(mats).p_hat
+    d0, row0 = binding_row_direction(mats, p_nom)
+    for k in range(10):
+        noise = np.random.default_rng(k).normal(size=p_nom.size)
+        d, row = binding_row_direction(mats, p_nom + 1e-14 * noise)
+        assert row == row0
+        np.testing.assert_allclose(d, d0, rtol=1e-9, atol=1e-12)
 
 
 def test_binding_row_direction_crosses_its_row(desk2_single):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dcattack.case_ingest import build_case
 from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
@@ -116,6 +117,40 @@ def test_solve_dcopf_infeasible_is_certified(desk2):
     assert np.all(y >= 0) and y.sum() == pytest.approx(1.0)
     assert np.max(np.abs(mats.A.T @ y)) <= 1e-9
     assert y @ (mats.B @ np.array([1.2]) + mats.c) > 0
+
+
+def _scipy_dispatch_cost(mats, delta):
+    costs = mats.case.gen_costs()
+    red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
+    ref = linprog(red_cost, A_ub=mats.A, b_ub=mats.rhs(delta),
+                  bounds=(None, None), method="highs")
+    if ref.status == 2:
+        return None
+    assert ref.status == 0, ref.message
+    return float(costs @ mats.full_dispatch(ref.x, delta))
+
+
+def test_solve_dcopf_matches_scipy_on_bundled_cases(bundled_mats):
+    """The dual-form dispatch against scipy's primal LP: same cost, a feasible
+    dispatch; past the fleet's headroom, a Farkas ray that verifies."""
+    mats = bundled_mats
+    rng = np.random.default_rng(5)
+    for delta in (None, 0.01 * rng.normal(size=mats.n_delta)):
+        res = solve_dcopf(mats, delta)
+        ref = _scipy_dispatch_cost(mats, delta)
+        assert res.feasible and ref is not None
+        assert res.cost == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert np.max(mats.margins(res.p_hat, delta)) <= 1e-8
+    _lo, hi = mats.case.gen_bounds()
+    headroom = float(hi.sum()) - mats.case.total_load()
+    delta = np.full(mats.n_delta, 1.5 * headroom / mats.n_delta)
+    res = solve_dcopf(mats, delta)
+    assert not res.feasible
+    assert _scipy_dispatch_cost(mats, delta) is None
+    y, rhs = res.ray, mats.rhs(delta)
+    assert np.all(y >= 0) and y.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(mats.A.T @ y)) <= 1e-9
+    assert y @ rhs < 0
 
 
 def test_slack_choice_invariance(desk3):

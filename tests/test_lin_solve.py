@@ -152,6 +152,23 @@ def test_degenerate_stacked_rows():
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_check_feasible_gordan_branch():
+    """m <= n generic rows leave {y >= 0 : rows^T y = 0, 1^T y = 1} empty, so
+    the witness must come from a Gordan direction rows z < 0."""
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, n + 1))
+        rows = rng.normal(size=(m, n))
+        rhs = rng.normal(loc=-1.0, size=m)
+        wide = linprog(rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]),
+                       b_eq=np.eye(n + 1)[-1], bounds=(0, None), method="highs")
+        assert wide.status == 2
+        feas, x, ray = check_feasible(rows, rhs)
+        assert feas and ray is None
+        assert np.max(rows @ x - rhs) <= 1e-9
+
+
 def test_check_feasible_witness_and_ray():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -0.5]))

@@ -11,7 +11,22 @@ eps and the pair (delta, mu) is improved by alternation:
   mu-step:    LP  min 1^T mu  s.t.  A^T mu = 0, mu^T(B delta + c) = eps, mu >= 0.
 
 After a delta-step the incumbent mu is still feasible for the next mu-step, so
-the alternation never strands itself once it has a separating point.  Local
+the alternation never strands itself once it has a separating point, and the
+previous mu-step's optimal basis (which reproduces the incumbent mu) is a
+primal-feasible warm start for the next one.  Each start threads its bases
+through its own chain of wide LPs, by argument only:
+
+  alternation mu-LP  <- previous mu-LP's basis,
+  kick mu-LP         <- the ray search's basis: its optimum has (B u)^T mu = 1
+                        and -c^T mu = s, so mu^T(B u (s + kick) + c) = kick > 0,
+  polish ray LP      <- the basis of the best mu: its delta lies on that mu's
+                        hyperplane and c^T mu <= 0 (F(0) is nonempty), so
+                        (B u)^T mu = (eps - c^T mu) / ||delta|| > 0 and mu
+                        scales onto (B u)^T mu = 1,
+  polish mu-LP       <- the polish ray LP's basis.
+
+`lin_solve.lp_solve` re-checks every basis and falls back to a cold start, so
+a link that is not primal feasible costs only time.  Local
 starts are bootstrapped by a one-dimensional ray search: scale the start
 direction out to the feasibility boundary and step just past it.  Directions
 along which F never closes raise RestartSignal so a multistart driver can
@@ -60,6 +75,7 @@ class AttackSolution:
     certified: bool = False
     oracle_ray: np.ndarray = None
     history: list = field(default_factory=list)
+    basis: np.ndarray = None    # optimal basis of the mu-LP that gave mu
 
     def summary(self):
         return {
@@ -96,38 +112,54 @@ def certify_infeasible(mats, delta, policy=DEFAULT_POLICY):
     return True, ray
 
 
+def _fixed_radii(mats, p0, policy):
+    """Per-row radius^2 at fixed dispatch p0, and the mask of tight rows.
+
+    delta-sensitive rows with |margin| <= feas_tol count as tight (radius 0),
+    so rounding noise in p0 cannot turn a tight row into a 1e-30 radius."""
+    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None,
+                                            policy)
+    tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= policy.feas_tol)
+    return np.where(tight, 0.0, per), tight
+
+
 def fixed_dispatch_lb(mats, p0, policy=DEFAULT_POLICY):
     """Radius^2 certified by holding the dispatch fixed at p0: no perturbation
-    smaller than this can cross any single row, hence none can empty F."""
-    t, _row, _per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None, policy)
-    return t
+    smaller than this can cross any single row, hence none can empty F.
+    0 when a delta-sensitive row is tight to feas_tol."""
+    per, _tight = _fixed_radii(mats, p0, policy)
+    return float(per.min()) if per.size else np.inf
+
+
+def _start_radius(lb0):
+    """Norm of the random multistart directions: sqrt(lb0), or 1 when lb0
+    gives no scale (0 or infinite)."""
+    return float(np.sqrt(lb0)) if np.isfinite(lb0) and lb0 > 0 else 1.0
 
 
 def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
     """The minimum-norm delta that makes the binding row of fixed_dispatch_lb
     tight -- the natural first place to look for an attack.
 
-    Rows with |margin| <= feas_tol count as tight (radius 0), and ties go to
-    the lowest row index, so rounding noise in p0 cannot pick the row.  A
-    tight row's own unit crossing direction is returned, since its projection
-    is noise-sized and its sign follows the noise."""
-    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None,
-                                            policy)
-    tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= policy.feas_tol)
-    per = np.where(tight, 0.0, per)
+    Ties go to the lowest row index, so rounding noise in p0 cannot pick the
+    row.  A tight row's own unit crossing direction is returned, since its
+    projection is noise-sized and its sign follows the noise."""
+    per, tight = _fixed_radii(mats, p0, policy)
     if not np.any(np.isfinite(per)):
         return None, None
     row = int(np.argmin(per))
     if tight[row]:
         return mats.B[row] / np.linalg.norm(mats.B[row]), row
-    proj = lin_solve.project_fixed(p0, mats.A[row], mats.B[row], float(mats.c[row]),
-                                   policy)
+    proj = lin_solve.project_policy(p0, None, mats.A[row], mats.B[row],
+                                    float(mats.c[row]), policy)
     return proj.delta, row
 
 
-def ray_boundary(mats, direction, policy=DEFAULT_POLICY):
-    """Largest s >= 0 with F(s * u) nonempty along u = direction/||direction||,
-    or None when the ray never leaves the feasible set.
+def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
+    """(s, basis) with s the largest s >= 0 with F(s * u) nonempty along
+    u = direction/||direction||, and basis the optimal basis of the LP below;
+    (None, None) when the ray never leaves the feasible set.  A given `basis`
+    warm-starts that LP.
 
     Solved as the dual of  max s s.t. A p + s B u <= -c,  which keeps the
     basis at n_reduced + 1 rows:
@@ -145,9 +177,9 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY):
     u = u / nrm
     res = lin_solve.lp_solve(lin_solve.LpProblem(
         c=-mats.c, A_ub=-(mats.B @ u)[None, :], b_ub=[-1.0], A_eq=mats.A.T,
-        b_eq=np.zeros(mats.n_reduced), lb=0.0), policy)
+        b_eq=np.zeros(mats.n_reduced), lb=0.0), policy, basis=basis)
     if res.status == lin_solve.INFEASIBLE:
-        return None
+        return None, None
     if res.status == lin_solve.UNBOUNDED:
         raise AttackError("ray search failed: F(0) is empty (nominally infeasible case)")
     s = float(res.objective)
@@ -156,24 +188,24 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY):
     if worst > policy.feas_tol * (1.0 + float(np.max(np.abs(mats.c)))):
         raise AttackError(f"ray search: dispatch at s={s:.6e} violates a row "
                           f"by {worst:.3e}")
-    return s
+    return s, res.basis
 
 
-def _mu_lp(mats, delta, eps, policy):
-    """min 1^T mu  s.t.  A^T mu = 0, (B delta + c)^T mu = eps, mu >= 0.
-    Returns None when delta is not (strictly) separable."""
+def _mu_lp(mats, delta, eps, policy, basis=None):
+    """min 1^T mu  s.t.  A^T mu = 0, (B delta + c)^T mu = eps, mu >= 0,
+    warm-started from `basis`.  Returns (mu, optimal basis), or (None, None)
+    when delta is not (strictly) separable."""
     m = mats.m
     sep = mats.B @ delta + mats.c
     A_eq = np.vstack([mats.A.T, sep[None, :]])
     b_eq = np.zeros(mats.n_reduced + 1)
     b_eq[-1] = eps
     res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=np.ones(m), A_eq=A_eq, b_eq=b_eq, lb=0.0), policy)
-    if res.status == lin_solve.INFEASIBLE:
-        return None
+        lin_solve.LpProblem(c=np.ones(m), A_eq=A_eq, b_eq=b_eq, lb=0.0), policy,
+        basis=basis)
     if res.status != lin_solve.OPTIMAL:
-        return None
-    return res.x
+        return None, None
+    return res.x, res.basis
 
 
 def _residuals(mats, delta, mu, eps):
@@ -200,18 +232,18 @@ def attack_local(mats, init_delta, config=None, init_mu=None, policy=DEFAULT_POL
         raise RestartSignal("zero start direction")
     eps = cfg.eps
 
-    mu = init_mu
+    mu, basis = init_mu, None
     if mu is None:
-        mu = _mu_lp(mats, delta, eps, policy)
+        mu, basis = _mu_lp(mats, delta, eps, policy)
     if mu is None:
         u = delta / nrm
-        s = ray_boundary(mats, u, policy)
+        s, ray_basis = ray_boundary(mats, u, policy)
         if s is None:
             raise RestartSignal("feasible set never closes along this direction")
         kick = max(1e-3 * s, 1e-9)
         for _ in range(4):
             delta = u * (s + kick)
-            mu = _mu_lp(mats, delta, eps, policy)
+            mu, basis = _mu_lp(mats, delta, eps, policy, ray_basis)
             if mu is not None:
                 break
             kick *= 10.0
@@ -236,35 +268,35 @@ def attack_local(mats, init_delta, config=None, init_mu=None, policy=DEFAULT_POL
         delta = gw * (r / den)
         obj = float(delta @ (w * delta))
         if best is None or obj < best[0]:
-            best = (obj, delta.copy(), mu.copy())
+            best = (obj, delta.copy(), mu.copy(), basis)
             history.append(float(delta @ delta))
         last_change = abs(obj_prev - obj)
         if last_change <= cfg.norm_change_tol * max(1.0, obj):
             status = "tight"
             break
         obj_prev = obj
-        mu_next = _mu_lp(mats, delta, eps, policy)
+        mu_next, basis_next = _mu_lp(mats, delta, eps, policy, basis)
         if mu_next is None:
             status = "mu-infeasible"
             break
-        mu = mu_next
+        mu, basis = mu_next, basis_next
     if status == "cap" and last_change <= policy.stall_tol * max(1.0, obj_prev):
         status = "loose"
     if best is None:
         raise RestartSignal(f"alternation made no progress ({status})")
 
-    obj, delta, mu = best
+    obj, delta, mu, basis = best
     return AttackSolution(
         delta=delta, mu=mu, norm_sq=float(delta @ delta), objective=obj,
         eps=eps, converged=status in ("tight", "loose"), convergence=status,
         iterations=iterations, residuals=_residuals(mats, delta, mu, eps),
-        start=start, history=history)
+        start=start, history=history, basis=basis)
 
 
 def _ray_polish(mats, sol, cfg, policy):
     """Refine the best solution along its own direction: the exact boundary
     distance there is the cheapest certified point on that ray."""
-    s = ray_boundary(mats, sol.delta, policy)
+    s, ray_basis = ray_boundary(mats, sol.delta, policy, sol.basis)
     if s is None or s <= 0:
         return sol
     target = s * (1.0 + 1e-6)
@@ -272,7 +304,7 @@ def _ray_polish(mats, sol, cfg, policy):
         return sol
     u = sol.delta / float(np.linalg.norm(sol.delta))
     delta = u * target
-    mu = _mu_lp(mats, delta, cfg.eps, policy)
+    mu, basis = _mu_lp(mats, delta, cfg.eps, policy, ray_basis)
     if mu is None:
         return sol
     polished = AttackSolution(
@@ -281,7 +313,8 @@ def _ray_polish(mats, sol, cfg, policy):
         else float(delta @ (np.asarray(cfg.weight, float) * delta)),
         eps=cfg.eps, converged=sol.converged, convergence=sol.convergence,
         iterations=sol.iterations, residuals=_residuals(mats, delta, mu, cfg.eps),
-        start=sol.start + "+ray", history=sol.history + [float(delta @ delta)])
+        start=sol.start + "+ray", history=sol.history + [float(delta @ delta)],
+        basis=basis)
     return polished
 
 
@@ -298,7 +331,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             raise AttackError("case is infeasible before any perturbation")
         p_nom = nominal.p_hat
     lb0 = fixed_dispatch_lb(mats, p_nom, policy)
-    radius = np.sqrt(lb0) if np.isfinite(lb0) and lb0 > 0 else 1.0
+    radius = _start_radius(lb0)
 
     starts = []
     d_bind, _row = binding_row_direction(mats, p_nom, policy)

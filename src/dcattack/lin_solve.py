@@ -17,6 +17,21 @@ equality duals and re-checked against the rows; Farkas rays are the
 multipliers themselves.  The defense's max-margin warm start stays tall:
 its maximizer is not unique and the dispatch it picks steers the defense.
 
+Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
+caller's basis: M column indices in the [x; slacks] space, typically the
+`LpResult.basis` of an earlier optimal solve of a related problem.  The
+basis is accepted only when it has M distinct indices of real columns,
+A[:, basis] factorizes, the basic solution x_B = B^-1 (b - A_N x_N) lies
+within its bounds to feas_tol * (1 + ||b||_inf), and B x_B reproduces
+b - A_N x_N to the same tolerance.  Then every artificial is pinned at 0 and
+phase 2 starts at once; any other basis (None included) takes the cold
+two-phase path, so a stale basis costs time, never a wrong answer.  The
+attack threads each start's bases along its own chain of wide LPs, where a
+link's old basis is provably primal feasible (see `attack`).  The
+feasibility probe (`check_feasible`), the nominal dispatch and the defense's
+warm start stay cold: certification must not depend on the attack path, and
+their first solve has no earlier basis.
+
 Also home to the closed-form row projections (minimum-norm perturbation that
 makes one polytope row tight, with or without an affine response policy) —
 they are the geometric primitives shared by the attack and defense modules.
@@ -145,6 +160,9 @@ class LpResult:
     ray: np.ndarray = None
     iterations: int = 0
     phase1_objective: float = 0.0
+    # optimal basis in the [x; slacks] column space, for a later warm start;
+    # None when an artificial column stays basic
+    basis: np.ndarray = None
 
 
 class _Simplex:
@@ -164,6 +182,7 @@ class _Simplex:
         if m:
             A[:m, n:] = np.eye(m)
         self.b = np.concatenate([prob.b_ub, prob.b_eq])
+        self.b_scale = 1.0 + (float(np.max(np.abs(self.b))) if M else 0.0)
         lo = np.concatenate([prob.lb, np.zeros(m)])
         hi = np.concatenate([prob.ub, np.full(m, np.inf)])
 
@@ -192,6 +211,41 @@ class _Simplex:
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.N_total = n + m + M
+
+    def warm_start(self, basis):
+        """Re-enter at a caller's basis of real columns (acceptance rules in
+        the module docstring).  An accepted basis pins every artificial at 0,
+        so phase 2 can run at once; a rejected one returns False and leaves
+        the cold start untouched."""
+        basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
+        n_real = self.n + self.m
+        if basis.size != self.M or np.unique(basis).size != self.M \
+                or np.any(basis < 0) or np.any(basis >= n_real):
+            return False
+        Bmat = self.A[:, basis]
+        try:
+            B_inv = np.linalg.inv(Bmat)
+        except np.linalg.LinAlgError:
+            return False
+        nb_val = self.val[:n_real].copy()
+        nb_val[basis] = 0.0
+        r = self.b - self.A[:, :n_real] @ nb_val
+        x_B = B_inv @ r
+        tol = self.policy.feas_tol * self.b_scale
+        if not np.all(np.isfinite(x_B)) \
+                or np.any(x_B < self.lo[basis] - tol) \
+                or np.any(x_B > self.hi[basis] + tol) \
+                or float(np.max(np.abs(Bmat @ x_B - r), initial=0.0)) > tol:
+            return False
+        self.lo[self.is_art] = 0.0
+        self.hi[self.is_art] = 0.0
+        self.val[self.is_art] = 0.0
+        self.status[self.is_art] = _FIXED
+        self.status[basis] = _BASIC
+        self.val[basis] = x_B
+        self.basis = basis
+        self.B_inv = B_inv
+        return True
 
     # -- core steps ---------------------------------------------------------
 
@@ -365,32 +419,36 @@ def _certificate_from_phase1(simplex, prob, y, policy):
     return cert
 
 
-def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY) -> LpResult:
+def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
+             basis=None) -> LpResult:
     """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
-    UNBOUNDED results carry a feasible ray with c^T ray < 0."""
+    UNBOUNDED results carry a feasible ray with c^T ray < 0, OPTIMAL results
+    carry their basis.  A given `basis` skips phase 1 when it passes the
+    warm-start checks (module docstring) and is ignored otherwise."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
     sx = _Simplex(prob, policy)
     n, m = sx.n, sx.m
 
-    cost1 = np.zeros(sx.N_total)
-    cost1[sx.is_art] = 1.0
-    status, y, d, extra = sx.run_phase(cost1)
-    if status != OPTIMAL:
-        raise SolverError("phase 1 cannot be unbounded; numerical failure")
-    z1 = float(np.sum(sx.val[sx.is_art]))
-    b_scale = 1.0 + (float(np.max(np.abs(sx.b))) if sx.b.size else 0.0)
-    if z1 > policy.feas_tol * b_scale:
-        cert = _certificate_from_phase1(sx, prob, y, policy)
-        return LpResult(status=INFEASIBLE, certificate=cert,
-                        iterations=sx.iterations, phase1_objective=z1)
+    z1 = 0.0
+    if basis is None or not sx.warm_start(basis):
+        cost1 = np.zeros(sx.N_total)
+        cost1[sx.is_art] = 1.0
+        status, y, d, extra = sx.run_phase(cost1)
+        if status != OPTIMAL:
+            raise SolverError("phase 1 cannot be unbounded; numerical failure")
+        z1 = float(np.sum(sx.val[sx.is_art]))
+        if z1 > policy.feas_tol * sx.b_scale:
+            cert = _certificate_from_phase1(sx, prob, y, policy)
+            return LpResult(status=INFEASIBLE, certificate=cert,
+                            iterations=sx.iterations, phase1_objective=z1)
 
-    # pin artificials at zero and switch to the real objective
-    sx.lo[sx.is_art] = 0.0
-    sx.hi[sx.is_art] = 0.0
-    nonbasic_art = sx.is_art & (sx.status != _BASIC)
-    sx.status[nonbasic_art] = _FIXED
-    sx.val[nonbasic_art] = 0.0
+        # pin artificials at zero and switch to the real objective
+        sx.lo[sx.is_art] = 0.0
+        sx.hi[sx.is_art] = 0.0
+        nonbasic_art = sx.is_art & (sx.status != _BASIC)
+        sx.status[nonbasic_art] = _FIXED
+        sx.val[nonbasic_art] = 0.0
 
     cost2 = np.zeros(sx.N_total)
     cost2[:n] = prob.c
@@ -424,10 +482,12 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY) -> LpResul
     box = np.where(r > 0, r * np.where(np.isfinite(lo), lo, 0.0),
                    r * np.where(np.isfinite(hi), hi, 0.0))
     dual_objective = float(y @ sx.b + box.sum())
+    final_basis = None if np.any(sx.is_art[sx.basis]) else sx.basis.copy()
     return LpResult(status=OPTIMAL, x=x, objective=objective,
                     dual_ub=dual_ub, dual_eq=dual_eq,
                     dual_objective=dual_objective,
-                    iterations=sx.iterations, phase1_objective=z1)
+                    iterations=sx.iterations, phase1_objective=z1,
+                    basis=final_basis)
 
 
 def normalize_farkas_ray(rows, rhs, y, policy: NumericPolicy = DEFAULT_POLICY):
@@ -531,11 +591,6 @@ def project_policy(p0, G, a_i, b_i, c_i, policy: NumericPolicy = DEFAULT_POLICY)
         return ProjectionResult(delta=np.zeros_like(b_i), norm_sq=0.0, margin=margin)
     delta = -(margin / den) * g
     return ProjectionResult(delta=delta, norm_sq=margin * margin / den, margin=margin)
-
-
-def project_fixed(p0, a_i, b_i, c_i, policy: NumericPolicy = DEFAULT_POLICY):
-    """project_policy with no dispatch response (G = 0)."""
-    return project_policy(p0, None, a_i, b_i, c_i, policy)
 
 
 def policy_radius(A, B, c, p0, G, policy: NumericPolicy = DEFAULT_POLICY):

@@ -123,10 +123,7 @@ def test_criterion_3_projection_vs_dense_kkt():
         g = b if G is None else G.T @ a + b
         if float(g @ g) < 1e-8:          # essentially never for gaussians
             continue
-        if use_policy:
-            res = lin_solve.project_policy(p0, G, a, b, c)
-        else:
-            res = lin_solve.project_fixed(p0, a, b, c)
+        res = lin_solve.project_policy(p0, G, a, b, c)
         margin = float(a @ p0 + c)
         k = n_d + 1
         K = np.zeros((k, k))

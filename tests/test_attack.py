@@ -13,16 +13,19 @@ frozen here:
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.attack import (AttackConfig, attack_local, binding_row_direction,
-                             certify_infeasible, fixed_dispatch_lb,
-                             multistart_attack, ray_boundary)
-from dcattack.case_ingest import build_case
+from dcattack.attack import (AttackConfig, _start_radius, attack_local,
+                             binding_row_direction, certify_infeasible,
+                             fixed_dispatch_lb, multistart_attack, ray_boundary)
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
 from dcattack.errors import AttackError, RestartSignal
+from dcattack.numerics import DEFAULT_POLICY
 
 import oracle_utils
+from conftest import pglib_path
 
 
 def _attack(case, **kw):
@@ -140,7 +143,7 @@ def test_unbounded_direction_raises_restart():
                       [(1, 2, 0.1, None), (2, 3, 0.1, None)],
                       [(1, 0.0, 10.0, 1.0)])
     mats = build_feasibility(case)
-    assert ray_boundary(mats, np.array([1.0, -1.0])) is None
+    assert ray_boundary(mats, np.array([1.0, -1.0])) == (None, None)
     assert oracle_utils.direction_boundary(mats, np.array([1.0, -1.0])) is None
     with pytest.raises(RestartSignal):
         attack_local(mats, np.array([1.0, -1.0]))
@@ -168,7 +171,7 @@ def test_ray_boundary_matches_tall_lp_oracle(bundled_mats):
     for _ in range(6):
         u = rng.normal(size=mats.n_delta)
         u /= np.linalg.norm(u)
-        s = ray_boundary(mats, u)
+        s, _basis = ray_boundary(mats, u)
         ref = oracle_utils.direction_boundary(mats, u)
         if ref is None:
             assert s is None
@@ -184,7 +187,7 @@ def test_ray_boundary_raises_when_the_ray_starts_infeasible():
     with pytest.raises(AttackError):
         ray_boundary(mats, np.array([1.0]))
     # shedding load does reach feasible points, up to the whole load
-    assert ray_boundary(mats, np.array([-1.0])) == pytest.approx(10.0, rel=1e-9)
+    assert ray_boundary(mats, np.array([-1.0]))[0] == pytest.approx(10.0, rel=1e-9)
     assert oracle_utils.direction_boundary(mats, np.array([-1.0])) == \
         pytest.approx(10.0, rel=1e-9)
 
@@ -202,6 +205,20 @@ def test_binding_row_ignores_rounding_noise(bundled_mats):
         np.testing.assert_allclose(d, d0, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("stem", ["case5_pjm", "case24_ieee_rts"])
+def test_fixed_lb_ignores_rounding_noise(stem):
+    """p_nom is an LP vertex, so delta-sensitive rows are tight up to rounding;
+    1e-14 noise in it must not move lb0 or the random starts' radius."""
+    mats = build_feasibility(load_case(pglib_path(stem)))
+    p_nom = solve_dcopf(mats).p_hat
+    lb0 = fixed_dispatch_lb(mats, p_nom)
+    for k in range(10):
+        noise = np.random.default_rng(k).normal(size=p_nom.size)
+        lb = fixed_dispatch_lb(mats, p_nom + 1e-14 * noise)
+        assert lb == lb0
+        assert _start_radius(lb) == _start_radius(lb0)
+
+
 def test_binding_row_direction_crosses_its_row(desk2_single):
     mats = build_feasibility(desk2_single)
     nominal = solve_dcopf(mats)
@@ -211,8 +228,42 @@ def test_binding_row_direction_crosses_its_row(desk2_single):
     assert m[row] > 0
 
 
+def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
+    """Each start hands its alternation, kick and polish LPs the previous
+    link's basis; every such basis must pass the warm-start checks (so no
+    link falls back to phase 1), and every warm optimum must match scipy."""
+    calls = []
+    solve = lin_solve.lp_solve
+
+    def spy(prob, policy=DEFAULT_POLICY, basis=None):
+        res = solve(prob, policy, basis=basis)
+        calls.append((prob, basis, res))
+        return res
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
+    warm = [(prob, basis, res) for prob, basis, res in calls if basis is not None]
+    assert warm
+    for prob, basis, res in warm:
+        assert lin_solve._Simplex(prob, DEFAULT_POLICY).warm_start(basis)
+        ref = linprog(prob.c, A_ub=prob.A_ub if prob.A_ub.size else None,
+                      b_ub=prob.b_ub if prob.b_ub.size else None,
+                      A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
+                      method="highs")
+        assert res.status == lin_solve.OPTIMAL and ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+
 def test_threaded_multistart_matches_serial(desk3):
     mats = build_feasibility(desk3)
     serial = multistart_attack(mats, AttackConfig(restarts=4, seed=9, threads=1))
     threaded = multistart_attack(mats, AttackConfig(restarts=4, seed=9, threads=4))
     assert np.array_equal(serial.best.delta, threaded.best.delta)
+    # each start threads its own warm-start bases: none may leak between
+    # workers on a network whose starts take long LP chains
+    mats = build_feasibility(load_case(pglib_path("case24_ieee_rts")))
+    serial = multistart_attack(mats, AttackConfig(restarts=4, seed=9, threads=1))
+    threaded = multistart_attack(mats, AttackConfig(restarts=4, seed=9, threads=2))
+    assert np.array_equal(serial.best.delta, threaded.best.delta)
+    assert serial.best.start == threaded.best.start
+    assert serial.starts == threaded.starts

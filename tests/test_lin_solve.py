@@ -6,9 +6,11 @@ from dcattack import lin_solve
 from dcattack.errors import PreconditionError
 from dcattack.lin_solve import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, check_feasible, lp_solve,
-    policy_radius, project_fixed, project_policy,
+    policy_radius, project_policy,
 )
 from dcattack.numerics import DEFAULT_POLICY
+
+import oracle_utils
 
 
 def test_simple_bound():
@@ -152,6 +154,121 @@ def test_degenerate_stacked_rows():
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
 
+# -- warm start ----------------------------------------------------------------
+
+
+def _random_wide_problem(rng, rows, cols):
+    """min c^T x s.t. A x = b, x >= 0 with b = A x0, x0 >= 0: feasible, and
+    bounded because c > 0."""
+    A = rng.normal(size=(rows, cols))
+    b = A @ rng.uniform(0.0, 1.0, size=cols)
+    return LpProblem(c=rng.uniform(0.1, 2.0, size=cols), A_eq=A, b_eq=b, lb=0.0)
+
+
+def _mu_problem(mats, delta, eps=1e-3):
+    """The attack's mu-LP: min 1^T mu s.t. A^T mu = 0, (B delta + c)^T mu = eps."""
+    sep = mats.B @ delta + mats.c
+    b_eq = np.zeros(mats.n_reduced + 1)
+    b_eq[-1] = eps
+    return LpProblem(c=np.ones(mats.m), A_eq=np.vstack([mats.A.T, sep]),
+                     b_eq=b_eq, lb=0.0)
+
+
+def _separable_delta(mats):
+    """A point just past the feasibility boundary along uniform load growth."""
+    u = np.ones(mats.n_delta) / np.sqrt(mats.n_delta)
+    s = oracle_utils.direction_boundary(mats, u)
+    return u * (1.01 * s + 1e-6)
+
+
+def _assert_warm_optimal(prob):
+    cold = lp_solve(prob)
+    ref = _scipy_solve(prob)
+    assert cold.status == OPTIMAL and ref.status == 0
+    assert cold.basis is not None
+    warm = lp_solve(prob, basis=cold.basis)
+    assert warm.status == cold.status
+    assert warm.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert warm.iterations == 1           # one pricing pass, no pivot
+    assert warm.phase1_objective == 0.0
+    np.testing.assert_array_equal(np.sort(warm.basis), np.sort(cold.basis))
+
+
+def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats):
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        rows = int(rng.integers(1, 8))
+        _assert_warm_optimal(_random_wide_problem(rng, rows,
+                                                  rows + int(rng.integers(1, 20))))
+    _assert_warm_optimal(_mu_problem(bundled_mats, _separable_delta(bundled_mats)))
+
+
+def _same_result(a, b, label=""):
+    assert a.status == b.status and a.iterations == b.iterations, label
+    assert a.objective == b.objective
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.basis, b.basis)
+
+
+def test_rejected_bases_fall_back_to_the_cold_solve():
+    rng = np.random.default_rng(32)
+    prob = _random_wide_problem(rng, 5, 14)
+    cold = lp_solve(prob)
+    assert cold.status == OPTIMAL and cold.iterations > 1
+    n_real = prob.c.size
+    dup = cold.basis.copy()
+    dup[1] = dup[0]
+    bad = {"short": cold.basis[:-1], "long": np.append(cold.basis, 0),
+           "duplicate": dup}
+    for name, index in (("artificial", n_real), ("out-of-range", n_real + 50),
+                        ("negative", -1)):
+        b = cold.basis.copy()
+        b[0] = index
+        bad[name] = b
+    # columns 0 and 1 made identical: any basis holding both is singular
+    twin = LpProblem(c=prob.c, A_eq=prob.A_eq.copy(), b_eq=prob.b_eq, lb=0.0)
+    twin.A_eq[:, 1] = twin.A_eq[:, 0]
+    # a basis that factorizes but whose basic solution leaves x >= 0
+    infeasible = None
+    for cols in (rng.permutation(n_real)[:5] for _ in range(200)):
+        B = prob.A_eq[:, cols]
+        if abs(np.linalg.det(B)) > 1e-3 and \
+                np.min(np.linalg.solve(B, prob.b_eq)) < -1e-3:
+            infeasible = cols
+            break
+    assert infeasible is not None
+    bad["primal-infeasible"] = infeasible
+    for name, basis in bad.items():
+        _same_result(lp_solve(prob, basis=basis), cold, name)
+    twin_cold = lp_solve(twin)
+    _same_result(lp_solve(twin, basis=np.array([0, 1, 2, 3, 4])), twin_cold)
+    assert twin_cold.objective == pytest.approx(_scipy_solve(twin).fun, rel=1e-9)
+
+
+def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
+    """mu-LP at delta_k, delta-step onto mu_k's hyperplane, then the mu-LP at
+    delta_k+1 from mu_k's basis: the old basis is accepted (it reproduces
+    mu_k), and every warm optimum matches scipy."""
+    mats, eps = bundled_mats, 1e-3
+    delta = _separable_delta(mats)
+    res = lp_solve(_mu_problem(mats, delta, eps))
+    assert res.status == OPTIMAL
+    for _ in range(4):
+        g = mats.B.T @ res.x
+        delta = g * ((eps - float(res.x @ mats.c)) / float(g @ g))
+        prob = _mu_problem(mats, delta, eps)
+        basis, kept = res.basis, res.basis.copy()
+        assert lin_solve._Simplex(prob, DEFAULT_POLICY).warm_start(basis)
+        res = lp_solve(prob, basis=basis)
+        # the caller's basis is not pivoted in place
+        np.testing.assert_array_equal(basis, kept)
+        ref = _scipy_solve(prob)
+        assert res.status == OPTIMAL and ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9)
+        assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-9
+        assert res.x.min() >= -1e-12
+
+
 def test_check_feasible_gordan_branch():
     """m <= n generic rows leave {y >= 0 : rows^T y = 0, 1^T y = 1} empty, so
     the witness must come from a Gordan direction rows z < 0."""
@@ -206,7 +323,7 @@ def test_project_fixed_matches_kkt_oracle():
         b = rng.normal(size=n_d)
         c = float(rng.normal())
         p0 = rng.normal(size=n_p)
-        res = project_fixed(p0, a, b, c)
+        res = project_policy(p0, None, a, b, c)
         margin = float(a @ p0 + c)
         ref = _kkt_projection(b, margin)
         assert res.delta == pytest.approx(ref, abs=1e-9)
@@ -241,7 +358,7 @@ def test_projection_no_cheaper_point_sampled():
     b = np.array([0.5, 1.5, -1.0])
     c = -3.0
     p0 = np.array([0.3, 0.9])
-    res = project_fixed(p0, a, b, c)
+    res = project_policy(p0, None, a, b, c)
     margin = a @ p0 + c
     for _ in range(500):
         d = rng.normal(size=3)
@@ -257,7 +374,7 @@ def test_project_policy_reduces_to_fixed_at_zero_gain():
         b = rng.normal(size=3)
         c = float(rng.normal())
         p0 = rng.normal(size=4)
-        res_f = project_fixed(p0, a, b, c)
+        res_f = project_policy(p0, None, a, b, c)
         res_p = project_policy(p0, np.zeros((4, 3)), a, b, c)
         assert res_p.norm_sq == pytest.approx(res_f.norm_sq, abs=1e-12)
         if res_f.delta is not None:
@@ -269,13 +386,13 @@ def test_projection_degenerate_rows():
     p0 = np.array([0.0])
     zero_b = np.zeros(2)
     # slack row insensitive to delta: uncrossable
-    res = project_fixed(p0, a, zero_b, -1.0)
+    res = project_policy(p0, None, a, zero_b, -1.0)
     assert res.norm_sq == np.inf and res.delta is None
     # tight insensitive row: crossed at zero distance
-    res = project_fixed(p0, a, zero_b, 0.0)
+    res = project_policy(p0, None, a, zero_b, 0.0)
     assert res.norm_sq == 0.0
     # tight sensitive row
-    res = project_fixed(p0, a, np.array([2.0, 0.0]), 0.0)
+    res = project_policy(p0, None, a, np.array([2.0, 0.0]), 0.0)
     assert res.norm_sq == 0.0
     assert res.delta == pytest.approx([0.0, 0.0], abs=1e-15)
 

@@ -151,7 +151,7 @@ def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
     if tight[row]:
         return mats.B[row] / np.linalg.norm(mats.B[row]), row
     proj = lin_solve.project_policy(p0, None, mats.A[row], mats.B[row],
-                                    float(mats.c[row]), policy)
+                                    float(mats.c[row]))
     return proj.delta, row
 
 

@@ -36,7 +36,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None,
                    help="root seed; generated and recorded when absent")
     p.add_argument("--budget", type=float, default=600.0,
-                   help="wall-clock budget in seconds (squeeze/table)")
+                   help="wall-clock budget in seconds (defend/squeeze/table)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (falls back to $DCATTACK_NUM_THREADS)")
     p.add_argument("--match-threshold", type=float, default=0.01)
@@ -136,7 +136,7 @@ def _maybe_dump_matrices(mats, args):
             json.dump(mats.to_json_dict(), fh, indent=2)
 
 
-def _load(args, policy):
+def _load(args):
     case = load_case(args.case)
     mats = build_feasibility(case)
     _maybe_dump_matrices(mats, args)
@@ -155,7 +155,7 @@ def _per_bus_rows(mats, delta):
 
 def cmd_attack(args, manifest):
     policy = _numeric_policy(args)
-    case, mats = _load(args, policy)
+    case, mats = _load(args)
     t0 = time.monotonic()
     rep = multistart_attack(
         mats, AttackConfig(eps=args.eps, restarts=args.restarts,
@@ -195,11 +195,11 @@ def cmd_attack(args, manifest):
 
 def cmd_defend(args, manifest):
     policy = _numeric_policy(args)
-    case, mats = _load(args, policy)
+    case, mats = _load(args)
     t0 = time.monotonic()
     kind = args.policy_kind
     if kind == "local":
-        pol = defense_local(mats, policy=policy)
+        pol = defense_local(mats, policy=policy, budget_s=args.budget)
     elif kind == "warm":
         p0, G0, t_init = warm_start_defense(mats, policy)
         pol = DefensePolicy(p0, G0, t_init, t_tilde(mats, p0, G0, policy)[1],
@@ -238,7 +238,7 @@ def _squeeze_config(args, manifest):
 
 def cmd_squeeze(args, manifest):
     policy = _numeric_policy(args)
-    case, mats = _load(args, policy)
+    case, mats = _load(args)
     rep = squeeze_run(case, _squeeze_config(args, manifest), policy, mats=mats)
     report = rep.to_dict()
     report["manifest"] = manifest

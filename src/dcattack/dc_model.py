@@ -96,6 +96,13 @@ class FeasibilityMatrices:
     def n_reduced(self):
         return self.A.shape[1]
 
+    def unit_rows(self):
+        """(upper, lower): the rows p_j <= p_max and p_j >= p_min of each
+        reduced column j, i.e. a_i = e_j and a_i = -e_j with b_i = 0; they
+        end the row stacking order."""
+        n, m = self.n_reduced, self.m
+        return np.arange(m - 2 * n - 1, m - n - 1), np.arange(m - n, m)
+
     def margins(self, p_hat, delta=None):
         """A p + B delta + c, the reduced-system row margins."""
         p_hat = np.zeros(self.n_reduced) if p_hat is None else np.asarray(p_hat, float)

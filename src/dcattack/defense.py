@@ -9,25 +9,57 @@ is the largest t such that every ||delta||^2 <= t keeps all rows satisfied,
 so t_tilde is a sound lower bound on any attack.  Rows whose direction
 G^T a_i + b_i vanishes can never be crossed and drop out (infinite sentinel).
 
-The local maximizer runs in two phases.  Phase one does projected gradient
-ascent on a softmin surrogate of t_tilde whose temperature anneals from
-1e-1 * t_init down to 1e-6 * t_init; infeasible p0 trials are pulled back
-toward the strictly interior max-margin dispatch.  Phase two ("radius push")
-tries to certify progressively larger radii s directly: for a fixed s the
-condition s*||G^T a_i + b_i|| + a_i^T p0 + c_i <= 0 for all rows is convex in
-(p0, G), and a squared-hinge descent either satisfies it or the growth factor
-shrinks.  Reported radii are always recomputed exactly; smoothed or pushed
-values never leave this module unverified.
+The best affine policy is one convex program, the affinely adjustable robust
+counterpart (Ben-Tal, Goryashko, Guslitser and Nemirovski, 2004).  With
+lambda = 1/sqrt(t) and q = lambda p0 it is the second-order cone program
+
+    min lambda  s.t.  ||G^T a_i + b_i|| <= -(a_i^T q + lambda c_i)  for all i,
+
+solved by `defense_local` with a log-barrier Newton method (Boyd and
+Vandenberghe, ch. 11).  Presolve folds units with p_min == p_max into c and
+drops the rows that leaves constant; without it those rows are implicit
+equalities and no strictly interior point exists.  The Newton system is
+reduced onto (q, lambda): the G block kron(A^T D A, I_k) + sum_i r_i r_i^T
+is inverted by Woodbury through an m x m capacitance matrix, so a step costs
+O(m^2 (n + k) + m^3) instead of O((n k)^3).
+
+Every barrier iterate is strictly feasible, so every iterate is a sound
+policy: a step that fails near the optimum, or an expired deadline, just ends
+the solve early.  The reported radius is always the exact t_tilde of the
+returned (p0, G).
+
+The dual  max -<W, B>  s.t.  A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i
+bounds lambda from below.  Candidates come from the centered points and from
+complementary slackness on the final active rows; each is made feasible to
+rounding through the units' own bound rows, and the one with the smallest
+gap is returned with the policy.  Its y lies in P = {mu >= 0, A^T mu = 0,
+-c^T mu = 1}, so it is also a Farkas candidate for the attack.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lin_solve
 from .errors import (GeometryError, ModelError, PolicyVerificationError,
-                     PreconditionError)
+                     PreconditionError, SolverError)
 from .numerics import DEFAULT_POLICY
+
+# barrier schedule: tau grows by _MU per centering, which ends at a squared
+# Newton decrement below _CENTER_TOL; the solve ends once the duality gap
+# 2m / tau falls below _GAP_TOL * lambda.  Near the optimum the reduced
+# Newton system loses its digits and the decrement stalls at a noise floor:
+# after _STALE_STEPS steps in a row, all inside the quadratic region
+# (decrement below 1e-2), that do not halve the smallest decrement so far,
+# the point counts as centered if that decrement is below _FLOOR_TOL, and the
+# solve ends otherwise.  A centering also fails after _CENTER_STEPS steps
+_MU = 30.0
+_CENTER_TOL = 1e-10
+_FLOOR_TOL = 1e-6
+_CENTER_STEPS = 50
+_STALE_STEPS = 3
+_GAP_TOL = 1e-8
 
 
 @dataclass
@@ -38,6 +70,10 @@ class DefensePolicy:
     binding_row: int
     verified_samples: int = 0
     meta: dict = field(default_factory=dict)
+    # (y, W): a dual certificate of the SOCP on the rows of mats, feasible to
+    # rounding (A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i), so
+    # -<W, B> <= lambda for every policy; None when no centering finished
+    dual: tuple = None
 
     def summary(self, mats=None):
         row = self.binding_row
@@ -66,19 +102,6 @@ class SimplexPolicy:
         return self.p0 + self.G @ np.asarray(delta, float)
 
 
-@dataclass
-class DefenseConfig:
-    iters_per_temp: int = 60
-    temp_start: float = 1e-1
-    temp_end: float = 1e-6
-    stage2: bool = True
-    stage2_iters: int = 400
-    push_rounds: int = 40
-    target_radius_sq: float = None
-    bias_direction: np.ndarray = None   # favor rows crossable along this delta
-    bias_weight: float = 1.0
-
-
 def t_tilde(mats, p0, G, policy=DEFAULT_POLICY):
     """Exact certified radius of the policy and its binding row."""
     p0 = np.asarray(p0, float)
@@ -92,231 +115,235 @@ def t_tilde(mats, p0, G, policy=DEFAULT_POLICY):
     return t, row
 
 
+def presolve(mats, policy=DEFAULT_POLICY):
+    """(rows, free, p_fixed, c): units with p_min == p_max are held at their
+    output p_fixed (zero on the free columns), and the rows this leaves
+    constant and satisfied are dropped.  The policy program then lives on
+    A[rows][:, free], B[rows] and c = (c + A p_fixed)[rows]."""
+    lo, hi = mats.case.gen_bounds()
+    fixed = (lo == hi)[mats.gen_order]
+    p_fixed = np.where(fixed, hi[mats.gen_order], 0.0)
+    c = mats.c + mats.A @ p_fixed
+    const = ~np.any(mats.A[:, ~fixed] != 0.0, axis=1) \
+        & ~np.any(mats.B != 0.0, axis=1)
+    rows = np.flatnonzero(~(const & (c <= policy.feas_tol)))
+    return rows, ~fixed, p_fixed, c[rows]
+
+
 def warm_start_defense(mats, policy=DEFAULT_POLICY):
-    """Max-margin dispatch (Chebyshev-style LP) and its fixed-dispatch radius:
-    min m s.t. a_i^T p + c_i <= m for all rows."""
-    m, n = mats.m, mats.n_reduced
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    A_ub = np.hstack([mats.A, -np.ones((m, 1))])
-    res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=cost, A_ub=A_ub, b_ub=-mats.c), policy)
-    if res.status != lin_solve.OPTIMAL:
-        raise ModelError(f"max-margin LP ended {res.status}: "
-                         "no dispatch satisfies the nominal constraints")
-    p_init = res.x[:n]
-    if res.x[-1] > policy.feas_tol:
-        raise ModelError("nominal case infeasible: best margin "
-                         f"{res.x[-1]:.3e} > 0")
-    t_init, _row = t_tilde(mats, p_init, None, policy)
-    return p_init, np.zeros((n, mats.n_delta)), float(t_init)
+    """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
+    a_i^T p + c_i <= m on the presolved rows, solved in the wide form of
+    `lin_solve.check_feasible`; fixed units stay at their output."""
+    rows, free, p, c = presolve(mats, policy)
+    ok, x, ray = lin_solve.check_feasible(mats.A[rows][:, free], -c, policy)
+    if not ok:
+        worst = mats.row_labels[rows[int(np.argmax(ray))]]
+        raise ModelError("max-margin LP: no dispatch satisfies the nominal "
+                         f"constraints (Farkas ray heaviest on {worst})")
+    p[free] = x
+    t_init, _row = t_tilde(mats, p, None, policy)
+    return p, np.zeros((mats.n_reduced, mats.n_delta)), float(t_init)
 
 
-def _surrogate(mats, p0, G, temp, bias=None, bias_weight=1.0):
-    """Softmin value and ascent gradients; returns None when no row binds.
-    An optional bias direction upweights rows whose crossing direction aligns
-    with it (gradient only; the reported value stays the exact softmin)."""
-    m = mats.margins(p0)
-    dirs = (mats.A @ G if mats.A.size else 0.0) + mats.B
-    den = np.einsum("ij,ij->i", dirs, dirs)
-    # Rows whose direction norm sits at floating-point-noise level relative to
-    # the most sensitive row only arise from cancellation; treating them as
-    # delta-insensitive keeps the gradients finite and matches the exact-radius
-    # convention of excluding zero-direction rows.
-    live = den > 1e-18 * max(1.0, float(den.max()) if den.size else 0.0)
-    if not np.any(live):
+def _cones(A, B, c, q, lam, G):
+    """Cone coordinates u_i = -(a_i^T q + lam c_i), w_i = G^T a_i + b_i and
+    s_i = u_i^2 - ||w_i||^2; the point is strictly feasible iff u, s > 0."""
+    u = -(A @ q + lam * c)
+    W = A @ G + B
+    return u, W, u * u - np.einsum("ij,ij->i", W, W)
+
+
+def _newton_step(A, c, tau, u, W, s):
+    """Newton direction (dq, dlam, dG) of tau * lam - sum_i log s_i and its
+    squared decrement.  The system is reduced onto y = (q, lam), with the G
+    block inverted by Woodbury.  Raises LinAlgError when a factor is not
+    positive definite."""
+    Ay = np.hstack([A, c[:, None]])
+    d = 2.0 / s
+    e = d * u
+    g_y = Ay.T @ e
+    g_y[-1] += tau
+    g_G = A.T @ (d[:, None] * W)
+    # G block: kron(K, I) + R R^T, r_i = d_i vec(a_i w_i^T), K = A^T diag(d) A;
+    # Woodbury through the capacitance C = I + R^T kron(K^-1, I) R
+    K = A.T @ (d[:, None] * A)
+    KA = np.linalg.solve(K, A.T)
+    C = np.eye(s.size) + np.outer(d, d) * (A @ KA) * (W @ W.T)
+    L_inv = np.linalg.solve(np.linalg.cholesky(C), np.eye(s.size))
+    # Schur complement onto y; the diagonal term h_uu - e^2 is -d exactly
+    X = L_inv @ (e[:, None] * Ay)
+    L_s = np.linalg.cholesky(X.T @ X - Ay.T @ (d[:, None] * Ay))
+
+    def rt_p(Gam):          # C^-1 R^T kron(K^-1, I) vec(Gam)
+        return L_inv.T @ (L_inv @ (d * np.einsum("ij,ij->i", KA.T @ Gam, W)))
+
+    dy = np.linalg.solve(L_s.T, np.linalg.solve(
+        L_s, Ay.T @ (e * rt_p(g_G)) - g_y))
+    Gam = g_G + A.T @ ((d * e * (Ay @ dy))[:, None] * W)
+    dG = -np.linalg.solve(K, Gam - A.T @ ((d * rt_p(Gam))[:, None] * W))
+    dec2 = -(float(g_y @ dy) + float(np.sum(g_G * dG)))
+    return dy[:-1], float(dy[-1]), dG, dec2
+
+
+def _socp(A, B, c, p_start, deadline):
+    """Barrier solve of the program in the module docstring on presolved rows,
+    started at G = 0 from a dispatch with every margin negative.  Returns
+    (q, lam, G) of the smallest-lambda iterate, the unscaled duals (y, W) of
+    the centered points and an info dict: why the solve stopped and its
+    Newton steps."""
+    m = c.size
+    margins = A @ p_start + c
+    lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1) / -margins)), 1e-12)
+    q, G = lam * p_start, np.zeros((A.shape[1], B.shape[1]))
+    tau = 2.0 * m / lam
+    best, duals = (q, lam, G), []
+    info = {"stop": "step-failed", "newton_steps": 0}
+    cone = _cones(A, B, c, q, lam, G)
+    while True:
+        dec_min, stale = np.inf, 0
+        for _ in range(_CENTER_STEPS):      # centering at tau
+            if deadline is not None and time.monotonic() >= deadline:
+                info["stop"] = "deadline"
+                return best, duals, info
+            try:
+                dq, dlam, dG, dec2 = _newton_step(A, c, tau, *cone)
+            except np.linalg.LinAlgError:
+                return best, duals, info
+            if not np.isfinite(dec2) or dec2 < 0.0:
+                return best, duals, info
+            info["newton_steps"] += 1
+            if dec2 <= _CENTER_TOL:
+                break
+            stale = stale + 1 if 0.5 * dec_min < dec2 and dec_min < 1e-2 \
+                else 0
+            dec_min = min(dec_min, dec2)
+            if stale >= _STALE_STEPS:
+                if dec_min > _FLOOR_TOL:
+                    return best, duals, info
+                break
+            # backtracking on the change of tau * lam - sum log s, which is
+            # summed from ratios: the value itself is ~tau * lam and would
+            # drown the decrease in rounding near the optimum
+            alpha = 1.0
+            while True:
+                new = _cones(A, B, c, q + alpha * dq, lam + alpha * dlam,
+                             G + alpha * dG)
+                if np.all(new[0] > 0.0) and np.all(new[2] > 0.0) and \
+                        tau * alpha * dlam - np.sum(np.log(new[2] / cone[2])) \
+                        <= -0.25 * alpha * dec2:
+                    break
+                alpha *= 0.5
+                if alpha < 1e-12:
+                    return best, duals, info
+            q, lam, G, cone = q + alpha * dq, lam + alpha * dlam, \
+                G + alpha * dG, new
+            if lam < best[1]:
+                best = (q, lam, G)
+        else:
+            return best, duals, info
+        u, W, s = cone
+        duals.append((2.0 * u / s, -(2.0 / s)[:, None] * W))
+        if 2.0 * m / (tau * lam) <= _GAP_TOL:
+            info["stop"] = "converged"
+            return best, duals, info
+        tau *= _MU
+
+
+def _complementary_dual(A, B, c, q, lam, G, y):
+    """The dual that complementary slackness assigns to the barrier's active
+    rows (y_i above 1e-4 of the largest): omega_i = -y_i w_i / u_i, with y
+    on those rows solving A^T y = 0, c^T y = -1 and A^T W = 0 by least
+    squares.  It carries none of the barrier duals' eps * tau residual;
+    None when a multiplier comes out negative."""
+    u, W, _s = _cones(A, B, c, q, lam, G)
+    act = np.flatnonzero(y > 1e-4 * y.max())
+    dirs = W[act] / u[act, None]
+    M = np.vstack([A[act].T, c[act][None, :],
+                   -(A[act][:, :, None] * dirs[:, None, :])
+                   .reshape(act.size, -1).T])
+    rhs = np.zeros(M.shape[0])
+    rhs[A.shape[1]] = -1.0
+    y_act = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    if np.any(y_act < 0.0):
         return None
-    f = m[live] ** 2 / den[live]
-    fmin = float(f.min())
-    e = np.exp(-(f - fmin) / max(temp, 1e-300))
-    se = float(e.sum())
-    w = e / se
-    value = fmin - temp * np.log(se)
-    if bias is not None:
-        align = dirs[live] @ bias / np.sqrt(den[live])
-        w = w * (1.0 + bias_weight * np.clip(align, 0.0, None))
-        w /= w.sum()
-    A_live = mats.A[live]
-    gp = A_live.T @ (w * 2.0 * m[live] / den[live]) if mats.A.size else \
-        np.zeros(0)
-    coef = w * (-2.0) * m[live] ** 2 / den[live] ** 2
-    gG = (A_live.T @ (coef[:, None] * dirs[live]) if mats.A.size else
-          np.zeros_like(G))
-    return value, gp, gG, float(fmin)
+    y, Om = np.zeros_like(y), np.zeros_like(W)
+    y[act], Om[act] = y_act, -y_act[:, None] * dirs
+    return y, Om
 
 
-def _repair(mats, p_try, p_anchor, policy):
-    """Pull an infeasible dispatch back along the segment to the strictly
-    interior anchor until all rows are satisfied again."""
-    m_try = mats.margins(p_try)
-    viol = m_try > 0.0
-    if not np.any(viol):
-        return p_try
-    m_anchor = mats.margins(p_anchor)
-    gap = m_try[viol] - m_anchor[viol]
-    if np.any(gap <= 0):
-        return p_anchor.copy()
-    alpha = float(np.max(m_try[viol] / gap))
-    alpha = min(1.0, alpha * 1.02 + 1e-12)
-    return p_try + alpha * (p_anchor - p_try)
+def _feasible_dual(mats, y, W):
+    """Restore A^T y = 0 and A^T W = 0 on the rows of mats through each unit's
+    own bound rows (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i survives by the
+    triangle inequality), then scale onto c^T y = -1.  This also undoes the
+    fold of fixed units, whose dropped bound rows absorb (A^T y)_j.  Mass
+    added to both bound rows of unit j moves only c^T y, by
+    -(p_max - p_min), so a residual costs bound, never soundness.  None when
+    c^T y ends up nonnegative."""
+    up, lo = mats.unit_rows()
+    r, R = mats.A.T @ y, mats.A.T @ W
+    half = 0.5 * np.linalg.norm(R, axis=1)
+    y, W = y.copy(), W.copy()
+    y[up] += half + np.maximum(-r, 0.0)
+    y[lo] += half + np.maximum(r, 0.0)
+    W[up] -= 0.5 * R
+    W[lo] += 0.5 * R
+    scale = -float(mats.c @ y)
+    return (y / scale, W / scale) if scale > 0.0 else None
 
 
-def _exact_t(mats, p0, G, policy):
+def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
+    """The best affine policy, by the barrier SOCP of the module docstring.
+
+    Starts from `warm_start_defense`.  `budget_s` bounds the wall time of the
+    Newton loop; on expiry the best iterate so far is returned with
+    meta["deadline"] set.  meta["stop"] says why the solve ended:
+    "converged" (duality gap below 1e-8), "step-failed" (the Newton system
+    lost its digits first), "deadline", or "no-interior" when presolve
+    leaves no strictly interior dispatch (the warm start is returned then).
+    meta["gap"] is the relative duality gap (lambda + <W, B>) / lambda
+    between the returned policy and dual; meta["stalled"] flags a policy no
+    better than the warm start."""
+    deadline = None if budget_s is None else time.monotonic() + budget_s
+    p_w, G0, t_init = warm_start_defense(mats, policy)
+    rows, free, p_fixed, c = presolve(mats, policy)
+    A = mats.A[rows][:, free]
+    meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
+            "gap": None}
+    p0, G, dual = p_w, G0, None
+    if rows.size and float(np.max(A @ p_w[free] + c)) < 0.0:
+        (q, lam, G_f), duals, info = _socp(A, mats.B[rows], c, p_w[free],
+                                           deadline)
+        meta.update(info, **{"lambda": lam})
+        p0, G = p_fixed.copy(), np.zeros_like(G0)
+        p0[free], G[free] = q / lam, G_f
+        # later centers are tighter, but s_i = u_i^2 - ||w_i||^2 carries a
+        # rounding error of about eps * u_i^2, so their duals have residuals
+        # of about eps * tau for `_feasible_dual` to pay: keep the best
+        if duals:
+            polished = _complementary_dual(A, mats.B[rows], c, q, lam, G_f,
+                                           duals[-1][0])
+            duals += [polished] if polished is not None else []
+        gaps = []
+        for y_f, W_f in duals:
+            y, W = np.zeros(mats.m), np.zeros((mats.m, mats.n_delta))
+            y[rows], W[rows] = y_f, W_f
+            cand = _feasible_dual(mats, y, W)
+            if cand is not None:
+                gaps.append(((lam + float(np.sum(cand[1] * mats.B))) / lam,
+                             cand))
+        if gaps:
+            meta["gap"], dual = min(gaps, key=lambda g: g[0])
+    meta["deadline"] = meta["stop"] == "deadline"
     try:
         t, row = t_tilde(mats, p0, G, policy)
-    except PreconditionError:
-        return None, None
-    return t, row
-
-
-def _push_radius(mats, p0, G, s, iters, policy):
-    """Squared-hinge descent on the convex certificate of radius s:
-    s*||G^T a_i + b_i|| + a_i^T p0 + c_i <= 0 for every row."""
-    p, Gm = p0.copy(), G.copy()
-    eta = 0.5
-    scale = 1.0 + float(np.max(np.abs(mats.c), initial=0.0))
-    for _ in range(iters):
-        m = mats.margins(p)
-        dirs = (mats.A @ Gm if mats.A.size else 0.0) + mats.B
-        nrm = np.linalg.norm(dirs, axis=1)
-        h = s * nrm + m
-        act = h > 0.0
-        V = float(h[act] @ h[act])
-        if V <= (1e-12 * scale) ** 2:
-            return p, Gm, 0.0
-        if not mats.A.size:
-            return p, Gm, V      # nothing to steer
-        A_act = mats.A[act]
-        gp = A_act.T @ (2.0 * h[act])
-        safe = np.where(nrm[act] > 0.0, nrm[act], 1.0)
-        coefG = 2.0 * h[act] * s / safe * (nrm[act] > 0.0)
-        gG = A_act.T @ (coefG[:, None] * dirs[act])
-        gn2 = float(gp @ gp) + float(np.sum(gG * gG))
-        if gn2 <= 0.0:
-            return p, Gm, V
-        # backtracking on the exact hinge objective
-        step = eta
-        for _bt in range(30):
-            p_t = p - step * gp
-            G_t = Gm - step * gG
-            m_t = mats.margins(p_t)
-            d_t = (mats.A @ G_t) + mats.B
-            h_t = s * np.linalg.norm(d_t, axis=1) + m_t
-            a_t = h_t > 0
-            V_t = float(h_t[a_t] @ h_t[a_t])
-            if V_t < V - 1e-4 * step * gn2:
-                p, Gm = p_t, G_t
-                eta = step * 1.5
-                break
-            step *= 0.5
-        else:
-            return p, Gm, V
-    m = mats.margins(p)
-    dirs = (mats.A @ Gm) + mats.B
-    h = s * np.linalg.norm(dirs, axis=1) + m
-    act = h > 0
-    return p, Gm, float(h[act] @ h[act])
-
-
-def defense_local(mats, init=None, config=None, policy=DEFAULT_POLICY):
-    """Two-phase local maximization of t_tilde (see module docstring).
-
-    `init` may be a DefensePolicy or a (p0, G) pair; None starts from the
-    max-margin warm start.  The returned policy never has t below the init's
-    exact radius; a run that could not improve is flagged `stalled`.
-    """
-    cfg = config or DefenseConfig()
-    p_anchor, G0, t_anchor = warm_start_defense(mats, policy)
-    if init is None:
-        p0, G = p_anchor.copy(), G0.copy()
-    elif isinstance(init, DefensePolicy):
-        p0, G = init.p0.copy(), init.G.copy()
-    else:
-        p0, G = (np.asarray(init[0], float).copy(),
-                 np.asarray(init[1], float).copy())
-    t_init, row_init = t_tilde(mats, p0, G, policy)
-    if not np.isfinite(t_init):
-        return DefensePolicy(p0, G, t_init, row_init,
-                             meta={"t_init": t_init, "stalled": False,
-                                   "stage1_t": t_init, "pushes": 0})
-
-    best = (t_init, p0.copy(), G.copy())
-    t_scale = max(t_init, t_anchor, 1e-12)
-
-    # ---- phase 1: annealed softmin ascent ----------------------------------
-    bias = None
-    if cfg.bias_direction is not None:
-        b = np.asarray(cfg.bias_direction, float)
-        nb = np.linalg.norm(b)
-        if nb > 0:
-            bias = b / nb
-    temp = cfg.temp_start * t_scale
-    temp_end = cfg.temp_end * t_scale
-    step = 0.1 * (1.0 + float(np.linalg.norm(p0)))
-    while temp > temp_end:
-        rejects = 0
-        cur = _surrogate(mats, p0, G, temp, bias, cfg.bias_weight)
-        if cur is None:
-            break
-        for _ in range(cfg.iters_per_temp):
-            value, gp, gG, _f = cur
-            gn = np.sqrt(float(gp @ gp) + float(np.sum(gG * gG)))
-            if gn < 1e-15:
-                break
-            p_t = _repair(mats, p0 + step * gp / gn, p_anchor, policy)
-            G_t = G + step * gG / gn
-            trial = _surrogate(mats, p_t, G_t, temp, bias, cfg.bias_weight)
-            if trial is not None and trial[0] > value + 1e-15:
-                p0, G, cur = p_t, G_t, trial
-                step *= 1.3
-                t_now, _ = _exact_t(mats, p0, G, policy)
-                if t_now is not None and t_now > best[0]:
-                    best = (t_now, p0.copy(), G.copy())
-            else:
-                step *= 0.4
-                rejects += 1
-                if rejects > 12:
-                    break
-        temp *= 0.5
-    stage1_t = best[0]
-
-    # ---- phase 2: radius push ----------------------------------------------
-    pushes = 0
-    if cfg.stage2:
-        t_best, p_b, G_b = best
-        target_s = (np.sqrt(cfg.target_radius_sq)
-                    if cfg.target_radius_sq else None)
-        gamma = 0.25
-        s_floor = 1e-4 * np.sqrt(t_scale)
-        for _ in range(cfg.push_rounds):
-            s_best = np.sqrt(max(t_best, 0.0))
-            if target_s is not None and s_best >= target_s * (1 - 1e-9):
-                break
-            s_try = s_best * (1.0 + gamma) if s_best > 0 else s_floor
-            if target_s is not None:
-                s_try = min(s_try, target_s)
-            p_c, G_c, _V = _push_radius(mats, p_b, G_b, s_try,
-                                        cfg.stage2_iters, policy)
-            pushes += 1
-            t_c, _ = _exact_t(mats, p_c, G_c, policy)
-            if t_c is not None and t_c > t_best * (1 + 1e-12) + 1e-18:
-                t_best, p_b, G_b = t_c, p_c, G_c
-                if t_c >= s_try * s_try * (1 - 1e-9):
-                    gamma = min(gamma * 1.6, 1.0)
-            else:
-                gamma *= 0.5
-                if gamma < 1e-3:
-                    break
-        best = (t_best, p_b, G_b)
-
-    t_fin, row_fin = t_tilde(mats, best[1], best[2], policy)
-    stalled = t_fin <= t_init * (1 + 1e-12) + 1e-18
-    if t_fin < t_init - 1e-12:    # never report worse than the init
-        t_fin, row_fin = t_init, row_init
-        best = (t_init, p0, G)
-    return DefensePolicy(best[1], best[2], float(t_fin), row_fin,
-                         meta={"t_init": float(t_init), "stalled": bool(stalled),
-                               "stage1_t": float(stage1_t), "pushes": pushes})
+    except PreconditionError as exc:
+        raise SolverError(f"socp final: p0 = q / lambda is infeasible: {exc}")
+    if "lambda" in meta and t < (1.0 - 1e-9) / meta["lambda"] ** 2:
+        raise SolverError(
+            f"socp final: exact radius {t:.9e} is below 1/lambda^2 = "
+            f"{meta['lambda'] ** -2:.9e} at row {mats.row_labels[row]}")
+    meta["stalled"] = not t > t_init
+    return DefensePolicy(p0, G, float(t), row, meta=meta, dual=dual)
 
 
 def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
@@ -336,7 +363,7 @@ def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
     if pol.binding_row is not None and np.isfinite(pol.t) and pol.t > 0:
         i = pol.binding_row
         proj = lin_solve.project_policy(pol.p0, pol.G, mats.A[i], mats.B[i],
-                                        float(mats.c[i]), policy)
+                                        float(mats.c[i]))
         if proj.delta is not None and np.linalg.norm(proj.delta) > 0:
             probe = proj.delta / np.linalg.norm(proj.delta) * r
             deltas = np.vstack([deltas, probe[None, :]])

@@ -11,11 +11,10 @@ The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 row count.  So the attack path solves each of its LPs in the wide multiplier
 form  min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0,  whose basis has only
 n_reduced + 1 rows: the attack's mu-step, the ray search
-(`attack.ray_boundary`), the feasibility probe (`check_feasible`) and the
-nominal dispatch (`dc_model.solve_dcopf`).  Primal points are read off the
-equality duals and re-checked against the rows; Farkas rays are the
-multipliers themselves.  The defense's max-margin warm start stays tall:
-its maximizer is not unique and the dispatch it picks steers the defense.
+(`attack.ray_boundary`), the feasibility probe (`check_feasible`, which also
+gives the defense its max-margin warm start) and the nominal dispatch
+(`dc_model.solve_dcopf`).  Primal points are read off the equality duals and
+re-checked against the rows; Farkas rays are the multipliers themselves.
 
 Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
 caller's basis: M column indices in the [x; slacks] space, typically the
@@ -38,7 +37,7 @@ they are the geometric primitives shared by the attack and defense modules.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError, SolverError
 from .numerics import DEFAULT_POLICY, NumericPolicy
@@ -572,7 +571,7 @@ class ProjectionResult:
     margin: float
 
 
-def project_policy(p0, G, a_i, b_i, c_i, policy: NumericPolicy = DEFAULT_POLICY):
+def project_policy(p0, G, a_i, b_i, c_i):
     """Smallest ||delta||^2 with a_i^T (p0 + G delta) + b_i^T delta + c_i = 0.
 
     G = None means the fixed-dispatch variant (no response).  Degenerate rows:

@@ -1,12 +1,11 @@
-"""Drive attack and defense toward a common value and report the bracket.
+"""Bracket the minimal infeasibility distance from both sides in one pass.
 
-The two sides bound the same quantity from opposite directions: every
-certified attack norm is an upper bound on the minimal infeasibility distance,
-and every policy radius is a lower bound.  Rather than solving the joint
-min-max program, rounds of local improvement alternate — a defense ascent
-aimed at the current attack value, then attack restarts seeded from the
-defense's binding geometry — until the bounds match (relative gap below the
-threshold), the wall-clock budget runs out, or both sides stall.
+Every certified attack norm is an upper bound on the minimal infeasibility
+distance, and every policy radius is a lower bound.  The lower bound is exact
+for affine policies (`defense.defense_local` solves the convex program), so
+the squeeze runs once: nominal DC-OPF, the policy SOCP within the wall-clock
+budget, one attack multistart seeded from the policy (`cross_feed`), then a
+final re-certification of the attack and sampled verification of the policy.
 
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); the report re-verifies both incumbents at
@@ -21,13 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import (AttackConfig, attack_local, binding_row_direction,
-                     certify_infeasible, fixed_dispatch_lb, multistart_attack,
-                     _ray_polish)
-from .defense import (DefenseConfig, defense_local, verify_policy,
-                      warm_start_defense)
+from .attack import AttackConfig, certify_infeasible, multistart_attack
+from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility, solve_dcopf
-from .errors import AttackError, ModelError, RestartSignal
+from .errors import AttackError, ModelError
 from .lin_solve import project_policy
 from .numerics import DEFAULT_POLICY
 
@@ -39,17 +35,13 @@ class SqueezeConfig:
     eps: float = 1e-3
     seed: int = 0
     restarts: int = 5
-    round_restarts: int = 2
     threads: int = 1
     verify_samples: int = 1000
-    max_rounds: int = 50
 
 
 @dataclass
 class CrossFeedHints:
     attack_directions: list = field(default_factory=list)
-    defense_target: float = None
-    defense_bias: np.ndarray = None
 
 
 @dataclass
@@ -124,47 +116,31 @@ class BoundsReport:
         return buf.getvalue()
 
 
-def cross_feed(mats, attack_best=None, defense_best=None, p_nom=None,
-               policy=DEFAULT_POLICY):
-    """Exchange geometry between the two sides (see module docstring).
-    Either side may be None; fallbacks: no defense -> seed the attack from the
-    fixed-dispatch binding row, no attack -> no defense hint."""
+def cross_feed(mats, defense_best):
+    """Attack starts from the policy: the binding row's crossing point under
+    the policy, and B^T y / ||B^T y||^2 for the SOCP's dual multiplier y.
+    The dual is feasible, so y lies in P = {mu >= 0, A^T mu = 0,
+    -c^T mu = 1}, and mu in P with mu^T B delta > 1 proves F(delta) empty:
+    B^T y is a Farkas candidate and B^T y / ||B^T y||^2 its nearest point
+    with mu^T B delta = 1.  Both points are pushed just outside that
+    boundary (factor 1 + 1e-3)."""
     hints = CrossFeedHints()
-    if defense_best is not None and defense_best.binding_row is not None \
-            and np.isfinite(defense_best.t):
+    if defense_best.binding_row is not None and np.isfinite(defense_best.t):
         i = defense_best.binding_row
-        proj = project_policy(defense_best.p0, defense_best.G, mats.A[i],
-                              mats.B[i], float(mats.c[i]), policy)
-        d = proj.delta
-        if d is None or not np.linalg.norm(d) > 0:
-            d = (mats.A[i] @ defense_best.G if mats.A.size else 0.0) + mats.B[i]
-        nrm = np.linalg.norm(d)
-        if nrm > 0:
-            scale = np.sqrt(max(defense_best.t, nrm ** 2)) * (1 + 1e-3)
-            hints.attack_directions.append(d / nrm * scale)
-    elif p_nom is not None:
-        d, _row = binding_row_direction(mats, p_nom, policy)
+        d = project_policy(defense_best.p0, defense_best.G, mats.A[i],
+                           mats.B[i], float(mats.c[i])).delta
         if d is not None and np.linalg.norm(d) > 0:
-            hints.attack_directions.append(d)
-    if attack_best is not None:
-        nrm = np.linalg.norm(attack_best.delta)
-        if nrm > 0:
-            hints.defense_bias = attack_best.delta / nrm
-            hints.defense_target = attack_best.norm_sq
+            hints.attack_directions.append(d * (1 + 1e-3))
+    if defense_best.dual is not None:
+        g = mats.B.T @ defense_best.dual[0]
+        if float(g @ g) > 0:
+            hints.attack_directions.append(g / float(g @ g) * (1 + 1e-3))
     return hints
 
 
-def _certified(mats, sol, policy):
-    ok, payload = certify_infeasible(mats, (1 + policy.cert_inflation) * sol.delta,
-                                     policy)
-    if ok:
-        sol.certified = True
-        sol.oracle_ray = payload
-    return ok
-
-
 def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
-    """Alternating bound improvement on one case; returns a BoundsReport."""
+    """One bracketing pass on one case (module docstring); returns a
+    BoundsReport."""
     cfg = config or SqueezeConfig()
     if mats is None:
         mats = build_feasibility(case)
@@ -176,75 +152,23 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
     nominal = solve_dcopf(mats, None, policy)
     if not nominal.feasible:
         raise ModelError("case is infeasible before any perturbation")
-    p_nom = nominal.p_hat
 
-    # round 0: warm-start defense, then a full attack multistart
-    p_init, G0, t_init = warm_start_defense(mats, policy)
-    best_pol = defense_local(mats, init=(p_init, G0),
-                             config=DefenseConfig(), policy=policy)
+    best_pol = defense_local(mats, policy=policy,
+                             budget_s=cfg.budget_s - (time.monotonic() - t0))
     report.append(t0, "defense", best_pol.t)
 
     best_att = None
-    hints = cross_feed(mats, None, best_pol, p_nom, policy)
+    hints = cross_feed(mats, best_pol)
     try:
         rep = multistart_attack(
             mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
                                seed=cfg.seed, threads=cfg.threads),
-            policy, extra_directions=hints.attack_directions, p_nom=p_nom)
+            policy, extra_directions=hints.attack_directions,
+            p_nom=nominal.p_hat)
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
     except AttackError as exc:
         report.flags.append(f"attack-round0: {exc}")
-
-    # alternation rounds
-    stall = 0
-    rnd = 0
-    while (not report.matched and stall < 2 and rnd < cfg.max_rounds
-           and time.monotonic() - t0 < cfg.budget_s):
-        rnd += 1
-        improved = False
-
-        hints = cross_feed(mats, best_att, best_pol, p_nom, policy)
-        pol = defense_local(
-            mats, init=best_pol,
-            config=DefenseConfig(target_radius_sq=hints.defense_target,
-                                 bias_direction=hints.defense_bias),
-            policy=policy)
-        if pol.t > best_pol.t * (1 + 1e-12) + 1e-18:
-            best_pol = pol
-            report.append(t0, "defense", pol.t)
-            improved = True
-        if report.matched or time.monotonic() - t0 >= cfg.budget_s:
-            break
-
-        hints = cross_feed(mats, best_att, best_pol, p_nom, policy)
-        att_cfg = AttackConfig(eps=cfg.eps, restarts=cfg.round_restarts,
-                               seed=cfg.seed + 1000 * rnd, threads=cfg.threads)
-        candidates = []
-        for d in hints.attack_directions:
-            try:
-                sol = attack_local(mats, d, att_cfg, policy=policy,
-                                   start=f"round{rnd}-hint")
-                candidates.append(_ray_polish(mats, sol, att_cfg, policy))
-            except (RestartSignal, AttackError):
-                pass
-        try:
-            rep = multistart_attack(mats, att_cfg, policy,
-                                    extra_directions=hints.attack_directions,
-                                    p_nom=p_nom)
-            candidates.append(rep.best)
-        except AttackError:
-            pass
-        for sol in sorted(candidates, key=lambda s: s.norm_sq):
-            if best_att is not None and sol.norm_sq >= best_att.norm_sq * (1 - 1e-12):
-                break
-            if sol.certified or _certified(mats, sol, policy):
-                best_att = sol
-                report.append(t0, "attack", sol.norm_sq)
-                improved = True
-                break
-
-        stall = 0 if improved else stall + 1
 
     # final re-verification of both incumbents
     if best_att is not None:
@@ -260,7 +184,6 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
     verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed,
                   policy=policy)
     report.defense = best_pol.summary(mats)
-    report.defense["t_init"] = float(t_init)
 
     report.elapsed = time.monotonic() - t0
     return report

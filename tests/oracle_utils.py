@@ -98,3 +98,31 @@ def extreme_ray_oracle(mats):
             assert rhs >= -1e-9, "nominally infeasible case handed to the oracle"
             best = min(best, (rhs / gn) ** 2)
     return best
+
+
+def socp_dual_failures(A, B, c, lam, y, W, tol=1e-6):
+    """Check (y, W) as a dual certificate for lam in the affine-policy SOCP
+
+        min lam  s.t.  ||G^T a_i + b_i|| <= -(a_i^T q + lam c_i),
+
+    whose dual is  max -<W, B>  s.t.  A^T y = 0, c^T y = -1, A^T W = 0,
+    ||w_i|| <= y_i.  Weak duality then gives lam >= -<W, B>, so a relative
+    gap |lam + <W, B>| / lam within tol proves lam optimal to tol.  Plain
+    numpy; returns a list of failures (empty on a pass)."""
+    y, W = np.asarray(y, float), np.asarray(W, float)
+    scale = tol * (1.0 + float(np.abs(y).sum())) \
+        * (1.0 + float(np.abs(A).max(initial=0.0)))
+    fails = []
+    if A.size and float(np.abs(A.T @ y).max()) > scale:
+        fails.append(f"A^T y = {float(np.abs(A.T @ y).max()):.3e}")
+    if abs(float(c @ y) + 1.0) > tol:
+        fails.append(f"c^T y = {float(c @ y)!r}, not -1")
+    if A.size and float(np.abs(A.T @ W).max()) > scale:
+        fails.append(f"A^T W = {float(np.abs(A.T @ W).max()):.3e}")
+    cone = float(np.max(np.linalg.norm(W, axis=1) - y))
+    if cone > tol * 1e-3:
+        fails.append(f"||w_i|| exceeds y_i by {cone:.3e}")
+    gap = (lam + float(np.sum(W * B))) / lam
+    if abs(gap) > tol:
+        fails.append(f"relative duality gap {gap:.3e}")
+    return fails

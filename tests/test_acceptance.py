@@ -22,7 +22,7 @@ from dcattack import lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
-from dcattack.defense import (DefenseConfig, defense_local, simplex_policy_fit,
+from dcattack.defense import (defense_local, simplex_policy_fit,
                               verify_policy)
 from dcattack.numerics import DEFAULT_POLICY
 from dcattack.squeeze import SqueezeConfig, squeeze_run

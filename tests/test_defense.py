@@ -17,15 +17,19 @@ import numpy as np
 import pytest
 
 from dcattack.attack import multistart_attack, AttackConfig
-from dcattack.case_ingest import build_case
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
-from dcattack.defense import (DefenseConfig, DefensePolicy, defense_local,
+from dcattack.defense import (DefensePolicy, defense_local,
                               feasible_simplex, rank1_policy,
                               simplex_policy_fit, t_tilde, verify_policy,
                               warm_start_defense)
+from dcattack import defense, lin_solve
 from dcattack.errors import (GeometryError, PolicyVerificationError,
-                             PreconditionError)
+                             PreconditionError, SolverError)
 from dcattack.lin_solve import policy_radius
+
+import oracle_utils
+from conftest import BUNDLED, pglib_path
 
 
 def _assert_policy_invariants(mats, pol):
@@ -71,16 +75,16 @@ def test_t_tilde_precondition_names_rows(desk2):
 def test_defense_local_matches_attack_desk2(desk2):
     mats = build_feasibility(desk2)
     pol = defense_local(mats)
-    assert pol.t == pytest.approx(1.0, rel=1e-3)
+    assert pol.t == pytest.approx(1.0, rel=1e-6)
     assert pol.t <= 1.0 + 1e-9
-    assert not pol.meta["stalled"]
+    assert pol.t > pol.meta["t_init"]        # improved on the warm start
     _assert_policy_invariants(mats, pol)
 
 
 def test_defense_local_matches_attack_desk3(desk3):
     mats = build_feasibility(desk3)
-    pol = defense_local(mats, config=DefenseConfig(target_radius_sq=169.0 / 500.0))
-    assert pol.t == pytest.approx(169.0 / 500.0, rel=1e-3)
+    pol = defense_local(mats)
+    assert pol.t == pytest.approx(169.0 / 500.0, rel=1e-6)
     assert pol.t <= 169.0 / 500.0 + 1e-6
     _assert_policy_invariants(mats, pol)
 
@@ -94,20 +98,23 @@ def test_defense_never_exceeds_certified_attack(desk2, desk3):
 
 
 def test_defense_monotone_from_rank1_seed(desk3):
+    """The exact affine optimum dominates every affine policy, rank-1 ones
+    included."""
     mats = build_feasibility(desk3)
     seed_pol = rank1_policy(mats, "uniform")
-    pol = defense_local(mats, init=seed_pol)
+    pol = defense_local(mats)
     assert pol.t >= seed_pol.t - 1e-9
 
 
-def test_defense_returns_init_when_already_optimal(desk2):
+def test_defense_reaches_the_hand_optimal_radius_desk2(desk2):
+    """p0 = 1.5, G = 0.5 has radius 1.0, the attack value; every optimal
+    policy of desk2 lies on the segment p0 + G = 2, 0 <= G <= 1."""
     mats = build_feasibility(desk2)
-    init = DefensePolicy(np.array([1.5]), np.array([[0.5]]), 1.0, 0)
-    pol = defense_local(mats, init=init)
+    assert t_tilde(mats, np.array([1.5]), np.array([[0.5]]))[0] == 1.0
+    pol = defense_local(mats)
     assert pol.t >= 1.0 - 1e-12
     assert pol.t == pytest.approx(1.0, rel=1e-9)
-    if pol.meta["stalled"]:
-        assert np.allclose(pol.G, init.G)
+    assert float(pol.p0[0] + pol.G[0, 0]) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_verify_policy_warm_start(desk2):
@@ -166,8 +173,8 @@ def test_simplex_fit_example2_construction(desk2):
     mats = build_feasibility(desk2)
     t, _row = t_tilde(mats, sp.p0, sp.G)
     assert t == pytest.approx(1.0, abs=1e-12)
-    # seeding the ascent with it keeps the full radius
-    pol = defense_local(mats, init=(sp.p0, sp.G))
+    # the exact affine optimum reaches the simplex policy's radius
+    pol = defense_local(mats)
     assert pol.t >= 1.0 - 1e-9
 
 
@@ -215,3 +222,122 @@ def test_feasible_simplex_convex_hull_is_feasible(desk3):
         delta = w @ sp.vertices
         p = sp.p0 + sp.G @ delta
         assert np.all(mats.margins(p, delta) <= 1e-8)
+
+
+# -- the affine-policy SOCP --------------------------------------------------
+
+# the vertex-enumeration optimum of case5 (all 26k five-column bases of P)
+CASE5_GLOBAL = 6.2861658
+
+
+def _check_dual(mats, pol):
+    y, W = pol.dual
+    return oracle_utils.socp_dual_failures(mats.A, mats.B, mats.c,
+                                           pol.meta["lambda"], y, W)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_socp_dual_certifies_the_bound(name):
+    mats = build_feasibility(load_case(pglib_path(name)))
+    pol = defense_local(mats)
+    assert _check_dual(mats, pol) == []
+    # every barrier iterate certifies 1 / lambda^2; t is its exact radius
+    assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
+
+
+def test_socp_dual_checker_rejects_corrupted_duals(desk3):
+    mats = build_feasibility(desk3)
+    pol = defense_local(mats)
+    assert _check_dual(mats, pol) == []
+    y, W = pol.dual
+    for bad in ((y, -W), (y, 1.1 * W), (-y, W)):
+        pol.dual = bad
+        assert _check_dual(mats, pol) != []
+
+
+def test_socp_desk2_single_has_only_lambda(desk2_single):
+    mats = build_feasibility(desk2_single)
+    assert mats.n_reduced == 0
+    pol = defense_local(mats)
+    assert pol.p0.shape == (0,) and pol.G.shape == (0, 1)
+    assert pol.t == pytest.approx(1.0, abs=1e-12)
+    assert pol.meta["lambda"] == pytest.approx(1.0, rel=1e-6)
+    assert _check_dual(mats, pol) == []
+
+
+def test_socp_folds_the_fixed_units_of_case14():
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    rows, free, p_fixed, _c = defense.presolve(mats)
+    assert free.tolist() == [True, False, False, False]
+    assert np.all(p_fixed == 0.0)
+    assert rows.size == mats.m - 6     # both bound rows of three fixed units
+    pol = defense_local(mats)
+    assert pol.meta["stop"] != "no-interior"
+    assert np.all(pol.p0[~free] == 0.0) and np.all(pol.G[~free] == 0.0)
+    assert pol.t == pytest.approx(0.17818182, rel=1e-6)
+    assert verify_policy(mats, pol, samples=2000, seed=5) == 2000
+    assert _check_dual(mats, pol) == []
+
+
+def test_socp_case5_reaches_the_global_optimum():
+    mats = build_feasibility(load_case(pglib_path("case5_pjm")))
+    pol = defense_local(mats)
+    assert abs(pol.t - CASE5_GLOBAL) <= 1e-6 * CASE5_GLOBAL
+    assert pol.t <= CASE5_GLOBAL * (1 + 1e-7)
+
+
+def test_socp_deadline_returns_a_sound_iterate(desk3):
+    mats = build_feasibility(desk3)
+    pol = defense_local(mats, budget_s=0.0)
+    assert pol.meta["deadline"] and pol.meta["stop"] == "deadline"
+    assert pol.meta["newton_steps"] == 0
+    assert verify_policy(mats, pol, samples=1000, seed=2) == 1000
+    _assert_policy_invariants(mats, pol)
+    assert pol.t <= 169.0 / 500.0 + 1e-9
+
+
+def test_socp_error_names_the_stage_and_the_row(desk3, monkeypatch):
+    """A lambda that the exact radius does not back is a solver fault."""
+    mats = build_feasibility(desk3)
+    real = defense._socp
+
+    def overclaiming(*args):
+        (q, lam, G), dual, info = real(*args)
+        return (0.5 * q, 0.5 * lam, G), dual, info
+
+    monkeypatch.setattr(defense, "_socp", overclaiming)
+    with pytest.raises(SolverError, match=r"socp final: .* at row \S+:"):
+        defense_local(mats)
+
+
+def test_warm_start_runs_no_tall_lp(bundled_mats, monkeypatch):
+    """The max-margin start goes through the (n+1)-row wide form."""
+    shapes = []
+    real = lin_solve.lp_solve
+
+    def spy(prob, *args, **kwargs):
+        shapes.append(prob.A_eq.shape[0])
+        return real(prob, *args, **kwargs)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    p, G0, t = warm_start_defense(bundled_mats)
+    assert shapes and all(rows > 0 for rows in shapes)
+    assert np.all(G0 == 0.0)
+    assert float(np.max(bundled_mats.margins(p))) <= 0.0
+    assert t == pytest.approx(t_tilde(bundled_mats, p, None)[0], rel=1e-15)
+
+
+def test_socp_without_interior_returns_the_warm_start():
+    """A fixed slack unit makes its two rows an implicit equality in (p, delta)
+    that presolve does not fold, so no strictly interior point exists; the
+    warm start comes back, still sound."""
+    case = build_case("fixed_slack", 100.0, [(1, 0.0), (2, 2.5)],
+                      [(1, 2, 0.1, None)],
+                      [(1, 1.0, 1.0, 10.0), (2, 0.0, 2.0, 20.0)])
+    mats = build_feasibility(case)
+    pol = defense_local(mats)
+    p_w, G0, t_w = warm_start_defense(mats)
+    assert pol.meta["stop"] == "no-interior" and pol.dual is None
+    assert np.array_equal(pol.p0, p_w) and np.array_equal(pol.G, G0)
+    assert pol.t == t_w == 0.0
+    assert verify_policy(mats, pol, samples=100, seed=1) == 100

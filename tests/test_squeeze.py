@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import oracle_utils
+from conftest import BUNDLED, pglib_path
+
 from dcattack.attack import attack_local
+from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import ModelError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
@@ -84,25 +88,42 @@ def test_report_without_attack_serializes():
     assert blob["matched"] is False
 
 
-def test_cross_feed_fallbacks_and_handoff(desk2):
-    from dcattack.defense import defense_local
-    from dcattack.dc_model import solve_dcopf
+def test_cross_feed_seeds_the_attack_from_the_policy(desk2):
+    from dcattack.defense import DefensePolicy, defense_local
 
     mats = build_feasibility(desk2)
-    p_nom = solve_dcopf(mats).p_hat
-
-    hints = cross_feed(mats, None, None, p_nom)
-    assert hints.attack_directions           # fixed-dispatch fallback
-    assert hints.defense_bias is None and hints.defense_target is None
-
     pol = defense_local(mats)
-    hints = cross_feed(mats, None, pol, p_nom)
-    assert hints.attack_directions
-    # the defense binding direction alone recovers the optimum in one shot
-    sol = attack_local(mats, hints.attack_directions[0])
-    assert sol.norm_sq == pytest.approx(1.0, rel=1e-2)
+    hints = cross_feed(mats, pol)
+    assert len(hints.attack_directions) == 2    # binding row, then B^T y
+    farkas = hints.attack_directions[1]
+    # 1 / ||B^T y||^2 is the affine optimum, here the global one
+    assert float(farkas @ farkas) == pytest.approx(pol.t * (1 + 1e-3) ** 2,
+                                                   rel=1e-6)
+    for d in hints.attack_directions:
+        # each start alone recovers the optimum in one shot
+        sol = attack_local(mats, d)
+        assert sol.norm_sq == pytest.approx(1.0, rel=1e-2)
 
-    sol.certified = True
-    hints = cross_feed(mats, sol, pol, p_nom)
-    assert hints.defense_target == pytest.approx(sol.norm_sq)
-    assert np.linalg.norm(hints.defense_bias) == pytest.approx(1.0)
+    # a policy without a binding row or a dual gives no start
+    unbounded = DefensePolicy(pol.p0, pol.G, np.inf, None)
+    assert cross_feed(mats, unbounded).attack_directions == []
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_squeeze_closes_the_gap(name):
+    """One pass: one defense and one attack entry, a certified ub and an lb
+    within 1e-5 of it."""
+    rep = squeeze_run(load_case(pglib_path(name)), SqueezeConfig(seed=0))
+    assert [side for _e, side, _v in rep.trace] == ["defense", "attack"]
+    assert rep.attack["certified"]
+    assert rep.lb <= rep.ub and rep.gap < 1e-5
+    mats = build_feasibility(load_case(pglib_path(name)))
+    delta = np.asarray(rep.attack["delta"]) * (1 + 1e-4)
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta))
+
+
+def test_squeeze_with_no_budget_stays_sound(desk3):
+    rep = _run(desk3, budget_s=0.0)
+    assert rep.defense["deadline"]
+    assert rep.defense["verified_samples"] == 1000
+    assert rep.lb <= rep.ub

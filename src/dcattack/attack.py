@@ -1,40 +1,45 @@
 """Minimum-norm load perturbations that make dispatch infeasible.
 
 The attack looks for the smallest ||delta||^2 (optionally delta^T W delta with
-diagonal W) such that F(delta) is empty, by working on the alternative system:
-a Farkas multiplier mu >= 0 with A^T mu = 0 and mu^T (B delta + c) > 0 proves
-emptiness.  The strict inequality is pinned to an equality mu^T(B delta+c) =
-eps and the pair (delta, mu) is improved by alternation:
+diagonal W) such that F(delta) is empty.  By Farkas' lemma F(delta) is empty
+iff some mu >= 0 with A^T mu = 0 has mu^T (B delta + c) > 0.  F(0) is
+nonempty, so -c^T mu >= 0 for every such mu, and the ones that matter are
+scaled onto one fixed polytope
 
-  delta-step: closed-form minimum-norm delta on the hyperplane
-              mu^T B delta = eps - mu^T c,
-  mu-step:    LP  min 1^T mu  s.t.  A^T mu = 0, mu^T(B delta + c) = eps, mu >= 0.
+  P = { mu >= 0 : A^T mu = 0, -c^T mu = 1 }.
 
-After a delta-step the incumbent mu is still feasible for the next mu-step, so
-the alternation never strands itself once it has a separating point, and the
-previous mu-step's optimal basis (which reproduces the incumbent mu) is a
-primal-feasible warm start for the next one.  Each start threads its bases
-through its own chain of wide LPs, by argument only:
+A mu in P separates exactly the delta with (B^T mu)^T delta > 1; the nearest
+of them in the W-norm is W^-1 B^T mu / v, with v = ||B^T mu||^2_{W^-1}.  So
+the attack is  min ||delta||^2_W = 1 / max_{mu in P} v(mu):  a convex
+function maximized over a polytope, with its optimum at a vertex.
 
-  alternation mu-LP  <- previous mu-LP's basis,
-  kick mu-LP         <- the ray search's basis: its optimum has (B u)^T mu = 1
-                        and -c^T mu = s, so mu^T(B u (s + kick) + c) = kick > 0,
-  polish ray LP      <- the basis of the best mu: its delta lies on that mu's
-                        hyperplane and c^T mu <= 0 (F(0) is nonempty), so
-                        (B u)^T mu = (eps - c^T mu) / ||delta|| > 0 and mu
-                        scales onto (B u)^T mu = 1,
-  polish mu-LP       <- the polish ray LP's basis.
+Ascent.  Each start runs successive linearization on P (Mangasarian,
+"Machine learning via polyhedral concave minimization", 1996).  The first
+step maximizes (B g)^T mu over P for the start direction g; every later step
+maximizes the linearization (W^-1 B^T mu_k)^T B^T mu at the current vertex
+mu_k.  v never decreases, since it is convex, and the ascent stops at a fixed
+point (the linearized value exceeds v by at most norm_change_tol, relative),
+after max_alternations steps, or at the caller's deadline.  Every iterate is
+a vertex of P, hence an attack that certifies.
 
-`lin_solve.lp_solve` re-checks every basis and falls back to a cold start, so
-a link that is not primal feasible costs only time.  Local
-starts are bootstrapped by a one-dimensional ray search: scale the start
-direction out to the feasibility boundary and step just past it.  Directions
-along which F never closes raise RestartSignal so a multistart driver can
-resample.
+One basis per network.  The P-LPs differ only in their objective, so every
+optimal basis is primal feasible for every later one and a warm start runs
+phase 2 only.  `multistart_attack` solves one cold P-LP per network, with
+the first start's objective; each start's first step warm-starts from that
+basis and each later step from its own previous one.  Threaded starts
+therefore see exactly the bases that serial ones do.
 
-Soundness is never left to the alternation: every reported attack carries its
-own mu-certificate, and `certify_infeasible` additionally runs an independent
-feasibility probe at the inflated point (1 + 1e-4) * delta.
+Reported attack.  delta = (1 + 1e-6) W^-1 B^T mu / v lies just past mu's
+hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
+the scale of the reported certificate.  Soundness is never left to the
+ascent: `certify_infeasible` re-proves emptiness independently at the
+inflated point (1 + cert_inflation) * delta.
+
+Zero distance.  A P-LP is infeasible (P is empty) or unbounded only through
+multipliers with c^T mu = 0, which make rows of F(0) implicit equalities;
+when such a multiplier moves with delta, arbitrarily small perturbations
+empty F.  The multistart then certifies the binding-row start point itself
+and notes "zero-distance".
 """
 
 import time
@@ -68,14 +73,13 @@ class AttackSolution:
     objective: float        # delta^T W delta
     eps: float
     converged: bool
-    convergence: str        # "tight" | "loose" | "cap" | "mu-infeasible" | "degenerate"
+    convergence: str        # "tight" | "cap" | "deadline" | "zero-distance"
     iterations: int
     residuals: dict
     start: str = ""
     certified: bool = False
     oracle_ray: np.ndarray = None
     history: list = field(default_factory=list)
-    basis: np.ndarray = None    # optimal basis of the mu-LP that gave mu
 
     def summary(self):
         return {
@@ -98,6 +102,10 @@ class AttackReport:
     fixed_lb: float
     elapsed: float
     config: AttackConfig
+
+
+class _ZeroDistance(RestartSignal):
+    """A P-LP is infeasible (P is empty) or unbounded (module docstring)."""
 
 
 def certify_infeasible(mats, delta, policy=DEFAULT_POLICY):
@@ -131,12 +139,6 @@ def fixed_dispatch_lb(mats, p0, policy=DEFAULT_POLICY):
     return float(per.min()) if per.size else np.inf
 
 
-def _start_radius(lb0):
-    """Norm of the random multistart directions: sqrt(lb0), or 1 when lb0
-    gives no scale (0 or infinite)."""
-    return float(np.sqrt(lb0)) if np.isfinite(lb0) and lb0 > 0 else 1.0
-
-
 def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
     """The minimum-norm delta that makes the binding row of fixed_dispatch_lb
     tight -- the natural first place to look for an attack.
@@ -159,7 +161,8 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
     """(s, basis) with s the largest s >= 0 with F(s * u) nonempty along
     u = direction/||direction||, and basis the optimal basis of the LP below;
     (None, None) when the ray never leaves the feasible set.  A given `basis`
-    warm-starts that LP.
+    warm-starts that LP.  The ascent does not need it: at its fixed point the
+    boundary along the reported delta is 1/||B^T mu|| already.
 
     Solved as the dual of  max s s.t. A p + s B u <= -c,  which keeps the
     basis at n_reduced + 1 rows:
@@ -191,139 +194,100 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
     return s, res.basis
 
 
-def _mu_lp(mats, delta, eps, policy, basis=None):
-    """min 1^T mu  s.t.  A^T mu = 0, (B delta + c)^T mu = eps, mu >= 0,
-    warm-started from `basis`.  Returns (mu, optimal basis), or (None, None)
-    when delta is not (strictly) separable."""
-    m = mats.m
-    sep = mats.B @ delta + mats.c
-    A_eq = np.vstack([mats.A.T, sep[None, :]])
+def _p_lp(mats, g, policy, basis):
+    """max (B g)^T mu over P, solved as
+
+        min -(B g)^T mu  s.t.  [A^T; -c^T] mu = [0; 1],  mu >= 0
+
+    (n_reduced + 1 rows) from `basis`.  Returns (mu, value, optimal basis),
+    with mu clipped at 0: a basic value may sit up to feas_tol below its
+    bound, and the reported mu is that vertex scaled up by eps / 1e-6.
+    Raises _ZeroDistance when P is empty or the maximum is unbounded."""
     b_eq = np.zeros(mats.n_reduced + 1)
-    b_eq[-1] = eps
-    res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=np.ones(m), A_eq=A_eq, b_eq=b_eq, lb=0.0), policy,
-        basis=basis)
+    b_eq[-1] = 1.0
+    res = lin_solve.lp_solve(lin_solve.LpProblem(
+        c=-(mats.B @ g), A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
+        b_eq=b_eq, lb=0.0), policy, basis=basis)
     if res.status != lin_solve.OPTIMAL:
-        return None, None
-    return res.x, res.basis
+        raise _ZeroDistance(f"P-LP {res.status}: an implicit equality of "
+                            f"F(0) moves with delta")
+    return np.maximum(res.x, 0.0), -res.objective, res.basis
 
 
-def _residuals(mats, delta, mu, eps):
-    at_mu = float(np.max(np.abs(mats.A.T @ mu))) if mats.A.size else 0.0
-    eps_resid = float(mu @ (mats.B @ delta + mats.c) - eps)
-    return {"At_mu_inf": at_mu, "eps_residual": eps_resid,
-            "mu_min": float(mu.min()) if mu.size else 0.0}
-
-
-def attack_local(mats, init_delta, config=None, init_mu=None, policy=DEFAULT_POLICY,
-                 start=""):
-    """One alternation run from a start direction (see module docstring).
-
-    Raises RestartSignal when the start direction cannot produce a separating
-    point (unbounded ray or inseparable after the boundary kick).
-    """
-    cfg = config or AttackConfig()
+def _weights(mats, cfg):
     w = np.ones(mats.n_delta) if cfg.weight is None else np.asarray(cfg.weight, float)
     if np.any(w <= 0):
         raise ValueError("weight diagonal must be positive")
-    delta = np.asarray(init_delta, float).copy()
-    nrm = float(np.linalg.norm(delta))
-    if nrm == 0:
+    return w
+
+
+def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
+    """The attack delta with its multiplier mu rescaled so that
+    mu^T (B delta + c) = eps; mu must separate delta."""
+    sep = mats.B @ delta + mats.c
+    mu = mu * (eps / float(mu @ sep))
+    at_mu = float(np.max(np.abs(mats.A.T @ mu))) if mats.A.size else 0.0
+    residuals = {"At_mu_inf": at_mu, "eps_residual": float(mu @ sep - eps),
+                 "mu_min": float(mu.min()) if mu.size else 0.0}
+    return AttackSolution(
+        delta=delta, mu=mu, norm_sq=float(delta @ delta),
+        objective=float(delta @ (w * delta)), eps=eps,
+        converged=status in ("tight", "zero-distance"), convergence=status,
+        iterations=iterations, residuals=residuals, start=start,
+        history=list(history))
+
+
+def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
+                 basis=None, deadline=None):
+    """One ascent on P from a start direction (module docstring).  `basis`
+    warm-starts the first step; `deadline`, a time.monotonic() value, is
+    checked between steps, and an expired one returns the current vertex.
+
+    Raises RestartSignal when no multiplier in P separates any point along
+    the start direction (F never closes along it), and its subclass
+    _ZeroDistance when a P-LP is infeasible or unbounded.
+    """
+    cfg = config or AttackConfig()
+    w = _weights(mats, cfg)
+    g = np.asarray(init_delta, float)
+    if not np.any(g):
         raise RestartSignal("zero start direction")
-    eps = cfg.eps
+    mu, value, basis = _p_lp(mats, g, policy, basis)
+    if value <= 0:
+        raise RestartSignal("feasible set never closes along this direction")
 
-    mu, basis = init_mu, None
-    if mu is None:
-        mu, basis = _mu_lp(mats, delta, eps, policy)
-    if mu is None:
-        u = delta / nrm
-        s, ray_basis = ray_boundary(mats, u, policy)
-        if s is None:
-            raise RestartSignal("feasible set never closes along this direction")
-        kick = max(1e-3 * s, 1e-9)
-        for _ in range(4):
-            delta = u * (s + kick)
-            mu, basis = _mu_lp(mats, delta, eps, policy, ray_basis)
-            if mu is not None:
-                break
-            kick *= 10.0
-        if mu is None:
-            raise RestartSignal("cannot separate just outside the ray boundary")
-
-    best = None
     history = []
-    obj_prev = np.inf
-    status = "cap"
-    last_change = np.inf
-    iterations = 0
-    for _ in range(cfg.max_alternations):
-        iterations += 1
-        g = mats.B.T @ mu
-        gw = g / w
-        den = float(g @ gw)
-        if den <= 1e-16 * max(1.0, float(mu @ mu)):
-            status = "degenerate"
+    status, iterations = "cap", 1
+    while True:
+        gw = (mats.B.T @ mu) / w
+        v = float(gw @ (w * gw))
+        delta = gw * ((1.0 + 1e-6) / v)
+        history.append(float(delta @ delta))
+        if iterations >= cfg.max_alternations:
             break
-        r = eps - float(mu @ mats.c)
-        delta = gw * (r / den)
-        obj = float(delta @ (w * delta))
-        if best is None or obj < best[0]:
-            best = (obj, delta.copy(), mu.copy(), basis)
-            history.append(float(delta @ delta))
-        last_change = abs(obj_prev - obj)
-        if last_change <= cfg.norm_change_tol * max(1.0, obj):
+        if deadline is not None and time.monotonic() >= deadline:
+            status = "deadline"
+            break
+        mu_next, value, basis = _p_lp(mats, gw, policy, basis)
+        iterations += 1
+        if value <= v * (1.0 + cfg.norm_change_tol):
             status = "tight"
             break
-        obj_prev = obj
-        mu_next, basis_next = _mu_lp(mats, delta, eps, policy, basis)
-        if mu_next is None:
-            status = "mu-infeasible"
-            break
-        mu, basis = mu_next, basis_next
-    if status == "cap" and last_change <= policy.stall_tol * max(1.0, obj_prev):
-        status = "loose"
-    if best is None:
-        raise RestartSignal(f"alternation made no progress ({status})")
-
-    obj, delta, mu, basis = best
-    return AttackSolution(
-        delta=delta, mu=mu, norm_sq=float(delta @ delta), objective=obj,
-        eps=eps, converged=status in ("tight", "loose"), convergence=status,
-        iterations=iterations, residuals=_residuals(mats, delta, mu, eps),
-        start=start, history=history, basis=basis)
-
-
-def _ray_polish(mats, sol, cfg, policy):
-    """Refine the best solution along its own direction: the exact boundary
-    distance there is the cheapest certified point on that ray."""
-    s, ray_basis = ray_boundary(mats, sol.delta, policy, sol.basis)
-    if s is None or s <= 0:
-        return sol
-    target = s * (1.0 + 1e-6)
-    if target * target >= sol.norm_sq:
-        return sol
-    u = sol.delta / float(np.linalg.norm(sol.delta))
-    delta = u * target
-    mu, basis = _mu_lp(mats, delta, cfg.eps, policy, ray_basis)
-    if mu is None:
-        return sol
-    polished = AttackSolution(
-        delta=delta, mu=mu, norm_sq=float(delta @ delta),
-        objective=float(delta @ delta) if cfg.weight is None
-        else float(delta @ (np.asarray(cfg.weight, float) * delta)),
-        eps=cfg.eps, converged=sol.converged, convergence=sol.convergence,
-        iterations=sol.iterations, residuals=_residuals(mats, delta, mu, cfg.eps),
-        start=sol.start + "+ray", history=sol.history + [float(delta @ delta)],
-        basis=basis)
-    return polished
+        mu = mu_next
+    return _solution(mats, delta, mu, w, cfg.eps, start, status, iterations,
+                     history)
 
 
 def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
-                      extra_directions=(), p_nom=None):
-    """Run attack_local from deterministic and seeded random starts, polish,
-    then certify candidates in ascending norm order; the first certified one is
-    the reported attack.  Raises AttackError when nothing certifies."""
+                      extra_directions=(), p_nom=None, budget_s=None):
+    """Run attack_local from deterministic and seeded random starts, all
+    warm-started from one cold P-LP, then certify candidates in ascending
+    norm order; the first certified one is the reported attack.  Once
+    `budget_s` seconds have passed, the running ascent stops at its current
+    vertex and the starts after the first are skipped.  Raises AttackError
+    when nothing certifies."""
     t0 = time.monotonic()
+    deadline = None if budget_s is None else t0 + budget_s
     cfg = config or AttackConfig()
     if p_nom is None:
         nominal = solve_dcopf(mats, None, policy)
@@ -331,7 +295,6 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             raise AttackError("case is infeasible before any perturbation")
         p_nom = nominal.p_hat
     lb0 = fixed_dispatch_lb(mats, p_nom, policy)
-    radius = _start_radius(lb0)
 
     starts = []
     d_bind, _row = binding_row_direction(mats, p_nom, policy)
@@ -344,30 +307,43 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             starts.append((f"hint{i}", d))
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
-        u = rng.normal(size=mats.n_delta)
-        nrm = np.linalg.norm(u)
-        if nrm == 0:
-            continue
-        starts.append((f"random{k}", u / nrm * radius))
+        starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
 
-    def run_one(item):
-        label, direction = item
+    try:
+        basis = _p_lp(mats, starts[0][1], policy, None)[2]
+    except _ZeroDistance:
+        basis = None
+
+    def run_one(i):
+        label, direction = starts[i]
+        if i and deadline is not None and time.monotonic() >= deadline:
+            return ("skipped", label, "deadline")
         try:
-            sol = attack_local(mats, direction, cfg, policy=policy, start=label)
-            return _ray_polish(mats, sol, cfg, policy)
-        except (RestartSignal, AttackError) as exc:
-            return ("skip", label, str(exc))
+            return attack_local(mats, direction, cfg, policy, label, basis,
+                                deadline)
+        except _ZeroDistance as exc:
+            return ("zero-distance", label, str(exc))
+        except RestartSignal as exc:
+            return ("restart", label, str(exc))
 
     if cfg.threads and cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run_one, starts))
+            outcomes = list(pool.map(run_one, range(len(starts))))
     else:
-        outcomes = [run_one(s) for s in starts]
+        outcomes = [run_one(i) for i in range(len(starts))]
+
+    zero = any(isinstance(out, tuple) and out[0] == "zero-distance"
+               for out in outcomes)
+    if zero and d_bind is not None:
+        ok, ray = certify_infeasible(mats, d_bind, policy)
+        if ok:
+            outcomes.append(_solution(mats, d_bind, ray, _weights(mats, cfg),
+                                      cfg.eps, "binding-row", "zero-distance"))
 
     candidates, notes = [], []
     for out in outcomes:
         if isinstance(out, tuple):
-            notes.append({"start": out[1], "status": "restart", "reason": out[2]})
+            notes.append({"start": out[1], "status": out[0], "reason": out[2]})
         else:
             candidates.append(out)
             notes.append({"start": out.start, "status": "candidate",

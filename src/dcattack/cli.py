@@ -31,7 +31,7 @@ from .squeeze import SqueezeConfig, squeeze_run
 
 def _add_common(p):
     p.add_argument("--eps", type=float, default=1e-3,
-                   help="strict-separation constant of the attack alternation")
+                   help="scale of the attack's certificate: mu^T (B delta + c) = eps")
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--seed", type=int, default=None,
                    help="root seed; generated and recorded when absent")

@@ -10,11 +10,12 @@ The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 (408 against 23 on a 120-bus network), and a simplex basis is as large as the
 row count.  So the attack path solves each of its LPs in the wide multiplier
 form  min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0,  whose basis has only
-n_reduced + 1 rows: the attack's mu-step, the ray search
-(`attack.ray_boundary`), the feasibility probe (`check_feasible`, which also
-gives the defense its max-margin warm start) and the nominal dispatch
-(`dc_model.solve_dcopf`).  Primal points are read off the equality duals and
-re-checked against the rows; Farkas rays are the multipliers themselves.
+n_reduced + 1 rows: the attack's steps over the Farkas polytope
+(`attack._p_lp`), the ray search (`attack.ray_boundary`), the feasibility
+probe (`check_feasible`, which also gives the defense its max-margin warm
+start) and the nominal dispatch (`dc_model.solve_dcopf`).  Primal points are
+read off the equality duals and re-checked against the rows; Farkas rays are
+the multipliers themselves.
 
 Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
 caller's basis: M column indices in the [x; slacks] space, typically the
@@ -25,11 +26,13 @@ within its bounds to feas_tol * (1 + ||b||_inf), and B x_B reproduces
 b - A_N x_N to the same tolerance.  Then every artificial is pinned at 0 and
 phase 2 starts at once; any other basis (None included) takes the cold
 two-phase path, so a stale basis costs time, never a wrong answer.  The
-attack threads each start's bases along its own chain of wide LPs, where a
-link's old basis is provably primal feasible (see `attack`).  The
-feasibility probe (`check_feasible`), the nominal dispatch and the defense's
-warm start stay cold: certification must not depend on the attack path, and
-their first solve has no earlier basis.
+attack's LPs share one constraint set, the Farkas polytope P, and differ
+only in their objective, so every earlier optimal basis is primal feasible
+for every later one: each network runs one cold P-LP, and every step of
+every start warm-starts from that basis or from the start's previous step
+(see `attack`).  The feasibility probe (`check_feasible`), the nominal
+dispatch and the defense's warm start stay cold: certification must not
+depend on the attack path, and their first solve has no earlier basis.
 
 Also home to the closed-form row projections (minimum-norm perturbation that
 makes one polytope row tight, with or without an affine response policy) —
@@ -467,6 +470,10 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
         return LpResult(status=UNBOUNDED, ray=ray, iterations=sx.iterations,
                         phase1_objective=z1)
 
+    if sx.pivots_since_refactor:
+        # x_B afresh from the final basis: the per-pivot updates drift, by
+        # up to 1e-9 in the row residuals after a long warm-started phase 2
+        sx._refactor()
     x = sx.val[:n].copy()
     objective = float(prob.c @ x)
     dual_ub = np.maximum(-y[:m], 0.0)

@@ -16,8 +16,6 @@ class NumericPolicy:
     cert_tol: float = 1e-9
     # simplex pivot / reduced-cost zero threshold
     lp_tol: float = 1e-9
-    # retry tolerance when an alternation stalls at the tight setting
-    stall_tol: float = 1e-5
     # relative inflation applied to an attack before the certification oracle runs
     cert_inflation: float = 1e-4
     # defense verification samples stay strictly inside: ||d||^2 <= t * (1 - this)

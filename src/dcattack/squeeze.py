@@ -4,8 +4,9 @@ Every certified attack norm is an upper bound on the minimal infeasibility
 distance, and every policy radius is a lower bound.  The lower bound is exact
 for affine policies (`defense.defense_local` solves the convex program), so
 the squeeze runs once: nominal DC-OPF, the policy SOCP within the wall-clock
-budget, one attack multistart seeded from the policy (`cross_feed`), then a
-final re-certification of the attack and sampled verification of the policy.
+budget, one attack multistart seeded from the policy (`cross_feed`) within
+what is left of that budget, then a final re-certification of the attack and
+sampled verification of the policy.
 
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); the report re-verifies both incumbents at
@@ -122,19 +123,18 @@ def cross_feed(mats, defense_best):
     The dual is feasible, so y lies in P = {mu >= 0, A^T mu = 0,
     -c^T mu = 1}, and mu in P with mu^T B delta > 1 proves F(delta) empty:
     B^T y is a Farkas candidate and B^T y / ||B^T y||^2 its nearest point
-    with mu^T B delta = 1.  Both points are pushed just outside that
-    boundary (factor 1 + 1e-3)."""
+    with mu^T B delta = 1.  The attack uses both as directions only."""
     hints = CrossFeedHints()
     if defense_best.binding_row is not None and np.isfinite(defense_best.t):
         i = defense_best.binding_row
         d = project_policy(defense_best.p0, defense_best.G, mats.A[i],
                            mats.B[i], float(mats.c[i])).delta
         if d is not None and np.linalg.norm(d) > 0:
-            hints.attack_directions.append(d * (1 + 1e-3))
+            hints.attack_directions.append(d)
     if defense_best.dual is not None:
         g = mats.B.T @ defense_best.dual[0]
         if float(g @ g) > 0:
-            hints.attack_directions.append(g / float(g @ g) * (1 + 1e-3))
+            hints.attack_directions.append(g / float(g @ g))
     return hints
 
 
@@ -164,7 +164,8 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
             mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
                                seed=cfg.seed, threads=cfg.threads),
             policy, extra_directions=hints.attack_directions,
-            p_nom=nominal.p_hat)
+            p_nom=nominal.p_hat,
+            budget_s=cfg.budget_s - (time.monotonic() - t0))
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
     except AttackError as exc:

@@ -126,3 +126,20 @@ def socp_dual_failures(A, B, c, lam, y, W, tol=1e-6):
     if abs(gap) > tol:
         fails.append(f"relative duality gap {gap:.3e}")
     return fails
+
+
+def p_polytope_max(mats, g):
+    """max (B g)^T mu over P = {mu >= 0 : A^T mu = 0, -c^T mu = 1}, the
+    attack's Farkas polytope, through scipy/HiGHS: None when P is empty,
+    inf when the maximum is unbounded."""
+    e = np.zeros(mats.n_reduced + 1)
+    e[-1] = 1.0
+    res = linprog(-(mats.B @ g), A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
+                  b_eq=e, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    if res.status == 3:
+        return np.inf
+    if res.status != 0:
+        raise RuntimeError(f"P-polytope probe failed: {res.message}")
+    return float(-res.fun)

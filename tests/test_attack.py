@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.attack import (AttackConfig, _start_radius, attack_local,
+from dcattack.attack import (AttackConfig, _p_lp, attack_local,
                              binding_row_direction, certify_infeasible,
                              fixed_dispatch_lb, multistart_attack, ray_boundary)
 from dcattack.case_ingest import build_case, load_case
@@ -208,7 +208,7 @@ def test_binding_row_ignores_rounding_noise(bundled_mats):
 @pytest.mark.parametrize("stem", ["case5_pjm", "case24_ieee_rts"])
 def test_fixed_lb_ignores_rounding_noise(stem):
     """p_nom is an LP vertex, so delta-sensitive rows are tight up to rounding;
-    1e-14 noise in it must not move lb0 or the random starts' radius."""
+    1e-14 noise in it must not move lb0."""
     mats = build_feasibility(load_case(pglib_path(stem)))
     p_nom = solve_dcopf(mats).p_hat
     lb0 = fixed_dispatch_lb(mats, p_nom)
@@ -216,7 +216,6 @@ def test_fixed_lb_ignores_rounding_noise(stem):
         noise = np.random.default_rng(k).normal(size=p_nom.size)
         lb = fixed_dispatch_lb(mats, p_nom + 1e-14 * noise)
         assert lb == lb0
-        assert _start_radius(lb) == _start_radius(lb0)
 
 
 def test_binding_row_direction_crosses_its_row(desk2_single):
@@ -229,9 +228,9 @@ def test_binding_row_direction_crosses_its_row(desk2_single):
 
 
 def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
-    """Each start hands its alternation, kick and polish LPs the previous
-    link's basis; every such basis must pass the warm-start checks (so no
-    link falls back to phase 1), and every warm optimum must match scipy."""
+    """Every P-LP step of every start gets the network's shared basis or its
+    own previous one; every such basis must pass the warm-start checks (so no
+    step falls back to phase 1), and every warm optimum must match scipy."""
     calls = []
     solve = lin_solve.lp_solve
 
@@ -267,3 +266,106 @@ def test_threaded_multistart_matches_serial(desk3):
     assert np.array_equal(serial.best.delta, threaded.best.delta)
     assert serial.best.start == threaded.best.start
     assert serial.starts == threaded.starts
+
+
+def test_p_steps_match_scipy(bundled_mats):
+    """Each step of an ascent, cold or warm-started from the previous step's
+    basis, reaches scipy's optimum over P at a point of P."""
+    mats = bundled_mats
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        g, basis = rng.normal(size=mats.n_delta), None
+        for _step in range(4):
+            mu, value, basis = _p_lp(mats, g, DEFAULT_POLICY, basis)
+            assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
+                                          rel=1e-9, abs=1e-12)
+            assert float(mats.B.T @ mu @ g) == pytest.approx(value, rel=1e-9)
+            assert np.abs(mats.A.T @ mu).max(initial=0.0) <= 1e-12
+            assert float(-mats.c @ mu) == pytest.approx(1.0, abs=1e-12)
+            assert mu.min() >= 0.0
+            g = mats.B.T @ mu
+
+
+def test_ascent_ends_at_a_fixed_point_on_its_ray_boundary(bundled_mats):
+    """From seeded starts, the returned mu, scaled back onto P, maximizes its
+    own linearization over P (scipy), and 1/||B^T mu|| is the exact boundary
+    distance along the reported delta, so no ray polish can improve it."""
+    mats = bundled_mats
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        sol = attack_local(mats, rng.normal(size=mats.n_delta))
+        assert sol.convergence == "tight"
+        mu = sol.mu / -float(mats.c @ sol.mu)
+        y = mats.B.T @ mu
+        assert oracle_utils.p_polytope_max(mats, y) <= float(y @ y) * (1 + 1e-8)
+        u = sol.delta / np.linalg.norm(sol.delta)
+        assert oracle_utils.direction_boundary(mats, u) == \
+            pytest.approx(1.0 / np.linalg.norm(y), rel=1e-8)
+
+
+def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
+    """Phase 1 runs once per network: every other step over P is handed a
+    basis."""
+    cold = []
+    solve = lin_solve.lp_solve
+
+    def spy(prob, policy=DEFAULT_POLICY, basis=None):
+        over_p = prob.A_eq.shape[0] == bundled_mats.n_reduced + 1 \
+            and np.array_equal(prob.A_eq[-1], -bundled_mats.c)
+        cold.extend([prob] if over_p and basis is None else [])
+        return solve(prob, policy, basis=basis)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
+    assert len(cold) == 1
+
+
+def test_case5_attack_reaches_the_vertex_enumeration_optimum():
+    mats = build_feasibility(load_case(pglib_path("case5_pjm")))
+    ub = multistart_attack(mats, AttackConfig()).best.norm_sq
+    assert 6.2861658 <= ub <= 6.2861658 * (1 + 3e-6)
+
+
+ZERO_DISTANCE = {
+    # one unit, fixed at the load: P is empty
+    "p-empty": build_case("zd", 100.0, [(1, 0.0), (2, 2.0)],
+                          [(1, 2, 0.1, None)], [(1, 2.0, 2.0, 10.0)]),
+    # a fixed unit beside rated lines: P is unbounded along the slack rows
+    "p-unbounded": build_case("zd3", 100.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
+                              [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)],
+                              [(1, 2.0, 2.0, 10.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_DISTANCE))
+def test_zero_distance_networks_keep_a_certified_attack(kind):
+    """An implicit equality that moves with delta leaves no finite ascent;
+    the binding-row start point is certified instead, and noted."""
+    from dcattack.squeeze import SqueezeConfig, squeeze_run
+
+    case = ZERO_DISTANCE[kind]
+    mats = build_feasibility(case)
+    expected = None if kind == "p-empty" else np.inf
+    assert oracle_utils.p_polytope_max(mats, np.ones(mats.n_delta)) == expected
+    rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
+    best = rep.best
+    assert best.certified and best.convergence == "zero-distance"
+    assert any(n["status"] == "zero-distance" for n in rep.starts)
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
+    assert abs(best.residuals["eps_residual"]) <= 1e-12
+    bounds = squeeze_run(case, SqueezeConfig(seed=0))
+    assert bounds.ub == pytest.approx(best.norm_sq, rel=1e-12)
+    assert bounds.lb <= bounds.ub
+
+
+def test_expired_deadline_still_certifies():
+    """With no budget left the first start stops at its first vertex of P,
+    which still certifies, and every later start is skipped and noted."""
+    mats = build_feasibility(load_case(pglib_path("case24_ieee_rts")))
+    rep = multistart_attack(mats, AttackConfig(restarts=3, seed=0), budget_s=0.0)
+    best = rep.best
+    assert best.certified and best.convergence == "deadline"
+    assert best.iterations == 1
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
+    skipped = [n["start"] for n in rep.starts if n["status"] == "skipped"]
+    assert skipped == ["uniform-up", "random0", "random1", "random2"]

@@ -166,7 +166,8 @@ def _random_wide_problem(rng, rows, cols):
 
 
 def _mu_problem(mats, delta, eps=1e-3):
-    """The attack's mu-LP: min 1^T mu s.t. A^T mu = 0, (B delta + c)^T mu = eps."""
+    """A wide LP whose last row moves with delta (a warm start across a row
+    change): min 1^T mu s.t. A^T mu = 0, (B delta + c)^T mu = eps."""
     sep = mats.B @ delta + mats.c
     b_eq = np.zeros(mats.n_reduced + 1)
     b_eq[-1] = eps

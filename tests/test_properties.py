@@ -1,0 +1,90 @@
+"""Property tests over small random networks (Hypothesis, derandomized).
+
+Each example is a connected network of 3 to 6 buses built with `build_case`:
+a random spanning tree plus chords, loads on most buses, one to three
+flexible units, and line ratings sized at 1.05x to 3x the flows of a
+proportional dispatch, which is therefore a nominal witness.  The
+invariants are the package's soundness claims, checked against scipy.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import oracle_utils
+from dcattack.attack import AttackConfig, multistart_attack
+from dcattack.case_ingest import build_case
+from dcattack.dc_model import build_feasibility
+from dcattack.squeeze import SqueezeConfig, squeeze_run
+
+
+def _flows(n_bus, branches, injections):
+    """DC flows of the net injections, referenced at bus position 0."""
+    E = np.zeros((len(branches), n_bus))
+    for k, (f, t, _x) in enumerate(branches):
+        E[k, f], E[k, t] = 1.0, -1.0
+    b = np.array([1.0 / x for _f, _t, x in branches])
+    L = E[:, 1:].T @ (b[:, None] * E[:, 1:])
+    theta = np.zeros(n_bus)
+    theta[1:] = np.linalg.solve(L, injections[1:])
+    return b * (E @ theta)
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(3, 6))
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    branches = [(int(rnd.integers(0, k)), k, float(rnd.uniform(0.05, 0.3)))
+                for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        f, t = rnd.choice(n, size=2, replace=False)
+        branches.append((int(f), int(t), float(rnd.uniform(0.05, 0.3))))
+    loads = np.where(rnd.random(n) < 0.7, rnd.uniform(0.2, 1.5, n), 0.0)
+    loads[-1] = max(loads[-1], 0.5)
+    n_gen = draw(st.integers(1, 3))
+    gen_bus = rnd.choice(n, size=n_gen, replace=False)
+    p_max = rnd.uniform(1.2, 2.5, n_gen) * loads.sum() / n_gen
+    p_min = rnd.uniform(0.0, 0.3, n_gen) * loads.sum() / n_gen
+    share = (loads.sum() - p_min.sum()) / (p_max - p_min).sum()
+    injections = -loads.copy()
+    np.add.at(injections, gen_bus, p_min + share * (p_max - p_min))
+    flow = np.abs(_flows(n, branches, injections))
+    factor = rnd.uniform(1.05, 3.0, len(branches))
+    rated = rnd.random(len(branches)) < 0.8
+    return dict(
+        buses=[(i + 1, float(loads[i])) for i in range(n)],
+        branches=[(f + 1, t + 1, x, float(factor[k] * flow[k] + 0.05)
+                   if rated[k] else None)
+                  for k, (f, t, x) in enumerate(branches)],
+        generators=[(int(gen_bus[j]) + 1, float(p_min[j]), float(p_max[j]))
+                    for j in range(n_gen)])
+
+
+def _case(net, ids=None):
+    ids = ids or {i: i for i, _pd in net["buses"]}
+    return build_case(
+        "fuzz", 100.0, [(ids[i], pd) for i, pd in net["buses"]],
+        [(ids[f], ids[t], x, r) for f, t, x, r in net["branches"]],
+        [(ids[g[0]], *g[1:]) for g in net["generators"]])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=networks(), relabel=st.permutations(range(100, 106)))
+def test_bounds_are_sound_on_random_networks(net, relabel):
+    case = _case(net)
+    mats = build_feasibility(case)
+    rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
+    best = rep.best
+    # every certified attack is infeasible just past delta, per scipy HiGHS
+    assert best.certified
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
+    assert rep.fixed_lb <= best.norm_sq
+    bounds = squeeze_run(case, SqueezeConfig(seed=0, restarts=2,
+                                             verify_samples=200))
+    assert bounds.lb <= bounds.ub
+    # renumbering the buses changes nothing the attack sees
+    ids = dict(zip(range(1, len(net["buses"]) + 1), relabel))
+    mats2 = build_feasibility(_case(net, ids))
+    ub2 = multistart_attack(mats2, AttackConfig(restarts=2, seed=0)).best.norm_sq
+    assert ub2 == pytest.approx(best.norm_sq, rel=1e-9)

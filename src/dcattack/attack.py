@@ -24,10 +24,10 @@ a vertex of P, hence an attack that certifies.
 
 One basis per network.  The P-LPs differ only in their objective, so every
 optimal basis is primal feasible for every later one and a warm start runs
-phase 2 only.  `multistart_attack` solves one cold P-LP per network, with
-the first start's objective; each start's first step warm-starts from that
-basis and each later step from its own previous one.  Threaded starts
-therefore see exactly the bases that serial ones do.
+phase 2 only.  `multistart_attack` builds P's rows once per network and
+solves one cold P-LP, with the first start's objective; each start's first
+step warm-starts from that basis and each later step from its own previous
+one.  Threaded starts therefore see exactly the bases that serial ones do.
 
 Reported attack.  delta = (1 + 1e-6) W^-1 B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
@@ -178,15 +178,20 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
     if nrm == 0:
         raise ValueError("zero direction")
     u = u / nrm
+    n = mats.n_reduced
+    A_eq = np.zeros((n + 1, mats.m + 1))
+    A_eq[:n, :-1] = mats.A.T
+    A_eq[n, :-1] = mats.B @ u
+    A_eq[n, -1] = -1.0                      # surplus of (B u)^T mu >= 1
     res = lin_solve.lp_solve(lin_solve.LpProblem(
-        c=-mats.c, A_ub=-(mats.B @ u)[None, :], b_ub=[-1.0], A_eq=mats.A.T,
-        b_eq=np.zeros(mats.n_reduced), lb=0.0), policy, basis=basis)
+        c=np.append(-mats.c, 0.0), A_eq=A_eq, b_eq=np.eye(n + 1)[n]),
+        policy, basis=basis)
     if res.status == lin_solve.INFEASIBLE:
         return None, None
     if res.status == lin_solve.UNBOUNDED:
         raise AttackError("ray search failed: F(0) is empty (nominally infeasible case)")
     s = float(res.objective)
-    p = -res.dual_eq
+    p = res.y[:n]
     worst = float(np.max(mats.margins(p, s * u)))
     if worst > policy.feas_tol * (1.0 + float(np.max(np.abs(mats.c)))):
         raise AttackError(f"ray search: dispatch at s={s:.6e} violates a row "
@@ -194,20 +199,22 @@ def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
     return s, res.basis
 
 
-def _p_lp(mats, g, policy, basis):
-    """max (B g)^T mu over P, solved as
+def _polytope(mats):
+    """P's rows as an LpProblem with a zero objective:
+    [A^T; -c^T] mu = [0; 1], mu >= 0 (n_reduced + 1 rows)."""
+    return lin_solve.LpProblem(c=np.zeros(mats.m),
+                               A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
+                               b_eq=np.eye(mats.n_reduced + 1)[-1])
 
-        min -(B g)^T mu  s.t.  [A^T; -c^T] mu = [0; 1],  mu >= 0
 
-    (n_reduced + 1 rows) from `basis`.  Returns (mu, value, optimal basis),
-    with mu clipped at 0: a basic value may sit up to feas_tol below its
-    bound, and the reported mu is that vertex scaled up by eps / 1e-6.
+def _p_lp(mats, P, g, policy, basis):
+    """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
+    min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
+    basis), with mu clipped at 0: a basic value may sit up to feas_tol below
+    its bound, and the reported mu is that vertex scaled up by eps / 1e-6.
     Raises _ZeroDistance when P is empty or the maximum is unbounded."""
-    b_eq = np.zeros(mats.n_reduced + 1)
-    b_eq[-1] = 1.0
-    res = lin_solve.lp_solve(lin_solve.LpProblem(
-        c=-(mats.B @ g), A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
-        b_eq=b_eq, lb=0.0), policy, basis=basis)
+    res = lin_solve.lp_solve(P.with_objective(-(mats.B @ g)), policy,
+                             basis=basis)
     if res.status != lin_solve.OPTIMAL:
         raise _ZeroDistance(f"P-LP {res.status}: an implicit equality of "
                             f"F(0) moves with delta")
@@ -238,10 +245,11 @@ def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
 
 
 def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
-                 basis=None, deadline=None):
+                 basis=None, deadline=None, P=None):
     """One ascent on P from a start direction (module docstring).  `basis`
     warm-starts the first step; `deadline`, a time.monotonic() value, is
     checked between steps, and an expired one returns the current vertex.
+    `P` is `_polytope(mats)`, built here when not given.
 
     Raises RestartSignal when no multiplier in P separates any point along
     the start direction (F never closes along it), and its subclass
@@ -252,7 +260,8 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
     g = np.asarray(init_delta, float)
     if not np.any(g):
         raise RestartSignal("zero start direction")
-    mu, value, basis = _p_lp(mats, g, policy, basis)
+    P = _polytope(mats) if P is None else P
+    mu, value, basis = _p_lp(mats, P, g, policy, basis)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -268,7 +277,7 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
-        mu_next, value, basis = _p_lp(mats, gw, policy, basis)
+        mu_next, value, basis = _p_lp(mats, P, gw, policy, basis)
         iterations += 1
         if value <= v * (1.0 + cfg.norm_change_tol):
             status = "tight"
@@ -309,8 +318,9 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
         starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
 
+    P = _polytope(mats)
     try:
-        basis = _p_lp(mats, starts[0][1], policy, None)[2]
+        basis = _p_lp(mats, P, starts[0][1], policy, None)[2]
     except _ZeroDistance:
         basis = None
 
@@ -320,7 +330,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             return ("skipped", label, "deadline")
         try:
             return attack_local(mats, direction, cfg, policy, label, basis,
-                                deadline)
+                                deadline, P)
         except _ZeroDistance as exc:
             return ("zero-distance", label, str(exc))
         except RestartSignal as exc:
@@ -340,16 +350,8 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             outcomes.append(_solution(mats, d_bind, ray, _weights(mats, cfg),
                                       cfg.eps, "binding-row", "zero-distance"))
 
-    candidates, notes = [], []
-    for out in outcomes:
-        if isinstance(out, tuple):
-            notes.append({"start": out[1], "status": out[0], "reason": out[2]})
-        else:
-            candidates.append(out)
-            notes.append({"start": out.start, "status": "candidate",
-                          **out.summary()})
-
-    best = None
+    candidates = [out for out in outcomes if not isinstance(out, tuple)]
+    best, refuted = None, []
     for sol in sorted(candidates, key=lambda s: s.norm_sq):
         inflated = (1.0 + policy.cert_inflation) * sol.delta
         ok, payload = certify_infeasible(mats, inflated, policy)
@@ -358,8 +360,13 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             sol.oracle_ray = payload
             best = sol
             break
-        notes.append({"start": sol.start, "status": "refuted",
-                      "norm_sq": sol.norm_sq})
+        refuted.append({"start": sol.start, "status": "refuted",
+                        "norm_sq": sol.norm_sq})
+    # written after certification, so the reported attack's note says so
+    notes = [{"start": out[1], "status": out[0], "reason": out[2]}
+             if isinstance(out, tuple) else
+             {"start": out.start, "status": "candidate", **out.summary()}
+             for out in outcomes] + refuted
     if best is None:
         raise AttackError(
             f"no certified attack from {len(starts)} starts; "

@@ -27,9 +27,7 @@ from .numerics import DEFAULT_POLICY
 @dataclass
 class PtdfSet:
     phi: np.ndarray          # n_branch x n_bus, zero column at the reference bus
-    phi_reduced: np.ndarray  # n_branch x (n_bus - 1), reference column dropped
     ref_bus: int             # dense bus position of the reference
-    incidence: np.ndarray    # n_branch x n_bus signed incidence (+1 from, -1 to)
 
 
 def build_ptdf(case, ref_bus):
@@ -64,8 +62,7 @@ def build_ptdf(case, ref_bus):
         raise ModelError(f"PTDF solve residual {resid:.2e}; network nearly singular")
     phi = np.zeros((n_l, n_b))
     phi[:, keep] = phi_reduced
-    return PtdfSet(phi=phi, phi_reduced=phi_reduced, ref_bus=int(ref_bus),
-                   incidence=E)
+    return PtdfSet(phi=phi, ref_bus=int(ref_bus))
 
 
 @dataclass
@@ -281,7 +278,7 @@ def solve_dcopf(mats, delta=None, policy=DEFAULT_POLICY):
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
     res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost, lb=0.0), policy)
+        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost), policy)
     if res.status == lin_solve.UNBOUNDED:
         ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray, policy)
         return DcopfResult(feasible=False, ray=ray)
@@ -289,7 +286,7 @@ def solve_dcopf(mats, delta=None, policy=DEFAULT_POLICY):
         raise ModelError(
             f"dispatch dual LP returned {res.status}; generator bounds should "
             "make the polytope bounded")
-    p_hat = -res.dual_eq
+    p_hat = res.y
     tol = policy.feas_tol * (1.0 + float(np.max(np.abs(rhs))))
     worst = float(np.max(mats.A @ p_hat - rhs))
     gap = float(red_cost @ p_hat + res.objective)

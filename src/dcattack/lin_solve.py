@@ -1,46 +1,70 @@
-"""Bounded-variable revised simplex with Farkas infeasibility certificates.
+"""Standard-form revised simplex with Farkas infeasibility certificates.
 
-Kernel for every linear program in the package. Dense numpy throughout: the
-target systems (reduced DC-OPF polytopes) stay below ~500 rows, where an
-explicit basis inverse with periodic refactorization is fast enough and easy
-to audit. Certificates are first class: an INFEASIBLE verdict always carries
-a Farkas ray that has been re-verified numerically before being returned.
+Kernel for every linear program in the package:
+
+    min c^T x  s.t.  A_eq x = b_eq,  x >= 0.
+
+Dense numpy throughout: the target systems (reduced DC-OPF polytopes) stay
+below ~500 rows, where an explicit basis inverse with periodic
+refactorization is fast enough and easy to audit.  Certificates are first
+class: an INFEASIBLE verdict always carries a Farkas vector y with
+A_eq^T y <= 0 and b_eq^T y > 0, re-verified before it is returned.
+
+Every nonbasic column sits at 0, so the kernel keeps only the basic values.
+Phase 1 starts from one artificial column per row, sign(b_i) e_i, kept
+implicit: it exists only as a basis index >= N (N real columns) and as a
+signed unit column when the basis is refactorized.  An artificial never
+re-enters once it leaves.  The pivot rules are fixed on purpose, because the
+attack's vertices (and so its bounds) follow from them:
+  - Dantzig pricing: the most negative reduced cost enters, the lowest
+    column index on ties;
+  - the ratio test takes every row within 1e-9 (absolute plus relative) of
+    the minimum ratio as a tie, prefers a leaving artificial, then the
+    largest |w|;
+  - in phase 2 a basic artificial is pinned at 0 and blocks either way;
+  - after 30 pivots without a 1e-12 relative decrease, Bland's rule (lowest
+    entering index, lowest basis index leaving) until the objective moves;
+  - the inverse is refactorized every lp_refactor_every pivots, and x_B
+    once more from the final basis, since eta updates drift;
+  - lp_iter_factor * (N + 2 M) + 200 pricing passes at most;
+  - every unbounded ray and every Farkas certificate is re-checked.
 
 The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 (408 against 23 on a 120-bus network), and a simplex basis is as large as the
-row count.  So the attack path solves each of its LPs in the wide multiplier
-form  min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0,  whose basis has only
+row count.  So every LP is posed in the wide multiplier form
+min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0, whose basis has only
 n_reduced + 1 rows: the attack's steps over the Farkas polytope
 (`attack._p_lp`), the ray search (`attack.ray_boundary`), the feasibility
 probe (`check_feasible`, which also gives the defense its max-margin warm
 start) and the nominal dispatch (`dc_model.solve_dcopf`).  Primal points are
-read off the equality duals and re-checked against the rows; Farkas rays are
-the multipliers themselves.
+read off the equality duals y and re-checked against the rows; Farkas rays
+are the multipliers themselves.
 
 Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
-caller's basis: M column indices in the [x; slacks] space, typically the
-`LpResult.basis` of an earlier optimal solve of a related problem.  The
-basis is accepted only when it has M distinct indices of real columns,
-A[:, basis] factorizes, the basic solution x_B = B^-1 (b - A_N x_N) lies
-within its bounds to feas_tol * (1 + ||b||_inf), and B x_B reproduces
-b - A_N x_N to the same tolerance.  Then every artificial is pinned at 0 and
-phase 2 starts at once; any other basis (None included) takes the cold
-two-phase path, so a stale basis costs time, never a wrong answer.  The
-attack's LPs share one constraint set, the Farkas polytope P, and differ
-only in their objective, so every earlier optimal basis is primal feasible
-for every later one: each network runs one cold P-LP, and every step of
-every start warm-starts from that basis or from the start's previous step
-(see `attack`).  The feasibility probe (`check_feasible`), the nominal
-dispatch and the defense's warm start stay cold: certification must not
-depend on the attack path, and their first solve has no earlier basis.
+caller's basis: M real column indices, typically the `LpResult.basis` of an
+earlier optimal solve of a related problem.  The basis is accepted only when
+it has M distinct indices of real columns, A_eq[:, basis] factorizes, the
+basic solution x_B = B^-1 b_eq is >= -feas_tol * (1 + ||b_eq||_inf), and
+B x_B reproduces b_eq to the same tolerance.  Then phase 2 starts at once;
+any other basis (None included) takes the cold two-phase path, so a stale
+basis costs time, never a wrong answer.  The attack's LPs share one
+constraint set, the Farkas polytope P, and differ only in their objective,
+so every earlier optimal basis is primal feasible for every later one: each
+network runs one cold P-LP, and every step of every start warm-starts from
+that basis or from the start's previous step (see `attack`).  The
+feasibility probe (`check_feasible`), the nominal dispatch and the defense's
+warm start stay cold: certification must not depend on the attack path, and
+their first solve has no earlier basis.
 
 Also home to the closed-form row projections (minimum-norm perturbation that
-makes one polytope row tight, with or without an affine response policy) —
+makes one polytope row tight, with or without an affine response policy) --
 they are the geometric primitives shared by the attack and defense modules.
 """
 
-import numpy as np
+import copy
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .numerics import DEFAULT_POLICY, NumericPolicy
@@ -49,105 +73,53 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# nonbasic column states
-_AT_LOWER, _AT_UPPER, _FREE, _FIXED, _BASIC = 0, 1, 2, 3, 4
 
-
-def _as_matrix(A, ncols):
-    if A is None:
-        return np.zeros((0, ncols))
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1) if A.size else A.reshape(0, ncols)
-    if A.shape[1] != ncols:
-        raise ValueError(f"matrix has {A.shape[1]} columns, expected {ncols}")
-    return A
-
-
-def _as_vector(b, nrows):
-    if b is None:
-        b = np.zeros(nrows)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != nrows:
-        raise ValueError(f"vector has {b.size} entries, expected {nrows}")
-    return b
+def _finite(name, arr):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite entries in {name}")
+    return arr
 
 
 @dataclass
 class LpProblem:
-    """min c^T x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub."""
+    """min c^T x  s.t.  A_eq x = b_eq,  x >= 0."""
 
     c: np.ndarray
-    A_ub: np.ndarray = None
-    b_ub: np.ndarray = None
-    A_eq: np.ndarray = None
-    b_eq: np.ndarray = None
-    lb: np.ndarray = None
-    ub: np.ndarray = None
+    A_eq: np.ndarray
+    b_eq: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        n = self.c.size
-        self.A_ub = _as_matrix(self.A_ub, n)
-        self.b_ub = _as_vector(self.b_ub, self.A_ub.shape[0])
-        self.A_eq = _as_matrix(self.A_eq, n)
-        self.b_eq = _as_vector(self.b_eq, self.A_eq.shape[0])
-        lb = -np.inf if self.lb is None else self.lb
-        ub = np.inf if self.ub is None else self.ub
-        self.lb = np.broadcast_to(np.asarray(lb, dtype=float), (n,)).astype(float)
-        self.ub = np.broadcast_to(np.asarray(ub, dtype=float), (n,)).astype(float)
-        for name, arr in (("c", self.c), ("A_ub", self.A_ub), ("b_ub", self.b_ub),
-                          ("A_eq", self.A_eq), ("b_eq", self.b_eq)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-        if np.any(np.isnan(self.lb)) or np.any(np.isnan(self.ub)):
-            raise ValueError("NaN bounds")
-        if np.any(self.lb > self.ub):
-            bad = int(np.argmax(self.lb > self.ub))
-            raise ValueError(f"lb > ub for variable {bad}")
+        self.c = _finite("c", np.asarray(self.c, dtype=float).ravel())
+        self.A_eq = _finite("A_eq", np.ascontiguousarray(self.A_eq, dtype=float))
+        self.b_eq = _finite("b_eq", np.asarray(self.b_eq, dtype=float).ravel())
+        if self.A_eq.shape != (self.b_eq.size, self.c.size):
+            raise ValueError(f"A_eq has shape {self.A_eq.shape}, expected "
+                             f"{(self.b_eq.size, self.c.size)}")
+
+    def with_objective(self, c):
+        """The same rows under another objective; only c is checked."""
+        out = copy.copy(self)
+        out.c = _finite("c", np.asarray(c, dtype=float).ravel())
+        if out.c.size != self.c.size:
+            raise ValueError(f"c has {out.c.size} entries, expected {self.c.size}")
+        return out
 
 
 @dataclass
 class FarkasCertificate:
-    """Proof that an LpProblem is infeasible.
+    """Proof that {x >= 0 : A_eq x = b_eq} is empty: A_eq^T y <= 0 and
+    gap = b_eq^T y > 0, while any x of the set would give
+    b_eq^T y = x^T A_eq^T y <= 0."""
 
-    The nonnegative row combination y_ub (and free combination y_eq) gives the
-    valid inequality h^T x <= rhs for every x satisfying the rows, where
-    h = A_ub^T y_ub + A_eq^T y_eq and rhs = b_ub^T y_ub + b_eq^T y_eq.  With
-    box_min = min_{lb<=x<=ub} h^T x this certificate has box_min - rhs = gap > 0,
-    so no x inside the bounds can satisfy the rows.
-    """
-
-    y_ub: np.ndarray
-    y_eq: np.ndarray
-    h: np.ndarray
+    y: np.ndarray
     gap: float
 
     def verify(self, prob, policy=DEFAULT_POLICY):
         """Recompute every claim from scratch; returns (ok, detail dict)."""
-        tol = policy.cert_tol * (1.0 + float(np.abs(self.y_ub).sum()
-                                             + np.abs(self.y_eq).sum()))
-        y_min = float(self.y_ub.min()) if self.y_ub.size else 0.0
-        h = prob.A_ub.T @ self.y_ub + prob.A_eq.T @ self.y_eq
-        h_resid = float(np.max(np.abs(h - self.h))) if h.size else 0.0
-        rhs = float(prob.b_ub @ self.y_ub + prob.b_eq @ self.y_eq)
-        box_min = 0.0
-        finite_ok = True
-        for hj, lj, uj in zip(self.h, prob.lb, prob.ub):
-            if hj > 0:
-                if not np.isfinite(lj):
-                    finite_ok = False
-                    break
-                box_min += hj * lj
-            elif hj < 0:
-                if not np.isfinite(uj):
-                    finite_ok = False
-                    break
-                box_min += hj * uj
-        gap = box_min - rhs if finite_ok else -np.inf
-        ok = (y_min >= -tol) and (h_resid <= tol) and finite_ok and gap > 0
-        return ok, {"y_min": y_min, "h_resid": h_resid, "gap": gap,
-                    "finite_ok": finite_ok}
+        tol = policy.cert_tol * (1.0 + float(np.abs(self.y).sum()))
+        h_max = float(np.max(prob.A_eq.T @ self.y, initial=0.0))
+        gap = float(prob.b_eq @ self.y)
+        return h_max <= tol and gap > 0, {"h_max": h_max, "gap": gap}
 
 
 @dataclass
@@ -155,235 +127,148 @@ class LpResult:
     status: str
     x: np.ndarray = None
     objective: float = None
-    dual_ub: np.ndarray = None
-    dual_eq: np.ndarray = None
-    dual_objective: float = None
+    y: np.ndarray = None            # equality duals B^-T c_B at an optimum
     certificate: FarkasCertificate = None
     ray: np.ndarray = None
     iterations: int = 0
     phase1_objective: float = 0.0
-    # optimal basis in the [x; slacks] column space, for a later warm start;
-    # None when an artificial column stays basic
+    # optimal basis (real column indices), for a later warm start; None when
+    # an artificial column stays basic
     basis: np.ndarray = None
 
 
 class _Simplex:
-    """Two-phase bounded-variable simplex on the combined equation system
-    [A_ub I; A_eq 0] [x; s] = [b_ub; b_eq] with artificial start columns."""
+    """Two-phase revised simplex on A x = b, x >= 0 with implicit artificial
+    columns sign(b_i) e_i, numbered N + i."""
 
     def __init__(self, prob, policy):
-        self.prob = prob
         self.policy = policy
-        n, m, k = prob.c.size, prob.A_ub.shape[0], prob.A_eq.shape[0]
-        self.n, self.m, self.k = n, m, k
-        M = m + k
-        self.M = M
-        A = np.zeros((M, n + m))
-        A[:m, :n] = prob.A_ub
-        A[m:, :n] = prob.A_eq
-        if m:
-            A[:m, n:] = np.eye(m)
-        self.b = np.concatenate([prob.b_ub, prob.b_eq])
-        self.b_scale = 1.0 + (float(np.max(np.abs(self.b))) if M else 0.0)
-        lo = np.concatenate([prob.lb, np.zeros(m)])
-        hi = np.concatenate([prob.ub, np.full(m, np.inf)])
-
-        # nonbasic start values: a finite bound if one exists, else 0 (free)
-        val = np.zeros(n + m)
-        status = np.full(n + m, _FREE, dtype=int)
-        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-        val[lo_fin] = lo[lo_fin]
-        status[lo_fin] = _AT_LOWER
-        only_hi = ~lo_fin & hi_fin
-        val[only_hi] = hi[only_hi]
-        status[only_hi] = _AT_UPPER
-        status[lo == hi] = _FIXED
-
-        resid = self.b - A @ val
-        sign = np.where(resid >= 0, 1.0, -1.0)
-        self.A = np.hstack([A, np.diag(sign)]) if M else A
-        self.lo = np.concatenate([lo, np.zeros(M)])
-        self.hi = np.concatenate([hi, np.full(M, np.inf)])
-        self.val = np.concatenate([val, np.abs(resid)])
-        self.status = np.concatenate([status, np.full(M, _BASIC, dtype=int)])
-        self.is_art = np.zeros(n + m + M, dtype=bool)
-        self.is_art[n + m:] = True
-        self.basis = np.arange(n + m, n + m + M)
-        self.B_inv = np.diag(sign)
+        self.A, self.b = prob.A_eq, prob.b_eq
+        self.M, self.N = self.A.shape
+        self.b_scale = 1.0 + float(np.max(np.abs(self.b), initial=0.0))
+        self.sign = np.where(self.b >= 0, 1.0, -1.0)
+        self.basis = np.arange(self.N, self.N + self.M)
+        self.art = np.ones(self.M, dtype=bool)      # basis position holds an artificial
+        self.B_inv = np.diag(self.sign)
+        self.xB = np.abs(self.b)
+        self.pinned = False                         # phase 2: artificials at 0
         self.iterations = 0
         self.pivots_since_refactor = 0
-        self.N_total = n + m + M
 
     def warm_start(self, basis):
         """Re-enter at a caller's basis of real columns (acceptance rules in
-        the module docstring).  An accepted basis pins every artificial at 0,
-        so phase 2 can run at once; a rejected one returns False and leaves
-        the cold start untouched."""
+        the module docstring).  An accepted basis leaves no artificial, so
+        phase 2 can run at once; a rejected one returns False and leaves the
+        cold start untouched."""
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
-        n_real = self.n + self.m
         if basis.size != self.M or np.unique(basis).size != self.M \
-                or np.any(basis < 0) or np.any(basis >= n_real):
+                or np.any(basis < 0) or np.any(basis >= self.N):
             return False
         Bmat = self.A[:, basis]
         try:
             B_inv = np.linalg.inv(Bmat)
         except np.linalg.LinAlgError:
             return False
-        nb_val = self.val[:n_real].copy()
-        nb_val[basis] = 0.0
-        r = self.b - self.A[:, :n_real] @ nb_val
-        x_B = B_inv @ r
+        x_B = B_inv @ self.b
         tol = self.policy.feas_tol * self.b_scale
-        if not np.all(np.isfinite(x_B)) \
-                or np.any(x_B < self.lo[basis] - tol) \
-                or np.any(x_B > self.hi[basis] + tol) \
-                or float(np.max(np.abs(Bmat @ x_B - r), initial=0.0)) > tol:
+        if not np.all(np.isfinite(x_B)) or np.any(x_B < -tol) \
+                or float(np.max(np.abs(Bmat @ x_B - self.b), initial=0.0)) > tol:
             return False
-        self.lo[self.is_art] = 0.0
-        self.hi[self.is_art] = 0.0
-        self.val[self.is_art] = 0.0
-        self.status[self.is_art] = _FIXED
-        self.status[basis] = _BASIC
-        self.val[basis] = x_B
-        self.basis = basis
-        self.B_inv = B_inv
+        self.basis, self.B_inv, self.xB = basis, B_inv, x_B
+        self.art[:] = False
         return True
 
-    # -- core steps ---------------------------------------------------------
-
     def _refactor(self):
-        Bmat = self.A[:, self.basis]
+        Bmat = np.zeros((self.M, self.M))
+        real = ~self.art
+        Bmat[:, real] = self.A[:, self.basis[real]]
+        rows = self.basis[self.art] - self.N
+        Bmat[rows, self.art] = self.sign[rows]
         try:
             self.B_inv = np.linalg.inv(Bmat)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}")
-        nb_val = self.val.copy()
-        nb_val[self.basis] = 0.0
-        self.val[self.basis] = self.B_inv @ (self.b - self.A @ nb_val)
+        self.xB = self.B_inv @ self.b
         self.pivots_since_refactor = 0
 
-    def _prices(self, cvec):
-        y = self.B_inv.T @ cvec[self.basis]
-        d = cvec - self.A.T @ y
-        return y, d
-
-    def _entering(self, d, bland):
-        tol = self.policy.lp_tol
-        st = self.status
-        elig = ((st == _AT_LOWER) & (d < -tol)) | ((st == _AT_UPPER) & (d > tol)) \
-            | ((st == _FREE) & (np.abs(d) > tol))
-        elig &= ~self.is_art
-        idx = np.flatnonzero(elig)
-        if idx.size == 0:
-            return None, 0
-        if bland:
-            j = int(idx[0])
-        else:
-            j = int(idx[np.argmax(np.abs(d[idx]))])
-        if st[j] == _AT_LOWER:
-            sigma = 1.0
-        elif st[j] == _AT_UPPER:
-            sigma = -1.0
-        else:
-            sigma = -np.sign(d[j])
-        return j, sigma
-
-    def _ratio(self, j, sigma, bland):
-        """Returns (t, leaving_pos, hit_upper, w); leaving_pos None means bound
-        flip of the entering column, t == inf means unblocked."""
-        piv_tol = 1e-10
-        w = self.B_inv @ self.A[:, j]
-        xB = self.val[self.basis]
-        loB, hiB = self.lo[self.basis], self.hi[self.basis]
-        sw = sigma * w
+    def _ratio(self, w, bland):
+        """Leaving basis position for the entering column B^-1 a_j = w, and
+        its step; (inf, None) when nothing blocks."""
+        xB = self.xB
         t = np.full(self.M, np.inf)
-        hit_up = np.zeros(self.M, dtype=bool)
-        dec = (sw > piv_tol) & np.isfinite(loB)
-        t[dec] = (xB[dec] - loB[dec]) / sw[dec]
-        inc = (sw < -piv_tol) & np.isfinite(hiB)
-        t[inc] = (hiB[inc] - xB[inc]) / (-sw[inc])
-        hit_up[inc] = True
+        np.divide(xB, w, out=t, where=w > 1e-10)
+        if self.pinned and self.art.any():
+            inc = (w < -1e-10) & self.art
+            t[inc] = (0.0 - xB[inc]) / -w[inc]
         np.maximum(t, 0.0, out=t)
-
-        span = self.hi[j] - self.lo[j]
-        t_own = span if np.isfinite(span) else np.inf
-        t_min = min(float(t.min()) if self.M else np.inf, t_own)
-        if not np.isfinite(t_min):
-            return np.inf, None, False, w
+        t_min = float(t.min()) if self.M else np.inf
+        if not t_min < np.inf:
+            return np.inf, None
         # tie set within an absolute-plus-relative window
-        window = t_min + 1e-9 * (1.0 + t_min)
-        cand = np.flatnonzero(t <= window)
-        if t_own <= window and cand.size == 0:
-            return t_own, None, False, w
-        if cand.size == 0:
-            # numerical corner: t.min() slipped past the window
-            cand = np.array([int(np.argmin(t))])
+        cand = (t <= t_min + 1e-9 * (1.0 + t_min)).nonzero()[0]
         if bland:
-            # smallest basis column index among candidates
-            order = np.argsort(self.basis[cand], kind="stable")
-            r = int(cand[order[0]])
+            r = int(cand[np.argmin(self.basis[cand])])
+        elif cand.size == 1:
+            r = int(cand[0])
         else:
-            art_cand = cand[self.is_art[self.basis[cand]]]
+            art_cand = cand[self.art[cand]]
             pool = art_cand if art_cand.size else cand
             r = int(pool[np.argmax(np.abs(w[pool]))])
-        if t_own < t[r]:
-            return t_own, None, False, w
-        return float(t[r]), r, bool(hit_up[r]), w
+        return float(t[r]), r
 
-    def _apply_flip(self, j, sigma, t, w):
-        self.val[self.basis] -= sigma * t * w
-        self.val[j] += sigma * t
-        self.status[j] = _AT_UPPER if self.status[j] == _AT_LOWER else _AT_LOWER
-
-    def _apply_pivot(self, j, sigma, t, r, hit_upper, w):
+    def _pivot(self, j, t, r, w):
         if abs(w[r]) < 1e-11:
             raise SolverError(f"pivot element {w[r]:.3e} too small")
         leave = int(self.basis[r])
-        self.val[self.basis] -= sigma * t * w
-        self.val[j] += sigma * t
-        self.val[leave] = self.hi[leave] if hit_upper else self.lo[leave]
-        self.status[leave] = _AT_UPPER if hit_upper else _AT_LOWER
-        if self.lo[leave] == self.hi[leave]:
-            self.status[leave] = _FIXED
-        self.status[j] = _BASIC
+        self.xB -= t * w
+        self.xB[r] = t
         self.basis[r] = j
+        self.art[r] = False
         # eta update of the explicit inverse
         Binv_r = self.B_inv[r] / w[r]
-        self.B_inv -= np.outer(w, Binv_r)
+        self.B_inv -= w[:, None] * Binv_r
         self.B_inv[r] = Binv_r
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= self.policy.lp_refactor_every:
             self._refactor()
+        return leave
 
-    def run_phase(self, cvec):
-        """Minimize cvec over the current system; returns (status, y, d, extra)."""
+    def run_phase(self, cost):
+        """Minimize cost (N real entries, then M artificial ones) from the
+        current basis; returns (status, y, extra) with extra = (j, w) for an
+        unbounded entering column."""
         policy = self.policy
-        iter_cap = policy.lp_iter_factor * (self.M + self.N_total) + 200
+        tol = policy.lp_tol
+        iter_cap = policy.lp_iter_factor * (self.N + 2 * self.M) + 200
+        c = cost[:self.N]
+        # reduced costs of basic columns read +inf, so they never enter
+        price = c.copy()
+        price[self.basis[~self.art]] = np.inf
         stall, bland = 0, False
-        z = float(cvec @ self.val)
+        cB = cost[self.basis]
+        z = float(cB @ self.xB)
         while True:
             if self.iterations > iter_cap:
                 raise SolverError(
-                    f"iteration cap {iter_cap} exceeded (M={self.M}, N={self.N_total})")
+                    f"iteration cap {iter_cap} exceeded (M={self.M}, N={self.N})")
             self.iterations += 1
-            y, d = self._prices(cvec)
-            j, sigma = self._entering(d, bland)
-            if j is None:
-                if bland:
-                    # confirm optimality at the sharper Dantzig pass once more
-                    j, sigma = self._entering(d, False)
-                    if j is None:
-                        return OPTIMAL, y, d, None
-                else:
-                    return OPTIMAL, y, d, None
-            t, r, hit_upper, w = self._ratio(j, sigma, bland)
-            if not np.isfinite(t):
-                return UNBOUNDED, y, d, (j, sigma, w)
+            y = self.B_inv.T @ cB
+            d = price - self.A.T @ y
+            j = int(d.argmin()) if self.N else 0
+            if not (self.N and d[j] < -tol):
+                return OPTIMAL, y, None
+            if bland:
+                j = int(np.argmax(d < -tol))      # the lowest eligible index
+            w = self.B_inv @ self.A[:, j]
+            t, r = self._ratio(w, bland)
             if r is None:
-                self._apply_flip(j, sigma, t, w)
-            else:
-                self._apply_pivot(j, sigma, t, r, hit_upper, w)
-            z_new = float(cvec @ self.val)
+                return UNBOUNDED, y, (j, w)
+            leave = self._pivot(j, t, r, w)
+            price[j] = np.inf
+            if leave < self.N:
+                price[leave] = c[leave]
+            cB = cost[self.basis]
+            z_new = float(cB @ self.xB)
             if z - z_new > 1e-12 * (1.0 + abs(z)):
                 stall, bland = 0, False
             else:
@@ -393,78 +278,43 @@ class _Simplex:
             z = z_new
 
 
-def _certificate_from_phase1(simplex, prob, y, policy):
-    """Assemble and sanity-check the Farkas certificate at a phase-1 optimum."""
-    m = simplex.m
-    y_ub = -y[:m]
-    y_eq = -y[m:]
-    y_scale = 1.0 + float(np.abs(y).sum())
-    if y_ub.size and float(y_ub.min()) < -1e-7 * y_scale:
-        raise SolverError(f"phase-1 dual sign violation: min y_ub = {y_ub.min():.3e}")
-    y_ub = np.maximum(y_ub, 0.0)
-    h = prob.A_ub.T @ y_ub + prob.A_eq.T @ y_eq
-    # zero the dust entries that would otherwise pair with an infinite bound
-    dust = 1e-9 * y_scale * (1.0 + float(np.max(np.abs(h))) if h.size else 1.0)
-    bad_low = (h > 0) & ~np.isfinite(prob.lb)
-    bad_up = (h < 0) & ~np.isfinite(prob.ub)
-    for mask in (bad_low, bad_up):
-        if np.any(np.abs(h[mask]) > dust):
-            raise SolverError("phase-1 certificate pairs with an infinite bound")
-        h[mask] = 0.0
-    box_min = float(np.sum(np.where(h > 0, h * np.where(np.isfinite(prob.lb), prob.lb, 0.0),
-                                    h * np.where(np.isfinite(prob.ub), prob.ub, 0.0))))
-    rhs = float(prob.b_ub @ y_ub + prob.b_eq @ y_eq)
-    cert = FarkasCertificate(y_ub=y_ub, y_eq=y_eq, h=h, gap=box_min - rhs)
-    ok, detail = cert.verify(prob, policy)
-    if not ok:
-        raise SolverError(f"constructed Farkas certificate failed verification: {detail}")
-    return cert
-
-
 def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
              basis=None) -> LpResult:
     """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
-    UNBOUNDED results carry a feasible ray with c^T ray < 0, OPTIMAL results
-    carry their basis.  A given `basis` skips phase 1 when it passes the
-    warm-start checks (module docstring) and is ignored otherwise."""
+    UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and c^T x < 0,
+    OPTIMAL results carry their equality duals y and basis.  A given `basis`
+    skips phase 1 when it passes the warm-start checks (module docstring)
+    and is ignored otherwise."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
     sx = _Simplex(prob, policy)
-    n, m = sx.n, sx.m
+    N, M = sx.N, sx.M
 
     z1 = 0.0
     if basis is None or not sx.warm_start(basis):
-        cost1 = np.zeros(sx.N_total)
-        cost1[sx.is_art] = 1.0
-        status, y, d, extra = sx.run_phase(cost1)
+        status, y, _ = sx.run_phase(np.concatenate([np.zeros(N), np.ones(M)]))
         if status != OPTIMAL:
             raise SolverError("phase 1 cannot be unbounded; numerical failure")
-        z1 = float(np.sum(sx.val[sx.is_art]))
+        z1 = float(sx.xB[sx.art].sum())
         if z1 > policy.feas_tol * sx.b_scale:
-            cert = _certificate_from_phase1(sx, prob, y, policy)
+            cert = FarkasCertificate(y=y, gap=float(prob.b_eq @ y))
+            ok, detail = cert.verify(prob, policy)
+            if not ok:
+                raise SolverError(
+                    f"phase-1 Farkas certificate failed verification: {detail}")
             return LpResult(status=INFEASIBLE, certificate=cert,
                             iterations=sx.iterations, phase1_objective=z1)
+        sx.pinned = True
 
-        # pin artificials at zero and switch to the real objective
-        sx.lo[sx.is_art] = 0.0
-        sx.hi[sx.is_art] = 0.0
-        nonbasic_art = sx.is_art & (sx.status != _BASIC)
-        sx.status[nonbasic_art] = _FIXED
-        sx.val[nonbasic_art] = 0.0
-
-    cost2 = np.zeros(sx.N_total)
-    cost2[:n] = prob.c
-    status, y, d, extra = sx.run_phase(cost2)
+    status, y, extra = sx.run_phase(np.concatenate([prob.c, np.zeros(M)]))
     if status == UNBOUNDED:
-        j, sigma, w = extra
-        direction = np.zeros(sx.N_total)
-        direction[j] = sigma
-        direction[sx.basis] -= sigma * w
-        ray = direction[:n]
-        eq_resid = float(np.max(np.abs(prob.A_eq @ ray))) if sx.k else 0.0
-        ub_resid = float(np.max(prob.A_ub @ ray)) if m else 0.0
-        ray_scale = 1.0 + float(np.max(np.abs(ray)))
-        if eq_resid > 1e-7 * ray_scale or ub_resid > 1e-7 * ray_scale \
+        j, w = extra
+        ray = np.zeros(N)
+        ray[j] = 1.0
+        real = ~sx.art
+        ray[sx.basis[real]] = -w[real]
+        eq_resid = float(np.max(np.abs(prob.A_eq @ ray), initial=0.0))
+        if eq_resid > 1e-7 * (1.0 + float(np.max(np.abs(ray)))) \
                 or prob.c @ ray >= 0:
             raise SolverError("unbounded ray failed verification")
         return LpResult(status=UNBOUNDED, ray=ray, iterations=sx.iterations,
@@ -474,26 +324,12 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
         # x_B afresh from the final basis: the per-pivot updates drift, by
         # up to 1e-9 in the row residuals after a long warm-started phase 2
         sx._refactor()
-    x = sx.val[:n].copy()
-    objective = float(prob.c @ x)
-    dual_ub = np.maximum(-y[:m], 0.0)
-    dual_eq = -y[m:].copy()
-    # dual objective over the box, using reduced costs of all real columns;
-    # dual feasibility pairs every nonzero reduced cost with a finite bound,
-    # so entries pointing at an infinite bound are dust and are dropped
-    r = d[:n + m].copy()
-    lo, hi = sx.lo[:n + m], sx.hi[:n + m]
-    r[(r > 0) & ~np.isfinite(lo)] = 0.0
-    r[(r < 0) & ~np.isfinite(hi)] = 0.0
-    box = np.where(r > 0, r * np.where(np.isfinite(lo), lo, 0.0),
-                   r * np.where(np.isfinite(hi), hi, 0.0))
-    dual_objective = float(y @ sx.b + box.sum())
-    final_basis = None if np.any(sx.is_art[sx.basis]) else sx.basis.copy()
-    return LpResult(status=OPTIMAL, x=x, objective=objective,
-                    dual_ub=dual_ub, dual_eq=dual_eq,
-                    dual_objective=dual_objective,
+    x = np.zeros(N)
+    real = ~sx.art
+    x[sx.basis[real]] = sx.xB[real]
+    return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations, phase1_objective=z1,
-                    basis=final_basis)
+                    basis=None if sx.art.any() else sx.basis.copy())
 
 
 def normalize_farkas_ray(rows, rhs, y, policy: NumericPolicy = DEFAULT_POLICY):
@@ -539,17 +375,16 @@ def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
         return True, np.zeros(n), None
     e = np.zeros(n + 1)
     e[-1] = 1.0
-    prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e,
-                     lb=0.0)
+    prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e)
     res = lp_solve(prob, policy)
     rhs_scale = 1.0 + float(np.max(np.abs(rhs)))
     if res.status == OPTIMAL:
         if res.objective < -policy.feas_tol * rhs_scale:
             return False, None, normalize_farkas_ray(rows, rhs, res.x, policy)
-        x = -res.dual_eq[:n]
+        x = res.y[:n]
     elif res.status == INFEASIBLE:
-        # the certificate h = rows g + s 1 >= 0 with s < 0 gives rows(-g) < 0
-        z = -res.certificate.y_eq[:n]
+        # the certificate (z, s) has rows z + s 1 <= 0 with s > 0: rows z < 0
+        z = res.certificate.y[:n]
         slope = rows @ z
         if not np.all(slope < 0.0):
             raise SolverError("Gordan direction failed re-verification")

@@ -168,6 +168,9 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
             budget_s=cfg.budget_s - (time.monotonic() - t0))
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
+        if best_att.convergence == "zero-distance":
+            # the infimum is 0; ub is only the certified binding-row point
+            report.flags.append("zero-distance")
     except AttackError as exc:
         report.flags.append(f"attack-round0: {exc}")
 

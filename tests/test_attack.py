@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dcattack import lin_solve
-from dcattack.attack import (AttackConfig, _p_lp, attack_local,
+from dcattack import attack, lin_solve
+from dcattack.attack import (AttackConfig, _p_lp, _polytope, attack_local,
                              binding_row_direction, certify_infeasible,
                              fixed_dispatch_lb, multistart_attack, ray_boundary)
 from dcattack.case_ingest import build_case, load_case
@@ -171,12 +171,15 @@ def test_ray_boundary_matches_tall_lp_oracle(bundled_mats):
     for _ in range(6):
         u = rng.normal(size=mats.n_delta)
         u /= np.linalg.norm(u)
-        s, _basis = ray_boundary(mats, u)
+        s, basis = ray_boundary(mats, u)
         ref = oracle_utils.direction_boundary(mats, u)
         if ref is None:
             assert s is None
         else:
             assert s == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        if basis is not None:
+            # the basis spans [mu; surplus] and re-enters without a pivot
+            assert ray_boundary(mats, u, basis=basis)[0] == pytest.approx(s, rel=1e-12)
 
 
 def test_ray_boundary_raises_when_the_ray_starts_infeasible():
@@ -245,9 +248,7 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     assert warm
     for prob, basis, res in warm:
         assert lin_solve._Simplex(prob, DEFAULT_POLICY).warm_start(basis)
-        ref = linprog(prob.c, A_ub=prob.A_ub if prob.A_ub.size else None,
-                      b_ub=prob.b_ub if prob.b_ub.size else None,
-                      A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
+        ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
                       method="highs")
         assert res.status == lin_solve.OPTIMAL and ref.status == 0
         assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
@@ -272,11 +273,12 @@ def test_p_steps_match_scipy(bundled_mats):
     """Each step of an ascent, cold or warm-started from the previous step's
     basis, reaches scipy's optimum over P at a point of P."""
     mats = bundled_mats
+    P = _polytope(mats)
     rng = np.random.default_rng(5)
     for _ in range(3):
         g, basis = rng.normal(size=mats.n_delta), None
         for _step in range(4):
-            mu, value, basis = _p_lp(mats, g, DEFAULT_POLICY, basis)
+            mu, value, basis = _p_lp(mats, P, g, DEFAULT_POLICY, basis)
             assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
                                           rel=1e-9, abs=1e-12)
             assert float(mats.B.T @ mu @ g) == pytest.approx(value, rel=1e-9)
@@ -369,3 +371,40 @@ def test_expired_deadline_still_certifies():
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
     skipped = [n["start"] for n in rep.starts if n["status"] == "skipped"]
     assert skipped == ["uniform-up", "random0", "random1", "random2"]
+
+
+@pytest.mark.parametrize("kind", ["case24", "zd3"])
+def test_the_reported_start_is_noted_certified(kind):
+    """Candidate notes are written after certification: the reported start's
+    note says certified, every other candidate's says not."""
+    case = load_case(pglib_path("case24_ieee_rts")) if kind == "case24" \
+        else ZERO_DISTANCE["p-unbounded"]
+    rep = multistart_attack(build_feasibility(case), AttackConfig(restarts=2, seed=0))
+    assert rep.best.certified
+    cands = [n for n in rep.starts if n["status"] == "candidate"]
+    mine = [n for n in cands if n["start"] == rep.best.start]
+    assert len(mine) == 1 and mine[0]["certified"] is True
+    assert not any(n["certified"] for n in cands if n["start"] != rep.best.start)
+
+
+def test_p_is_built_once_per_network(monkeypatch):
+    """Every step over P, in every start, is handed the same constraint
+    matrix, and the kernel solves over that very array."""
+    mats = build_feasibility(load_case(pglib_path("case24_ieee_rts")))
+    steps, solved = [], []
+    real_step, real_solve = attack._p_lp, lin_solve.lp_solve
+
+    def step_spy(mats, P, g, policy, basis):
+        steps.append(P.A_eq)
+        return real_step(mats, P, g, policy, basis)
+
+    def solve_spy(prob, policy=DEFAULT_POLICY, basis=None):
+        if np.array_equal(prob.A_eq[-1], -mats.c):
+            solved.append(prob.A_eq)
+        return real_solve(prob, policy, basis=basis)
+
+    monkeypatch.setattr(attack, "_p_lp", step_spy)
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    multistart_attack(mats, AttackConfig(restarts=3, seed=4))
+    assert len(steps) > 5 and len(solved) == len(steps)
+    assert all(a is steps[0] for a in steps + solved)

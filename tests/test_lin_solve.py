@@ -5,7 +5,8 @@ from scipy.optimize import linprog
 from dcattack import lin_solve
 from dcattack.errors import PreconditionError
 from dcattack.lin_solve import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, check_feasible, lp_solve,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, FarkasCertificate, LpProblem, check_feasible,
+    lp_solve,
     policy_radius, project_policy,
 )
 from dcattack.numerics import DEFAULT_POLICY
@@ -13,20 +14,66 @@ from dcattack.numerics import DEFAULT_POLICY
 import oracle_utils
 
 
+def _standard(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, lb=None, ub=None):
+    """min c^T x s.t. A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, rewritten
+    as an LpProblem: x = x0 + T u with u >= 0 (a shift for a finite lb, a
+    reflection for a finite ub alone, a split u+ - u- for a free x), then
+    one slack column per <= row and per finite box.  Returns (prob, x0, T):
+    the first T.shape[1] entries of a standard-form point map back to
+    x0 + T u, and c^T x = c_std^T x_std + c^T x0."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    lb = np.broadcast_to(-np.inf if lb is None else np.asarray(lb, float), (n,))
+    ub = np.broadcast_to(np.inf if ub is None else np.asarray(ub, float), (n,))
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, float)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, float)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, float)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float)
+    x0 = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    cols, box = [], []
+    for j, e in enumerate(np.eye(n)):
+        if np.isfinite(lb[j]):
+            cols.append(e)
+            if np.isfinite(ub[j]):
+                box.append((len(cols) - 1, ub[j] - lb[j]))
+        elif np.isfinite(ub[j]):
+            cols.append(-e)
+        else:
+            cols += [e, -e]
+    T = np.array(cols).T
+    k, m, nb = T.shape[1], A_ub.shape[0], len(box)
+    A = np.zeros((m + nb + A_eq.shape[0], k + m + nb))
+    A[:m, :k] = A_ub @ T
+    A[:m + nb, k:] = np.eye(m + nb)
+    for i, (col, _width) in enumerate(box):
+        A[m + i, col] = 1.0
+    A[m + nb:, :k] = A_eq @ T
+    b = np.concatenate([b_ub - A_ub @ x0, [w for _col, w in box],
+                        b_eq - A_eq @ x0])
+    prob = LpProblem(c=np.concatenate([T.T @ c, np.zeros(m + nb)]), A_eq=A, b_eq=b)
+    return prob, x0, T
+
+
+def _original(x_std, x0, T):
+    return x0 + T @ x_std[:T.shape[1]]
+
+
 def test_simple_bound():
     # min x s.t. x >= 1
-    res = lp_solve(LpProblem(c=[1.0], A_ub=[[-1.0]], b_ub=[-1.0]))
+    prob, x0, T = _standard([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
+    res = lp_solve(prob)
     assert res.status == OPTIMAL
-    assert res.x[0] == pytest.approx(1.0, abs=1e-10)
+    assert _original(res.x, x0, T)[0] == pytest.approx(1.0, abs=1e-10)
     assert res.objective == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_variable_vertex():
     # min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0
-    res = lp_solve(LpProblem(c=[-1.0, -2.0], A_ub=[[1, 1]], b_ub=[4], lb=0.0,
-                             ub=[3.0, 2.0]))
+    prob, x0, T = _standard([-1.0, -2.0], A_ub=[[1, 1]], b_ub=[4], lb=0.0,
+                            ub=[3.0, 2.0])
+    res = lp_solve(prob)
     assert res.status == OPTIMAL
-    assert res.x == pytest.approx([2.0, 2.0], abs=1e-9)
+    assert _original(res.x, x0, T) == pytest.approx([2.0, 2.0], abs=1e-9)
     assert res.objective == pytest.approx(-6.0, abs=1e-9)
 
 
@@ -39,7 +86,7 @@ def test_equality_rows():
 
 def test_infeasible_certificate():
     # x <= 1 and x >= 2 cannot both hold
-    prob = LpProblem(c=[0.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+    prob, _x0, _T = _standard([0.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
     res = lp_solve(prob)
     assert res.status == INFEASIBLE
     ok, detail = res.certificate.verify(prob)
@@ -49,7 +96,7 @@ def test_infeasible_certificate():
 
 def test_infeasible_with_bounds():
     # rows force x >= 5 while ub pins x <= 1
-    prob = LpProblem(c=[0.0], A_ub=[[-1.0]], b_ub=[-5.0], lb=0.0, ub=1.0)
+    prob, _x0, _T = _standard([0.0], A_ub=[[-1.0]], b_ub=[-5.0], lb=0.0, ub=1.0)
     res = lp_solve(prob)
     assert res.status == INFEASIBLE
     ok, detail = res.certificate.verify(prob)
@@ -58,24 +105,39 @@ def test_infeasible_with_bounds():
 
 def test_unbounded_ray():
     # min -x with x >= 0 free above
-    res = lp_solve(LpProblem(c=[-1.0], A_ub=[[-1.0]], b_ub=[0.0]))
+    prob, x0, T = _standard([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
+    res = lp_solve(prob)
     assert res.status == UNBOUNDED
-    assert res.ray[0] > 0
+    assert (T @ res.ray[:T.shape[1]])[0] > 0
 
 
-def test_crossed_bounds_rejected():
+def test_malformed_problem_rejected():
     with pytest.raises(ValueError):
-        LpProblem(c=[1.0], lb=2.0, ub=1.0)
+        LpProblem(c=[1.0, 1.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+    with pytest.raises(ValueError):
+        LpProblem(c=[1.0], A_eq=[[1.0]], b_eq=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        LpProblem(c=[1.0], A_eq=[1.0], b_eq=[1.0])
+    for bad in ({"c": [np.nan]}, {"A_eq": [[np.inf]]}, {"b_eq": [-np.inf]}):
+        with pytest.raises(ValueError, match="non-finite"):
+            LpProblem(**{"c": [1.0], "A_eq": [[1.0]], "b_eq": [1.0], **bad})
+    prob = LpProblem(c=[1.0], A_eq=[[1.0]], b_eq=[1.0])
+    with pytest.raises(ValueError):
+        prob.with_objective([1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        prob.with_objective([np.nan])
 
 
 def test_free_variable_optimum():
     # min |x|-style: x free, rows x >= -3, objective +x drives x to -3
-    res = lp_solve(LpProblem(c=[1.0], A_ub=[[-1.0]], b_ub=[3.0]))
+    prob, x0, T = _standard([1.0], A_ub=[[-1.0]], b_ub=[3.0])
+    res = lp_solve(prob)
     assert res.status == OPTIMAL
-    assert res.x[0] == pytest.approx(-3.0, abs=1e-9)
+    assert _original(res.x, x0, T)[0] == pytest.approx(-3.0, abs=1e-9)
 
 
 def _random_problem(rng, n, m, k, box=True, poison=False):
+    """A general LP as keyword arguments of `_standard`."""
     c = rng.normal(size=n)
     A_ub = rng.normal(size=(m, n))
     # anchor rhs at a random interior point so most draws are feasible
@@ -89,17 +151,13 @@ def _random_problem(rng, n, m, k, box=True, poison=False):
     b_eq = (A_eq @ x0) if k else None
     lb = x0 - rng.uniform(0.5, 3.0, size=n) if box else None
     ub = x0 + rng.uniform(0.5, 3.0, size=n) if box else None
-    return LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+    return dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
 
 
 def _scipy_solve(prob):
-    bounds = list(zip(np.where(np.isfinite(prob.lb), prob.lb, None),
-                      np.where(np.isfinite(prob.ub), prob.ub, None)))
-    return linprog(prob.c, A_ub=prob.A_ub if prob.A_ub.size else None,
-                   b_ub=prob.b_ub if prob.b_ub.size else None,
-                   A_eq=prob.A_eq if prob.A_eq.size else None,
+    return linprog(prob.c, A_eq=prob.A_eq if prob.A_eq.size else None,
                    b_eq=prob.b_eq if prob.b_eq.size else None,
-                   bounds=bounds, method="highs")
+                   bounds=(0, None), method="highs")
 
 
 def test_random_lps_match_reference_solver():
@@ -111,22 +169,29 @@ def test_random_lps_match_reference_solver():
         m = int(rng.integers(0, 13))
         k = int(rng.integers(0, min(n, 4)))
         box = trial % 3 != 0
-        prob = _random_problem(rng, n, m, k, box=box, poison=trial % 5 == 4)
+        gen = _random_problem(rng, n, m, k, box=box, poison=trial % 5 == 4)
+        prob, x0, T = _standard(**gen)
         res = lp_solve(prob)
         ref = _scipy_solve(prob)
         if res.status == OPTIMAL:
             assert ref.status == 0, f"trial {trial}: we optimal, scipy {ref.status}"
             assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7), \
                 f"trial {trial}"
-            # primal feasibility of our point
-            if prob.A_ub.size:
-                assert np.max(prob.A_ub @ res.x - prob.b_ub) <= 1e-8
+            # primal feasibility of our point, in both forms
             if prob.A_eq.size:
                 assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-8
-            assert np.all(res.x >= prob.lb - 1e-8)
-            assert np.all(res.x <= prob.ub + 1e-8)
+            assert np.all(res.x >= -1e-8)
+            x = _original(res.x, x0, T)
+            if m:
+                assert np.max(gen["A_ub"] @ x - gen["b_ub"]) <= 1e-8
+            if k:
+                assert np.max(np.abs(gen["A_eq"] @ x - gen["b_eq"])) <= 1e-8
+            if box:
+                assert np.all(x >= gen["lb"] - 1e-8)
+                assert np.all(x <= gen["ub"] + 1e-8)
             # strong duality
-            assert res.dual_objective == pytest.approx(res.objective, abs=1e-8 * (1 + abs(res.objective)))
+            assert float(prob.b_eq @ res.y) == \
+                pytest.approx(res.objective, abs=1e-8 * (1 + abs(res.objective)))
         elif res.status == INFEASIBLE:
             assert ref.status == 2, f"trial {trial}: we infeasible, scipy {ref.status}"
             ok, detail = res.certificate.verify(prob)
@@ -135,21 +200,59 @@ def test_random_lps_match_reference_solver():
             assert ref.status == 3, f"trial {trial}: we unbounded, scipy {ref.status}"
             ray = res.ray
             assert prob.c @ ray < 0
-            if prob.A_ub.size:
-                assert np.max(prob.A_ub @ ray) <= 1e-7 * (1 + np.max(np.abs(ray)))
+            assert np.all(ray >= 0)
             if prob.A_eq.size:
                 assert np.max(np.abs(prob.A_eq @ ray)) <= 1e-7 * (1 + np.max(np.abs(ray)))
+            d = T @ ray[:T.shape[1]]
+            if m:
+                assert np.max(gen["A_ub"] @ d) <= 1e-7 * (1 + np.max(np.abs(ray)))
+            if k:
+                assert np.max(np.abs(gen["A_eq"] @ d)) <= 1e-7 * (1 + np.max(np.abs(ray)))
         statuses[res.status] += 1
     # the draw should exercise every branch
     assert statuses["optimal"] > 100
     assert statuses["infeasible"] > 5
 
 
+def test_farkas_certificate_rejects_corrupted_vectors():
+    """verify() re-derives A_eq^T y <= 0 and b_eq^T y > 0 itself: the negated
+    certificate and one with a single entry pushed until a column of
+    A_eq^T y turns positive must both fail, on every infeasible draw."""
+    rng = np.random.default_rng(1234)
+    checked = 0
+    for trial in range(200):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        gen = _random_problem(rng, n, m, 0, box=trial % 2 == 0, poison=True)
+        prob, _x0, _T = _standard(**gen)
+        res = lp_solve(prob)
+        if res.status != INFEASIBLE:
+            continue
+        # the poison row makes every draw infeasible; the interior-point
+        # solver confirms it (HiGHS's simplex reports a solve error on one)
+        ref = linprog(gen["c"], A_ub=gen["A_ub"], b_ub=gen["b_ub"],
+                      bounds=list(zip(gen["lb"], gen["ub"])) if trial % 2 == 0
+                      else (None, None), method="highs-ipm")
+        assert ref.status == 2
+        cert = res.certificate
+        assert cert.verify(prob)[0]
+        assert not FarkasCertificate(y=-cert.y, gap=-cert.gap).verify(prob)[0]
+        h = prob.A_eq.T @ cert.y
+        j = int(np.argmax(h))
+        i = int(np.argmax(np.abs(prob.A_eq[:, j])))
+        y = cert.y.copy()
+        y[i] += np.sign(prob.A_eq[i, j]) * (abs(h[j]) + 1.0) / abs(prob.A_eq[i, j])
+        ok, detail = FarkasCertificate(y=y, gap=cert.gap).verify(prob)
+        assert not ok and detail["h_max"] >= 1.0 - 1e-9
+        checked += 1
+    assert checked > 5
+
+
 def test_degenerate_stacked_rows():
     # many redundant copies of the same facet: stalls must not cycle
     A = np.vstack([np.tile([1.0, 1.0], (8, 1)), [[-1, 0]], [[0, -1]]])
     b = np.concatenate([np.full(8, 1.0), [0.0, 0.0]])
-    res = lp_solve(LpProblem(c=[-1.0, -1.0], A_ub=A, b_ub=b))
+    prob, _x0, _T = _standard([-1.0, -1.0], A_ub=A, b_ub=b)
+    res = lp_solve(prob)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
@@ -162,7 +265,7 @@ def _random_wide_problem(rng, rows, cols):
     bounded because c > 0."""
     A = rng.normal(size=(rows, cols))
     b = A @ rng.uniform(0.0, 1.0, size=cols)
-    return LpProblem(c=rng.uniform(0.1, 2.0, size=cols), A_eq=A, b_eq=b, lb=0.0)
+    return LpProblem(c=rng.uniform(0.1, 2.0, size=cols), A_eq=A, b_eq=b)
 
 
 def _mu_problem(mats, delta, eps=1e-3):
@@ -172,7 +275,7 @@ def _mu_problem(mats, delta, eps=1e-3):
     b_eq = np.zeros(mats.n_reduced + 1)
     b_eq[-1] = eps
     return LpProblem(c=np.ones(mats.m), A_eq=np.vstack([mats.A.T, sep]),
-                     b_eq=b_eq, lb=0.0)
+                     b_eq=b_eq)
 
 
 def _separable_delta(mats):
@@ -227,7 +330,7 @@ def test_rejected_bases_fall_back_to_the_cold_solve():
         b[0] = index
         bad[name] = b
     # columns 0 and 1 made identical: any basis holding both is singular
-    twin = LpProblem(c=prob.c, A_eq=prob.A_eq.copy(), b_eq=prob.b_eq, lb=0.0)
+    twin = LpProblem(c=prob.c, A_eq=prob.A_eq.copy(), b_eq=prob.b_eq)
     twin.A_eq[:, 1] = twin.A_eq[:, 0]
     # a basis that factorizes but whose basic solution leaves x >= 0
     infeasible = None

@@ -9,7 +9,7 @@ import oracle_utils
 from conftest import BUNDLED, pglib_path
 
 from dcattack.attack import attack_local
-from dcattack.case_ingest import load_case
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import ModelError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
@@ -116,6 +116,7 @@ def test_bundled_squeeze_closes_the_gap(name):
     assert [side for _e, side, _v in rep.trace] == ["defense", "attack"]
     assert rep.attack["certified"]
     assert rep.lb <= rep.ub and rep.gap < 1e-5
+    assert "zero-distance" not in rep.flags
     mats = build_feasibility(load_case(pglib_path(name)))
     delta = np.asarray(rep.attack["delta"]) * (1 + 1e-4)
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta))
@@ -126,3 +127,16 @@ def test_squeeze_with_no_budget_stays_sound(desk3):
     assert rep.defense["deadline"]
     assert rep.defense["verified_samples"] == 1000
     assert rep.lb <= rep.ub
+
+
+def test_zero_distance_is_flagged():
+    """A unit fixed beside rated lines makes an implicit equality that moves
+    with delta: the infimum is 0, the ub is only the certified binding-row
+    point, and the report says so."""
+    case = build_case("zd3", 100.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
+                      [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)], [(1, 2.0, 2.0, 10.0)])
+    rep = squeeze_run(case, SqueezeConfig(seed=0))
+    assert rep.attack["convergence"] == "zero-distance"
+    assert "zero-distance" in rep.flags
+    assert rep.lb <= rep.ub
+    assert json.loads(rep.to_json())["flags"] == rep.flags

@@ -15,24 +15,27 @@ lambda = 1/sqrt(t) and q = lambda p0 it is the second-order cone program
 
     min lambda  s.t.  ||G^T a_i + b_i|| <= -(a_i^T q + lambda c_i)  for all i,
 
-solved by `defense_local` with a log-barrier Newton method (Boyd and
-Vandenberghe, ch. 11).  Presolve folds units with p_min == p_max into c and
-drops the rows that leaves constant; without it those rows are implicit
-equalities and no strictly interior point exists.  The Newton system is
-reduced onto (q, lambda): the G block kron(A^T D A, I_k) + sum_i r_i r_i^T
-is inverted by Woodbury through an m x m capacitance matrix, so a step costs
-O(m^2 (n + k) + m^3) instead of O((n k)^3).
+with dual  max -<W, B>  s.t.  A^T y = 0, c^T y = -1, A^T W = 0,
+||w_i|| <= y_i.  Presolve folds units with p_min == p_max into c and drops
+the rows that leaves constant; without it those rows are implicit equalities
+and no strictly interior point exists.
 
-Every barrier iterate is strictly feasible, so every iterate is a sound
-policy: a step that fails near the optimum, or an expired deadline, just ends
-the solve early.  The reported radius is always the exact t_tilde of the
-returned (p0, G).
+`defense_local` solves the pair by Mehrotra's predictor-corrector with
+Nesterov-Todd scaling (Nesterov and Todd 1997; Vandenberghe, "The CVXOPT
+linear and quadratic cone program solvers", 2010).  The NT matrix of cone i,
+beta_i^-2 (2 J wb_i wb_i^T J - J), is the barrier Hessian at the virtual
+point sqrt(2) beta_i wb_i, so the Newton system is kron(A^T D A, I_k) on the
+G block plus one rank-one term per cone; `_newton_factor` eliminates G and
+solves the bordered system left in (q, lambda) and m rank-one weights, at
+O(m^2 (n + k) + (m + n)^3) per step instead of O((n k)^3).
 
-The dual  max -<W, B>  s.t.  A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i
-bounds lambda from below.  Candidates come from the centered points and from
-complementary slackness on the final active rows; each is made feasible to
-rounding through the units' own bound rows, and the one with the smallest
-gap is returned with the policy.  Its y lies in P = {mu >= 0, A^T mu = 0,
+The slacks are recomputed from the primal iterate (q, lambda, G) every step,
+so every iterate is a sound policy and an expired deadline or a failed step
+just ends the solve early; only the dual starts infeasible.  Each dual iterate
+is made feasible to rounding through the units' own bound rows, which
+certifies a lower bound on lambda; the solve has converged once the best one
+is within 1e-8 of lambda.  The reported radius is always the exact t_tilde of
+the returned (p0, G).  The dual's y lies in P = {mu >= 0, A^T mu = 0,
 -c^T mu = 1}, so it is also a Farkas candidate for the attack.
 """
 
@@ -46,20 +49,12 @@ from .errors import (GeometryError, ModelError, PolicyVerificationError,
                      PreconditionError, SolverError)
 from .numerics import DEFAULT_POLICY
 
-# barrier schedule: tau grows by _MU per centering, which ends at a squared
-# Newton decrement below _CENTER_TOL; the solve ends once the duality gap
-# 2m / tau falls below _GAP_TOL * lambda.  Near the optimum the reduced
-# Newton system loses its digits and the decrement stalls at a noise floor:
-# after _STALE_STEPS steps in a row, all inside the quadratic region
-# (decrement below 1e-2), that do not halve the smallest decrement so far,
-# the point counts as centered if that decrement is below _FLOOR_TOL, and the
-# solve ends otherwise.  A centering also fails after _CENTER_STEPS steps
-_MU = 30.0
-_CENTER_TOL = 1e-10
-_FLOOR_TOL = 1e-6
-_CENTER_STEPS = 50
-_STALE_STEPS = 3
+# the solve converges once the certified duality gap is below _GAP_TOL; each
+# step goes _STEP of the way to the cone boundary, and a solve that has not
+# converged after _MAX_STEPS steps ends as "step-failed"
 _GAP_TOL = 1e-8
+_STEP = 0.99
+_MAX_STEPS = 60
 
 
 @dataclass
@@ -72,7 +67,7 @@ class DefensePolicy:
     meta: dict = field(default_factory=dict)
     # (y, W): a dual certificate of the SOCP on the rows of mats, feasible to
     # rounding (A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i), so
-    # -<W, B> <= lambda for every policy; None when no centering finished
+    # -<W, B> <= lambda for every policy; None when no dual iterate made one
     dual: tuple = None
 
     def summary(self, mats=None):
@@ -134,141 +129,194 @@ def warm_start_defense(mats, policy=DEFAULT_POLICY):
     """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
     a_i^T p + c_i <= m on the presolved rows, solved in the wide form of
     `lin_solve.check_feasible`; fixed units stay at their output."""
-    rows, free, p, c = presolve(mats, policy)
+    return _warm_start(mats, presolve(mats, policy), policy)
+
+
+def _warm_start(mats, pre, policy):
+    """`warm_start_defense` on the result `pre` of `presolve`."""
+    rows, free, p_fixed, c = pre
     ok, x, ray = lin_solve.check_feasible(mats.A[rows][:, free], -c, policy)
     if not ok:
         worst = mats.row_labels[rows[int(np.argmax(ray))]]
         raise ModelError("max-margin LP: no dispatch satisfies the nominal "
                          f"constraints (Farkas ray heaviest on {worst})")
+    p = p_fixed.copy()
     p[free] = x
     t_init, _row = t_tilde(mats, p, None, policy)
     return p, np.zeros((mats.n_reduced, mats.n_delta)), float(t_init)
 
 
-def _cones(A, B, c, q, lam, G):
-    """Cone coordinates u_i = -(a_i^T q + lam c_i), w_i = G^T a_i + b_i and
-    s_i = u_i^2 - ||w_i||^2; the point is strictly feasible iff u, s > 0."""
-    u = -(A @ q + lam * c)
-    W = A @ G + B
-    return u, W, u * u - np.einsum("ij,ij->i", W, W)
+# Cone vectors are the rows x = (x_0, x_1) of an m x (k+1) array, one second-
+# order cone {x_0 >= ||x_1||} per row; J = diag(1, -I).
+
+def _rowdot(X, Y):
+    return np.einsum("ij,ij->i", X, Y)
 
 
-def _newton_step(A, c, tau, u, W, s):
-    """Newton direction (dq, dlam, dG) of tau * lam - sum_i log s_i and its
-    squared decrement.  The system is reduced onto y = (q, lam), with the G
-    block inverted by Woodbury.  Raises LinAlgError when a factor is not
-    positive definite."""
+def _jnorm(x):
+    """sqrt(x^T J x) per cone, factored to keep its digits at the boundary."""
+    r = np.linalg.norm(x[:, 1:], axis=1)
+    return np.sqrt((x[:, 0] - r) * (x[:, 0] + r))
+
+
+def _interior(x):
+    return bool(np.all(x[:, 0] > np.linalg.norm(x[:, 1:], axis=1)))
+
+
+def _jprod(x, y):
+    """The Jordan product x o y = (x^T y, x_0 y_1 + y_0 x_1) per cone."""
+    return np.column_stack([_rowdot(x, y),
+                            x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:]])
+
+
+def _jsolve(x, r):
+    """v with x o v = r per cone."""
+    v0 = (x[:, 0] * r[:, 0] - _rowdot(x[:, 1:], r[:, 1:])) / _jnorm(x) ** 2
+    return np.column_stack([v0, (r[:, 1:] - v0[:, None] * x[:, 1:])
+                            / x[:, :1]])
+
+
+def _nt_scaling(s, z):
+    """(beta, wb) per cone, wb^T J wb = 1, of the NT scaling W = beta [[wb_0,
+    wb_1^T], [wb_1, I + wb_1 wb_1^T / (1 + wb_0)]], W z = W^-1 s."""
+    ns, nz = _jnorm(s), _jnorm(z)
+    sb, zb = s / ns[:, None], z / nz[:, None]
+    gam = np.sqrt(0.5 * (1.0 + _rowdot(sb, zb)))
+    zb[:, 1:] *= -1.0
+    return np.sqrt(ns / nz), (sb + zb) / (2.0 * gam)[:, None]
+
+
+def _scale(beta, wb, v, inverse=False):
+    """W v per cone, or W^-1 v (W^-1 is W with beta^-1 and -wb_1)."""
+    sg = -1.0 if inverse else 1.0
+    t = _rowdot(wb[:, 1:], v[:, 1:])
+    out = np.empty_like(v)
+    out[:, 0] = wb[:, 0] * v[:, 0] + sg * t
+    out[:, 1:] = v[:, 1:] + (sg * v[:, 0] + t / (1.0 + wb[:, 0]))[:, None] \
+        * wb[:, 1:]
+    return out * (beta ** sg)[:, None]
+
+
+def _max_step(x, d):
+    """The largest alpha with x + alpha d in every cone (x interior; inf
+    when none binds), after a hyperbolic rotation of x onto (1, 0)."""
+    n = _jnorm(x)
+    xb = x / n[:, None]
+    rho0 = xb[:, 0] * d[:, 0] - _rowdot(xb[:, 1:], d[:, 1:])
+    rho1 = d[:, 1:] - ((rho0 + d[:, 0]) / (xb[:, 0] + 1.0))[:, None] \
+        * xb[:, 1:]
+    worst = float(np.max((np.linalg.norm(rho1, axis=1) - rho0) / n))
+    return 1.0 / worst if worst > 0.0 else np.inf
+
+
+def _newton_factor(A, c, u, W, s):
+    """Factor the Hessian H of -sum_i log s_i, s_i = u_i^2 - ||w_i||^2, in
+    (q, lam, G) at (u, W, s); return solve(g_y, g_G) = (dy, dG) = -H^-1 g.
+    H = diag(-Ay^T D Ay, kron(K, I)) + sum_i v_i v_i^T with Ay = [A c],
+    D = diag(2 / s), K = A^T D A = R^T R (R from a QR of D^1/2 A: near the
+    optimum D spans twenty decades) and v_i = (d_i u_i Ay_i, d_i vec(a_i
+    w_i^T)).  Eliminating G leaves a bordered system in dy and the weights
+    of the v_i; its block C = I + (D^1/2 Q Q^T D^1/2) o (W W^T) grows
+    ill-conditioned near the optimum, so LU with pivoting solves it whole.
+    Raises LinAlgError on a singular factor."""
+    n = A.shape[1]
     Ay = np.hstack([A, c[:, None]])
     d = 2.0 / s
-    e = d * u
-    g_y = Ay.T @ e
-    g_y[-1] += tau
-    g_G = A.T @ (d[:, None] * W)
-    # G block: kron(K, I) + R R^T, r_i = d_i vec(a_i w_i^T), K = A^T diag(d) A;
-    # Woodbury through the capacitance C = I + R^T kron(K^-1, I) R
-    K = A.T @ (d[:, None] * A)
-    KA = np.linalg.solve(K, A.T)
-    C = np.eye(s.size) + np.outer(d, d) * (A @ KA) * (W @ W.T)
-    L_inv = np.linalg.solve(np.linalg.cholesky(C), np.eye(s.size))
-    # Schur complement onto y; the diagonal term h_uu - e^2 is -d exactly
-    X = L_inv @ (e[:, None] * Ay)
-    L_s = np.linalg.cholesky(X.T @ X - Ay.T @ (d[:, None] * Ay))
+    r = np.sqrt(d)
+    Q, R = np.linalg.qr(r[:, None] * A)
+    E = Ay.T * (d * u)
+    M = np.block([[-(Ay.T @ (d[:, None] * Ay)), E],
+                  [E.T, -np.eye(s.size) - np.outer(r, r) * (Q @ Q.T)
+                   * (W @ W.T)]])
+    R_inv = np.linalg.inv(R)
 
-    def rt_p(Gam):          # C^-1 R^T kron(K^-1, I) vec(Gam)
-        return L_inv.T @ (L_inv @ (d * np.einsum("ij,ij->i", KA.T @ Gam, W)))
+    def solve(g_y, g_G):
+        Y = R_inv.T @ g_G
+        sol = np.linalg.solve(M, np.concatenate([-g_y,
+                                                 r * _rowdot(Q @ Y, W)]))
+        t = r * sol[n + 1:]
+        return sol[:n + 1], -R_inv @ (Y + Q.T @ (t[:, None] * W))
 
-    dy = np.linalg.solve(L_s.T, np.linalg.solve(
-        L_s, Ay.T @ (e * rt_p(g_G)) - g_y))
-    Gam = g_G + A.T @ ((d * e * (Ay @ dy))[:, None] * W)
-    dG = -np.linalg.solve(K, Gam - A.T @ ((d * rt_p(Gam))[:, None] * W))
-    dec2 = -(float(g_y @ dy) + float(np.sum(g_G * dG)))
-    return dy[:-1], float(dy[-1]), dG, dec2
+    return solve
 
 
-def _socp(A, B, c, p_start, deadline):
-    """Barrier solve of the program in the module docstring on presolved rows,
-    started at G = 0 from a dispatch with every margin negative.  Returns
-    (q, lam, G) of the smallest-lambda iterate, the unscaled duals (y, W) of
-    the centered points and an info dict: why the solve stopped and its
-    Newton steps."""
+def _socp(A, B, c, p_start, deadline, certify):
+    """Primal-dual solve of the program in the module docstring on presolved
+    rows, from G = 0 and a dispatch with every margin negative.
+    certify(y, W) makes a dual iterate feasible: (dual or None, its bound).
+    Past a gap of _GAP_TOL, steps go on while each cuts the gap tenfold,
+    which sharpens the policy until rounding stalls it.  Returns (q, lam, G)
+    of the smallest-lambda iterate, the best dual and an info dict: why the
+    solve stopped, its Newton steps and the relative gap between the two."""
     m = c.size
-    margins = A @ p_start + c
-    lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1) / -margins)), 1e-12)
-    q, G = lam * p_start, np.zeros((A.shape[1], B.shape[1]))
-    tau = 2.0 * m / lam
-    best, duals = (q, lam, G), []
-    info = {"stop": "step-failed", "newton_steps": 0}
-    cone = _cones(A, B, c, q, lam, G)
-    while True:
-        dec_min, stale = np.inf, 0
-        for _ in range(_CENTER_STEPS):      # centering at tau
-            if deadline is not None and time.monotonic() >= deadline:
-                info["stop"] = "deadline"
-                return best, duals, info
-            try:
-                dq, dlam, dG, dec2 = _newton_step(A, c, tau, *cone)
-            except np.linalg.LinAlgError:
-                return best, duals, info
-            if not np.isfinite(dec2) or dec2 < 0.0:
-                return best, duals, info
-            info["newton_steps"] += 1
-            if dec2 <= _CENTER_TOL:
-                break
-            stale = stale + 1 if 0.5 * dec_min < dec2 and dec_min < 1e-2 \
-                else 0
-            dec_min = min(dec_min, dec2)
-            if stale >= _STALE_STEPS:
-                if dec_min > _FLOOR_TOL:
-                    return best, duals, info
-                break
-            # backtracking on the change of tau * lam - sum log s, which is
-            # summed from ratios: the value itself is ~tau * lam and would
-            # drown the decrease in rounding near the optimum
-            alpha = 1.0
-            while True:
-                new = _cones(A, B, c, q + alpha * dq, lam + alpha * dlam,
-                             G + alpha * dG)
-                if np.all(new[0] > 0.0) and np.all(new[2] > 0.0) and \
-                        tau * alpha * dlam - np.sum(np.log(new[2] / cone[2])) \
-                        <= -0.25 * alpha * dec2:
-                    break
-                alpha *= 0.5
-                if alpha < 1e-12:
-                    return best, duals, info
-            q, lam, G, cone = q + alpha * dq, lam + alpha * dlam, \
-                G + alpha * dG, new
-            if lam < best[1]:
-                best = (q, lam, G)
-        else:
-            return best, duals, info
-        u, W, s = cone
-        duals.append((2.0 * u / s, -(2.0 / s)[:, None] * W))
-        if 2.0 * m / (tau * lam) <= _GAP_TOL:
+    Ay = np.hstack([A, c[:, None]])
+    lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
+                                 / -(A @ p_start + c))), 1e-12)
+    x, G = np.append(lam * p_start, lam), np.zeros((A.shape[1], B.shape[1]))
+    s = np.column_stack([-(Ay @ x), B])
+    z = s * (lam / m / _jnorm(s) ** 2)[:, None]     # s o z = (lam / m) e
+    z[:, 1:] *= -1.0
+    e_lam = np.eye(x.size)[-1]
+    best, dual, bound = (x, G), None, -np.inf
+    info = {"stop": "step-failed", "newton_steps": 0, "gap": np.inf}
+    for _ in range(_MAX_STEPS):
+        cand, lb = certify(z[:, 0], z[:, 1:])
+        if lb > bound:
+            dual, bound = cand, lb
+        last, info["gap"] = info["gap"], 1.0 - bound / best[0][-1]
+        if info["gap"] <= _GAP_TOL:
             info["stop"] = "converged"
-            return best, duals, info
-        tau *= _MU
+            if info["gap"] > 0.1 * last:
+                break
+        if deadline is not None and time.monotonic() >= deadline:
+            if info["stop"] != "converged":
+                info["stop"] = "deadline"
+            break
+        beta, wb = _nt_scaling(s, z)
+        lm = _scale(beta, wb, z)
+        if not _interior(lm):       # the scaled point lost its digits
+            break
 
+        def direction(xi, passes):
+            # dx and the scaled (W^-1 ds, W dz) of F^T dz = -(F^T z + e_lam),
+            # W dz + W^-1 ds = xi, ds = -F dx, refined passes - 1 times; ds
+            # sums the corrections' slack changes, so the residual is exact
+            dy, dG, ds = np.zeros_like(x), np.zeros_like(G), np.zeros_like(z)
+            for _ in range(passes):
+                zz = z + _scale(beta, wb, xi - ds, inverse=True)
+                ey, eG = solve(Ay.T @ zz[:, 0] + e_lam, -(A.T @ zz[:, 1:]))
+                dy, dG = dy + ey, dG + eG
+                ds = ds + _scale(beta, wb, np.column_stack(
+                    [-(Ay @ ey), A @ eG]), inverse=True)
+            return dy, dG, np.vstack([ds, xi - ds])
 
-def _complementary_dual(A, B, c, q, lam, G, y):
-    """The dual that complementary slackness assigns to the barrier's active
-    rows (y_i above 1e-4 of the largest): omega_i = -y_i w_i / u_i, with y
-    on those rows solving A^T y = 0, c^T y = -1 and A^T W = 0 by least
-    squares.  It carries none of the barrier duals' eps * tau residual;
-    None when a multiplier comes out negative."""
-    u, W, _s = _cones(A, B, c, q, lam, G)
-    act = np.flatnonzero(y > 1e-4 * y.max())
-    dirs = W[act] / u[act, None]
-    M = np.vstack([A[act].T, c[act][None, :],
-                   -(A[act][:, :, None] * dirs[:, None, :])
-                   .reshape(act.size, -1).T])
-    rhs = np.zeros(M.shape[0])
-    rhs[A.shape[1]] = -1.0
-    y_act = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    if np.any(y_act < 0.0):
-        return None
-    y, Om = np.zeros_like(y), np.zeros_like(W)
-    y[act], Om[act] = y_act, -y_act[:, None] * dirs
-    return y, Om
+        # W^-2 is the barrier Hessian at the virtual point sqrt(2) beta wb.
+        # The affine predictor sets sigma and the second-order term of the
+        # corrector, which alone is refined
+        v = np.sqrt(2.0) * beta[:, None] * wb
+        try:
+            solve = _newton_factor(A, c, v[:, 0], v[:, 1:], 2.0 * beta ** 2)
+            _dy, _dG, d = direction(-lm, 1)
+            alpha = min(1.0, _max_step(np.vstack([lm, lm]), d))
+            mu = float(np.sum(lm * lm))
+            ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
+            r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
+            r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
+            dy, dG, d = direction(_jsolve(lm, r), 2)
+        except np.linalg.LinAlgError:
+            break
+        alpha = min(1.0, _STEP * _max_step(np.vstack([lm, lm]), d))
+        x, G = x + alpha * dy, G + alpha * dG
+        z = z + alpha * _scale(beta, wb, d[m:], inverse=True)
+        s = np.column_stack([-(Ay @ x), A @ G + B])
+        info["newton_steps"] += 1
+        if not (_interior(s) and _interior(z)):
+            break
+        if x[-1] < best[0][-1]:
+            best = (x, G)
+    x, G = best
+    info["gap"] = float(1.0 - bound / x[-1]) if dual is not None else None
+    return (x[:-1], float(x[-1]), G), dual, info
 
 
 def _feasible_dual(mats, y, W):
@@ -292,47 +340,40 @@ def _feasible_dual(mats, y, W):
 
 
 def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
-    """The best affine policy, by the barrier SOCP of the module docstring.
+    """The best affine policy, by the primal-dual SOCP solve of the module
+    docstring.
 
     Starts from `warm_start_defense`.  `budget_s` bounds the wall time of the
-    Newton loop; on expiry the best iterate so far is returned with
+    interior-point loop; on expiry the best iterate so far is returned with
     meta["deadline"] set.  meta["stop"] says why the solve ended:
-    "converged" (duality gap below 1e-8), "step-failed" (the Newton system
-    lost its digits first), "deadline", or "no-interior" when presolve
-    leaves no strictly interior dispatch (the warm start is returned then).
-    meta["gap"] is the relative duality gap (lambda + <W, B>) / lambda
-    between the returned policy and dual; meta["stalled"] flags a policy no
-    better than the warm start."""
+    "converged" (certified duality gap below 1e-8), "step-failed" (a factor
+    was singular, a step left the cones, or 60 steps did not converge),
+    "deadline", or "no-interior" when presolve leaves no strictly interior
+    dispatch (the warm start is returned then).  meta["newton_steps"] counts
+    interior-point iterations; meta["gap"] is the relative duality gap
+    (lambda + <W, B>) / lambda between the returned policy and dual;
+    meta["stalled"] flags a policy no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    p_w, G0, t_init = warm_start_defense(mats, policy)
-    rows, free, p_fixed, c = presolve(mats, policy)
+    pre = presolve(mats, policy)
+    rows, free, p_fixed, c = pre
+    p_w, G0, t_init = _warm_start(mats, pre, policy)
     A = mats.A[rows][:, free]
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
             "gap": None}
     p0, G, dual = p_w, G0, None
     if rows.size and float(np.max(A @ p_w[free] + c)) < 0.0:
-        (q, lam, G_f), duals, info = _socp(A, mats.B[rows], c, p_w[free],
-                                           deadline)
-        meta.update(info, **{"lambda": lam})
-        p0, G = p_fixed.copy(), np.zeros_like(G0)
-        p0[free], G[free] = q / lam, G_f
-        # later centers are tighter, but s_i = u_i^2 - ||w_i||^2 carries a
-        # rounding error of about eps * u_i^2, so their duals have residuals
-        # of about eps * tau for `_feasible_dual` to pay: keep the best
-        if duals:
-            polished = _complementary_dual(A, mats.B[rows], c, q, lam, G_f,
-                                           duals[-1][0])
-            duals += [polished] if polished is not None else []
-        gaps = []
-        for y_f, W_f in duals:
+        def certify(y_f, W_f):
             y, W = np.zeros(mats.m), np.zeros((mats.m, mats.n_delta))
             y[rows], W[rows] = y_f, W_f
             cand = _feasible_dual(mats, y, W)
-            if cand is not None:
-                gaps.append(((lam + float(np.sum(cand[1] * mats.B))) / lam,
-                             cand))
-        if gaps:
-            meta["gap"], dual = min(gaps, key=lambda g: g[0])
+            return cand, (-np.inf if cand is None
+                          else -float(np.sum(cand[1] * mats.B)))
+
+        (q, lam, G_f), dual, info = _socp(A, mats.B[rows], c, p_w[free],
+                                          deadline, certify)
+        meta.update(info, **{"lambda": lam})
+        p0, G = p_fixed.copy(), np.zeros_like(G0)
+        p0[free], G[free] = q / lam, G_f
     meta["deadline"] = meta["stop"] == "deadline"
     try:
         t, row = t_tilde(mats, p0, G, policy)

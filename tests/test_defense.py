@@ -13,11 +13,15 @@ line 1-2 rated 1.6, caps 3+1, loads 2.0/0.5):
         (0.5, 0.5): t = 0.325^2 / 0.5 = 0.21125.
 """
 
+import importlib.util
+import itertools
+import os
+
 import numpy as np
 import pytest
 
 from dcattack.attack import multistart_attack, AttackConfig
-from dcattack.case_ingest import build_case, load_case
+from dcattack.case_ingest import build_case, load_case, parse_case_text
 from dcattack.dc_model import build_feasibility, solve_dcopf
 from dcattack.defense import (DefensePolicy, defense_local,
                               feasible_simplex, rank1_policy,
@@ -241,7 +245,7 @@ def test_socp_dual_certifies_the_bound(name):
     mats = build_feasibility(load_case(pglib_path(name)))
     pol = defense_local(mats)
     assert _check_dual(mats, pol) == []
-    # every barrier iterate certifies 1 / lambda^2; t is its exact radius
+    # every primal-dual iterate backs 1 / lambda^2; t is its exact radius
     assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
 
 
@@ -341,3 +345,60 @@ def test_socp_without_interior_returns_the_warm_start():
     assert np.array_equal(pol.p0, p_w) and np.array_equal(pol.G, G0)
     assert pol.t == t_w == 0.0
     assert verify_policy(mats, pol, samples=100, seed=1) == 100
+
+
+def _bench_ladder(n, seed, degenerate):
+    """A network of the benchmark's ladder generator (bench/ladder.py, read
+    only), parsed from its MATPOWER text in memory."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "ladder.py")
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    net = ladder.ladder(n, seed, degenerate=degenerate)
+    return parse_case_text(ladder.to_matpower(net), net["name"])
+
+
+@pytest.mark.parametrize("n, degenerate", [(60, False), (90, True)])
+def test_socp_certifies_the_ladders_within_1e7(n, degenerate):
+    """ladder60_g0_s3 and degenerate90_g0_s3, where a log-barrier solve
+    stalls at a certified gap near 1e-5."""
+    mats = build_feasibility(_bench_ladder(n, 3, degenerate))
+    pol = defense_local(mats)
+    assert pol.meta["stop"] == "converged"
+    assert pol.meta["gap"] <= 1e-7
+    assert _check_dual(mats, pol) == []
+
+
+def test_defense_local_presolves_once(desk3, monkeypatch):
+    calls = []
+    real = defense.presolve
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(defense, "presolve", spy)
+    defense_local(build_feasibility(desk3))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("name", ["desk3", "case24_ieee_rts"])
+def test_socp_iterates_before_the_deadline_are_sound(name, k, desk3,
+                                                     monkeypatch):
+    """A clock that ticks once per reading expires the budget after k
+    interior-point steps; the policy then in hand is sound, backs its
+    1/lambda^2 and does not beat the unhurried solve."""
+    case = desk3 if name == "desk3" else load_case(pglib_path(name))
+    mats = build_feasibility(case)
+    full = defense_local(mats)
+    ticks = itertools.count()
+    monkeypatch.setattr(defense.time, "monotonic",
+                        lambda: float(next(ticks)))
+    pol = defense_local(mats, budget_s=k + 0.5)
+    assert pol.meta["stop"] == "deadline" and pol.meta["newton_steps"] == k
+    assert verify_policy(mats, pol, samples=500, seed=k) == 500
+    _assert_policy_invariants(mats, pol)
+    assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
+    assert pol.t <= full.t

@@ -4,7 +4,8 @@ Each example is a connected network of 3 to 6 buses built with `build_case`:
 a random spanning tree plus chords, loads on most buses, one to three
 flexible units, and line ratings sized at 1.05x to 3x the flows of a
 proportional dispatch, which is therefore a nominal witness.  The
-invariants are the package's soundness claims, checked against scipy.
+invariants are the package's soundness claims, checked against scipy, and
+the affine SOCP's optimality against the rank-1 and fixed-dispatch policies.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ import oracle_utils
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import build_case
 from dcattack.dc_model import build_feasibility
+from dcattack.defense import defense_local, rank1_policy, warm_start_defense
+from dcattack.errors import GeometryError
 from dcattack.squeeze import SqueezeConfig, squeeze_run
 
 
@@ -80,6 +83,16 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
     assert best.certified
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
     assert rep.fixed_lb <= best.norm_sq
+    # the SOCP optimum dominates every affine policy: both rank-1 policies
+    # at the warm-start dispatch and that dispatch's fixed radius
+    p_w, _G0, t_fixed = warm_start_defense(mats)
+    radii = [t_fixed]
+    for kind in ("uniform", "proportional"):
+        try:
+            radii.append(rank1_policy(mats, kind, p0=p_w).t)
+        except GeometryError:
+            pass
+    assert defense_local(mats).t >= (1 - 1e-8) * max(radii)
     bounds = squeeze_run(case, SqueezeConfig(seed=0, restarts=2,
                                              verify_samples=200))
     assert bounds.lb <= bounds.ub

@@ -42,6 +42,7 @@ empty F.  The multistart then certifies the binding-row start point itself
 and notes "zero-distance".
 """
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -52,6 +53,12 @@ from . import lin_solve
 from .dc_model import solve_dcopf
 from .errors import AttackError, RestartSignal
 from .numerics import DEFAULT_POLICY
+
+# the ascent reports delta = (1 + _INFLATE) W^-1 B^T mu / v, just past mu's
+# hyperplane; a caller's lb closes the bracket to _CLOSE_TOL relative, the
+# certified duality gap of the policy SOCP (defense._GAP_TOL)
+_INFLATE = 1e-6
+_CLOSE_TOL = 1e-8
 
 
 @dataclass
@@ -270,7 +277,7 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
     while True:
         gw = (mats.B.T @ mu) / w
         v = float(gw @ (w * gw))
-        delta = gw * ((1.0 + 1e-6) / v)
+        delta = gw * ((1.0 + _INFLATE) / v)
         history.append(float(delta @ delta))
         if iterations >= cfg.max_alternations:
             break
@@ -288,13 +295,20 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
 
 
 def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
-                      extra_directions=(), p_nom=None, budget_s=None):
+                      extra_directions=(), p_nom=None, budget_s=None, lb=None):
     """Run attack_local from deterministic and seeded random starts, all
     warm-started from one cold P-LP, then certify candidates in ascending
     norm order; the first certified one is the reported attack.  Once
     `budget_s` seconds have passed, the running ascent stops at its current
     vertex and the starts after the first are skipped.  Raises AttackError
-    when nothing certifies."""
+    when nothing certifies.
+
+    `lb` is a certified lower bound on min ||delta||^2 that the caller
+    already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
+    min ||delta||^2 >= (1 + 1e-6)^2 lb, for any weight W, so a candidate
+    within (1 + 1e-8) of that value is certified at once; when it certifies,
+    no later start can lower the bound by more than 1e-8 relative, and each
+    is skipped and noted "closed".  A refuted candidate stops nothing."""
     t0 = time.monotonic()
     deadline = None if budget_s is None else t0 + budget_s
     cfg = config or AttackConfig()
@@ -304,6 +318,8 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
             raise AttackError("case is infeasible before any perturbation")
         p_nom = nominal.p_hat
     lb0 = fixed_dispatch_lb(mats, p_nom, policy)
+    close_at = -np.inf if lb is None else \
+        (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
     starts = []
     d_bind, _row = binding_row_direction(mats, p_nom, policy)
@@ -324,17 +340,36 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
     except _ZeroDistance:
         basis = None
 
+    refuted, tried, closed = [], set(), threading.Event()
+
+    def certify(sol):
+        """Certify sol at the inflated point once; notes a refutation."""
+        tried.add(id(sol))
+        inflated = (1.0 + policy.cert_inflation) * sol.delta
+        ok, payload = certify_infeasible(mats, inflated, policy)
+        if ok:
+            sol.certified, sol.oracle_ray = True, payload
+        else:
+            refuted.append({"start": sol.start, "status": "refuted",
+                            "norm_sq": sol.norm_sq})
+        return ok
+
     def run_one(i):
         label, direction = starts[i]
+        if closed.is_set():
+            return ("skipped", label, "closed")
         if i and deadline is not None and time.monotonic() >= deadline:
             return ("skipped", label, "deadline")
         try:
-            return attack_local(mats, direction, cfg, policy, label, basis,
-                                deadline, P)
+            sol = attack_local(mats, direction, cfg, policy, label, basis,
+                               deadline, P)
         except _ZeroDistance as exc:
             return ("zero-distance", label, str(exc))
         except RestartSignal as exc:
             return ("restart", label, str(exc))
+        if sol.norm_sq <= close_at and certify(sol):
+            closed.set()
+        return sol
 
     if cfg.threads and cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -351,17 +386,11 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
                                       cfg.eps, "binding-row", "zero-distance"))
 
     candidates = [out for out in outcomes if not isinstance(out, tuple)]
-    best, refuted = None, []
+    best = None
     for sol in sorted(candidates, key=lambda s: s.norm_sq):
-        inflated = (1.0 + policy.cert_inflation) * sol.delta
-        ok, payload = certify_infeasible(mats, inflated, policy)
-        if ok:
-            sol.certified = True
-            sol.oracle_ray = payload
+        if sol.certified or (id(sol) not in tried and certify(sol)):
             best = sol
             break
-        refuted.append({"start": sol.start, "status": "refuted",
-                        "norm_sq": sol.norm_sq})
     # written after certification, so the reported attack's note says so
     notes = [{"start": out[1], "status": out[0], "reason": out[2]}
              if isinstance(out, tuple) else

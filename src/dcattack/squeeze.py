@@ -5,12 +5,15 @@ distance, and every policy radius is a lower bound.  The lower bound is exact
 for affine policies (`defense.defense_local` solves the convex program), so
 the squeeze runs once: nominal DC-OPF, the policy SOCP within the wall-clock
 budget, one attack multistart seeded from the policy (`cross_feed`) within
-what is left of that budget, then a final re-certification of the attack and
-sampled verification of the policy.
+what is left of that budget, then sampled verification of the policy.
 
 Soundness rules: a value enters the trace only after certification (attack) or
-exact radius evaluation (defense); the report re-verifies both incumbents at
-the end; lb <= ub + 1e-6 is enforced at every append.
+exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
+append.  The attack's final certificate is the multistart's own: it proves
+F empty at the inflated incumbent (1 + cert_inflation) * delta, and the
+report keeps that Farkas ray.  The multistart is handed lb, and stops once a
+certified attack meets it to 1e-8 relative: the bracket is closed, and no
+further start could lower ub by more.
 """
 
 import csv
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackConfig, certify_infeasible, multistart_attack
+from .attack import AttackConfig, multistart_attack
 from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility, solve_dcopf
 from .errors import AttackError, ModelError
@@ -159,13 +162,14 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
 
     best_att = None
     hints = cross_feed(mats, best_pol)
+    lb = best_pol.t if np.isfinite(best_pol.t) and best_pol.t > 0 else None
     try:
         rep = multistart_attack(
             mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
                                seed=cfg.seed, threads=cfg.threads),
             policy, extra_directions=hints.attack_directions,
             p_nom=nominal.p_hat,
-            budget_s=cfg.budget_s - (time.monotonic() - t0))
+            budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb)
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
         if best_att.convergence == "zero-distance":
@@ -174,13 +178,11 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
     except AttackError as exc:
         report.flags.append(f"attack-round0: {exc}")
 
-    # final re-verification of both incumbents
+    # the multistart certified the attack (its Farkas ray is kept); the
+    # policy is verified here
     if best_att is not None:
-        ok, payload = certify_infeasible(
-            mats, (1 + policy.cert_inflation) * best_att.delta, policy)
-        if not ok:
-            raise ModelError("final attack incumbent failed re-certification")
-        best_att.oracle_ray = payload
+        if not best_att.certified:
+            raise ModelError("attack incumbent is not certified")
         report.attack = best_att.summary()
         report.attack["delta"] = best_att.delta.tolist()
     else:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -65,6 +66,19 @@ def pglib_path(stem):
     if os.path.exists(bundled):
         return bundled
     return None
+
+
+def bench_ladder(n, seed, degenerate):
+    """A network of the benchmark's ladder generator (bench/ladder.py, read
+    only), parsed from its MATPOWER text in memory."""
+    from dcattack.case_ingest import parse_case_text
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "ladder.py")
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    net = ladder.ladder(n, seed, degenerate=degenerate)
+    return parse_case_text(ladder.to_matpower(net), net["name"])
 
 
 BUNDLED = ("case5_pjm", "case14_ieee", "case24_ieee_rts", "case30_as")

@@ -11,6 +11,8 @@ frozen here:
                                               optimum delta* = (0.52, 0.26))
 """
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -408,3 +410,59 @@ def test_p_is_built_once_per_network(monkeypatch):
     multistart_attack(mats, AttackConfig(restarts=3, seed=4))
     assert len(steps) > 5 and len(solved) == len(steps)
     assert all(a is steps[0] for a in steps + solved)
+
+
+def _closing_inputs(mats):
+    """The squeeze's inputs to the multistart: the policy SOCP's t as lb, its
+    cross-fed starts and the nominal dispatch."""
+    from dcattack.defense import defense_local
+    from dcattack.squeeze import cross_feed
+
+    pol = defense_local(mats)
+    return dict(extra_directions=cross_feed(mats, pol).attack_directions,
+                p_nom=solve_dcopf(mats).p_hat, lb=pol.t)
+
+
+def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
+    """The first candidate meets lb but its certificate is refused: the run
+    goes on, that candidate is not tried again, and the reported attack is
+    certified and confirmed by scipy."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    kw = _closing_inputs(mats)
+    calls, real = [], attack.certify_infeasible
+
+    def refute_first(mats, delta, policy=DEFAULT_POLICY):
+        calls.append(delta)
+        return (False, None) if len(calls) == 1 else real(mats, delta, policy)
+
+    monkeypatch.setattr(attack, "certify_infeasible", refute_first)
+    rep = multistart_attack(mats, AttackConfig(seed=0), **kw)
+    first = rep.starts[0]["start"]
+    assert {"start": first, "status": "refuted",
+            "norm_sq": rep.starts[0]["norm_sq"]} in rep.starts
+    assert rep.starts[1]["status"] == "candidate"
+    assert rep.best.certified and rep.best.start != first
+    assert len(calls) == 2
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
+
+
+def test_threaded_multistart_with_lb_matches_serial(bundled_mats):
+    """Starts in flight when the bracket closes still finish; the best ub
+    is that of the serial run to 1e-8, also with one worker per start
+    switching threads every microsecond."""
+    kw = _closing_inputs(bundled_mats)
+    serial = multistart_attack(bundled_mats, AttackConfig(seed=0, threads=1), **kw)
+    interval = sys.getswitchinterval()
+    try:
+        for threads in (2, len(serial.starts)):
+            if threads > 2:
+                sys.setswitchinterval(1e-6)
+            threaded = multistart_attack(
+                bundled_mats, AttackConfig(seed=0, threads=threads), **kw)
+            assert threaded.best.certified
+            assert threaded.best.norm_sq == pytest.approx(serial.best.norm_sq,
+                                                          rel=1e-8)
+            assert len(threaded.starts) == len(serial.starts)
+    finally:
+        sys.setswitchinterval(interval)

@@ -13,15 +13,13 @@ line 1-2 rated 1.6, caps 3+1, loads 2.0/0.5):
         (0.5, 0.5): t = 0.325^2 / 0.5 = 0.21125.
 """
 
-import importlib.util
 import itertools
-import os
 
 import numpy as np
 import pytest
 
 from dcattack.attack import multistart_attack, AttackConfig
-from dcattack.case_ingest import build_case, load_case, parse_case_text
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
 from dcattack.defense import (DefensePolicy, defense_local,
                               feasible_simplex, rank1_policy,
@@ -33,7 +31,7 @@ from dcattack.errors import (GeometryError, PolicyVerificationError,
 from dcattack.lin_solve import policy_radius
 
 import oracle_utils
-from conftest import BUNDLED, pglib_path
+from conftest import BUNDLED, bench_ladder, pglib_path
 
 
 def _assert_policy_invariants(mats, pol):
@@ -347,23 +345,11 @@ def test_socp_without_interior_returns_the_warm_start():
     assert verify_policy(mats, pol, samples=100, seed=1) == 100
 
 
-def _bench_ladder(n, seed, degenerate):
-    """A network of the benchmark's ladder generator (bench/ladder.py, read
-    only), parsed from its MATPOWER text in memory."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        "ladder.py")
-    spec = importlib.util.spec_from_file_location("bench_ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    net = ladder.ladder(n, seed, degenerate=degenerate)
-    return parse_case_text(ladder.to_matpower(net), net["name"])
-
-
 @pytest.mark.parametrize("n, degenerate", [(60, False), (90, True)])
 def test_socp_certifies_the_ladders_within_1e7(n, degenerate):
     """ladder60_g0_s3 and degenerate90_g0_s3, where a log-barrier solve
     stalls at a certified gap near 1e-5."""
-    mats = build_feasibility(_bench_ladder(n, 3, degenerate))
+    mats = build_feasibility(bench_ladder(n, 3, degenerate))
     pol = defense_local(mats)
     assert pol.meta["stop"] == "converged"
     assert pol.meta["gap"] <= 1e-7

@@ -4,8 +4,9 @@ Each example is a connected network of 3 to 6 buses built with `build_case`:
 a random spanning tree plus chords, loads on most buses, one to three
 flexible units, and line ratings sized at 1.05x to 3x the flows of a
 proportional dispatch, which is therefore a nominal witness.  The
-invariants are the package's soundness claims, checked against scipy, and
-the affine SOCP's optimality against the rank-1 and fixed-dispatch policies.
+invariants are the package's soundness claims, checked against scipy, the
+affine SOCP's optimality against the rank-1 and fixed-dispatch policies, and
+the squeeze's early stop against a full multistart.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from dcattack.case_ingest import build_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local, rank1_policy, warm_start_defense
 from dcattack.errors import GeometryError
-from dcattack.squeeze import SqueezeConfig, squeeze_run
+from dcattack.squeeze import SqueezeConfig, cross_feed, squeeze_run
 
 
 def _flows(n_bus, branches, injections):
@@ -92,10 +93,16 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
             radii.append(rank1_policy(mats, kind, p0=p_w).t)
         except GeometryError:
             pass
-    assert defense_local(mats).t >= (1 - 1e-8) * max(radii)
+    pol = defense_local(mats)
+    assert pol.t >= (1 - 1e-8) * max(radii)
     bounds = squeeze_run(case, SqueezeConfig(seed=0, restarts=2,
                                              verify_samples=200))
     assert bounds.lb <= bounds.ub
+    # stopping the attack at lb loses nothing: every start from the same
+    # directions, run to the end, certifies no smaller ub
+    full = multistart_attack(mats, AttackConfig(restarts=2, seed=0),
+                             extra_directions=cross_feed(mats, pol).attack_directions)
+    assert bounds.ub == pytest.approx(full.best.norm_sq, rel=1e-8)
     # renumbering the buses changes nothing the attack sees
     ids = dict(zip(range(1, len(net["buses"]) + 1), relabel))
     mats2 = build_feasibility(_case(net, ids))

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import oracle_utils
-from conftest import BUNDLED, pglib_path
+from conftest import BUNDLED, bench_ladder, pglib_path
 
-from dcattack.attack import attack_local
+from dcattack import attack, lin_solve, squeeze
+from dcattack.attack import AttackConfig, attack_local, multistart_attack
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility
+from dcattack.dc_model import build_feasibility, solve_dcopf
+from dcattack.defense import defense_local
 from dcattack.errors import ModelError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
                               squeeze_run)
@@ -140,3 +142,83 @@ def test_zero_distance_is_flagged():
     assert "zero-distance" in rep.flags
     assert rep.lb <= rep.ub
     assert json.loads(rep.to_json())["flags"] == rep.flags
+
+
+def _spied_squeeze(case, monkeypatch):
+    """squeeze_run with the multistart's report captured and the ascents
+    counted."""
+    reports, ascents = [], []
+    real_ms, real_local = squeeze.multistart_attack, attack.attack_local
+
+    def ms_spy(*args, **kw):
+        reports.append(real_ms(*args, **kw))
+        return reports[-1]
+
+    def local_spy(*args, **kw):
+        ascents.append(1)
+        return real_local(*args, **kw)
+
+    monkeypatch.setattr(squeeze, "multistart_attack", ms_spy)
+    monkeypatch.setattr(attack, "attack_local", local_spy)
+    rep = squeeze_run(case, SqueezeConfig(seed=0))
+    monkeypatch.undo()
+    return rep, reports[0], ascents
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_squeeze_stops_the_attack_once_the_bracket_closes(name, monkeypatch):
+    """A certified attack that meets lb ends the multistart: every later
+    start is skipped as closed, at most two ascents run, and ub equals that
+    of a full multistart from the same starts to 1e-8."""
+    case = load_case(pglib_path(name))
+    rep, ms, ascents = _spied_squeeze(case, monkeypatch)
+    mats = build_feasibility(case)
+    pol = defense_local(mats)
+    full = multistart_attack(
+        mats, AttackConfig(seed=0), extra_directions=cross_feed(
+            mats, pol).attack_directions,
+        p_nom=solve_dcopf(mats).p_hat).best
+    assert rep.lb == pol.t
+    assert rep.ub == pytest.approx(full.norm_sq, rel=1e-8)
+    assert len(ascents) <= 2
+    status = [n["status"] for n in ms.starts]
+    closing = status.index("skipped")
+    assert all(n["status"] == "candidate" for n in ms.starts[:closing])
+    assert all((n["status"], n["reason"]) == ("skipped", "closed")
+               for n in ms.starts[closing:])
+    assert ms.best.start == ms.starts[closing - 1]["start"]
+
+
+def test_an_open_bracket_runs_every_start(monkeypatch):
+    """degenerate30, seed 1: the affine lb stays 1e-3 below ub, so nothing
+    closes and all nine ascents run."""
+    rep, ms, ascents = _spied_squeeze(bench_ladder(30, 1, True), monkeypatch)
+    assert rep.gap > 1e-4
+    assert len(ascents) == len(ms.starts) == 9
+    assert not any(n.get("reason") == "closed" for n in ms.starts)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_squeeze_lp_budget(name, monkeypatch):
+    """Regression guard: one bundled squeeze runs at most 8 LPs (the nominal
+    dispatch, the SOCP warm start, P's cold LP, the ascents' steps and one
+    certificate), and checks the incumbent's inflated point exactly once."""
+    case = load_case(pglib_path(name))
+    mats = build_feasibility(case)
+    solves, probes = [], []
+    real_solve, real_check = lin_solve.lp_solve, lin_solve.check_feasible
+
+    def solve_spy(*args, **kw):
+        solves.append(1)
+        return real_solve(*args, **kw)
+
+    def check_spy(rows, rhs, *args, **kw):
+        probes.append(np.array(rhs))
+        return real_check(rows, rhs, *args, **kw)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(lin_solve, "check_feasible", check_spy)
+    rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
+    assert len(solves) <= 8
+    point = mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"]))
+    assert sum(np.array_equal(rhs, point) for rhs in probes) == 1

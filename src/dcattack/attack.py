@@ -18,16 +18,16 @@ Ascent.  Each start runs successive linearization on P (Mangasarian,
 step maximizes (B g)^T mu over P for the start direction g; every later step
 maximizes the linearization (W^-1 B^T mu_k)^T B^T mu at the current vertex
 mu_k.  v never decreases, since it is convex, and the ascent stops at a fixed
-point (the linearized value exceeds v by at most norm_change_tol, relative),
-after max_alternations steps, or at the caller's deadline.  Every iterate is
-a vertex of P, hence an attack that certifies.
+point (the linearized value exceeds v by at most _STEP_TOL, relative), after
+_MAX_STEPS steps, or at the caller's deadline.  Every iterate is a vertex of
+P, hence an attack that certifies.
 
 One basis per network.  The P-LPs differ only in their objective, so every
 optimal basis is primal feasible for every later one and a warm start runs
 phase 2 only.  `multistart_attack` builds P's rows once per network and
 solves one cold P-LP, with the first start's objective; each start's first
 step warm-starts from that basis and each later step from its own previous
-one.  Threaded starts therefore see exactly the bases that serial ones do.
+one.
 
 Reported attack.  delta = (1 + 1e-6) W^-1 B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
@@ -42,9 +42,7 @@ empty F.  The multistart then certifies the binding-row start point itself
 and notes "zero-distance".
 """
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +54,12 @@ from .numerics import DEFAULT_POLICY
 
 # the ascent reports delta = (1 + _INFLATE) W^-1 B^T mu / v, just past mu's
 # hyperplane; a caller's lb closes the bracket to _CLOSE_TOL relative, the
-# certified duality gap of the policy SOCP (defense._GAP_TOL)
+# certified duality gap of the policy SOCP (defense._GAP_TOL); an ascent stops
+# after _MAX_STEPS P-LPs or once a step gains at most _STEP_TOL relative
 _INFLATE = 1e-6
 _CLOSE_TOL = 1e-8
+_MAX_STEPS = 300
+_STEP_TOL = 1e-8
 
 
 @dataclass
@@ -66,10 +67,7 @@ class AttackConfig:
     eps: float = 1e-3
     restarts: int = 5
     seed: int = 0
-    max_alternations: int = 300
-    norm_change_tol: float = 1e-8
     weight: np.ndarray = None   # diagonal of W; None = identity
-    threads: int = 1
 
 
 @dataclass
@@ -164,48 +162,6 @@ def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
     return proj.delta, row
 
 
-def ray_boundary(mats, direction, policy=DEFAULT_POLICY, basis=None):
-    """(s, basis) with s the largest s >= 0 with F(s * u) nonempty along
-    u = direction/||direction||, and basis the optimal basis of the LP below;
-    (None, None) when the ray never leaves the feasible set.  A given `basis`
-    warm-starts that LP.  The ascent does not need it: at its fixed point the
-    boundary along the reported delta is 1/||B^T mu|| already.
-
-    Solved as the dual of  max s s.t. A p + s B u <= -c,  which keeps the
-    basis at n_reduced + 1 rows:
-
-        min -c^T mu  s.t.  A^T mu = 0,  (B u)^T mu >= 1,  mu >= 0.
-
-    The optimal mu proves F(s' u) empty for every s' > s, and the equality
-    duals give a dispatch p in F(s u), re-checked here.  An infeasible wide LP
-    means no multiplier separates any point of the ray; an unbounded one means
-    F(s u) is empty for every s >= 0."""
-    u = np.asarray(direction, float)
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0:
-        raise ValueError("zero direction")
-    u = u / nrm
-    n = mats.n_reduced
-    A_eq = np.zeros((n + 1, mats.m + 1))
-    A_eq[:n, :-1] = mats.A.T
-    A_eq[n, :-1] = mats.B @ u
-    A_eq[n, -1] = -1.0                      # surplus of (B u)^T mu >= 1
-    res = lin_solve.lp_solve(lin_solve.LpProblem(
-        c=np.append(-mats.c, 0.0), A_eq=A_eq, b_eq=np.eye(n + 1)[n]),
-        policy, basis=basis)
-    if res.status == lin_solve.INFEASIBLE:
-        return None, None
-    if res.status == lin_solve.UNBOUNDED:
-        raise AttackError("ray search failed: F(0) is empty (nominally infeasible case)")
-    s = float(res.objective)
-    p = res.y[:n]
-    worst = float(np.max(mats.margins(p, s * u)))
-    if worst > policy.feas_tol * (1.0 + float(np.max(np.abs(mats.c)))):
-        raise AttackError(f"ray search: dispatch at s={s:.6e} violates a row "
-                          f"by {worst:.3e}")
-    return s, res.basis
-
-
 def _polytope(mats):
     """P's rows as an LpProblem with a zero objective:
     [A^T; -c^T] mu = [0; 1], mu >= 0 (n_reduced + 1 rows)."""
@@ -279,14 +235,14 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
         v = float(gw @ (w * gw))
         delta = gw * ((1.0 + _INFLATE) / v)
         history.append(float(delta @ delta))
-        if iterations >= cfg.max_alternations:
+        if iterations >= _MAX_STEPS:
             break
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
         mu_next, value, basis = _p_lp(mats, P, gw, policy, basis)
         iterations += 1
-        if value <= v * (1.0 + cfg.norm_change_tol):
+        if value <= v * (1.0 + _STEP_TOL):
             status = "tight"
             break
         mu = mu_next
@@ -340,7 +296,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
     except _ZeroDistance:
         basis = None
 
-    refuted, tried, closed = [], set(), threading.Event()
+    refuted, tried = [], set()
 
     def certify(sol):
         """Certify sol at the inflated point once; notes a refutation."""
@@ -354,28 +310,24 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
                             "norm_sq": sol.norm_sq})
         return ok
 
-    def run_one(i):
-        label, direction = starts[i]
-        if closed.is_set():
-            return ("skipped", label, "closed")
+    def run_one(i, label, direction):
         if i and deadline is not None and time.monotonic() >= deadline:
             return ("skipped", label, "deadline")
         try:
-            sol = attack_local(mats, direction, cfg, policy, label, basis,
-                               deadline, P)
+            return attack_local(mats, direction, cfg, policy, label, basis,
+                                deadline, P)
         except _ZeroDistance as exc:
             return ("zero-distance", label, str(exc))
         except RestartSignal as exc:
             return ("restart", label, str(exc))
-        if sol.norm_sq <= close_at and certify(sol):
-            closed.set()
-        return sol
 
-    if cfg.threads and cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run_one, range(len(starts))))
-    else:
-        outcomes = [run_one(i) for i in range(len(starts))]
+    outcomes, closed = [], False
+    for i, (label, direction) in enumerate(starts):
+        out = ("skipped", label, "closed") if closed else \
+            run_one(i, label, direction)
+        if not isinstance(out, tuple):
+            closed = out.norm_sq <= close_at and certify(out)
+        outcomes.append(out)
 
     zero = any(isinstance(out, tuple) and out[0] == "zero-distance"
                for out in outcomes)

@@ -8,6 +8,7 @@ stored as None.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass, asdict
 
@@ -110,9 +111,16 @@ def build_case(name, base_mva, buses, branches, generators):
     return case
 
 
+def _finite(*values):
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):    # not a number, or an int too
+        return False                      # large for a float (JSON input)
+
+
 def validate_case(case):
-    if case.base_mva <= 0:
-        raise CaseError(f"baseMVA must be positive, got {case.base_mva}")
+    if not _finite(case.base_mva) or case.base_mva <= 0:
+        raise CaseError(f"baseMVA must be positive, got {case.base_mva!r}")
     if case.n_bus == 0:
         raise CaseError("case has no buses")
     if case.n_gen == 0:
@@ -121,13 +129,24 @@ def validate_case(case):
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise CaseError(f"duplicate bus ids: {dup}")
+    for bus in case.buses:
+        if not _finite(bus.p_d):
+            raise CaseError(f"bus {bus.id}: load {bus.p_d!r} is not finite")
     known = set(ids)
     for br in case.branches:
+        rate = 0.0 if br.rate is None else br.rate
+        if not _finite(br.b, rate) or br.b == 0:
+            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: reactance and "
+                            f"rating must be finite ({br.b!r}, {br.rate!r})")
         if br.f_bus not in known or br.t_bus not in known:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus} references unknown bus")
         if br.f_bus == br.t_bus:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus} is a self-loop")
     for i, g in enumerate(case.generators):
+        if not _finite(g.p_min, g.p_max, g.cost):
+            raise CaseError(f"generator {i} at bus {g.bus}: limits and cost "
+                            f"must be finite ({g.p_min!r}, {g.p_max!r}, "
+                            f"{g.cost!r})")
         if g.bus not in known:
             raise CaseError(f"generator {i} references unknown bus {g.bus}")
         if g.p_min > g.p_max:
@@ -168,41 +187,27 @@ _TABLE_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
 
 def _tokenize_tables(text):
     """Extract scalar fields and numeric tables; rows carry line numbers."""
-    scalars, tables = {}, {}
-    current, rows = None, None
+    scalars, tables, current = {}, {}, None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
-        if current is not None:
-            body, closed = (line[:-2], True) if line.endswith("];") else (line, False)
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    rows.append((lineno, chunk))
-            if closed:
-                tables[current] = rows
-                current, rows = None, None
-            continue
-        m = _SCALAR_RE.match(line)
-        if m:
-            scalars[m.group(1)] = float(m.group(2))
-            continue
-        m = _TABLE_RE.match(line)
-        if m:
-            current, rows = m.group(1), []
-            body = m.group(2)
-            if body.endswith("];"):
-                body, closed = body[:-2], True
-            else:
-                closed = False
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    rows.append((lineno, chunk))
-            if closed:
-                tables[current] = rows
-                current, rows = None, None
+        if current is None:
+            m = _SCALAR_RE.match(line)
+            if m:
+                scalars[m.group(1)] = float(m.group(2))
+                continue
+            m = _TABLE_RE.match(line)
+            if not m:
+                continue
+            current, line = m.group(1), m.group(2)
+            tables[current] = []
+        closed = line.endswith("];")
+        for chunk in (line[:-2] if closed else line).split(";"):
+            if chunk.strip():
+                tables[current].append((lineno, chunk.strip()))
+        if closed:
+            current = None
     if current is not None:
         raise CaseError(f"table '{current}' is never closed with '];'")
     return scalars, tables
@@ -249,7 +254,7 @@ def parse_case_text(text, name="case"):
         if x == 0:
             raise CaseError(f"line {lineno}: in-service branch "
                             f"{int(row[0])}-{int(row[1])} has zero reactance")
-        rate = row[5] / base if row[5] > 0 else None
+        rate = None if row[5] <= 0 else row[5] / base   # nan fails validation
         branches.append(Branch(f_bus=int(row[0]), t_bus=int(row[1]),
                                b=1.0 / x, rate=rate))
 
@@ -297,7 +302,8 @@ def parse_case(source, name="case"):
 
 def load_case(path):
     """Load a case from a .m (MATPOWER subset) or .json (canonical) file."""
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     name = re.sub(r"\.(m|json)$", "", str(path).rsplit("/", 1)[-1])
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         return case_from_json(text)
@@ -328,16 +334,23 @@ def case_from_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseError(f"invalid case JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CaseError(f"case JSON must be an object, not {type(doc).__name__}")
     if doc.get("format") != _JSON_FORMAT:
         raise CaseError(f"not a {_JSON_FORMAT} document")
     if doc.get("version") != _JSON_VERSION:
         raise CaseError(f"unsupported case JSON version {doc.get('version')}")
-    case = NetworkCase(
-        name=doc["name"],
-        base_mva=float(doc["base_mva"]),
-        buses=tuple(Bus(**b) for b in doc["buses"]),
-        branches=tuple(Branch(**b) for b in doc["branches"]),
-        generators=tuple(Generator(**g) for g in doc["generators"]),
-    )
+    try:
+        case = NetworkCase(
+            name=doc["name"],
+            base_mva=float(doc["base_mva"]),
+            buses=tuple(Bus(**b) for b in doc["buses"]),
+            branches=tuple(Branch(**b) for b in doc["branches"]),
+            generators=tuple(Generator(**g) for g in doc["generators"]),
+        )
+    except KeyError as exc:
+        raise CaseError(f"case JSON lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CaseError(f"malformed case JSON: {exc}") from None
     validate_case(case)
     return case

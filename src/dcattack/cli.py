@@ -11,7 +11,6 @@ failures (infeasible case, failed certification, ...), 1 for unexpected ones.
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -37,8 +36,6 @@ def _add_common(p):
                    help="root seed; generated and recorded when absent")
     p.add_argument("--budget", type=float, default=600.0,
                    help="wall-clock budget in seconds (defend/squeeze/table)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (falls back to $DCATTACK_NUM_THREADS)")
     p.add_argument("--match-threshold", type=float, default=0.01)
     p.add_argument("--tol-feas", type=float, default=None,
                    help="override the feasibility tolerance (default 1e-8)")
@@ -75,18 +72,6 @@ def build_parser():
     return parser
 
 
-def _resolve_threads(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DCATTACK_NUM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _manifest(args):
     seed_generated = args.seed is None
     seed = (int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
@@ -102,7 +87,6 @@ def _manifest(args):
             "seed": seed,
             "seed_generated": seed_generated,
             "budget_s": args.budget,
-            "threads": _resolve_threads(args),
             "match_threshold": args.match_threshold,
             "tol_feas": args.tol_feas,
             "verify_samples": args.verify_samples,
@@ -159,8 +143,7 @@ def cmd_attack(args, manifest):
     t0 = time.monotonic()
     rep = multistart_attack(
         mats, AttackConfig(eps=args.eps, restarts=args.restarts,
-                           seed=manifest["config"]["seed"],
-                           threads=manifest["config"]["threads"]),
+                           seed=manifest["config"]["seed"]),
         policy)
     sol = rep.best
     per_bus = _per_bus_rows(mats, sol.delta)
@@ -232,7 +215,6 @@ def _squeeze_config(args, manifest):
                          match_threshold=args.match_threshold,
                          eps=args.eps, seed=manifest["config"]["seed"],
                          restarts=args.restarts,
-                         threads=manifest["config"]["threads"],
                          verify_samples=args.verify_samples)
 
 

@@ -464,30 +464,3 @@ def simplex_policy_fit(vertices, dispatches, policy=DEFAULT_POLICY):
     if err > 1e-9 * (1.0 + float(np.max(np.abs(P), initial=0.0))):
         raise GeometryError(f"vertex reproduction error {err:.3e}")
     return SimplexPolicy(vertices=D, dispatches=P, G=G, p0=p0, cond=cond)
-
-
-def feasible_simplex(mats, scale=None, policy=DEFAULT_POLICY, max_halvings=40):
-    """Heuristic simplex of feasible perturbations: a scaled coordinate
-    simplex centered at 0 is shrunk until every vertex admits a dispatch.
-    Returns a SimplexPolicy or None when no scale works."""
-    from .dc_model import solve_dcopf
-
-    n = mats.n_delta
-    base = np.vstack([np.eye(n), np.zeros((1, n))])
-    base -= base.mean(axis=0, keepdims=True)
-    if scale is None:
-        scale = 1.0 + float(np.abs(mats.case.p_d()).sum())
-    for _ in range(max_halvings):
-        verts = scale * base
-        dispatches = []
-        for v in verts:
-            sol = solve_dcopf(mats, v, policy)
-            if not sol.feasible:
-                break
-            dispatches.append(sol.p_hat)
-        else:
-            return simplex_policy_fit(verts, np.vstack(dispatches)
-                                      if dispatches else
-                                      np.zeros((n + 1, 0)), policy)
-        scale *= 0.5
-    return None

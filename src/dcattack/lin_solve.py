@@ -34,11 +34,10 @@ The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 row count.  So every LP is posed in the wide multiplier form
 min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0, whose basis has only
 n_reduced + 1 rows: the attack's steps over the Farkas polytope
-(`attack._p_lp`), the ray search (`attack.ray_boundary`), the feasibility
-probe (`check_feasible`, which also gives the defense its max-margin warm
-start) and the nominal dispatch (`dc_model.solve_dcopf`).  Primal points are
-read off the equality duals y and re-checked against the rows; Farkas rays
-are the multipliers themselves.
+(`attack._p_lp`), the feasibility probe (`check_feasible`, which also gives
+the defense its max-margin warm start) and the nominal dispatch
+(`dc_model.solve_dcopf`).  Primal points are read off the equality duals y
+and re-checked against the rows; Farkas rays are the multipliers themselves.
 
 Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
 caller's basis: M real column indices, typically the `LpResult.basis` of an

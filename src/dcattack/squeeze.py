@@ -39,13 +39,7 @@ class SqueezeConfig:
     eps: float = 1e-3
     seed: int = 0
     restarts: int = 5
-    threads: int = 1
     verify_samples: int = 1000
-
-
-@dataclass
-class CrossFeedHints:
-    attack_directions: list = field(default_factory=list)
 
 
 @dataclass
@@ -126,18 +120,19 @@ def cross_feed(mats, defense_best):
     The dual is feasible, so y lies in P = {mu >= 0, A^T mu = 0,
     -c^T mu = 1}, and mu in P with mu^T B delta > 1 proves F(delta) empty:
     B^T y is a Farkas candidate and B^T y / ||B^T y||^2 its nearest point
-    with mu^T B delta = 1.  The attack uses both as directions only."""
-    hints = CrossFeedHints()
+    with mu^T B delta = 1.  The attack uses both as directions only; returns
+    the list of them."""
+    hints = []
     if defense_best.binding_row is not None and np.isfinite(defense_best.t):
         i = defense_best.binding_row
         d = project_policy(defense_best.p0, defense_best.G, mats.A[i],
                            mats.B[i], float(mats.c[i])).delta
         if d is not None and np.linalg.norm(d) > 0:
-            hints.attack_directions.append(d)
+            hints.append(d)
     if defense_best.dual is not None:
         g = mats.B.T @ defense_best.dual[0]
         if float(g @ g) > 0:
-            hints.attack_directions.append(g / float(g @ g))
+            hints.append(g / float(g @ g))
     return hints
 
 
@@ -166,8 +161,8 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
     try:
         rep = multistart_attack(
             mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
-                               seed=cfg.seed, threads=cfg.threads),
-            policy, extra_directions=hints.attack_directions,
+                               seed=cfg.seed),
+            policy, extra_directions=hints,
             p_nom=nominal.p_hat,
             budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb)
         best_att = rep.best

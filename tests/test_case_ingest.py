@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -148,3 +149,90 @@ def test_helper_arrays(desk3):
     np.testing.assert_array_equal(desk3.gen_positions(), [0, 2])
     lo, hi = desk3.gen_bounds()
     np.testing.assert_allclose(hi, [3.0, 1.0])
+
+
+@pytest.mark.parametrize("doc, field", [
+    ("[1, 2]", "object"),
+    ('"case"', "object"),
+])
+def test_json_that_is_not_an_object_is_rejected(doc, field):
+    with pytest.raises(CaseError, match=field):
+        case_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["name", "base_mva", "buses", "branches",
+                                 "generators"])
+def test_json_missing_key_names_it(desk2, key):
+    doc = json.loads(case_to_json(desk2))
+    del doc[key]
+    with pytest.raises(CaseError, match=f"'{key}'"):
+        case_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("table, edit, field", [
+    ("buses", lambda r: r.update(q=1.0), "'q'"),
+    ("branches", lambda r: r.update(x=0.1), "'x'"),
+    ("generators", lambda r: r.pop("p_max"), "'p_max'"),
+], ids=["bus-extra-q", "branch-extra-x", "generator-without-p_max"])
+def test_json_record_field_errors_name_the_field(desk2, table, edit, field):
+    doc = json.loads(case_to_json(desk2))
+    edit(doc[table][0])
+    with pytest.raises(CaseError, match=field):
+        case_from_json(json.dumps(doc))
+
+
+def test_json_bad_values_are_case_errors(desk2):
+    doc = json.loads(case_to_json(desk2))
+    for key, value in (("base_mva", "abc"), ("buses", 5), ("generators", [7])):
+        bad = dict(doc, **{key: value})
+        with pytest.raises(CaseError):
+            case_from_json(json.dumps(bad))
+    for p_d in (float("nan"), "1.0", 10 ** 400):   # json round-trips each
+        doc["buses"][1]["p_d"] = p_d
+        with pytest.raises(CaseError, match="bus 2"):
+            case_from_json(json.dumps(doc))
+
+
+def test_load_case_json_error_is_a_case_error(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(CaseError, match="object"):
+        load_case(p)
+
+
+@pytest.mark.parametrize("old, new, record", [
+    ("\t2\t1\t50\t", "\t2\t1\tnan\t", "bus 2"),
+    ("\t2\t1\t50\t", "\t2\t1\t-Inf\t", "bus 2"),
+    ("\t1\t2\t0\t0.1\t", "\t1\t2\t0\tnan\t", "branch 1-2"),
+    ("\t1\t2\t0\t0.1\t", "\t1\t2\t0\tInf\t", "branch 1-2"),
+    ("\t1\t2\t0\t0.1\t0\t100\t", "\t1\t2\t0\t0.1\t0\tnan\t", "branch 1-2"),
+    ("\t1\t2\t0\t0.1\t0\t100\t", "\t1\t2\t0\t0.1\t0\tInf\t", "branch 1-2"),
+    ("\t1\t200\t0;", "\t1\tnan\t0;", "generator 0"),
+    ("\t1\t200\t0;", "\t1\t200\tnan;", "generator 0"),
+    ("\t3\t0\t12\t0;", "\t3\t0\tInf\t0;", "generator 0"),
+], ids=["load-nan", "load-neg-inf", "x-nan", "x-inf", "rating-nan",
+        "rating-inf", "p_max-nan", "p_min-nan", "cost-inf"])
+def test_non_finite_matpower_values_name_the_record(old, new, record):
+    assert TWO_BUS.count(old) == 1
+    with pytest.raises(CaseError, match=record):
+        parse_case_text(TWO_BUS.replace(old, new))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("buses, branches, generators, record", [
+    ([(1, 0.0), (2, NAN)], [(1, 2, 0.1, None)], [(1, 0.0, 2.0)], "bus 2"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, NAN, None)], [(1, 0.0, 2.0)], "branch 1-2"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, INF, None)], [(1, 0.0, 2.0)], "branch 1-2"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, INF)], [(1, 0.0, 2.0)], "branch 1-2"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, NAN, 2.0)], "generator 0"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, 0.0, INF)], "generator 0"),
+    ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, 0.0, 2.0, NAN)],
+     "generator 0"),
+], ids=["load-nan", "x-nan", "x-inf", "rating-inf", "p_min-nan", "p_max-inf",
+        "cost-nan"])
+def test_build_case_rejects_non_finite_values(buses, branches, generators,
+                                              record):
+    with pytest.raises(CaseError, match=record):
+        build_case("bad", 100.0, buses, branches, generators)

@@ -1,12 +1,15 @@
 """End-to-end CLI tests (reports, exit codes, manifests, artifacts)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcattack.case_ingest import case_to_json
-from dcattack.cli import main
+from dcattack.cli import build_parser, main
 
 DESK2_M = """\
 function mpc = desk2m
@@ -170,3 +173,32 @@ def test_infeasible_case_is_domain_error(tmp_path, capsys):
     assert code == 3
     rep = json.loads(out)
     assert rep["error"]["type"] == "AttackError"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("list.json", lambda doc: "[1, 2]"),
+    ("unnamed.json", lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "name"})),
+    ("extra-field.json", lambda doc: json.dumps(dict(
+        doc, buses=[dict(doc["buses"][0], q=1.0)] + doc["buses"][1:]))),
+    ("nan-load.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\t2\t1\tnan")),
+], ids=["not-an-object", "missing-key", "unknown-field", "nan-load"])
+def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text(json.loads(case_to_json(desk3))))
+    code, out = _run(capsys, ["attack", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "CaseError"
+
+
+def test_readme_documents_exactly_the_parser_flags():
+    """The --flags in README's "Command line" section are the subcommands'
+    option strings (bar argparse's own --help), both ways."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}

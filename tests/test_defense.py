@@ -21,8 +21,7 @@ import pytest
 from dcattack.attack import multistart_attack, AttackConfig
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
-from dcattack.defense import (DefensePolicy, defense_local,
-                              feasible_simplex, rank1_policy,
+from dcattack.defense import (DefensePolicy, defense_local, rank1_policy,
                               simplex_policy_fit, t_tilde, verify_policy,
                               warm_start_defense)
 from dcattack import defense, lin_solve
@@ -212,18 +211,6 @@ def test_simplex_fit_degenerate_raises():
                            [[1.0], [2.0], [3.0]])
     with pytest.raises(GeometryError):
         simplex_policy_fit([[1.0], [-1.0], [0.0]], [[1.0], [2.0], [3.0]])
-
-
-def test_feasible_simplex_convex_hull_is_feasible(desk3):
-    mats = build_feasibility(desk3)
-    sp = feasible_simplex(mats)
-    assert sp is not None
-    rng = np.random.default_rng(9)
-    for _ in range(500):
-        w = rng.dirichlet(np.ones(len(sp.vertices)))
-        delta = w @ sp.vertices
-        p = sp.p0 + sp.G @ delta
-        assert np.all(mats.margins(p, delta) <= 1e-8)
 
 
 # -- the affine-policy SOCP --------------------------------------------------

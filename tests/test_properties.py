@@ -101,7 +101,7 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
     # stopping the attack at lb loses nothing: every start from the same
     # directions, run to the end, certifies no smaller ub
     full = multistart_attack(mats, AttackConfig(restarts=2, seed=0),
-                             extra_directions=cross_feed(mats, pol).attack_directions)
+                             extra_directions=cross_feed(mats, pol))
     assert bounds.ub == pytest.approx(full.best.norm_sq, rel=1e-8)
     # renumbering the buses changes nothing the attack sees
     ids = dict(zip(range(1, len(net["buses"]) + 1), relabel))

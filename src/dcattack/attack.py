@@ -252,12 +252,13 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
 
 def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
                       extra_directions=(), p_nom=None, budget_s=None, lb=None):
-    """Run attack_local from deterministic and seeded random starts, all
-    warm-started from one cold P-LP, then certify candidates in ascending
-    norm order; the first certified one is the reported attack.  Once
-    `budget_s` seconds have passed, the running ascent stops at its current
-    vertex and the starts after the first are skipped.  Raises AttackError
-    when nothing certifies.
+    """Run attack_local from the caller's `extra_directions`, then the
+    binding row, uniform growth and seeded random starts, all warm-started
+    from one cold P-LP, then certify candidates in ascending norm order;
+    the first certified one is the reported attack.  Once `budget_s` seconds
+    have passed, the running ascent stops at its current vertex and the
+    starts after the first are skipped.  Raises AttackError when nothing
+    certifies.
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
@@ -278,14 +279,14 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
     starts = []
-    d_bind, _row = binding_row_direction(mats, p_nom, policy)
-    if d_bind is not None and np.linalg.norm(d_bind) > 0:
-        starts.append(("binding-row", d_bind))
-    starts.append(("uniform-up", np.ones(mats.n_delta)))
     for i, d in enumerate(extra_directions):
         d = np.asarray(d, float)
         if d.size == mats.n_delta and np.linalg.norm(d) > 0:
             starts.append((f"hint{i}", d))
+    d_bind, _row = binding_row_direction(mats, p_nom, policy)
+    if d_bind is not None and np.linalg.norm(d_bind) > 0:
+        starts.append(("binding-row", d_bind))
+    starts.append(("uniform-up", np.ones(mats.n_delta)))
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
         starts.append((f"random{k}", rng.normal(size=mats.n_delta)))

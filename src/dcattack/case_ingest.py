@@ -229,6 +229,14 @@ def _numeric_rows(table, name, min_cols):
     return out
 
 
+def _integer(value, lineno, what):
+    """An id, status or count field as an int; CaseError naming the line
+    when it is not integral (nan and inf are not)."""
+    if not value.is_integer():
+        raise CaseError(f"line {lineno}: {what} {value!r} is not an integer")
+    return int(value)
+
+
 def parse_case_text(text, name="case"):
     """Parse MATPOWER-format text into a validated NetworkCase."""
     scalars, tables = _tokenize_tables(text)
@@ -243,28 +251,30 @@ def parse_case_text(text, name="case"):
 
     buses = []
     for lineno, row in _numeric_rows(tables["bus"], "bus", 3):
-        buses.append(Bus(id=int(row[0]), p_d=row[2] / base))
+        buses.append(Bus(id=_integer(row[0], lineno, "bus id"),
+                         p_d=row[2] / base))
 
     branches = []
     for lineno, row in _numeric_rows(tables["branch"], "branch", 6):
-        status = int(row[10]) if len(row) > 10 else 1
+        status = _integer(row[10], lineno, "status") if len(row) > 10 else 1
         if status <= 0:
             continue
+        f = _integer(row[0], lineno, "bus id")
+        t = _integer(row[1], lineno, "bus id")
         x = row[3]
         if x == 0:
             raise CaseError(f"line {lineno}: in-service branch "
-                            f"{int(row[0])}-{int(row[1])} has zero reactance")
+                            f"{f}-{t} has zero reactance")
         rate = None if row[5] <= 0 else row[5] / base   # nan fails validation
-        branches.append(Branch(f_bus=int(row[0]), t_bus=int(row[1]),
-                               b=1.0 / x, rate=rate))
+        branches.append(Branch(f_bus=f, t_bus=t, b=1.0 / x, rate=rate))
 
     raw_gens = []
     for lineno, row in _numeric_rows(tables["gen"], "gen", 10):
-        status = int(row[7])
-        if status <= 0:
+        if _integer(row[7], lineno, "status") <= 0:
             raw_gens.append(None)
             continue
-        raw_gens.append(Generator(bus=int(row[0]), p_min=row[9] / base,
+        raw_gens.append(Generator(bus=_integer(row[0], lineno, "bus id"),
+                                  p_min=row[9] / base,
                                   p_max=row[8] / base))
 
     if "gencost" in tables:
@@ -274,7 +284,8 @@ def parse_case_text(text, name="case"):
         for i, (lineno, row) in enumerate(cost_rows):
             if raw_gens[i] is None:
                 continue
-            model, ncost = int(row[0]), int(row[3])
+            model = _integer(row[0], lineno, "gencost model")
+            ncost = _integer(row[3], lineno, "ncost")
             if model != 2:
                 raise CaseError(
                     f"line {lineno}: unsupported gencost model {model} "

@@ -1,8 +1,8 @@
 """DC power-flow model: PTDF construction and the reduced feasibility polytope.
 
 The lossless DC dispatch problem over a case is flattened into a single
-inequality system in the non-slack generator injections p (the slack unit
-absorbs the power balance) and the load perturbation delta:
+inequality system in the injections p of the non-slack units that can move
+(the slack unit absorbs the power balance) and the load perturbation delta:
 
     F(delta) = { p : A p + B delta + c <= 0 }
 
@@ -10,6 +10,10 @@ Flows enter through the PTDF matrix referenced at the slack generator's bus,
 which is exactly what makes the slack elimination exact (the slack column of
 the PTDF is zero, so slack injections never appear in a flow row).  delta
 lives on the perturbable buses only: those with nonzero nominal load.
+
+Units with p_min == p_max, bar the slack, are constant injections: they
+enter c through the flow and slack rows and get no column and no rows.  A
+flow row this leaves constant (zero in A and B) and satisfied is not emitted.
 
 Row stacking order (load-bearing, relied on by labels and certificates):
 flow upper bounds, flow lower bounds, slack-gen upper, other gen uppers,
@@ -76,6 +80,8 @@ class FeasibilityMatrices:
     slack_gen: int
     ref_bus: int
     gen_order: np.ndarray    # reduced column -> original generator index
+    held: np.ndarray         # fixed units folded into c, at their output
+    emitted: np.ndarray      # each row's position in the unpruned stacking
     load_pos: np.ndarray     # dense bus positions of delta components
     load_bus_ids: tuple
     case: object
@@ -115,20 +121,23 @@ class FeasibilityMatrices:
         return -(self.B @ np.asarray(delta, float) + self.c)
 
     def full_dispatch(self, p_hat, delta=None):
-        """Reinsert the slack generator's balancing injection."""
+        """Reinsert the held units' outputs and the slack generator's
+        balancing injection."""
         p_hat = np.asarray(p_hat, float)
         total = self.case.total_load()
         if delta is not None:
             total += float(np.sum(delta))
-        p_full = np.empty(self.case.n_gen)
+        p_full = self.case.gen_bounds()[1].copy()
         p_full[self.gen_order] = p_hat
-        p_full[self.slack_gen] = total - float(p_hat.sum())
+        p_full[self.slack_gen] = total - float(p_hat.sum()) \
+            - float(p_full[self.held].sum())
         return p_full
 
     def model1_margins(self, p_full, delta=None):
         """Independent margin computation straight from the dispatch model:
-        full PTDF flows against ratings plus raw generator bounds, in the same
-        row order as `margins`.  Used as the reduction's cross-check."""
+        full PTDF flows against ratings plus the raw bounds of the slack and
+        the units that move, on the rows `margins` has and in its order.
+        Used as the reduction's cross-check."""
         case = self.case
         p_full = np.asarray(p_full, float)
         inj = np.zeros(case.n_bus)
@@ -149,7 +158,7 @@ class FeasibilityMatrices:
             p_full[others] - hi[others],
             [lo[s] - p_full[s]],
             lo[others] - p_full[others],
-        ])
+        ])[self.emitted]
 
     def to_json_dict(self):
         return {
@@ -157,6 +166,7 @@ class FeasibilityMatrices:
             "n_reduced": self.n_reduced,
             "n_delta": self.n_delta,
             "slack_gen": int(self.slack_gen),
+            "gen_order": self.gen_order.tolist(),
             "ref_bus_id": int(self.case.buses[self.ref_bus].id),
             "load_bus_ids": [int(i) for i in self.load_bus_ids],
             "row_labels": list(self.row_labels),
@@ -166,10 +176,16 @@ class FeasibilityMatrices:
         }
 
 
-def build_feasibility(case, slack_gen=0, ptdf=None):
-    """Assemble F(delta) for the case with the chosen slack generator."""
+def build_feasibility(case, slack_gen=None):
+    """Assemble F(delta) for the case (module docstring).  The slack is
+    `slack_gen`, by default the first unit with p_min < p_max (unit 0 when
+    every unit is fixed)."""
     if case.n_gen == 0:
         raise ModelError("case has no generators")
+    lo, hi = case.gen_bounds()
+    fixed = lo == hi
+    if slack_gen is None:
+        slack_gen = int(np.argmin(fixed))
     if not 0 <= slack_gen < case.n_gen:
         raise PreconditionError(f"slack_gen {slack_gen} out of range")
     load_pos = case.load_positions()
@@ -177,30 +193,26 @@ def build_feasibility(case, slack_gen=0, ptdf=None):
         raise ModelError("case has no nonzero loads to perturb")
     gen_pos = case.gen_positions()
     ref = int(gen_pos[slack_gen])
-    if ptdf is None:
-        ptdf = build_ptdf(case, ref)
-    elif ptdf.ref_bus != ref:
-        raise PreconditionError(
-            f"ptdf referenced at bus position {ptdf.ref_bus}, but slack "
-            f"generator {slack_gen} sits at position {ref}")
+    ptdf = build_ptdf(case, ref)
 
     phi = ptdf.phi
-    p_d = case.p_d()
-    phi_pd = phi @ p_d
-    n_g = case.n_gen
-    others = np.array([g for g in range(n_g) if g != slack_gen], dtype=int)
+    not_slack = np.arange(case.n_gen) != slack_gen
+    others = np.flatnonzero(not_slack & ~fixed)
+    held = np.flatnonzero(not_slack & fixed)
+    # branch flows and the load left to the slack and the movers at p = 0,
+    # delta = 0, with the held units at their output
+    flow0 = phi[:, gen_pos[held]] @ hi[held] - phi @ case.p_d()
+    net_load = case.total_load() - float(hi[held].sum())
     n_red = others.size
     n_delta = load_pos.size
 
-    phi_gen = phi[:, gen_pos[others]] if n_red else np.zeros((case.n_branch, 0))
+    phi_gen = phi[:, gen_pos[others]]
     phi_load = phi[:, load_pos]
     bounded = [k for k, br in enumerate(case.branches) if br.rate is not None]
     rates = np.array([case.branches[k].rate for k in bounded])
-    lo, hi = case.gen_bounds()
-    total_load = case.total_load()
 
     nb = len(bounded)
-    m = 2 * nb + 2 * n_g
+    m = 2 * nb + 2 * n_red + 2
     A = np.zeros((m, n_red))
     B = np.zeros((m, n_delta))
     c = np.zeros(m)
@@ -209,11 +221,11 @@ def build_feasibility(case, slack_gen=0, ptdf=None):
     fu = slice(0, nb)
     A[fu] = phi_gen[bounded]
     B[fu] = -phi_load[bounded]
-    c[fu] = -phi_pd[bounded] - rates
+    c[fu] = flow0[bounded] - rates
     fl = slice(nb, 2 * nb)
     A[fl] = -phi_gen[bounded]
     B[fl] = phi_load[bounded]
-    c[fl] = phi_pd[bounded] - rates
+    c[fl] = -flow0[bounded] - rates
     for tag, sl in (("flow-upper", fu), ("flow-lower", fl)):
         for k in bounded:
             br = case.branches[k]
@@ -223,7 +235,7 @@ def build_feasibility(case, slack_gen=0, ptdf=None):
     slack_bus_id = case.generators[slack_gen].bus
     A[r] = -1.0
     B[r] = 1.0
-    c[r] = total_load - hi[slack_gen]
+    c[r] = net_load - hi[slack_gen]
     labels.append(f"slack-gen-upper:g{slack_gen}@bus{slack_bus_id}")
     r += 1
     gu = slice(r, r + n_red)
@@ -234,7 +246,7 @@ def build_feasibility(case, slack_gen=0, ptdf=None):
     r += n_red
     A[r] = 1.0
     B[r] = -1.0
-    c[r] = lo[slack_gen] - total_load
+    c[r] = lo[slack_gen] - net_load
     labels.append(f"slack-gen-lower:g{slack_gen}@bus{slack_bus_id}")
     r += 1
     gl = slice(r, r + n_red)
@@ -243,9 +255,14 @@ def build_feasibility(case, slack_gen=0, ptdf=None):
     for j in others:
         labels.append(f"gen-lower:g{j}@bus{case.generators[j].bus}")
 
+    emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
+                             | (c > DEFAULT_POLICY.feas_tol))
     return FeasibilityMatrices(
-        A=A, B=B, c=c, row_labels=tuple(labels), slack_gen=int(slack_gen),
-        ref_bus=ref, gen_order=others, load_pos=load_pos,
+        A=A[emitted], B=B[emitted], c=c[emitted],
+        row_labels=tuple(labels[i] for i in emitted.tolist()),
+        slack_gen=int(slack_gen),
+        ref_bus=ref, gen_order=others, held=held, emitted=emitted,
+        load_pos=load_pos,
         load_bus_ids=tuple(int(case.buses[i].id) for i in load_pos),
         case=case, ptdf=ptdf)
 

@@ -16,9 +16,9 @@ lambda = 1/sqrt(t) and q = lambda p0 it is the second-order cone program
     min lambda  s.t.  ||G^T a_i + b_i|| <= -(a_i^T q + lambda c_i)  for all i,
 
 with dual  max -<W, B>  s.t.  A^T y = 0, c^T y = -1, A^T W = 0,
-||w_i|| <= y_i.  Presolve folds units with p_min == p_max into c and drops
-the rows that leaves constant; without it those rows are implicit equalities
-and no strictly interior point exists.
+||w_i|| <= y_i.  The program needs a strictly interior dispatch; the model
+folds units with p_min == p_max into c (`dc_model`), whose bound rows would
+otherwise be implicit equalities.
 
 `defense_local` solves the pair by Mehrotra's predictor-corrector with
 Nesterov-Todd scaling (Nesterov and Todd 1997; Vandenberghe, "The CVXOPT
@@ -110,38 +110,15 @@ def t_tilde(mats, p0, G, policy=DEFAULT_POLICY):
     return t, row
 
 
-def presolve(mats, policy=DEFAULT_POLICY):
-    """(rows, free, p_fixed, c): units with p_min == p_max are held at their
-    output p_fixed (zero on the free columns), and the rows this leaves
-    constant and satisfied are dropped.  The policy program then lives on
-    A[rows][:, free], B[rows] and c = (c + A p_fixed)[rows]."""
-    lo, hi = mats.case.gen_bounds()
-    fixed = (lo == hi)[mats.gen_order]
-    p_fixed = np.where(fixed, hi[mats.gen_order], 0.0)
-    c = mats.c + mats.A @ p_fixed
-    const = ~np.any(mats.A[:, ~fixed] != 0.0, axis=1) \
-        & ~np.any(mats.B != 0.0, axis=1)
-    rows = np.flatnonzero(~(const & (c <= policy.feas_tol)))
-    return rows, ~fixed, p_fixed, c[rows]
-
-
 def warm_start_defense(mats, policy=DEFAULT_POLICY):
     """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
-    a_i^T p + c_i <= m on the presolved rows, solved in the wide form of
-    `lin_solve.check_feasible`; fixed units stay at their output."""
-    return _warm_start(mats, presolve(mats, policy), policy)
-
-
-def _warm_start(mats, pre, policy):
-    """`warm_start_defense` on the result `pre` of `presolve`."""
-    rows, free, p_fixed, c = pre
-    ok, x, ray = lin_solve.check_feasible(mats.A[rows][:, free], -c, policy)
+    a_i^T p + c_i <= m, solved in the wide form of
+    `lin_solve.check_feasible`."""
+    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c, policy)
     if not ok:
-        worst = mats.row_labels[rows[int(np.argmax(ray))]]
+        worst = mats.row_labels[int(np.argmax(ray))]
         raise ModelError("max-margin LP: no dispatch satisfies the nominal "
                          f"constraints (Farkas ray heaviest on {worst})")
-    p = p_fixed.copy()
-    p[free] = x
     t_init, _row = t_tilde(mats, p, None, policy)
     return p, np.zeros((mats.n_reduced, mats.n_delta)), float(t_init)
 
@@ -240,15 +217,14 @@ def _newton_factor(A, c, u, W, s):
     return solve
 
 
-def _socp(A, B, c, p_start, deadline, certify):
-    """Primal-dual solve of the program in the module docstring on presolved
-    rows, from G = 0 and a dispatch with every margin negative.
-    certify(y, W) makes a dual iterate feasible: (dual or None, its bound).
-    Past a gap of _GAP_TOL, steps go on while each cuts the gap tenfold,
+def _socp(mats, p_start, deadline):
+    """Primal-dual solve of the program in the module docstring, from G = 0
+    and a dispatch with every margin negative; `_feasible_dual` makes each
+    dual iterate feasible.  Past a gap of _GAP_TOL, steps go on while each cuts the gap tenfold,
     which sharpens the policy until rounding stalls it.  Returns (q, lam, G)
     of the smallest-lambda iterate, the best dual and an info dict: why the
     solve stopped, its Newton steps and the relative gap between the two."""
-    m = c.size
+    A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
     lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
                                  / -(A @ p_start + c))), 1e-12)
@@ -260,7 +236,7 @@ def _socp(A, B, c, p_start, deadline, certify):
     best, dual, bound = (x, G), None, -np.inf
     info = {"stop": "step-failed", "newton_steps": 0, "gap": np.inf}
     for _ in range(_MAX_STEPS):
-        cand, lb = certify(z[:, 0], z[:, 1:])
+        cand, lb = _feasible_dual(mats, z[:, 0], z[:, 1:])
         if lb > bound:
             dual, bound = cand, lb
         last, info["gap"] = info["gap"], 1.0 - bound / best[0][-1]
@@ -320,13 +296,12 @@ def _socp(A, B, c, p_start, deadline, certify):
 
 
 def _feasible_dual(mats, y, W):
-    """Restore A^T y = 0 and A^T W = 0 on the rows of mats through each unit's
-    own bound rows (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i survives by the
-    triangle inequality), then scale onto c^T y = -1.  This also undoes the
-    fold of fixed units, whose dropped bound rows absorb (A^T y)_j.  Mass
-    added to both bound rows of unit j moves only c^T y, by
-    -(p_max - p_min), so a residual costs bound, never soundness.  None when
-    c^T y ends up nonnegative."""
+    """Restore A^T y = 0 and A^T W = 0 through each unit's own bound rows
+    (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i survives by the triangle
+    inequality), then scale onto c^T y = -1.  Mass added to both bound rows
+    of unit j moves only c^T y, by -(p_max - p_min), so a residual costs
+    bound, never soundness.  Returns the dual and its bound -<W, B>, or
+    (None, -inf) when c^T y ends up nonnegative."""
     up, lo = mats.unit_rows()
     r, R = mats.A.T @ y, mats.A.T @ W
     half = 0.5 * np.linalg.norm(R, axis=1)
@@ -336,7 +311,10 @@ def _feasible_dual(mats, y, W):
     W[up] -= 0.5 * R
     W[lo] += 0.5 * R
     scale = -float(mats.c @ y)
-    return (y / scale, W / scale) if scale > 0.0 else None
+    if not scale > 0.0:
+        return None, -np.inf
+    W = W / scale
+    return (y / scale, W), -float(np.sum(W * mats.B))
 
 
 def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
@@ -348,32 +326,20 @@ def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
     meta["deadline"] set.  meta["stop"] says why the solve ended:
     "converged" (certified duality gap below 1e-8), "step-failed" (a factor
     was singular, a step left the cones, or 60 steps did not converge),
-    "deadline", or "no-interior" when presolve leaves no strictly interior
-    dispatch (the warm start is returned then).  meta["newton_steps"] counts
-    interior-point iterations; meta["gap"] is the relative duality gap
+    "deadline", or "no-interior" when no dispatch is strictly interior (the
+    warm start is returned then).  meta["newton_steps"] counts interior-point
+    iterations; meta["gap"] is the relative duality gap
     (lambda + <W, B>) / lambda between the returned policy and dual;
     meta["stalled"] flags a policy no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    pre = presolve(mats, policy)
-    rows, free, p_fixed, c = pre
-    p_w, G0, t_init = _warm_start(mats, pre, policy)
-    A = mats.A[rows][:, free]
+    p_w, G0, t_init = warm_start_defense(mats, policy)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
             "gap": None}
     p0, G, dual = p_w, G0, None
-    if rows.size and float(np.max(A @ p_w[free] + c)) < 0.0:
-        def certify(y_f, W_f):
-            y, W = np.zeros(mats.m), np.zeros((mats.m, mats.n_delta))
-            y[rows], W[rows] = y_f, W_f
-            cand = _feasible_dual(mats, y, W)
-            return cand, (-np.inf if cand is None
-                          else -float(np.sum(cand[1] * mats.B)))
-
-        (q, lam, G_f), dual, info = _socp(A, mats.B[rows], c, p_w[free],
-                                          deadline, certify)
+    if float(np.max(mats.margins(p_w))) < 0.0:
+        (q, lam, G), dual, info = _socp(mats, p_w, deadline)
         meta.update(info, **{"lambda": lam})
-        p0, G = p_fixed.copy(), np.zeros_like(G0)
-        p0[free], G[free] = q / lam, G_f
+        p0 = q / lam
     meta["deadline"] = meta["stop"] == "deadline"
     try:
         t, row = t_tilde(mats, p0, G, policy)
@@ -424,7 +390,8 @@ def rank1_policy(mats, kind="uniform", p0=None, policy=DEFAULT_POLICY):
     """Distributed-slack policies: every generator absorbs a fixed share of
     the total load change 1^T delta (uniform 1/n_g, or proportional to the
     base dispatch).  The slack generator's share is implicit in the reduced
-    coordinates."""
+    coordinates; it also takes the shares of the held units, which cannot
+    move."""
     if p0 is None:
         p0, _G, _t = warm_start_defense(mats, policy)
     p0 = np.asarray(p0, float)

@@ -218,6 +218,25 @@ def test_non_finite_matpower_values_name_the_record(old, new, record):
         parse_case_text(TWO_BUS.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, what", [
+    ("\t2\t1\t50\t", "\tnan\t1\t50\t", "bus id nan"),
+    ("\t2\t1\t50\t", "\t2.7\t1\t50\t", "bus id 2.7"),
+    ("\n\t1\t2\t0\t0.1\t", "\n\t1\tInf\t0\t0.1\t", "bus id inf"),
+    ("\t0\t1\t-30\t30;", "\t0\t0.5\t-30\t30;", "status 0.5"),
+    ("\n\t1\t0\t0\t30", "\n\t1.5\t0\t0\t30", "bus id 1.5"),
+    ("\t1\t200\t0;", "\tnan\t200\t0;", "status nan"),
+    ("\t2\t0\t0\t3\t0", "\t2.5\t0\t0\t3\t0", "gencost model 2.5"),
+    ("\t2\t0\t0\t3\t0", "\t2\t0\t0\tnan\t0", "ncost nan"),
+], ids=["bus-nan", "bus-fraction", "branch-inf", "branch-status",
+        "gen-bus", "gen-status", "gencost-model", "ncost"])
+def test_integer_fields_must_be_integers(old, new, what):
+    """Ids, status flags and gencost model/ncost are integers; any other
+    number is an error naming its line, never a truncated id."""
+    assert TWO_BUS.count(old) == 1
+    with pytest.raises(CaseError, match=rf"line \d+: {what} is not an integer"):
+        parse_case_text(TWO_BUS.replace(old, new))
+
+
 NAN, INF = float("nan"), float("inf")
 
 

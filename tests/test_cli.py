@@ -182,7 +182,9 @@ def test_infeasible_case_is_domain_error(tmp_path, capsys):
     ("extra-field.json", lambda doc: json.dumps(dict(
         doc, buses=[dict(doc["buses"][0], q=1.0)] + doc["buses"][1:]))),
     ("nan-load.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\t2\t1\tnan")),
-], ids=["not-an-object", "missing-key", "unknown-field", "nan-load"])
+    ("nan-bus-id.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\tnan\t1\t300")),
+], ids=["not-an-object", "missing-key", "unknown-field", "nan-load",
+        "nan-bus-id"])
 def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text(json.loads(case_to_json(desk3))))

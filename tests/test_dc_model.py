@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dcattack.case_ingest import build_case
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
-from dcattack.errors import ModelError, PreconditionError
+from dcattack.errors import ModelError
+
+from conftest import bench_ladder, pglib_path
 
 
 def test_ptdf_two_bus(desk2):
@@ -66,17 +68,25 @@ def test_unrated_branches_contribute_no_rows(desk2):
     assert all(not lbl.startswith("flow") for lbl in mats.row_labels)
 
 
-def test_reduction_matches_direct_model(desk3):
+# networks whose fixed units the model folds into c
+FOLDED = {"case14_ieee": lambda: load_case(pglib_path("case14_ieee")),
+          "degenerate30_s0": lambda: bench_ladder(30, 0, True)}
+
+
+@pytest.mark.parametrize("name", ["desk3", *FOLDED])
+def test_reduction_matches_direct_model(name, desk3):
     """Core equivalence: reduced-system margins == raw dispatch-model margins
     for random reduced dispatches and perturbations."""
-    mats = build_feasibility(desk3, slack_gen=0)
+    case = desk3 if name == "desk3" else FOLDED[name]()
+    mats = build_feasibility(case)
     rng = np.random.default_rng(42)
     for _ in range(100):
         p_hat = rng.normal(scale=2.0, size=mats.n_reduced)
         delta = rng.normal(scale=1.5, size=mats.n_delta)
         p_full = mats.full_dispatch(p_hat, delta)
         # power balance holds by construction of the slack injection
-        assert p_full.sum() == pytest.approx(2.5 + delta.sum(), abs=1e-12)
+        assert p_full.sum() == pytest.approx(case.total_load() + delta.sum(),
+                                             abs=1e-12)
         np.testing.assert_allclose(mats.margins(p_hat, delta),
                                    mats.model1_margins(p_full, delta),
                                    atol=1e-10)
@@ -173,12 +183,6 @@ def test_no_perturbable_loads_rejected():
         build_feasibility(case)
 
 
-def test_mismatched_ptdf_rejected(desk3):
-    ptdf = build_ptdf(desk3, ref_bus=1)
-    with pytest.raises(PreconditionError):
-        build_feasibility(desk3, slack_gen=0, ptdf=ptdf)
-
-
 def test_dump_dict_round_trip(desk2_limited):
     mats = build_feasibility(desk2_limited)
     doc = mats.to_json_dict()
@@ -186,3 +190,4 @@ def test_dump_dict_round_trip(desk2_limited):
     np.testing.assert_allclose(np.array(doc["A"]), mats.A)
     assert doc["row_labels"][2] == "slack-gen-upper:g0@bus1"
     assert doc["load_bus_ids"] == [2]
+    assert doc["gen_order"] == mats.gen_order.tolist() == [1]

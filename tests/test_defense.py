@@ -254,18 +254,29 @@ def test_socp_desk2_single_has_only_lambda(desk2_single):
     assert _check_dual(mats, pol) == []
 
 
-def test_socp_folds_the_fixed_units_of_case14():
-    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
-    rows, free, p_fixed, _c = defense.presolve(mats)
-    assert free.tolist() == [True, False, False, False]
-    assert np.all(p_fixed == 0.0)
-    assert rows.size == mats.m - 6     # both bound rows of three fixed units
+def test_case14_folds_its_fixed_units_into_the_model():
+    """Units 2-4 have p_min == p_max: no column, no rows, and full_dispatch
+    holds them at their output; the policy program then has an interior."""
+    case = load_case(pglib_path("case14_ieee"))
+    mats = build_feasibility(case)
+    assert mats.gen_order.tolist() == [1] and mats.m == 4
+    _lo, hi = case.gen_bounds()
+    p_full = mats.full_dispatch(np.array([0.3]), np.full(mats.n_delta, 0.01))
+    assert np.array_equal(p_full[2:], hi[2:])
     pol = defense_local(mats)
-    assert pol.meta["stop"] != "no-interior"
-    assert np.all(pol.p0[~free] == 0.0) and np.all(pol.G[~free] == 0.0)
+    assert pol.meta["stop"] == "converged"
     assert pol.t == pytest.approx(0.17818182, rel=1e-6)
     assert verify_policy(mats, pol, samples=2000, seed=5) == 2000
     assert _check_dual(mats, pol) == []
+
+
+def test_rank1_policies_leave_fixed_units_alone():
+    """case14's fixed units have no column, so a rank-1 policy cannot move
+    them off their output: its radius is positive and verifies."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    pol = rank1_policy(mats, "uniform")
+    assert pol.t > 0.1
+    assert verify_policy(mats, pol, samples=1000, seed=3) == 1000
 
 
 def test_socp_case5_reaches_the_global_optimum():
@@ -316,20 +327,35 @@ def test_warm_start_runs_no_tall_lp(bundled_mats, monkeypatch):
     assert t == pytest.approx(t_tilde(bundled_mats, p, None)[0], rel=1e-15)
 
 
+FIXED_SLACK = build_case("fixed_slack", 100.0, [(1, 0.0), (2, 2.5)],
+                         [(1, 2, 0.1, None)],
+                         [(1, 1.0, 1.0, 10.0), (2, 0.0, 2.0, 20.0)])
+
+
 def test_socp_without_interior_returns_the_warm_start():
     """A fixed slack unit makes its two rows an implicit equality in (p, delta)
-    that presolve does not fold, so no strictly interior point exists; the
+    that the model cannot fold, so no strictly interior point exists; the
     warm start comes back, still sound."""
-    case = build_case("fixed_slack", 100.0, [(1, 0.0), (2, 2.5)],
-                      [(1, 2, 0.1, None)],
-                      [(1, 1.0, 1.0, 10.0), (2, 0.0, 2.0, 20.0)])
-    mats = build_feasibility(case)
+    mats = build_feasibility(FIXED_SLACK, slack_gen=0)
     pol = defense_local(mats)
     p_w, G0, t_w = warm_start_defense(mats)
     assert pol.meta["stop"] == "no-interior" and pol.dual is None
     assert np.array_equal(pol.p0, p_w) and np.array_equal(pol.G, G0)
     assert pol.t == t_w == 0.0
     assert verify_policy(mats, pol, samples=100, seed=1) == 100
+
+
+def test_the_default_slack_is_a_unit_that_can_move():
+    """Unit 0 of fixed_slack is fixed, so unit 1 is the slack and unit 0 is
+    folded: the bracket closes at the 0.25 p.u. of headroom left."""
+    from dcattack.squeeze import SqueezeConfig, squeeze_run
+
+    mats = build_feasibility(FIXED_SLACK)
+    assert mats.slack_gen == 1 and mats.n_reduced == 0
+    rep = squeeze_run(FIXED_SLACK, SqueezeConfig(seed=0), mats=mats)
+    assert rep.defense["stop"] == "converged"
+    assert rep.lb == pytest.approx(0.25, rel=1e-8)
+    assert rep.lb <= rep.ub <= 0.25 * (1 + 1e-5)
 
 
 @pytest.mark.parametrize("n, degenerate", [(60, False), (90, True)])
@@ -341,19 +367,6 @@ def test_socp_certifies_the_ladders_within_1e7(n, degenerate):
     assert pol.meta["stop"] == "converged"
     assert pol.meta["gap"] <= 1e-7
     assert _check_dual(mats, pol) == []
-
-
-def test_defense_local_presolves_once(desk3, monkeypatch):
-    calls = []
-    real = defense.presolve
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(defense, "presolve", spy)
-    defense_local(build_feasibility(desk3))
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -168,8 +168,8 @@ def _spied_squeeze(case, monkeypatch):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_stops_the_attack_once_the_bracket_closes(name, monkeypatch):
     """A certified attack that meets lb ends the multistart: every later
-    start is skipped as closed, at most two ascents run, and ub equals that
-    of a full multistart from the same starts to 1e-8."""
+    start is skipped as closed, one ascent runs (from the first hint), and
+    ub equals that of a full multistart from the same starts to 1e-8."""
     case = load_case(pglib_path(name))
     rep, ms, ascents = _spied_squeeze(case, monkeypatch)
     mats = build_feasibility(case)
@@ -179,7 +179,7 @@ def test_squeeze_stops_the_attack_once_the_bracket_closes(name, monkeypatch):
         p_nom=solve_dcopf(mats).p_hat).best
     assert rep.lb == pol.t
     assert rep.ub == pytest.approx(full.norm_sq, rel=1e-8)
-    assert len(ascents) <= 2
+    assert len(ascents) == 1
     status = [n["status"] for n in ms.starts]
     closing = status.index("skipped")
     assert all(n["status"] == "candidate" for n in ms.starts[:closing])

@@ -5,5 +5,3 @@ verified safe radii, and upper/lower bound squeezing between the two.
 """
 
 __version__ = "0.1.0"
-
-from .numerics import DEFAULT_POLICY, NumericPolicy  # noqa: F401

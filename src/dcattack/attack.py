@@ -33,7 +33,7 @@ Reported attack.  delta = (1 + 1e-6) W^-1 B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
 the scale of the reported certificate.  Soundness is never left to the
 ascent: `certify_infeasible` re-proves emptiness independently at the
-inflated point (1 + cert_inflation) * delta.
+inflated point (1 + _CERT_INFLATION) * delta, with _CERT_INFLATION = 1e-4.
 
 Zero distance.  A P-LP is infeasible (P is empty) or unbounded only through
 multipliers with c^T mu = 0, which make rows of F(0) implicit equalities;
@@ -50,13 +50,14 @@ import numpy as np
 from . import lin_solve
 from .dc_model import solve_dcopf
 from .errors import AttackError, RestartSignal
-from .numerics import DEFAULT_POLICY
 
 # the ascent reports delta = (1 + _INFLATE) W^-1 B^T mu / v, just past mu's
-# hyperplane; a caller's lb closes the bracket to _CLOSE_TOL relative, the
-# certified duality gap of the policy SOCP (defense._GAP_TOL); an ascent stops
-# after _MAX_STEPS P-LPs or once a step gains at most _STEP_TOL relative
+# hyperplane, certified at (1 + _CERT_INFLATION) delta; a caller's lb closes
+# the bracket to _CLOSE_TOL relative, the certified duality gap of the policy
+# SOCP (defense._GAP_TOL); an ascent stops after _MAX_STEPS P-LPs or once a
+# step gains at most _STEP_TOL relative
 _INFLATE = 1e-6
+_CERT_INFLATION = 1e-4
 _CLOSE_TOL = 1e-8
 _MAX_STEPS = 300
 _STEP_TOL = 1e-8
@@ -113,45 +114,44 @@ class _ZeroDistance(RestartSignal):
     """A P-LP is infeasible (P is empty) or unbounded (module docstring)."""
 
 
-def certify_infeasible(mats, delta, policy=DEFAULT_POLICY):
+def certify_infeasible(mats, delta):
     """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta).
 
     Returns (True, ray) with a normalized verified Farkas ray when F(delta) is
     empty, or (False, witness_dispatch) when it is not.
     """
-    feasible, x, ray = lin_solve.check_feasible(mats.A, mats.rhs(delta), policy)
+    feasible, x, ray = lin_solve.check_feasible(mats.A, mats.rhs(delta))
     if feasible:
         return False, x
     return True, ray
 
 
-def _fixed_radii(mats, p0, policy):
+def _fixed_radii(mats, p0):
     """Per-row radius^2 at fixed dispatch p0, and the mask of tight rows.
 
-    delta-sensitive rows with |margin| <= feas_tol count as tight (radius 0),
+    delta-sensitive rows with |margin| <= FEAS_TOL count as tight (radius 0),
     so rounding noise in p0 cannot turn a tight row into a 1e-30 radius."""
-    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None,
-                                            policy)
-    tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= policy.feas_tol)
+    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None)
+    tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= lin_solve.FEAS_TOL)
     return np.where(tight, 0.0, per), tight
 
 
-def fixed_dispatch_lb(mats, p0, policy=DEFAULT_POLICY):
+def fixed_dispatch_lb(mats, p0):
     """Radius^2 certified by holding the dispatch fixed at p0: no perturbation
     smaller than this can cross any single row, hence none can empty F.
-    0 when a delta-sensitive row is tight to feas_tol."""
-    per, _tight = _fixed_radii(mats, p0, policy)
+    0 when a delta-sensitive row is tight to FEAS_TOL."""
+    per, _tight = _fixed_radii(mats, p0)
     return float(per.min()) if per.size else np.inf
 
 
-def binding_row_direction(mats, p0, policy=DEFAULT_POLICY):
+def binding_row_direction(mats, p0):
     """The minimum-norm delta that makes the binding row of fixed_dispatch_lb
     tight -- the natural first place to look for an attack.
 
     Ties go to the lowest row index, so rounding noise in p0 cannot pick the
     row.  A tight row's own unit crossing direction is returned, since its
     projection is noise-sized and its sign follows the noise."""
-    per, tight = _fixed_radii(mats, p0, policy)
+    per, tight = _fixed_radii(mats, p0)
     if not np.any(np.isfinite(per)):
         return None, None
     row = int(np.argmin(per))
@@ -170,14 +170,13 @@ def _polytope(mats):
                                b_eq=np.eye(mats.n_reduced + 1)[-1])
 
 
-def _p_lp(mats, P, g, policy, basis):
+def _p_lp(mats, P, g, basis):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
     min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
-    basis), with mu clipped at 0: a basic value may sit up to feas_tol below
+    basis), with mu clipped at 0: a basic value may sit up to FEAS_TOL below
     its bound, and the reported mu is that vertex scaled up by eps / 1e-6.
     Raises _ZeroDistance when P is empty or the maximum is unbounded."""
-    res = lin_solve.lp_solve(P.with_objective(-(mats.B @ g)), policy,
-                             basis=basis)
+    res = lin_solve.lp_solve(P.with_objective(-(mats.B @ g)), basis=basis)
     if res.status != lin_solve.OPTIMAL:
         raise _ZeroDistance(f"P-LP {res.status}: an implicit equality of "
                             f"F(0) moves with delta")
@@ -207,8 +206,8 @@ def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
         history=list(history))
 
 
-def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
-                 basis=None, deadline=None, P=None):
+def attack_local(mats, init_delta, config=None, start="", basis=None,
+                 deadline=None, P=None):
     """One ascent on P from a start direction (module docstring).  `basis`
     warm-starts the first step; `deadline`, a time.monotonic() value, is
     checked between steps, and an expired one returns the current vertex.
@@ -224,7 +223,7 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
     if not np.any(g):
         raise RestartSignal("zero start direction")
     P = _polytope(mats) if P is None else P
-    mu, value, basis = _p_lp(mats, P, g, policy, basis)
+    mu, value, basis = _p_lp(mats, P, g, basis)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -240,7 +239,7 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
-        mu_next, value, basis = _p_lp(mats, P, gw, policy, basis)
+        mu_next, value, basis = _p_lp(mats, P, gw, basis)
         iterations += 1
         if value <= v * (1.0 + _STEP_TOL):
             status = "tight"
@@ -250,8 +249,8 @@ def attack_local(mats, init_delta, config=None, policy=DEFAULT_POLICY, start="",
                      history)
 
 
-def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
-                      extra_directions=(), p_nom=None, budget_s=None, lb=None):
+def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
+                      budget_s=None, lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
     binding row, uniform growth and seeded random starts, all warm-started
     from one cold P-LP, then certify candidates in ascending norm order;
@@ -270,11 +269,11 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
     deadline = None if budget_s is None else t0 + budget_s
     cfg = config or AttackConfig()
     if p_nom is None:
-        nominal = solve_dcopf(mats, None, policy)
+        nominal = solve_dcopf(mats)
         if not nominal.feasible:
             raise AttackError("case is infeasible before any perturbation")
         p_nom = nominal.p_hat
-    lb0 = fixed_dispatch_lb(mats, p_nom, policy)
+    lb0 = fixed_dispatch_lb(mats, p_nom)
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
@@ -283,7 +282,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
         d = np.asarray(d, float)
         if d.size == mats.n_delta and np.linalg.norm(d) > 0:
             starts.append((f"hint{i}", d))
-    d_bind, _row = binding_row_direction(mats, p_nom, policy)
+    d_bind, _row = binding_row_direction(mats, p_nom)
     if d_bind is not None and np.linalg.norm(d_bind) > 0:
         starts.append(("binding-row", d_bind))
     starts.append(("uniform-up", np.ones(mats.n_delta)))
@@ -293,7 +292,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
 
     P = _polytope(mats)
     try:
-        basis = _p_lp(mats, P, starts[0][1], policy, None)[2]
+        basis = _p_lp(mats, P, starts[0][1], None)[2]
     except _ZeroDistance:
         basis = None
 
@@ -302,8 +301,8 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
     def certify(sol):
         """Certify sol at the inflated point once; notes a refutation."""
         tried.add(id(sol))
-        inflated = (1.0 + policy.cert_inflation) * sol.delta
-        ok, payload = certify_infeasible(mats, inflated, policy)
+        inflated = (1.0 + _CERT_INFLATION) * sol.delta
+        ok, payload = certify_infeasible(mats, inflated)
         if ok:
             sol.certified, sol.oracle_ray = True, payload
         else:
@@ -315,8 +314,8 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
         if i and deadline is not None and time.monotonic() >= deadline:
             return ("skipped", label, "deadline")
         try:
-            return attack_local(mats, direction, cfg, policy, label, basis,
-                                deadline, P)
+            return attack_local(mats, direction, cfg, label, basis, deadline,
+                                P)
         except _ZeroDistance as exc:
             return ("zero-distance", label, str(exc))
         except RestartSignal as exc:
@@ -333,7 +332,7 @@ def multistart_attack(mats, config=None, policy=DEFAULT_POLICY,
     zero = any(isinstance(out, tuple) and out[0] == "zero-distance"
                for out in outcomes)
     if zero and d_bind is not None:
-        ok, ray = certify_infeasible(mats, d_bind, policy)
+        ok, ray = certify_infeasible(mats, d_bind)
         if ok:
             outcomes.append(_solution(mats, d_bind, ray, _weights(mats, cfg),
                                       cfg.eps, "binding-row", "zero-distance"))

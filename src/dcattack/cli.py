@@ -24,33 +24,48 @@ from .defense import (DefensePolicy, defense_local, rank1_policy, t_tilde,
                       verify_policy, warm_start_defense)
 from .errors import DcAttackError
 from .lin_solve import policy_radius
-from .numerics import DEFAULT_POLICY
 from .squeeze import SqueezeConfig, squeeze_run
 
 
-def _add_common(p):
-    p.add_argument("--eps", type=float, default=1e-3,
-                   help="scale of the attack's certificate: mu^T (B delta + c) = eps")
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None,
-                   help="root seed; generated and recorded when absent")
-    p.add_argument("--budget", type=float, default=600.0,
-                   help="wall-clock budget in seconds (defend/squeeze/table)")
-    p.add_argument("--match-threshold", type=float, default=0.01)
-    p.add_argument("--tol-feas", type=float, default=None,
-                   help="override the feasibility tolerance (default 1e-8)")
-    p.add_argument("--json", dest="json_path", default=None,
-                   help="also write the report JSON to this path")
-    p.add_argument("--trace", dest="trace_path", default=None,
-                   help="write the subcommand's CSV artifact to this path")
-    p.add_argument("--dump-matrices", dest="dump_matrices", default=None,
-                   help="write the reduced feasibility matrices to this path")
-    p.add_argument("--policy", dest="policy_kind", default="local",
-                   choices=["local", "rank1-uniform", "rank1-proportional",
-                            "warm"])
-    p.add_argument("--verify-samples", type=int, default=1000)
-    p.add_argument("--format", dest="table_format", default="md",
-                   choices=["md", "csv"])
+# every option's add_argument keywords; the manifest echoes a subcommand's
+# options under their dests, the ones in _CONFIG as config, in _OUTPUTS as
+# outputs
+_OPTIONS = {
+    "--eps": dict(type=float, default=1e-3, help="scale of the attack's "
+                  "certificate: mu^T (B delta + c) = eps"),
+    "--restarts": dict(type=int, default=5),
+    "--seed": dict(type=int, default=None,
+                   help="root seed; generated and recorded when absent"),
+    "--budget": dict(dest="budget_s", type=float, default=600.0,
+                     help="wall-clock budget in seconds"),
+    "--match-threshold": dict(type=float, default=0.01),
+    "--verify-samples": dict(type=int, default=1000),
+    "--policy": dict(default="local", choices=[
+        "local", "rank1-uniform", "rank1-proportional", "warm"]),
+    "--json": dict(help="also write the report JSON to this path"),
+    "--trace": dict(help="write the subcommand's CSV artifact to this path"),
+    "--dump-matrices": dict(
+        help="write the reduced feasibility matrices to this path"),
+    "--format": dict(default="md", choices=["md", "csv"]),
+}
+_CONFIG = ("eps", "restarts", "budget_s", "match_threshold", "verify_samples",
+           "policy")
+_OUTPUTS = ("json", "trace", "dump_matrices")
+
+# each subcommand takes exactly the options it reads
+_SUBCOMMANDS = {
+    "attack": ("smallest certified infeasibility perturbation",
+               "--eps --restarts --seed --json --trace --dump-matrices"),
+    "defend": ("control policy with certified solvability radius",
+               "--seed --budget --json --trace --dump-matrices --policy "
+               "--verify-samples"),
+    "squeeze": ("drive attack and defense toward a common value",
+                "--eps --restarts --seed --budget --match-threshold --json "
+                "--trace --dump-matrices --verify-samples"),
+    "table": ("squeeze several cases, render a table",
+              "--eps --restarts --seed --budget --match-threshold --json "
+              "--verify-samples --format"),
+}
 
 
 def build_parser():
@@ -59,16 +74,14 @@ def build_parser():
         description="Smallest infeasibility-inducing load perturbations, "
                     "largest certified control radii, and their squeeze.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-            ("attack", "smallest certified infeasibility perturbation"),
-            ("defend", "control policy with certified solvability radius"),
-            ("squeeze", "drive attack and defense toward a common value")]:
+    for name, (helptext, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("case", help="case file (.m or .json)")
-        _add_common(p)
-    p = sub.add_parser("table", help="squeeze several cases, render a table")
-    p.add_argument("cases", nargs="+", help="case files")
-    _add_common(p)
+        if name == "table":
+            p.add_argument("cases", nargs="+", help="case files")
+        else:
+            p.add_argument("case", help="case file (.m or .json)")
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -77,40 +90,22 @@ def _manifest(args):
     seed = (int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
             if seed_generated else args.seed)
     cases = getattr(args, "cases", None) or [getattr(args, "case", None)]
+    opts = vars(args)
     return {
         "command": args.command,
         "version": __version__,
         "case": cases[0] if len(cases) == 1 else cases,
-        "config": {
-            "eps": args.eps,
-            "restarts": args.restarts,
-            "seed": seed,
-            "seed_generated": seed_generated,
-            "budget_s": args.budget,
-            "match_threshold": args.match_threshold,
-            "tol_feas": args.tol_feas,
-            "verify_samples": args.verify_samples,
-            "policy": args.policy_kind,
-        },
-        "outputs": {
-            "json": args.json_path,
-            "trace": args.trace_path,
-            "dump_matrices": args.dump_matrices,
-        },
+        "config": {"seed": seed, "seed_generated": seed_generated,
+                   **{k: opts[k] for k in _CONFIG if k in opts}},
+        "outputs": {k: opts[k] for k in _OUTPUTS if k in opts},
     }
-
-
-def _numeric_policy(args):
-    if args.tol_feas is not None:
-        return DEFAULT_POLICY.with_feas_tol(args.tol_feas)
-    return DEFAULT_POLICY
 
 
 def _emit(report, args):
     text = json.dumps(report, indent=2)
     print(text)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
+    if args.json:
+        with open(args.json, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -138,13 +133,11 @@ def _per_bus_rows(mats, delta):
 
 
 def cmd_attack(args, manifest):
-    policy = _numeric_policy(args)
     case, mats = _load(args)
     t0 = time.monotonic()
     rep = multistart_attack(
         mats, AttackConfig(eps=args.eps, restarts=args.restarts,
-                           seed=manifest["config"]["seed"]),
-        policy)
+                           seed=manifest["config"]["seed"]))
     sol = rep.best
     per_bus = _per_bus_rows(mats, sol.delta)
     report = {
@@ -165,8 +158,8 @@ def cmd_attack(args, manifest):
         "starts": rep.starts,
         "elapsed_s": time.monotonic() - t0,
     }
-    if args.trace_path:
-        with open(args.trace_path, "w", newline="") as fh:
+    if args.trace:
+        with open(args.trace, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bus", "delta_pu", "pct_of_total_load"])
             for row in per_bus:
@@ -177,20 +170,19 @@ def cmd_attack(args, manifest):
 
 
 def cmd_defend(args, manifest):
-    policy = _numeric_policy(args)
     case, mats = _load(args)
     t0 = time.monotonic()
-    kind = args.policy_kind
+    kind = args.policy
     if kind == "local":
-        pol = defense_local(mats, policy=policy, budget_s=args.budget)
+        pol = defense_local(mats, budget_s=args.budget_s)
     elif kind == "warm":
-        p0, G0, t_init = warm_start_defense(mats, policy)
-        pol = DefensePolicy(p0, G0, t_init, t_tilde(mats, p0, G0, policy)[1],
+        p0, G0, t_init = warm_start_defense(mats)
+        pol = DefensePolicy(p0, G0, t_init, t_tilde(mats, p0, G0)[1],
                             meta={"kind": "warm"})
     else:
-        pol = rank1_policy(mats, kind.split("-", 1)[1], policy=policy)
+        pol = rank1_policy(mats, kind.split("-", 1)[1])
     verify_policy(mats, pol, args.verify_samples,
-                  seed=manifest["config"]["seed"], policy=policy)
+                  seed=manifest["config"]["seed"])
     report = {
         "schema": "dcattack-defense/1",
         "manifest": manifest,
@@ -198,10 +190,9 @@ def cmd_defend(args, manifest):
         **pol.summary(mats),
         "elapsed_s": time.monotonic() - t0,
     }
-    if args.trace_path:
-        _t, _row, per = policy_radius(mats.A, mats.B, mats.c, pol.p0, pol.G,
-                                      policy)
-        with open(args.trace_path, "w", newline="") as fh:
+    if args.trace:
+        _t, _row, per = policy_radius(mats.A, mats.B, mats.c, pol.p0, pol.G)
+        with open(args.trace, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["row", "radius_sq"])
             for label, val in zip(mats.row_labels, per):
@@ -211,7 +202,7 @@ def cmd_defend(args, manifest):
 
 
 def _squeeze_config(args, manifest):
-    return SqueezeConfig(budget_s=args.budget,
+    return SqueezeConfig(budget_s=args.budget_s,
                          match_threshold=args.match_threshold,
                          eps=args.eps, seed=manifest["config"]["seed"],
                          restarts=args.restarts,
@@ -219,13 +210,12 @@ def _squeeze_config(args, manifest):
 
 
 def cmd_squeeze(args, manifest):
-    policy = _numeric_policy(args)
     case, mats = _load(args)
-    rep = squeeze_run(case, _squeeze_config(args, manifest), policy, mats=mats)
+    rep = squeeze_run(case, _squeeze_config(args, manifest), mats=mats)
     report = rep.to_dict()
     report["manifest"] = manifest
-    if args.trace_path:
-        with open(args.trace_path, "w") as fh:
+    if args.trace:
+        with open(args.trace, "w") as fh:
             fh.write(rep.trace_csv())
     _emit(report, args)
     return 0 if "no-certified-attack" not in rep.flags else 3
@@ -247,11 +237,10 @@ def _render_table(rows, fmt):
 
 
 def cmd_table(args, manifest):
-    policy = _numeric_policy(args)
     rows, reports, code = [], [], 0
     for path in args.cases:
         case = load_case(path)
-        rep = squeeze_run(case, _squeeze_config(args, manifest), policy)
+        rep = squeeze_run(case, _squeeze_config(args, manifest))
         if "no-certified-attack" in rep.flags:
             code = 3
         reports.append({**rep.to_dict(), "path": path})
@@ -264,9 +253,9 @@ def cmd_table(args, manifest):
             "match_time_s": "-" if rep.match_time is None
             else f"{rep.match_time:.2f}",
         })
-    sys.stdout.write(_render_table(rows, args.table_format))
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
+    sys.stdout.write(_render_table(rows, args.format))
+    if args.json:
+        with open(args.json, "w") as fh:
             json.dump({"schema": "dcattack-table/1", "manifest": manifest,
                        "runs": reports}, fh, indent=2)
     return code

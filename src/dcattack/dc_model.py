@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from . import lin_solve
 from .errors import ModelError, PreconditionError, SolverError
-from .numerics import DEFAULT_POLICY
 
 
 @dataclass
@@ -256,7 +255,7 @@ def build_feasibility(case, slack_gen=None):
         labels.append(f"gen-lower:g{j}@bus{case.generators[j].bus}")
 
     emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
-                             | (c > DEFAULT_POLICY.feas_tol))
+                             | (c > lin_solve.FEAS_TOL))
     return FeasibilityMatrices(
         A=A[emitted], B=B[emitted], c=c[emitted],
         row_labels=tuple(labels[i] for i in emitted.tolist()),
@@ -276,7 +275,7 @@ class DcopfResult:
     ray: np.ndarray = None   # normalized Farkas ray over the rows when infeasible
 
 
-def solve_dcopf(mats, delta=None, policy=DEFAULT_POLICY):
+def solve_dcopf(mats, delta=None):
     """Cost-minimizing dispatch inside F(delta), or a certified-infeasible flag.
 
     The slack generator's cost is folded into the reduced objective through the
@@ -295,16 +294,16 @@ def solve_dcopf(mats, delta=None, policy=DEFAULT_POLICY):
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
     res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost), policy)
+        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost))
     if res.status == lin_solve.UNBOUNDED:
-        ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray, policy)
+        ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray)
         return DcopfResult(feasible=False, ray=ray)
     if res.status != lin_solve.OPTIMAL:
         raise ModelError(
             f"dispatch dual LP returned {res.status}; generator bounds should "
             "make the polytope bounded")
     p_hat = res.y
-    tol = policy.feas_tol * (1.0 + float(np.max(np.abs(rhs))))
+    tol = lin_solve.FEAS_TOL * (1.0 + float(np.max(np.abs(rhs))))
     worst = float(np.max(mats.A @ p_hat - rhs))
     gap = float(red_cost @ p_hat + res.objective)
     if worst > tol or abs(gap) > tol * (1.0 + float(np.abs(res.x) @ np.abs(rhs))):

@@ -47,14 +47,15 @@ import numpy as np
 from . import lin_solve
 from .errors import (GeometryError, ModelError, PolicyVerificationError,
                      PreconditionError, SolverError)
-from .numerics import DEFAULT_POLICY
 
 # the solve converges once the certified duality gap is below _GAP_TOL; each
 # step goes _STEP of the way to the cone boundary, and a solve that has not
-# converged after _MAX_STEPS steps ends as "step-failed"
+# converged after _MAX_STEPS steps ends as "step-failed"; verify_policy
+# samples strictly inside the radius, ||delta||^2 <= t (1 - _BALL_SHRINK)
 _GAP_TOL = 1e-8
 _STEP = 0.99
 _MAX_STEPS = 60
+_BALL_SHRINK = 1e-6
 
 
 @dataclass
@@ -97,29 +98,29 @@ class SimplexPolicy:
         return self.p0 + self.G @ np.asarray(delta, float)
 
 
-def t_tilde(mats, p0, G, policy=DEFAULT_POLICY):
+def t_tilde(mats, p0, G):
     """Exact certified radius of the policy and its binding row."""
     p0 = np.asarray(p0, float)
     margins = mats.margins(p0)
-    bad = np.flatnonzero(margins > policy.feas_tol)
+    bad = np.flatnonzero(margins > lin_solve.FEAS_TOL)
     if bad.size:
         names = [mats.row_labels[i] for i in bad[:5]]
         raise PreconditionError(
             f"p0 violates {names} (worst margin {margins.max():.3e})")
-    t, row, _ = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, G, policy)
+    t, row, _ = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, G)
     return t, row
 
 
-def warm_start_defense(mats, policy=DEFAULT_POLICY):
+def warm_start_defense(mats):
     """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
     a_i^T p + c_i <= m, solved in the wide form of
     `lin_solve.check_feasible`."""
-    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c, policy)
+    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c)
     if not ok:
         worst = mats.row_labels[int(np.argmax(ray))]
         raise ModelError("max-margin LP: no dispatch satisfies the nominal "
                          f"constraints (Farkas ray heaviest on {worst})")
-    t_init, _row = t_tilde(mats, p, None, policy)
+    t_init, _row = t_tilde(mats, p, None)
     return p, np.zeros((mats.n_reduced, mats.n_delta)), float(t_init)
 
 
@@ -317,7 +318,7 @@ def _feasible_dual(mats, y, W):
     return (y / scale, W), -float(np.sum(W * mats.B))
 
 
-def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
+def defense_local(mats, budget_s=None):
     """The best affine policy, by the primal-dual SOCP solve of the module
     docstring.
 
@@ -332,7 +333,7 @@ def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
     (lambda + <W, B>) / lambda between the returned policy and dual;
     meta["stalled"] flags a policy no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    p_w, G0, t_init = warm_start_defense(mats, policy)
+    p_w, G0, t_init = warm_start_defense(mats)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
             "gap": None}
     p0, G, dual = p_w, G0, None
@@ -342,7 +343,7 @@ def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
         p0 = q / lam
     meta["deadline"] = meta["stop"] == "deadline"
     try:
-        t, row = t_tilde(mats, p0, G, policy)
+        t, row = t_tilde(mats, p0, G)
     except PreconditionError as exc:
         raise SolverError(f"socp final: p0 = q / lambda is infeasible: {exc}")
     if "lambda" in meta and t < (1.0 - 1e-9) / meta["lambda"] ** 2:
@@ -353,14 +354,15 @@ def defense_local(mats, policy=DEFAULT_POLICY, budget_s=None):
     return DefensePolicy(p0, G, float(t), row, meta=meta, dual=dual)
 
 
-def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
+def verify_policy(mats, pol, samples=1000, seed=0):
     """Randomized soundness check: `samples` perturbations drawn uniformly in
-    the ball ||delta||^2 <= t*(1 - 1e-6), plus a deterministic probe along the
-    binding row's own crossing direction.  Any violated row is a hard error."""
+    the ball ||delta||^2 <= t*(1 - _BALL_SHRINK), plus a deterministic probe
+    along the binding row's own crossing direction.  Any violated row is a
+    hard error."""
     t = pol.t
     if not np.isfinite(t):
         t = 1e6 * (1.0 + float(np.max(np.abs(mats.c), initial=0.0))) ** 2
-    r = np.sqrt(max(t, 0.0) * (1.0 - policy.ball_shrink))
+    r = np.sqrt(max(t, 0.0) * (1.0 - _BALL_SHRINK))
     n = mats.n_delta
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(samples, n))
@@ -376,7 +378,7 @@ def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
             deltas = np.vstack([deltas, probe[None, :]])
     margins = mats.margins(pol.p0)
     dirs = (mats.A @ pol.G if mats.A.size else 0.0) + mats.B
-    viol = margins[:, None] + dirs @ deltas.T > policy.feas_tol
+    viol = margins[:, None] + dirs @ deltas.T > lin_solve.FEAS_TOL
     if np.any(viol):
         row, col = np.argwhere(viol)[0]
         raise PolicyVerificationError(
@@ -386,14 +388,14 @@ def verify_policy(mats, pol, samples=1000, seed=0, policy=DEFAULT_POLICY):
     return samples
 
 
-def rank1_policy(mats, kind="uniform", p0=None, policy=DEFAULT_POLICY):
+def rank1_policy(mats, kind="uniform", p0=None):
     """Distributed-slack policies: every generator absorbs a fixed share of
     the total load change 1^T delta (uniform 1/n_g, or proportional to the
     base dispatch).  The slack generator's share is implicit in the reduced
     coordinates; it also takes the shares of the held units, which cannot
     move."""
     if p0 is None:
-        p0, _G, _t = warm_start_defense(mats, policy)
+        p0, _G, _t = warm_start_defense(mats)
     p0 = np.asarray(p0, float)
     full = mats.full_dispatch(p0)
     n_g = full.size
@@ -407,11 +409,11 @@ def rank1_policy(mats, kind="uniform", p0=None, policy=DEFAULT_POLICY):
     else:
         raise ValueError(f"unknown rank1 policy kind {kind!r}")
     G = np.outer(shares[mats.gen_order], np.ones(mats.n_delta))
-    t, row = t_tilde(mats, p0, G, policy)
+    t, row = t_tilde(mats, p0, G)
     return DefensePolicy(p0, G, float(t), row, meta={"kind": kind})
 
 
-def simplex_policy_fit(vertices, dispatches, policy=DEFAULT_POLICY):
+def simplex_policy_fit(vertices, dispatches):
     """Unique affine map through n+1 perturbation/dispatch pairs:
     [G p0] = P * D_hat^{-1} with D_hat the vertices plus an all-ones row."""
     D = np.atleast_2d(np.asarray(vertices, float))

@@ -24,9 +24,9 @@ attack's vertices (and so its bounds) follow from them:
   - in phase 2 a basic artificial is pinned at 0 and blocks either way;
   - after 30 pivots without a 1e-12 relative decrease, Bland's rule (lowest
     entering index, lowest basis index leaving) until the objective moves;
-  - the inverse is refactorized every lp_refactor_every pivots, and x_B
+  - the inverse is refactorized every _REFACTOR_EVERY pivots, and x_B
     once more from the final basis, since eta updates drift;
-  - lp_iter_factor * (N + 2 M) + 200 pricing passes at most;
+  - _ITER_FACTOR * (N + 2 M) + 200 pricing passes at most;
   - every unbounded ray and every Farkas certificate is re-checked.
 
 The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
@@ -39,11 +39,11 @@ the defense its max-margin warm start) and the nominal dispatch
 (`dc_model.solve_dcopf`).  Primal points are read off the equality duals y
 and re-checked against the rows; Farkas rays are the multipliers themselves.
 
-Warm start.  `lp_solve(prob, policy, basis)` re-enters the simplex at a
+Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a
 caller's basis: M real column indices, typically the `LpResult.basis` of an
 earlier optimal solve of a related problem.  The basis is accepted only when
 it has M distinct indices of real columns, A_eq[:, basis] factorizes, the
-basic solution x_B = B^-1 b_eq is >= -feas_tol * (1 + ||b_eq||_inf), and
+basic solution x_B = B^-1 b_eq is >= -FEAS_TOL * (1 + ||b_eq||_inf), and
 B x_B reproduces b_eq to the same tolerance.  Then phase 2 starts at once;
 any other basis (None included) takes the cold two-phase path, so a stale
 basis costs time, never a wrong answer.  The attack's LPs share one
@@ -66,7 +66,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SolverError
-from .numerics import DEFAULT_POLICY, NumericPolicy
+
+# A x <= b + FEAS_TOL counts as satisfied, here and in dc_model, attack and
+# defense; a Farkas ray normalized to ||y||_1 = 1 has ||A^T y||_inf <=
+# _CERT_TOL; _LP_TOL is the reduced-cost zero; the pivot rules use the rest
+FEAS_TOL = 1e-8
+_CERT_TOL = 1e-9
+_LP_TOL = 1e-9
+_REFACTOR_EVERY = 64
+_ITER_FACTOR = 60
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -113,9 +121,9 @@ class FarkasCertificate:
     y: np.ndarray
     gap: float
 
-    def verify(self, prob, policy=DEFAULT_POLICY):
+    def verify(self, prob):
         """Recompute every claim from scratch; returns (ok, detail dict)."""
-        tol = policy.cert_tol * (1.0 + float(np.abs(self.y).sum()))
+        tol = _CERT_TOL * (1.0 + float(np.abs(self.y).sum()))
         h_max = float(np.max(prob.A_eq.T @ self.y, initial=0.0))
         gap = float(prob.b_eq @ self.y)
         return h_max <= tol and gap > 0, {"h_max": h_max, "gap": gap}
@@ -140,8 +148,7 @@ class _Simplex:
     """Two-phase revised simplex on A x = b, x >= 0 with implicit artificial
     columns sign(b_i) e_i, numbered N + i."""
 
-    def __init__(self, prob, policy):
-        self.policy = policy
+    def __init__(self, prob):
         self.A, self.b = prob.A_eq, prob.b_eq
         self.M, self.N = self.A.shape
         self.b_scale = 1.0 + float(np.max(np.abs(self.b), initial=0.0))
@@ -169,7 +176,7 @@ class _Simplex:
         except np.linalg.LinAlgError:
             return False
         x_B = B_inv @ self.b
-        tol = self.policy.feas_tol * self.b_scale
+        tol = FEAS_TOL * self.b_scale
         if not np.all(np.isfinite(x_B)) or np.any(x_B < -tol) \
                 or float(np.max(np.abs(Bmat @ x_B - self.b), initial=0.0)) > tol:
             return False
@@ -228,7 +235,7 @@ class _Simplex:
         self.B_inv -= w[:, None] * Binv_r
         self.B_inv[r] = Binv_r
         self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= self.policy.lp_refactor_every:
+        if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refactor()
         return leave
 
@@ -236,9 +243,7 @@ class _Simplex:
         """Minimize cost (N real entries, then M artificial ones) from the
         current basis; returns (status, y, extra) with extra = (j, w) for an
         unbounded entering column."""
-        policy = self.policy
-        tol = policy.lp_tol
-        iter_cap = policy.lp_iter_factor * (self.N + 2 * self.M) + 200
+        iter_cap = _ITER_FACTOR * (self.N + 2 * self.M) + 200
         c = cost[:self.N]
         # reduced costs of basic columns read +inf, so they never enter
         price = c.copy()
@@ -254,10 +259,10 @@ class _Simplex:
             y = self.B_inv.T @ cB
             d = price - self.A.T @ y
             j = int(d.argmin()) if self.N else 0
-            if not (self.N and d[j] < -tol):
+            if not (self.N and d[j] < -_LP_TOL):
                 return OPTIMAL, y, None
             if bland:
-                j = int(np.argmax(d < -tol))      # the lowest eligible index
+                j = int(np.argmax(d < -_LP_TOL))      # the lowest eligible index
             w = self.B_inv @ self.A[:, j]
             t, r = self._ratio(w, bland)
             if r is None:
@@ -277,8 +282,7 @@ class _Simplex:
             z = z_new
 
 
-def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
-             basis=None) -> LpResult:
+def lp_solve(prob: LpProblem, basis=None) -> LpResult:
     """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
     UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and c^T x < 0,
     OPTIMAL results carry their equality duals y and basis.  A given `basis`
@@ -286,7 +290,7 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
     and is ignored otherwise."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
-    sx = _Simplex(prob, policy)
+    sx = _Simplex(prob)
     N, M = sx.N, sx.M
 
     z1 = 0.0
@@ -295,9 +299,9 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
         if status != OPTIMAL:
             raise SolverError("phase 1 cannot be unbounded; numerical failure")
         z1 = float(sx.xB[sx.art].sum())
-        if z1 > policy.feas_tol * sx.b_scale:
+        if z1 > FEAS_TOL * sx.b_scale:
             cert = FarkasCertificate(y=y, gap=float(prob.b_eq @ y))
-            ok, detail = cert.verify(prob, policy)
+            ok, detail = cert.verify(prob)
             if not ok:
                 raise SolverError(
                     f"phase-1 Farkas certificate failed verification: {detail}")
@@ -331,9 +335,9 @@ def lp_solve(prob: LpProblem, policy: NumericPolicy = DEFAULT_POLICY,
                     basis=None if sx.art.any() else sx.basis.copy())
 
 
-def normalize_farkas_ray(rows, rhs, y, policy: NumericPolicy = DEFAULT_POLICY):
+def normalize_farkas_ray(rows, rhs, y):
     """Normalize a Farkas ray of {x : rows x <= rhs} to ||y||_1 = 1 and
-    re-verify it from scratch: y >= 0, ||rows^T y||_inf <= cert_tol and
+    re-verify it from scratch: y >= 0, ||rows^T y||_inf <= _CERT_TOL and
     y @ rhs < 0.  Raises SolverError rather than return an unsound ray."""
     rows = np.asarray(rows, dtype=float)
     rhs = np.asarray(rhs, dtype=float).ravel()
@@ -344,13 +348,13 @@ def normalize_farkas_ray(rows, rhs, y, policy: NumericPolicy = DEFAULT_POLICY):
     y = y / total
     resid = float(np.max(np.abs(rows.T @ y))) if rows.size else 0.0
     value = float(y @ rhs)
-    if resid > policy.cert_tol or value >= -policy.cert_tol * 1e-3:
+    if resid > _CERT_TOL or value >= -_CERT_TOL * 1e-3:
         raise SolverError(
             f"Farkas ray failed re-verification: ||rows^T y||={resid:.2e}, y@rhs={value:.2e}")
     return y
 
 
-def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
+def check_feasible(rows, rhs):
     """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
         min rhs^T y  s.t.  rows^T y = 0,  1^T y = 1,  y >= 0,
@@ -363,7 +367,7 @@ def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
 
     Returns (True, x, None) with a witness re-checked against rows x <= rhs,
     or (False, None, y) where y is a Farkas ray normalized to ||y||_1 = 1
-    satisfying y >= 0, ||rows^T y||_inf <= cert_tol and y @ rhs < 0.
+    satisfying y >= 0, ||rows^T y||_inf <= _CERT_TOL and y @ rhs < 0.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -375,11 +379,11 @@ def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
     e = np.zeros(n + 1)
     e[-1] = 1.0
     prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e)
-    res = lp_solve(prob, policy)
+    res = lp_solve(prob)
     rhs_scale = 1.0 + float(np.max(np.abs(rhs)))
     if res.status == OPTIMAL:
-        if res.objective < -policy.feas_tol * rhs_scale:
-            return False, None, normalize_farkas_ray(rows, rhs, res.x, policy)
+        if res.objective < -FEAS_TOL * rhs_scale:
+            return False, None, normalize_farkas_ray(rows, rhs, res.x)
         x = res.y[:n]
     elif res.status == INFEASIBLE:
         # the certificate (z, s) has rows z + s 1 <= 0 with s > 0: rows z < 0
@@ -391,7 +395,7 @@ def check_feasible(rows, rhs, policy: NumericPolicy = DEFAULT_POLICY):
     else:
         raise SolverError(f"feasibility probe returned {res.status}")
     worst = float(np.max(rows @ x - rhs))
-    if worst > policy.feas_tol * rhs_scale:
+    if worst > FEAS_TOL * rhs_scale:
         raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
     return True, x, None
 
@@ -433,11 +437,11 @@ def project_policy(p0, G, a_i, b_i, c_i):
     return ProjectionResult(delta=delta, norm_sq=margin * margin / den, margin=margin)
 
 
-def policy_radius(A, B, c, p0, G, policy: NumericPolicy = DEFAULT_POLICY):
+def policy_radius(A, B, c, p0, G):
     """min over rows of project_policy norm_sq, vectorized.
 
     Returns (t, binding_row, per_row).  Requires p0 feasible for the rows
-    (A p0 + c <= feas_tol); raises PreconditionError naming violated rows.
+    (A p0 + c <= FEAS_TOL); raises PreconditionError naming violated rows.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -446,8 +450,8 @@ def policy_radius(A, B, c, p0, G, policy: NumericPolicy = DEFAULT_POLICY):
     m = c.size
     margins = (A @ p0 if A.size else np.zeros(m)) + c
     worst = float(margins.max()) if m else 0.0
-    if worst > policy.feas_tol:
-        bad = np.flatnonzero(margins > policy.feas_tol)[:5]
+    if worst > FEAS_TOL:
+        bad = np.flatnonzero(margins > FEAS_TOL)[:5]
         raise PreconditionError(
             f"p0 violates rows {bad.tolist()} (worst margin {worst:.3e})")
     dirs = B if G is None else (A @ np.asarray(G, dtype=float) if A.size else 0.0) + B

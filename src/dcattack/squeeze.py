@@ -10,10 +10,11 @@ what is left of that budget, then sampled verification of the policy.
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
 append.  The attack's final certificate is the multistart's own: it proves
-F empty at the inflated incumbent (1 + cert_inflation) * delta, and the
-report keeps that Farkas ray.  The multistart is handed lb, and stops once a
-certified attack meets it to 1e-8 relative: the bracket is closed, and no
-further start could lower ub by more.
+F empty at the inflated incumbent (1 + _CERT_INFLATION) * delta, with
+`attack._CERT_INFLATION` = 1e-4, and the report keeps that Farkas ray.  The
+multistart is handed lb, and stops once a certified attack meets it to 1e-8
+relative: the bracket is closed, and no further start could lower ub by
+more.
 """
 
 import csv
@@ -29,7 +30,6 @@ from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility, solve_dcopf
 from .errors import AttackError, ModelError
 from .lin_solve import project_policy
-from .numerics import DEFAULT_POLICY
 
 
 @dataclass
@@ -136,7 +136,7 @@ def cross_feed(mats, defense_best):
     return hints
 
 
-def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
+def squeeze_run(case, config=None, mats=None):
     """One bracketing pass on one case (module docstring); returns a
     BoundsReport."""
     cfg = config or SqueezeConfig()
@@ -147,12 +147,11 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
                           match_threshold=cfg.match_threshold,
                           budget_s=cfg.budget_s, eps=cfg.eps, seed=cfg.seed)
 
-    nominal = solve_dcopf(mats, None, policy)
+    nominal = solve_dcopf(mats)
     if not nominal.feasible:
         raise ModelError("case is infeasible before any perturbation")
 
-    best_pol = defense_local(mats, policy=policy,
-                             budget_s=cfg.budget_s - (time.monotonic() - t0))
+    best_pol = defense_local(mats, cfg.budget_s - (time.monotonic() - t0))
     report.append(t0, "defense", best_pol.t)
 
     best_att = None
@@ -162,7 +161,7 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
         rep = multistart_attack(
             mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
                                seed=cfg.seed),
-            policy, extra_directions=hints,
+            extra_directions=hints,
             p_nom=nominal.p_hat,
             budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb)
         best_att = rep.best
@@ -182,8 +181,7 @@ def squeeze_run(case, config=None, policy=DEFAULT_POLICY, mats=None):
         report.attack["delta"] = best_att.delta.tolist()
     else:
         report.flags.append("no-certified-attack")
-    verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed,
-                  policy=policy)
+    verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed)
     report.defense = best_pol.summary(mats)
 
     report.elapsed = time.monotonic() - t0

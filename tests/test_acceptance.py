@@ -24,7 +24,6 @@ from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import (defense_local, simplex_policy_fit,
                               verify_policy)
-from dcattack.numerics import DEFAULT_POLICY
 from dcattack.squeeze import SqueezeConfig, squeeze_run
 
 # squeeze reports produced by earlier criteria, re-checked by criterion 7
@@ -99,8 +98,7 @@ def test_criterion_2_certificate_soundness(desk2, desk2_limited, desk2_single,
             f"{case.name}: attack bound failed the phase-1 oracle"
         attacks += 1
         pol = defense_local(mats)
-        verify_policy(mats, pol, samples=1000, seed=1,
-                      policy=DEFAULT_POLICY.with_feas_tol(1e-8))
+        verify_policy(mats, pol, samples=1000, seed=1)
         assert pol.verified_samples >= 1000
         defenses += 1
     elapsed = time.monotonic() - t0

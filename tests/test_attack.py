@@ -22,7 +22,6 @@ from dcattack.attack import (AttackConfig, _p_lp, _polytope, attack_local,
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
 from dcattack.errors import AttackError, RestartSignal
-from dcattack.numerics import DEFAULT_POLICY
 
 import oracle_utils
 from conftest import pglib_path
@@ -204,8 +203,8 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     calls = []
     solve = lin_solve.lp_solve
 
-    def spy(prob, policy=DEFAULT_POLICY, basis=None):
-        res = solve(prob, policy, basis=basis)
+    def spy(prob, basis=None):
+        res = solve(prob, basis=basis)
         calls.append((prob, basis, res))
         return res
 
@@ -214,7 +213,7 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     warm = [(prob, basis, res) for prob, basis, res in calls if basis is not None]
     assert warm
     for prob, basis, res in warm:
-        assert lin_solve._Simplex(prob, DEFAULT_POLICY).warm_start(basis)
+        assert lin_solve._Simplex(prob).warm_start(basis)
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
                       method="highs")
         assert res.status == lin_solve.OPTIMAL and ref.status == 0
@@ -230,7 +229,7 @@ def test_p_steps_match_scipy(bundled_mats):
     for _ in range(3):
         g, basis = rng.normal(size=mats.n_delta), None
         for _step in range(4):
-            mu, value, basis = _p_lp(mats, P, g, DEFAULT_POLICY, basis)
+            mu, value, basis = _p_lp(mats, P, g, basis)
             assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
                                           rel=1e-9, abs=1e-12)
             assert float(mats.B.T @ mu @ g) == pytest.approx(value, rel=1e-9)
@@ -263,11 +262,11 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
     cold = []
     solve = lin_solve.lp_solve
 
-    def spy(prob, policy=DEFAULT_POLICY, basis=None):
+    def spy(prob, basis=None):
         over_p = prob.A_eq.shape[0] == bundled_mats.n_reduced + 1 \
             and np.array_equal(prob.A_eq[-1], -bundled_mats.c)
         cold.extend([prob] if over_p and basis is None else [])
-        return solve(prob, policy, basis=basis)
+        return solve(prob, basis=basis)
 
     monkeypatch.setattr(lin_solve, "lp_solve", spy)
     multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
@@ -346,14 +345,14 @@ def test_p_is_built_once_per_network(monkeypatch):
     steps, solved = [], []
     real_step, real_solve = attack._p_lp, lin_solve.lp_solve
 
-    def step_spy(mats, P, g, policy, basis):
+    def step_spy(mats, P, g, basis):
         steps.append(P.A_eq)
-        return real_step(mats, P, g, policy, basis)
+        return real_step(mats, P, g, basis)
 
-    def solve_spy(prob, policy=DEFAULT_POLICY, basis=None):
+    def solve_spy(prob, basis=None):
         if np.array_equal(prob.A_eq[-1], -mats.c):
             solved.append(prob.A_eq)
-        return real_solve(prob, policy, basis=basis)
+        return real_solve(prob, basis=basis)
 
     monkeypatch.setattr(attack, "_p_lp", step_spy)
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
@@ -381,9 +380,9 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
     kw = _closing_inputs(mats)
     calls, real = [], attack.certify_infeasible
 
-    def refute_first(mats, delta, policy=DEFAULT_POLICY):
+    def refute_first(mats, delta):
         calls.append(delta)
-        return (False, None) if len(calls) == 1 else real(mats, delta, policy)
+        return (False, None) if len(calls) == 1 else real(mats, delta)
 
     monkeypatch.setattr(attack, "certify_infeasible", refute_first)
     rep = multistart_attack(mats, AttackConfig(seed=0), **kw)

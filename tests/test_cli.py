@@ -193,6 +193,60 @@ def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
     assert json.loads(out)["error"]["type"] == "CaseError"
 
 
+# per subcommand: flags it does not read (each with a value), and the keys of
+# its manifest's config
+_SPLIT = {
+    "attack": ([("--budget", "60"), ("--match-threshold", "0.5"),
+                ("--policy", "warm"), ("--verify-samples", "3"),
+                ("--format", "csv")],
+               {"eps", "restarts"}),
+    "defend": ([("--eps", "1e-4"), ("--restarts", "2"),
+                ("--match-threshold", "0.5"), ("--format", "csv")],
+               {"budget_s", "policy", "verify_samples"}),
+    "squeeze": ([("--policy", "warm"), ("--format", "csv")],
+                {"eps", "restarts", "budget_s", "match_threshold",
+                 "verify_samples"}),
+    "table": ([("--trace", "x.csv"), ("--dump-matrices", "m.json"),
+               ("--policy", "warm")],
+              {"eps", "restarts", "budget_s", "match_threshold",
+               "verify_samples"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPLIT))
+def test_subcommands_take_only_the_flags_they_read(desk2_m, tmp_path, capsys,
+                                                    command):
+    """A flag the subcommand would ignore is a usage error, and the manifest
+    echoes only the subcommand's own options plus the seed."""
+    dropped, config_keys = _SPLIT[command]
+    for flag, value in dropped:
+        with pytest.raises(SystemExit) as exc:
+            main([command, desk2_m, flag, value])
+        assert exc.value.code == 2, (command, flag)
+    capsys.readouterr()
+
+    out_json = tmp_path / "report.json"
+    code = main([command, desk2_m, "--seed", "1", "--json", str(out_json)])
+    capsys.readouterr()
+    assert code == 0
+    config = json.loads(out_json.read_text())["manifest"]["config"]
+    assert set(config) == config_keys | {"seed", "seed_generated"}
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    """The README's "Library" example runs as written from the repo root."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    capsys.readouterr()
+    assert ns["report"].best.certified and ns["pol"].verified_samples
+    assert ns["bounds"].lb <= ns["bounds"].ub
+
+
 def test_readme_documents_exactly_the_parser_flags():
     """The --flags in README's "Command line" section are the subcommands'
     option strings (bar argparse's own --help), both ways."""

@@ -9,7 +9,6 @@ from dcattack.lin_solve import (
     lp_solve,
     policy_radius, project_policy,
 )
-from dcattack.numerics import DEFAULT_POLICY
 
 import oracle_utils
 
@@ -362,7 +361,7 @@ def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
         delta = g * ((eps - float(res.x @ mats.c)) / float(g @ g))
         prob = _mu_problem(mats, delta, eps)
         basis, kept = res.basis, res.basis.copy()
-        assert lin_solve._Simplex(prob, DEFAULT_POLICY).warm_start(basis)
+        assert lin_solve._Simplex(prob).warm_start(basis)
         res = lp_solve(prob, basis=basis)
         # the caller's basis is not pivoted in place
         np.testing.assert_array_equal(basis, kept)
@@ -398,7 +397,7 @@ def test_check_feasible_witness_and_ray():
     feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -3.0]))
     assert not feas
     assert np.all(ray >= 0) and ray.sum() == pytest.approx(1.0)
-    assert np.max(np.abs(rows.T @ ray)) <= DEFAULT_POLICY.cert_tol
+    assert np.max(np.abs(rows.T @ ray)) <= lin_solve._CERT_TOL
     assert ray @ [1.0, 1.0, -3.0] < 0
 
 

@@ -131,7 +131,7 @@ def _fixed_radii(mats, p0):
 
     delta-sensitive rows with |margin| <= FEAS_TOL count as tight (radius 0),
     so rounding noise in p0 cannot turn a tight row into a 1e-30 radius."""
-    _t, _row, per = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, None)
+    per = mats.radii(p0)
     tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= lin_solve.FEAS_TOL)
     return np.where(tight, 0.0, per), tight
 
@@ -141,7 +141,7 @@ def fixed_dispatch_lb(mats, p0):
     smaller than this can cross any single row, hence none can empty F.
     0 when a delta-sensitive row is tight to FEAS_TOL."""
     per, _tight = _fixed_radii(mats, p0)
-    return float(per.min()) if per.size else np.inf
+    return float(np.min(per, initial=np.inf))
 
 
 def binding_row_direction(mats, p0):
@@ -157,9 +157,7 @@ def binding_row_direction(mats, p0):
     row = int(np.argmin(per))
     if tight[row]:
         return mats.B[row] / np.linalg.norm(mats.B[row]), row
-    proj = lin_solve.project_policy(p0, None, mats.A[row], mats.B[row],
-                                    float(mats.c[row]))
-    return proj.delta, row
+    return mats.crossing(p0, None, row), row
 
 
 def _polytope(mats):
@@ -195,9 +193,9 @@ def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
     mu^T (B delta + c) = eps; mu must separate delta."""
     sep = mats.B @ delta + mats.c
     mu = mu * (eps / float(mu @ sep))
-    at_mu = float(np.max(np.abs(mats.A.T @ mu))) if mats.A.size else 0.0
-    residuals = {"At_mu_inf": at_mu, "eps_residual": float(mu @ sep - eps),
-                 "mu_min": float(mu.min()) if mu.size else 0.0}
+    residuals = {"At_mu_inf": float(np.max(np.abs(mats.A.T @ mu), initial=0.0)),
+                 "eps_residual": float(mu @ sep - eps),
+                 "mu_min": float(mu.min())}
     return AttackSolution(
         delta=delta, mu=mu, norm_sq=float(delta @ delta),
         objective=float(delta @ (w * delta)), eps=eps,

@@ -4,7 +4,7 @@ Only the fields the DC model consumes are kept: bus ids and active loads,
 branch endpoints / reactance / thermal rating / status, generator bus, active
 limits, status and linear cost. Everything is converted to per-unit on the
 system base at parse time. A rating of 0 in MATPOWER means "unlimited" and is
-stored as None.
+stored as None; any other rating must be finite and positive.
 """
 
 import json
@@ -134,10 +134,11 @@ def validate_case(case):
             raise CaseError(f"bus {bus.id}: load {bus.p_d!r} is not finite")
     known = set(ids)
     for br in case.branches:
-        rate = 0.0 if br.rate is None else br.rate
-        if not _finite(br.b, rate) or br.b == 0:
-            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: reactance and "
-                            f"rating must be finite ({br.b!r}, {br.rate!r})")
+        rate = 1.0 if br.rate is None else br.rate
+        if not _finite(br.b, rate) or br.b == 0 or rate <= 0:
+            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: reactance must be "
+                            f"finite and nonzero, a rating finite and positive "
+                            f"({br.b!r}, {br.rate!r})")
         if br.f_bus not in known or br.t_bus not in known:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus} references unknown bus")
         if br.f_bus == br.t_bus:
@@ -265,7 +266,7 @@ def parse_case_text(text, name="case"):
         if x == 0:
             raise CaseError(f"line {lineno}: in-service branch "
                             f"{f}-{t} has zero reactance")
-        rate = None if row[5] <= 0 else row[5] / base   # nan fails validation
+        rate = None if row[5] == 0 else row[5] / base   # validated below
         branches.append(Branch(f_bus=f, t_bus=t, b=1.0 / x, rate=rate))
 
     raw_gens = []

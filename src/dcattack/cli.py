@@ -23,23 +23,37 @@ from .dc_model import build_feasibility
 from .defense import (DefensePolicy, defense_local, rank1_policy, t_tilde,
                       verify_policy, warm_start_defense)
 from .errors import DcAttackError
-from .lin_solve import policy_radius
 from .squeeze import SqueezeConfig, squeeze_run
+
+
+def _at_least(kind, low, strict=False):
+    """An argparse type: a finite `kind` >= low (> low when strict), so a
+    bad value is a usage error naming its flag."""
+    def parse(text):
+        value = kind(text)
+        if (value > low if strict else value >= low) and value != np.inf:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number {'>' if strict else '>='} {low}")
+    parse.__name__ = kind.__name__
+    return parse
 
 
 # every option's add_argument keywords; the manifest echoes a subcommand's
 # options under their dests, the ones in _CONFIG as config, in _OUTPUTS as
 # outputs
 _OPTIONS = {
-    "--eps": dict(type=float, default=1e-3, help="scale of the attack's "
-                  "certificate: mu^T (B delta + c) = eps"),
-    "--restarts": dict(type=int, default=5),
-    "--seed": dict(type=int, default=None,
+    "--eps": dict(type=_at_least(float, 0, strict=True), default=1e-3,
+                  help="scale of the attack's certificate: "
+                  "mu^T (B delta + c) = eps"),
+    "--restarts": dict(type=_at_least(int, 0), default=5),
+    "--seed": dict(type=_at_least(int, 0), default=None,
                    help="root seed; generated and recorded when absent"),
-    "--budget": dict(dest="budget_s", type=float, default=600.0,
+    "--budget": dict(dest="budget_s", type=_at_least(float, 0), default=600.0,
                      help="wall-clock budget in seconds"),
-    "--match-threshold": dict(type=float, default=0.01),
-    "--verify-samples": dict(type=int, default=1000),
+    "--match-threshold": dict(type=_at_least(float, 0, strict=True),
+                              default=0.01),
+    "--verify-samples": dict(type=_at_least(int, 0), default=1000),
     "--policy": dict(default="local", choices=[
         "local", "rank1-uniform", "rank1-proportional", "warm"]),
     "--json": dict(help="also write the report JSON to this path"),
@@ -191,7 +205,7 @@ def cmd_defend(args, manifest):
         "elapsed_s": time.monotonic() - t0,
     }
     if args.trace:
-        _t, _row, per = policy_radius(mats.A, mats.B, mats.c, pol.p0, pol.G)
+        per = mats.radii(pol.p0, pol.G)
         with open(args.trace, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["row", "radius_sq"])

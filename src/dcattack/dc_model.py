@@ -18,6 +18,13 @@ flow row this leaves constant (zero in A and B) and satisfied is not emitted.
 Row stacking order (load-bearing, relied on by labels and certificates):
 flow upper bounds, flow lower bounds, slack-gen upper, other gen uppers,
 slack-gen lower, other gen lowers.  Unrated branches contribute no rows.
+
+Row geometry.  Under the response p(delta) = p0 + G delta (G = None: p0
+held) row i reads m_i + g_i^T delta <= 0, with m_i = a_i^T p0 + c_i and
+g_i = G^T a_i + b_i.  Its crossing point -(m_i / ||g_i||^2) g_i is the
+smallest delta that makes it tight, at radius^2 m_i^2 / ||g_i||^2: their
+minimum is the policy's radius (the lower bound), and the attack starts
+from crossing points.
 """
 
 import numpy as np
@@ -69,6 +76,37 @@ def build_ptdf(case, ref_bus):
 
 
 @dataclass
+class ProjectionResult:
+    """`project_policy`'s answer; delta is None and norm_sq +inf when no
+    perturbation crosses the row under the given response."""
+
+    delta: np.ndarray
+    norm_sq: float
+    margin: float
+
+
+def project_policy(p0, G, a_i, b_i, c_i):
+    """Smallest ||delta||^2 with a_i^T (p0 + G delta) + b_i^T delta + c_i = 0.
+
+    G = None means the fixed-dispatch variant (no response).  Degenerate rows:
+    an insensitive row (direction vector zero) is uncrossable when it has slack
+    (norm_sq = +inf) and already crossed when tight (norm_sq = 0).
+    """
+    a_i = np.asarray(a_i, dtype=float).ravel()
+    b_i = np.asarray(b_i, dtype=float).ravel()
+    p0 = np.asarray(p0, dtype=float).ravel()
+    margin = float(a_i @ p0 + c_i)
+    g = b_i if G is None else np.asarray(G, dtype=float).T @ a_i + b_i
+    den = float(g @ g)
+    if den <= 0.0:
+        if margin < 0.0:
+            return ProjectionResult(delta=None, norm_sq=np.inf, margin=margin)
+        return ProjectionResult(delta=np.zeros_like(b_i), norm_sq=0.0, margin=margin)
+    delta = -(margin / den) * g
+    return ProjectionResult(delta=delta, norm_sq=margin * margin / den, margin=margin)
+
+
+@dataclass
 class FeasibilityMatrices:
     """The reduced system A p + B delta + c <= 0 plus its provenance."""
 
@@ -107,11 +145,37 @@ class FeasibilityMatrices:
 
     def margins(self, p_hat, delta=None):
         """A p + B delta + c, the reduced-system row margins."""
-        p_hat = np.zeros(self.n_reduced) if p_hat is None else np.asarray(p_hat, float)
-        out = (self.A @ p_hat if self.A.size else np.zeros(self.m)) + self.c
+        out = self.A @ np.asarray(p_hat, float) + self.c
         if delta is not None:
             out = out + self.B @ np.asarray(delta, float)
         return out
+
+    def directions(self, G=None):
+        """A G + B: row i is g_i = G^T a_i + b_i (module docstring)."""
+        return self.B if G is None else self.A @ np.asarray(G, float) + self.B
+
+    def radii(self, p0, G=None):
+        """Each row's radius^2 m_i^2 / ||g_i||^2 under p0 + G delta (module
+        docstring), +inf for a row whose direction vanishes: no delta moves
+        it.  Raises PreconditionError naming the rows p0 violates."""
+        margins = self.margins(p0)
+        bad = np.flatnonzero(margins > lin_solve.FEAS_TOL)
+        if bad.size:
+            names = [self.row_labels[i] for i in bad[:5]]
+            raise PreconditionError(
+                f"p0 violates {names} (worst margin {margins.max():.3e})")
+        dirs = self.directions(G)
+        den = np.einsum("ij,ij->i", dirs, dirs)
+        per = np.full(self.m, np.inf)
+        live = den > 0.0
+        per[live] = margins[live] ** 2 / den[live]
+        return per
+
+    def crossing(self, p0, G, row):
+        """The smallest delta that makes `row` tight under p0 + G delta, or
+        None when no delta can (`project_policy`)."""
+        return project_policy(p0, G, self.A[row], self.B[row],
+                              float(self.c[row])).delta
 
     def rhs(self, delta=None):
         """-(B delta + c): feasibility of F(delta) is  A p <= rhs."""

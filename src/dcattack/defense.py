@@ -6,8 +6,9 @@ p0 + G delta.  Its certified radius
     t_tilde(p0, G) = min_i (a_i^T p0 + c_i)^2 / ||G^T a_i + b_i||^2
 
 is the largest t such that every ||delta||^2 <= t keeps all rows satisfied,
-so t_tilde is a sound lower bound on any attack.  Rows whose direction
-G^T a_i + b_i vanishes can never be crossed and drop out (infinite sentinel).
+so t_tilde is a sound lower bound on any attack.  The per-row radii are
+`dc_model.FeasibilityMatrices.radii`, where a row whose direction
+G^T a_i + b_i vanishes can never be crossed and reads +inf.
 
 The best affine policy is one convex program, the affinely adjustable robust
 counterpart (Ben-Tal, Goryashko, Guslitser and Nemirovski, 2004).  With
@@ -99,16 +100,13 @@ class SimplexPolicy:
 
 
 def t_tilde(mats, p0, G):
-    """Exact certified radius of the policy and its binding row."""
-    p0 = np.asarray(p0, float)
-    margins = mats.margins(p0)
-    bad = np.flatnonzero(margins > lin_solve.FEAS_TOL)
-    if bad.size:
-        names = [mats.row_labels[i] for i in bad[:5]]
-        raise PreconditionError(
-            f"p0 violates {names} (worst margin {margins.max():.3e})")
-    t, row, _ = lin_solve.policy_radius(mats.A, mats.B, mats.c, p0, G)
-    return t, row
+    """Exact certified radius of the policy and its binding row: the min and
+    argmin of `mats.radii`, or (inf, None) when no row can be crossed."""
+    per = mats.radii(p0, G)
+    if not np.any(np.isfinite(per)):
+        return np.inf, None
+    row = int(np.argmin(per))
+    return float(per[row]), row
 
 
 def warm_start_defense(mats):
@@ -228,7 +226,7 @@ def _socp(mats, p_start, deadline):
     A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
     lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
-                                 / -(A @ p_start + c))), 1e-12)
+                                 / -mats.margins(p_start))), 1e-12)
     x, G = np.append(lam * p_start, lam), np.zeros((A.shape[1], B.shape[1]))
     s = np.column_stack([-(Ay @ x), B])
     z = s * (lam / m / _jnorm(s) ** 2)[:, None]     # s o z = (lam / m) e
@@ -370,15 +368,11 @@ def verify_policy(mats, pol, samples=1000, seed=0):
     radii = r * rng.random(samples) ** (1.0 / n)
     deltas = u * radii[:, None]
     if pol.binding_row is not None and np.isfinite(pol.t) and pol.t > 0:
-        i = pol.binding_row
-        proj = lin_solve.project_policy(pol.p0, pol.G, mats.A[i], mats.B[i],
-                                        float(mats.c[i]))
-        if proj.delta is not None and np.linalg.norm(proj.delta) > 0:
-            probe = proj.delta / np.linalg.norm(proj.delta) * r
-            deltas = np.vstack([deltas, probe[None, :]])
-    margins = mats.margins(pol.p0)
-    dirs = (mats.A @ pol.G if mats.A.size else 0.0) + mats.B
-    viol = margins[:, None] + dirs @ deltas.T > lin_solve.FEAS_TOL
+        d = mats.crossing(pol.p0, pol.G, pol.binding_row)
+        if d is not None and np.linalg.norm(d) > 0:
+            deltas = np.vstack([deltas, (d / np.linalg.norm(d) * r)[None, :]])
+    viol = mats.margins(pol.p0)[:, None] + mats.directions(pol.G) @ deltas.T \
+        > lin_solve.FEAS_TOL
     if np.any(viol):
         row, col = np.argwhere(viol)[0]
         raise PolicyVerificationError(
@@ -389,26 +383,26 @@ def verify_policy(mats, pol, samples=1000, seed=0):
 
 
 def rank1_policy(mats, kind="uniform", p0=None):
-    """Distributed-slack policies: every generator absorbs a fixed share of
-    the total load change 1^T delta (uniform 1/n_g, or proportional to the
-    base dispatch).  The slack generator's share is implicit in the reduced
-    coordinates; it also takes the shares of the held units, which cannot
-    move."""
+    """Distributed-slack policies: the units that can move (the slack and
+    `mats.gen_order`) absorb fixed shares of the total load change
+    1^T delta, uniformly or in proportion to their own base outputs.  The
+    slack's share is implicit in the reduced coordinates; held units take
+    none."""
     if p0 is None:
         p0, _G, _t = warm_start_defense(mats)
     p0 = np.asarray(p0, float)
-    full = mats.full_dispatch(p0)
-    n_g = full.size
+    movers = np.append(mats.slack_gen, mats.gen_order)
     if kind == "uniform":
-        shares = np.full(n_g, 1.0 / n_g)
+        shares = np.full(movers.size, 1.0 / movers.size)
     elif kind == "proportional":
-        tot = float(full.sum())
-        if abs(tot) < 1e-12:
-            raise GeometryError("proportional policy degenerate: 1^T p0 = 0")
-        shares = full / tot
+        base = mats.full_dispatch(p0)[movers]
+        if abs(float(base.sum())) < 1e-12:
+            raise GeometryError("proportional policy degenerate: the units "
+                                "that move have zero base output")
+        shares = base / base.sum()
     else:
         raise ValueError(f"unknown rank1 policy kind {kind!r}")
-    G = np.outer(shares[mats.gen_order], np.ones(mats.n_delta))
+    G = np.outer(shares[1:], np.ones(mats.n_delta))
     t, row = t_tilde(mats, p0, G)
     return DefensePolicy(p0, G, float(t), row, meta={"kind": kind})
 

@@ -1,6 +1,7 @@
 """Standard-form revised simplex with Farkas infeasibility certificates.
 
-Kernel for every linear program in the package:
+Kernel for every linear program in the package, and only that (the row
+geometry, radii and crossing points, lives in `dc_model`):
 
     min c^T x  s.t.  A_eq x = b_eq,  x >= 0.
 
@@ -54,10 +55,6 @@ that basis or from the start's previous step (see `attack`).  The
 feasibility probe (`check_feasible`), the nominal dispatch and the defense's
 warm start stay cold: certification must not depend on the attack path, and
 their first solve has no earlier basis.
-
-Also home to the closed-form row projections (minimum-norm perturbation that
-makes one polytope row tight, with or without an affine response policy) --
-they are the geometric primitives shared by the attack and defense modules.
 """
 
 import copy
@@ -65,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SolverError
+from .errors import SolverError
 
 # A x <= b + FEAS_TOL counts as satisfied, here and in dc_model, attack and
 # defense; a Farkas ray normalized to ||y||_1 = 1 has ||A^T y||_inf <=
@@ -217,8 +214,8 @@ class _Simplex:
         elif cand.size == 1:
             r = int(cand[0])
         else:
-            art_cand = cand[self.art[cand]]
-            pool = art_cand if art_cand.size else cand
+            arts = self.art[cand]
+            pool = cand[arts] if arts.any() else cand
             r = int(pool[np.argmax(np.abs(w[pool]))])
         return float(t[r]), r
 
@@ -346,7 +343,7 @@ def normalize_farkas_ray(rows, rhs, y):
     if total <= 0:
         raise SolverError("degenerate Farkas ray")
     y = y / total
-    resid = float(np.max(np.abs(rows.T @ y))) if rows.size else 0.0
+    resid = float(np.max(np.abs(rows.T @ y), initial=0.0))
     value = float(y @ rhs)
     if resid > _CERT_TOL or value >= -_CERT_TOL * 1e-3:
         raise SolverError(
@@ -398,70 +395,3 @@ def check_feasible(rows, rhs):
     if worst > FEAS_TOL * rhs_scale:
         raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
     return True, x, None
-
-
-# -- closed-form row projections ---------------------------------------------
-
-
-@dataclass
-class ProjectionResult:
-    """Minimum-norm perturbation making one row tight, plus its squared norm.
-
-    delta is None when the row cannot be crossed by any perturbation under the
-    given response (norm_sq == +inf), which excludes the row from radius minima.
-    """
-
-    delta: np.ndarray
-    norm_sq: float
-    margin: float
-
-
-def project_policy(p0, G, a_i, b_i, c_i):
-    """Smallest ||delta||^2 with a_i^T (p0 + G delta) + b_i^T delta + c_i = 0.
-
-    G = None means the fixed-dispatch variant (no response).  Degenerate rows:
-    an insensitive row (direction vector zero) is uncrossable when it has slack
-    (norm_sq = +inf) and already crossed when tight (norm_sq = 0).
-    """
-    a_i = np.asarray(a_i, dtype=float).ravel()
-    b_i = np.asarray(b_i, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    margin = float(a_i @ p0 + c_i)
-    g = b_i if G is None else np.asarray(G, dtype=float).T @ a_i + b_i
-    den = float(g @ g)
-    if den <= 0.0:
-        if margin < 0.0:
-            return ProjectionResult(delta=None, norm_sq=np.inf, margin=margin)
-        return ProjectionResult(delta=np.zeros_like(b_i), norm_sq=0.0, margin=margin)
-    delta = -(margin / den) * g
-    return ProjectionResult(delta=delta, norm_sq=margin * margin / den, margin=margin)
-
-
-def policy_radius(A, B, c, p0, G):
-    """min over rows of project_policy norm_sq, vectorized.
-
-    Returns (t, binding_row, per_row).  Requires p0 feasible for the rows
-    (A p0 + c <= FEAS_TOL); raises PreconditionError naming violated rows.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    c = np.asarray(c, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    m = c.size
-    margins = (A @ p0 if A.size else np.zeros(m)) + c
-    worst = float(margins.max()) if m else 0.0
-    if worst > FEAS_TOL:
-        bad = np.flatnonzero(margins > FEAS_TOL)[:5]
-        raise PreconditionError(
-            f"p0 violates rows {bad.tolist()} (worst margin {worst:.3e})")
-    dirs = B if G is None else (A @ np.asarray(G, dtype=float) if A.size else 0.0) + B
-    den = np.einsum("ij,ij->i", dirs, dirs)
-    # delta-insensitive rows (zero direction) can never be crossed and are
-    # excluded via the infinite sentinel; feasibility was checked above
-    per = np.full(m, np.inf)
-    nz = den > 0.0
-    per[nz] = margins[nz] ** 2 / den[nz]
-    if m == 0 or not np.any(np.isfinite(per)):
-        return np.inf, None, per
-    row = int(np.argmin(per))
-    return float(per[row]), row, per

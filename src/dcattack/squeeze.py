@@ -29,7 +29,6 @@ from .attack import AttackConfig, multistart_attack
 from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility, solve_dcopf
 from .errors import AttackError, ModelError
-from .lin_solve import project_policy
 
 
 @dataclass
@@ -124,9 +123,8 @@ def cross_feed(mats, defense_best):
     the list of them."""
     hints = []
     if defense_best.binding_row is not None and np.isfinite(defense_best.t):
-        i = defense_best.binding_row
-        d = project_policy(defense_best.p0, defense_best.G, mats.A[i],
-                           mats.B[i], float(mats.c[i])).delta
+        d = mats.crossing(defense_best.p0, defense_best.G,
+                          defense_best.binding_row)
         if d is not None and np.linalg.norm(d) > 0:
             hints.append(d)
     if defense_best.dual is not None:

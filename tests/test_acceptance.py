@@ -18,7 +18,7 @@ import pytest
 import oracle_utils
 from conftest import pglib_path
 
-from dcattack import lin_solve
+from dcattack import dc_model, lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
@@ -121,7 +121,7 @@ def test_criterion_3_projection_vs_dense_kkt():
         g = b if G is None else G.T @ a + b
         if float(g @ g) < 1e-8:          # essentially never for gaussians
             continue
-        res = lin_solve.project_policy(p0, G, a, b, c)
+        res = dc_model.project_policy(p0, G, a, b, c)
         margin = float(a @ p0 + c)
         k = n_d + 1
         K = np.zeros((k, k))

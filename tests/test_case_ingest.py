@@ -71,6 +71,27 @@ def test_rate_zero_is_unbounded():
     assert case.branches[0].rate is None
 
 
+def test_negative_matpower_rating_is_rejected():
+    text = TWO_BUS.replace("\t1\t2\t0\t0.1\t0\t100", "\t1\t2\t0\t0.1\t0\t-100")
+    with pytest.raises(CaseError, match="branch 1-2.*rating"):
+        parse_case_text(text)
+
+
+@pytest.mark.parametrize("rate", [-0.5, 0.0])
+def test_non_positive_rating_is_rejected(rate):
+    """A rating <= 0 from build_case or JSON would empty F(0) or pin the
+    flow to zero; None is the only way to say "unlimited"."""
+    args = ("bad", 100.0, [(1, 0.0), (2, 1.0)], [(1, 2, 0.1, rate)],
+            [(1, 0.0, 2.0)])
+    with pytest.raises(CaseError, match="branch 1-2.*rating"):
+        build_case(*args)
+    doc = json.loads(case_to_json(build_case(*args[:3], [(1, 2, 0.1, 1.0)],
+                                             args[4])))
+    doc["branches"][0]["rate"] = rate
+    with pytest.raises(CaseError, match="branch 1-2.*rating"):
+        case_from_json(json.dumps(doc))
+
+
 def test_missing_table_and_basemva():
     with pytest.raises(CaseError, match="missing mpc.gen"):
         parse_case_text(TWO_BUS.replace("mpc.gen", "mpc.notgen"))

@@ -193,6 +193,24 @@ def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
     assert json.loads(out)["error"]["type"] == "CaseError"
 
 
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("attack", "--eps", "-1"), ("attack", "--eps", "0"),
+    ("attack", "--eps", "nan"), ("attack", "--seed", "-1"),
+    ("defend", "--verify-samples", "-2"), ("squeeze", "--budget", "nan"),
+    ("squeeze", "--budget", "inf"), ("squeeze", "--match-threshold", "-1"),
+    ("attack", "--restarts", "-3"), ("table", "--eps", "inf"),
+])
+def test_bad_numeric_option_is_a_usage_error(desk2_m, capsys, command, flag,
+                                             value):
+    """eps and match-threshold are finite and > 0, the budget finite and
+    >= 0, the counts and the seed >= 0; anything else exits 2 at parse
+    time, naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, desk2_m, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
 # per subcommand: flags it does not read (each with a value), and the keys of
 # its manifest's config
 _SPLIT = {

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
-from dcattack.errors import ModelError
+from dcattack.dc_model import (build_feasibility, build_ptdf, project_policy,
+                               solve_dcopf)
+from dcattack.defense import defense_local
+from dcattack.errors import ModelError, PreconditionError
 
 from conftest import bench_ladder, pglib_path
 
@@ -191,3 +195,52 @@ def test_dump_dict_round_trip(desk2_limited):
     assert doc["row_labels"][2] == "slack-gen-upper:g0@bus1"
     assert doc["load_bus_ids"] == [2]
     assert doc["gen_order"] == mats.gen_order.tolist() == [1]
+
+
+def _two_rows(desk2, B, c):
+    """desk2's polytope (one column, one delta) with its rows replaced by
+    A = [[1], [-1]] and the given B, c."""
+    return dataclasses.replace(
+        build_feasibility(desk2), A=np.array([[1.0], [-1.0]]),
+        B=np.array(B, float), c=np.array(c, float), row_labels=("r0", "r1"))
+
+
+def test_radii_min_and_precondition(desk2):
+    # second row is delta-insensitive
+    mats = _two_rows(desk2, [[1.0], [0.0]], [-2.0, -1.0])
+    per = mats.radii(np.array([0.5]))
+    # row 0 margin -1.5 direction 1 -> 2.25 ; row 1 insensitive -> inf
+    assert per[0] == pytest.approx(2.25, abs=1e-12)
+    assert per[1] == np.inf
+    assert int(np.argmin(per)) == 0
+    # a tight but insensitive row still imposes no bound
+    tight = _two_rows(desk2, [[1.0], [0.0]], [-2.0, 0.5])
+    per2 = tight.radii(np.array([0.5]))
+    assert per2[1] == np.inf
+    assert per2.min() == pytest.approx(2.25, abs=1e-12)
+    with pytest.raises(PreconditionError, match="'r0'"):
+        mats.radii(np.array([3.0]))
+
+
+def test_radii_and_crossing_match_the_row_projection(bundled_mats):
+    """The vectorized radii and the per-row crossing points agree with the
+    closed-form projection of each row, under the SOCP policy and at the
+    nominal dispatch.  A row whose direction vanishes reads +inf in radii
+    even when tight, where the projection reports 0 (already crossed)."""
+    mats = bundled_mats
+    pol = defense_local(mats)
+    for p0, G in ((pol.p0, pol.G), (solve_dcopf(mats).p_hat, None)):
+        per = mats.radii(p0, G)
+        dead = ~np.any(mats.directions(G) != 0.0, axis=1)
+        for i in range(mats.m):
+            proj = project_policy(p0, G, mats.A[i], mats.B[i], float(mats.c[i]))
+            d = mats.crossing(p0, G, i)
+            if proj.delta is None:
+                assert d is None
+            else:
+                assert np.array_equal(d, proj.delta)
+            if dead[i]:
+                assert per[i] == np.inf and proj.norm_sq in (0.0, np.inf)
+            else:
+                assert per[i] == pytest.approx(proj.norm_sq, rel=1e-9,
+                                               abs=1e-18)

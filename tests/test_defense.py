@@ -27,7 +27,6 @@ from dcattack.defense import (DefensePolicy, defense_local, rank1_policy,
 from dcattack import defense, lin_solve
 from dcattack.errors import (GeometryError, PolicyVerificationError,
                              PreconditionError, SolverError)
-from dcattack.lin_solve import policy_radius
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
@@ -36,7 +35,7 @@ from conftest import BUNDLED, bench_ladder, pglib_path
 def _assert_policy_invariants(mats, pol):
     margins = mats.A @ pol.p0 + mats.c
     assert np.all(margins <= 1e-8)
-    t, row, per = policy_radius(mats.A, mats.B, mats.c, pol.p0, pol.G)
+    per = mats.radii(pol.p0, pol.G)
     assert np.all(pol.t <= per + 1e-9)
     assert pol.t == pytest.approx(per[pol.binding_row], rel=1e-12)
 
@@ -272,11 +271,27 @@ def test_case14_folds_its_fixed_units_into_the_model():
 
 def test_rank1_policies_leave_fixed_units_alone():
     """case14's fixed units have no column, so a rank-1 policy cannot move
-    them off their output: its radius is positive and verifies."""
+    them off their output: its radius is positive and verifies.  Hand value:
+    the max-margin dispatch of the one unit that moves is 0.295, mid-way in
+    [0, 0.59]; its upper row binds, with direction 1/2 on each of the 11
+    loads, so t = 0.295^2 / (11 / 4)."""
     mats = build_feasibility(load_case(pglib_path("case14_ieee")))
     pol = rank1_policy(mats, "uniform")
-    assert pol.t > 0.1
+    assert pol.t == pytest.approx(0.295 ** 2 / (11 / 4), rel=1e-9)
+    assert mats.row_labels[pol.binding_row] == "gen-upper:g1@bus2"
     assert verify_policy(mats, pol, samples=1000, seed=3) == 1000
+
+
+def test_rank1_shares_go_to_the_units_that_move():
+    """case14 holds 3 of its 5 units, so the slack and unit 1 split the load
+    change: 1/2 each under the uniform policy, and in proportion to their
+    base outputs (2.295 and 0.295 of 2.59) under the proportional one."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    assert mats.held.size == 3 and mats.gen_order.tolist() == [1]
+    ones = np.ones((1, mats.n_delta))
+    assert rank1_policy(mats, "uniform").G == pytest.approx(0.5 * ones)
+    assert rank1_policy(mats, "proportional").G == \
+        pytest.approx(0.295 / 2.59 * ones, rel=1e-9)
 
 
 def test_socp_case5_reaches_the_global_optimum():

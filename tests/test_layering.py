@@ -1,0 +1,45 @@
+"""The package's layering, read from the import statements of its modules:
+the LP kernel depends on nothing but the errors, and the model on nothing
+but the kernel and the errors, so row geometry stays with the model."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dcattack"
+
+
+def _package_imports(module):
+    """The dcattack modules `module` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name != "dcattack" and not name.startswith("dcattack."):
+                    continue
+                name = name[len("dcattack"):].lstrip(".")
+            if name:
+                found.add(name.split(".")[0])
+            else:       # from . import x, from dcattack import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("dcattack."))
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("lin_solve", {"errors"}),
+    ("dc_model", {"lin_solve", "errors"}),
+])
+def test_lower_layers_import_only_below_them(module, allowed):
+    assert _package_imports(module) <= allowed
+
+
+def test_the_reader_finds_both_relative_forms():
+    """The reader itself: defense imports `from . import lin_solve` and
+    `from .errors import ...`, squeeze `from .attack import ...`."""
+    assert _package_imports("defense") == {"lin_solve", "errors"}
+    assert {"attack", "defense", "dc_model"} <= _package_imports("squeeze")

@@ -3,11 +3,10 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.errors import PreconditionError
+from dcattack.dc_model import project_policy
 from dcattack.lin_solve import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, FarkasCertificate, LpProblem, check_feasible,
     lp_solve,
-    policy_radius, project_policy,
 )
 
 import oracle_utils
@@ -498,21 +497,3 @@ def test_projection_degenerate_rows():
     res = project_policy(p0, None, a, np.array([2.0, 0.0]), 0.0)
     assert res.norm_sq == 0.0
     assert res.delta == pytest.approx([0.0, 0.0], abs=1e-15)
-
-
-def test_policy_radius_min_and_precondition():
-    A = np.array([[1.0], [-1.0]])
-    B = np.array([[1.0], [0.0]])      # second row is delta-insensitive
-    c = np.array([-2.0, -1.0])
-    t, row, per = policy_radius(A, B, c, np.array([0.5]), None)
-    # row 0 margin -1.5 direction 1 -> 2.25 ; row 1 insensitive -> inf
-    assert t == pytest.approx(2.25, abs=1e-12)
-    assert row == 0
-    assert per[1] == np.inf
-    # a tight but insensitive row still imposes no bound
-    t2, _, per2 = policy_radius(A, np.array([[1.0], [0.0]]),
-                                np.array([-2.0, 0.5]), np.array([0.5]), None)
-    assert per2[1] == np.inf
-    assert t2 == pytest.approx(2.25, abs=1e-12)
-    with pytest.raises(PreconditionError):
-        policy_radius(A, B, c, np.array([3.0]), None)

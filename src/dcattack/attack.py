@@ -1,22 +1,21 @@
 """Minimum-norm load perturbations that make dispatch infeasible.
 
-The attack looks for the smallest ||delta||^2 (optionally delta^T W delta with
-diagonal W) such that F(delta) is empty.  By Farkas' lemma F(delta) is empty
-iff some mu >= 0 with A^T mu = 0 has mu^T (B delta + c) > 0.  F(0) is
-nonempty, so -c^T mu >= 0 for every such mu, and the ones that matter are
-scaled onto one fixed polytope
+The attack looks for the smallest ||delta||^2 such that F(delta) is empty.
+By Farkas' lemma F(delta) is empty iff some mu >= 0 with A^T mu = 0 has
+mu^T (B delta + c) > 0.  F(0) is nonempty, so -c^T mu >= 0 for every such
+mu, and the ones that matter are scaled onto one fixed polytope
 
   P = { mu >= 0 : A^T mu = 0, -c^T mu = 1 }.
 
 A mu in P separates exactly the delta with (B^T mu)^T delta > 1; the nearest
-of them in the W-norm is W^-1 B^T mu / v, with v = ||B^T mu||^2_{W^-1}.  So
-the attack is  min ||delta||^2_W = 1 / max_{mu in P} v(mu):  a convex
-function maximized over a polytope, with its optimum at a vertex.
+of them is B^T mu / v, with v = ||B^T mu||^2.  So the attack is
+min ||delta||^2 = 1 / max_{mu in P} v(mu):  a convex function maximized over
+a polytope, with its optimum at a vertex.
 
 Ascent.  Each start runs successive linearization on P (Mangasarian,
 "Machine learning via polyhedral concave minimization", 1996).  The first
 step maximizes (B g)^T mu over P for the start direction g; every later step
-maximizes the linearization (W^-1 B^T mu_k)^T B^T mu at the current vertex
+maximizes the linearization (B^T mu_k)^T B^T mu at the current vertex
 mu_k.  v never decreases, since it is convex, and the ascent stops at a fixed
 point (the linearized value exceeds v by at most _STEP_TOL, relative), after
 _MAX_STEPS steps, or at the caller's deadline.  Every iterate is a vertex of
@@ -29,7 +28,7 @@ solves one cold P-LP, with the first start's objective; each start's first
 step warm-starts from that basis and each later step from its own previous
 one.
 
-Reported attack.  delta = (1 + 1e-6) W^-1 B^T mu / v lies just past mu's
+Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
 the scale of the reported certificate.  Soundness is never left to the
 ascent: `certify_infeasible` re-proves emptiness independently at the
@@ -51,7 +50,7 @@ from . import lin_solve
 from .dc_model import solve_dcopf
 from .errors import AttackError, RestartSignal
 
-# the ascent reports delta = (1 + _INFLATE) W^-1 B^T mu / v, just past mu's
+# the ascent reports delta = (1 + _INFLATE) B^T mu / v, just past mu's
 # hyperplane, certified at (1 + _CERT_INFLATION) delta; a caller's lb closes
 # the bracket to _CLOSE_TOL relative, the certified duality gap of the policy
 # SOCP (defense._GAP_TOL); an ascent stops after _MAX_STEPS P-LPs or once a
@@ -68,15 +67,13 @@ class AttackConfig:
     eps: float = 1e-3
     restarts: int = 5
     seed: int = 0
-    weight: np.ndarray = None   # diagonal of W; None = identity
 
 
 @dataclass
 class AttackSolution:
     delta: np.ndarray
     mu: np.ndarray
-    norm_sq: float          # delta^T delta, always unweighted
-    objective: float        # delta^T W delta
+    norm_sq: float          # delta^T delta
     eps: float
     converged: bool
     convergence: str        # "tight" | "cap" | "deadline" | "zero-distance"
@@ -90,7 +87,7 @@ class AttackSolution:
     def summary(self):
         return {
             "norm_sq": self.norm_sq,
-            "objective": self.objective,
+            "objective": self.norm_sq,
             "eps": self.eps,
             "converged": self.converged,
             "convergence": self.convergence,
@@ -106,8 +103,6 @@ class AttackReport:
     best: AttackSolution
     starts: list
     fixed_lb: float
-    elapsed: float
-    config: AttackConfig
 
 
 class _ZeroDistance(RestartSignal):
@@ -181,14 +176,7 @@ def _p_lp(mats, P, g, basis):
     return np.maximum(res.x, 0.0), -res.objective, res.basis
 
 
-def _weights(mats, cfg):
-    w = np.ones(mats.n_delta) if cfg.weight is None else np.asarray(cfg.weight, float)
-    if np.any(w <= 0):
-        raise ValueError("weight diagonal must be positive")
-    return w
-
-
-def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
+def _solution(mats, delta, mu, eps, start, status, iterations=0, history=()):
     """The attack delta with its multiplier mu rescaled so that
     mu^T (B delta + c) = eps; mu must separate delta."""
     sep = mats.B @ delta + mats.c
@@ -197,8 +185,7 @@ def _solution(mats, delta, mu, w, eps, start, status, iterations=0, history=()):
                  "eps_residual": float(mu @ sep - eps),
                  "mu_min": float(mu.min())}
     return AttackSolution(
-        delta=delta, mu=mu, norm_sq=float(delta @ delta),
-        objective=float(delta @ (w * delta)), eps=eps,
+        delta=delta, mu=mu, norm_sq=float(delta @ delta), eps=eps,
         converged=status in ("tight", "zero-distance"), convergence=status,
         iterations=iterations, residuals=residuals, start=start,
         history=list(history))
@@ -216,7 +203,6 @@ def attack_local(mats, init_delta, config=None, start="", basis=None,
     _ZeroDistance when a P-LP is infeasible or unbounded.
     """
     cfg = config or AttackConfig()
-    w = _weights(mats, cfg)
     g = np.asarray(init_delta, float)
     if not np.any(g):
         raise RestartSignal("zero start direction")
@@ -228,8 +214,8 @@ def attack_local(mats, init_delta, config=None, start="", basis=None,
     history = []
     status, iterations = "cap", 1
     while True:
-        gw = (mats.B.T @ mu) / w
-        v = float(gw @ (w * gw))
+        gw = mats.B.T @ mu
+        v = float(gw @ gw)
         delta = gw * ((1.0 + _INFLATE) / v)
         history.append(float(delta @ delta))
         if iterations >= _MAX_STEPS:
@@ -243,7 +229,7 @@ def attack_local(mats, init_delta, config=None, start="", basis=None,
             status = "tight"
             break
         mu = mu_next
-    return _solution(mats, delta, mu, w, cfg.eps, start, status, iterations,
+    return _solution(mats, delta, mu, cfg.eps, start, status, iterations,
                      history)
 
 
@@ -259,12 +245,11 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
-    min ||delta||^2 >= (1 + 1e-6)^2 lb, for any weight W, so a candidate
+    min ||delta||^2 >= (1 + 1e-6)^2 lb, so a candidate
     within (1 + 1e-8) of that value is certified at once; when it certifies,
     no later start can lower the bound by more than 1e-8 relative, and each
     is skipped and noted "closed".  A refuted candidate stops nothing."""
-    t0 = time.monotonic()
-    deadline = None if budget_s is None else t0 + budget_s
+    deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
     if p_nom is None:
         nominal = solve_dcopf(mats)
@@ -332,8 +317,8 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
     if zero and d_bind is not None:
         ok, ray = certify_infeasible(mats, d_bind)
         if ok:
-            outcomes.append(_solution(mats, d_bind, ray, _weights(mats, cfg),
-                                      cfg.eps, "binding-row", "zero-distance"))
+            outcomes.append(_solution(mats, d_bind, ray, cfg.eps,
+                                      "binding-row", "zero-distance"))
 
     candidates = [out for out in outcomes if not isinstance(out, tuple)]
     best = None
@@ -350,5 +335,4 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
         raise AttackError(
             f"no certified attack from {len(starts)} starts; "
             f"diagnostics: {notes}")
-    return AttackReport(best=best, starts=notes, fixed_lb=lb0,
-                        elapsed=time.monotonic() - t0, config=cfg)
+    return AttackReport(best=best, starts=notes, fixed_lb=lb0)

@@ -95,14 +95,14 @@ def build_case(name, base_mva, buses, branches, generators):
     (bus, p_min, p_max[, cost]).  Used by tests and fixtures; file ingestion
     goes through parse_case_text/load_case.
     """
-    bus_objs = tuple(Bus(id=int(i), p_d=float(pd)) for i, pd in buses)
+    bus_objs = tuple(Bus(id=i, p_d=float(pd)) for i, pd in buses)
     br_objs = []
     for f, t, x, rate in branches:
         if x == 0:
             raise CaseError(f"branch {f}-{t} has zero reactance")
-        br_objs.append(Branch(f_bus=int(f), t_bus=int(t), b=1.0 / float(x),
+        br_objs.append(Branch(f_bus=f, t_bus=t, b=1.0 / float(x),
                               rate=None if rate is None else float(rate)))
-    gen_objs = tuple(Generator(bus=int(g[0]), p_min=float(g[1]), p_max=float(g[2]),
+    gen_objs = tuple(Generator(bus=g[0], p_min=float(g[1]), p_max=float(g[2]),
                                cost=float(g[3]) if len(g) > 3 else 0.0)
                      for g in generators)
     case = NetworkCase(name=name, base_mva=float(base_mva), buses=bus_objs,
@@ -119,21 +119,28 @@ def _finite(*values):
 
 
 def validate_case(case):
+    """Raise CaseError naming the first bad record.  Bus ids must be ints
+    (a bool is not): a float id is never truncated onto another bus."""
     if not _finite(case.base_mva) or case.base_mva <= 0:
         raise CaseError(f"baseMVA must be positive, got {case.base_mva!r}")
     if case.n_bus == 0:
         raise CaseError("case has no buses")
     if case.n_gen == 0:
         raise CaseError("case has no in-service generators")
+    for bus in case.buses:
+        if type(bus.id) is not int:
+            raise CaseError(f"bus {bus.id!r}: the id is not an integer")
+        if not _finite(bus.p_d):
+            raise CaseError(f"bus {bus.id}: load {bus.p_d!r} is not finite")
     ids = [bus.id for bus in case.buses]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise CaseError(f"duplicate bus ids: {dup}")
-    for bus in case.buses:
-        if not _finite(bus.p_d):
-            raise CaseError(f"bus {bus.id}: load {bus.p_d!r} is not finite")
     known = set(ids)
     for br in case.branches:
+        if type(br.f_bus) is not int or type(br.t_bus) is not int:
+            raise CaseError(f"branch {br.f_bus!r}-{br.t_bus!r}: an endpoint "
+                            f"is not an integer bus id")
         rate = 1.0 if br.rate is None else br.rate
         if not _finite(br.b, rate) or br.b == 0 or rate <= 0:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus}: reactance must be "
@@ -144,6 +151,8 @@ def validate_case(case):
         if br.f_bus == br.t_bus:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus} is a self-loop")
     for i, g in enumerate(case.generators):
+        if type(g.bus) is not int:
+            raise CaseError(f"generator {i}: bus {g.bus!r} is not an integer")
         if not _finite(g.p_min, g.p_max, g.cost):
             raise CaseError(f"generator {i} at bus {g.bus}: limits and cost "
                             f"must be finite ({g.p_min!r}, {g.p_max!r}, "

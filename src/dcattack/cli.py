@@ -20,8 +20,7 @@ from . import __version__
 from .attack import AttackConfig, multistart_attack
 from .case_ingest import load_case
 from .dc_model import build_feasibility
-from .defense import (DefensePolicy, defense_local, rank1_policy, t_tilde,
-                      verify_policy, warm_start_defense)
+from .defense import defense_local, verify_policy
 from .errors import DcAttackError
 from .squeeze import SqueezeConfig, squeeze_run
 
@@ -54,16 +53,13 @@ _OPTIONS = {
     "--match-threshold": dict(type=_at_least(float, 0, strict=True),
                               default=0.01),
     "--verify-samples": dict(type=_at_least(int, 0), default=1000),
-    "--policy": dict(default="local", choices=[
-        "local", "rank1-uniform", "rank1-proportional", "warm"]),
     "--json": dict(help="also write the report JSON to this path"),
     "--trace": dict(help="write the subcommand's CSV artifact to this path"),
     "--dump-matrices": dict(
         help="write the reduced feasibility matrices to this path"),
     "--format": dict(default="md", choices=["md", "csv"]),
 }
-_CONFIG = ("eps", "restarts", "budget_s", "match_threshold", "verify_samples",
-           "policy")
+_CONFIG = ("eps", "restarts", "budget_s", "match_threshold", "verify_samples")
 _OUTPUTS = ("json", "trace", "dump_matrices")
 
 # each subcommand takes exactly the options it reads
@@ -71,7 +67,7 @@ _SUBCOMMANDS = {
     "attack": ("smallest certified infeasibility perturbation",
                "--eps --restarts --seed --json --trace --dump-matrices"),
     "defend": ("control policy with certified solvability radius",
-               "--seed --budget --json --trace --dump-matrices --policy "
+               "--seed --budget --json --trace --dump-matrices "
                "--verify-samples"),
     "squeeze": ("drive attack and defense toward a common value",
                 "--eps --restarts --seed --budget --match-threshold --json "
@@ -159,7 +155,7 @@ def cmd_attack(args, manifest):
         "manifest": manifest,
         "case": case.name,
         "norm_sq": sol.norm_sq,
-        "objective": sol.objective,
+        "objective": sol.norm_sq,
         "eps": sol.eps,
         "certified": sol.certified,
         "converged": sol.converged,
@@ -186,15 +182,7 @@ def cmd_attack(args, manifest):
 def cmd_defend(args, manifest):
     case, mats = _load(args)
     t0 = time.monotonic()
-    kind = args.policy
-    if kind == "local":
-        pol = defense_local(mats, budget_s=args.budget_s)
-    elif kind == "warm":
-        p0, G0, t_init = warm_start_defense(mats)
-        pol = DefensePolicy(p0, G0, t_init, t_tilde(mats, p0, G0)[1],
-                            meta={"kind": "warm"})
-    else:
-        pol = rank1_policy(mats, kind.split("-", 1)[1])
+    pol = defense_local(mats, budget_s=args.budget_s)
     verify_policy(mats, pol, args.verify_samples,
                   seed=manifest["config"]["seed"])
     report = {
@@ -284,21 +272,14 @@ def main(argv=None):
     manifest = _manifest(args)
     try:
         return _COMMANDS[args.command](args, manifest)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        _emit({"schema": "dcattack-error/1", "manifest": manifest,
-               "error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
-        return 2
-    except DcAttackError as exc:
-        _emit({"schema": "dcattack-error/1", "manifest": manifest,
-               "error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
-        return 3
     except Exception as exc:   # noqa: BLE001 -- errors must stay machine-readable
         _emit({"schema": "dcattack-error/1", "manifest": manifest,
                "error": {"type": type(exc).__name__, "message": str(exc)}},
               args)
-        return 1
+        if isinstance(exc, (FileNotFoundError, IsADirectoryError,
+                            PermissionError)):
+            return 2
+        return 3 if isinstance(exc, DcAttackError) else 1
 
 
 if __name__ == "__main__":

@@ -382,31 +382,6 @@ def verify_policy(mats, pol, samples=1000, seed=0):
     return samples
 
 
-def rank1_policy(mats, kind="uniform", p0=None):
-    """Distributed-slack policies: the units that can move (the slack and
-    `mats.gen_order`) absorb fixed shares of the total load change
-    1^T delta, uniformly or in proportion to their own base outputs.  The
-    slack's share is implicit in the reduced coordinates; held units take
-    none."""
-    if p0 is None:
-        p0, _G, _t = warm_start_defense(mats)
-    p0 = np.asarray(p0, float)
-    movers = np.append(mats.slack_gen, mats.gen_order)
-    if kind == "uniform":
-        shares = np.full(movers.size, 1.0 / movers.size)
-    elif kind == "proportional":
-        base = mats.full_dispatch(p0)[movers]
-        if abs(float(base.sum())) < 1e-12:
-            raise GeometryError("proportional policy degenerate: the units "
-                                "that move have zero base output")
-        shares = base / base.sum()
-    else:
-        raise ValueError(f"unknown rank1 policy kind {kind!r}")
-    G = np.outer(shares[1:], np.ones(mats.n_delta))
-    t, row = t_tilde(mats, p0, G)
-    return DefensePolicy(p0, G, float(t), row, meta={"kind": kind})
-
-
 def simplex_policy_fit(vertices, dispatches):
     """Unique affine map through n+1 perturbation/dispatch pairs:
     [G p0] = P * D_hat^{-1} with D_hat the vertices plus an all-ones row."""

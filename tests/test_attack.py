@@ -99,16 +99,6 @@ def test_eps_insensitivity(desk2):
     assert abs(vals[0] - vals[1]) / vals[0] < 1e-3
 
 
-def test_weight_scaling_leaves_iterates_unchanged(desk3):
-    mats = build_feasibility(desk3)
-    plain = multistart_attack(mats, AttackConfig(restarts=3, seed=5))
-    w = 3.0 * np.ones(mats.n_delta)
-    scaled = multistart_attack(mats, AttackConfig(restarts=3, seed=5, weight=w))
-    assert np.allclose(plain.best.delta, scaled.best.delta, atol=1e-12)
-    assert scaled.best.norm_sq == pytest.approx(plain.best.norm_sq, abs=1e-12)
-    assert scaled.best.objective == pytest.approx(3.0 * plain.best.norm_sq, rel=1e-12)
-
-
 def test_accepted_history_is_monotone(desk3):
     mats = build_feasibility(desk3)
     sol = attack_local(mats, np.ones(mats.n_delta), AttackConfig(seed=0))

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,3 +277,49 @@ def test_build_case_rejects_non_finite_values(buses, branches, generators,
                                               record):
     with pytest.raises(CaseError, match=record):
         build_case("bad", 100.0, buses, branches, generators)
+
+
+def _rename(records, old, new, columns):
+    return [tuple(new if k in columns and v == old else v
+                  for k, v in enumerate(r)) for r in records]
+
+
+_DESK3 = dict(buses=[(1, 0.0), (2, 2.0), (3, 0.5)],
+              branches=[(1, 2, 0.1, 1.6), (2, 3, 0.1, 5.0), (3, 1, 0.1, 5.0)],
+              generators=[(1, 0.0, 3.0, 5.0), (3, 0.0, 1.0, 8.0)])
+_EVERYWHERE = dict(buses={0}, branches={0, 1}, generators={0})
+
+
+def _via_build_case(records):
+    return build_case("desk3", 100.0, **records)
+
+
+def _via_json(records):
+    doc = {"format": "dcattack-case", "version": 1, "name": "desk3",
+           "base_mva": 100.0,
+           "buses": [{"id": i, "p_d": pd} for i, pd in records["buses"]],
+           "branches": [{"f_bus": f, "t_bus": t, "b": 1.0 / x, "rate": r}
+                        for f, t, x, r in records["branches"]],
+           "generators": [{"bus": b, "p_min": lo, "p_max": hi, "cost": c}
+                          for b, lo, hi, c in records["generators"]]}
+    return case_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("route", [_via_build_case, _via_json],
+                         ids=["build_case", "json"])
+@pytest.mark.parametrize("old, new, where, record", [
+    (3, 3.5, _EVERYWHERE, "bus 3.5"),
+    (1, True, _EVERYWHERE, "bus True"),
+    (1, True, dict(buses={0}), "bus True"),
+    (3, 3.0, dict(branches={1}), "branch 2-3.0"),
+    (3, 3.0, dict(generators={0}), "generator 1"),
+], ids=["bus-renamed-fraction", "bus-renamed-bool", "bus-id-bool",
+        "branch-endpoint-float", "gen-bus-float"])
+def test_non_integral_bus_ids_are_case_errors(route, old, new, where, record):
+    """Bus ids, branch endpoints and generator buses must be ints: a float or
+    bool id is an error naming its record, never truncated onto a bus."""
+    assert route(_DESK3).n_bus == 3
+    records = {table: _rename(rows, old, new, where.get(table, ()))
+               for table, rows in _DESK3.items()}
+    with pytest.raises(CaseError, match=re.escape(record)):
+        route(records)

@@ -3,13 +3,17 @@
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcattack.case_ingest import case_to_json
+from dcattack import cli
 from dcattack.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DESK2_M = """\
 function mpc = desk2m
@@ -61,6 +65,7 @@ def test_attack_command_end_to_end(desk2_m, tmp_path, capsys):
     assert rep["schema"] == "dcattack-attack/1"
     assert rep["certified"] is True
     assert rep["norm_sq"] == pytest.approx(1.0, rel=1e-3)
+    assert rep["objective"] == rep["norm_sq"]
     assert rep["manifest"]["config"]["seed"] == 7
     assert rep["manifest"]["config"]["seed_generated"] is False
     buses = [row["bus"] for row in rep["per_bus"]]
@@ -90,29 +95,31 @@ def test_missing_file_exits_2_with_error_json(capsys):
 
 
 def test_generated_seed_is_recorded(desk2_m, capsys):
-    code, out = _run(capsys, ["defend", desk2_m, "--policy", "warm"])
+    code, out = _run(capsys, ["defend", desk2_m])
     assert code == 0
     rep = json.loads(out)
     assert rep["manifest"]["config"]["seed_generated"] is True
     assert isinstance(rep["manifest"]["config"]["seed"], int)
 
 
-def test_defend_local_and_rank1(desk2_m, capsys):
+def test_defend_reports_a_verified_policy(desk2_m, capsys):
     code, out = _run(capsys, ["defend", desk2_m, "--seed", "3"])
     assert code == 0
     rep = json.loads(out)
     assert rep["schema"] == "dcattack-defense/1"
     assert rep["t"] == pytest.approx(1.0, rel=1e-3)
     assert rep["verified_samples"] == 1000
+    # the warm start's fixed-dispatch radius rides along in every report
+    assert rep["t_init"] == pytest.approx(0.25, abs=1e-12)
 
     code, out = _run(capsys, ["defend", desk2_m, "--seed", "3",
-                              "--policy", "rank1-uniform",
                               "--verify-samples", "500"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["t"] == pytest.approx(1.0, abs=1e-9)
+    assert rep["t"] == pytest.approx(1.0, rel=1e-9)
     assert rep["verified_samples"] == 500
-    assert np.asarray(rep["G"]) == pytest.approx(np.array([[0.5]]))
+    # every optimal policy of desk2 has p0 + G = 2 (tests/test_defense.py)
+    assert rep["p0"][0] + rep["G"][0][0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
@@ -135,7 +142,7 @@ def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
 
 def test_dump_matrices(desk2_m, tmp_path, capsys):
     path = tmp_path / "mats.json"
-    code, _out = _run(capsys, ["defend", desk2_m, "--policy", "warm",
+    code, _out = _run(capsys, ["defend", desk2_m,
                                "--dump-matrices", str(path)])
     assert code == 0
     blob = json.loads(path.read_text())
@@ -173,6 +180,19 @@ def test_infeasible_case_is_domain_error(tmp_path, capsys):
     assert code == 3
     rep = json.loads(out)
     assert rep["error"]["type"] == "AttackError"
+
+
+def test_unexpected_failure_exits_1_with_error_json(desk2_m, monkeypatch,
+                                                    capsys):
+    def boom(args, manifest):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._COMMANDS, "attack", boom)
+    code, out = _run(capsys, ["attack", desk2_m, "--seed", "1"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["schema"] == "dcattack-error/1"
+    assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
+    assert rep["manifest"]["command"] == "attack"
 
 
 @pytest.mark.parametrize("name, text", [
@@ -219,8 +239,9 @@ _SPLIT = {
                 ("--format", "csv")],
                {"eps", "restarts"}),
     "defend": ([("--eps", "1e-4"), ("--restarts", "2"),
-                ("--match-threshold", "0.5"), ("--format", "csv")],
-               {"budget_s", "policy", "verify_samples"}),
+                ("--match-threshold", "0.5"), ("--format", "csv"),
+                ("--policy", "local")],
+               {"budget_s", "verify_samples"}),
     "squeeze": ([("--policy", "warm"), ("--format", "csv")],
                 {"eps", "restarts", "budget_s", "match_threshold",
                  "verify_samples"}),
@@ -253,11 +274,10 @@ def test_subcommands_take_only_the_flags_they_read(desk2_m, tmp_path, capsys,
 
 def test_readme_library_block_runs(monkeypatch, capsys):
     """The README's "Library" example runs as written from the repo root."""
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    monkeypatch.chdir(root)
+    monkeypatch.chdir(ROOT)
     ns = {}
     exec(compile(code, "README.md", "exec"), ns)
     capsys.readouterr()
@@ -268,7 +288,7 @@ def test_readme_library_block_runs(monkeypatch, capsys):
 def test_readme_documents_exactly_the_parser_flags():
     """The --flags in README's "Command line" section are the subcommands'
     option strings (bar argparse's own --help), both ways."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z-]*", section))
     sub = next(a for a in build_parser()._actions
@@ -276,3 +296,20 @@ def test_readme_documents_exactly_the_parser_flags():
     options = {opt for p in sub.choices.values() for a in p._actions
                for opt in a.option_strings if opt.startswith("--")}
     assert documented == options - {"--help"}
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `dcattack ...` line of README's "Command line" block exits 0,
+    run from a scratch directory with its case paths taken from the repo
+    root."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("dcattack ")]
+    assert len(commands) == 4
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(ROOT / a) if a.startswith("cases/") else a for a in argv]
+        assert main(argv) == 0, argv
+        capsys.readouterr()

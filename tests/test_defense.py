@@ -9,8 +9,9 @@ line 1-2 rated 1.6, caps 3+1, loads 2.0/0.5):
         binding flow row has direction (2/3, 1/3), so
         t_init = 0.325^2 / (5/9) = 0.190125.
   desk2 optimal policy: p0=1.5, G=[[0.5]] gives radius 1.0 = attack value.
-  desk3 rank-1 uniform (shares 1/2): binding row is the g3 cap with direction
-        (0.5, 0.5): t = 0.325^2 / 0.5 = 0.21125.
+  desk3 rank-1 uniform (shares 1/2, G = 0.5 from the warm start): binding
+        row is the g3 cap with direction (0.5, 0.5): t = 0.325^2 / 0.5
+        = 0.21125.
 """
 
 import itertools
@@ -21,15 +22,24 @@ import pytest
 from dcattack.attack import multistart_attack, AttackConfig
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
-from dcattack.defense import (DefensePolicy, defense_local, rank1_policy,
-                              simplex_policy_fit, t_tilde, verify_policy,
-                              warm_start_defense)
+from dcattack.defense import (DefensePolicy, defense_local, simplex_policy_fit,
+                              t_tilde, verify_policy, warm_start_defense)
 from dcattack import defense, lin_solve
 from dcattack.errors import (GeometryError, PolicyVerificationError,
                              PreconditionError, SolverError)
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
+
+
+def _shares(mats, share=None):
+    """A rank-1 policy at the warm-start dispatch: the units that move (the
+    slack and `mats.gen_order`) absorb equal shares of the total load change
+    1^T delta, or `share` each in the reduced coordinates."""
+    p0, _G, _t = warm_start_defense(mats)
+    if share is None:
+        share = 1.0 / (mats.n_reduced + 1)
+    return p0, np.full((mats.n_reduced, mats.n_delta), share)
 
 
 def _assert_policy_invariants(mats, pol):
@@ -101,9 +111,9 @@ def test_defense_monotone_from_rank1_seed(desk3):
     """The exact affine optimum dominates every affine policy, rank-1 ones
     included."""
     mats = build_feasibility(desk3)
-    seed_pol = rank1_policy(mats, "uniform")
+    seed_t, _row = t_tilde(mats, *_shares(mats))
     pol = defense_local(mats)
-    assert pol.t >= seed_pol.t - 1e-9
+    assert pol.t >= seed_t - 1e-9
 
 
 def test_defense_reaches_the_hand_optimal_radius_desk2(desk2):
@@ -136,33 +146,30 @@ def test_verify_policy_catches_inflated_radius(desk2):
 
 def test_rank1_uniform_desk2_splits_load_change(desk2):
     mats = build_feasibility(desk2)
-    pol = rank1_policy(mats, "uniform")
-    assert pol.G == pytest.approx(np.array([[0.5]]))
+    p0, G = _shares(mats)
+    assert G == pytest.approx(np.array([[0.5]]))
+    t, row = t_tilde(mats, p0, G)
+    pol = DefensePolicy(p0, G, t, row)
     assert pol.t == pytest.approx(1.0, abs=1e-12)
     _assert_policy_invariants(mats, pol)
+    assert verify_policy(mats, pol, samples=500, seed=3) == 500
 
 
 def test_rank1_desk3_hand_values(desk3):
     mats = build_feasibility(desk3)
-    uni = rank1_policy(mats, "uniform")
-    assert uni.G == pytest.approx(0.5 * np.ones((1, 2)))
-    assert uni.t == pytest.approx(0.21125, abs=1e-9)
-    assert mats.row_labels[uni.binding_row].startswith("gen-upper")
-    prop = rank1_policy(mats, "proportional")
-    # warm-start dispatch 0.675 of 2.5 total -> share 0.27 for the non-slack unit
-    assert prop.G == pytest.approx(0.27 * np.ones((1, 2)), abs=1e-9)
-    assert prop.t == pytest.approx(0.105625 / (0.576667 ** 2 + 0.243333 ** 2),
-                                   rel=1e-4)
-
-
-def test_rank1_proportional_degenerate_errors():
-    # +1 / -1 loads net to zero, so the base dispatch sums to zero
-    case = build_case("netzero", 1.0, [(1, 0.0), (2, 1.0), (3, -1.0)],
-                      [(1, 2, 0.1, None), (2, 3, 0.1, None)],
-                      [(1, 0.0, 2.0, 5.0)])
-    mats = build_feasibility(case)
-    with pytest.raises(GeometryError, match="degenerate"):
-        rank1_policy(mats, "proportional", p0=np.zeros(0))
+    p0, G = _shares(mats)
+    assert G == pytest.approx(0.5 * np.ones((1, 2)))
+    t, row = t_tilde(mats, p0, G)
+    assert t == pytest.approx(0.21125, abs=1e-9)
+    assert mats.row_labels[row].startswith("gen-upper")
+    assert verify_policy(mats, DefensePolicy(p0, G, t, row), samples=500,
+                         seed=3) == 500
+    # warm-start dispatch 0.675 of 2.5 total -> share 0.27 for the non-slack
+    # unit, in proportion to the base outputs
+    assert p0 == pytest.approx([0.675], abs=1e-9)
+    t_prop, _row = t_tilde(mats, *_shares(mats, 0.675 / 2.5))
+    assert t_prop == pytest.approx(
+        0.105625 / (0.576667 ** 2 + 0.243333 ** 2), rel=1e-4)
 
 
 def test_simplex_fit_example2_construction(desk2):
@@ -276,22 +283,14 @@ def test_rank1_policies_leave_fixed_units_alone():
     [0, 0.59]; its upper row binds, with direction 1/2 on each of the 11
     loads, so t = 0.295^2 / (11 / 4)."""
     mats = build_feasibility(load_case(pglib_path("case14_ieee")))
-    pol = rank1_policy(mats, "uniform")
+    assert mats.held.size == 3 and mats.gen_order.tolist() == [1]
+    p0, G = _shares(mats)
+    assert G == pytest.approx(0.5 * np.ones((1, mats.n_delta)))
+    t, row = t_tilde(mats, p0, G)
+    pol = DefensePolicy(p0, G, t, row)
     assert pol.t == pytest.approx(0.295 ** 2 / (11 / 4), rel=1e-9)
     assert mats.row_labels[pol.binding_row] == "gen-upper:g1@bus2"
     assert verify_policy(mats, pol, samples=1000, seed=3) == 1000
-
-
-def test_rank1_shares_go_to_the_units_that_move():
-    """case14 holds 3 of its 5 units, so the slack and unit 1 split the load
-    change: 1/2 each under the uniform policy, and in proportion to their
-    base outputs (2.295 and 0.295 of 2.59) under the proportional one."""
-    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
-    assert mats.held.size == 3 and mats.gen_order.tolist() == [1]
-    ones = np.ones((1, mats.n_delta))
-    assert rank1_policy(mats, "uniform").G == pytest.approx(0.5 * ones)
-    assert rank1_policy(mats, "proportional").G == \
-        pytest.approx(0.295 / 2.59 * ones, rel=1e-9)
 
 
 def test_socp_case5_reaches_the_global_optimum():

@@ -17,8 +17,7 @@ import oracle_utils
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import build_case
 from dcattack.dc_model import build_feasibility
-from dcattack.defense import defense_local, rank1_policy, warm_start_defense
-from dcattack.errors import GeometryError
+from dcattack.defense import defense_local, t_tilde, warm_start_defense
 from dcattack.squeeze import SqueezeConfig, cross_feed, squeeze_run
 
 
@@ -84,15 +83,19 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
     assert best.certified
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
     assert rep.fixed_lb <= best.norm_sq
-    # the SOCP optimum dominates every affine policy: both rank-1 policies
-    # at the warm-start dispatch and that dispatch's fixed radius
+    # the SOCP optimum dominates every affine policy: the rank-1 policies
+    # at the warm-start dispatch, whose units that move absorb the load
+    # change 1^T delta in equal shares or in proportion to their outputs,
+    # and that dispatch's fixed radius
     p_w, _G0, t_fixed = warm_start_defense(mats)
+    base = mats.full_dispatch(p_w)[np.append(mats.slack_gen, mats.gen_order)]
     radii = [t_fixed]
-    for kind in ("uniform", "proportional"):
-        try:
-            radii.append(rank1_policy(mats, kind, p0=p_w).t)
-        except GeometryError:
-            pass
+    shares = [np.full(base.size, 1.0 / base.size)]
+    if abs(float(base.sum())) >= 1e-12:
+        shares.append(base / base.sum())
+    for share in shares:
+        G = np.outer(share[1:], np.ones(mats.n_delta))
+        radii.append(t_tilde(mats, p_w, G)[0])
     pol = defense_local(mats)
     assert pol.t >= (1 - 1e-8) * max(radii)
     bounds = squeeze_run(case, SqueezeConfig(seed=0, restarts=2,

@@ -112,6 +112,9 @@ def build_case(name, base_mva, buses, branches, generators):
 
 
 def _finite(*values):
+    """Every value a finite number; a bool is not one (JSON `true`)."""
+    if bool in map(type, values):
+        return False
     try:
         return all(map(math.isfinite, values))
     except (TypeError, OverflowError):    # not a number, or an int too
@@ -364,7 +367,7 @@ def case_from_json(text):
     try:
         case = NetworkCase(
             name=doc["name"],
-            base_mva=float(doc["base_mva"]),
+            base_mva=doc["base_mva"],
             buses=tuple(Bus(**b) for b in doc["buses"]),
             branches=tuple(Branch(**b) for b in doc["branches"]),
             generators=tuple(Generator(**g) for g in doc["generators"]),

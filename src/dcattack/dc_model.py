@@ -28,7 +28,7 @@ from crossing points.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lin_solve
 from .errors import ModelError, PreconditionError, SolverError
@@ -177,6 +177,16 @@ class FeasibilityMatrices:
         return project_policy(p0, G, self.A[row], self.B[row],
                               float(self.c[row])).delta
 
+    def take(self, rows):
+        """The system on `rows` alone (ascending positions), with their
+        labels and unpruned positions; a subset that keeps the unit and
+        slack rows keeps `unit_rows`."""
+        rows = np.asarray(rows)
+        return replace(self, A=self.A[rows], B=self.B[rows], c=self.c[rows],
+                       row_labels=tuple(self.row_labels[i]
+                                        for i in rows.tolist()),
+                       emitted=self.emitted[rows])
+
     def rhs(self, delta=None):
         """-(B delta + c): feasibility of F(delta) is  A p <= rhs."""
         if delta is None:
@@ -195,33 +205,6 @@ class FeasibilityMatrices:
         p_full[self.slack_gen] = total - float(p_hat.sum()) \
             - float(p_full[self.held].sum())
         return p_full
-
-    def model1_margins(self, p_full, delta=None):
-        """Independent margin computation straight from the dispatch model:
-        full PTDF flows against ratings plus the raw bounds of the slack and
-        the units that move, on the rows `margins` has and in its order.
-        Used as the reduction's cross-check."""
-        case = self.case
-        p_full = np.asarray(p_full, float)
-        inj = np.zeros(case.n_bus)
-        np.add.at(inj, case.gen_positions(), p_full)
-        inj -= case.p_d()
-        if delta is not None:
-            np.subtract.at(inj, self.load_pos, np.asarray(delta, float))
-        flows = self.ptdf.phi @ inj
-        rates = np.array([br.rate for br in case.branches if br.rate is not None])
-        bounded = [k for k, br in enumerate(case.branches) if br.rate is not None]
-        lo, hi = case.gen_bounds()
-        s = self.slack_gen
-        others = self.gen_order
-        return np.concatenate([
-            flows[bounded] - rates,
-            -flows[bounded] - rates,
-            [p_full[s] - hi[s]],
-            p_full[others] - hi[others],
-            [lo[s] - p_full[s]],
-            lo[others] - p_full[others],
-        ])[self.emitted]
 
     def to_json_dict(self):
         return {
@@ -318,16 +301,15 @@ def build_feasibility(case, slack_gen=None):
     for j in others:
         labels.append(f"gen-lower:g{j}@bus{case.generators[j].bus}")
 
-    emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
-                             | (c > lin_solve.FEAS_TOL))
-    return FeasibilityMatrices(
-        A=A[emitted], B=B[emitted], c=c[emitted],
-        row_labels=tuple(labels[i] for i in emitted.tolist()),
-        slack_gen=int(slack_gen),
-        ref_bus=ref, gen_order=others, held=held, emitted=emitted,
+    mats = FeasibilityMatrices(
+        A=A, B=B, c=c, row_labels=tuple(labels), slack_gen=int(slack_gen),
+        ref_bus=ref, gen_order=others, held=held, emitted=np.arange(m),
         load_pos=load_pos,
         load_bus_ids=tuple(int(case.buses[i].id) for i in load_pos),
         case=case, ptdf=ptdf)
+    emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
+                             | (c > lin_solve.FEAS_TOL))
+    return mats if emitted.size == m else mats.take(emitted)
 
 
 @dataclass

@@ -38,6 +38,22 @@ certifies a lower bound on lambda; the solve has converged once the best one
 is within 1e-8 of lambda.  The reported radius is always the exact t_tilde of
 the returned (p0, G).  The dual's y lies in P = {mu >= 0, A^T mu = 0,
 -c^T mu = 1}, so it is also a Farkas candidate for the attack.
+
+Few rows carry the optimal dual, so the program is solved on generated rows
+(constraint generation; cf. the constraint-reduced interior-point methods of
+Tits, Absil and Woessner 2006).  The first subset holds every unit and slack
+row (the last 2n + 2, which `_feasible_dual` needs) and the 4n flow rows with
+the smallest fixed-dispatch radius at the warm start, n = n_reduced; when 4n
+covers every flow row, all rows are solved at once.  Each round solves the
+subset from the warm-start dispatch, strictly interior for every subset, and
+adds every flow row that p0 = q / lambda breaks or whose radius is below the
+subset's 1 / lambda^2; the loop stops when there is none.  That is exact: a
+subset's lambda is at most the full program's, at the stop no row's radius
+is below 1 / lambda^2, and the subset dual padded with zeros is feasible for
+the full dual, so the gap still certifies over every row.  The rounds share
+one deadline.  When it cuts them with a row still violated, the policy in
+hand is kept only if it breaks no row and beats the warm start, and no
+lambda is claimed for it.
 """
 
 import time
@@ -51,11 +67,16 @@ from .errors import (GeometryError, ModelError, PolicyVerificationError,
 
 # the solve converges once the certified duality gap is below _GAP_TOL; each
 # step goes _STEP of the way to the cone boundary, and a solve that has not
-# converged after _MAX_STEPS steps ends as "step-failed"; verify_policy
-# samples strictly inside the radius, ||delta||^2 <= t (1 - _BALL_SHRINK)
+# converged after _MAX_STEPS steps ends as "step-failed"; until it converges,
+# a step's corrector is refined (up to _MAX_PASSES solves) until its dual
+# residual is below _REFINE_TOL, a hundredth of the gap it must certify;
+# verify_policy samples strictly inside the radius, ||delta||^2 <= t (1 -
+# _BALL_SHRINK)
 _GAP_TOL = 1e-8
 _STEP = 0.99
 _MAX_STEPS = 60
+_REFINE_TOL = 1e-10
+_MAX_PASSES = 4
 _BALL_SHRINK = 1e-6
 
 
@@ -162,15 +183,21 @@ def _nt_scaling(s, z):
     return np.sqrt(ns / nz), (sb + zb) / (2.0 * gam)[:, None]
 
 
-def _scale(beta, wb, v, inverse=False):
-    """W v per cone, or W^-1 v (W^-1 is W with beta^-1 and -wb_1)."""
-    sg = -1.0 if inverse else 1.0
-    t = _rowdot(wb[:, 1:], v[:, 1:])
-    out = np.empty_like(v)
-    out[:, 0] = wb[:, 0] * v[:, 0] + sg * t
-    out[:, 1:] = v[:, 1:] + (sg * v[:, 0] + t / (1.0 + wb[:, 0]))[:, None] \
-        * wb[:, 1:]
-    return out * (beta ** sg)[:, None]
+def _scaler(beta, wb):
+    """scale(v) = W v per cone, scale(v, inverse=True) = W^-1 v (W^-1 is W
+    with beta^-1 and -wb_1), for the NT scaling (beta, wb) of one step."""
+    w0, w1, den = wb[:, 0], wb[:, 1:], 1.0 + wb[:, 0]
+    b, b_inv = beta[:, None], (beta ** -1.0)[:, None]
+
+    def scale(v, inverse=False):
+        sg = -1.0 if inverse else 1.0
+        t = _rowdot(w1, v[:, 1:])
+        out = np.empty_like(v)
+        out[:, 0] = w0 * v[:, 0] + sg * t
+        out[:, 1:] = v[:, 1:] + (sg * v[:, 0] + t / den)[:, None] * w1
+        return out * (b_inv if inverse else b)
+
+    return scale
 
 
 def _max_step(x, d):
@@ -248,21 +275,27 @@ def _socp(mats, p_start, deadline):
                 info["stop"] = "deadline"
             break
         beta, wb = _nt_scaling(s, z)
-        lm = _scale(beta, wb, z)
+        scale = _scaler(beta, wb)
+        lm = scale(z)
         if not _interior(lm):       # the scaled point lost its digits
             break
 
-        def direction(xi, passes):
+        def direction(xi, passes, refine=False):
             # dx and the scaled (W^-1 ds, W dz) of F^T dz = -(F^T z + e_lam),
-            # W dz + W^-1 ds = xi, ds = -F dx, refined passes - 1 times; ds
+            # W dz + W^-1 ds = xi, ds = -F dx, refined passes - 1 times, and
+            # with `refine` on until the residual is below _REFINE_TOL; ds
             # sums the corrections' slack changes, so the residual is exact
             dy, dG, ds = np.zeros_like(x), np.zeros_like(G), np.zeros_like(z)
-            for _ in range(passes):
-                zz = z + _scale(beta, wb, xi - ds, inverse=True)
-                ey, eG = solve(Ay.T @ zz[:, 0] + e_lam, -(A.T @ zz[:, 1:]))
+            for k in range(_MAX_PASSES if refine else passes):
+                zz = z + scale(xi - ds, inverse=True)
+                g_y, g_G = Ay.T @ zz[:, 0] + e_lam, -(A.T @ zz[:, 1:])
+                if k >= passes and max(np.abs(g_y).max(), np.abs(g_G).max(
+                        initial=0.0)) <= _REFINE_TOL:
+                    break
+                ey, eG = solve(g_y, g_G)
                 dy, dG = dy + ey, dG + eG
-                ds = ds + _scale(beta, wb, np.column_stack(
-                    [-(Ay @ ey), A @ eG]), inverse=True)
+                ds = ds + scale(np.column_stack([-(Ay @ ey), A @ eG]),
+                                inverse=True)
             return dy, dG, np.vstack([ds, xi - ds])
 
         # W^-2 is the barrier Hessian at the virtual point sqrt(2) beta wb.
@@ -277,12 +310,13 @@ def _socp(mats, p_start, deadline):
             ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
             r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
             r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
-            dy, dG, d = direction(_jsolve(lm, r), 2)
+            dy, dG, d = direction(_jsolve(lm, r), 2,
+                                  refine=info["stop"] != "converged")
         except np.linalg.LinAlgError:
             break
         alpha = min(1.0, _STEP * _max_step(np.vstack([lm, lm]), d))
         x, G = x + alpha * dy, G + alpha * dG
-        z = z + alpha * _scale(beta, wb, d[m:], inverse=True)
+        z = z + alpha * scale(d[m:], inverse=True)
         s = np.column_stack([-(Ay @ x), A @ G + B])
         info["newton_steps"] += 1
         if not (_interior(s) and _interior(z)):
@@ -316,29 +350,79 @@ def _feasible_dual(mats, y, W):
     return (y / scale, W), -float(np.sum(W * mats.B))
 
 
+def _socp_on_rows(mats, p_w, t_init, deadline):
+    """`_socp` on generated rows (module docstring) from the warm-start
+    dispatch p_w, whose fixed-dispatch radius is t_init.  Returns (p0, lam,
+    G), the dual padded with zeros to every row, and `_socp`'s info with the
+    steps summed over the rounds, the last subset's size as "rows" and the
+    number of subset solves as "rounds".  lam is None when the deadline cut
+    the rounds with a row outside the subset still violated; p0, G are then
+    the warm start if p0 breaks such a row or its exact radius is no larger
+    than t_init."""
+    m, n = mats.m, mats.n_reduced
+    flow = m - 2 * n - 2
+    rows = np.arange(m)
+    if 4 * n < flow:
+        nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
+        rows = np.concatenate([np.sort(nearest), rows[flow:]])
+    steps = rounds = 0
+    while True:
+        sub = mats if rows.size == m else mats.take(rows)
+        (q, lam, G), dual, info = _socp(sub, p_w, deadline)
+        steps, rounds = steps + info["newton_steps"], rounds + 1
+        p0 = q / lam
+        if rows.size == m:
+            break
+        seen = np.zeros(m, dtype=bool)
+        seen[rows] = True
+        broken = mats.margins(p0) > lin_solve.FEAS_TOL
+        per = None if np.any(broken) else mats.radii(p0, G)  # radii raises
+        new = np.flatnonzero(~seen & (broken if per is None
+                                      else per < lam ** -2))
+        if not new.size:
+            break
+        if deadline is not None and time.monotonic() >= deadline:
+            info.update(stop="deadline", gap=None)
+            lam = None
+            if per is None or np.min(per) <= t_init:
+                p0, G = p_w, np.zeros_like(G)
+            break
+        rows = np.union1d(rows, new)
+    if dual is not None and rows.size < m:
+        y, W = np.zeros(m), np.zeros((m, mats.n_delta))
+        y[rows], W[rows] = dual
+        dual = (y, W)
+    info.update(newton_steps=steps, rows=int(rows.size), rounds=rounds)
+    return (p0, lam, G), dual, info
+
+
 def defense_local(mats, budget_s=None):
     """The best affine policy, by the primal-dual SOCP solve of the module
-    docstring.
+    docstring, on generated rows.
 
     Starts from `warm_start_defense`.  `budget_s` bounds the wall time of the
-    interior-point loop; on expiry the best iterate so far is returned with
-    meta["deadline"] set.  meta["stop"] says why the solve ended:
-    "converged" (certified duality gap below 1e-8), "step-failed" (a factor
-    was singular, a step left the cones, or 60 steps did not converge),
-    "deadline", or "no-interior" when no dispatch is strictly interior (the
-    warm start is returned then).  meta["newton_steps"] counts interior-point
-    iterations; meta["gap"] is the relative duality gap
-    (lambda + <W, B>) / lambda between the returned policy and dual;
+    interior-point loop and its rounds; on expiry the best iterate so far is
+    returned with meta["deadline"] set.  meta["stop"] says why the solve
+    ended: "converged" (certified duality gap below 1e-8), "step-failed" (a
+    factor was singular, a step left the cones, or 60 steps did not
+    converge), "deadline", or "no-interior" when no dispatch is strictly
+    interior (the warm start is returned then).  meta["newton_steps"] counts
+    interior-point iterations over every round; meta["rows"] is the size of
+    the last row subset and meta["rounds"] the number of subset solves;
+    meta["lambda"] is the last solve's lambda, absent when no solve ran or
+    the deadline cut the rounds short; meta["gap"] is the relative duality
+    gap (lambda + <W, B>) / lambda between the returned policy and dual;
     meta["stalled"] flags a policy no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     p_w, G0, t_init = warm_start_defense(mats)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
-            "gap": None}
+            "gap": None, "rows": 0, "rounds": 0}
     p0, G, dual = p_w, G0, None
     if float(np.max(mats.margins(p_w))) < 0.0:
-        (q, lam, G), dual, info = _socp(mats, p_w, deadline)
-        meta.update(info, **{"lambda": lam})
-        p0 = q / lam
+        (p0, lam, G), dual, info = _socp_on_rows(mats, p_w, t_init, deadline)
+        meta.update(info)
+        if lam is not None:
+            meta["lambda"] = lam
     meta["deadline"] = meta["stop"] == "deadline"
     try:
         t, row = t_tilde(mats, p0, G)

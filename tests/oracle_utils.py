@@ -143,3 +143,31 @@ def p_polytope_max(mats, g):
     if res.status != 0:
         raise RuntimeError(f"P-polytope probe failed: {res.message}")
     return float(-res.fun)
+
+
+def model1_margins(mats, p_full, delta=None):
+    """Independent margin computation straight from the dispatch model:
+    full PTDF flows against ratings plus the raw bounds of the slack and the
+    units that move, on the rows `mats.margins` has and in its order.  Used
+    as the reduction's cross-check."""
+    case = mats.case
+    p_full = np.asarray(p_full, float)
+    inj = np.zeros(case.n_bus)
+    np.add.at(inj, case.gen_positions(), p_full)
+    inj -= case.p_d()
+    if delta is not None:
+        np.subtract.at(inj, mats.load_pos, np.asarray(delta, float))
+    flows = mats.ptdf.phi @ inj
+    rates = np.array([br.rate for br in case.branches if br.rate is not None])
+    bounded = [k for k, br in enumerate(case.branches) if br.rate is not None]
+    lo, hi = case.gen_bounds()
+    s = mats.slack_gen
+    others = mats.gen_order
+    return np.concatenate([
+        flows[bounded] - rates,
+        -flows[bounded] - rates,
+        [p_full[s] - hi[s]],
+        p_full[others] - hi[others],
+        [lo[s] - p_full[s]],
+        lo[others] - p_full[others],
+    ])[mats.emitted]

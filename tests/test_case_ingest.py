@@ -215,6 +215,25 @@ def test_json_bad_values_are_case_errors(desk2):
             case_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("table, field, record", [
+    ("buses", "p_d", "bus 3"),
+    ("branches", "rate", "branch 1-2"),
+    ("generators", "p_max", "generator 0"),
+])
+def test_json_booleans_are_not_numbers(desk3, table, field, record):
+    """JSON `true` is not a load of 1.0 p.u. nor a rating of 1.0 p.u."""
+    doc = json.loads(case_to_json(desk3))
+    doc[table][0 if table != "buses" else 2][field] = True
+    with pytest.raises(CaseError, match=re.escape(record)):
+        case_from_json(json.dumps(doc))
+
+
+def test_json_boolean_base_is_rejected(desk3):
+    doc = dict(json.loads(case_to_json(desk3)), base_mva=True)
+    with pytest.raises(CaseError, match="baseMVA"):
+        case_from_json(json.dumps(doc))
+
+
 def test_load_case_json_error_is_a_case_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("[1, 2]")

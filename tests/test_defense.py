@@ -402,3 +402,91 @@ def test_socp_iterates_before_the_deadline_are_sound(name, k, desk3,
     _assert_policy_invariants(mats, pol)
     assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
     assert pol.t <= full.t
+
+
+# -- row generation -----------------------------------------------------------
+
+def _full_row_t(mats):
+    """t of one SOCP solve on every row of mats."""
+    p_w, _G0, _t = warm_start_defense(mats)
+    (q, lam, G), _dual, _info = defense._socp(mats, p_w, None)
+    return t_tilde(mats, q / lam, G)[0]
+
+
+def test_row_generation_matches_the_full_row_solve():
+    mats = build_feasibility(bench_ladder(120, 0, False))
+    pol = defense_local(mats)
+    assert pol.meta["stop"] == "converged"
+    assert pol.meta["rounds"] > 1 and pol.meta["rows"] < mats.m
+    assert pol.t == pytest.approx(_full_row_t(mats), rel=1e-10)
+    assert pol.dual[0].shape == (mats.m,)
+    assert _check_dual(mats, pol) == []
+
+
+def test_case30_solves_on_fewer_rows():
+    mats = build_feasibility(load_case(pglib_path("case30_as")))
+    pol = defense_local(mats)
+    assert pol.meta["rows"] < mats.m and pol.meta["rounds"] == 1
+    assert pol.meta["stop"] == "converged"
+    assert pol.t == pytest.approx(_full_row_t(mats), rel=1e-10)
+    assert _check_dual(mats, pol) == []
+
+
+@pytest.mark.parametrize("args, kept", [((30, 0, True), False),
+                                        ((30, 0, False), False),
+                                        ((60, 2, False), True)],
+                         ids=["breaks-a-row", "trails-the-warm-start",
+                              "beats-the-warm-start"])
+def test_a_deadline_between_rounds_returns_a_sound_policy(args, kept,
+                                                          monkeypatch):
+    """The clock runs out right after the first subset solve.  On the
+    degenerate 30-bus rung that solve's policy breaks a row outside its
+    subset, and on the 30-bus rung its radius over every row is below the
+    warm start's, so the warm start comes back; on the 60-bus rung it is
+    sound and beats the warm start, so it is kept.  Either way t is the
+    exact radius over every row, and no lambda is claimed for it."""
+    mats = build_feasibility(bench_ladder(*args))
+    p_w, _G0, t_init = warm_start_defense(mats)
+    real, clock = defense._socp, [0.0]
+
+    def one_round(*args):
+        out = real(*args)
+        clock[0] = np.inf
+        return out
+
+    monkeypatch.setattr(defense, "_socp", one_round)
+    monkeypatch.setattr(defense.time, "monotonic", lambda: clock[0])
+    pol = defense_local(mats, budget_s=60.0)
+    assert pol.meta["stop"] == "deadline" and pol.meta["rounds"] == 1
+    assert "lambda" not in pol.meta and pol.meta["gap"] is None
+    assert pol.t == t_tilde(mats, pol.p0, pol.G)[0]
+    assert np.array_equal(pol.p0, p_w) != kept
+    assert (pol.t > t_init) == kept
+    assert verify_policy(mats, pol, samples=500, seed=1) == 500
+
+
+def test_the_corrector_refinement_absorbs_an_inexact_newton_solve(
+        monkeypatch):
+    """Near the optimum the bordered Newton system is ill-conditioned (on
+    the fourth row subset of ladder(480, 0), two passes left a dual residual
+    of 7e-9 and the solve ended "step-failed").  Here a solve perturbed by
+    1e-5 relative stands in for it: with two fixed passes ladder(30, 0) ends
+    "step-failed"; refined until its residual is below _REFINE_TOL, the
+    corrector converges."""
+    real = defense._newton_factor
+
+    def inexact(*args):
+        solve, rng = real(*args), np.random.default_rng(0)
+
+        def perturbed(g_y, g_G):
+            dy, dG = solve(g_y, g_G)
+            return (dy * (1.0 + 1e-5 * rng.standard_normal(dy.shape)),
+                    dG * (1.0 + 1e-5 * rng.standard_normal(dG.shape)))
+
+        return perturbed
+
+    monkeypatch.setattr(defense, "_newton_factor", inexact)
+    mats = build_feasibility(bench_ladder(30, 0, False))
+    pol = defense_local(mats)
+    assert pol.meta["stop"] == "converged"
+    assert _check_dual(mats, pol) == []

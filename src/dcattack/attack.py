@@ -29,10 +29,12 @@ step warm-starts from that basis and each later step from its own previous
 one.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
-hyperplane, and mu is rescaled so that mu^T (B delta + c) = eps: eps is only
-the scale of the reported certificate.  Soundness is never left to the
-ascent: `certify_infeasible` re-proves emptiness independently at the
-inflated point (1 + _CERT_INFLATION) * delta, with _CERT_INFLATION = 1e-4.
+hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
+EPS is the epsilon of the parameterized Farkas' lemma; it only fixes the
+scale of the reported certificate, and no bound, delta or flag depends on
+it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
+emptiness independently at the inflated point (1 + _CERT_INFLATION) * delta,
+with _CERT_INFLATION = 1e-4.
 
 Zero distance.  A P-LP is infeasible (P is empty) or unbounded only through
 multipliers with c^T mu = 0, which make rows of F(0) implicit equalities;
@@ -50,11 +52,13 @@ from . import lin_solve
 from .dc_model import solve_dcopf
 from .errors import AttackError, RestartSignal
 
-# the ascent reports delta = (1 + _INFLATE) B^T mu / v, just past mu's
-# hyperplane, certified at (1 + _CERT_INFLATION) delta; a caller's lb closes
-# the bracket to _CLOSE_TOL relative, the certified duality gap of the policy
-# SOCP (defense._GAP_TOL); an ascent stops after _MAX_STEPS P-LPs or once a
-# step gains at most _STEP_TOL relative
+# the reported mu has mu^T (B delta + c) = EPS; the ascent reports
+# delta = (1 + _INFLATE) B^T mu / v, just past mu's hyperplane, certified at
+# (1 + _CERT_INFLATION) delta; a caller's lb closes the bracket to _CLOSE_TOL
+# relative, the certified duality gap of the policy SOCP (defense._GAP_TOL);
+# an ascent stops after _MAX_STEPS P-LPs or once a step gains at most
+# _STEP_TOL relative
+EPS = 1e-3
 _INFLATE = 1e-6
 _CERT_INFLATION = 1e-4
 _CLOSE_TOL = 1e-8
@@ -64,7 +68,6 @@ _STEP_TOL = 1e-8
 
 @dataclass
 class AttackConfig:
-    eps: float = 1e-3
     restarts: int = 5
     seed: int = 0
 
@@ -74,7 +77,6 @@ class AttackSolution:
     delta: np.ndarray
     mu: np.ndarray
     norm_sq: float          # delta^T delta
-    eps: float
     converged: bool
     convergence: str        # "tight" | "cap" | "deadline" | "zero-distance"
     iterations: int
@@ -88,12 +90,11 @@ class AttackSolution:
         return {
             "norm_sq": self.norm_sq,
             "objective": self.norm_sq,
-            "eps": self.eps,
+            "eps": EPS,
             "converged": self.converged,
             "convergence": self.convergence,
             "iterations": self.iterations,
             "certified": self.certified,
-            "start": self.start,
             "residuals": self.residuals,
         }
 
@@ -167,7 +168,7 @@ def _p_lp(mats, P, g, basis):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
     min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
     basis), with mu clipped at 0: a basic value may sit up to FEAS_TOL below
-    its bound, and the reported mu is that vertex scaled up by eps / 1e-6.
+    its bound, and the reported mu is that vertex scaled up by EPS / 1e-6.
     Raises _ZeroDistance when P is empty or the maximum is unbounded."""
     res = lin_solve.lp_solve(P.with_objective(-(mats.B @ g)), basis=basis)
     if res.status != lin_solve.OPTIMAL:
@@ -176,23 +177,23 @@ def _p_lp(mats, P, g, basis):
     return np.maximum(res.x, 0.0), -res.objective, res.basis
 
 
-def _solution(mats, delta, mu, eps, start, status, iterations=0, history=()):
+def _solution(mats, delta, mu, start, status, iterations=0, history=()):
     """The attack delta with its multiplier mu rescaled so that
-    mu^T (B delta + c) = eps; mu must separate delta."""
+    mu^T (B delta + c) = EPS; mu must separate delta."""
     sep = mats.B @ delta + mats.c
-    mu = mu * (eps / float(mu @ sep))
+    mu = mu * (EPS / float(mu @ sep))
     residuals = {"At_mu_inf": float(np.max(np.abs(mats.A.T @ mu), initial=0.0)),
-                 "eps_residual": float(mu @ sep - eps),
+                 "eps_residual": float(mu @ sep - EPS),
                  "mu_min": float(mu.min())}
     return AttackSolution(
-        delta=delta, mu=mu, norm_sq=float(delta @ delta), eps=eps,
+        delta=delta, mu=mu, norm_sq=float(delta @ delta),
         converged=status in ("tight", "zero-distance"), convergence=status,
         iterations=iterations, residuals=residuals, start=start,
         history=list(history))
 
 
-def attack_local(mats, init_delta, config=None, start="", basis=None,
-                 deadline=None, P=None):
+def attack_local(mats, init_delta, start="", basis=None, deadline=None,
+                 P=None):
     """One ascent on P from a start direction (module docstring).  `basis`
     warm-starts the first step; `deadline`, a time.monotonic() value, is
     checked between steps, and an expired one returns the current vertex.
@@ -202,7 +203,6 @@ def attack_local(mats, init_delta, config=None, start="", basis=None,
     the start direction (F never closes along it), and its subclass
     _ZeroDistance when a P-LP is infeasible or unbounded.
     """
-    cfg = config or AttackConfig()
     g = np.asarray(init_delta, float)
     if not np.any(g):
         raise RestartSignal("zero start direction")
@@ -229,8 +229,7 @@ def attack_local(mats, init_delta, config=None, start="", basis=None,
             status = "tight"
             break
         mu = mu_next
-    return _solution(mats, delta, mu, cfg.eps, start, status, iterations,
-                     history)
+    return _solution(mats, delta, mu, start, status, iterations, history)
 
 
 def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
@@ -297,8 +296,7 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
         if i and deadline is not None and time.monotonic() >= deadline:
             return ("skipped", label, "deadline")
         try:
-            return attack_local(mats, direction, cfg, label, basis, deadline,
-                                P)
+            return attack_local(mats, direction, label, basis, deadline, P)
         except _ZeroDistance as exc:
             return ("zero-distance", label, str(exc))
         except RestartSignal as exc:
@@ -317,8 +315,8 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
     if zero and d_bind is not None:
         ok, ray = certify_infeasible(mats, d_bind)
         if ok:
-            outcomes.append(_solution(mats, d_bind, ray, cfg.eps,
-                                      "binding-row", "zero-distance"))
+            outcomes.append(_solution(mats, d_bind, ray, "binding-row",
+                                      "zero-distance"))
 
     candidates = [out for out in outcomes if not isinstance(out, tuple)]
     best = None

@@ -42,9 +42,6 @@ def _at_least(kind, low, strict=False):
 # options under their dests, the ones in _CONFIG as config, in _OUTPUTS as
 # outputs
 _OPTIONS = {
-    "--eps": dict(type=_at_least(float, 0, strict=True), default=1e-3,
-                  help="scale of the attack's certificate: "
-                  "mu^T (B delta + c) = eps"),
     "--restarts": dict(type=_at_least(int, 0), default=5),
     "--seed": dict(type=_at_least(int, 0), default=None,
                    help="root seed; generated and recorded when absent"),
@@ -59,21 +56,21 @@ _OPTIONS = {
         help="write the reduced feasibility matrices to this path"),
     "--format": dict(default="md", choices=["md", "csv"]),
 }
-_CONFIG = ("eps", "restarts", "budget_s", "match_threshold", "verify_samples")
+_CONFIG = ("restarts", "budget_s", "match_threshold", "verify_samples")
 _OUTPUTS = ("json", "trace", "dump_matrices")
 
 # each subcommand takes exactly the options it reads
 _SUBCOMMANDS = {
     "attack": ("smallest certified infeasibility perturbation",
-               "--eps --restarts --seed --json --trace --dump-matrices"),
+               "--restarts --seed --json --trace --dump-matrices"),
     "defend": ("control policy with certified solvability radius",
                "--seed --budget --json --trace --dump-matrices "
                "--verify-samples"),
     "squeeze": ("drive attack and defense toward a common value",
-                "--eps --restarts --seed --budget --match-threshold --json "
+                "--restarts --seed --budget --match-threshold --json "
                 "--trace --dump-matrices --verify-samples"),
     "table": ("squeeze several cases, render a table",
-              "--eps --restarts --seed --budget --match-threshold --json "
+              "--restarts --seed --budget --match-threshold --json "
               "--verify-samples --format"),
 }
 
@@ -146,7 +143,7 @@ def cmd_attack(args, manifest):
     case, mats = _load(args)
     t0 = time.monotonic()
     rep = multistart_attack(
-        mats, AttackConfig(eps=args.eps, restarts=args.restarts,
+        mats, AttackConfig(restarts=args.restarts,
                            seed=manifest["config"]["seed"]))
     sol = rep.best
     per_bus = _per_bus_rows(mats, sol.delta)
@@ -154,14 +151,7 @@ def cmd_attack(args, manifest):
         "schema": "dcattack-attack/1",
         "manifest": manifest,
         "case": case.name,
-        "norm_sq": sol.norm_sq,
-        "objective": sol.norm_sq,
-        "eps": sol.eps,
-        "certified": sol.certified,
-        "converged": sol.converged,
-        "convergence": sol.convergence,
-        "iterations": sol.iterations,
-        "residuals": sol.residuals,
+        **sol.summary(),
         "fixed_dispatch_lb": rep.fixed_lb,
         "delta": sol.delta.tolist(),
         "per_bus": per_bus,
@@ -206,7 +196,7 @@ def cmd_defend(args, manifest):
 def _squeeze_config(args, manifest):
     return SqueezeConfig(budget_s=args.budget_s,
                          match_threshold=args.match_threshold,
-                         eps=args.eps, seed=manifest["config"]["seed"],
+                         seed=manifest["config"]["seed"],
                          restarts=args.restarts,
                          verify_samples=args.verify_samples)
 

@@ -44,16 +44,16 @@ Few rows carry the optimal dual, so the program is solved on generated rows
 Tits, Absil and Woessner 2006).  The first subset holds every unit and slack
 row (the last 2n + 2, which `_feasible_dual` needs) and the 4n flow rows with
 the smallest fixed-dispatch radius at the warm start, n = n_reduced; when 4n
-covers every flow row, all rows are solved at once.  Each round solves the
-subset from the warm-start dispatch, strictly interior for every subset, and
-adds every flow row that p0 = q / lambda breaks or whose radius is below the
-subset's 1 / lambda^2; the loop stops when there is none.  That is exact: a
-subset's lambda is at most the full program's, at the stop no row's radius
-is below 1 / lambda^2, and the subset dual padded with zeros is feasible for
-the full dual, so the gap still certifies over every row.  The rounds share
-one deadline.  When it cuts them with a row still violated, the policy in
-hand is kept only if it breaks no row and beats the warm start, and no
-lambda is claimed for it.
+covers every flow row, that is every row, and one round ends the loop.  Each
+round solves the subset from the warm-start dispatch, strictly interior for
+every subset, and adds every flow row that p0 = q / lambda breaks or whose
+radius is below the subset's 1 / lambda^2; the loop stops when there is none.
+That is exact: a subset's lambda is at most the full program's, at the stop
+no row's radius is below 1 / lambda^2, and the subset dual padded with zeros
+is feasible for the full dual, so the gap still certifies over every row.
+The rounds share one deadline.  When it cuts them with a row still violated,
+the policy in hand is kept only if it breaks no row and beats the warm
+start, and no lambda is claimed for it.
 """
 
 import time
@@ -361,18 +361,13 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
     than t_init."""
     m, n = mats.m, mats.n_reduced
     flow = m - 2 * n - 2
-    rows = np.arange(m)
-    if 4 * n < flow:
-        nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
-        rows = np.concatenate([np.sort(nearest), rows[flow:]])
+    nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
+    rows = np.concatenate([np.sort(nearest), np.arange(flow, m)])
     steps = rounds = 0
     while True:
-        sub = mats if rows.size == m else mats.take(rows)
-        (q, lam, G), dual, info = _socp(sub, p_w, deadline)
+        (q, lam, G), dual, info = _socp(mats.take(rows), p_w, deadline)
         steps, rounds = steps + info["newton_steps"], rounds + 1
         p0 = q / lam
-        if rows.size == m:
-            break
         seen = np.zeros(m, dtype=bool)
         seen[rows] = True
         broken = mats.margins(p0) > lin_solve.FEAS_TOL
@@ -388,7 +383,7 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
                 p0, G = p_w, np.zeros_like(G)
             break
         rows = np.union1d(rows, new)
-    if dual is not None and rows.size < m:
+    if dual is not None:
         y, W = np.zeros(m), np.zeros((m, mats.n_delta))
         y[rows], W[rows] = dual
         dual = (y, W)

@@ -11,10 +11,11 @@ Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
 append.  The attack's final certificate is the multistart's own: it proves
 F empty at the inflated incumbent (1 + _CERT_INFLATION) * delta, with
-`attack._CERT_INFLATION` = 1e-4, and the report keeps that Farkas ray.  The
-multistart is handed lb, and stops once a certified attack meets it to 1e-8
-relative: the bracket is closed, and no further start could lower ub by
-more.
+`attack._CERT_INFLATION` = 1e-4.  The report keeps the attack's `summary()`,
+start and delta, not the ray, which stays on `AttackSolution.oracle_ray`.
+The multistart is handed lb, and stops once a certified attack meets it to
+1e-8 relative: the bracket is closed, and no further start could lower ub
+by more.
 """
 
 import csv
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackConfig, multistart_attack
+from .attack import EPS, AttackConfig, multistart_attack
 from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility, solve_dcopf
 from .errors import AttackError, ModelError
@@ -35,7 +36,6 @@ from .errors import AttackError, ModelError
 class SqueezeConfig:
     budget_s: float = 600.0
     match_threshold: float = 0.01
-    eps: float = 1e-3
     seed: int = 0
     restarts: int = 5
     verify_samples: int = 1000
@@ -56,7 +56,6 @@ class BoundsReport:
     flags: list = field(default_factory=list)
     elapsed: float = 0.0
     budget_s: float = 0.0
-    eps: float = 1e-3
     seed: int = 0
 
     def _gap(self):
@@ -92,7 +91,7 @@ class BoundsReport:
             "match_time_s": self.match_time,
             "elapsed_s": self.elapsed,
             "budget_s": self.budget_s,
-            "eps": self.eps,
+            "eps": EPS,
             "seed": self.seed,
             "flags": self.flags,
             "trace": [{"elapsed_s": e, "side": s, "value": v}
@@ -143,7 +142,7 @@ def squeeze_run(case, config=None, mats=None):
     t0 = time.monotonic()
     report = BoundsReport(case_name=mats.case.name,
                           match_threshold=cfg.match_threshold,
-                          budget_s=cfg.budget_s, eps=cfg.eps, seed=cfg.seed)
+                          budget_s=cfg.budget_s, seed=cfg.seed)
 
     nominal = solve_dcopf(mats)
     if not nominal.feasible:
@@ -157,26 +156,25 @@ def squeeze_run(case, config=None, mats=None):
     lb = best_pol.t if np.isfinite(best_pol.t) and best_pol.t > 0 else None
     try:
         rep = multistart_attack(
-            mats, AttackConfig(eps=cfg.eps, restarts=cfg.restarts,
-                               seed=cfg.seed),
+            mats, AttackConfig(restarts=cfg.restarts, seed=cfg.seed),
             extra_directions=hints,
             p_nom=nominal.p_hat,
             budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb)
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
-        if best_att.convergence == "zero-distance":
-            # the infimum is 0; ub is only the certified binding-row point
+        if any(note["status"] == "zero-distance" for note in rep.starts):
+            # a start's P-LP was unbounded or infeasible (attack module
+            # docstring): the infimum is 0; ub is only a certified point
             report.flags.append("zero-distance")
     except AttackError as exc:
         report.flags.append(f"attack-round0: {exc}")
 
-    # the multistart certified the attack (its Farkas ray is kept); the
-    # policy is verified here
+    # the multistart certified the attack; the policy is verified here
     if best_att is not None:
         if not best_att.certified:
             raise ModelError("attack incumbent is not certified")
-        report.attack = best_att.summary()
-        report.attack["delta"] = best_att.delta.tolist()
+        report.attack = {**best_att.summary(), "start": best_att.start,
+                         "delta": best_att.delta.tolist()}
     else:
         report.flags.append("no-certified-attack")
     verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed)

@@ -18,7 +18,7 @@ import pytest
 import oracle_utils
 from conftest import pglib_path
 
-from dcattack import dc_model, lin_solve
+from dcattack import attack, dc_model, lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
@@ -232,11 +232,13 @@ def test_criterion_7_bound_ordering(desk3):
     assert points > 0
 
 
-def test_criterion_8_eps_robustness(desk2):
+def test_criterion_8_eps_robustness(desk2, monkeypatch):
     """The certificate scale eps must not move the certified value."""
     mats = build_feasibility(desk2)
-    a = multistart_attack(mats, AttackConfig(eps=1e-3, seed=0))
-    b = multistart_attack(mats, AttackConfig(eps=5e-4, seed=0))
+    monkeypatch.setattr(attack, "EPS", 1e-3)
+    a = multistart_attack(mats, AttackConfig(seed=0))
+    monkeypatch.setattr(attack, "EPS", 5e-4)
+    b = multistart_attack(mats, AttackConfig(seed=0))
     assert a.best.certified and b.best.certified
     rel = abs(a.best.norm_sq - b.best.norm_sq) / a.best.norm_sq
     assert rel < 1e-3, f"eps halving moved the value by {rel:.4%}"

@@ -89,19 +89,22 @@ def test_multistart_is_deterministic(desk3):
     assert rep1.best.start == rep2.best.start
 
 
-def test_eps_insensitivity(desk2):
+def test_eps_insensitivity(desk2, monkeypatch):
     mats = build_feasibility(desk2)
     vals = []
     for eps in (1e-3, 5e-4):
-        rep = multistart_attack(mats, AttackConfig(restarts=3, seed=2, eps=eps))
+        monkeypatch.setattr(attack, "EPS", eps)
+        rep = multistart_attack(mats, AttackConfig(restarts=3, seed=2))
         assert rep.best.certified
+        sep = mats.B @ rep.best.delta + mats.c
+        assert float(rep.best.mu @ sep) == pytest.approx(eps, rel=1e-9)
         vals.append(rep.best.norm_sq)
     assert abs(vals[0] - vals[1]) / vals[0] < 1e-3
 
 
 def test_accepted_history_is_monotone(desk3):
     mats = build_feasibility(desk3)
-    sol = attack_local(mats, np.ones(mats.n_delta), AttackConfig(seed=0))
+    sol = attack_local(mats, np.ones(mats.n_delta))
     hist = np.asarray(sol.history)
     assert hist.size >= 1
     assert np.all(np.diff(hist) <= 1e-12)

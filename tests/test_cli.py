@@ -63,6 +63,11 @@ def test_attack_command_end_to_end(desk2_m, tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["schema"] == "dcattack-attack/1"
+    assert set(rep) == {
+        "schema", "manifest", "case", "norm_sq", "objective", "eps",
+        "certified", "converged", "convergence", "iterations", "residuals",
+        "fixed_dispatch_lb", "delta", "per_bus", "starts", "elapsed_s"}
+    assert rep["eps"] == 1e-3
     assert rep["certified"] is True
     assert rep["norm_sq"] == pytest.approx(1.0, rel=1e-3)
     assert rep["objective"] == rep["norm_sq"]
@@ -75,14 +80,6 @@ def test_attack_command_end_to_end(desk2_m, tmp_path, capsys):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "bus,delta_pu,pct_of_total_load"
     assert len(lines) == 2
-
-
-def test_attack_manifest_echoes_eps(desk2_m, capsys):
-    code, out = _run(capsys, ["attack", desk2_m, "--eps", "1e-4", "--seed", "1"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["manifest"]["config"]["eps"] == pytest.approx(1e-4)
-    assert rep["eps"] == pytest.approx(1e-4)
 
 
 def test_missing_file_exits_2_with_error_json(capsys):
@@ -131,6 +128,14 @@ def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["schema"] == "dcattack-bounds/1"
+    assert set(rep) == {
+        "schema", "manifest", "case", "lb", "ub", "gap", "matched",
+        "match_threshold", "match_time_s", "elapsed_s", "budget_s", "eps",
+        "seed", "flags", "trace", "attack", "defense"}
+    assert set(rep["attack"]) == {
+        "norm_sq", "objective", "eps", "converged", "convergence",
+        "iterations", "certified", "start", "residuals", "delta"}
+    assert rep["eps"] == rep["attack"]["eps"] == 1e-3
     assert rep["matched"] is True
     assert rep["ub"] == pytest.approx(169.0 / 500.0, rel=1e-3)
     disk = json.loads(out_json.read_text())
@@ -215,15 +220,14 @@ def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("attack", "--eps", "-1"), ("attack", "--eps", "0"),
-    ("attack", "--eps", "nan"), ("attack", "--seed", "-1"),
-    ("defend", "--verify-samples", "-2"), ("squeeze", "--budget", "nan"),
-    ("squeeze", "--budget", "inf"), ("squeeze", "--match-threshold", "-1"),
-    ("attack", "--restarts", "-3"), ("table", "--eps", "inf"),
+    ("attack", "--seed", "-1"), ("defend", "--verify-samples", "-2"),
+    ("squeeze", "--budget", "nan"), ("squeeze", "--budget", "inf"),
+    ("squeeze", "--match-threshold", "-1"),
+    ("squeeze", "--match-threshold", "0"), ("attack", "--restarts", "-3"),
 ])
 def test_bad_numeric_option_is_a_usage_error(desk2_m, capsys, command, flag,
                                              value):
-    """eps and match-threshold are finite and > 0, the budget finite and
+    """The match threshold is finite and > 0, the budget finite and
     >= 0, the counts and the seed >= 0; anything else exits 2 at parse
     time, naming the flag."""
     with pytest.raises(SystemExit) as exc:
@@ -234,20 +238,21 @@ def test_bad_numeric_option_is_a_usage_error(desk2_m, capsys, command, flag,
 # per subcommand: flags it does not read (each with a value), and the keys of
 # its manifest's config
 _SPLIT = {
-    "attack": ([("--budget", "60"), ("--match-threshold", "0.5"),
-                ("--policy", "warm"), ("--verify-samples", "3"),
-                ("--format", "csv")],
-               {"eps", "restarts"}),
+    "attack": ([("--eps", "1e-4"), ("--budget", "60"),
+                ("--match-threshold", "0.5"), ("--policy", "warm"),
+                ("--verify-samples", "3"), ("--format", "csv")],
+               {"restarts"}),
     "defend": ([("--eps", "1e-4"), ("--restarts", "2"),
                 ("--match-threshold", "0.5"), ("--format", "csv"),
                 ("--policy", "local")],
                {"budget_s", "verify_samples"}),
-    "squeeze": ([("--policy", "warm"), ("--format", "csv")],
-                {"eps", "restarts", "budget_s", "match_threshold",
+    "squeeze": ([("--eps", "1e-4"), ("--policy", "warm"),
+                 ("--format", "csv")],
+                {"restarts", "budget_s", "match_threshold",
                  "verify_samples"}),
-    "table": ([("--trace", "x.csv"), ("--dump-matrices", "m.json"),
-               ("--policy", "warm")],
-              {"eps", "restarts", "budget_s", "match_threshold",
+    "table": ([("--eps", "1e-4"), ("--trace", "x.csv"),
+               ("--dump-matrices", "m.json"), ("--policy", "warm")],
+              {"restarts", "budget_s", "match_threshold",
                "verify_samples"}),
 }
 
@@ -285,26 +290,49 @@ def test_readme_library_block_runs(monkeypatch, capsys):
     assert ns["bounds"].lb <= ns["bounds"].ub
 
 
+def _command_line_section():
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def _flag_owners():
+    """{--flag: the subcommands whose parser has it}, bar --help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    owners = {}
+    for name, p in sub.choices.items():
+        for a in p._actions:
+            for opt in a.option_strings:
+                if opt.startswith("--") and opt != "--help":
+                    owners.setdefault(opt, set()).add(name)
+    return owners
+
+
 def test_readme_documents_exactly_the_parser_flags():
     """The --flags in README's "Command line" section are the subcommands'
     option strings (bar argparse's own --help), both ways."""
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"--[a-z][a-z-]*", section))
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {opt for p in sub.choices.values() for a in p._actions
-               for opt in a.option_strings if opt.startswith("--")}
-    assert documented == options - {"--help"}
+    documented = set(re.findall(r"--[a-z][a-z-]*", _command_line_section()))
+    assert documented == set(_flag_owners())
+
+
+def test_readme_names_the_subcommands_of_each_flag():
+    """Each flag bullet's "(attack, squeeze, table)" or "(all)" names exactly
+    the subcommands whose parser has that flag."""
+    owners = _flag_owners()
+    everyone = set().union(*owners.values())
+    listed = re.findall(r"`(--[a-z][a-z-]*)[^`]*` \(([a-z, ]+)\)",
+                        _command_line_section())
+    assert {flag for flag, _names in listed} == set(owners)
+    for flag, names in listed:
+        named = everyone if names == "all" else set(names.split(", "))
+        assert named == owners[flag], flag
 
 
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     """Every `dcattack ...` line of README's "Command line" block exits 0,
     run from a scratch directory with its case paths taken from the repo
     root."""
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("dcattack ")]
     assert len(commands) == 4

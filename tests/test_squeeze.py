@@ -133,8 +133,8 @@ def test_squeeze_with_no_budget_stays_sound(desk3):
 
 def test_zero_distance_is_flagged():
     """A unit fixed beside rated lines makes an implicit equality that moves
-    with delta: the infimum is 0, the ub is only the certified binding-row
-    point, and the report says so."""
+    with delta: the infimum is 0, the ub is only a certified point, and the
+    report says so."""
     case = build_case("zd3", 100.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
                       [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)], [(1, 2.0, 2.0, 10.0)])
     rep = squeeze_run(case, SqueezeConfig(seed=0))
@@ -163,6 +163,21 @@ def _spied_squeeze(case, monkeypatch):
     rep = squeeze_run(case, SqueezeConfig(seed=0))
     monkeypatch.undo()
     return rep, reports[0], ascents
+
+
+def test_a_proven_zero_distance_is_flagged_whatever_wins(monkeypatch):
+    """Total capacity equals total load, so any load increase empties F: the
+    starts whose P-LP is unbounded prove the infimum 0, even though a
+    finite ascent, not the binding-row fallback, is the reported attack."""
+    case = build_case(
+        "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
+        [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
+        [(1, 0.0, 0.15, 10.0), (3, 0.0, 0.15, 20.0)])
+    rep, att, _ascents = _spied_squeeze(case, monkeypatch)
+    assert any(note["status"] == "zero-distance" for note in att.starts)
+    assert rep.attack["convergence"] != "zero-distance"
+    assert "zero-distance" in rep.flags
+    assert rep.lb <= rep.ub
 
 
 @pytest.mark.parametrize("name", BUNDLED)

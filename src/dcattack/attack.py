@@ -36,11 +36,13 @@ it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
 emptiness independently at the inflated point (1 + _CERT_INFLATION) * delta,
 with _CERT_INFLATION = 1e-4.
 
-Zero distance.  A P-LP is infeasible (P is empty) or unbounded only through
-multipliers with c^T mu = 0, which make rows of F(0) implicit equalities;
-when such a multiplier moves with delta, arbitrarily small perturbations
-empty F.  The multistart then certifies the binding-row start point itself
-and notes "zero-distance".
+Zero distance.  A P-LP without an optimum is unbounded along a verified
+ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
+"Theory of Linear and Integer Programming", 1986), or P is empty, which for
+`build_feasibility` rows needs A without columns and c = 0, so every row is
+such a ray.  Then mu^T (B s u + c) = s ||B^T mu|| > 0 for every s > 0 at
+u = B^T mu / ||B^T mu||: rows of F(0) are implicit equalities that move with
+delta.  The ascent stops there, status "zero-distance", at the unit point u.
 """
 
 import time
@@ -106,10 +108,6 @@ class AttackReport:
     fixed_lb: float
 
 
-class _ZeroDistance(RestartSignal):
-    """A P-LP is infeasible (P is empty) or unbounded (module docstring)."""
-
-
 def certify_infeasible(mats, delta):
     """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta).
 
@@ -169,12 +167,16 @@ def _p_lp(mats, P, g, basis):
     min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
     basis), with mu clipped at 0: a basic value may sit up to FEAS_TOL below
     its bound, and the reported mu is that vertex scaled up by EPS / 1e-6.
-    Raises _ZeroDistance when P is empty or the maximum is unbounded."""
-    res = lin_solve.lp_solve(P.with_objective(-(mats.B @ g)), basis=basis)
-    if res.status != lin_solve.OPTIMAL:
-        raise _ZeroDistance(f"P-LP {res.status}: an implicit equality of "
-                            f"F(0) moves with delta")
-    return np.maximum(res.x, 0.0), -res.objective, res.basis
+    Without an optimum, mu is a ray (module docstring), value +inf (-inf
+    when P is empty and B g <= 0) and basis None."""
+    bg = mats.B @ g
+    res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis)
+    if res.status == lin_solve.OPTIMAL:
+        return np.maximum(res.x, 0.0), -res.objective, res.basis
+    ray = res.ray
+    if res.status == lin_solve.INFEASIBLE and mats.n_reduced == 0:
+        ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
+    return np.maximum(ray, 0.0), np.inf if bg @ ray > 0 else -np.inf, None
 
 
 def _solution(mats, delta, mu, start, status, iterations=0, history=()):
@@ -197,11 +199,11 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
     """One ascent on P from a start direction (module docstring).  `basis`
     warm-starts the first step; `deadline`, a time.monotonic() value, is
     checked between steps, and an expired one returns the current vertex.
-    `P` is `_polytope(mats)`, built here when not given.
+    `P` is `_polytope(mats)`, built here when not given.  A step without an
+    optimum ends the ascent on its ray (module docstring).
 
     Raises RestartSignal when no multiplier in P separates any point along
-    the start direction (F never closes along it), and its subclass
-    _ZeroDistance when a P-LP is infeasible or unbounded.
+    the start direction (F never closes along it).
     """
     g = np.asarray(init_delta, float)
     if not np.any(g):
@@ -215,6 +217,9 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
     status, iterations = "cap", 1
     while True:
         gw = mats.B.T @ mu
+        if value == np.inf:
+            status, delta = "zero-distance", gw / np.linalg.norm(gw)
+            break
         v = float(gw @ gw)
         delta = gw * ((1.0 + _INFLATE) / v)
         history.append(float(delta @ delta))
@@ -232,8 +237,8 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
     return _solution(mats, delta, mu, start, status, iterations, history)
 
 
-def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
-                      budget_s=None, lb=None):
+def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
+                      lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
     binding row, uniform growth and seeded random starts, all warm-started
     from one cold P-LP, then certify candidates in ascending norm order;
@@ -250,33 +255,28 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
     is skipped and noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
-    if p_nom is None:
-        nominal = solve_dcopf(mats)
-        if not nominal.feasible:
-            raise AttackError("case is infeasible before any perturbation")
-        p_nom = nominal.p_hat
-    lb0 = fixed_dispatch_lb(mats, p_nom)
+    nominal = solve_dcopf(mats)
+    if not nominal.feasible:
+        worst = mats.row_labels[int(np.argmax(nominal.ray))]
+        raise AttackError("case is infeasible before any perturbation "
+                          f"(Farkas ray heaviest on {worst})")
+    lb0 = fixed_dispatch_lb(mats, nominal.p_hat)
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
-    starts = []
-    for i, d in enumerate(extra_directions):
-        d = np.asarray(d, float)
-        if d.size == mats.n_delta and np.linalg.norm(d) > 0:
-            starts.append((f"hint{i}", d))
-    d_bind, _row = binding_row_direction(mats, p_nom)
-    if d_bind is not None and np.linalg.norm(d_bind) > 0:
-        starts.append(("binding-row", d_bind))
+    starts = [(f"hint{i}", d) for i, d in enumerate(extra_directions)]
+    starts.append(("binding-row",
+                   binding_row_direction(mats, nominal.p_hat)[0]))
     starts.append(("uniform-up", np.ones(mats.n_delta)))
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
         starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
+    starts = [(label, np.asarray(d, float)) for label, d in starts
+              if d is not None and np.size(d) == mats.n_delta
+              and np.linalg.norm(d) > 0]
 
     P = _polytope(mats)
-    try:
-        basis = _p_lp(mats, P, starts[0][1], None)[2]
-    except _ZeroDistance:
-        basis = None
+    basis = _p_lp(mats, P, starts[0][1], None)[2]
 
     refuted, tried = [], set()
 
@@ -292,31 +292,19 @@ def multistart_attack(mats, config=None, extra_directions=(), p_nom=None,
                             "norm_sq": sol.norm_sq})
         return ok
 
-    def run_one(i, label, direction):
-        if i and deadline is not None and time.monotonic() >= deadline:
-            return ("skipped", label, "deadline")
-        try:
-            return attack_local(mats, direction, label, basis, deadline, P)
-        except _ZeroDistance as exc:
-            return ("zero-distance", label, str(exc))
-        except RestartSignal as exc:
-            return ("restart", label, str(exc))
-
     outcomes, closed = [], False
     for i, (label, direction) in enumerate(starts):
-        out = ("skipped", label, "closed") if closed else \
-            run_one(i, label, direction)
-        if not isinstance(out, tuple):
-            closed = out.norm_sq <= close_at and certify(out)
+        late = i and deadline is not None and time.monotonic() >= deadline
+        if closed or late:
+            out = ("skipped", label, "closed" if closed else "deadline")
+        else:
+            try:
+                out = attack_local(mats, direction, label, basis, deadline, P)
+            except RestartSignal as exc:
+                out = ("restart", label, str(exc))
+            else:
+                closed = out.norm_sq <= close_at and certify(out)
         outcomes.append(out)
-
-    zero = any(isinstance(out, tuple) and out[0] == "zero-distance"
-               for out in outcomes)
-    if zero and d_bind is not None:
-        ok, ray = certify_infeasible(mats, d_bind)
-        if ok:
-            outcomes.append(_solution(mats, d_bind, ray, "binding-row",
-                                      "zero-distance"))
 
     candidates = [out for out in outcomes if not isinstance(out, tuple)]
     best = None

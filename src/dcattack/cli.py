@@ -109,11 +109,13 @@ def _manifest(args):
 
 
 def _emit(report, args):
+    """Write --json first: a failed write prints nothing, so the error
+    report is then the only JSON on stdout."""
     text = json.dumps(report, indent=2)
-    print(text)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _maybe_dump_matrices(mats, args):
@@ -245,11 +247,11 @@ def cmd_table(args, manifest):
             "match_time_s": "-" if rep.match_time is None
             else f"{rep.match_time:.2f}",
         })
-    sys.stdout.write(_render_table(rows, args.format))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"schema": "dcattack-table/1", "manifest": manifest,
                        "runs": reports}, fh, indent=2)
+    sys.stdout.write(_render_table(rows, args.format))
     return code
 
 
@@ -263,9 +265,12 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args, manifest)
     except Exception as exc:   # noqa: BLE001 -- errors must stay machine-readable
-        _emit({"schema": "dcattack-error/1", "manifest": manifest,
-               "error": {"type": type(exc).__name__, "message": str(exc)}},
-              args)
+        error = {"schema": "dcattack-error/1", "manifest": manifest,
+                 "error": {"type": type(exc).__name__, "message": str(exc)}}
+        try:
+            _emit(error, args)
+        except OSError:
+            print(json.dumps(error, indent=2))
         if isinstance(exc, (FileNotFoundError, IsADirectoryError,
                             PermissionError)):
             return 2

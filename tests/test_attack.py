@@ -283,10 +283,35 @@ ZERO_DISTANCE = {
 }
 
 
+# total capacity equal to total load: P is unbounded along load growth
+CAPACITY_AT_LOAD = build_case(
+    "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
+    [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
+    [(1, 0.0, 0.15, 10.0), (3, 0.0, 0.15, 20.0)])
+
+
+@pytest.mark.parametrize("case", [ZERO_DISTANCE["p-empty"],
+                                  ZERO_DISTANCE["p-unbounded"],
+                                  CAPACITY_AT_LOAD], ids=["zd", "zd3", "cap"])
+def test_an_unbounded_step_ends_the_ascent_on_its_ray(case):
+    """A P-LP without an optimum hands back a ray of P's recession cone:
+    the ascent stops on it at the unit point B^T mu / ||B^T mu||, which its
+    rescaled mu separates with residuals at rounding."""
+    mats = build_feasibility(case)
+    sol = attack_local(mats, np.ones(mats.n_delta))
+    assert sol.convergence == "zero-distance" and sol.iterations == 1
+    assert sol.norm_sq == pytest.approx(1.0, abs=1e-12)
+    assert np.all(sol.mu >= 0)
+    assert sol.residuals["At_mu_inf"] <= 1e-12
+    assert abs(sol.residuals["eps_residual"]) <= 1e-12
+    assert abs(float(sol.mu @ mats.c)) <= 1e-12
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * sol.delta))
+
+
 @pytest.mark.parametrize("kind", sorted(ZERO_DISTANCE))
 def test_zero_distance_networks_keep_a_certified_attack(kind):
-    """An implicit equality that moves with delta leaves no finite ascent;
-    the binding-row start point is certified instead, and noted."""
+    """An implicit equality that moves with delta leaves no finite ascent:
+    every start ends on a ray of P, at a unit point that certifies."""
     from dcattack.squeeze import SqueezeConfig, squeeze_run
 
     case = ZERO_DISTANCE[kind]
@@ -296,7 +321,7 @@ def test_zero_distance_networks_keep_a_certified_attack(kind):
     rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
     best = rep.best
     assert best.certified and best.convergence == "zero-distance"
-    assert any(n["status"] == "zero-distance" for n in rep.starts)
+    assert any(n.get("convergence") == "zero-distance" for n in rep.starts)
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
     assert abs(best.residuals["eps_residual"]) <= 1e-12
     bounds = squeeze_run(case, SqueezeConfig(seed=0))
@@ -361,8 +386,7 @@ def _closing_inputs(mats):
     from dcattack.squeeze import cross_feed
 
     pol = defense_local(mats)
-    return dict(extra_directions=cross_feed(mats, pol),
-                p_nom=solve_dcopf(mats).p_hat, lb=pol.t)
+    return dict(extra_directions=cross_feed(mats, pol), lb=pol.t)
 
 
 def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcattack.case_ingest import case_to_json
+from dcattack.case_ingest import case_to_json, load_case
 from dcattack import cli
 from dcattack.cli import build_parser, main
+from dcattack.dc_model import build_feasibility
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -177,14 +178,33 @@ def test_table_empty_case_list_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_infeasible_case_is_domain_error(tmp_path, capsys):
+@pytest.mark.parametrize("command, error", [
+    ("attack", "AttackError"), ("defend", "ModelError"),
+    ("squeeze", "ModelError")], ids=["attack", "defend", "squeeze"])
+def test_infeasible_case_is_domain_error(tmp_path, capsys, command, error):
+    """A case infeasible before any perturbation exits 3, and the error
+    names a row of its Farkas ray."""
     bad = DESK2_M.replace("\t2\t1\t300", "\t2\t1\t900")
     path = tmp_path / "bad.m"
     path.write_text(bad)
-    code, out = _run(capsys, ["attack", str(path)])
+    code, out = _run(capsys, [command, str(path)])
     assert code == 3
     rep = json.loads(out)
-    assert rep["error"]["type"] == "AttackError"
+    assert rep["error"]["type"] == error
+    labels = build_feasibility(load_case(str(path))).row_labels
+    assert any(label in rep["error"]["message"] for label in labels)
+
+
+@pytest.mark.parametrize("command", ["attack", "table"])
+def test_unwritable_json_path_is_one_error_report(desk2_m, capsys, command):
+    """A --json path in a missing directory exits 2 with the error report
+    as the only output on stdout."""
+    code, out = _run(capsys, [command, desk2_m, "--seed", "0",
+                              "--json", "/nonexistent/dir/out.json"])
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["schema"] == "dcattack-error/1"
+    assert rep["error"]["type"] == "FileNotFoundError"
 
 
 def test_unexpected_failure_exits_1_with_error_json(desk2_m, monkeypatch,

@@ -11,7 +11,7 @@ from dcattack.defense import defense_local
 from dcattack.errors import ModelError, PreconditionError
 
 import oracle_utils
-from conftest import bench_ladder, pglib_path
+from conftest import BUNDLED, bench_ladder, pglib_path
 
 
 def test_ptdf_two_bus(desk2):
@@ -178,6 +178,24 @@ def test_slack_choice_invariance(desk3):
         assert res.feasible
         costs.append(res.cost)
     assert abs(costs[0] - costs[1]) <= 1e-7
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_record_order_invariance(name):
+    """Shuffling the bus and branch records, ids unchanged, moves the
+    reference bus and permutes rows, columns and delta, but not the policy
+    SOCP's radius."""
+    case = load_case(pglib_path(name))
+    t = defense_local(build_feasibility(case)).t
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        shuffled = dataclasses.replace(
+            case,
+            buses=tuple(case.buses[i] for i in rng.permutation(case.n_bus)),
+            branches=tuple(case.branches[i]
+                           for i in rng.permutation(case.n_branch)))
+        t_shuffled = defense_local(build_feasibility(shuffled)).t
+        assert t_shuffled == pytest.approx(t, rel=1e-12)
 
 
 def test_no_perturbable_loads_rejected():

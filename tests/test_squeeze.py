@@ -11,7 +11,7 @@ from conftest import BUNDLED, bench_ladder, pglib_path
 from dcattack import attack, lin_solve, squeeze
 from dcattack.attack import AttackConfig, attack_local, multistart_attack
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility, solve_dcopf
+from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local
 from dcattack.errors import ModelError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
@@ -167,14 +167,14 @@ def _spied_squeeze(case, monkeypatch):
 
 def test_a_proven_zero_distance_is_flagged_whatever_wins(monkeypatch):
     """Total capacity equals total load, so any load increase empties F: the
-    starts whose P-LP is unbounded prove the infimum 0, even though a
-    finite ascent, not the binding-row fallback, is the reported attack."""
+    starts whose ascent ends on a ray of P prove the infimum 0, even though
+    a finite ascent, not a ray's unit point, is the reported attack."""
     case = build_case(
         "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
         [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
         [(1, 0.0, 0.15, 10.0), (3, 0.0, 0.15, 20.0)])
     rep, att, _ascents = _spied_squeeze(case, monkeypatch)
-    assert any(note["status"] == "zero-distance" for note in att.starts)
+    assert any(note.get("convergence") == "zero-distance" for note in att.starts)
     assert rep.attack["convergence"] != "zero-distance"
     assert "zero-distance" in rep.flags
     assert rep.lb <= rep.ub
@@ -190,8 +190,7 @@ def test_squeeze_stops_the_attack_once_the_bracket_closes(name, monkeypatch):
     mats = build_feasibility(case)
     pol = defense_local(mats)
     full = multistart_attack(
-        mats, AttackConfig(seed=0), extra_directions=cross_feed(mats, pol),
-        p_nom=solve_dcopf(mats).p_hat).best
+        mats, AttackConfig(seed=0), extra_directions=cross_feed(mats, pol)).best
     assert rep.lb == pol.t
     assert rep.ub == pytest.approx(full.norm_sq, rel=1e-8)
     assert len(ascents) == 1

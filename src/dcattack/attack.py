@@ -21,12 +21,18 @@ point (the linearized value exceeds v by at most _STEP_TOL, relative), after
 _MAX_STEPS steps, or at the caller's deadline.  Every iterate is a vertex of
 P, hence an attack that certifies.
 
-One basis per network.  The P-LPs differ only in their objective, so every
-optimal basis is primal feasible for every later one and a warm start runs
-phase 2 only.  `multistart_attack` builds P's rows once per network and
-solves one cold P-LP, with the first start's objective; each start's first
-step warm-starts from that basis and each later step from its own previous
-one.
+A pool of vertices per network.  The P-LPs differ only in their objective,
+so every optimal basis is primal feasible for every later one and a warm
+start runs phase 2 only.  `multistart_attack` builds P's rows once per
+network, solves one cold P-LP with the first start's objective, and pools a
+(B^T mu, basis) pair for it and for every optimal step of every start.  A
+start's first step maximizes g^T B^T mu, so it warm-starts from the pooled
+vertex with the largest g^T B^T mu (the earliest on ties), which usually
+takes fewer pivots than the cold vertex; each later step warm-starts from
+its own previous one.  A unique optimum does not depend on the basis a step
+starts from, so a start reaches the vertex it would reach from the cold
+basis, up to rounding, but the reported best start may change among starts
+whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -162,17 +168,21 @@ def _polytope(mats):
                                b_eq=np.eye(mats.n_reduced + 1)[-1])
 
 
-def _p_lp(mats, P, g, basis):
+def _p_lp(mats, P, g, basis, pool=None):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
     min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
     basis), with mu clipped at 0: a basic value may sit up to FEAS_TOL below
     its bound, and the reported mu is that vertex scaled up by EPS / 1e-6.
-    Without an optimum, mu is a ray (module docstring), value +inf (-inf
-    when P is empty and B g <= 0) and basis None."""
+    An optimum is also appended to `pool` as (B^T mu, basis).  Without an
+    optimum, mu is a ray (module docstring), value +inf (-inf when P is
+    empty and B g <= 0) and basis None."""
     bg = mats.B @ g
     res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis)
     if res.status == lin_solve.OPTIMAL:
-        return np.maximum(res.x, 0.0), -res.objective, res.basis
+        mu = np.maximum(res.x, 0.0)
+        if pool is not None and res.basis is not None:
+            pool.append((mats.B.T @ mu, res.basis))
+        return mu, -res.objective, res.basis
     ray = res.ray
     if res.status == lin_solve.INFEASIBLE and mats.n_reduced == 0:
         ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
@@ -194,12 +204,15 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=()):
         history=list(history))
 
 
-def attack_local(mats, init_delta, start="", basis=None, deadline=None,
+def attack_local(mats, init_delta, start="", pool=None, deadline=None,
                  P=None):
-    """One ascent on P from a start direction (module docstring).  `basis`
-    warm-starts the first step; `deadline`, a time.monotonic() value, is
-    checked between steps, and an expired one returns the current vertex.
-    `P` is `_polytope(mats)`, built here when not given.  A step without an
+    """One ascent on P from a start direction (module docstring).  `pool`
+    holds a (B^T mu, basis) pair per optimal P-LP solved so far on this
+    network: the first step warm-starts from the pooled basis whose vertex
+    scores highest on that step's objective, and every optimal step of this
+    ascent is appended.  `deadline`, a time.monotonic() value, is checked
+    between steps, and an expired one returns the current vertex.  `P` is
+    `_polytope(mats)`, built here when not given.  A step without an
     optimum ends the ascent on its ray (module docstring).
 
     Raises RestartSignal when no multiplier in P separates any point along
@@ -209,7 +222,12 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
     if not np.any(g):
         raise RestartSignal("zero start direction")
     P = _polytope(mats) if P is None else P
-    mu, value, basis = _p_lp(mats, P, g, basis)
+    pool = [] if pool is None else pool
+    # the first P-LP's objective at a pooled vertex is g^T B^T mu; max()
+    # keeps the earliest entry on ties
+    _gw, basis = max(pool, key=lambda entry: float(g @ entry[0]),
+                     default=(None, None))
+    mu, value, basis = _p_lp(mats, P, g, basis, pool)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -228,7 +246,7 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
-        mu_next, value, basis = _p_lp(mats, P, gw, basis)
+        mu_next, value, basis = _p_lp(mats, P, gw, basis, pool)
         iterations += 1
         if value <= v * (1.0 + _STEP_TOL):
             status = "tight"
@@ -240,8 +258,9 @@ def attack_local(mats, init_delta, start="", basis=None, deadline=None,
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
-    binding row, uniform growth and seeded random starts, all warm-started
-    from one cold P-LP, then certify candidates in ascending norm order;
+    binding row, uniform growth and seeded random starts, warm-started
+    from one cold P-LP and from the vertices of the starts before, then
+    certify candidates in ascending norm order;
     the first certified one is the reported attack.  Once `budget_s` seconds
     have passed, the running ascent stops at its current vertex and the
     starts after the first are skipped.  Raises AttackError when nothing
@@ -276,7 +295,8 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
               and np.linalg.norm(d) > 0]
 
     P = _polytope(mats)
-    basis = _p_lp(mats, P, starts[0][1], None)[2]
+    pool = []
+    _p_lp(mats, P, starts[0][1], None, pool)
 
     refuted, tried = [], set()
 
@@ -299,7 +319,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
             out = ("skipped", label, "closed" if closed else "deadline")
         else:
             try:
-                out = attack_local(mats, direction, label, basis, deadline, P)
+                out = attack_local(mats, direction, label, pool, deadline, P)
             except RestartSignal as exc:
                 out = ("restart", label, str(exc))
             else:

@@ -50,11 +50,12 @@ any other basis (None included) takes the cold two-phase path, so a stale
 basis costs time, never a wrong answer.  The attack's LPs share one
 constraint set, the Farkas polytope P, and differ only in their objective,
 so every earlier optimal basis is primal feasible for every later one: each
-network runs one cold P-LP, and every step of every start warm-starts from
-that basis or from the start's previous step (see `attack`).  The
-feasibility probe (`check_feasible`), the nominal dispatch and the defense's
-warm start stay cold: certification must not depend on the attack path, and
-their first solve has no earlier basis.
+network runs one cold P-LP and pools every optimal basis it finds; a
+start's first step warm-starts from the pooled basis that scores highest on
+its objective, and each later step from the start's previous one (see
+`attack`).  The feasibility probe (`check_feasible`), the nominal dispatch
+and the defense's warm start stay cold: certification must not depend on
+the attack path, and their first solve has no earlier basis.
 """
 
 import copy
@@ -152,6 +153,7 @@ class _Simplex:
         self.sign = np.where(self.b >= 0, 1.0, -1.0)
         self.basis = np.arange(self.N, self.N + self.M)
         self.art = np.ones(self.M, dtype=bool)      # basis position holds an artificial
+        self.n_art = self.M                         # basic artificials
         self.B_inv = np.diag(self.sign)
         self.xB = np.abs(self.b)
         self.pinned = False                         # phase 2: artificials at 0
@@ -179,6 +181,7 @@ class _Simplex:
             return False
         self.basis, self.B_inv, self.xB = basis, B_inv, x_B
         self.art[:] = False
+        self.n_art = 0
         return True
 
     def _refactor(self):
@@ -196,19 +199,19 @@ class _Simplex:
 
     def _ratio(self, w, bland):
         """Leaving basis position for the entering column B^-1 a_j = w, and
-        its step; (inf, None) when nothing blocks."""
-        xB = self.xB
-        t = np.full(self.M, np.inf)
-        np.divide(xB, w, out=t, where=w > 1e-10)
-        if self.pinned and self.art.any():
-            inc = (w < -1e-10) & self.art
-            t[inc] = (0.0 - xB[inc]) / -w[inc]
-        np.maximum(t, 0.0, out=t)
-        t_min = float(t.min()) if self.M else np.inf
-        if not t_min < np.inf:
+        its step; (inf, None) when nothing blocks.  Only the blocking
+        positions are divided: w > 1e-10, and in phase 2 a basic artificial
+        with w < -1e-10."""
+        block = w > 1e-10
+        if self.pinned and self.n_art:
+            block |= (w < -1e-10) & self.art
+        pos = block.nonzero()[0]
+        if not pos.size:
             return np.inf, None
+        t = np.maximum(self.xB[pos] / w[pos], 0.0)
+        t_min = float(t.min())
         # tie set within an absolute-plus-relative window
-        cand = (t <= t_min + 1e-9 * (1.0 + t_min)).nonzero()[0]
+        cand = pos[t <= t_min + 1e-9 * (1.0 + t_min)]
         if bland:
             r = int(cand[np.argmin(self.basis[cand])])
         elif cand.size == 1:
@@ -217,7 +220,7 @@ class _Simplex:
             arts = self.art[cand]
             pool = cand[arts] if arts.any() else cand
             r = int(pool[np.argmax(np.abs(w[pool]))])
-        return float(t[r]), r
+        return max(0.0, float(self.xB[r] / w[r])), r
 
     def _pivot(self, j, t, r, w):
         if abs(w[r]) < 1e-11:
@@ -226,7 +229,9 @@ class _Simplex:
         self.xB -= t * w
         self.xB[r] = t
         self.basis[r] = j
-        self.art[r] = False
+        if self.art[r]:
+            self.art[r] = False
+            self.n_art -= 1
         # eta update of the explicit inverse
         Binv_r = self.B_inv[r] / w[r]
         self.B_inv -= w[:, None] * Binv_r
@@ -268,7 +273,7 @@ class _Simplex:
             price[j] = np.inf
             if leave < self.N:
                 price[leave] = c[leave]
-            cB = cost[self.basis]
+            cB[r] = cost[j]
             z_new = float(cB @ self.xB)
             if z - z_new > 1e-12 * (1.0 + abs(z)):
                 stall, bland = 0, False
@@ -329,7 +334,7 @@ def lp_solve(prob: LpProblem, basis=None) -> LpResult:
     x[sx.basis[real]] = sx.xB[real]
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations, phase1_objective=z1,
-                    basis=None if sx.art.any() else sx.basis.copy())
+                    basis=None if sx.n_art else sx.basis.copy())
 
 
 def normalize_farkas_ray(rows, rhs, y):

@@ -24,7 +24,7 @@ from dcattack.dc_model import build_feasibility, solve_dcopf
 from dcattack.errors import AttackError, RestartSignal
 
 import oracle_utils
-from conftest import pglib_path
+from conftest import BUNDLED, bench_ladder, pglib_path
 
 
 def _attack(case, **kw):
@@ -190,9 +190,10 @@ def test_binding_row_direction_crosses_its_row(desk2_single):
 
 
 def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
-    """Every P-LP step of every start gets the network's shared basis or its
-    own previous one; every such basis must pass the warm-start checks (so no
-    step falls back to phase 1), and every warm optimum must match scipy."""
+    """Every P-LP step of every start gets a basis from the network's pool
+    or its own previous step's; every such basis must pass the warm-start
+    checks (so no step falls back to phase 1), and every warm optimum must
+    match scipy."""
     calls = []
     solve = lin_solve.lp_solve
 
@@ -264,6 +265,88 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
     monkeypatch.setattr(lin_solve, "lp_solve", spy)
     multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
     assert len(cold) == 1
+
+
+@pytest.mark.parametrize("net", BUNDLED + ("ladder60",))
+def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
+    """The pool holds every optimal P-LP solved on the network.  Each start's
+    first P-LP gets the pooled basis whose vertex scores highest on that
+    LP's objective, g^T B^T mu, the earliest on ties; every pooled basis
+    passes the warm-start checks; and each start reaches the norm that its
+    ascent reaches alone from the cold basis."""
+    case = bench_ladder(60, 0, False) if net == "ladder60" \
+        else load_case(pglib_path(net))
+    mats = build_feasibility(case)
+    p_lps, starts = [], []
+    real_solve, real_local = lin_solve.lp_solve, attack.attack_local
+
+    def solve_spy(prob, basis=None):
+        res = real_solve(prob, basis=basis)
+        if prob.A_eq.shape[0] == mats.n_reduced + 1 \
+                and np.array_equal(prob.A_eq[-1], -mats.c):
+            p_lps.append((prob, basis, res))
+        return res
+
+    def local_spy(mats, g, label, *rest):
+        start = [g, label, len(p_lps), None]
+        starts.append(start)
+        start[3] = real_local(mats, g, label, *rest)
+        return start[3]
+
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(attack, "attack_local", local_spy)
+    multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    monkeypatch.undo()
+
+    def entry(res):
+        return mats.B.T @ np.maximum(res.x, 0.0), res.basis
+
+    assert p_lps[0][1] is None
+    cold = entry(p_lps[0][2])
+    for prob, _basis, res in p_lps:
+        assert res.basis is None \
+            or lin_solve._Simplex(prob).warm_start(res.basis)
+    picked = []
+    for g, label, first, out in starts:
+        before = [entry(res) for _prob, _basis, res in p_lps[:first]
+                  if res.status == lin_solve.OPTIMAL and res.basis is not None]
+        k = int(np.argmax([float(g @ gw) for gw, _basis in before]))
+        np.testing.assert_array_equal(p_lps[first][1], before[k][1])
+        picked.append(k)
+        if out is None:         # the start raised RestartSignal
+            with pytest.raises(RestartSignal):
+                attack_local(mats, g, label, [cold])
+        else:
+            alone = attack_local(mats, g, label, [cold])
+            assert alone.norm_sq == pytest.approx(out.norm_sq, rel=1e-9)
+    assert picked[0] == 0 and len(picked) == len(starts) >= 7
+    # on case24 the cold vertex scores highest for every start
+    assert any(picked) or net == "case24_ieee_rts"
+
+
+def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
+    """Two pooled vertices with the same score: the first step warm-starts
+    from the one pooled first, whichever order the pool has."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    P = _polytope(mats)
+    rng = np.random.default_rng(3)
+    bases = [_p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]]
+    while len(bases) < 2:
+        basis = _p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]
+        bases += [] if np.array_equal(basis, bases[0]) else [basis]
+    given, real = [], lin_solve.lp_solve
+
+    def spy(prob, basis=None):
+        given.append(basis)
+        return real(prob, basis=basis)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    score = np.ones(mats.n_delta)
+    for order in (bases, bases[::-1]):
+        given.clear()
+        attack_local(mats, np.ones(mats.n_delta), "",
+                     [(score, b) for b in order], P=P)
+        np.testing.assert_array_equal(given[0], order[0])
 
 
 def test_case5_attack_reaches_the_vertex_enumeration_optimum():
@@ -363,9 +446,9 @@ def test_p_is_built_once_per_network(monkeypatch):
     steps, solved = [], []
     real_step, real_solve = attack._p_lp, lin_solve.lp_solve
 
-    def step_spy(mats, P, g, basis):
+    def step_spy(mats, P, g, basis, pool=None):
         steps.append(P.A_eq)
-        return real_step(mats, P, g, basis)
+        return real_step(mats, P, g, basis, pool)
 
     def solve_spy(prob, basis=None):
         if np.array_equal(prob.A_eq[-1], -mats.c):

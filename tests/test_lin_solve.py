@@ -347,6 +347,64 @@ def test_rejected_bases_fall_back_to_the_cold_solve():
     assert twin_cold.objective == pytest.approx(_scipy_solve(twin).fun, rel=1e-9)
 
 
+def test_a_pinned_artificial_blocks_in_phase_2(monkeypatch):
+    """Row 3 repeats row 1 twice over, so one artificial stays basic to the
+    end; row 2 (-x2 = 0) leaves its artificial basic at 0 after phase 1,
+    where x2 has w < 0 in its row.  In phase 2 x2 enters, and that pinned
+    artificial blocks it at a zero step."""
+    prob = LpProblem(c=[2.0, -1.0, 1.0],
+                     A_eq=[[1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [2.0, 2.0, 2.0]],
+                     b_eq=[1.0, 0.0, 2.0])
+    pinned_blocks, ratio = [], lin_solve._Simplex._ratio
+
+    def spy(sx, w, bland):
+        pinned_blocks.append(sx.pinned and bool(np.any(sx.art & (w < -1e-10))))
+        return ratio(sx, w, bland)
+
+    monkeypatch.setattr(lin_solve._Simplex, "_ratio", spy)
+    res = lp_solve(prob)
+    assert any(pinned_blocks)
+    assert res.status == OPTIMAL and res.basis is None
+    ref = _scipy_solve(prob)
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
+    assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-12
+
+
+def test_ratio_test_matches_the_full_array_reference():
+    """_ratio divides only at the blocking positions; on seeded random basic
+    values and columns, with forced ties, Bland's rule and pinned
+    artificials, it returns the full-array reference's (t, r) bit for bit."""
+    rng = np.random.default_rng(19)
+    M, N = 9, 12
+    sx = lin_solve._Simplex(LpProblem(c=np.zeros(N), A_eq=np.zeros((M, N)),
+                                      b_eq=np.zeros(M)))
+    seen = set()
+    for _ in range(4000):
+        w = rng.normal(size=M) * np.where(rng.random(M) < 0.2, 1e-10, 1.0)
+        xB = rng.uniform(0.0, 2.0, M)
+        tied = rng.random(M) < 0.4
+        xB[tied] = 0.7 * np.abs(w[tied])
+        xB[rng.random(M) < 0.15] = 0.0
+        xB[rng.random(M) < 0.05] = -1e-9
+        art = rng.random(M) < 0.3
+        sx.xB, sx.art, sx.n_art = xB, art, int(art.sum())
+        sx.basis = np.where(art, N + np.arange(M), rng.permutation(N)[:M])
+        sx.pinned, bland = bool(rng.random() < 0.5), bool(rng.random() < 0.3)
+        t, r = sx._ratio(w, bland)
+        t_ref, r_ref = oracle_utils.full_ratio_test(xB, w, art, sx.basis,
+                                                    sx.pinned, bland)
+        assert r == r_ref and t.hex() == t_ref.hex()
+        if r is not None:
+            seen.add("bland" if bland else "dantzig")
+            seen.update(["pinned"] if sx.art[r] and w[r] < 0 else [])
+            seen.update(["tie"] if np.sum(tied & (w > 1e-10)) > 1
+                        and abs(t - 0.7) < 1e-12 else [])
+        else:
+            seen.add("unblocked")
+    assert seen == {"bland", "dantzig", "pinned", "tie", "unblocked"}
+
+
 def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
     """mu-LP at delta_k, delta-step onto mu_k's hyperplane, then the mu-LP at
     delta_k+1 from mu_k's basis: the old basis is accepted (it reproduces

@@ -24,11 +24,10 @@ P, hence an attack that certifies.
 A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and a warm
 start runs phase 2 only.  `multistart_attack` builds P's rows once per
-network, solves one cold P-LP with the first start's objective, and pools a
-(B^T mu, basis) pair for it and for every optimal step of every start.  A
-start's first step maximizes g^T B^T mu, so it warm-starts from the pooled
-vertex with the largest g^T B^T mu (the earliest on ties), which usually
-takes fewer pivots than the cold vertex; each later step warm-starts from
+network and pools a (B^T mu, basis) pair for every optimal step.  The first
+start's first step is the network's one cold P-LP; a later start's first
+step maximizes g^T B^T mu, so it warm-starts from the pooled vertex with
+the largest g^T B^T mu (the earliest on ties), and each later step from
 its own previous one.  A unique optimum does not depend on the basis a step
 starts from, so a start reaches the vertex it would reach from the cold
 basis, up to rounding, but the reported best start may change among starts
@@ -126,38 +125,23 @@ def certify_infeasible(mats, delta):
     return True, ray
 
 
-def _fixed_radii(mats, p0):
-    """Per-row radius^2 at fixed dispatch p0, and the mask of tight rows.
-
-    delta-sensitive rows with |margin| <= FEAS_TOL count as tight (radius 0),
-    so rounding noise in p0 cannot turn a tight row into a 1e-30 radius."""
+def fixed_dispatch_lb(mats, p0):
+    """(lb0, start): the radius^2 certified by holding the dispatch at p0
+    (no smaller delta crosses a row, so none empties F) and the crossing
+    point of the row attaining it, the first place to look for an attack;
+    (inf, None) when no row can be crossed.  A delta-sensitive row with
+    |margin| <= FEAS_TOL is tight: radius 0, and its start is B_i / ||B_i||,
+    since its crossing point is noise-sized and its sign follows the noise.
+    Ties go to the lowest row index, so noise in p0 cannot pick the row."""
     per = mats.radii(p0)
     tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= lin_solve.FEAS_TOL)
-    return np.where(tight, 0.0, per), tight
-
-
-def fixed_dispatch_lb(mats, p0):
-    """Radius^2 certified by holding the dispatch fixed at p0: no perturbation
-    smaller than this can cross any single row, hence none can empty F.
-    0 when a delta-sensitive row is tight to FEAS_TOL."""
-    per, _tight = _fixed_radii(mats, p0)
-    return float(np.min(per, initial=np.inf))
-
-
-def binding_row_direction(mats, p0):
-    """The minimum-norm delta that makes the binding row of fixed_dispatch_lb
-    tight -- the natural first place to look for an attack.
-
-    Ties go to the lowest row index, so rounding noise in p0 cannot pick the
-    row.  A tight row's own unit crossing direction is returned, since its
-    projection is noise-sized and its sign follows the noise."""
-    per, tight = _fixed_radii(mats, p0)
+    per[tight] = 0.0
     if not np.any(np.isfinite(per)):
-        return None, None
+        return np.inf, None
     row = int(np.argmin(per))
-    if tight[row]:
-        return mats.B[row] / np.linalg.norm(mats.B[row]), row
-    return mats.crossing(p0, None, row), row
+    start = mats.B[row] / np.linalg.norm(mats.B[row]) if tight[row] \
+        else mats.crossing(p0, None, row)
+    return float(per[row]), start
 
 
 def _polytope(mats):
@@ -258,13 +242,12 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
-    binding row, uniform growth and seeded random starts, warm-started
-    from one cold P-LP and from the vertices of the starts before, then
-    certify candidates in ascending norm order;
-    the first certified one is the reported attack.  Once `budget_s` seconds
-    have passed, the running ascent stops at its current vertex and the
-    starts after the first are skipped.  Raises AttackError when nothing
-    certifies.
+    fixed-dispatch start, uniform growth and seeded random starts (the
+    first P-LP cold, the rest warm from the pool), then certify candidates
+    in ascending norm order; the first certified one is the reported
+    attack.  Once `budget_s` seconds have passed, the running ascent stops
+    at its current vertex and the starts after the first are skipped.
+    Raises AttackError when nothing certifies.
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
@@ -279,13 +262,12 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
         worst = mats.row_labels[int(np.argmax(nominal.ray))]
         raise AttackError("case is infeasible before any perturbation "
                           f"(Farkas ray heaviest on {worst})")
-    lb0 = fixed_dispatch_lb(mats, nominal.p_hat)
+    lb0, binding = fixed_dispatch_lb(mats, nominal.p_hat)
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
     starts = [(f"hint{i}", d) for i, d in enumerate(extra_directions)]
-    starts.append(("binding-row",
-                   binding_row_direction(mats, nominal.p_hat)[0]))
+    starts.append(("binding-row", binding))
     starts.append(("uniform-up", np.ones(mats.n_delta)))
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
@@ -294,10 +276,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
               if d is not None and np.size(d) == mats.n_delta
               and np.linalg.norm(d) > 0]
 
-    P = _polytope(mats)
-    pool = []
-    _p_lp(mats, P, starts[0][1], None, pool)
-
+    P, pool = _polytope(mats), []
     refuted, tried = [], set()
 
     def certify(sol):

@@ -208,7 +208,11 @@ def _tokenize_tables(text):
         if current is None:
             m = _SCALAR_RE.match(line)
             if m:
-                scalars[m.group(1)] = float(m.group(2))
+                try:
+                    scalars[m.group(1)] = float(m.group(2))
+                except ValueError:
+                    raise CaseError(f"line {lineno}: bad number "
+                                    f"{m.group(2)!r} for {m.group(1)}")
                 continue
             m = _TABLE_RE.match(line)
             if not m:
@@ -326,8 +330,11 @@ def parse_case(source, name="case"):
 
 def load_case(path):
     """Load a case from a .m (MATPOWER subset) or .json (canonical) file."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CaseError(f"{path}: not UTF-8 text (byte {exc.start})")
     name = re.sub(r"\.(m|json)$", "", str(path).rsplit("/", 1)[-1])
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         return case_from_json(text)

@@ -24,7 +24,9 @@ held) row i reads m_i + g_i^T delta <= 0, with m_i = a_i^T p0 + c_i and
 g_i = G^T a_i + b_i.  Its crossing point -(m_i / ||g_i||^2) g_i is the
 smallest delta that makes it tight, at radius^2 m_i^2 / ||g_i||^2: their
 minimum is the policy's radius (the lower bound), and the attack starts
-from crossing points.
+from crossing points.  A row with g_i = 0 has neither (radius +inf, even
+when tight).  `FeasibilityMatrices.radii` and `.crossing` are the one copy
+of this formula; only `attack.fixed_dispatch_lb` adds a tight-row rule.
 """
 
 import numpy as np
@@ -73,37 +75,6 @@ def build_ptdf(case, ref_bus):
     phi = np.zeros((n_l, n_b))
     phi[:, keep] = phi_reduced
     return PtdfSet(phi=phi, ref_bus=int(ref_bus))
-
-
-@dataclass
-class ProjectionResult:
-    """`project_policy`'s answer; delta is None and norm_sq +inf when no
-    perturbation crosses the row under the given response."""
-
-    delta: np.ndarray
-    norm_sq: float
-    margin: float
-
-
-def project_policy(p0, G, a_i, b_i, c_i):
-    """Smallest ||delta||^2 with a_i^T (p0 + G delta) + b_i^T delta + c_i = 0.
-
-    G = None means the fixed-dispatch variant (no response).  Degenerate rows:
-    an insensitive row (direction vector zero) is uncrossable when it has slack
-    (norm_sq = +inf) and already crossed when tight (norm_sq = 0).
-    """
-    a_i = np.asarray(a_i, dtype=float).ravel()
-    b_i = np.asarray(b_i, dtype=float).ravel()
-    p0 = np.asarray(p0, dtype=float).ravel()
-    margin = float(a_i @ p0 + c_i)
-    g = b_i if G is None else np.asarray(G, dtype=float).T @ a_i + b_i
-    den = float(g @ g)
-    if den <= 0.0:
-        if margin < 0.0:
-            return ProjectionResult(delta=None, norm_sq=np.inf, margin=margin)
-        return ProjectionResult(delta=np.zeros_like(b_i), norm_sq=0.0, margin=margin)
-    delta = -(margin / den) * g
-    return ProjectionResult(delta=delta, norm_sq=margin * margin / den, margin=margin)
 
 
 @dataclass
@@ -172,10 +143,14 @@ class FeasibilityMatrices:
         return per
 
     def crossing(self, p0, G, row):
-        """The smallest delta that makes `row` tight under p0 + G delta, or
-        None when no delta can (`project_policy`)."""
-        return project_policy(p0, G, self.A[row], self.B[row],
-                              float(self.c[row])).delta
+        """The crossing point of `row` under p0 + G delta (module
+        docstring), or None when its direction vanishes: the rows `radii`
+        reads as +inf."""
+        a, b = self.A[row], self.B[row]
+        margin = float(a @ np.asarray(p0, float) + float(self.c[row]))
+        g = b if G is None else np.asarray(G, float).T @ a + b
+        den = float(g @ g)
+        return -(margin / den) * g if den > 0.0 else None
 
     def take(self, rows):
         """The system on `rows` alone (ascending positions), with their

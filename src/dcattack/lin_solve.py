@@ -50,12 +50,13 @@ any other basis (None included) takes the cold two-phase path, so a stale
 basis costs time, never a wrong answer.  The attack's LPs share one
 constraint set, the Farkas polytope P, and differ only in their objective,
 so every earlier optimal basis is primal feasible for every later one: each
-network runs one cold P-LP and pools every optimal basis it finds; a
-start's first step warm-starts from the pooled basis that scores highest on
-its objective, and each later step from the start's previous one (see
-`attack`).  The feasibility probe (`check_feasible`), the nominal dispatch
-and the defense's warm start stay cold: certification must not depend on
-the attack path, and their first solve has no earlier basis.
+network's first P-LP is its one cold P-LP, and every optimal basis is
+pooled; a later start's first step warm-starts from the pooled basis that
+scores highest on its objective, and each later step from the start's
+previous one (see `attack`).  The feasibility probe (`check_feasible`),
+the nominal dispatch and the defense's warm start stay cold: certification
+must not depend on the attack path, and their first solve has no earlier
+basis.
 """
 
 import copy

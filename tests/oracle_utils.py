@@ -9,6 +9,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from dcattack.dc_model import FeasibilityMatrices
+
 
 def scipy_feasible(A, rhs):
     """Is {p : A p <= rhs} nonempty, per scipy/HiGHS."""
@@ -199,3 +201,26 @@ def model1_margins(mats, p_full, delta=None):
         [lo[s] - p_full[s]],
         lo[others] - p_full[others],
     ])[mats.emitted]
+
+
+def one_row(a, b, c):
+    """a^T p + b^T delta + c <= 0 as a one-row FeasibilityMatrices with no
+    case behind it, so `crossing(p0, G, 0)` and `radii` apply to a bare
+    row."""
+    a = np.atleast_1d(np.asarray(a, float))
+    b = np.atleast_1d(np.asarray(b, float))
+    return FeasibilityMatrices(
+        A=a[None, :], B=b[None, :], c=np.array([float(c)]),
+        row_labels=("row",), slack_gen=0, ref_bus=0,
+        gen_order=np.arange(a.size), held=np.arange(0), emitted=np.arange(1),
+        load_pos=np.arange(b.size), load_bus_ids=tuple(range(b.size)),
+        case=None, ptdf=None)
+
+
+def row_radius(a, b, c, p0, G=None):
+    """`radii` of `one_row(a, b, c)` under p0 + G delta.  `radii` wants p0
+    to satisfy the row, so a broken row is negated first: -a, -b, -c has
+    the same hyperplane, crossing point and radius."""
+    s = -1.0 if float(np.dot(a, p0) + c) > 0.0 else 1.0
+    return float(one_row(s * np.asarray(a, float), s * np.asarray(b, float),
+                         s * c).radii(p0, G)[0])

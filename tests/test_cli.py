@@ -228,11 +228,14 @@ def test_unexpected_failure_exits_1_with_error_json(desk2_m, monkeypatch,
         doc, buses=[dict(doc["buses"][0], q=1.0)] + doc["buses"][1:]))),
     ("nan-load.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\t2\t1\tnan")),
     ("nan-bus-id.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\tnan\t1\t300")),
+    ("bad-base.m", lambda doc: DESK2_M.replace("= 100;", "= 1.0.0;")),
+    ("latin1.m", lambda doc: (DESK2_M + "% caf\xe9\n").encode("latin-1")),
 ], ids=["not-an-object", "missing-key", "unknown-field", "nan-load",
-        "nan-bus-id"])
+        "nan-bus-id", "bad-scalar", "not-utf8"])
 def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
     path = tmp_path / name
-    path.write_text(text(json.loads(case_to_json(desk3))))
+    data = text(json.loads(case_to_json(desk3)))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
     code, out = _run(capsys, ["attack", str(path)])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "CaseError"

@@ -5,10 +5,10 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import (build_feasibility, build_ptdf, project_policy,
-                               solve_dcopf)
+from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
 from dcattack.defense import defense_local
 from dcattack.errors import ModelError, PreconditionError
+from dcattack.lin_solve import FEAS_TOL
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
@@ -242,24 +242,39 @@ def test_radii_min_and_precondition(desk2):
 
 
 def test_radii_and_crossing_match_the_row_projection(bundled_mats):
-    """The vectorized radii and the per-row crossing points agree with the
-    closed-form projection of each row, under the SOCP policy and at the
-    nominal dispatch.  A row whose direction vanishes reads +inf in radii
-    even when tight, where the projection reports 0 (already crossed)."""
+    """The vectorized radii and the per-row crossing points agree, under the
+    SOCP policy and at the nominal dispatch: each row's crossing point is
+    the one of the bare row (`oracle_utils.one_row`), and its squared norm
+    is the row's radius.  A row whose direction vanishes has no crossing
+    point and reads +inf in radii, even when tight."""
     mats = bundled_mats
     pol = defense_local(mats)
     for p0, G in ((pol.p0, pol.G), (solve_dcopf(mats).p_hat, None)):
         per = mats.radii(p0, G)
         dead = ~np.any(mats.directions(G) != 0.0, axis=1)
         for i in range(mats.m):
-            proj = project_policy(p0, G, mats.A[i], mats.B[i], float(mats.c[i]))
+            one = oracle_utils.one_row(mats.A[i], mats.B[i], mats.c[i])
             d = mats.crossing(p0, G, i)
-            if proj.delta is None:
-                assert d is None
-            else:
-                assert np.array_equal(d, proj.delta)
             if dead[i]:
-                assert per[i] == np.inf and proj.norm_sq in (0.0, np.inf)
+                assert d is None and one.crossing(p0, G, 0) is None
+                assert per[i] == np.inf
             else:
-                assert per[i] == pytest.approx(proj.norm_sq, rel=1e-9,
+                assert np.array_equal(d, one.crossing(p0, G, 0))
+                assert per[i] == pytest.approx(float(d @ d), rel=1e-9,
                                                abs=1e-18)
+
+
+def test_a_tight_row_under_the_policy_keeps_its_radius():
+    """The attack's tight-row rule (radius 0 for a sensitive row within
+    FEAS_TOL of its bound) holds at fixed dispatch only.  At the SOCP optimum
+    of this network the policy holds a flow row at a noise-sized margin with
+    a noise-sized direction; its radius is a real ratio at or above t, so
+    zeroing it in `radii` would break the defense's exact-radius check."""
+    mats = build_feasibility(bench_ladder(30, 1, True))
+    pol = defense_local(mats)
+    margins = mats.margins(pol.p0)
+    den = np.linalg.norm(mats.directions(pol.G), axis=1)
+    per = mats.radii(pol.p0, pol.G)
+    kept = (np.abs(margins) <= FEAS_TOL) & (den > 0) & np.isfinite(per) \
+        & (per >= pol.t)
+    assert np.any(kept)

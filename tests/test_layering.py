@@ -1,6 +1,8 @@
 """The package's layering, read from the import statements of its modules:
 the LP kernel depends on nothing but the errors, and the model on nothing
-but the kernel and the errors, so row geometry stays with the model."""
+but the kernel and the errors, so row geometry stays with the model.  The
+attack and the defense each stand on the model alone, and only the squeeze
+and the CLI compose them."""
 
 import ast
 from pathlib import Path
@@ -33,9 +35,17 @@ def _package_imports(module):
 @pytest.mark.parametrize("module, allowed", [
     ("lin_solve", {"errors"}),
     ("dc_model", {"lin_solve", "errors"}),
+    ("attack", {"lin_solve", "dc_model", "errors"}),
+    ("defense", {"lin_solve", "dc_model", "errors"}),
 ])
 def test_lower_layers_import_only_below_them(module, allowed):
     assert _package_imports(module) <= allowed
+
+
+def test_only_the_squeeze_and_the_cli_compose_attack_and_defense():
+    users = {path.stem for path in SRC.glob("*.py")
+             if _package_imports(path.stem) & {"attack", "defense"}}
+    assert users == {"squeeze", "cli"}
 
 
 def test_the_reader_finds_both_relative_forms():

@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.dc_model import project_policy
 from dcattack.lin_solve import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, FarkasCertificate, LpProblem, check_feasible,
     lp_solve,
@@ -483,16 +482,17 @@ def test_project_fixed_matches_kkt_oracle():
         b = rng.normal(size=n_d)
         c = float(rng.normal())
         p0 = rng.normal(size=n_p)
-        res = project_policy(p0, None, a, b, c)
+        delta = oracle_utils.one_row(a, b, c).crossing(p0, None, 0)
         margin = float(a @ p0 + c)
         ref = _kkt_projection(b, margin)
-        assert res.delta == pytest.approx(ref, abs=1e-9)
-        assert res.norm_sq == pytest.approx(float(res.delta @ res.delta), abs=1e-12)
+        assert delta == pytest.approx(ref, abs=1e-9)
+        assert oracle_utils.row_radius(a, b, c, p0) == \
+            pytest.approx(float(delta @ delta), abs=1e-12)
         # the row is tight at the projected point
-        assert abs(a @ p0 + b @ res.delta + c) <= 1e-9
+        assert abs(a @ p0 + b @ delta + c) <= 1e-9
 
 
-def test_project_policy_matches_kkt_oracle():
+def test_crossing_under_a_policy_matches_kkt_oracle():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         n_p, n_d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -501,13 +501,13 @@ def test_project_policy_matches_kkt_oracle():
         G = rng.normal(size=(n_p, n_d))
         c = float(rng.normal())
         p0 = rng.normal(size=n_p)
-        res = project_policy(p0, G, a, b, c)
+        delta = oracle_utils.one_row(a, b, c).crossing(p0, G, 0)
         margin = float(a @ p0 + c)
         g = G.T @ a + b
         ref = _kkt_projection(g, margin)
-        assert res.delta == pytest.approx(ref, abs=1e-9)
+        assert delta == pytest.approx(ref, abs=1e-9)
         # tightness under the response: a^T(p0 + G d) + b^T d + c = 0
-        assert abs(a @ (p0 + G @ res.delta) + b @ res.delta + c) <= 1e-9
+        assert abs(a @ (p0 + G @ delta) + b @ delta + c) <= 1e-9
 
 
 def test_projection_no_cheaper_point_sampled():
@@ -518,27 +518,29 @@ def test_projection_no_cheaper_point_sampled():
     b = np.array([0.5, 1.5, -1.0])
     c = -3.0
     p0 = np.array([0.3, 0.9])
-    res = project_policy(p0, None, a, b, c)
+    norm_sq = oracle_utils.row_radius(a, b, c, p0)
     margin = a @ p0 + c
     for _ in range(500):
         d = rng.normal(size=3)
         # project the sample onto the hyperplane b^T d = -margin
         d = d - (b @ d + margin) / (b @ b) * b
-        assert d @ d >= res.norm_sq - 1e-9
+        assert d @ d >= norm_sq - 1e-9
 
 
-def test_project_policy_reduces_to_fixed_at_zero_gain():
+def test_crossing_reduces_to_fixed_at_zero_gain():
     rng = np.random.default_rng(10)
     for _ in range(50):
         a = rng.normal(size=4)
         b = rng.normal(size=3)
         c = float(rng.normal())
         p0 = rng.normal(size=4)
-        res_f = project_policy(p0, None, a, b, c)
-        res_p = project_policy(p0, np.zeros((4, 3)), a, b, c)
-        assert res_p.norm_sq == pytest.approx(res_f.norm_sq, abs=1e-12)
-        if res_f.delta is not None:
-            assert res_p.delta == pytest.approx(res_f.delta, abs=1e-12)
+        G = np.zeros((4, 3))
+        assert oracle_utils.row_radius(a, b, c, p0, G) == \
+            pytest.approx(oracle_utils.row_radius(a, b, c, p0), abs=1e-12)
+        row = oracle_utils.one_row(a, b, c)
+        d_f = row.crossing(p0, None, 0)
+        if d_f is not None:
+            assert row.crossing(p0, G, 0) == pytest.approx(d_f, abs=1e-12)
 
 
 def test_projection_degenerate_rows():
@@ -546,12 +548,12 @@ def test_projection_degenerate_rows():
     p0 = np.array([0.0])
     zero_b = np.zeros(2)
     # slack row insensitive to delta: uncrossable
-    res = project_policy(p0, None, a, zero_b, -1.0)
-    assert res.norm_sq == np.inf and res.delta is None
-    # tight insensitive row: crossed at zero distance
-    res = project_policy(p0, None, a, zero_b, 0.0)
-    assert res.norm_sq == 0.0
+    assert oracle_utils.row_radius(a, zero_b, -1.0, p0) == np.inf
+    assert oracle_utils.one_row(a, zero_b, -1.0).crossing(p0, None, 0) is None
+    # tight insensitive row: no delta moves it either
+    assert oracle_utils.one_row(a, zero_b, 0.0).crossing(p0, None, 0) is None
     # tight sensitive row
-    res = project_policy(p0, None, a, np.array([2.0, 0.0]), 0.0)
-    assert res.norm_sq == 0.0
-    assert res.delta == pytest.approx([0.0, 0.0], abs=1e-15)
+    b = np.array([2.0, 0.0])
+    assert oracle_utils.row_radius(a, b, 0.0, p0) == 0.0
+    assert oracle_utils.one_row(a, b, 0.0).crossing(p0, None, 0) == \
+        pytest.approx([0.0, 0.0], abs=1e-15)

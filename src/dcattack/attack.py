@@ -18,17 +18,19 @@ step maximizes (B g)^T mu over P for the start direction g; every later step
 maximizes the linearization (B^T mu_k)^T B^T mu at the current vertex
 mu_k.  v never decreases, since it is convex, and the ascent stops at a fixed
 point (the linearized value exceeds v by at most _STEP_TOL, relative), after
-_MAX_STEPS steps, or at the caller's deadline.  Every iterate is a vertex of
-P, hence an attack that certifies.
+_MAX_STEPS steps, or at the caller's deadline, which is also checked inside
+each step's LP.  Every iterate is a vertex of P, hence an attack that
+certifies.
 
 A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and a warm
 start runs phase 2 only.  `multistart_attack` builds P's rows once per
-network and pools a (B^T mu, basis) pair for every optimal step.  The first
-start's first step is the network's one cold P-LP; a later start's first
-step maximizes g^T B^T mu, so it warm-starts from the pooled vertex with
-the largest g^T B^T mu (the earliest on ties), and each later step from
-its own previous one.  A unique optimum does not depend on the basis a step
+network and pools a (B^T mu, basis) pair for every optimal step, the basis
+carried with its inverse (`lin_solve.WarmStart`), so a warm step skips the
+factorization.  The first start's first step is the network's one cold
+P-LP; a later start's first step maximizes g^T B^T mu, so it warm-starts
+from the pooled vertex with the largest g^T B^T mu (the earliest on ties),
+and each later step from its own previous one.  A unique optimum does not depend on the basis a step
 starts from, so a start reaches the vertex it would reach from the cold
 basis, up to rounding, but the reported best start may change among starts
 whose norms tie to rounding.
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import lin_solve
 from .dc_model import solve_dcopf
-from .errors import AttackError, RestartSignal
+from .errors import AttackError, DeadlineSignal, RestartSignal, SolverError
 
 # the reported mu has mu^T (B delta + c) = EPS; the ascent reports
 # delta = (1 + _INFLATE) B^T mu / v, just past mu's hyperplane, certified at
@@ -152,21 +154,23 @@ def _polytope(mats):
                                b_eq=np.eye(mats.n_reduced + 1)[-1])
 
 
-def _p_lp(mats, P, g, basis, pool=None):
+def _p_lp(mats, P, g, basis, pool=None, deadline=None):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
-    min -(B g)^T mu over its rows, from `basis`.  Returns (mu, value, optimal
-    basis), with mu clipped at 0: a basic value may sit up to FEAS_TOL below
-    its bound, and the reported mu is that vertex scaled up by EPS / 1e-6.
-    An optimum is also appended to `pool` as (B^T mu, basis).  Without an
-    optimum, mu is a ray (module docstring), value +inf (-inf when P is
-    empty and B g <= 0) and basis None."""
+    min -(B g)^T mu over its rows, from `basis` (a `lin_solve.WarmStart`).
+    Returns (mu, value, optimal basis with its inverse), with mu clipped at
+    0: a basic value may sit up to FEAS_TOL below its bound, and the
+    reported mu is that vertex scaled up by EPS / 1e-6.  An optimum is also
+    appended to `pool` as (B^T mu, basis).  Without an optimum, mu is a ray
+    (module docstring), value +inf (-inf when P is empty and B g <= 0) and
+    basis None.  Raises DeadlineSignal when `deadline` passes inside the LP."""
     bg = mats.B @ g
-    res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis)
+    res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis,
+                             deadline=deadline)
     if res.status == lin_solve.OPTIMAL:
         mu = np.maximum(res.x, 0.0)
         if pool is not None and res.basis is not None:
-            pool.append((mats.B.T @ mu, res.basis))
-        return mu, -res.objective, res.basis
+            pool.append((mats.B.T @ mu, res.warm))
+        return mu, -res.objective, res.warm
     ray = res.ray
     if res.status == lin_solve.INFEASIBLE and mats.n_reduced == 0:
         ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
@@ -195,12 +199,15 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     network: the first step warm-starts from the pooled basis whose vertex
     scores highest on that step's objective, and every optimal step of this
     ascent is appended.  `deadline`, a time.monotonic() value, is checked
-    between steps, and an expired one returns the current vertex.  `P` is
+    between steps and inside each step's LP, and an expired one returns the
+    current vertex; a first step from an empty pool (the network's cold
+    P-LP) ignores it, so a multistart always has a vertex.  `P` is
     `_polytope(mats)`, built here when not given.  A step without an
     optimum ends the ascent on its ray (module docstring).
 
     Raises RestartSignal when no multiplier in P separates any point along
-    the start direction (F never closes along it).
+    the start direction (F never closes along it), and DeadlineSignal when
+    the deadline cuts the first step.
     """
     g = np.asarray(init_delta, float)
     if not np.any(g):
@@ -211,7 +218,8 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     # keeps the earliest entry on ties
     _gw, basis = max(pool, key=lambda entry: float(g @ entry[0]),
                      default=(None, None))
-    mu, value, basis = _p_lp(mats, P, g, basis, pool)
+    mu, value, basis = _p_lp(mats, P, g, basis, pool,
+                             deadline if pool else None)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -230,7 +238,11 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
-        mu_next, value, basis = _p_lp(mats, P, gw, basis, pool)
+        try:
+            mu_next, value, basis = _p_lp(mats, P, gw, basis, pool, deadline)
+        except DeadlineSignal:
+            status = "deadline"
+            break
         iterations += 1
         if value <= v * (1.0 + _STEP_TOL):
             status = "tight"
@@ -246,8 +258,10 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     first P-LP cold, the rest warm from the pool), then certify candidates
     in ascending norm order; the first certified one is the reported
     attack.  Once `budget_s` seconds have passed, the running ascent stops
-    at its current vertex and the starts after the first are skipped.
-    Raises AttackError when nothing certifies.
+    at its current vertex, even inside a step's LP, and the starts after the
+    first are skipped; so is a start whose first step the deadline cuts.  A
+    start whose LP raises SolverError is noted "failed" with the message,
+    and the other starts go on.  Raises AttackError when nothing certifies.
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
@@ -301,6 +315,10 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                 out = attack_local(mats, direction, label, pool, deadline, P)
             except RestartSignal as exc:
                 out = ("restart", label, str(exc))
+            except DeadlineSignal:
+                out = ("skipped", label, "deadline")
+            except SolverError as exc:
+                out = ("failed", label, str(exc))
             else:
                 closed = out.norm_sq <= close_at and certify(out)
         outcomes.append(out)

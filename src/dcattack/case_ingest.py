@@ -194,7 +194,10 @@ def _check_connected(case):
 
 # -- MATPOWER-subset parsing ---------------------------------------------------
 
-_SCALAR_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*([0-9.eE+-]+)\s*;")
+# a number, or MATLAB's NaN and Inf, which float() reads and the caller
+# names as non-finite
+_SCALAR_RE = re.compile(
+    r"^(?:mpc\.)?(\w+)\s*=\s*([0-9.eE+-]+|[+-]?(?:nan|inf(?:inity)?))\s*;", re.I)
 _TABLE_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
 
 
@@ -260,6 +263,8 @@ def parse_case_text(text, name="case"):
     if "baseMVA" not in scalars:
         raise CaseError("missing baseMVA")
     base = scalars["baseMVA"]
+    if not math.isfinite(base):
+        raise CaseError(f"non-finite baseMVA: {base}")
     if base <= 0:
         raise CaseError(f"baseMVA must be positive, got {base}")
     for required in ("bus", "gen", "branch"):

@@ -29,6 +29,10 @@ class RestartSignal(DcAttackError):
     """A local attack start cannot make progress and should be resampled."""
 
 
+class DeadlineSignal(DcAttackError):
+    """The caller's wall-clock deadline passed inside a solve."""
+
+
 class PolicyVerificationError(DcAttackError):
     """A defense policy failed sampled verification inside its claimed ball."""
 

@@ -25,8 +25,16 @@ attack's vertices (and so its bounds) follow from them:
   - in phase 2 a basic artificial is pinned at 0 and blocks either way;
   - after 30 pivots without a 1e-12 relative decrease, Bland's rule (lowest
     entering index, lowest basis index leaving) until the objective moves;
-  - the inverse is refactorized every _REFACTOR_EVERY pivots, and x_B
-    once more from the final basis, since eta updates drift;
+  - a phase 2 that starts with no basic artificial runs on b_eq + B u, x_B
+    shifted by a fixed u in [1, 2]^M * _SHIFT * b_scale (b_scale = 1 +
+    ||b_eq||_inf; Wolfe, "A technique for resolving degeneracy in linear
+    programming", 1963), so the highly degenerate vertices of the attack's
+    Farkas polytope do not stall it; at the end b_eq is restored, x_B and y
+    come afresh from the final basis's inverse (refactorized when pivots
+    edited it, since eta updates drift), and if x_B is then below
+    -FEAS_TOL * b_scale the LP is solved again cold without the shift;
+  - the inverse is refactorized every _REFACTOR_EVERY pivots, where a
+    caller's deadline is checked;
   - _ITER_FACTOR * (N + 2 M) + 200 pricing passes at most;
   - every unbounded ray and every Farkas certificate is re-checked.
 
@@ -41,39 +49,48 @@ the defense its max-margin warm start) and the nominal dispatch
 and re-checked against the rows; Farkas rays are the multipliers themselves.
 
 Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a
-caller's basis: M real column indices, typically the `LpResult.basis` of an
-earlier optimal solve of a related problem.  The basis is accepted only when
-it has M distinct indices of real columns, A_eq[:, basis] factorizes, the
-basic solution x_B = B^-1 b_eq is >= -FEAS_TOL * (1 + ||b_eq||_inf), and
-B x_B reproduces b_eq to the same tolerance.  Then phase 2 starts at once;
-any other basis (None included) takes the cold two-phase path, so a stale
-basis costs time, never a wrong answer.  The attack's LPs share one
+caller's basis: M real column indices, bare or with their inverse as the
+`LpResult.warm` of an earlier optimal solve of a related problem.  The
+basis is accepted only when it has M distinct indices of real columns,
+A_eq[:, basis] factorizes (a carried inverse B_inv stands in for the
+factorization when ||B_inv A_eq[:, basis] - I||_max <= _INV_TOL), the basic
+solution x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale, and B x_B reproduces
+b_eq to the same tolerance.  Then phase 2 starts at once; any other basis
+(None included) takes the cold two-phase path, so a stale basis costs time,
+never a wrong answer.  The attack's LPs share one
 constraint set, the Farkas polytope P, and differ only in their objective,
 so every earlier optimal basis is primal feasible for every later one: each
 network's first P-LP is its one cold P-LP, and every optimal basis is
-pooled; a later start's first step warm-starts from the pooled basis that
-scores highest on its objective, and each later step from the start's
-previous one (see `attack`).  The feasibility probe (`check_feasible`),
-the nominal dispatch and the defense's warm start stay cold: certification
-must not depend on the attack path, and their first solve has no earlier
-basis.
+pooled with its inverse; a later start's first step warm-starts from the
+pooled basis that scores highest on its objective, and each later step from
+the start's previous one (see `attack`).  The feasibility probe
+(`check_feasible`), the nominal dispatch and the defense's warm start stay
+cold: certification must not depend on the attack path, and their first
+solve has no earlier basis.
 """
 
 import copy
+import functools
+import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import DeadlineSignal, SolverError
 
 # A x <= b + FEAS_TOL counts as satisfied, here and in dc_model, attack and
 # defense; a Farkas ray normalized to ||y||_1 = 1 has ||A^T y||_inf <=
-# _CERT_TOL; _LP_TOL is the reduced-cost zero; the pivot rules use the rest
+# _CERT_TOL; _LP_TOL is the reduced-cost zero; _SHIFT scales the phase-2
+# perturbation, _INV_TOL bounds a carried inverse's residual, and the pivot
+# rules use the rest
 FEAS_TOL = 1e-8
 _CERT_TOL = 1e-9
 _LP_TOL = 1e-9
 _REFACTOR_EVERY = 64
 _ITER_FACTOR = 60
+_SHIFT = 1e-7
+_INV_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -138,19 +155,32 @@ class LpResult:
     ray: np.ndarray = None
     iterations: int = 0
     phase1_objective: float = 0.0
-    # optimal basis (real column indices), for a later warm start; None when
-    # an artificial column stays basic
+    # optimal basis (real column indices) and inv(A_eq[:, basis]) from the
+    # final refactorization, to the bit; None when an artificial stays basic
     basis: np.ndarray = None
+    B_inv: np.ndarray = None
+
+    @property
+    def warm(self):
+        """The basis with its inverse, for a later `lp_solve`, or None."""
+        return None if self.basis is None else WarmStart(self.basis, self.B_inv)
+
+
+class WarmStart(NamedTuple):
+    """A basis of real columns and its inverse, for `lp_solve`."""
+
+    basis: np.ndarray
+    B_inv: np.ndarray
 
 
 class _Simplex:
     """Two-phase revised simplex on A x = b, x >= 0 with implicit artificial
     columns sign(b_i) e_i, numbered N + i."""
 
-    def __init__(self, prob):
+    def __init__(self, prob, deadline=None):
         self.A, self.b = prob.A_eq, prob.b_eq
         self.M, self.N = self.A.shape
-        self.b_scale = 1.0 + float(np.max(np.abs(self.b), initial=0.0))
+        self.b_scale = 1.0 + float(abs(self.b).max(initial=0.0))
         self.sign = np.where(self.b >= 0, 1.0, -1.0)
         self.basis = np.arange(self.N, self.N + self.M)
         self.art = np.ones(self.M, dtype=bool)      # basis position holds an artificial
@@ -160,25 +190,34 @@ class _Simplex:
         self.pinned = False                         # phase 2: artificials at 0
         self.iterations = 0
         self.pivots_since_refactor = 0
+        self.deadline = deadline
 
     def warm_start(self, basis):
-        """Re-enter at a caller's basis of real columns (acceptance rules in
-        the module docstring).  An accepted basis leaves no artificial, so
-        phase 2 can run at once; a rejected one returns False and leaves the
-        cold start untouched."""
+        """Re-enter at a caller's basis of real columns, bare or as a
+        `WarmStart` with its inverse (acceptance rules in the module
+        docstring).  An accepted basis leaves no artificial, so phase 2 can
+        run at once; a rejected one returns False and leaves the cold start
+        untouched."""
+        basis, B_inv = basis if isinstance(basis, WarmStart) else (basis, None)
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
-        if basis.size != self.M or np.unique(basis).size != self.M \
-                or np.any(basis < 0) or np.any(basis >= self.N):
+        if basis.size != self.M or np.unique(basis).size != self.M or \
+                (self.M and (basis.min() < 0 or basis.max() >= self.N)):
             return False
         Bmat = self.A[:, basis]
-        try:
-            B_inv = np.linalg.inv(Bmat)
-        except np.linalg.LinAlgError:
-            return False
+        # a carried inverse is copied too: the eta updates edit it in place
+        if np.shape(B_inv) == (self.M, self.M) and abs(
+                B_inv @ Bmat - np.eye(self.M)).max(initial=0.0) <= _INV_TOL:
+            B_inv = np.array(B_inv, dtype=float)
+        else:
+            try:
+                B_inv = np.linalg.inv(Bmat)
+            except np.linalg.LinAlgError:
+                return False
         x_B = B_inv @ self.b
         tol = FEAS_TOL * self.b_scale
-        if not np.all(np.isfinite(x_B)) or np.any(x_B < -tol) \
-                or float(np.max(np.abs(Bmat @ x_B - self.b), initial=0.0)) > tol:
+        # written so that a NaN or an inf in x_B fails too
+        if not (x_B.min(initial=0.0) >= -tol
+                and abs(Bmat @ x_B - self.b).max(initial=0.0) <= tol):
             return False
         self.basis, self.B_inv, self.xB = basis, B_inv, x_B
         self.art[:] = False
@@ -209,8 +248,9 @@ class _Simplex:
         pos = block.nonzero()[0]
         if not pos.size:
             return np.inf, None
-        t = np.maximum(self.xB[pos] / w[pos], 0.0)
-        t_min = float(t.min())
+        t = self.xB[pos] / w[pos]
+        # a negative ratio (x_B a rounding below 0) counts as a zero step
+        t_min = max(float(t[t.argmin()]), 0.0)
         # tie set within an absolute-plus-relative window
         cand = pos[t <= t_min + 1e-9 * (1.0 + t_min)]
         if bland:
@@ -235,11 +275,14 @@ class _Simplex:
             self.n_art -= 1
         # eta update of the explicit inverse
         Binv_r = self.B_inv[r] / w[r]
-        self.B_inv -= w[:, None] * Binv_r
+        self.B_inv -= np.multiply.outer(w, Binv_r)
         self.B_inv[r] = Binv_r
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refactor()
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                raise DeadlineSignal(
+                    f"deadline passed after {self.iterations} pricing passes")
         return leave
 
     def run_phase(self, cost):
@@ -247,7 +290,8 @@ class _Simplex:
         current basis; returns (status, y, extra) with extra = (j, w) for an
         unbounded entering column."""
         iter_cap = _ITER_FACTOR * (self.N + 2 * self.M) + 200
-        c = cost[:self.N]
+        A, AT, N = self.A, self.A.T, self.N
+        c = cost[:N]
         # reduced costs of basic columns read +inf, so they never enter
         price = c.copy()
         price[self.basis[~self.art]] = np.inf
@@ -257,22 +301,22 @@ class _Simplex:
         while True:
             if self.iterations > iter_cap:
                 raise SolverError(
-                    f"iteration cap {iter_cap} exceeded (M={self.M}, N={self.N})")
+                    f"iteration cap {iter_cap} exceeded (M={self.M}, N={N})")
             self.iterations += 1
             y = self.B_inv.T @ cB
-            d = price - self.A.T @ y
-            j = int(d.argmin()) if self.N else 0
-            if not (self.N and d[j] < -_LP_TOL):
+            d = price - AT @ y
+            j = int(d.argmin()) if N else 0
+            if not (N and d[j] < -_LP_TOL):
                 return OPTIMAL, y, None
             if bland:
                 j = int(np.argmax(d < -_LP_TOL))      # the lowest eligible index
-            w = self.B_inv @ self.A[:, j]
+            w = self.B_inv @ A[:, j]
             t, r = self._ratio(w, bland)
             if r is None:
                 return UNBOUNDED, y, (j, w)
             leave = self._pivot(j, t, r, w)
             price[j] = np.inf
-            if leave < self.N:
+            if leave < N:
                 price[leave] = c[leave]
             cB[r] = cost[j]
             z_new = float(cB @ self.xB)
@@ -285,15 +329,29 @@ class _Simplex:
             z = z_new
 
 
-def lp_solve(prob: LpProblem, basis=None) -> LpResult:
+@functools.lru_cache(maxsize=None)
+def _shift(M):
+    """Phase 2's shift per unit of b_scale, drawn once per row count."""
+    u = np.random.default_rng(0).uniform(1.0, 2.0, M) * _SHIFT
+    u.flags.writeable = False
+    return u
+
+
+def lp_solve(prob: LpProblem, basis=None, deadline=None) -> LpResult:
     """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
     UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and c^T x < 0,
-    OPTIMAL results carry their equality duals y and basis.  A given `basis`
-    skips phase 1 when it passes the warm-start checks (module docstring)
-    and is ignored otherwise."""
+    OPTIMAL results carry their equality duals y, basis and its inverse.  A
+    given `basis` (an index array or `LpResult.warm`) skips phase 1 when it
+    passes the warm-start checks (module docstring) and is ignored
+    otherwise.  Past `deadline`, a time.monotonic() value checked every
+    _REFACTOR_EVERY pivots, the solve raises DeadlineSignal."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
-    sx = _Simplex(prob)
+    return _solve(prob, basis, deadline, perturb=True)
+
+
+def _solve(prob, basis, deadline, perturb):
+    sx = _Simplex(prob, deadline)
     N, M = sx.N, sx.M
 
     z1 = 0.0
@@ -312,7 +370,12 @@ def lp_solve(prob: LpProblem, basis=None) -> LpResult:
                             iterations=sx.iterations, phase1_objective=z1)
         sx.pinned = True
 
-    status, y, extra = sx.run_phase(np.concatenate([prob.c, np.zeros(M)]))
+    perturb = perturb and not sx.n_art
+    if perturb:
+        u = _shift(M) * sx.b_scale
+        sx.b, sx.xB = sx.b + sx.A[:, sx.basis] @ u, sx.xB + u
+    cost = np.concatenate([prob.c, np.zeros(M)])
+    status, y, extra = sx.run_phase(cost)
     if status == UNBOUNDED:
         j, w = extra
         ray = np.zeros(N)
@@ -326,16 +389,25 @@ def lp_solve(prob: LpProblem, basis=None) -> LpResult:
         return LpResult(status=UNBOUNDED, ray=ray, iterations=sx.iterations,
                         phase1_objective=z1)
 
+    # x_B afresh from the final basis and the restored b: the per-pivot
+    # updates drift, by up to 1e-9 in the row residuals after a long
+    # warm-started phase 2
+    sx.b = prob.b_eq
     if sx.pivots_since_refactor:
-        # x_B afresh from the final basis: the per-pivot updates drift, by
-        # up to 1e-9 in the row residuals after a long warm-started phase 2
         sx._refactor()
+    else:
+        sx.xB = sx.B_inv @ sx.b
+    if perturb and not sx.xB.min(initial=0.0) >= -FEAS_TOL * sx.b_scale:
+        return _solve(prob, None, deadline, perturb=False)
+    y = sx.B_inv.T @ cost[sx.basis]
     x = np.zeros(N)
     real = ~sx.art
     x[sx.basis[real]] = sx.xB[real]
+    warm = not sx.n_art
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations, phase1_objective=z1,
-                    basis=None if sx.n_art else sx.basis.copy())
+                    basis=sx.basis.copy() if warm else None,
+                    B_inv=sx.B_inv if warm else None)
 
 
 def normalize_farkas_ray(rows, rhs, y):

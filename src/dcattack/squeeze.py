@@ -30,7 +30,7 @@ import numpy as np
 from .attack import EPS, AttackConfig, multistart_attack
 from .defense import defense_local, verify_policy
 from .dc_model import build_feasibility
-from .errors import AttackError, ModelError
+from .errors import AttackError, ModelError, SolverError
 
 
 @dataclass
@@ -163,7 +163,7 @@ def squeeze_run(case, config=None, mats=None):
             # a start's ascent ended on a ray of P (attack module
             # docstring): the infimum is 0; ub is only a certified point
             report.flags.append("zero-distance")
-    except AttackError as exc:
+    except (AttackError, SolverError) as exc:
         report.flags.append(f"attack-round0: {exc}")
 
     # the multistart certified the attack; the policy is verified here

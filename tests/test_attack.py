@@ -11,6 +11,8 @@ frozen here:
                                               optimum delta* = (0.52, 0.26))
 """
 
+import types
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -21,7 +23,7 @@ from dcattack.attack import (AttackConfig, _p_lp, _polytope, attack_local,
                              multistart_attack)
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, solve_dcopf
-from dcattack.errors import AttackError, RestartSignal
+from dcattack.errors import AttackError, RestartSignal, SolverError
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
@@ -200,8 +202,8 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     calls = []
     solve = lin_solve.lp_solve
 
-    def spy(prob, basis=None):
-        res = solve(prob, basis=basis)
+    def spy(prob, basis=None, deadline=None):
+        res = solve(prob, basis=basis, deadline=deadline)
         calls.append((prob, basis, res))
         return res
 
@@ -259,11 +261,11 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
     cold = []
     solve = lin_solve.lp_solve
 
-    def spy(prob, basis=None):
+    def spy(prob, basis=None, deadline=None):
         over_p = prob.A_eq.shape[0] == bundled_mats.n_reduced + 1 \
             and np.array_equal(prob.A_eq[-1], -bundled_mats.c)
         cold.extend([prob] if over_p and basis is None else [])
-        return solve(prob, basis=basis)
+        return solve(prob, basis=basis, deadline=deadline)
 
     monkeypatch.setattr(lin_solve, "lp_solve", spy)
     multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
@@ -284,8 +286,8 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     p_lps, starts = [], []
     real_solve, real_local = lin_solve.lp_solve, attack.attack_local
 
-    def solve_spy(prob, basis=None):
-        res = real_solve(prob, basis=basis)
+    def solve_spy(prob, basis=None, deadline=None):
+        res = real_solve(prob, basis=basis, deadline=deadline)
         if prob.A_eq.shape[0] == mats.n_reduced + 1 \
                 and np.array_equal(prob.A_eq[-1], -mats.c):
             p_lps.append((prob, basis, res))
@@ -317,7 +319,7 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
                       if res.status == lin_solve.OPTIMAL
                       and res.basis is not None]
             k = int(np.argmax([float(g @ gw) for gw, _basis in before]))
-            np.testing.assert_array_equal(p_lps[first][1], before[k][1])
+            np.testing.assert_array_equal(p_lps[first][1].basis, before[k][1])
             picked.append(k)
         if out is None:         # the start raised RestartSignal
             with pytest.raises(RestartSignal):
@@ -339,12 +341,12 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
     bases = [_p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]]
     while len(bases) < 2:
         basis = _p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]
-        bases += [] if np.array_equal(basis, bases[0]) else [basis]
+        bases += [] if np.array_equal(basis.basis, bases[0].basis) else [basis]
     given, real = [], lin_solve.lp_solve
 
-    def spy(prob, basis=None):
+    def spy(prob, basis=None, deadline=None):
         given.append(basis)
-        return real(prob, basis=basis)
+        return real(prob, basis=basis, deadline=deadline)
 
     monkeypatch.setattr(lin_solve, "lp_solve", spy)
     score = np.ones(mats.n_delta)
@@ -352,7 +354,7 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
         given.clear()
         attack_local(mats, np.ones(mats.n_delta), "",
                      [(score, b) for b in order], P=P)
-        np.testing.assert_array_equal(given[0], order[0])
+        np.testing.assert_array_equal(given[0].basis, order[0].basis)
 
 
 def test_case5_attack_reaches_the_vertex_enumeration_optimum():
@@ -452,14 +454,14 @@ def test_p_is_built_once_per_network(monkeypatch):
     steps, solved = [], []
     real_step, real_solve = attack._p_lp, lin_solve.lp_solve
 
-    def step_spy(mats, P, g, basis, pool=None):
+    def step_spy(mats, P, g, basis, pool=None, deadline=None):
         steps.append(P.A_eq)
-        return real_step(mats, P, g, basis, pool)
+        return real_step(mats, P, g, basis, pool, deadline)
 
-    def solve_spy(prob, basis=None):
+    def solve_spy(prob, basis=None, deadline=None):
         if np.array_equal(prob.A_eq[-1], -mats.c):
             solved.append(prob.A_eq)
-        return real_solve(prob, basis=basis)
+        return real_solve(prob, basis=basis, deadline=deadline)
 
     monkeypatch.setattr(attack, "_p_lp", step_spy)
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
@@ -500,3 +502,80 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
     assert len(calls) == 2
     assert not oracle_utils.scipy_feasible(
         mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_bare_multistart_certifies_240_buses(seed):
+    """P's vertices are highly degenerate; with Dantzig's rule and a Bland
+    fallback alone, the first step of the uniform-up start circled to the
+    iteration cap on these networks.  The phase-2 perturbation gets every
+    step through, and scipy confirms the certified attack."""
+    mats = build_feasibility(bench_ladder(240, seed, False))
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert rep.best.certified
+    assert all(n["status"] in ("candidate", "restart") for n in rep.starts)
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
+
+
+def _clock_past_every_deadline(monkeypatch):
+    """The LP kernel refactorizes after every pivot and reads a clock that
+    is past any deadline; the attack's own clock between steps is real."""
+    monkeypatch.setattr(lin_solve, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(lin_solve, "time",
+                        types.SimpleNamespace(monotonic=lambda: np.inf))
+
+
+def test_a_deadline_inside_a_step_keeps_the_current_vertex(monkeypatch):
+    """From uniform growth on case30 the ascent takes three steps.  With
+    the deadline passing inside the second step's LP, the ascent reports
+    the first step's vertex, status deadline.  The first step, the
+    network's cold P-LP, runs to its end."""
+    mats = build_feasibility(load_case(pglib_path("case30_as")))
+    g = np.ones(mats.n_delta)
+    full = attack_local(mats, g)
+    assert full.iterations == 3 and len(full.history) == 2
+    _clock_past_every_deadline(monkeypatch)
+    sol = attack_local(mats, g, deadline=1e9)
+    assert sol.convergence == "deadline" and sol.iterations == 1
+    assert sol.norm_sq == full.history[0] and sol.history == full.history[:1]
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * sol.delta))
+
+
+def test_a_deadline_inside_a_first_step_skips_the_start(monkeypatch):
+    """A later start whose first LP the deadline cuts is noted skipped, for
+    the deadline; the first start still yields a certified attack."""
+    mats = build_feasibility(load_case(pglib_path("case30_as")))
+    _clock_past_every_deadline(monkeypatch)
+    rep = multistart_attack(mats, AttackConfig(restarts=3, seed=0), budget_s=1e9)
+    assert rep.starts[0]["status"] == "candidate"
+    assert rep.best.certified and rep.best.start == rep.starts[0]["start"]
+    assert [(n["status"], n["reason"]) for n in rep.starts[1:]] == \
+        [("skipped", "deadline")] * 4
+
+
+def test_a_failing_start_is_noted_and_the_others_go_on(monkeypatch):
+    """A SolverError inside one start's P-LP ends that start only: it is
+    noted failed with the message, and every other start runs as before."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    cfg = AttackConfig(restarts=3, seed=0)
+    clean = multistart_attack(mats, cfg)
+    calls, real = [], lin_solve.lp_solve
+
+    def spy(prob, *args, **kw):
+        over_p = np.array_equal(prob.A_eq[-1], -mats.c)
+        calls.extend([1] if over_p else [])
+        if over_p and len(calls) == 3:
+            raise SolverError("iteration cap exceeded (spy)")
+        return real(prob, *args, **kw)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    rep = multistart_attack(mats, cfg)
+    failed = [n for n in rep.starts if n["status"] == "failed"]
+    assert len(failed) == 1
+    assert failed[0]["reason"] == "iteration cap exceeded (spy)"
+    others = [n for n in clean.starts if n["start"] != failed[0]["start"]]
+    assert [n["status"] for n in others] == \
+        [n["status"] for n in rep.starts if n["status"] != "failed"]
+    assert rep.best.certified
+    assert rep.best.norm_sq == pytest.approx(clean.best.norm_sq, rel=1e-9)

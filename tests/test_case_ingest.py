@@ -138,6 +138,12 @@ def test_bad_scalar_reports_line():
         parse_case_text(TWO_BUS.replace("baseMVA = 100;", "baseMVA = 1.0.0;"))
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "1e999", "-Inf"])
+def test_a_non_finite_basemva_is_named(value):
+    with pytest.raises(CaseError, match="non-finite baseMVA"):
+        parse_case_text(TWO_BUS.replace("baseMVA = 100;", f"baseMVA = {value};"))
+
+
 def test_load_case_that_is_not_utf8_names_the_path(tmp_path):
     p = tmp_path / "latin1.m"
     p.write_bytes(TWO_BUS.replace("%% bus data", "%% bus data, caf\xe9")

@@ -229,9 +229,11 @@ def test_unexpected_failure_exits_1_with_error_json(desk2_m, monkeypatch,
     ("nan-load.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\t2\t1\tnan")),
     ("nan-bus-id.m", lambda doc: DESK2_M.replace("\t2\t1\t300", "\tnan\t1\t300")),
     ("bad-base.m", lambda doc: DESK2_M.replace("= 100;", "= 1.0.0;")),
+    ("nan-base.m", lambda doc: DESK2_M.replace("= 100;", "= nan;")),
+    ("inf-base.m", lambda doc: DESK2_M.replace("= 100;", "= 1e999;")),
     ("latin1.m", lambda doc: (DESK2_M + "% caf\xe9\n").encode("latin-1")),
 ], ids=["not-an-object", "missing-key", "unknown-field", "nan-load",
-        "nan-bus-id", "bad-scalar", "not-utf8"])
+        "nan-bus-id", "bad-scalar", "nan-base", "inf-base", "not-utf8"])
 def test_malformed_case_is_a_case_error(desk3, tmp_path, capsys, name, text):
     path = tmp_path / name
     data = text(json.loads(case_to_json(desk3)))

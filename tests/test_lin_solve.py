@@ -1,14 +1,19 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
+from dcattack.dc_model import build_feasibility
+from dcattack.errors import DeadlineSignal
 from dcattack.lin_solve import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, FarkasCertificate, LpProblem, check_feasible,
     lp_solve,
 )
 
 import oracle_utils
+from conftest import bench_ladder
 
 
 def _standard(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, lb=None, ub=None):
@@ -557,3 +562,107 @@ def test_projection_degenerate_rows():
     assert oracle_utils.row_radius(a, b, 0.0, p0) == 0.0
     assert oracle_utils.one_row(a, b, 0.0).crossing(p0, None, 0) == \
         pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+# -- phase-2 perturbation, carried inverse, deadline ---------------------------
+
+
+def _p_chain(mats, steps, seed):
+    """An ascent's chain of LPs over the Farkas polytope P = {mu >= 0 :
+    A^T mu = 0, -c^T mu = 1}, whose right-hand side is one unit entry, so
+    its vertices are highly degenerate: max (B g)^T mu, then g = B^T mu
+    with the optimal basis and its inverse carried to the next step.
+    Returns [(prob, result)]."""
+    P = LpProblem(c=np.zeros(mats.m),
+                  A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
+                  b_eq=np.eye(mats.n_reduced + 1)[-1])
+    g = np.random.default_rng(seed).normal(size=mats.n_delta)
+    out, warm = [], None
+    for _ in range(steps):
+        prob = P.with_objective(-(mats.B @ g))
+        res = lp_solve(prob, basis=warm)
+        assert res.status == OPTIMAL
+        out.append((prob, res))
+        g, warm = mats.B.T @ np.maximum(res.x, 0.0), res.warm
+    return out
+
+
+def _assert_scipy_optimum(prob, res):
+    ref = _scipy_solve(prob)
+    assert res.status == OPTIMAL and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= lin_solve.FEAS_TOL
+    assert res.x.min() >= -lin_solve.FEAS_TOL
+
+
+def test_a_perturbed_p_lp_chain_meets_the_original_rows(monkeypatch):
+    """Each step of a degenerate P-LP chain runs phase 2 on the shifted
+    right-hand side; the returned x is read at the restored one, so it meets
+    the original rows to FEAS_TOL and matches scipy's optimum, and the basis
+    inverse it hands on is inv(A_eq[:, basis]) to the bit."""
+    mats = build_feasibility(bench_ladder(120, 0, False))
+    shifted, shift = [], lin_solve._shift
+    monkeypatch.setattr(lin_solve, "_shift", lambda M: shifted.append(M) or shift(M))
+    degenerate = 0
+    for prob, res in _p_chain(mats, 4, seed=11):
+        _assert_scipy_optimum(prob, res)
+        degenerate += int(np.sum(res.x[res.basis] <= lin_solve.FEAS_TOL))
+        inv = np.linalg.inv(prob.A_eq[:, res.basis])
+        assert [v.hex() for v in res.B_inv.ravel()] == \
+            [v.hex() for v in inv.ravel()]
+    # the vertices hold basic columns at 0
+    assert len(shifted) == 4 and degenerate > 4
+
+
+def test_a_failed_restore_falls_back_to_an_unperturbed_cold_solve(monkeypatch):
+    """A shift far too large leaves a final basis that the restored b makes
+    infeasible: the solve starts again cold without the shift, and still
+    reaches scipy's optimum."""
+    monkeypatch.setattr(lin_solve, "_shift", lambda M: np.full(M, 0.5))
+    flags, solve = [], lin_solve._solve
+
+    def spy(prob, basis, deadline, perturb):
+        flags.append(perturb)
+        return solve(prob, basis, deadline, perturb)
+
+    monkeypatch.setattr(lin_solve, "_solve", spy)
+    mats = build_feasibility(bench_ladder(60, 0, False))
+    for prob, res in _p_chain(mats, 6, seed=11):
+        _assert_scipy_optimum(prob, res)
+    assert flags.count(True) == 6 and flags.count(False) >= 1
+
+
+def test_a_corrupted_carried_inverse_is_rejected():
+    """A carried inverse that does not invert A_eq[:, basis] is replaced by
+    a fresh one: the solve is the bare basis's to the bit, and matches
+    scipy.  A sound carried inverse gives the same bits too, and the
+    caller's array is not edited by the pivots."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
+    bare = lp_solve(prob, basis=first.basis)
+    assert bare.iterations > 1
+    kept = first.B_inv.copy()
+    _same_result(lp_solve(prob, basis=first.warm), bare, "sound")
+    np.testing.assert_array_equal(first.B_inv, kept)
+    for name, bad in (("scaled", kept * (1 + 1e-6)),
+                      ("one column", kept + np.eye(kept.shape[0])[0] * 1e-3),
+                      ("shape", kept[:-1])):
+        res = lp_solve(prob, basis=lin_solve.WarmStart(first.basis, bad))
+        _same_result(res, bare, name)
+    _assert_scipy_optimum(prob, bare)
+
+
+def test_the_deadline_is_checked_at_each_refactorization(monkeypatch):
+    """With a refactorization after every pivot and a clock past the
+    deadline, a solve that pivots raises DeadlineSignal at its first pivot;
+    one that needs no pivot, and one whose deadline is still ahead, finish."""
+    monkeypatch.setattr(lin_solve, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(lin_solve, "time",
+                        types.SimpleNamespace(monotonic=lambda: 10.0))
+    prob = _random_wide_problem(np.random.default_rng(32), 5, 14)
+    cold = lp_solve(prob)
+    assert cold.iterations > 1
+    with pytest.raises(DeadlineSignal, match="after 1 pricing passes"):
+        lp_solve(prob, deadline=5.0)
+    assert lp_solve(prob, basis=cold.warm, deadline=5.0).iterations == 1
+    assert lp_solve(prob, deadline=20.0).objective == cold.objective

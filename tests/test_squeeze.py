@@ -13,7 +13,7 @@ from dcattack.attack import AttackConfig, attack_local, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local
-from dcattack.errors import ModelError
+from dcattack.errors import ModelError, SolverError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
                               squeeze_run)
 
@@ -235,3 +235,26 @@ def test_squeeze_lp_budget(name, monkeypatch):
     assert len(solves) <= 8
     point = mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"]))
     assert sum(np.array_equal(rhs, point) for rhs in probes) == 1
+
+
+def test_a_failing_attack_keeps_the_certified_lb(monkeypatch):
+    """Every P-LP raises SolverError: each start is noted failed, nothing
+    certifies, and the squeeze still reports the policy's certified lb with
+    ub None, flagged, under the same report keys."""
+    case = load_case(pglib_path("case14_ieee"))
+    mats = build_feasibility(case)
+    clean = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
+    real = lin_solve.lp_solve
+
+    def spy(prob, *args, **kw):
+        if np.array_equal(prob.A_eq[-1], -mats.c):
+            raise SolverError("iteration cap exceeded (spy)")
+        return real(prob, *args, **kw)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
+    assert rep.lb == clean.lb > 0 and rep.ub is None and rep.attack is None
+    assert "no-certified-attack" in rep.flags
+    assert any("failed" in f and "iteration cap exceeded (spy)" in f
+               for f in rep.flags)
+    assert json.loads(rep.to_json()).keys() == json.loads(clean.to_json()).keys()

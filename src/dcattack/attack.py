@@ -40,8 +40,11 @@ hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
 EPS is the epsilon of the parameterized Farkas' lemma; it only fixes the
 scale of the reported certificate, and no bound, delta or flag depends on
 it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
-emptiness independently at the inflated point (1 + _CERT_INFLATION) * delta,
-with _CERT_INFLATION = 1e-4.
+emptiness at the inflated point (1 + _CERT_INFLATION) * delta, with
+_CERT_INFLATION = 1e-4: min rhs^T y < 0 over Q = {y >= 0 : A^T y = 0,
+1^T y = 1}, from the bare optimal basis S over P of mu, the vertex delta
+came from, which is feasible for Q (mu_S / 1^T mu_S solves its rows, and
+[A_S^T; 1^T] is nonsingular as mu_S spans ker A_S^T and 1^T mu_S > 0).
 
 Zero distance.  A P-LP without an optimum is unbounded along a verified
 ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
@@ -94,6 +97,8 @@ class AttackSolution:
     certified: bool = False
     oracle_ray: np.ndarray = None
     history: list = field(default_factory=list)
+    # mu's bare optimal basis over P (None at zero distance); not reported
+    basis: np.ndarray = field(default=None, repr=False)
 
     def summary(self):
         return {
@@ -115,13 +120,15 @@ class AttackReport:
     fixed_lb: float
 
 
-def certify_infeasible(mats, delta):
-    """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta).
+def certify_infeasible(mats, delta, basis=None):
+    """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta),
+    from `basis`, P's bare optimal basis (module docstring), when given.
 
     Returns (True, ray) with a normalized verified Farkas ray when F(delta) is
     empty, or (False, witness_dispatch) when it is not.
     """
-    feasible, x, ray = lin_solve.check_feasible(mats.A, mats.rhs(delta))
+    feasible, x, ray = lin_solve.check_feasible(mats.A, mats.rhs(delta),
+                                                basis)
     if feasible:
         return False, x
     return True, ray
@@ -177,9 +184,10 @@ def _p_lp(mats, P, g, basis, pool=None, deadline=None):
     return np.maximum(ray, 0.0), np.inf if bg @ ray > 0 else -np.inf, None
 
 
-def _solution(mats, delta, mu, start, status, iterations=0, history=()):
+def _solution(mats, delta, mu, start, status, iterations=0, history=(),
+              basis=None):
     """The attack delta with its multiplier mu rescaled so that
-    mu^T (B delta + c) = EPS; mu must separate delta."""
+    mu^T (B delta + c) = EPS; mu must separate delta; keeps basis's indices."""
     sep = mats.B @ delta + mats.c
     mu = mu * (EPS / float(mu @ sep))
     residuals = {"At_mu_inf": float(np.max(np.abs(mats.A.T @ mu), initial=0.0)),
@@ -189,7 +197,7 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=()):
         delta=delta, mu=mu, norm_sq=float(delta @ delta),
         converged=status in ("tight", "zero-distance"), convergence=status,
         iterations=iterations, residuals=residuals, start=start,
-        history=list(history))
+        history=list(history), basis=None if basis is None else basis.basis)
 
 
 def attack_local(mats, init_delta, start="", pool=None, deadline=None,
@@ -239,16 +247,16 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
             status = "deadline"
             break
         try:
-            mu_next, value, basis = _p_lp(mats, P, gw, basis, pool, deadline)
+            step = _p_lp(mats, P, gw, basis, pool, deadline)
         except DeadlineSignal:
             status = "deadline"
             break
         iterations += 1
-        if value <= v * (1.0 + _STEP_TOL):
+        if step[1] <= v * (1.0 + _STEP_TOL):
             status = "tight"
             break
-        mu = mu_next
-    return _solution(mats, delta, mu, start, status, iterations, history)
+        mu, value, basis = step
+    return _solution(mats, delta, mu, start, status, iterations, history, basis)
 
 
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
@@ -297,7 +305,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
         """Certify sol at the inflated point once; notes a refutation."""
         tried.add(id(sol))
         inflated = (1.0 + _CERT_INFLATION) * sol.delta
-        ok, payload = certify_infeasible(mats, inflated)
+        ok, payload = certify_infeasible(mats, inflated, sol.basis)
         if ok:
             sol.certified, sol.oracle_ray = True, payload
         else:

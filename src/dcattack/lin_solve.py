@@ -48,25 +48,25 @@ the defense its max-margin warm start) and the nominal dispatch
 (`dc_model.solve_dcopf`).  Primal points are read off the equality duals y
 and re-checked against the rows; Farkas rays are the multipliers themselves.
 
-Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a
-caller's basis: M real column indices, bare or with their inverse as the
-`LpResult.warm` of an earlier optimal solve of a related problem.  The
-basis is accepted only when it has M distinct indices of real columns,
-A_eq[:, basis] factorizes (a carried inverse B_inv stands in for the
-factorization when ||B_inv A_eq[:, basis] - I||_max <= _INV_TOL), the basic
-solution x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale, and B x_B reproduces
-b_eq to the same tolerance.  Then phase 2 starts at once; any other basis
-(None included) takes the cold two-phase path, so a stale basis costs time,
-never a wrong answer.  The attack's LPs share one
-constraint set, the Farkas polytope P, and differ only in their objective,
-so every earlier optimal basis is primal feasible for every later one: each
-network's first P-LP is its one cold P-LP, and every optimal basis is
-pooled with its inverse; a later start's first step warm-starts from the
-pooled basis that scores highest on its objective, and each later step from
-the start's previous one (see `attack`).  The feasibility probe
-(`check_feasible`), the nominal dispatch and the defense's warm start stay
-cold: certification must not depend on the attack path, and their first
-solve has no earlier basis.
+Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a caller's
+basis: M real column indices, bare or with their inverse as the
+`LpResult.warm` of an earlier optimal solve.  It is accepted only when its
+indices are in range, B = A_eq[:, basis] is nonsingular (a carried inverse
+B_inv stands in for the factorization when ||B_inv B - I||_max <= _INV_TOL,
+which also proves the indices distinct; otherwise they are tested), and
+x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale with B x_B = b_eq to the same
+tolerance.  Then phase 2 starts at once, shifted through the B already
+gathered, and no all-artificial start is built; any other basis (None
+included) takes the cold two-phase path, so a stale basis costs time, never
+a wrong answer.  The attack's P-LPs differ only in their objective, so every
+earlier optimal basis is primal feasible for every later one: each
+network's first P-LP is its one cold P-LP, a later start's first step
+warm-starts from the pooled basis that scores highest on its objective, and
+each later step from the start's previous one.  `check_feasible` certifies
+an attack from the bare basis of the vertex over P that it came from, a
+feasible basis of its own LP (see `attack`): the verdict does not depend on
+the start, and the Farkas ray or witness is re-verified whatever the start.
+The nominal dispatch and the defense's warm start solve cold.
 """
 
 import copy
@@ -181,26 +181,29 @@ class _Simplex:
         self.A, self.b = prob.A_eq, prob.b_eq
         self.M, self.N = self.A.shape
         self.b_scale = 1.0 + float(abs(self.b).max(initial=0.0))
+        self.pinned = False                         # phase 2: artificials at 0
+        self.iterations = 0
+        self.pivots_since_refactor = 0
+        self.deadline = deadline
+
+    def cold_start(self):
+        """Phase 1's all-artificial basis, built only on the cold path."""
         self.sign = np.where(self.b >= 0, 1.0, -1.0)
         self.basis = np.arange(self.N, self.N + self.M)
         self.art = np.ones(self.M, dtype=bool)      # basis position holds an artificial
         self.n_art = self.M                         # basic artificials
         self.B_inv = np.diag(self.sign)
         self.xB = np.abs(self.b)
-        self.pinned = False                         # phase 2: artificials at 0
-        self.iterations = 0
-        self.pivots_since_refactor = 0
-        self.deadline = deadline
 
     def warm_start(self, basis):
         """Re-enter at a caller's basis of real columns, bare or as a
         `WarmStart` with its inverse (acceptance rules in the module
         docstring).  An accepted basis leaves no artificial, so phase 2 can
-        run at once; a rejected one returns False and leaves the cold start
-        untouched."""
+        run at once; a rejected one returns False, sets nothing, and the
+        caller runs `cold_start`.  A_eq[:, basis] is kept as `Bmat`."""
         basis, B_inv = basis if isinstance(basis, WarmStart) else (basis, None)
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
-        if basis.size != self.M or np.unique(basis).size != self.M or \
+        if basis.size != self.M or \
                 (self.M and (basis.min() < 0 or basis.max() >= self.N)):
             return False
         Bmat = self.A[:, basis]
@@ -208,6 +211,8 @@ class _Simplex:
         if np.shape(B_inv) == (self.M, self.M) and abs(
                 B_inv @ Bmat - np.eye(self.M)).max(initial=0.0) <= _INV_TOL:
             B_inv = np.array(B_inv, dtype=float)
+        elif np.unique(basis).size != self.M:
+            return False
         else:
             try:
                 B_inv = np.linalg.inv(Bmat)
@@ -219,8 +224,8 @@ class _Simplex:
         if not (x_B.min(initial=0.0) >= -tol
                 and abs(Bmat @ x_B - self.b).max(initial=0.0) <= tol):
             return False
-        self.basis, self.B_inv, self.xB = basis, B_inv, x_B
-        self.art[:] = False
+        self.basis, self.B_inv, self.xB, self.Bmat = basis, B_inv, x_B, Bmat
+        self.art = np.zeros(self.M, dtype=bool)
         self.n_art = 0
         return True
 
@@ -228,8 +233,9 @@ class _Simplex:
         Bmat = np.zeros((self.M, self.M))
         real = ~self.art
         Bmat[:, real] = self.A[:, self.basis[real]]
-        rows = self.basis[self.art] - self.N
-        Bmat[rows, self.art] = self.sign[rows]
+        if self.n_art:
+            rows = self.basis[self.art] - self.N
+            Bmat[rows, self.art] = self.sign[rows]
         try:
             self.B_inv = np.linalg.inv(Bmat)
         except np.linalg.LinAlgError as exc:
@@ -355,7 +361,9 @@ def _solve(prob, basis, deadline, perturb):
     N, M = sx.N, sx.M
 
     z1 = 0.0
-    if basis is None or not sx.warm_start(basis):
+    warm = basis is not None and sx.warm_start(basis)
+    if not warm:
+        sx.cold_start()
         status, y, _ = sx.run_phase(np.concatenate([np.zeros(N), np.ones(M)]))
         if status != OPTIMAL:
             raise SolverError("phase 1 cannot be unbounded; numerical failure")
@@ -373,7 +381,8 @@ def _solve(prob, basis, deadline, perturb):
     perturb = perturb and not sx.n_art
     if perturb:
         u = _shift(M) * sx.b_scale
-        sx.b, sx.xB = sx.b + sx.A[:, sx.basis] @ u, sx.xB + u
+        Bmat = sx.Bmat if warm else sx.A[:, sx.basis]
+        sx.b, sx.xB = sx.b + Bmat @ u, sx.xB + u
     cost = np.concatenate([prob.c, np.zeros(M)])
     status, y, extra = sx.run_phase(cost)
     if status == UNBOUNDED:
@@ -403,11 +412,10 @@ def _solve(prob, basis, deadline, perturb):
     x = np.zeros(N)
     real = ~sx.art
     x[sx.basis[real]] = sx.xB[real]
-    warm = not sx.n_art
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations, phase1_objective=z1,
-                    basis=sx.basis.copy() if warm else None,
-                    B_inv=sx.B_inv if warm else None)
+                    basis=None if sx.n_art else sx.basis.copy(),
+                    B_inv=None if sx.n_art else sx.B_inv)
 
 
 def normalize_farkas_ray(rows, rhs, y):
@@ -429,7 +437,7 @@ def normalize_farkas_ray(rows, rhs, y):
     return y
 
 
-def check_feasible(rows, rhs):
+def check_feasible(rows, rhs, basis=None):
     """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
         min rhs^T y  s.t.  rows^T y = 0,  1^T y = 1,  y >= 0,
@@ -438,7 +446,8 @@ def check_feasible(rows, rhs):
     optimum is a Farkas ray.  Otherwise the equality duals (x, t) solve the
     dual  max t s.t. rows x + t <= rhs, so x is a max-margin witness.  When no
     such y exists at all (typical for m <= n), Gordan's theorem gives a
-    direction z with rows z < 0, and a scaled z is the witness.
+    direction z with rows z < 0, and a scaled z is the witness.  A given
+    `basis`, bare row indices, is `lp_solve`'s warm start.
 
     Returns (True, x, None) with a witness re-checked against rows x <= rhs,
     or (False, None, y) where y is a Farkas ray normalized to ||y||_1 = 1
@@ -454,7 +463,7 @@ def check_feasible(rows, rhs):
     e = np.zeros(n + 1)
     e[-1] = 1.0
     prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e)
-    res = lp_solve(prob)
+    res = lp_solve(prob, basis)
     rhs_scale = 1.0 + float(np.max(np.abs(rhs)))
     if res.status == OPTIMAL:
         if res.objective < -FEAS_TOL * rhs_scale:

@@ -7,6 +7,8 @@ the squeeze runs once: the policy SOCP within the wall-clock budget, one
 attack multistart seeded from the policy (`cross_feed`) within what is left
 of that budget, then sampled verification of the policy.  The SOCP's
 max-margin warm start checks that F(0) is nonempty, naming a row if not.
+A SolverError on one side leaves the other side's certified bound, flagged:
+ub None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
@@ -145,12 +147,17 @@ def squeeze_run(case, config=None, mats=None):
                           match_threshold=cfg.match_threshold,
                           budget_s=cfg.budget_s, seed=cfg.seed)
 
-    best_pol = defense_local(mats, cfg.budget_s - (time.monotonic() - t0))
-    report.append(t0, "defense", best_pol.t)
+    best_pol, hints, lb = None, [], None
+    try:
+        best_pol = defense_local(mats, cfg.budget_s - (time.monotonic() - t0))
+    except SolverError as exc:
+        report.flags += [f"defense-round0: {exc}", "no-certified-policy"]
+    else:
+        report.append(t0, "defense", best_pol.t)
+        hints = cross_feed(mats, best_pol)
+        lb = best_pol.t if 0 < best_pol.t < np.inf else None
 
     best_att = None
-    hints = cross_feed(mats, best_pol)
-    lb = best_pol.t if np.isfinite(best_pol.t) and best_pol.t > 0 else None
     try:
         rep = multistart_attack(
             mats, AttackConfig(restarts=cfg.restarts, seed=cfg.seed),
@@ -174,8 +181,9 @@ def squeeze_run(case, config=None, mats=None):
                          "delta": best_att.delta.tolist()}
     else:
         report.flags.append("no-certified-attack")
-    verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed)
-    report.defense = best_pol.summary(mats)
+    if best_pol is not None:
+        verify_policy(mats, best_pol, cfg.verify_samples, seed=cfg.seed)
+        report.defense = best_pol.summary(mats)
 
     report.elapsed = time.monotonic() - t0
     return report

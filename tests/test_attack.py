@@ -488,7 +488,7 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
     kw = _closing_inputs(mats)
     calls, real = [], attack.certify_infeasible
 
-    def refute_first(mats, delta):
+    def refute_first(mats, delta, basis=None):
         calls.append(delta)
         return (False, None) if len(calls) == 1 else real(mats, delta)
 
@@ -579,3 +579,138 @@ def test_a_failing_start_is_noted_and_the_others_go_on(monkeypatch):
         [n["status"] for n in rep.starts if n["status"] != "failed"]
     assert rep.best.certified
     assert rep.best.norm_sq == pytest.approx(clean.best.norm_sq, rel=1e-9)
+
+
+def _spy_certification(monkeypatch):
+    """Records each certification as {"delta", "basis", "accepted"}, where
+    "accepted" lists what `_Simplex.warm_start` returned inside it."""
+    calls, inside = [], [False]
+    real_cert, real_warm = attack.certify_infeasible, lin_solve._Simplex.warm_start
+
+    def cert_spy(mats, delta, basis=None):
+        calls.append({"delta": delta, "basis": basis, "accepted": []})
+        inside[0] = True
+        try:
+            return real_cert(mats, delta, basis)
+        finally:
+            inside[0] = False
+
+    def warm_spy(sx, basis):
+        ok = real_warm(sx, basis)
+        if inside[0]:
+            calls[-1]["accepted"].append(ok)
+        return ok
+
+    monkeypatch.setattr(attack, "certify_infeasible", cert_spy)
+    monkeypatch.setattr(lin_solve._Simplex, "warm_start", warm_spy)
+    return calls
+
+
+def _assert_verified_ray(mats, delta, y):
+    rhs = mats.rhs(delta)
+    assert y.min() >= 0 and abs(y.sum() - 1) <= 1e-12
+    assert np.max(np.abs(mats.A.T @ y)) <= 1e-9 and y @ rhs < 0
+
+
+@pytest.mark.parametrize("net", BUNDLED + ("ladder60", "ladder240"))
+def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
+    """Certification starts from the bare optimal basis over P of the vertex
+    mu that the candidate's delta came from: P's basic solution there is mu
+    up to scale, and `_Simplex.warm_start` accepts the basis for
+    Q = {y >= 0 : A^T y = 0, 1^T y = 1}.  The verdict is the cold solve's
+    and scipy's, and the returned ray re-verifies."""
+    n = {"ladder60": 60, "ladder240": 240}.get(net)
+    case = bench_ladder(n, 0, False) if n else load_case(pglib_path(net))
+    mats = build_feasibility(case)
+    calls = _spy_certification(monkeypatch)
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    monkeypatch.undo()
+    assert calls and all(c["basis"] is not None and c["accepted"] == [True]
+                         for c in calls)
+    best = rep.best
+    assert calls[-1]["basis"] is best.basis
+    P = _polytope(mats)
+    basic = np.linalg.solve(P.A_eq[:, best.basis], P.b_eq)
+    mu = np.zeros(mats.m)
+    mu[best.basis] = np.maximum(basic, 0.0)
+    np.testing.assert_allclose(best.mu, mu * (best.mu.sum() / mu.sum()),
+                               rtol=1e-9, atol=1e-12 * best.mu.max())
+    for c in calls:
+        warm = certify_infeasible(mats, c["delta"], c["basis"])
+        cold = certify_infeasible(mats, c["delta"])
+        assert warm[0] == cold[0] == \
+            (not oracle_utils.scipy_feasible(mats.A, mats.rhs(c["delta"])))
+        if warm[0]:
+            _assert_verified_ray(mats, c["delta"], warm[1])
+    assert best.certified
+    _assert_verified_ray(mats, (1 + 1e-4) * best.delta, best.oracle_ray)
+
+
+def test_a_basis_that_q_rejects_gives_the_cold_result(monkeypatch):
+    """Certification from a basis that Q rejects is the cold solve's, bit for
+    bit, on both verdicts: case30's certified basis on a 30-bus ladder with
+    as many columns (its x_B has negative entries there), and a seeded basis
+    of the ladder's own columns with x_B below -1e-3."""
+    mats = build_feasibility(bench_ladder(30, 0, False))
+    other = build_feasibility(load_case(pglib_path("case30_as")))
+    assert other.n_reduced == mats.n_reduced and other.m < mats.m
+    delta = (1 + 1e-4) * multistart_attack(mats).best.delta
+    q = np.vstack([mats.A.T, np.ones((1, mats.m))])
+    e = np.eye(mats.n_reduced + 1)[-1]
+    rng = np.random.default_rng(5)
+    negative = None
+    while negative is None:
+        cols = rng.choice(mats.m, mats.n_reduced + 1, replace=False)
+        if abs(np.linalg.det(q[:, cols])) > 1e-6 and \
+                np.linalg.solve(q[:, cols], e).min() < -1e-3:
+            negative = cols
+    bases = {"other network": multistart_attack(other).best.basis,
+             "negative x_B": negative}
+    for name, basis in bases.items():
+        for point in (delta, 0.5 * delta):
+            cold = certify_infeasible(mats, point)
+            calls = _spy_certification(monkeypatch)
+            warm = attack.certify_infeasible(mats, point, basis)
+            monkeypatch.undo()
+            assert calls[0]["accepted"] == [False], name
+            assert warm[0] == cold[0] and \
+                warm[1].tobytes() == cold[1].tobytes(), name
+    assert certify_infeasible(mats, delta)[0]
+    assert not certify_infeasible(mats, 0.5 * delta)[0]
+
+
+def test_the_ladder_attack_networks_never_stall(monkeypatch):
+    """On the 15 networks of the `ladder-attack` workload, no ratio test
+    falls back to Bland's rule, and the certification LPs, which start from
+    the candidate's own vertex, take at most 100 pricing passes in all."""
+    bland, cert_passes, inside = [], [], [False]
+    real_ratio, real_solve = lin_solve._Simplex._ratio, lin_solve.lp_solve
+    real_cert = attack.certify_infeasible
+
+    def ratio_spy(sx, w, use_bland):
+        bland.append(use_bland)
+        return real_ratio(sx, w, use_bland)
+
+    def solve_spy(prob, basis=None, deadline=None):
+        res = real_solve(prob, basis=basis, deadline=deadline)
+        if inside[0]:
+            cert_passes.append(res.iterations)
+        return res
+
+    def cert_spy(*args):
+        inside[0] = True
+        try:
+            return real_cert(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(lin_solve._Simplex, "_ratio", ratio_spy)
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(attack, "certify_infeasible", cert_spy)
+    for n in (30, 60, 120):
+        for seed in range(5):
+            mats = build_feasibility(bench_ladder(n, seed, False))
+            rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+            assert rep.best.certified, (n, seed)
+    assert bland and not any(bland)
+    assert len(cert_passes) >= 15 and sum(cert_passes) <= 100

@@ -652,6 +652,25 @@ def test_a_corrupted_carried_inverse_is_rejected():
     _assert_scipy_optimum(prob, bare)
 
 
+def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
+    """A carried inverse skips the distinct-index check only when it passes
+    the residual test, which a duplicated basis cannot pass: paired with the
+    true inverse of the undamaged basis or with the pseudo-inverse of the
+    duplicated one, the basis is rejected and the solve is the cold one to
+    the bit."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
+    dup = first.basis.copy()
+    dup[1] = dup[0]
+    cold = lp_solve(prob)
+    for name, inv in (("inverse", first.B_inv),
+                      ("pseudo-inverse", np.linalg.pinv(prob.A_eq[:, dup]))):
+        warm = lin_solve.WarmStart(dup, inv)
+        assert not lin_solve._Simplex(prob).warm_start(warm), name
+        _same_result(lp_solve(prob, basis=warm), cold, name)
+    _assert_scipy_optimum(prob, cold)
+
+
 def test_the_deadline_is_checked_at_each_refactorization(monkeypatch):
     """With a refactorization after every pivot and a clock past the
     deadline, a solve that pivots raises DeadlineSignal at its first pivot;

@@ -258,3 +258,47 @@ def test_a_failing_attack_keeps_the_certified_lb(monkeypatch):
     assert any("failed" in f and "iteration cap exceeded (spy)" in f
                for f in rep.flags)
     assert json.loads(rep.to_json()).keys() == json.loads(clean.to_json()).keys()
+
+
+def test_a_failing_defense_keeps_the_certified_ub(monkeypatch):
+    """The policy SOCP raises SolverError: the multistart still runs, with
+    no hints and no lb, and the squeeze reports its certified ub with lb 0,
+    defense None and both flags, under the same report keys, without
+    verifying a policy; scipy confirms the attack.  An empty F(0) still
+    raises ModelError from the defense's warm start."""
+    case = load_case(pglib_path("case14_ieee"))
+    mats = build_feasibility(case)
+    clean = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
+    bare = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    handed, real = [], squeeze.multistart_attack
+
+    def fail(mats, budget_s=None):
+        raise SolverError("policy SOCP diverged (spy)")
+
+    def spy(mats, config=None, extra_directions=(), budget_s=None, lb=None):
+        handed.append((list(extra_directions), lb))
+        return real(mats, config, extra_directions, budget_s, lb)
+
+    def no_policy(*args, **kw):
+        raise AssertionError("no policy to verify")
+
+    monkeypatch.setattr(squeeze, "defense_local", fail)
+    monkeypatch.setattr(squeeze, "multistart_attack", spy)
+    monkeypatch.setattr(squeeze, "verify_policy", no_policy)
+    rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
+    assert handed == [([], None)]
+    assert rep.lb == 0.0 and rep.defense is None
+    assert rep.ub == bare.best.norm_sq and rep.attack["certified"]
+    assert rep.flags == ["defense-round0: policy SOCP diverged (spy)",
+                         "no-certified-policy"]
+    assert [side for _e, side, _v in rep.trace] == ["attack"]
+    assert json.loads(rep.to_json()).keys() == json.loads(clean.to_json()).keys()
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"])))
+
+    monkeypatch.setattr(squeeze, "defense_local", defense_local)
+    overload = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)],
+                          [(1, 2, 0.1, None)],
+                          [(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)])
+    with pytest.raises(ModelError, match="max-margin LP"):
+        squeeze_run(overload, SqueezeConfig(seed=0))

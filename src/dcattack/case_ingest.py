@@ -202,8 +202,9 @@ _TABLE_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
 
 
 def _tokenize_tables(text):
-    """Extract scalar fields and numeric tables; rows carry line numbers."""
-    scalars, tables, current = {}, {}, None
+    """Extract scalar fields, numeric tables and each table's opening line;
+    rows carry line numbers."""
+    scalars, tables, opened, current = {}, {}, {}, None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("%", 1)[0].strip()
         if not line:
@@ -221,7 +222,7 @@ def _tokenize_tables(text):
             if not m:
                 continue
             current, line = m.group(1), m.group(2)
-            tables[current] = []
+            tables[current], opened[current] = [], lineno
         closed = line.endswith("];")
         for chunk in (line[:-2] if closed else line).split(";"):
             if chunk.strip():
@@ -230,7 +231,7 @@ def _tokenize_tables(text):
             current = None
     if current is not None:
         raise CaseError(f"table '{current}' is never closed with '];'")
-    return scalars, tables
+    return scalars, tables, opened
 
 
 def _numeric_rows(table, name, min_cols):
@@ -259,7 +260,7 @@ def _integer(value, lineno, what):
 
 def parse_case_text(text, name="case"):
     """Parse MATPOWER-format text into a validated NetworkCase."""
-    scalars, tables = _tokenize_tables(text)
+    scalars, tables, opened = _tokenize_tables(text)
     if "baseMVA" not in scalars:
         raise CaseError("missing baseMVA")
     base = scalars["baseMVA"]
@@ -301,6 +302,12 @@ def parse_case_text(text, name="case"):
 
     if "gencost" in tables:
         cost_rows = _numeric_rows(tables["gencost"], "gencost", 4)
+        if any(g is not None for g in raw_gens[len(cost_rows):]):
+            # an in-service unit without a cost row; out-of-service ones
+            # are dropped, whether or not they have one
+            raise CaseError(
+                f"line {opened['gencost']}: gencost has {len(cost_rows)} "
+                f"rows for {len(raw_gens)} gen rows")
         # MATPOWER permits 2*n_gen rows (reactive costs follow); take the first block
         cost_rows = cost_rows[:len(raw_gens)]
         for i, (lineno, row) in enumerate(cost_rows):

@@ -45,15 +45,22 @@ Tits, Absil and Woessner 2006).  The first subset holds every unit and slack
 row (the last 2n + 2, which `_feasible_dual` needs) and the 4n flow rows with
 the smallest fixed-dispatch radius at the warm start, n = n_reduced; when 4n
 covers every flow row, that is every row, and one round ends the loop.  Each
-round solves the subset from the warm-start dispatch, strictly interior for
-every subset, and adds every flow row that p0 = q / lambda breaks or whose
-radius is below the subset's 1 / lambda^2; the loop stops when there is none.
-That is exact: a subset's lambda is at most the full program's, at the stop
-no row's radius is below 1 / lambda^2, and the subset dual padded with zeros
-is feasible for the full dual, so the gap still certifies over every row.
-The rounds share one deadline.  When it cuts them with a row still violated,
-the policy in hand is kept only if it breaks no row and beats the warm
-start, and no lambda is claimed for it.
+round solves the subset cold from the warm-start dispatch, strictly interior
+for every subset.  The rows it adds are those whose cone the iterate (q,
+lambda, G) violates: every flow row p0 = q / lambda breaks and every one
+whose radius is below the subset's 1 / lambda^2.  It checks them once on the
+way, at the first step whose certified gap is at most 1e-2 (cutting planes
+from early interior-point iterates, cf. Mitchell and Borchers 1996): if any
+is violated there the round stops and the subset grows, so no round but the
+last is driven to 1e-8 only to learn that rows are missing; if none is, the
+round runs on undisturbed and its final iterate is checked, and the loop
+stops only when a round run to its end leaves none.  That is exact: a
+subset's lambda is at most the full program's, at the stop no row's radius
+is below 1 / lambda^2, and the subset dual padded with zeros is feasible for
+the full dual, so the gap still certifies over every row.  The rounds share
+one deadline, and a round that stopped early meets it as any other.  When
+it cuts them with a row still violated, the policy in hand is kept only if
+it breaks no row and beats the warm start, and no lambda is claimed for it.
 """
 
 import time
@@ -65,14 +72,16 @@ from . import lin_solve
 from .errors import (GeometryError, ModelError, PolicyVerificationError,
                      PreconditionError, SolverError)
 
-# the solve converges once the certified duality gap is below _GAP_TOL; each
-# step goes _STEP of the way to the cone boundary, and a solve that has not
-# converged after _MAX_STEPS steps ends as "step-failed"; until it converges,
-# a step's corrector is refined (up to _MAX_PASSES solves) until its dual
-# residual is below _REFINE_TOL, a hundredth of the gap it must certify;
-# verify_policy samples strictly inside the radius, ||delta||^2 <= t (1 -
-# _BALL_SHRINK)
+# the solve converges once the certified duality gap is below _GAP_TOL; a
+# round of row generation checks the rows outside its subset at the first
+# step whose gap is at most _GROW_GAP; each step goes _STEP of the way to the
+# cone boundary, and a solve that has not converged after _MAX_STEPS steps
+# ends as "step-failed"; until it converges, a step's corrector is refined
+# (up to _MAX_PASSES solves) until its dual residual is below _REFINE_TOL, a
+# hundredth of the gap it must certify; verify_policy samples strictly inside
+# the radius, ||delta||^2 <= t (1 - _BALL_SHRINK)
 _GAP_TOL = 1e-8
+_GROW_GAP = 1e-2
 _STEP = 0.99
 _MAX_STEPS = 60
 _REFINE_TOL = 1e-10
@@ -243,13 +252,17 @@ def _newton_factor(A, c, u, W, s):
     return solve
 
 
-def _socp(mats, p_start, deadline):
+def _socp(mats, p_start, deadline, outside=None):
     """Primal-dual solve of the program in the module docstring, from G = 0
     and a dispatch with every margin negative; `_feasible_dual` makes each
-    dual iterate feasible.  Past a gap of _GAP_TOL, steps go on while each cuts the gap tenfold,
-    which sharpens the policy until rounding stalls it.  Returns (q, lam, G)
-    of the smallest-lambda iterate, the best dual and an info dict: why the
-    solve stopped, its Newton steps and the relative gap between the two."""
+    dual iterate feasible.  Past a gap of _GAP_TOL, steps go on while each
+    cuts the gap tenfold, which sharpens the policy until rounding stalls
+    it.  At the first gap of at most _GROW_GAP, `outside(q, lam, G)`, if
+    given, returns the rows beyond mats whose cones the best iterate
+    violates; if there are any, the solve stops there as "grow".  Returns
+    (q, lam, G) of the smallest-lambda iterate, the best dual and an info
+    dict: why the solve stopped, its Newton steps and the relative gap
+    between the two."""
     A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
     lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
@@ -266,6 +279,11 @@ def _socp(mats, p_start, deadline):
         if lb > bound:
             dual, bound = cand, lb
         last, info["gap"] = info["gap"], 1.0 - bound / best[0][-1]
+        if outside is not None and info["gap"] <= _GROW_GAP:
+            if outside(best[0][:-1], best[0][-1], best[1]).size:
+                info["stop"] = "grow"
+                break
+            outside = None
         if info["gap"] <= _GAP_TOL:
             info["stop"] = "converged"
             if info["gap"] > 0.1 * last:
@@ -355,31 +373,37 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
     dispatch p_w, whose fixed-dispatch radius is t_init.  Returns (p0, lam,
     G), the dual padded with zeros to every row, and `_socp`'s info with the
     steps summed over the rounds, the last subset's size as "rows" and the
-    number of subset solves as "rounds".  lam is None when the deadline cut
-    the rounds with a row outside the subset still violated; p0, G are then
-    the warm start if p0 breaks such a row or its exact radius is no larger
-    than t_init."""
+    number of subset solves, those that stopped to grow included, as
+    "rounds".  lam is None when the deadline cut the rounds with a row
+    outside the subset still violated; p0, G are then the warm start if p0
+    breaks a row or its exact radius is no larger than t_init."""
     m, n = mats.m, mats.n_reduced
     flow = m - 2 * n - 2
     nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
     rows = np.concatenate([np.sort(nearest), np.arange(flow, m)])
+
+    def outside(q, lam, G):
+        # the rows outside the subset whose cone ||g_i|| <= -(a_i^T q + lam
+        # c_i) (q, lam, G) violates: those p0 = q / lam breaks and those
+        # whose radius is below 1 / lam^2
+        cut = lam * mats.margins(q / lam) \
+            + np.linalg.norm(mats.directions(G), axis=1) > 0.0
+        cut[rows] = False
+        return np.flatnonzero(cut)
+
     steps = rounds = 0
     while True:
-        (q, lam, G), dual, info = _socp(mats.take(rows), p_w, deadline)
+        (q, lam, G), dual, info = _socp(mats.take(rows), p_w, deadline,
+                                        outside)
         steps, rounds = steps + info["newton_steps"], rounds + 1
-        p0 = q / lam
-        seen = np.zeros(m, dtype=bool)
-        seen[rows] = True
-        broken = mats.margins(p0) > lin_solve.FEAS_TOL
-        per = None if np.any(broken) else mats.radii(p0, G)  # radii raises
-        new = np.flatnonzero(~seen & (broken if per is None
-                                      else per < lam ** -2))
+        p0, new = q / lam, outside(q, lam, G)
         if not new.size:
             break
         if deadline is not None and time.monotonic() >= deadline:
             info.update(stop="deadline", gap=None)
             lam = None
-            if per is None or np.min(per) <= t_init:
+            if np.any(mats.margins(p0) > lin_solve.FEAS_TOL) \
+                    or t_tilde(mats, p0, G)[0] <= t_init:
                 p0, G = p_w, np.zeros_like(G)
             break
         rows = np.union1d(rows, new)
@@ -403,7 +427,8 @@ def defense_local(mats, budget_s=None):
     converge), "deadline", or "no-interior" when no dispatch is strictly
     interior (the warm start is returned then).  meta["newton_steps"] counts
     interior-point iterations over every round; meta["rows"] is the size of
-    the last row subset and meta["rounds"] the number of subset solves;
+    the last row subset and meta["rounds"] the number of subset solves,
+    counting those that stopped at a gap of 1e-2 to grow the subset;
     meta["lambda"] is the last solve's lambda, absent when no solve ran or
     the deadline cut the rounds short; meta["gap"] is the relative duality
     gap (lambda + <W, B>) / lambda between the returned policy and dual;

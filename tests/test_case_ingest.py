@@ -11,6 +11,8 @@ from dcattack.case_ingest import (
 )
 from dcattack.errors import CaseError
 
+from conftest import pglib_path
+
 TWO_BUS = """\
 function mpc = desk2
 mpc.version = '2';
@@ -42,6 +44,31 @@ def test_parse_two_bus_units():
     g = case.generators[0]
     assert (g.p_min, g.p_max) == (0.0, 2.0)
     assert g.cost == 12.0
+
+
+def test_a_short_gencost_table_is_rejected():
+    """case5_pjm without its last gencost row would leave that unit at cost
+    0; the error names both row counts and the line that opens the table.
+    No table at all still means cost 0, and a 2 n_gen table (reactive costs
+    after the active ones) still reads its first block."""
+    with open(pglib_path("case5_pjm")) as fh:
+        text = fh.read()
+    last = "\t2\t0.0\t0.0\t2\t10.0\t0.0;\n"
+    assert text.count(last) == 1
+    opens = text[:text.index("mpc.gencost")].count("\n") + 1
+    with pytest.raises(CaseError, match=rf"line {opens}: gencost has 4 rows "
+                                        "for 5 gen rows"):
+        parse_case_text(text.replace(last, ""))
+    block = text[text.index("mpc.gencost"):]
+    block = block[:block.index("];") + 2]
+    assert [g.cost for g in parse_case_text(text).generators] \
+        == [14.0, 15.0, 30.0, 40.0, 10.0]
+    assert [g.cost for g in parse_case_text(text.replace(block, "")
+                                            ).generators] == [0.0] * 5
+    reactive = "\t2\t0.0\t0.0\t2\t99.0\t0.0;\n" * 5
+    doubled = text.replace(block, block[:-2] + reactive + "];")
+    assert [g.cost for g in parse_case_text(doubled).generators] \
+        == [14.0, 15.0, 30.0, 40.0, 10.0]
 
 
 def test_parse_case_accepts_stream():

@@ -414,13 +414,18 @@ def _full_row_t(mats):
 
 
 def test_row_generation_matches_the_full_row_solve():
-    mats = build_feasibility(bench_ladder(120, 0, False))
-    pol = defense_local(mats)
-    assert pol.meta["stop"] == "converged"
-    assert pol.meta["rounds"] > 1 and pol.meta["rows"] < mats.m
-    assert pol.t == pytest.approx(_full_row_t(mats), rel=1e-10)
-    assert pol.dual[0].shape == (mats.m,)
-    assert _check_dual(mats, pol) == []
+    """ladder(120, 0) and the degenerate 90-bus rung of seed 1 each take
+    three or more rounds.  Each round but the last stops to grow at a gap
+    of 1e-2, which bounds the Newton steps of all rounds together."""
+    for args, steps in (((120, 0, False), 45), ((90, 1, True), 40)):
+        mats = build_feasibility(bench_ladder(*args))
+        pol = defense_local(mats)
+        assert pol.meta["stop"] == "converged"
+        assert pol.meta["rounds"] > 1 and pol.meta["rows"] < mats.m
+        assert pol.meta["newton_steps"] <= steps
+        assert pol.t == pytest.approx(_full_row_t(mats), rel=1e-10)
+        assert pol.dual[0].shape == (mats.m,)
+        assert _check_dual(mats, pol) == []
 
 
 def test_case30_solves_on_fewer_rows():

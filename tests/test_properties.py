@@ -6,16 +6,21 @@ flexible units, and line ratings sized at 1.05x to 3x the flows of a
 proportional dispatch, which is therefore a nominal witness.  The
 invariants are the package's soundness claims, checked against scipy, the
 affine SOCP's optimality against the rank-1 and fixed-dispatch policies, and
-the squeeze's early stop against a full multistart.
+the squeeze's early stop against a full multistart.  On the bundled networks
+and the 30-bus ladders, the lower bound is checked for invariance to the
+choice of slack unit and to the power base.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_utils
+from conftest import BUNDLED, bench_ladder, pglib_path
 from dcattack.attack import AttackConfig, multistart_attack
-from dcattack.case_ingest import build_case
+from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local, t_tilde, warm_start_defense
 from dcattack.squeeze import SqueezeConfig, cross_feed, squeeze_run
@@ -111,3 +116,37 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
     mats2 = build_feasibility(_case(net, ids))
     ub2 = multistart_attack(mats2, AttackConfig(restarts=2, seed=0)).best.norm_sq
     assert ub2 == pytest.approx(best.norm_sq, rel=1e-9)
+
+
+def _rebased(case, factor):
+    """The case on a power base `factor` times larger: per-unit powers,
+    ratings and susceptances shrink by `factor`, so the flows' shares and
+    every MW value stay as they were."""
+    rep = dataclasses.replace
+    return rep(case, base_mva=factor * case.base_mva,
+               buses=tuple(rep(b, p_d=b.p_d / factor) for b in case.buses),
+               branches=tuple(rep(br, b=br.b / factor,
+                                  rate=None if br.rate is None
+                                  else br.rate / factor)
+                              for br in case.branches),
+               generators=tuple(rep(g, p_min=g.p_min / factor,
+                                    p_max=g.p_max / factor)
+                                for g in case.generators))
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("ladder30", "degenerate30"))
+def test_lb_is_invariant_to_the_slack_and_the_base(name):
+    """Each slack unit reduces the system differently, so the row
+    generation takes its own path to the same optimum; in MW^2 the radius
+    does not depend on the power base."""
+    ladders = {"ladder30": False, "degenerate30": True}
+    case = (bench_ladder(30, 0, ladders[name]) if name in ladders
+            else load_case(pglib_path(name)))
+    lo, hi = case.gen_bounds()
+    ts = [defense_local(build_feasibility(case, slack_gen=int(k))).t
+          for k in np.flatnonzero(lo < hi)]
+    assert len(ts) > 1
+    assert max(ts) == pytest.approx(min(ts), rel=1e-8)
+    t = defense_local(build_feasibility(case)).t
+    t2 = defense_local(build_feasibility(_rebased(case, 2.0))).t
+    assert t2 * 4.0 == pytest.approx(t, rel=1e-12)

@@ -124,6 +124,14 @@ def test_bundled_squeeze_closes_the_gap(name):
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta))
 
 
+def test_the_240_bus_ladder_closes():
+    """The only tier-1 squeeze that solves the policy SOCP at 240 buses;
+    its rounds stop to grow at a gap of 1e-2, so the steps stay few."""
+    rep = squeeze_run(bench_ladder(240, 0, False), SqueezeConfig(budget_s=60))
+    assert rep.matched and rep.gap <= 2.1e-6 and rep.flags == []
+    assert rep.defense["newton_steps"] <= 40
+
+
 def test_squeeze_with_no_budget_stays_sound(desk3):
     rep = _run(desk3, budget_s=0.0)
     assert rep.defense["deadline"]

@@ -27,13 +27,13 @@ so every optimal basis is primal feasible for every later one and a warm
 start runs phase 2 only.  `multistart_attack` builds P's rows once per
 network and pools a (B^T mu, basis) pair for every optimal step, the basis
 carried with its inverse (`lin_solve.WarmStart`), so a warm step skips the
-factorization.  The first start's first step is the network's one cold
-P-LP; a later start's first step maximizes g^T B^T mu, so it warm-starts
-from the pooled vertex with the largest g^T B^T mu (the earliest on ties),
-and each later step from its own previous one.  A unique optimum does not depend on the basis a step
-starts from, so a start reaches the vertex it would reach from the cold
-basis, up to rounding, but the reported best start may change among starts
-whose norms tie to rounding.
+factorization.  The first start's first step starts from P's crash basis
+(`FeasibilityMatrices.crash_basis`: mu = 1 / (p_max - p_min) on one unit's
+two bound rows); a later start's first step maximizes g^T B^T mu, so it
+warm-starts from the pooled vertex with the largest g^T B^T mu (the earliest
+on ties), and each later step from its own previous one.  A unique optimum
+does not depend on the basis a step starts from, but the reported best start
+may change among starts whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -163,7 +163,7 @@ def _polytope(mats):
 
 def _p_lp(mats, P, g, basis, pool=None, deadline=None):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
-    min -(B g)^T mu over its rows, from `basis` (a `lin_solve.WarmStart`).
+    min -(B g)^T mu over its rows, from `basis` (`lp_solve`'s warm start).
     Returns (mu, value, optimal basis with its inverse), with mu clipped at
     0: a basic value may sit up to FEAS_TOL below its bound, and the
     reported mu is that vertex scaled up by EPS / 1e-6.  An optimum is also
@@ -208,8 +208,8 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     scores highest on that step's objective, and every optimal step of this
     ascent is appended.  `deadline`, a time.monotonic() value, is checked
     between steps and inside each step's LP, and an expired one returns the
-    current vertex; a first step from an empty pool (the network's cold
-    P-LP) ignores it, so a multistart always has a vertex.  `P` is
+    current vertex; a first step from an empty pool (from the crash basis)
+    ignores it, so a multistart always has a vertex.  `P` is
     `_polytope(mats)`, built here when not given.  A step without an
     optimum ends the ascent on its ray (module docstring).
 
@@ -225,7 +225,7 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     # the first P-LP's objective at a pooled vertex is g^T B^T mu; max()
     # keeps the earliest entry on ties
     _gw, basis = max(pool, key=lambda entry: float(g @ entry[0]),
-                     default=(None, None))
+                     default=(None, mats.crash_basis()))
     mu, value, basis = _p_lp(mats, P, g, basis, pool,
                              deadline if pool else None)
     if value <= 0:
@@ -263,7 +263,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start, uniform growth and seeded random starts (the
-    first P-LP cold, the rest warm from the pool), then certify candidates
+    first P-LP crash-started, the rest pooled), then certify candidates
     in ascending norm order; the first certified one is the reported
     attack.  Once `budget_s` seconds have passed, the running ascent stops
     at its current vertex, even inside a step's LP, and the starts after the

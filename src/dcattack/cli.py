@@ -5,7 +5,8 @@ tables are derived views.  Every report (and every error) embeds a manifest
 echoing the exact configuration, so a run is reproducible from its report
 alone.  Exit codes: 0 when the computation completed and every certification
 passed, 2 for missing/unreadable inputs and usage errors, 3 for domain
-failures (infeasible case, failed certification, ...), 1 for unexpected ones.
+failures (infeasible case, failed certification, a squeeze side without a
+certified bound, ...), 1 for unexpected ones.
 """
 
 import argparse
@@ -203,6 +204,12 @@ def _squeeze_config(args, manifest):
                          verify_samples=args.verify_samples)
 
 
+def _squeeze_code(rep):
+    """3 when either side of the bracket has no certified bound, else 0."""
+    lost = {"no-certified-attack", "no-certified-policy"} & set(rep.flags)
+    return 3 if lost else 0
+
+
 def cmd_squeeze(args, manifest):
     case, mats = _load(args)
     rep = squeeze_run(case, _squeeze_config(args, manifest), mats=mats)
@@ -212,7 +219,7 @@ def cmd_squeeze(args, manifest):
         with open(args.trace, "w") as fh:
             fh.write(rep.trace_csv())
     _emit(report, args)
-    return 0 if "no-certified-attack" not in rep.flags else 3
+    return _squeeze_code(rep)
 
 
 def _render_table(rows, fmt):
@@ -235,8 +242,7 @@ def cmd_table(args, manifest):
     for path in args.cases:
         case = load_case(path)
         rep = squeeze_run(case, _squeeze_config(args, manifest))
-        if "no-certified-attack" in rep.flags:
-            code = 3
+        code = max(code, _squeeze_code(rep))
         reports.append({**rep.to_dict(), "path": path})
         rows.append({
             "case": case.name,

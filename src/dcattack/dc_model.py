@@ -114,6 +114,22 @@ class FeasibilityMatrices:
         n, m = self.n_reduced, self.m
         return np.arange(m - 2 * n - 1, m - n - 1), np.arange(m - n, m)
 
+    def crash_basis(self, red_cost=None):
+        """A feasible start of the wide LPs read off `unit_rows` (Bixby 1992's
+        crash basis), None when no unit moves.  For P's and Q's rows [A^T; r^T]
+        mu = e_last (r = -c or 1): every upper row and the widest unit u's
+        lower row, nonsingular as a_i = +-e_j, with mu_up(u) = mu_lo(u) =
+        1/(p_max - p_min) or 1/2; any u would do, and the widest keeps the
+        bundled lb within 4e-13 of a cold start's.  With `red_cost`, for the
+        dual DC-OPF's A^T mu = -red_cost: unit j's upper row when
+        red_cost[j] <= 0, else its lower one, so B = diag(+-1), x_B = |red_cost|."""
+        if not self.n_reduced:
+            return None
+        up, lo = self.unit_rows()
+        if red_cost is not None:
+            return np.where(red_cost <= 0, up, lo)
+        return np.append(up, lo[np.argmax(-self.c[up] - self.c[lo])])
+
     def margins(self, p_hat, delta=None):
         """A p + B delta + c, the reduced-system row margins."""
         out = self.A @ np.asarray(p_hat, float) + self.c
@@ -315,7 +331,8 @@ def solve_dcopf(mats, delta=None):
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
     res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost))
+        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost),
+        mats.crash_basis(red_cost))
     if res.status == lin_solve.UNBOUNDED:
         ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray)
         return DcopfResult(feasible=False, ray=ray)

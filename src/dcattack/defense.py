@@ -141,9 +141,9 @@ def t_tilde(mats, p0, G):
 
 def warm_start_defense(mats):
     """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
-    a_i^T p + c_i <= m, solved in the wide form of
-    `lin_solve.check_feasible`."""
-    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c)
+    a_i^T p + c_i <= m, the wide LP of `lin_solve.check_feasible` from
+    `mats.crash_basis()`, where y = 1/2 on one unit's two bound rows."""
+    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c, mats.crash_basis())
     if not ok:
         worst = mats.row_labels[int(np.argmax(ray))]
         raise ModelError("max-margin LP: no dispatch satisfies the nominal "

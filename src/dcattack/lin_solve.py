@@ -60,13 +60,15 @@ gathered, and no all-artificial start is built; any other basis (None
 included) takes the cold two-phase path, so a stale basis costs time, never
 a wrong answer.  The attack's P-LPs differ only in their objective, so every
 earlier optimal basis is primal feasible for every later one: each
-network's first P-LP is its one cold P-LP, a later start's first step
+network's first P-LP starts from a crash basis, a later start's first step
 warm-starts from the pooled basis that scores highest on its objective, and
 each later step from the start's previous one.  `check_feasible` certifies
 an attack from the bare basis of the vertex over P that it came from, a
 feasible basis of its own LP (see `attack`): the verdict does not depend on
 the start, and the Farkas ray or witness is re-verified whatever the start.
-The nominal dispatch and the defense's warm start solve cold.
+The nominal dispatch and the defense's warm start also begin at crash bases
+of the unit-bound rows, feasible by construction (`dc_model`'s
+`FeasibilityMatrices.crash_basis`), so no hot-path LP runs phase 1.
 """
 
 import copy

@@ -256,30 +256,35 @@ def test_ascent_ends_at_a_fixed_point_on_its_ray_boundary(bundled_mats):
 
 
 def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
-    """Phase 1 runs once per network: every other step over P is handed a
-    basis."""
-    cold = []
+    """The network's one P-LP without a pooled basis, its first, starts
+    from `crash_basis()`, which the warm-start checks accept; no P-LP is
+    handed basis=None, so none runs phase 1."""
+    given = []
     solve = lin_solve.lp_solve
 
     def spy(prob, basis=None, deadline=None):
         over_p = prob.A_eq.shape[0] == bundled_mats.n_reduced + 1 \
             and np.array_equal(prob.A_eq[-1], -bundled_mats.c)
-        cold.extend([prob] if over_p and basis is None else [])
+        given.extend([(prob, basis)] if over_p else [])
         return solve(prob, basis=basis, deadline=deadline)
 
     monkeypatch.setattr(lin_solve, "lp_solve", spy)
     multistart_attack(bundled_mats, AttackConfig(restarts=3, seed=4))
-    assert len(cold) == 1
+    assert len(given) > 1 and all(basis is not None for _p, basis in given)
+    prob, crash = given[0]
+    np.testing.assert_array_equal(crash, bundled_mats.crash_basis())
+    assert lin_solve._Simplex(prob).warm_start(crash)
 
 
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60",))
 def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     """The pool holds every optimal P-LP solved on the network.  The first
-    start's first P-LP is the network's cold one; each later start's first
-    P-LP gets the pooled basis whose vertex scores highest on that LP's
-    objective, g^T B^T mu, the earliest on ties; every pooled basis passes
-    the warm-start checks; and each start reaches the norm that its ascent
-    reaches alone from the cold basis."""
+    start's first P-LP starts from the crash basis, which the warm-start
+    checks accept; each later start's first P-LP gets the pooled basis
+    whose vertex scores highest on that LP's objective, g^T B^T mu, the
+    earliest on ties; every pooled basis passes the warm-start checks; and
+    each start reaches the norm that its ascent reaches alone from the
+    first P-LP's basis."""
     case = bench_ladder(60, 0, False) if net == "ladder60" \
         else load_case(pglib_path(net))
     mats = build_feasibility(case)
@@ -307,8 +312,10 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     def entry(res):
         return mats.B.T @ np.maximum(res.x, 0.0), res.basis
 
-    assert starts[0][2] == 0 and p_lps[0][1] is None
-    cold = entry(p_lps[0][2])
+    assert starts[0][2] == 0
+    np.testing.assert_array_equal(p_lps[0][1], mats.crash_basis())
+    assert lin_solve._Simplex(p_lps[0][0]).warm_start(p_lps[0][1])
+    origin = entry(p_lps[0][2])
     for prob, _basis, res in p_lps:
         assert res.basis is None \
             or lin_solve._Simplex(prob).warm_start(res.basis)
@@ -323,12 +330,12 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
             picked.append(k)
         if out is None:         # the start raised RestartSignal
             with pytest.raises(RestartSignal):
-                attack_local(mats, g, label, [cold])
+                attack_local(mats, g, label, [origin])
         else:
-            alone = attack_local(mats, g, label, [cold])
+            alone = attack_local(mats, g, label, [origin])
             assert alone.norm_sq == pytest.approx(out.norm_sq, rel=1e-9)
     assert len(picked) == len(starts) - 1 >= 6
-    # on case24 the cold vertex scores highest for every later start
+    # on case24 the first vertex scores highest for every later start
     assert any(picked) or net == "case24_ieee_rts"
 
 
@@ -505,13 +512,24 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_the_bare_multistart_certifies_240_buses(seed):
+def test_the_bare_multistart_certifies_240_buses(seed, monkeypatch):
     """P's vertices are highly degenerate; with Dantzig's rule and a Bland
     fallback alone, the first step of the uniform-up start circled to the
     iteration cap on these networks.  The phase-2 perturbation gets every
-    step through, and scipy confirms the certified attack."""
+    step through, and scipy confirms the certified attack.  Every LP starts
+    from a feasible basis (crash, pooled or the candidate's vertex), so no
+    phase 1 runs and no ratio test falls back to Bland's rule; the cold
+    first P-LP's phase 1 took 55 and 52 of them."""
     mats = build_feasibility(bench_ladder(240, seed, False))
+    bland, real_ratio = [], lin_solve._Simplex._ratio
+
+    def ratio_spy(sx, w, use_bland):
+        bland.append(use_bland)
+        return real_ratio(sx, w, use_bland)
+
+    monkeypatch.setattr(lin_solve._Simplex, "_ratio", ratio_spy)
     rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert bland and not any(bland)
     assert rep.best.certified
     assert all(n["status"] in ("candidate", "restart") for n in rep.starts)
     assert not oracle_utils.scipy_feasible(
@@ -530,7 +548,7 @@ def test_a_deadline_inside_a_step_keeps_the_current_vertex(monkeypatch):
     """From uniform growth on case30 the ascent takes three steps.  With
     the deadline passing inside the second step's LP, the ascent reports
     the first step's vertex, status deadline.  The first step, the
-    network's cold P-LP, runs to its end."""
+    network's first P-LP, runs to its end."""
     mats = build_feasibility(load_case(pglib_path("case30_as")))
     g = np.ones(mats.n_delta)
     full = attack_local(mats, g)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from dcattack.case_ingest import case_to_json, load_case
-from dcattack import cli
+from dcattack import cli, squeeze
 from dcattack.cli import build_parser, main
 from dcattack.dc_model import build_feasibility
+from dcattack.errors import SolverError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,6 +194,28 @@ def test_infeasible_case_is_domain_error(tmp_path, capsys, command, error):
     assert rep["error"]["type"] == error
     labels = build_feasibility(load_case(str(path))).row_labels
     assert any(label in rep["error"]["message"] for label in labels)
+
+
+def _diverge(*args, **kw):
+    raise SolverError("diverged (spy)")
+
+
+@pytest.mark.parametrize("side, flag", [
+    ("defense_local", "no-certified-policy"),
+    ("multistart_attack", "no-certified-attack")], ids=["policy", "attack"])
+@pytest.mark.parametrize("command", ["squeeze", "table"])
+def test_a_bracket_side_without_a_bound_exits_3(desk2_m, tmp_path, monkeypatch,
+                                                capsys, command, side, flag):
+    """When the policy SOCP or the attack raises SolverError, squeeze and
+    table still write the other side's bound with the flag, and exit 3 by
+    the same rule; the clean run exits 0."""
+    path = tmp_path / "out.json"
+    argv = [command, desk2_m, "--seed", "0", "--json", str(path)]
+    assert _run(capsys, argv)[0] == 0
+    monkeypatch.setattr(squeeze, side, _diverge)
+    assert _run(capsys, argv)[0] == 3
+    rep = json.loads(path.read_text())
+    assert flag in (rep if command == "squeeze" else rep["runs"][0])["flags"]
 
 
 @pytest.mark.parametrize("command", ["attack", "table"])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from dcattack import lin_solve
+from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
-from dcattack.defense import defense_local
+from dcattack.defense import defense_local, warm_start_defense
 from dcattack.errors import ModelError, PreconditionError
 from dcattack.lin_solve import FEAS_TOL
 
@@ -278,3 +280,77 @@ def test_a_tight_row_under_the_policy_keeps_its_radius():
     kept = (np.abs(margins) <= FEAS_TOL) & (den > 0) & np.isfinite(per) \
         & (per >= pol.t)
     assert np.any(kept)
+
+
+_CRASHED = BUNDLED + tuple(f"ladder{n}{kind}" for n in (30, 60, 120)
+                           for kind in ("", "-degenerate")) \
+    + ("desk2", "desk2_limited", "desk3")
+
+
+def _crash_lps(mats, monkeypatch):
+    """Every LP of the defense's warm start and of a bare multistart, as
+    (prob, basis, result, what `_Simplex.warm_start` returned)."""
+    calls, real_solve = [], lin_solve.lp_solve
+    real_warm = lin_solve._Simplex.warm_start
+
+    def solve_spy(prob, basis=None, deadline=None):
+        calls.append([prob, basis, None, []])
+        calls[-1][2] = real_solve(prob, basis=basis, deadline=deadline)
+        return calls[-1][2]
+
+    def warm_spy(sx, basis):
+        ok = real_warm(sx, basis)
+        calls[-1][3].append(ok)
+        return ok
+
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(lin_solve._Simplex, "warm_start", warm_spy)
+    warm_start_defense(mats)
+    multistart_attack(mats, AttackConfig(restarts=0, seed=0))
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name", _CRASHED)
+def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
+        name, request, monkeypatch):
+    """The defense's max-margin LP over Q, the nominal DC-OPF's dual and the
+    multistart's first P-LP each start from `crash_basis`, which
+    `_Simplex.warm_start` accepts, and each reaches the cold solve's
+    optimum and scipy's."""
+    n, _, kind = name.removeprefix("ladder").partition("-")
+    case = (request.getfixturevalue(name) if name.startswith("desk")
+            else load_case(pglib_path(name)) if name in BUNDLED
+            else bench_ladder(int(n), 0, kind == "degenerate"))
+    mats = build_feasibility(case)
+    up, lo = mats.unit_rows()
+    calls = _crash_lps(mats, monkeypatch)
+    q, dcopf = calls[:2]
+    p = next(c for c in calls[2:] if np.array_equal(c[0].A_eq[-1], -mats.c))
+    assert q[0].A_eq.shape[0] == dcopf[0].A_eq.shape[0] + 1
+    red_cost = -dcopf[0].b_eq
+    for (prob, basis, res, accepted), crash in (
+            (q, mats.crash_basis()), (p, mats.crash_basis()),
+            (dcopf, np.where(red_cost <= 0, up, lo))):
+        np.testing.assert_array_equal(basis, crash)
+        assert accepted == [True]
+        cold = lin_solve.lp_solve(prob)
+        ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
+                      bounds=(0, None), method="highs")
+        assert res.status == cold.status == lin_solve.OPTIMAL
+        assert ref.status == 0
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9,
+                                              abs=1e-12)
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+
+def test_without_a_movable_unit_every_lp_starts_cold(desk2_single,
+                                                     monkeypatch):
+    """With n_reduced = 0 there is no crash basis: the defense's warm start,
+    the nominal DC-OPF and the first P-LP are handed none and solve cold."""
+    mats = build_feasibility(desk2_single)
+    assert mats.n_reduced == 0 and mats.crash_basis() is None
+    calls = _crash_lps(mats, monkeypatch)
+    assert len(calls) >= 3
+    assert all(basis is None and accepted == [] for _p, basis, _r, accepted
+               in calls[:3])

@@ -28,7 +28,12 @@ beta_i^-2 (2 J wb_i wb_i^T J - J), is the barrier Hessian at the virtual
 point sqrt(2) beta_i wb_i, so the Newton system is kron(A^T D A, I_k) on the
 G block plus one rank-one term per cone; `_newton_factor` eliminates G and
 solves the bordered system left in (q, lambda) and m rank-one weights, at
-O(m^2 (n + k) + (m + n)^3) per step instead of O((n k)^3).
+O(m^2 (n + k) + (m + n)^3) per solve instead of O((n k)^3).  numpy keeps no
+factorization, so every solve is a fresh LU.  A step solves once for the
+affine predictor and once for the corrector; before convergence the
+corrector is solved again for its own dual residual only while that
+residual is above 1e-10, up to four solves, and after it the corrector takes
+two fixed passes.  meta["solves"] counts the solves over every round.
 
 The slacks are recomputed from the primal iterate (q, lambda, G) every step,
 so every iterate is a sound policy and an expired deadline or a failed step
@@ -76,10 +81,12 @@ from .errors import (GeometryError, ModelError, PolicyVerificationError,
 # round of row generation checks the rows outside its subset at the first
 # step whose gap is at most _GROW_GAP; each step goes _STEP of the way to the
 # cone boundary, and a solve that has not converged after _MAX_STEPS steps
-# ends as "step-failed"; until it converges, a step's corrector is refined
-# (up to _MAX_PASSES solves) until its dual residual is below _REFINE_TOL, a
-# hundredth of the gap it must certify; verify_policy samples strictly inside
-# the radius, ||delta||^2 <= t (1 - _BALL_SHRINK)
+# ends as "step-failed"; until it converges, a step's corrector is solved once
+# and refined (solved again, up to _MAX_PASSES solves in all) only while its
+# dual residual is above _REFINE_TOL, a hundredth of the gap it must certify:
+# two fixed passes once left a 7e-9 residual on ladder(480, 0) and failed the
+# round; verify_policy samples strictly inside the radius, ||delta||^2 <=
+# t (1 - _BALL_SHRINK)
 _GAP_TOL = 1e-8
 _GROW_GAP = 1e-2
 _STEP = 0.99
@@ -210,18 +217,21 @@ def _scaler(beta, wb):
 
 
 def _max_step(x, d):
-    """The largest alpha with x + alpha d in every cone (x interior; inf
-    when none binds), after a hyperbolic rotation of x onto (1, 0)."""
+    """The largest alpha with x + alpha d_j in every cone for every block d_j
+    of len(x) rows of d (x interior; inf when none binds), after one
+    hyperbolic rotation of x onto (1, 0) for all blocks."""
     n = _jnorm(x)
     xb = x / n[:, None]
-    rho0 = xb[:, 0] * d[:, 0] - _rowdot(xb[:, 1:], d[:, 1:])
-    rho1 = d[:, 1:] - ((rho0 + d[:, 0]) / (xb[:, 0] + 1.0))[:, None] \
+    d = d.reshape(-1, *x.shape)
+    rho0 = xb[:, 0] * d[..., 0] - np.einsum("ij,kij->ki", xb[:, 1:],
+                                            d[..., 1:])
+    rho1 = d[..., 1:] - ((rho0 + d[..., 0]) / (xb[:, 0] + 1.0))[..., None] \
         * xb[:, 1:]
-    worst = float(np.max((np.linalg.norm(rho1, axis=1) - rho0) / n))
+    worst = float(np.max((np.linalg.norm(rho1, axis=-1) - rho0) / n))
     return 1.0 / worst if worst > 0.0 else np.inf
 
 
-def _newton_factor(A, c, u, W, s):
+def _newton_factor(A, Ay, u, W, s):
     """Factor the Hessian H of -sum_i log s_i, s_i = u_i^2 - ||w_i||^2, in
     (q, lam, G) at (u, W, s); return solve(g_y, g_G) = (dy, dG) = -H^-1 g.
     H = diag(-Ay^T D Ay, kron(K, I)) + sum_i v_i v_i^T with Ay = [A c],
@@ -232,14 +242,19 @@ def _newton_factor(A, c, u, W, s):
     ill-conditioned near the optimum, so LU with pivoting solves it whole.
     Raises LinAlgError on a singular factor."""
     n = A.shape[1]
-    Ay = np.hstack([A, c[:, None]])
     d = 2.0 / s
     r = np.sqrt(d)
     Q, R = np.linalg.qr(r[:, None] * A)
-    E = Ay.T * (d * u)
-    M = np.block([[-(Ay.T @ (d[:, None] * Ay)), E],
-                  [E.T, -np.eye(s.size) - np.outer(r, r) * (Q @ Q.T)
-                   * (W @ W.T)]])
+    M = np.empty((n + 1 + s.size,) * 2)
+    M[:n + 1, :n + 1] = -(Ay.T @ (d[:, None] * Ay))
+    M[:n + 1, n + 1:] = Ay.T * (d * u)
+    M[n + 1:, :n + 1] = M[:n + 1, n + 1:].T
+    C = M[n + 1:, n + 1:]
+    np.multiply(r[:, None], r, out=C)
+    C *= Q @ Q.T
+    C *= W @ W.T
+    np.negative(C, out=C)
+    C[np.diag_indices(s.size)] -= 1.0
     R_inv = np.linalg.inv(R)
 
     def solve(g_y, g_G):
@@ -261,10 +276,11 @@ def _socp(mats, p_start, deadline, outside=None):
     given, returns the rows beyond mats whose cones the best iterate
     violates; if there are any, the solve stops there as "grow".  Returns
     (q, lam, G) of the smallest-lambda iterate, the best dual and an info
-    dict: why the solve stopped, its Newton steps and the relative gap
-    between the two."""
+    dict: why the solve stopped, its Newton steps, its solves of the Newton
+    system and the relative gap between the two."""
     A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
+    units = mats.unit_rows()
     lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
                                  / -mats.margins(p_start))), 1e-12)
     x, G = np.append(lam * p_start, lam), np.zeros((A.shape[1], B.shape[1]))
@@ -273,9 +289,10 @@ def _socp(mats, p_start, deadline, outside=None):
     z[:, 1:] *= -1.0
     e_lam = np.eye(x.size)[-1]
     best, dual, bound = (x, G), None, -np.inf
-    info = {"stop": "step-failed", "newton_steps": 0, "gap": np.inf}
+    info = {"stop": "step-failed", "newton_steps": 0, "solves": 0,
+            "gap": np.inf}
     for _ in range(_MAX_STEPS):
-        cand, lb = _feasible_dual(mats, z[:, 0], z[:, 1:])
+        cand, lb = _feasible_dual(mats, units, z[:, 0], z[:, 1:])
         if lb > bound:
             dual, bound = cand, lb
         last, info["gap"] = info["gap"], 1.0 - bound / best[0][-1]
@@ -300,9 +317,10 @@ def _socp(mats, p_start, deadline, outside=None):
 
         def direction(xi, passes, refine=False):
             # dx and the scaled (W^-1 ds, W dz) of F^T dz = -(F^T z + e_lam),
-            # W dz + W^-1 ds = xi, ds = -F dx, refined passes - 1 times, and
-            # with `refine` on until the residual is below _REFINE_TOL; ds
-            # sums the corrections' slack changes, so the residual is exact
+            # W dz + W^-1 ds = xi, ds = -F dx, solved `passes` times, and with
+            # `refine` on again while the residual is above _REFINE_TOL, up to
+            # _MAX_PASSES solves; ds sums the corrections' slack changes, so
+            # the residual is exact
             dy, dG, ds = np.zeros_like(x), np.zeros_like(G), np.zeros_like(z)
             for k in range(_MAX_PASSES if refine else passes):
                 zz = z + scale(xi - ds, inverse=True)
@@ -310,6 +328,7 @@ def _socp(mats, p_start, deadline, outside=None):
                 if k >= passes and max(np.abs(g_y).max(), np.abs(g_G).max(
                         initial=0.0)) <= _REFINE_TOL:
                     break
+                info["solves"] += 1
                 ey, eG = solve(g_y, g_G)
                 dy, dG = dy + ey, dG + eG
                 ds = ds + scale(np.column_stack([-(Ay @ ey), A @ eG]),
@@ -318,21 +337,23 @@ def _socp(mats, p_start, deadline, outside=None):
 
         # W^-2 is the barrier Hessian at the virtual point sqrt(2) beta wb.
         # The affine predictor sets sigma and the second-order term of the
-        # corrector, which alone is refined
+        # corrector, which alone is refined.  After convergence it takes two
+        # fixed passes: refined on demand there too, the sharpening steps
+        # moved t by up to 1.2e-10 and took more steps on the ladders
         v = np.sqrt(2.0) * beta[:, None] * wb
         try:
-            solve = _newton_factor(A, c, v[:, 0], v[:, 1:], 2.0 * beta ** 2)
+            solve = _newton_factor(A, Ay, v[:, 0], v[:, 1:], 2.0 * beta ** 2)
             _dy, _dG, d = direction(-lm, 1)
-            alpha = min(1.0, _max_step(np.vstack([lm, lm]), d))
+            alpha = min(1.0, _max_step(lm, d))
             mu = float(np.sum(lm * lm))
             ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
             r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
             r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
-            dy, dG, d = direction(_jsolve(lm, r), 2,
-                                  refine=info["stop"] != "converged")
+            refine = info["stop"] != "converged"
+            dy, dG, d = direction(_jsolve(lm, r), 1 if refine else 2, refine)
         except np.linalg.LinAlgError:
             break
-        alpha = min(1.0, _STEP * _max_step(np.vstack([lm, lm]), d))
+        alpha = min(1.0, _STEP * _max_step(lm, d))
         x, G = x + alpha * dy, G + alpha * dG
         z = z + alpha * scale(d[m:], inverse=True)
         s = np.column_stack([-(Ay @ x), A @ G + B])
@@ -346,14 +367,14 @@ def _socp(mats, p_start, deadline, outside=None):
     return (x[:-1], float(x[-1]), G), dual, info
 
 
-def _feasible_dual(mats, y, W):
+def _feasible_dual(mats, units, y, W):
     """Restore A^T y = 0 and A^T W = 0 through each unit's own bound rows
     (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i survives by the triangle
     inequality), then scale onto c^T y = -1.  Mass added to both bound rows
     of unit j moves only c^T y, by -(p_max - p_min), so a residual costs
-    bound, never soundness.  Returns the dual and its bound -<W, B>, or
-    (None, -inf) when c^T y ends up nonnegative."""
-    up, lo = mats.unit_rows()
+    bound, never soundness; `units` is `mats.unit_rows()`.  Returns the dual
+    and its bound -<W, B>, or (None, -inf) when c^T y ends up nonnegative."""
+    up, lo = units
     r, R = mats.A.T @ y, mats.A.T @ W
     half = 0.5 * np.linalg.norm(R, axis=1)
     y, W = y.copy(), W.copy()
@@ -372,11 +393,12 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
     """`_socp` on generated rows (module docstring) from the warm-start
     dispatch p_w, whose fixed-dispatch radius is t_init.  Returns (p0, lam,
     G), the dual padded with zeros to every row, and `_socp`'s info with the
-    steps summed over the rounds, the last subset's size as "rows" and the
-    number of subset solves, those that stopped to grow included, as
-    "rounds".  lam is None when the deadline cut the rounds with a row
-    outside the subset still violated; p0, G are then the warm start if p0
-    breaks a row or its exact radius is no larger than t_init."""
+    steps and solves summed over the rounds, the last subset's size as
+    "rows" and the number of subset solves, those that stopped to grow
+    included, as "rounds".  lam is None when the deadline cut the rounds
+    with a row outside the subset still violated; p0, G are then the warm
+    start if p0 breaks a row or its exact radius is no larger than
+    t_init."""
     m, n = mats.m, mats.n_reduced
     flow = m - 2 * n - 2
     nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
@@ -391,11 +413,12 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
         cut[rows] = False
         return np.flatnonzero(cut)
 
-    steps = rounds = 0
+    steps = solves = rounds = 0
     while True:
         (q, lam, G), dual, info = _socp(mats.take(rows), p_w, deadline,
                                         outside)
         steps, rounds = steps + info["newton_steps"], rounds + 1
+        solves += info["solves"]
         p0, new = q / lam, outside(q, lam, G)
         if not new.size:
             break
@@ -411,7 +434,8 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
         y, W = np.zeros(m), np.zeros((m, mats.n_delta))
         y[rows], W[rows] = dual
         dual = (y, W)
-    info.update(newton_steps=steps, rows=int(rows.size), rounds=rounds)
+    info.update(newton_steps=steps, solves=solves, rows=int(rows.size),
+                rounds=rounds)
     return (p0, lam, G), dual, info
 
 
@@ -426,7 +450,8 @@ def defense_local(mats, budget_s=None):
     factor was singular, a step left the cones, or 60 steps did not
     converge), "deadline", or "no-interior" when no dispatch is strictly
     interior (the warm start is returned then).  meta["newton_steps"] counts
-    interior-point iterations over every round; meta["rows"] is the size of
+    interior-point iterations over every round and meta["solves"] the Newton
+    system solves (LU factorizations) they took; meta["rows"] is the size of
     the last row subset and meta["rounds"] the number of subset solves,
     counting those that stopped at a gap of 1e-2 to grow the subset;
     meta["lambda"] is the last solve's lambda, absent when no solve ran or
@@ -436,7 +461,7 @@ def defense_local(mats, budget_s=None):
     deadline = None if budget_s is None else time.monotonic() + budget_s
     p_w, G0, t_init = warm_start_defense(mats)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
-            "gap": None, "rows": 0, "rounds": 0}
+            "solves": 0, "gap": None, "rows": 0, "rounds": 0}
     p0, G, dual = p_w, G0, None
     if float(np.max(mats.margins(p_w))) < 0.0:
         (p0, lam, G), dual, info = _socp_on_rows(mats, p_w, t_init, deadline)

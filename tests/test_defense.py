@@ -372,11 +372,17 @@ def test_the_default_slack_is_a_unit_that_can_move():
     assert rep.lb <= rep.ub <= 0.25 * (1 + 1e-5)
 
 
-@pytest.mark.parametrize("n, degenerate", [(60, False), (90, True)])
-def test_socp_certifies_the_ladders_within_1e7(n, degenerate):
+@pytest.mark.parametrize(
+    "n, seed, degenerate",
+    [pytest.param(60, 3, False, id="60-False"),
+     pytest.param(90, 3, True, id="90-True")]
+    + [pytest.param(60, s, True, id=f"60-True-s{s}") for s in range(10)])
+def test_socp_certifies_the_ladders_within_1e7(n, seed, degenerate):
     """ladder60_g0_s3 and degenerate90_g0_s3, where a log-barrier solve
-    stalls at a certified gap near 1e-5."""
-    mats = build_feasibility(bench_ladder(n, 3, degenerate))
+    stalls at a certified gap near 1e-5, and the degenerate 60-bus rungs of
+    seeds 0-9, where a corrector solved once unless its residual asks for
+    more takes a path of its own (on seed 2, one more round)."""
+    mats = build_feasibility(bench_ladder(n, seed, degenerate))
     pol = defense_local(mats)
     assert pol.meta["stop"] == "converged"
     assert pol.meta["gap"] <= 1e-7
@@ -495,3 +501,39 @@ def test_the_corrector_refinement_absorbs_an_inexact_newton_solve(
     pol = defense_local(mats)
     assert pol.meta["stop"] == "converged"
     assert _check_dual(mats, pol) == []
+
+
+@pytest.mark.parametrize("net", ["case30_as", "ladder120"])
+def test_a_newton_step_solves_fewer_than_three_systems(net, monkeypatch):
+    """meta["solves"] counts every solve of the bordered Newton system over
+    all rounds.  A step solves once for the predictor and once for the
+    corrector, which before convergence is solved again only while its dual
+    residual is above _REFINE_TOL, so the count stays below the three per
+    step that two fixed corrector passes would take."""
+    case = (load_case(pglib_path(net)) if net.startswith("case")
+            else bench_ladder(120, 0, False))
+    mats = build_feasibility(case)
+    real, calls = np.linalg.solve, []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    pol = defense_local(mats)
+    monkeypatch.undo()
+    assert pol.meta["stop"] == "converged"
+    assert len(calls) == pol.meta["solves"]
+    assert 2 * pol.meta["newton_steps"] <= pol.meta["solves"] \
+        < 3 * pol.meta["newton_steps"]
+
+
+def test_the_480_bus_ladder_converges_with_an_on_demand_refinement():
+    """On ladder(480, 0) a corrector of two fixed passes once ended a round
+    "step-failed" at a dual residual of 7e-9.  Solved once and refined only
+    while its residual is above _REFINE_TOL, every round converges."""
+    mats = build_feasibility(bench_ladder(480, 0, False))
+    pol = defense_local(mats)
+    assert pol.meta["stop"] == "converged" and pol.meta["rounds"] <= 3
+    assert _check_dual(mats, pol) == []
+    assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)

@@ -40,11 +40,10 @@ hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
 EPS is the epsilon of the parameterized Farkas' lemma; it only fixes the
 scale of the reported certificate, and no bound, delta or flag depends on
 it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
-emptiness at the inflated point (1 + _CERT_INFLATION) * delta, with
-_CERT_INFLATION = 1e-4: min rhs^T y < 0 over Q = {y >= 0 : A^T y = 0,
-1^T y = 1}, from the bare optimal basis S over P of mu, the vertex delta
-came from, which is feasible for Q (mu_S / 1^T mu_S solves its rows, and
-[A_S^T; 1^T] is nonsingular as mu_S spans ker A_S^T and 1^T mu_S > 0).
+emptiness at (1 + _CERT_INFLATION) delta, _CERT_INFLATION = 1e-4, from mu
+itself.  y = mu / 1^T mu, re-verified, lies in Q = {y >= 0 : A^T y = 0,
+1^T y = 1}, so y^T rhs below `check_feasible`'s bar puts min rhs^T y over
+Q, the cold LP's verdict, below it too; only a failing mu takes that LP.
 
 Zero distance.  A P-LP without an optimum is unbounded along a verified
 ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
@@ -97,8 +96,6 @@ class AttackSolution:
     certified: bool = False
     oracle_ray: np.ndarray = None
     history: list = field(default_factory=list)
-    # mu's bare optimal basis over P (None at zero distance); not reported
-    basis: np.ndarray = field(default=None, repr=False)
 
     def summary(self):
         return {
@@ -120,18 +117,21 @@ class AttackReport:
     fixed_lb: float
 
 
-def certify_infeasible(mats, delta, basis=None):
-    """Independent feasibility probe (`lin_solve.check_feasible`) for F(delta),
-    from `basis`, P's bare optimal basis (module docstring), when given.
-
-    Returns (True, ray) with a normalized verified Farkas ray when F(delta) is
-    empty, or (False, witness_dispatch) when it is not.
-    """
-    feasible, x, ray = lin_solve.check_feasible(mats.A, mats.rhs(delta),
-                                                basis)
-    if feasible:
-        return False, x
-    return True, ray
+def certify_infeasible(mats, delta, mu=None):
+    """(True, ray) with a normalized verified Farkas ray when F(delta) is
+    empty, else (False, witness_dispatch).  The ray is mu / 1^T mu when a
+    given `mu` re-verifies and clears `lin_solve.scaled_tol` (module
+    docstring); otherwise `lin_solve.check_feasible` decides cold."""
+    rhs = mats.rhs(delta)
+    if mu is not None:
+        try:
+            y = lin_solve.normalize_farkas_ray(mats.A, rhs, mu)
+            if y @ rhs < -lin_solve.scaled_tol(rhs):
+                return True, y
+        except SolverError:
+            pass
+    feasible, x, ray = lin_solve.check_feasible(mats.A, rhs)
+    return (False, x) if feasible else (True, ray)
 
 
 def fixed_dispatch_lb(mats, p0):
@@ -184,10 +184,9 @@ def _p_lp(mats, P, g, basis, pool=None, deadline=None):
     return np.maximum(ray, 0.0), np.inf if bg @ ray > 0 else -np.inf, None
 
 
-def _solution(mats, delta, mu, start, status, iterations=0, history=(),
-              basis=None):
+def _solution(mats, delta, mu, start, status, iterations=0, history=()):
     """The attack delta with its multiplier mu rescaled so that
-    mu^T (B delta + c) = EPS; mu must separate delta; keeps basis's indices."""
+    mu^T (B delta + c) = EPS; mu must separate delta."""
     sep = mats.B @ delta + mats.c
     mu = mu * (EPS / float(mu @ sep))
     residuals = {"At_mu_inf": float(np.max(np.abs(mats.A.T @ mu), initial=0.0)),
@@ -197,7 +196,7 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=(),
         delta=delta, mu=mu, norm_sq=float(delta @ delta),
         converged=status in ("tight", "zero-distance"), convergence=status,
         iterations=iterations, residuals=residuals, start=start,
-        history=list(history), basis=None if basis is None else basis.basis)
+        history=list(history))
 
 
 def attack_local(mats, init_delta, start="", pool=None, deadline=None,
@@ -256,7 +255,7 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
             status = "tight"
             break
         mu, value, basis = step
-    return _solution(mats, delta, mu, start, status, iterations, history, basis)
+    return _solution(mats, delta, mu, start, status, iterations, history)
 
 
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
@@ -264,19 +263,21 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start, uniform growth and seeded random starts (the
     first P-LP crash-started, the rest pooled), then certify candidates
-    in ascending norm order; the first certified one is the reported
-    attack.  Once `budget_s` seconds have passed, the running ascent stops
-    at its current vertex, even inside a step's LP, and the starts after the
-    first are skipped; so is a start whose first step the deadline cuts.  A
-    start whose LP raises SolverError is noted "failed" with the message,
-    and the other starts go on.  Raises AttackError when nothing certifies.
+    in ascending norm order, each from its own mu (`certify_infeasible`);
+    the first certified one is the reported attack, with `oracle_ray` its
+    mu / 1^T mu, or the cold LP's ray where mu fails.  Once `budget_s`
+    seconds have passed, the running ascent stops at its current vertex,
+    even inside a step's LP, and the starts after the first are skipped; so
+    is a start whose first step the deadline cuts.  A start whose LP raises
+    SolverError is noted "failed" with the message, and the other starts go
+    on.  Raises AttackError when nothing certifies.
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
-    min ||delta||^2 >= (1 + 1e-6)^2 lb, so a candidate
-    within (1 + 1e-8) of that value is certified at once; when it certifies,
-    no later start can lower the bound by more than 1e-8 relative, and each
-    is skipped and noted "closed".  A refuted candidate stops nothing."""
+    min ||delta||^2 >= (1 + 1e-6)^2 lb, so a candidate within (1 + 1e-8) of
+    that value is certified at once; when it certifies, no later start can
+    lower the bound by more than 1e-8 relative, and each is skipped and
+    noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
     nominal = solve_dcopf(mats)
@@ -305,7 +306,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
         """Certify sol at the inflated point once; notes a refutation."""
         tried.add(id(sol))
         inflated = (1.0 + _CERT_INFLATION) * sol.delta
-        ok, payload = certify_infeasible(mats, inflated, sol.basis)
+        ok, payload = certify_infeasible(mats, inflated, sol.mu)
         if ok:
             sol.certified, sol.oracle_ray = True, payload
         else:

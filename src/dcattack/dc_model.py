@@ -341,7 +341,7 @@ def solve_dcopf(mats, delta=None):
             f"dispatch dual LP returned {res.status}; generator bounds should "
             "make the polytope bounded")
     p_hat = res.y
-    tol = lin_solve.FEAS_TOL * (1.0 + float(np.max(np.abs(rhs))))
+    tol = lin_solve.scaled_tol(rhs)
     worst = float(np.max(mats.A @ p_hat - rhs))
     gap = float(red_cost @ p_hat + res.objective)
     if worst > tol or abs(gap) > tol * (1.0 + float(np.abs(res.x) @ np.abs(rhs))):

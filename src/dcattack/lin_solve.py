@@ -58,17 +58,10 @@ x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale with B x_B = b_eq to the same
 tolerance.  Then phase 2 starts at once, shifted through the B already
 gathered, and no all-artificial start is built; any other basis (None
 included) takes the cold two-phase path, so a stale basis costs time, never
-a wrong answer.  The attack's P-LPs differ only in their objective, so every
-earlier optimal basis is primal feasible for every later one: each
-network's first P-LP starts from a crash basis, a later start's first step
-warm-starts from the pooled basis that scores highest on its objective, and
-each later step from the start's previous one.  `check_feasible` certifies
-an attack from the bare basis of the vertex over P that it came from, a
-feasible basis of its own LP (see `attack`): the verdict does not depend on
-the start, and the Farkas ray or witness is re-verified whatever the start.
-The nominal dispatch and the defense's warm start also begin at crash bases
-of the unit-bound rows, feasible by construction (`dc_model`'s
-`FeasibilityMatrices.crash_basis`), so no hot-path LP runs phase 1.
+a wrong answer.  Every hot-path LP starts from a feasible basis: a crash
+basis of the unit-bound rows (`dc_model`'s `FeasibilityMatrices.crash_basis`)
+or, for the attack's P-LPs, an earlier optimum over the same rows (see
+`attack`), so none runs phase 1.
 """
 
 import copy
@@ -439,6 +432,11 @@ def normalize_farkas_ray(rows, rhs, y):
     return y
 
 
+def scaled_tol(rhs):
+    """FEAS_TOL (1 + ||rhs||_inf): check_feasible's slack and emptiness bar."""
+    return FEAS_TOL * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+
+
 def check_feasible(rows, rhs, basis=None):
     """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
@@ -466,9 +464,9 @@ def check_feasible(rows, rhs, basis=None):
     e[-1] = 1.0
     prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e)
     res = lp_solve(prob, basis)
-    rhs_scale = 1.0 + float(np.max(np.abs(rhs)))
+    tol = scaled_tol(rhs)
     if res.status == OPTIMAL:
-        if res.objective < -FEAS_TOL * rhs_scale:
+        if res.objective < -tol:
             return False, None, normalize_farkas_ray(rows, rhs, res.x)
         x = res.y[:n]
     elif res.status == INFEASIBLE:
@@ -481,6 +479,6 @@ def check_feasible(rows, rhs, basis=None):
     else:
         raise SolverError(f"feasibility probe returned {res.status}")
     worst = float(np.max(rows @ x - rhs))
-    if worst > FEAS_TOL * rhs_scale:
+    if worst > tol:
         raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
     return True, x, None

@@ -407,18 +407,23 @@ def test_an_unbounded_step_ends_the_ascent_on_its_ray(case):
 
 
 @pytest.mark.parametrize("kind", sorted(ZERO_DISTANCE))
-def test_zero_distance_networks_keep_a_certified_attack(kind):
+def test_zero_distance_networks_keep_a_certified_attack(kind, monkeypatch):
     """An implicit equality that moves with delta leaves no finite ascent:
-    every start ends on a ray of P, at a unit point that certifies."""
+    every start ends on a ray of P, at a unit point that its own ray
+    certifies, with no LP."""
     from dcattack.squeeze import SqueezeConfig, squeeze_run
 
     case = ZERO_DISTANCE[kind]
     mats = build_feasibility(case)
     expected = None if kind == "p-empty" else np.inf
     assert oracle_utils.p_polytope_max(mats, np.ones(mats.n_delta)) == expected
+    calls = _spy_certification(monkeypatch)
     rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
+    monkeypatch.undo()
     best = rep.best
     assert best.certified and best.convergence == "zero-distance"
+    assert calls[-1]["mu"] is best.mu and not any(c["lps"] for c in calls)
+    assert abs(float(best.mu @ mats.c)) <= 1e-12
     assert any(n.get("convergence") == "zero-distance" for n in rep.starts)
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs((1 + 1e-4) * best.delta))
     assert abs(best.residuals["eps_residual"]) <= 1e-12
@@ -495,7 +500,7 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
     kw = _closing_inputs(mats)
     calls, real = [], attack.certify_infeasible
 
-    def refute_first(mats, delta, basis=None):
+    def refute_first(mats, delta, mu=None):
         calls.append(delta)
         return (False, None) if len(calls) == 1 else real(mats, delta)
 
@@ -600,27 +605,26 @@ def test_a_failing_start_is_noted_and_the_others_go_on(monkeypatch):
 
 
 def _spy_certification(monkeypatch):
-    """Records each certification as {"delta", "basis", "accepted"}, where
-    "accepted" lists what `_Simplex.warm_start` returned inside it."""
+    """Records each certification as {"delta", "mu", "lps"}, where "lps"
+    counts the `lin_solve.lp_solve` calls made inside it."""
     calls, inside = [], [False]
-    real_cert, real_warm = attack.certify_infeasible, lin_solve._Simplex.warm_start
+    real_cert, real_solve = attack.certify_infeasible, lin_solve.lp_solve
 
-    def cert_spy(mats, delta, basis=None):
-        calls.append({"delta": delta, "basis": basis, "accepted": []})
+    def cert_spy(mats, delta, mu=None):
+        calls.append({"delta": delta, "mu": mu, "lps": 0})
         inside[0] = True
         try:
-            return real_cert(mats, delta, basis)
+            return real_cert(mats, delta, mu)
         finally:
             inside[0] = False
 
-    def warm_spy(sx, basis):
-        ok = real_warm(sx, basis)
+    def solve_spy(*args, **kw):
         if inside[0]:
-            calls[-1]["accepted"].append(ok)
-        return ok
+            calls[-1]["lps"] += 1
+        return real_solve(*args, **kw)
 
     monkeypatch.setattr(attack, "certify_infeasible", cert_spy)
-    monkeypatch.setattr(lin_solve._Simplex, "warm_start", warm_spy)
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
     return calls
 
 
@@ -632,103 +636,92 @@ def _assert_verified_ray(mats, delta, y):
 
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60", "ladder240"))
 def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
-    """Certification starts from the bare optimal basis over P of the vertex
-    mu that the candidate's delta came from: P's basic solution there is mu
-    up to scale, and `_Simplex.warm_start` accepts the basis for
-    Q = {y >= 0 : A^T y = 0, 1^T y = 1}.  The verdict is the cold solve's
-    and scipy's, and the returned ray re-verifies."""
+    """Each candidate is certified from its own multiplier, the vertex mu of
+    P its delta came from: y = mu / 1^T mu re-verifies at the inflated point
+    and clears `check_feasible`'s bar, so no LP runs.  The reported ray is
+    that y, and every candidate's verdict is the cold solve's and scipy's."""
     n = {"ladder60": 60, "ladder240": 240}.get(net)
     case = bench_ladder(n, 0, False) if n else load_case(pglib_path(net))
     mats = build_feasibility(case)
+    cands, real_local = [], attack.attack_local
+
+    def local_spy(*args, **kw):
+        cands.append(real_local(*args, **kw))
+        return cands[-1]
+
+    monkeypatch.setattr(attack, "attack_local", local_spy)
     calls = _spy_certification(monkeypatch)
     rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
-    monkeypatch.undo()
-    assert calls and all(c["basis"] is not None and c["accepted"] == [True]
-                         for c in calls)
     best = rep.best
-    assert calls[-1]["basis"] is best.basis
-    P = _polytope(mats)
-    basic = np.linalg.solve(P.A_eq[:, best.basis], P.b_eq)
-    mu = np.zeros(mats.m)
-    mu[best.basis] = np.maximum(basic, 0.0)
-    np.testing.assert_allclose(best.mu, mu * (best.mu.sum() / mu.sum()),
-                               rtol=1e-9, atol=1e-12 * best.mu.max())
-    for c in calls:
-        warm = certify_infeasible(mats, c["delta"], c["basis"])
-        cold = certify_infeasible(mats, c["delta"])
-        assert warm[0] == cold[0] == \
-            (not oracle_utils.scipy_feasible(mats.A, mats.rhs(c["delta"])))
-        if warm[0]:
-            _assert_verified_ray(mats, c["delta"], warm[1])
+    assert calls and calls[-1]["mu"] is best.mu
+    assert len(cands) > 1 and any(sol is best for sol in cands)
+    points = [(1 + 1e-4) * sol.delta for sol in cands]
+    owns = [attack.certify_infeasible(mats, point, sol.mu)
+            for point, sol in zip(points, cands)]
+    monkeypatch.undo()
+    assert len(calls) > len(cands) and all(c["lps"] == 0 for c in calls)
     assert best.certified
+    assert np.max(np.abs(best.oracle_ray - best.mu / best.mu.sum())) <= 1e-15
     _assert_verified_ray(mats, (1 + 1e-4) * best.delta, best.oracle_ray)
+    for point, own in zip(points, owns):
+        cold = certify_infeasible(mats, point)
+        assert own[0] == cold[0] == \
+            (not oracle_utils.scipy_feasible(mats.A, mats.rhs(point)))
+        _assert_verified_ray(mats, point, own[1])
 
 
-def test_a_basis_that_q_rejects_gives_the_cold_result(monkeypatch):
-    """Certification from a basis that Q rejects is the cold solve's, bit for
-    bit, on both verdicts: case30's certified basis on a 30-bus ladder with
-    as many columns (its x_B has negative entries there), and a seeded basis
-    of the ladder's own columns with x_B below -1e-3."""
+def test_a_multiplier_that_fails_gives_the_cold_result(monkeypatch):
+    """Certification falls back to the cold LP over Q, bit for bit, for a mu
+    that `normalize_farkas_ray` rejects, for one that it accepts but whose
+    value misses `check_feasible`'s bar, and at half the attack, where the
+    cold witness is returned."""
     mats = build_feasibility(bench_ladder(30, 0, False))
-    other = build_feasibility(load_case(pglib_path("case30_as")))
-    assert other.n_reduced == mats.n_reduced and other.m < mats.m
-    delta = (1 + 1e-4) * multistart_attack(mats).best.delta
-    q = np.vstack([mats.A.T, np.ones((1, mats.m))])
-    e = np.eye(mats.n_reduced + 1)[-1]
-    rng = np.random.default_rng(5)
-    negative = None
-    while negative is None:
-        cols = rng.choice(mats.m, mats.n_reduced + 1, replace=False)
-        if abs(np.linalg.det(q[:, cols])) > 1e-6 and \
-                np.linalg.solve(q[:, cols], e).min() < -1e-3:
-            negative = cols
-    bases = {"other network": multistart_attack(other).best.basis,
-             "negative x_B": negative}
-    for name, basis in bases.items():
-        for point in (delta, 0.5 * delta):
-            cold = certify_infeasible(mats, point)
-            calls = _spy_certification(monkeypatch)
-            warm = attack.certify_infeasible(mats, point, basis)
-            monkeypatch.undo()
-            assert calls[0]["accepted"] == [False], name
-            assert warm[0] == cold[0] and \
-                warm[1].tobytes() == cold[1].tobytes(), name
+    best = multistart_attack(mats).best
+    delta = (1 + 1e-4) * best.delta
+    rhs = mats.rhs(delta)
+    # one entry of mu doubled breaks A^T y = 0
+    i = int(np.argmax(best.mu * np.abs(mats.A).sum(axis=1)))
+    broken = best.mu.copy()
+    broken[i] *= 2.0
+    with pytest.raises(SolverError):
+        lin_solve.normalize_farkas_ray(mats.A, rhs, broken)
+    # mu itself at the point along delta where y^T rhs = -FEAS_TOL / 2
+    y = best.mu / best.mu.sum()
+    yb, yc = float(y @ (mats.B @ best.delta)), float(y @ mats.c)
+    shallow = (0.5 * lin_solve.FEAS_TOL - yc) / yb * best.delta
+    value = float(lin_solve.normalize_farkas_ray(
+        mats.A, mats.rhs(shallow), best.mu) @ mats.rhs(shallow))
+    assert -lin_solve.scaled_tol(mats.rhs(shallow)) <= value < -1e-12
+    for point, mu in ((delta, broken), (shallow, best.mu),
+                      (0.5 * delta, best.mu)):
+        cold = certify_infeasible(mats, point)
+        calls = _spy_certification(monkeypatch)
+        got = attack.certify_infeasible(mats, point, mu)
+        monkeypatch.undo()
+        assert calls[0]["lps"] == 1
+        assert got[0] == cold[0] and got[1].tobytes() == cold[1].tobytes()
     assert certify_infeasible(mats, delta)[0]
-    assert not certify_infeasible(mats, 0.5 * delta)[0]
+    feasible, x = certify_infeasible(mats, 0.5 * delta, best.mu)
+    assert not feasible
+    assert np.all(mats.margins(x, 0.5 * delta) <= 1e-8)
 
 
 def test_the_ladder_attack_networks_never_stall(monkeypatch):
     """On the 15 networks of the `ladder-attack` workload, no ratio test
-    falls back to Bland's rule, and the certification LPs, which start from
-    the candidate's own vertex, take at most 100 pricing passes in all."""
-    bland, cert_passes, inside = [], [], [False]
-    real_ratio, real_solve = lin_solve._Simplex._ratio, lin_solve.lp_solve
-    real_cert = attack.certify_infeasible
+    falls back to Bland's rule, and no certification LP runs: each attack
+    is certified from its own multiplier."""
+    bland, real_ratio = [], lin_solve._Simplex._ratio
 
     def ratio_spy(sx, w, use_bland):
         bland.append(use_bland)
         return real_ratio(sx, w, use_bland)
 
-    def solve_spy(prob, basis=None, deadline=None):
-        res = real_solve(prob, basis=basis, deadline=deadline)
-        if inside[0]:
-            cert_passes.append(res.iterations)
-        return res
-
-    def cert_spy(*args):
-        inside[0] = True
-        try:
-            return real_cert(*args)
-        finally:
-            inside[0] = False
-
     monkeypatch.setattr(lin_solve._Simplex, "_ratio", ratio_spy)
-    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
-    monkeypatch.setattr(attack, "certify_infeasible", cert_spy)
+    calls = _spy_certification(monkeypatch)
     for n in (30, 60, 120):
         for seed in range(5):
             mats = build_feasibility(bench_ladder(n, seed, False))
             rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
             assert rep.best.certified, (n, seed)
     assert bland and not any(bland)
-    assert len(cert_passes) >= 15 and sum(cert_passes) <= 100
+    assert len(calls) >= 15 and not any(c["lps"] for c in calls)

@@ -221,9 +221,10 @@ def test_an_open_bracket_runs_every_start(monkeypatch):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_lp_budget(name, monkeypatch):
-    """Regression guard: one bundled squeeze runs at most 8 LPs (the nominal
-    dispatch, the SOCP warm start, P's cold LP, the ascents' steps and one
-    certificate), and checks the incumbent's inflated point exactly once."""
+    """Regression guard: one bundled squeeze runs at most 7 LPs (the nominal
+    dispatch, the SOCP warm start, P's cold LP and the ascents' steps); the
+    incumbent is certified from its own multiplier, so its inflated point
+    never reaches `check_feasible`."""
     case = load_case(pglib_path(name))
     mats = build_feasibility(case)
     solves, probes = [], []
@@ -240,9 +241,9 @@ def test_squeeze_lp_budget(name, monkeypatch):
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
     monkeypatch.setattr(lin_solve, "check_feasible", check_spy)
     rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
-    assert len(solves) <= 8
+    assert len(solves) <= 7
     point = mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"]))
-    assert sum(np.array_equal(rhs, point) for rhs in probes) == 1
+    assert probes and not any(np.array_equal(rhs, point) for rhs in probes)
 
 
 def test_a_failing_attack_keeps_the_certified_lb(monkeypatch):

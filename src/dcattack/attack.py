@@ -44,6 +44,9 @@ emptiness at (1 + _CERT_INFLATION) delta, _CERT_INFLATION = 1e-4, from mu
 itself.  y = mu / 1^T mu, re-verified, lies in Q = {y >= 0 : A^T y = 0,
 1^T y = 1}, so y^T rhs below `check_feasible`'s bar puts min rhs^T y over
 Q, the cold LP's verdict, below it too; only a failing mu takes that LP.
+The multistart certifies a start's candidate as the start ends, and only
+when its norm is below the certified incumbent's, so the reported attack is
+the smallest candidate that certifies (the earliest on ties).
 
 Zero distance.  A P-LP without an optimum is unbounded along a verified
 ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
@@ -262,21 +265,24 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start, uniform growth and seeded random starts (the
-    first P-LP crash-started, the rest pooled), then certify candidates
-    in ascending norm order, each from its own mu (`certify_infeasible`);
-    the first certified one is the reported attack, with `oracle_ray` its
-    mu / 1^T mu, or the cold LP's ray where mu fails.  Once `budget_s`
-    seconds have passed, the running ascent stops at its current vertex,
-    even inside a step's LP, and the starts after the first are skipped; so
-    is a start whose first step the deadline cuts.  A start whose LP raises
-    SolverError is noted "failed" with the message, and the other starts go
-    on.  Raises AttackError when nothing certifies.
+    first P-LP crash-started, the rest pooled).  A candidate below the
+    certified incumbent's norm, or any while there is none, is certified
+    from its own mu (`certify_infeasible`) as its start ends and becomes
+    the incumbent, with `oracle_ray` its mu / 1^T mu or the cold LP's ray,
+    or is noted "refuted".  A note says certified exactly for the
+    candidates that lowered the incumbent; the last is the reported
+    attack.  Once `budget_s` seconds have passed, the running ascent stops
+    at its current vertex, even inside a step's LP, and the starts after
+    the first are skipped; so is a start whose first step the deadline
+    cuts.  A start whose LP raises SolverError is noted "failed" with the
+    message, and the other starts go on.  Raises AttackError when nothing
+    certifies.
 
     `lb` is a certified lower bound on min ||delta||^2 that the caller
     already holds.  Every certified attack has ||delta||^2 >= (1 + 1e-6)^2
     min ||delta||^2 >= (1 + 1e-6)^2 lb, so a candidate within (1 + 1e-8) of
-    that value is certified at once; when it certifies, no later start can
-    lower the bound by more than 1e-8 relative, and each is skipped and
+    that value closes the bracket once it is the incumbent: no later start
+    can lower the bound by more than 1e-8 relative, and each is skipped and
     noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
@@ -300,49 +306,34 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
               and np.linalg.norm(d) > 0]
 
     P, pool = _polytope(mats), []
-    refuted, tried = [], set()
-
-    def certify(sol):
-        """Certify sol at the inflated point once; notes a refutation."""
-        tried.add(id(sol))
-        inflated = (1.0 + _CERT_INFLATION) * sol.delta
-        ok, payload = certify_infeasible(mats, inflated, sol.mu)
-        if ok:
-            sol.certified, sol.oracle_ray = True, payload
-        else:
-            refuted.append({"start": sol.start, "status": "refuted",
-                            "norm_sq": sol.norm_sq})
-        return ok
-
-    outcomes, closed = [], False
+    notes, refuted, best = [], [], None
     for i, (label, direction) in enumerate(starts):
-        late = i and deadline is not None and time.monotonic() >= deadline
-        if closed or late:
-            out = ("skipped", label, "closed" if closed else "deadline")
+        note = {"start": label, "status": "skipped"}
+        if best is not None and best.norm_sq <= close_at:
+            note["reason"] = "closed"
+        elif i and deadline is not None and time.monotonic() >= deadline:
+            note["reason"] = "deadline"
         else:
             try:
-                out = attack_local(mats, direction, label, pool, deadline, P)
+                sol = attack_local(mats, direction, label, pool, deadline, P)
             except RestartSignal as exc:
-                out = ("restart", label, str(exc))
+                note.update(status="restart", reason=str(exc))
             except DeadlineSignal:
-                out = ("skipped", label, "deadline")
+                note["reason"] = "deadline"
             except SolverError as exc:
-                out = ("failed", label, str(exc))
+                note.update(status="failed", reason=str(exc))
             else:
-                closed = out.norm_sq <= close_at and certify(out)
-        outcomes.append(out)
-
-    candidates = [out for out in outcomes if not isinstance(out, tuple)]
-    best = None
-    for sol in sorted(candidates, key=lambda s: s.norm_sq):
-        if sol.certified or (id(sol) not in tried and certify(sol)):
-            best = sol
-            break
-    # written after certification, so the reported attack's note says so
-    notes = [{"start": out[1], "status": out[0], "reason": out[2]}
-             if isinstance(out, tuple) else
-             {"start": out.start, "status": "candidate", **out.summary()}
-             for out in outcomes] + refuted
+                if best is None or sol.norm_sq < best.norm_sq:
+                    ok, payload = certify_infeasible(
+                        mats, (1.0 + _CERT_INFLATION) * sol.delta, sol.mu)
+                    if ok:
+                        sol.certified, sol.oracle_ray, best = True, payload, sol
+                    else:
+                        refuted.append({"start": label, "status": "refuted",
+                                        "norm_sq": sol.norm_sq})
+                note.update(status="candidate", **sol.summary())
+        notes.append(note)
+    notes += refuted
     if best is None:
         raise AttackError(
             f"no certified attack from {len(starts)} starts; "

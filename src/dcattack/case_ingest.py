@@ -146,9 +146,10 @@ def validate_case(case):
                             f"is not an integer bus id")
         rate = 1.0 if br.rate is None else br.rate
         if not _finite(br.b, rate) or br.b == 0 or rate <= 0:
-            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: reactance must be "
-                            f"finite and nonzero, a rating finite and positive "
-                            f"({br.b!r}, {br.rate!r})")
+            what = (f"susceptance must be finite and nonzero, got {br.b!r}"
+                    if not _finite(br.b) or br.b == 0 else
+                    f"rating must be finite and positive, got {br.rate!r}")
+            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: {what}")
         if br.f_bus not in known or br.t_bus not in known:
             raise CaseError(f"branch {br.f_bus}-{br.t_bus} references unknown bus")
         if br.f_bus == br.t_bus:
@@ -209,6 +210,9 @@ def _tokenize_tables(text):
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
+        if current is not None and "=" in line:   # no table row has one
+            raise CaseError(f"line {lineno}: table '{current}', opened on "
+                            f"line {opened[current]}, is never closed with '];'")
         if current is None:
             m = _SCALAR_RE.match(line)
             if m:
@@ -230,7 +234,8 @@ def _tokenize_tables(text):
         if closed:
             current = None
     if current is not None:
-        raise CaseError(f"table '{current}' is never closed with '];'")
+        raise CaseError(f"table '{current}', opened on line "
+                        f"{opened[current]}, is never closed with '];'")
     return scalars, tables, opened
 
 

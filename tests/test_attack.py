@@ -445,18 +445,92 @@ def test_expired_deadline_still_certifies():
     assert skipped == ["uniform-up", "random0", "random1", "random2"]
 
 
+def _assert_incumbent_notes(rep):
+    """The notes follow the incumbent rule: the reported start's note says
+    certified; a note that says certified has a norm below every earlier
+    candidate's that was not refuted; and a candidate below every earlier
+    one is certified or refuted."""
+    cands = [n for n in rep.starts if n["status"] == "candidate"]
+    refuted = {n["start"] for n in rep.starts if n["status"] == "refuted"}
+    mine = [n for n in cands if n["start"] == rep.best.start]
+    assert len(mine) == 1 and mine[0]["certified"] is True
+    for i, note in enumerate(cands):
+        earlier = cands[:i]
+        if note["certified"]:
+            assert all(note["norm_sq"] < n["norm_sq"]
+                       for n in earlier if n["start"] not in refuted)
+        if all(note["norm_sq"] < n["norm_sq"] for n in earlier):
+            assert note["certified"] or note["start"] in refuted
+
+
+def _incumbent_lowerings(rep):
+    """The candidates, in start order, whose norm is below every earlier
+    one's: with nothing refuted, the ones that lowered the incumbent."""
+    lowest, out = np.inf, []
+    for n in rep.starts:
+        if n["status"] == "candidate" and n["norm_sq"] < lowest:
+            lowest = n["norm_sq"]
+            out.append(n["start"])
+    return out
+
+
 @pytest.mark.parametrize("kind", ["case24", "zd3"])
 def test_the_reported_start_is_noted_certified(kind):
-    """Candidate notes are written after certification: the reported start's
-    note says certified, every other candidate's says not."""
+    """Each candidate's note is written as its start ends, and says
+    certified exactly when the candidate lowered the incumbent."""
     case = load_case(pglib_path("case24_ieee_rts")) if kind == "case24" \
         else ZERO_DISTANCE["p-unbounded"]
     rep = multistart_attack(build_feasibility(case), AttackConfig(restarts=2, seed=0))
     assert rep.best.certified
+    assert not any(n["status"] == "refuted" for n in rep.starts)
+    _assert_incumbent_notes(rep)
+    assert [n["start"] for n in rep.starts if n.get("certified")] == \
+        _incumbent_lowerings(rep)
+
+
+def test_only_a_candidate_that_lowers_the_incumbent_is_certified(monkeypatch):
+    """On the 30-bus ladder, one certification runs per candidate that
+    lowers the incumbent, and none for the rest."""
+    mats = build_feasibility(bench_ladder(30, 0, False))
+    calls = _spy_certification(monkeypatch)
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    lowerings = _incumbent_lowerings(rep)
+    assert len(lowerings) >= 2 and len(calls) == len(lowerings)
+    assert calls[-1]["mu"] is rep.best.mu and rep.best.start == lowerings[-1]
+    _assert_incumbent_notes(rep)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_refused_smallest_candidate_leaves_the_smallest_that_certifies(
+        seed, monkeypatch):
+    """The smallest candidate arrives after a certified one and its
+    certificate is refused: it is noted refuted, and the reported attack is
+    the smallest candidate that certifies, the earliest on ties."""
+    mats = build_feasibility(bench_ladder(30, seed, False))
+    cfg = AttackConfig(restarts=5, seed=0)
+    clean = _incumbent_lowerings(multistart_attack(mats, cfg))
+    assert len(clean) >= 2
+    calls, real = [], attack.certify_infeasible
+
+    def refuse_smallest(mats, delta, mu=None):
+        calls.append(delta)
+        return (False, None) if len(calls) == len(clean) \
+            else real(mats, delta, mu)
+
+    monkeypatch.setattr(attack, "certify_infeasible", refuse_smallest)
+    rep = multistart_attack(mats, cfg)
     cands = [n for n in rep.starts if n["status"] == "candidate"]
-    mine = [n for n in cands if n["start"] == rep.best.start]
-    assert len(mine) == 1 and mine[0]["certified"] is True
-    assert not any(n["certified"] for n in cands if n["start"] != rep.best.start)
+    smallest = next(n for n in cands if n["start"] == clean[-1])
+    assert smallest["norm_sq"] == min(n["norm_sq"] for n in cands)
+    assert {"start": clean[-1], "status": "refuted",
+            "norm_sq": smallest["norm_sq"]} in rep.starts
+    rest = [n for n in cands if n["start"] != clean[-1]]
+    expected = min(rest, key=lambda n: n["norm_sq"])
+    assert rep.best.certified and rep.best.start == expected["start"]
+    assert rep.best.norm_sq == expected["norm_sq"]
+    _assert_incumbent_notes(rep)
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
 
 
 def test_p_is_built_once_per_network(monkeypatch):

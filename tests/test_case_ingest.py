@@ -154,6 +154,73 @@ def test_zero_reactance_rejected():
         parse_case_text(TWO_BUS.replace("\t1\t2\t0\t0.1", "\t1\t2\t0\t0"))
 
 
+@pytest.mark.parametrize("table, opens, next_line", [
+    ("bus", 5, 8), ("gen", 9, 11), ("branch", 12, 14), ("gencost", 15, None),
+])
+def test_an_unclosed_table_names_itself(table, opens, next_line):
+    """A table whose '];' is missing does not swallow the next table: the
+    error names the open table and the line it opened on, and the line of
+    the next table's opening when there is one."""
+    head = f"mpc.{table} = [\n"
+    body = TWO_BUS[TWO_BUS.index(head):]
+    block = body[:body.index("];\n") + 3]
+    text = TWO_BUS.replace(block, block[:-3])
+    where = f"line {next_line}: " if next_line else ""
+    with pytest.raises(CaseError, match=rf"^{where}table '{table}', opened "
+                                        rf"on line {opens}, is never closed"):
+        parse_case_text(text)
+
+
+def _two_bus_json(edit):
+    doc = json.loads(case_to_json(parse_case_text(TWO_BUS, name="desk2")))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    (TWO_BUS.replace("\t1\t2\t0\t0.1", "\t1\t1\t0\t0.1"),
+     "branch 1-1 is a self-loop"),
+    (_two_bus_json(lambda d: d["branches"][0].update(t_bus=1)),
+     "branch 1-1 is a self-loop"),
+    (TWO_BUS.replace("\t1\t2\t0\t0.1", "\t1\t3\t0\t0.1"),
+     "branch 1-3 references unknown bus"),
+    (_two_bus_json(lambda d: d["branches"][0].update(t_bus=3)),
+     "branch 1-3 references unknown bus"),
+    (_two_bus_json(lambda d: d["branches"][0].update(b=0.0)),
+     "branch 1-2: susceptance must be finite and nonzero, got 0.0"),
+    (_two_bus_json(lambda d: d["branches"][0].update(rate=-1.0)),
+     "branch 1-2: rating must be finite and positive, got -1.0"),
+    (TWO_BUS.replace("\t1\t200\t0;", "\t1\t200;"),
+     "line 10: gen row has 9 columns, need at least 10"),
+    (TWO_BUS.replace("\t2\t0\t0\t3\t0", "\t1\t0\t0\t3\t0"),
+     "line 16: unsupported gencost model 1"),
+    (TWO_BUS.replace("\t2\t0\t0\t3\t0", "\t2\t0\t0\t5\t0"),
+     "line 16: gencost row promises 5 coefficients, has 3"),
+    ("{\"format\": ", "invalid case JSON"),
+    (_two_bus_json(lambda d: d.update(format="matpower")),
+     "not a dcattack-case document"),
+    (_two_bus_json(lambda d: d.update(version=2)),
+     "unsupported case JSON version 2"),
+    (re.sub(r"mpc.bus = \[\n.*?\];", "mpc.bus = [\n];", TWO_BUS,
+            flags=re.S), "case has no buses"),
+    (_two_bus_json(lambda d: d.update(buses=[])), "case has no buses"),
+    (TWO_BUS.replace("\t1\t200\t0;", "\t0\t200\t0;"),
+     "case has no in-service generators"),
+    (_two_bus_json(lambda d: d.update(generators=[])),
+     "case has no in-service generators"),
+], ids=["self-loop", "json-self-loop", "unknown-bus", "json-unknown-bus",
+        "json-zero-susceptance", "json-negative-rating", "short-gen-row", "gencost-model-1", "ncost-mismatch", "json-invalid",
+        "json-format", "json-version", "no-buses", "json-no-buses",
+        "no-unit-in-service", "json-no-units"])
+def test_each_rejected_case_names_its_fault(text, message):
+    """The parser's and validator's remaining error paths, over the two-bus
+    text and its JSON form."""
+    parse = case_from_json if text.lstrip().startswith("{") \
+        else parse_case_text
+    with pytest.raises(CaseError, match=re.escape(message)):
+        parse(text)
+
+
 def test_bad_number_reports_line():
     with pytest.raises(CaseError, match="line 7"):
         parse_case_text(TWO_BUS.replace("\t2\t1\t50", "\t2\tx\t50"))

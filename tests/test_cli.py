@@ -1,6 +1,7 @@
 """End-to-end CLI tests (reports, exit codes, manifests, artifacts)."""
 
 import argparse
+import csv
 import json
 import re
 import shlex
@@ -14,6 +15,8 @@ from dcattack import cli, squeeze
 from dcattack.cli import build_parser, main
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import SolverError
+
+from conftest import pglib_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,6 +122,27 @@ def test_defend_reports_a_verified_policy(desk2_m, capsys):
     assert rep["verified_samples"] == 500
     # every optimal policy of desk2 has p0 + G = 2 (tests/test_defense.py)
     assert rep["p0"][0] + rep["G"][0][0] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("net", ["desk3", "case14_ieee"])
+def test_defend_trace_lists_every_row_radius(net, desk3_json, tmp_path,
+                                             capsys):
+    """`defend --trace` writes one radius per row of F, in row order; the
+    smallest is the report's t, on its binding row."""
+    path = desk3_json if net == "desk3" else pglib_path(net)
+    trace = tmp_path / "radii.csv"
+    code, out = _run(capsys, ["defend", path, "--seed", "0",
+                              "--trace", str(trace)])
+    assert code == 0
+    rep = json.loads(out)
+    with open(trace, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row", "radius_sq"]
+    labels = build_feasibility(load_case(path)).row_labels
+    assert [r[0] for r in rows[1:]] == list(labels)
+    radii = [float(r[1]) for r in rows[1:]]
+    i = int(np.argmin(radii))
+    assert radii[i] == rep["t"] and rows[1 + i][0] == rep["binding_row"]
 
 
 def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):

@@ -26,14 +26,17 @@ A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and a warm
 start runs phase 2 only.  `multistart_attack` builds P's rows once per
 network and pools a (B^T mu, basis) pair for every optimal step, the basis
-carried with its inverse (`lin_solve.WarmStart`), so a warm step skips the
-factorization.  The first start's first step starts from P's crash basis
-(`FeasibilityMatrices.crash_basis`: mu = 1 / (p_max - p_min) on one unit's
-two bound rows); a later start's first step maximizes g^T B^T mu, so it
-warm-starts from the pooled vertex with the largest g^T B^T mu (the earliest
-on ties), and each later step from its own previous one.  A unique optimum
-does not depend on the basis a step starts from, but the reported best start
-may change among starts whose norms tie to rounding.
+carried with its inverse (`lin_solve.WarmStart`).  Every P-LP shares P's
+A_eq and b_eq arrays (`LpProblem.with_objective`), so a pooled basis
+re-enters `lp_solve` without re-proof: no factorization and no inverse
+check, only the feasibility and residual checks of x_B.  The first start's
+first step starts from P's crash basis (`FeasibilityMatrices.crash_basis`:
+mu = 1 / (p_max - p_min) on one unit's two bound rows); a later start's
+first step maximizes g^T B^T mu, so it warm-starts from the pooled vertex
+with the largest g^T B^T mu (the earliest on ties), and each later step
+from its own previous one.  A unique optimum does not depend on the basis a
+step starts from, but the reported best start may change among starts
+whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -265,7 +268,8 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start, uniform growth and seeded random starts (the
-    first P-LP crash-started, the rest pooled).  A candidate below the
+    first P-LP crash-started, the rest pooled); a direction that is zero,
+    of the wrong size or not finite is dropped.  A candidate below the
     certified incumbent's norm, or any while there is none, is certified
     from its own mu (`certify_infeasible`) as its start ends and becomes
     the incumbent, with `oracle_ray` its mu / 1^T mu or the cold LP's ray,
@@ -303,7 +307,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
         starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
     starts = [(label, np.asarray(d, float)) for label, d in starts
               if d is not None and np.size(d) == mats.n_delta
-              and np.linalg.norm(d) > 0]
+              and np.all(np.isfinite(d)) and np.linalg.norm(d) > 0]
 
     P, pool = _polytope(mats), []
     notes, refuted, best = [], [], None

@@ -34,6 +34,8 @@ affine predictor and once for the corrector; before convergence the
 corrector is solved again for its own dual residual only while that
 residual is above 1e-10, up to four solves, and after it the corrector takes
 two fixed passes.  meta["solves"] counts the solves over every round.
+Each step computes each cone's row norm and J-norm once and hands them on:
+those of s and z come from the interior tests that end the step before.
 
 The slacks are recomputed from the primal iterate (q, lambda, G) every step,
 so every iterate is a sound policy and an expired deadline or a failed step
@@ -166,33 +168,43 @@ def _rowdot(X, Y):
     return np.einsum("ij,ij->i", X, Y)
 
 
+def _rownorm(X):
+    """||x|| along the last axis: `np.linalg.norm`'s arithmetic for a real
+    array, without its dispatch."""
+    return np.sqrt(np.add.reduce(X * X, axis=-1))
+
+
 def _jnorm(x):
-    """sqrt(x^T J x) per cone, factored to keep its digits at the boundary."""
-    r = np.linalg.norm(x[:, 1:], axis=1)
+    """sqrt(x^T J x) per cone, factored to keep its digits at the boundary,
+    or None when x is not strictly inside every cone."""
+    r = _rownorm(x[:, 1:])
+    if not np.all(x[:, 0] > r):
+        return None
     return np.sqrt((x[:, 0] - r) * (x[:, 0] + r))
 
 
-def _interior(x):
-    return bool(np.all(x[:, 0] > np.linalg.norm(x[:, 1:], axis=1)))
+def _stack(col, rest):
+    """The cone array [col rest], as np.column_stack without its checks."""
+    out = np.empty((col.size, rest.shape[1] + 1))
+    out[:, 0], out[:, 1:] = col, rest
+    return out
 
 
 def _jprod(x, y):
     """The Jordan product x o y = (x^T y, x_0 y_1 + y_0 x_1) per cone."""
-    return np.column_stack([_rowdot(x, y),
-                            x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:]])
+    return _stack(_rowdot(x, y), x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:])
 
 
-def _jsolve(x, r):
-    """v with x o v = r per cone."""
-    v0 = (x[:, 0] * r[:, 0] - _rowdot(x[:, 1:], r[:, 1:])) / _jnorm(x) ** 2
-    return np.column_stack([v0, (r[:, 1:] - v0[:, None] * x[:, 1:])
-                            / x[:, :1]])
+def _jsolve(x, nx, r):
+    """v with x o v = r per cone; nx is `_jnorm(x)`."""
+    v0 = (x[:, 0] * r[:, 0] - _rowdot(x[:, 1:], r[:, 1:])) / nx ** 2
+    return _stack(v0, (r[:, 1:] - v0[:, None] * x[:, 1:]) / x[:, :1])
 
 
-def _nt_scaling(s, z):
+def _nt_scaling(s, z, ns, nz):
     """(beta, wb) per cone, wb^T J wb = 1, of the NT scaling W = beta [[wb_0,
-    wb_1^T], [wb_1, I + wb_1 wb_1^T / (1 + wb_0)]], W z = W^-1 s."""
-    ns, nz = _jnorm(s), _jnorm(z)
+    wb_1^T], [wb_1, I + wb_1 wb_1^T / (1 + wb_0)]], W z = W^-1 s; ns and nz
+    are `_jnorm(s)` and `_jnorm(z)`."""
     sb, zb = s / ns[:, None], z / nz[:, None]
     gam = np.sqrt(0.5 * (1.0 + _rowdot(sb, zb)))
     zb[:, 1:] *= -1.0
@@ -211,23 +223,23 @@ def _scaler(beta, wb):
         out = np.empty_like(v)
         out[:, 0] = w0 * v[:, 0] + sg * t
         out[:, 1:] = v[:, 1:] + (sg * v[:, 0] + t / den)[:, None] * w1
-        return out * (b_inv if inverse else b)
+        out *= b_inv if inverse else b
+        return out
 
     return scale
 
 
-def _max_step(x, d):
+def _max_step(x, nx, d):
     """The largest alpha with x + alpha d_j in every cone for every block d_j
-    of len(x) rows of d (x interior; inf when none binds), after one
-    hyperbolic rotation of x onto (1, 0) for all blocks."""
-    n = _jnorm(x)
-    xb = x / n[:, None]
+    of len(x) rows of d (x interior, nx its `_jnorm`; inf when none binds),
+    after one hyperbolic rotation of x onto (1, 0) for all blocks."""
+    xb = x / nx[:, None]
     d = d.reshape(-1, *x.shape)
     rho0 = xb[:, 0] * d[..., 0] - np.einsum("ij,kij->ki", xb[:, 1:],
                                             d[..., 1:])
     rho1 = d[..., 1:] - ((rho0 + d[..., 0]) / (xb[:, 0] + 1.0))[..., None] \
         * xb[:, 1:]
-    worst = float(np.max((np.linalg.norm(rho1, axis=-1) - rho0) / n))
+    worst = float(np.max((_rownorm(rho1) - rho0) / nx))
     return 1.0 / worst if worst > 0.0 else np.inf
 
 
@@ -281,12 +293,14 @@ def _socp(mats, p_start, deadline, outside=None):
     A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
     units = mats.unit_rows()
-    lam = 2.0 * max(float(np.max(np.linalg.norm(B, axis=1)
-                                 / -mats.margins(p_start))), 1e-12)
+    lam = 2.0 * max(float(np.max(_rownorm(B) / -mats.margins(p_start))),
+                    1e-12)
     x, G = np.append(lam * p_start, lam), np.zeros((A.shape[1], B.shape[1]))
-    s = np.column_stack([-(Ay @ x), B])
-    z = s * (lam / m / _jnorm(s) ** 2)[:, None]     # s o z = (lam / m) e
+    s = _stack(-(Ay @ x), B)
+    ns = _jnorm(s)
+    z = s * (lam / m / ns ** 2)[:, None]     # s o z = (lam / m) e
     z[:, 1:] *= -1.0
+    nz = _jnorm(z)
     e_lam = np.eye(x.size)[-1]
     best, dual, bound = (x, G), None, -np.inf
     info = {"stop": "step-failed", "newton_steps": 0, "solves": 0,
@@ -309,10 +323,11 @@ def _socp(mats, p_start, deadline, outside=None):
             if info["stop"] != "converged":
                 info["stop"] = "deadline"
             break
-        beta, wb = _nt_scaling(s, z)
+        beta, wb = _nt_scaling(s, z, ns, nz)
         scale = _scaler(beta, wb)
         lm = scale(z)
-        if not _interior(lm):       # the scaled point lost its digits
+        n_lm = _jnorm(lm)
+        if n_lm is None:            # the scaled point lost its digits
             break
 
         def direction(xi, passes, refine=False):
@@ -321,19 +336,17 @@ def _socp(mats, p_start, deadline, outside=None):
             # `refine` on again while the residual is above _REFINE_TOL, up to
             # _MAX_PASSES solves; ds sums the corrections' slack changes, so
             # the residual is exact
-            dy, dG, ds = np.zeros_like(x), np.zeros_like(G), np.zeros_like(z)
             for k in range(_MAX_PASSES if refine else passes):
-                zz = z + scale(xi - ds, inverse=True)
+                zz = z + scale(xi - ds if k else xi, inverse=True)
                 g_y, g_G = Ay.T @ zz[:, 0] + e_lam, -(A.T @ zz[:, 1:])
                 if k >= passes and max(np.abs(g_y).max(), np.abs(g_G).max(
                         initial=0.0)) <= _REFINE_TOL:
                     break
                 info["solves"] += 1
                 ey, eG = solve(g_y, g_G)
-                dy, dG = dy + ey, dG + eG
-                ds = ds + scale(np.column_stack([-(Ay @ ey), A @ eG]),
-                                inverse=True)
-            return dy, dG, np.vstack([ds, xi - ds])
+                es = scale(_stack(-(Ay @ ey), A @ eG), inverse=True)
+                dy, dG, ds = (dy + ey, dG + eG, ds + es) if k else (ey, eG, es)
+            return dy, dG, np.concatenate([ds, xi - ds])
 
         # W^-2 is the barrier Hessian at the virtual point sqrt(2) beta wb.
         # The affine predictor sets sigma and the second-order term of the
@@ -344,21 +357,23 @@ def _socp(mats, p_start, deadline, outside=None):
         try:
             solve = _newton_factor(A, Ay, v[:, 0], v[:, 1:], 2.0 * beta ** 2)
             _dy, _dG, d = direction(-lm, 1)
-            alpha = min(1.0, _max_step(lm, d))
+            alpha = min(1.0, _max_step(lm, n_lm, d))
             mu = float(np.sum(lm * lm))
             ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
             r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
             r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
             refine = info["stop"] != "converged"
-            dy, dG, d = direction(_jsolve(lm, r), 1 if refine else 2, refine)
+            dy, dG, d = direction(_jsolve(lm, n_lm, r), 1 if refine else 2,
+                                  refine)
         except np.linalg.LinAlgError:
             break
-        alpha = min(1.0, _STEP * _max_step(lm, d))
+        alpha = min(1.0, _STEP * _max_step(lm, n_lm, d))
         x, G = x + alpha * dy, G + alpha * dG
         z = z + alpha * scale(d[m:], inverse=True)
-        s = np.column_stack([-(Ay @ x), A @ G + B])
+        s = _stack(-(Ay @ x), A @ G + B)
         info["newton_steps"] += 1
-        if not (_interior(s) and _interior(z)):
+        ns, nz = _jnorm(s), _jnorm(z)
+        if ns is None or nz is None:
             break
         if x[-1] < best[0][-1]:
             best = (x, G)
@@ -376,7 +391,7 @@ def _feasible_dual(mats, units, y, W):
     and its bound -<W, B>, or (None, -inf) when c^T y ends up nonnegative."""
     up, lo = units
     r, R = mats.A.T @ y, mats.A.T @ W
-    half = 0.5 * np.linalg.norm(R, axis=1)
+    half = 0.5 * _rownorm(R)
     y, W = y.copy(), W.copy()
     y[up] += half + np.maximum(-r, 0.0)
     y[lo] += half + np.maximum(r, 0.0)

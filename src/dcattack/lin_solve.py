@@ -58,13 +58,17 @@ x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale with B x_B = b_eq to the same
 tolerance.  Then phase 2 starts at once, shifted through the B already
 gathered, and no all-artificial start is built; any other basis (None
 included) takes the cold two-phase path, so a stale basis costs time, never
-a wrong answer.  Every hot-path LP starts from a feasible basis: a crash
-basis of the unit-bound rows (`dc_model`'s `FeasibilityMatrices.crash_basis`)
-or, for the attack's P-LPs, an earlier optimum over the same rows (see
-`attack`), so none runs phase 1.
+a wrong answer.  Re-entered on the very A_eq and b_eq arrays it was solved
+on (`is`; `LpProblem.with_objective` keeps them), an `LpResult.warm` skips
+the index and inverse checks its solve passed there: a failed inverse check
+would only recompute its inverse, inv(A_eq[:, basis]) to the bit.  Its x_B
+checks still run, with the full checks behind them, so an inverse edited in
+place is proved afresh.  Every hot-path LP starts from a feasible basis: a
+crash basis of the unit-bound rows (`dc_model`'s
+`FeasibilityMatrices.crash_basis`) or, for the attack's P-LPs, an earlier
+optimum over the same rows (see `attack`), so none runs phase 1.
 """
 
-import copy
 import functools
 import time
 from dataclasses import dataclass
@@ -115,11 +119,12 @@ class LpProblem:
                              f"{(self.b_eq.size, self.c.size)}")
 
     def with_objective(self, c):
-        """The same rows under another objective; only c is checked."""
-        out = copy.copy(self)
-        out.c = _finite("c", np.asarray(c, dtype=float).ravel())
-        if out.c.size != self.c.size:
-            raise ValueError(f"c has {out.c.size} entries, expected {self.c.size}")
+        """The very same rows under another objective; only c is checked."""
+        c = _finite("c", np.asarray(c, dtype=float).ravel())
+        if c.size != self.c.size:
+            raise ValueError(f"c has {c.size} entries, expected {self.c.size}")
+        out = object.__new__(type(self))
+        out.c, out.A_eq, out.b_eq = c, self.A_eq, self.b_eq
         return out
 
 
@@ -154,18 +159,22 @@ class LpResult:
     # final refactorization, to the bit; None when an artificial stays basic
     basis: np.ndarray = None
     B_inv: np.ndarray = None
+    rows: tuple = None              # the (A_eq, b_eq) arrays solved
 
     @property
     def warm(self):
         """The basis with its inverse, for a later `lp_solve`, or None."""
-        return None if self.basis is None else WarmStart(self.basis, self.B_inv)
+        return None if self.basis is None else \
+            WarmStart(self.basis, self.B_inv, self.rows)
 
 
 class WarmStart(NamedTuple):
-    """A basis of real columns and its inverse, for `lp_solve`."""
+    """A basis of real columns and its inverse, for `lp_solve`; `rows` holds
+    the (A_eq, b_eq) arrays of the solve that returned it."""
 
     basis: np.ndarray
     B_inv: np.ndarray
+    rows: tuple = None
 
 
 class _Simplex:
@@ -196,13 +205,17 @@ class _Simplex:
         docstring).  An accepted basis leaves no artificial, so phase 2 can
         run at once; a rejected one returns False, sets nothing, and the
         caller runs `cold_start`.  A_eq[:, basis] is kept as `Bmat`."""
-        basis, B_inv = basis if isinstance(basis, WarmStart) else (basis, None)
+        basis, B_inv, rows = basis if isinstance(basis, WarmStart) \
+            else (basis, None, None)
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
+        # a carried inverse is copied too: the eta updates edit it in place
+        if rows and rows[0] is self.A and rows[1] is self.b and self._enter(
+                basis, np.array(B_inv, dtype=float), self.A[:, basis]):
+            return True
         if basis.size != self.M or \
                 (self.M and (basis.min() < 0 or basis.max() >= self.N)):
             return False
         Bmat = self.A[:, basis]
-        # a carried inverse is copied too: the eta updates edit it in place
         if np.shape(B_inv) == (self.M, self.M) and abs(
                 B_inv @ Bmat - np.eye(self.M)).max(initial=0.0) <= _INV_TOL:
             B_inv = np.array(B_inv, dtype=float)
@@ -213,6 +226,11 @@ class _Simplex:
                 B_inv = np.linalg.inv(Bmat)
             except np.linalg.LinAlgError:
                 return False
+        return self._enter(basis, B_inv, Bmat)
+
+    def _enter(self, basis, B_inv, Bmat):
+        """Take the basis when x_B = B_inv b_eq passes the feasibility and
+        residual checks of the module docstring; else False."""
         x_B = B_inv @ self.b
         tol = FEAS_TOL * self.b_scale
         # written so that a NaN or an inf in x_B fails too
@@ -225,12 +243,14 @@ class _Simplex:
         return True
 
     def _refactor(self):
-        Bmat = np.zeros((self.M, self.M))
-        real = ~self.art
-        Bmat[:, real] = self.A[:, self.basis[real]]
         if self.n_art:
+            Bmat = np.zeros((self.M, self.M))
+            real = ~self.art
+            Bmat[:, real] = self.A[:, self.basis[real]]
             rows = self.basis[self.art] - self.N
             Bmat[rows, self.art] = self.sign[rows]
+        else:
+            Bmat = self.A[:, self.basis]
         try:
             self.B_inv = np.linalg.inv(Bmat)
         except np.linalg.LinAlgError as exc:
@@ -344,7 +364,8 @@ def lp_solve(prob: LpProblem, basis=None, deadline=None) -> LpResult:
     OPTIMAL results carry their equality duals y, basis and its inverse.  A
     given `basis` (an index array or `LpResult.warm`) skips phase 1 when it
     passes the warm-start checks (module docstring) and is ignored
-    otherwise.  Past `deadline`, a time.monotonic() value checked every
+    otherwise; an `LpResult.warm` on its own A_eq and b_eq arrays needs only
+    its x_B checks.  Past `deadline`, a time.monotonic() value checked every
     _REFACTOR_EVERY pivots, the solve raises DeadlineSignal."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
@@ -410,7 +431,8 @@ def _solve(prob, basis, deadline, perturb):
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations, phase1_objective=z1,
                     basis=None if sx.n_art else sx.basis.copy(),
-                    B_inv=None if sx.n_art else sx.B_inv)
+                    B_inv=None if sx.n_art else sx.B_inv,
+                    rows=(prob.A_eq, prob.b_eq))
 
 
 def normalize_farkas_ray(rows, rhs, y):

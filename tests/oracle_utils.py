@@ -224,3 +224,70 @@ def row_radius(a, b, c, p0, G=None):
     s = -1.0 if float(np.dot(a, p0) + c) > 0.0 else 1.0
     return float(one_row(s * np.asarray(a, float), s * np.asarray(b, float),
                          s * c).radii(p0, G)[0])
+
+
+MAX_EXACT_UNITS = 4
+
+
+def _implied(rows, h, r):
+    """Is row r of rows x <= h implied by the others?  max rows[r] x over
+    them, capped at h[r] + 1, through scipy/HiGHS; kept (False) unless that
+    maximum is below h[r] by more than HiGHS's own tolerances."""
+    keep = np.arange(h.size) != r
+    res = linprog(-rows[r], A_ub=np.vstack([rows[keep], rows[r]]),
+                  b_ub=np.append(h[keep], h[r] + 1.0),
+                  bounds=(None, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"redundancy probe failed: {res.message}")
+    return -res.fun <= h[r] - 1e-7 * (1.0 + abs(h[r]))
+
+
+def exact_distance(mats):
+    """The exact min ||delta||^2 with F(delta) empty, by projection: p is
+    eliminated from {(p, delta) : A p + B delta <= -c} by Fourier-Motzkin
+    with Chernikov's rule (a combined row is kept only when at most k + 1
+    original rows made it, k eliminations in) and rows that the others
+    imply are pruned with HiGHS after each step but the last.  What is left
+    is the projection D = {delta : M delta <= h}, implied rows included.
+    The nearest delta outside D lies on a facet, and an implied row's
+    boundary is no nearer than D's, so the value is (min_i h_i / ||M_i||)^2
+    over the rows with M_i != 0; inf when there are none.  Refuses more than MAX_EXACT_UNITS movable units, where the
+    projection grows past what a test can wait for."""
+    n = mats.n_reduced
+    if n > MAX_EXACT_UNITS:
+        raise ValueError(f"exact_distance: {n} movable units; the projection "
+                         f"is practical for at most {MAX_EXACT_UNITS}")
+    rows, h = np.hstack([mats.A, mats.B]), -mats.c
+    made = [frozenset([i]) for i in range(h.size)]
+    for k in range(n):
+        a = rows[:, 0]
+        pos, neg = np.flatnonzero(a > 0), np.flatnonzero(a < 0)
+        zero = np.flatnonzero(a == 0)
+        new_rows, new_h = [rows[zero, 1:]], [h[zero]]
+        new_made = [made[i] for i in zero]
+        for i in pos:
+            for j in neg:
+                if len(made[i] | made[j]) > k + 2:
+                    continue
+                new_rows.append((-a[j] * rows[i, 1:] + a[i] * rows[j, 1:])[None])
+                new_h.append([-a[j] * h[i] + a[i] * h[j]])
+                new_made.append(made[i] | made[j])
+        rows, h, made = np.vstack(new_rows), np.concatenate(new_h), new_made
+        scale = np.abs(rows).max(axis=1)
+        live = scale > 0
+        if np.any(h[~live] < 0):
+            raise RuntimeError("nominally infeasible case handed to the oracle")
+        rows, h = rows[live] / scale[live, None], h[live] / scale[live]
+        made = [made[i] for i in np.flatnonzero(live)]
+        r = 0 if k + 1 < n else h.size      # the last rows all stay
+        while r < h.size and h.size > 1:
+            if _implied(rows, h, r):
+                rows, h = np.delete(rows, r, 0), np.delete(h, r)
+                del made[r]
+            else:
+                r += 1
+    norms = np.linalg.norm(rows, axis=1)
+    live = norms > 0
+    if not np.any(live):
+        return np.inf
+    return float(np.min(h[live] / norms[live])) ** 2

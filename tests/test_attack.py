@@ -339,6 +339,23 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     assert any(picked) or net == "case24_ieee_rts"
 
 
+@pytest.mark.parametrize("fill", ["inf", "nan", "mixed"])
+def test_a_non_finite_hint_is_dropped(fill):
+    """A start direction with an inf or a NaN entry is dropped with the zero
+    and wrong-size ones, without a warning (they are errors here): the run
+    is the run without hints."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    cfg = AttackConfig(restarts=3, seed=0)
+    clean = multistart_attack(mats, cfg)
+    hint = {"inf": np.full(mats.n_delta, np.inf),
+            "nan": np.full(mats.n_delta, np.nan),
+            "mixed": np.r_[np.ones(mats.n_delta - 1), -np.inf]}
+    rep = multistart_attack(mats, cfg, extra_directions=[hint[fill]])
+    assert rep.best.norm_sq == clean.best.norm_sq
+    assert rep.best.start == clean.best.start
+    assert rep.starts == clean.starts
+
+
 def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
     """Two pooled vertices with the same score: the first step warm-starts
     from the one pooled first, whichever order the pool has."""

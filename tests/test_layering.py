@@ -2,7 +2,10 @@
 the LP kernel depends on nothing but the errors, and the model on nothing
 but the kernel and the errors, so row geometry stays with the model.  The
 attack and the defense each stand on the model alone, and only the squeeze
-and the CLI compose them."""
+and the CLI compose them.  No module reaches a private numpy name: those
+move between numpy releases (`numpy._core` does not exist in numpy 1.23,
+which pyproject.toml admits), so skipping a wrapper through one trades a
+few microseconds for a broken import."""
 
 import ast
 import os
@@ -56,6 +59,65 @@ def test_the_reader_finds_both_relative_forms():
     `from .errors import ...`, squeeze `from .attack import ...`."""
     assert _package_imports("defense") == {"lin_solve", "errors"}
     assert {"attack", "defense", "dc_model"} <= _package_imports("squeeze")
+
+
+def _numpy_names(source):
+    """Every dotted numpy name the source imports, or reaches as an
+    attribute chain or a constant getattr on a name bound to numpy."""
+    tree, bound, found = ast.parse(source), {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    found.add(alias.name)
+                    bound[alias.asname or "numpy"] = \
+                        alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                found.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        parts = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant):
+            parts, node = [str(node.args[1].value)], node.args[0]
+        elif not isinstance(node, ast.Attribute):
+            continue
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            found.add(".".join([bound[node.id]] + parts[::-1]))
+    return found
+
+
+def _private(name):
+    return any(part == "core" or part.startswith("_")
+               and not (part.startswith("__") and part.endswith("__"))
+               for part in name.split(".")[1:])
+
+
+def test_the_numpy_reader_finds_every_private_form():
+    source = ("import numpy as np\nimport numpy.core as npc\n"
+              "from numpy.linalg import _umath_linalg\n"
+              "from numpy import _core as c\n"
+              "x = np._core.multiarray.dot\ny = getattr(np.linalg, '_x')\n"
+              "z = np.linalg.norm(np.__version__)\n")
+    found = _numpy_names(source)
+    assert {name for name in found if _private(name)} == {
+        "numpy.core", "numpy.linalg._umath_linalg", "numpy._core",
+        "numpy._core.multiarray", "numpy._core.multiarray.dot",
+        "numpy.linalg._x"}
+    assert {"numpy.linalg.norm", "numpy.__version__"} <= found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_reaches_a_private_numpy_name(path):
+    assert not [name for name in _numpy_names(path.read_text())
+                if _private(name)]
 
 
 def test_a_squeeze_imports_no_scipy():

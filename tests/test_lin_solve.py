@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
+from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import DeadlineSignal
 from dcattack.lin_solve import (
@@ -310,10 +311,12 @@ def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats):
 
 
 def _same_result(a, b, label=""):
-    assert a.status == b.status and a.iterations == b.iterations, label
-    assert a.objective == b.objective
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.basis, b.basis)
+    """Two LpResults agree to the bit in every field a later solve reads."""
+    assert (a.status, a.iterations, a.objective) == \
+        (b.status, b.iterations, b.objective), label
+    for name in ("x", "y", "basis", "B_inv"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), \
+            (label, name)
 
 
 def test_rejected_bases_fall_back_to_the_cold_solve():
@@ -669,6 +672,87 @@ def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
         assert not lin_solve._Simplex(prob).warm_start(warm), name
         _same_result(lp_solve(prob, basis=warm), cold, name)
     _assert_scipy_optimum(prob, cold)
+
+
+def _spy_inv(monkeypatch):
+    calls, real = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: calls.append(a.shape) or real(a))
+    return calls
+
+
+def test_an_own_warm_start_reenters_its_rows_without_reproof(monkeypatch):
+    """An `LpResult.warm` re-entered on the very A_eq and b_eq arrays it was
+    solved on skips the index and inverse checks.  With the inverse check
+    made to fail every carried inverse, a re-entry that makes no pivot
+    still takes no inverse, and both it and a re-entry that pivots are the
+    bare basis's solves to the bit.  On a copy of the rows, equal but not
+    the same arrays, the same WarmStart takes the full checks: its inverse
+    fails them and is computed again, to the same bits."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    (own, first), (prob, _res) = _p_chain(mats, 2, seed=4)
+    assert prob.A_eq is own.A_eq and prob.b_eq is own.b_eq
+    assert first.warm.rows[0] is own.A_eq and first.warm.rows[1] is own.b_eq
+    twin = LpProblem(c=own.c, A_eq=own.A_eq.copy(), b_eq=own.b_eq.copy())
+    bare = {name: lp_solve(p, basis=first.basis)
+            for name, p in (("own", own), ("next", prob), ("twin", twin))}
+    monkeypatch.setattr(lin_solve, "_INV_TOL", -1.0)
+    calls = _spy_inv(monkeypatch)
+    again = lp_solve(own, basis=first.warm)
+    assert again.iterations == 1 and calls == []
+    _same_result(again, bare["own"], "no pivot")
+    step = lp_solve(prob, basis=first.warm)
+    assert step.iterations > 1
+    _same_result(step, bare["next"], "pivots")
+    calls.clear()
+    copy = lp_solve(twin, basis=first.warm)
+    assert copy.iterations == 1 and len(calls) == 1
+    _same_result(copy, bare["twin"], "copy of the rows")
+
+
+def test_an_own_warm_start_that_fails_its_x_checks_is_proved_afresh():
+    """An own WarmStart whose B_inv was doubled in place fails the residual
+    check B x_B = b_eq that re-entry keeps; the full checks then replace
+    the inverse, so the solve is the bare basis's to the bit."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    (_own, first), (prob, _res) = _p_chain(mats, 2, seed=4)
+    bare = lp_solve(prob, basis=first.basis)
+    warm = first.warm
+    warm.B_inv[:] *= 2.0
+    Bmat = prob.A_eq[:, warm.basis]
+    assert abs(Bmat @ (warm.B_inv @ prob.b_eq) - prob.b_eq).max() \
+        > lin_solve.FEAS_TOL
+    sx = lin_solve._Simplex(prob)
+    assert sx.warm_start(warm)
+    assert sx.B_inv.tobytes() == np.linalg.inv(Bmat).tobytes()
+    _same_result(lp_solve(prob, basis=warm), bare)
+
+
+def test_every_short_reentry_passes_the_full_checks(monkeypatch):
+    """During a multistart, every own WarmStart that re-entry accepts on
+    its x_B checks alone is accepted by the full checks too, handed over
+    untagged as WarmStart(basis, B_inv), with the same inverse and x_B to
+    the bit."""
+    mats = build_feasibility(bench_ladder(60, 0, False))
+    real, short = lin_solve._Simplex.warm_start, []
+
+    def spy(sx, basis):
+        if isinstance(basis, lin_solve.WarmStart) and basis.rows is not None \
+                and basis.rows[0] is sx.A and basis.rows[1] is sx.b:
+            rows = types.SimpleNamespace(A_eq=sx.A, b_eq=sx.b)
+            idx = np.array(basis.basis)
+            probe, full = lin_solve._Simplex(rows), lin_solve._Simplex(rows)
+            if probe._enter(idx, np.array(basis.B_inv), sx.A[:, idx]):
+                assert full.warm_start(
+                    lin_solve.WarmStart(basis.basis, basis.B_inv))
+                assert full.B_inv.tobytes() == probe.B_inv.tobytes()
+                assert full.xB.tobytes() == probe.xB.tobytes()
+                short.append(idx)
+        return real(sx, basis)
+
+    monkeypatch.setattr(lin_solve._Simplex, "warm_start", spy)
+    multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert len(short) >= 20, len(short)
 
 
 def test_the_deadline_is_checked_at_each_refactorization(monkeypatch):

@@ -8,7 +8,9 @@ invariants are the package's soundness claims, checked against scipy, the
 affine SOCP's optimality against the rank-1 and fixed-dispatch policies, and
 the squeeze's early stop against a full multistart.  On the bundled networks
 and the 30-bus ladders, the lower bound is checked for invariance to the
-choice of slack unit and to the power base.
+choice of slack unit and to the power base.  On the networks with at most
+four movable units, the bracket is checked against the exact value of a
+Fourier-Motzkin projection (`oracle_utils.exact_distance`).
 """
 
 import dataclasses
@@ -150,3 +152,26 @@ def test_lb_is_invariant_to_the_slack_and_the_base(name):
     t = defense_local(build_feasibility(case)).t
     t2 = defense_local(build_feasibility(_rebased(case, 2.0))).t
     assert t2 * 4.0 == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["case5_pjm", "case14_ieee", "desk2",
+                                  "desk2_limited", "desk2_single", "desk3"])
+def test_the_bracket_holds_the_exact_value(name, request):
+    """lb <= exact <= ub, with lb within the SOCP's 1e-8 gap tolerance of
+    the exact value (case5: exact 6.2861658, lb 8.4e-10 below it)."""
+    case = load_case(pglib_path(name)) if name.startswith("case") \
+        else request.getfixturevalue(name)
+    mats = build_feasibility(case)
+    exact = oracle_utils.exact_distance(mats)
+    lb = defense_local(mats).t
+    ub = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best.norm_sq
+    assert lb <= exact * (1.0 + 1e-12)
+    assert (exact - lb) / exact <= 1e-8
+    assert exact <= ub
+
+
+def test_the_exact_oracle_refuses_more_than_four_units():
+    mats = build_feasibility(load_case(pglib_path("case24_ieee_rts")))
+    assert mats.n_reduced > oracle_utils.MAX_EXACT_UNITS
+    with pytest.raises(ValueError, match="movable units"):
+        oracle_utils.exact_distance(mats)

@@ -181,7 +181,7 @@ def _p_lp(mats, P, g, basis, pool=None, deadline=None):
                              deadline=deadline)
     if res.status == lin_solve.OPTIMAL:
         mu = np.maximum(res.x, 0.0)
-        if pool is not None and res.basis is not None:
+        if pool is not None and res.warm is not None:
             pool.append((mats.B.T @ mu, res.warm))
         return mu, -res.objective, res.warm
     ray = res.ray
@@ -269,11 +269,12 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start, uniform growth and seeded random starts (the
     first P-LP crash-started, the rest pooled); a direction that is zero,
-    of the wrong size or not finite is dropped.  A candidate below the
-    certified incumbent's norm, or any while there is none, is certified
-    from its own mu (`certify_infeasible`) as its start ends and becomes
-    the incumbent, with `oracle_ray` its mu / 1^T mu or the cold LP's ray,
-    or is noted "refuted".  A note says certified exactly for the
+    of the wrong size or not finite is dropped, and the others are scaled
+    by a power of two, so a direction's scale changes nothing.  A candidate
+    below the certified incumbent's norm, or any while there is none, is
+    certified from its own mu (`certify_infeasible`) as its start ends and
+    becomes the incumbent, with `oracle_ray` its mu / 1^T mu or the cold
+    LP's ray, or is noted "refuted".  A note says certified exactly for the
     candidates that lowered the incumbent; the last is the reported
     attack.  Once `budget_s` seconds have passed, the running ascent stops
     at its current vertex, even inside a step's LP, and the starts after
@@ -305,9 +306,14 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
         starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
-    starts = [(label, np.asarray(d, float)) for label, d in starts
-              if d is not None and np.size(d) == mats.n_delta
-              and np.all(np.isfinite(d)) and np.linalg.norm(d) > 0]
+    kept = []
+    for label, d in starts:
+        d = np.asarray(d, float)    # None reads as nan and is dropped
+        if d.size == mats.n_delta and np.all(np.isfinite(d)) and np.any(d):
+            # a power of two puts its largest |entry| in [0.5, 1): exact
+            # but for entries 2^-1022 below that one, and nothing overflows
+            kept.append((label, np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])))
+    starts = kept
 
     P, pool = _polytope(mats), []
     notes, refuted, best = [], [], None

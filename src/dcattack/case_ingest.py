@@ -339,12 +339,6 @@ def parse_case_text(text, name="case"):
     return case
 
 
-def parse_case(source, name="case"):
-    """parse_case_text over an open text stream (or a plain string)."""
-    text = source.read() if hasattr(source, "read") else source
-    return parse_case_text(text, name=name)
-
-
 def load_case(path):
     """Load a case from a .m (MATPOWER subset) or .json (canonical) file."""
     try:

@@ -119,16 +119,20 @@ def _emit(report, args):
     print(text)
 
 
-def _maybe_dump_matrices(mats, args):
-    if args.dump_matrices:
-        with open(args.dump_matrices, "w") as fh:
-            json.dump(mats.to_json_dict(), fh, indent=2)
+def _write_csv(path, header, rows):
+    """A subcommand's --trace artifact: the header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _load(args):
     case = load_case(args.case)
     mats = build_feasibility(case)
-    _maybe_dump_matrices(mats, args)
+    if args.dump_matrices:
+        with open(args.dump_matrices, "w") as fh:
+            json.dump(mats.to_json_dict(), fh, indent=2)
     return case, mats
 
 
@@ -162,12 +166,9 @@ def cmd_attack(args, manifest):
         "elapsed_s": time.monotonic() - t0,
     }
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bus", "delta_pu", "pct_of_total_load"])
-            for row in per_bus:
-                w.writerow([row["bus"], repr(row["delta_pu"]),
-                            f"{row['pct_of_total_load']:.6f}"])
+        _write_csv(args.trace, ["bus", "delta_pu", "pct_of_total_load"],
+                   ([row["bus"], repr(row["delta_pu"]),
+                     f"{row['pct_of_total_load']:.6f}"] for row in per_bus))
     _emit(report, args)
     return 0
 
@@ -187,11 +188,9 @@ def cmd_defend(args, manifest):
     }
     if args.trace:
         per = mats.radii(pol.p0, pol.G)
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "radius_sq"])
-            for label, val in zip(mats.row_labels, per):
-                w.writerow([label, repr(float(val))])
+        _write_csv(args.trace, ["row", "radius_sq"],
+                   ([label, repr(float(val))]
+                    for label, val in zip(mats.row_labels, per)))
     _emit(report, args)
     return 0
 
@@ -216,8 +215,8 @@ def cmd_squeeze(args, manifest):
     report = rep.to_dict()
     report["manifest"] = manifest
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(rep.trace_csv())
+        _write_csv(args.trace, ["elapsed_s", "side", "value"],
+                   ([f"{e:.6f}", s, repr(v)] for e, s, v in rep.trace))
     _emit(report, args)
     return _squeeze_code(rep)
 

@@ -36,14 +36,9 @@ from . import lin_solve
 from .errors import ModelError, PreconditionError, SolverError
 
 
-@dataclass
-class PtdfSet:
-    phi: np.ndarray          # n_branch x n_bus, zero column at the reference bus
-    ref_bus: int             # dense bus position of the reference
-
-
 def build_ptdf(case, ref_bus):
-    """Power transfer distribution factors with the given reference position.
+    """Power transfer distribution factors phi (n_branch x n_bus) with the
+    given reference position, whose column is zero.
 
     Flow orientation is from-bus -> to-bus: row k of phi is the sensitivity of
     that oriented flow to a unit injection at each bus (withdrawn at the
@@ -74,7 +69,7 @@ def build_ptdf(case, ref_bus):
         raise ModelError(f"PTDF solve residual {resid:.2e}; network nearly singular")
     phi = np.zeros((n_l, n_b))
     phi[:, keep] = phi_reduced
-    return PtdfSet(phi=phi, ref_bus=int(ref_bus))
+    return phi
 
 
 @dataclass
@@ -93,7 +88,6 @@ class FeasibilityMatrices:
     load_pos: np.ndarray     # dense bus positions of delta components
     load_bus_ids: tuple
     case: object
-    ptdf: PtdfSet
 
     @property
     def m(self):
@@ -114,20 +108,16 @@ class FeasibilityMatrices:
         n, m = self.n_reduced, self.m
         return np.arange(m - 2 * n - 1, m - n - 1), np.arange(m - n, m)
 
-    def crash_basis(self, red_cost=None):
-        """A feasible start of the wide LPs read off `unit_rows` (Bixby 1992's
-        crash basis), None when no unit moves.  For P's and Q's rows [A^T; r^T]
-        mu = e_last (r = -c or 1): every upper row and the widest unit u's
-        lower row, nonsingular as a_i = +-e_j, with mu_up(u) = mu_lo(u) =
-        1/(p_max - p_min) or 1/2; any u would do, and the widest keeps the
-        bundled lb within 4e-13 of a cold start's.  With `red_cost`, for the
-        dual DC-OPF's A^T mu = -red_cost: unit j's upper row when
-        red_cost[j] <= 0, else its lower one, so B = diag(+-1), x_B = |red_cost|."""
+    def crash_basis(self):
+        """A feasible start of the wide forms P and Q read off `unit_rows`
+        (Bixby 1992's crash basis), None when no unit moves.  For their rows
+        [A^T; r^T] mu = e_last (r = -c or 1): every upper row and the widest
+        unit u's lower row, nonsingular as a_i = +-e_j, with mu_up(u) =
+        mu_lo(u) = 1/(p_max - p_min) or 1/2; any u would do, and the widest
+        keeps the bundled lb within 4e-13 of a cold start's."""
         if not self.n_reduced:
             return None
         up, lo = self.unit_rows()
-        if red_cost is not None:
-            return np.where(red_cost <= 0, up, lo)
         return np.append(up, lo[np.argmax(-self.c[up] - self.c[lo])])
 
     def margins(self, p_hat, delta=None):
@@ -230,9 +220,7 @@ def build_feasibility(case, slack_gen=None):
         raise ModelError("case has no nonzero loads to perturb")
     gen_pos = case.gen_positions()
     ref = int(gen_pos[slack_gen])
-    ptdf = build_ptdf(case, ref)
-
-    phi = ptdf.phi
+    phi = build_ptdf(case, ref)
     not_slack = np.arange(case.n_gen) != slack_gen
     others = np.flatnonzero(not_slack & ~fixed)
     held = np.flatnonzero(not_slack & fixed)
@@ -297,7 +285,7 @@ def build_feasibility(case, slack_gen=None):
         ref_bus=ref, gen_order=others, held=held, emitted=np.arange(m),
         load_pos=load_pos,
         load_bus_ids=tuple(int(case.buses[i].id) for i in load_pos),
-        case=case, ptdf=ptdf)
+        case=case)
     emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
                              | (c > lin_solve.FEAS_TOL))
     return mats if emitted.size == m else mats.take(emitted)
@@ -322,17 +310,22 @@ def solve_dcopf(mats, delta=None):
 
         min rhs^T mu  s.t.  A^T mu = -c_red,  mu >= 0,
 
-    whose basis has n_reduced rows instead of m.  The dispatch is read off the
-    equality duals and returned only once it satisfies every row and closes
-    the duality gap; an unbounded dual is a Farkas ray of F(delta).
+    whose basis has n_reduced rows instead of m.  It starts from the
+    merit-order corner of the unit rows (`FeasibilityMatrices.unit_rows`):
+    unit j's upper row when red_cost[j] <= 0, else its lower one, so
+    B = diag(+-1) and x_B = |red_cost| >= 0; with no movable unit it starts
+    cold.  The dispatch is read off the equality duals and returned only
+    once it satisfies every row and closes the duality gap; an unbounded
+    dual is a Farkas ray of F(delta).
     """
     case = mats.case
     costs = case.gen_costs()
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
+    up, lo = mats.unit_rows()
     res = lin_solve.lp_solve(
         lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost),
-        mats.crash_basis(red_cost))
+        np.where(red_cost <= 0, up, lo) if mats.n_reduced else None)
     if res.status == lin_solve.UNBOUNDED:
         ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray)
         return DcopfResult(feasible=False, ray=ray)

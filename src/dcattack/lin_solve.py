@@ -49,24 +49,22 @@ the defense its max-margin warm start) and the nominal dispatch
 and re-checked against the rows; Farkas rays are the multipliers themselves.
 
 Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a caller's
-basis: M real column indices, bare or with their inverse as the
-`LpResult.warm` of an earlier optimal solve.  It is accepted only when its
-indices are in range, B = A_eq[:, basis] is nonsingular (a carried inverse
-B_inv stands in for the factorization when ||B_inv B - I||_max <= _INV_TOL,
-which also proves the indices distinct; otherwise they are tested), and
-x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale with B x_B = b_eq to the same
-tolerance.  Then phase 2 starts at once, shifted through the B already
-gathered, and no all-artificial start is built; any other basis (None
-included) takes the cold two-phase path, so a stale basis costs time, never
-a wrong answer.  Re-entered on the very A_eq and b_eq arrays it was solved
-on (`is`; `LpProblem.with_objective` keeps them), an `LpResult.warm` skips
-the index and inverse checks its solve passed there: a failed inverse check
-would only recompute its inverse, inv(A_eq[:, basis]) to the bit.  Its x_B
-checks still run, with the full checks behind them, so an inverse edited in
-place is proved afresh.  Every hot-path LP starts from a feasible basis: a
-crash basis of the unit-bound rows (`dc_model`'s
-`FeasibilityMatrices.crash_basis`) or, for the attack's P-LPs, an earlier
-optimum over the same rows (see `attack`), so none runs phase 1.
+basis, in one of two kinds.  A bare array of M real column indices is
+accepted only when its indices are in range and distinct, B = A_eq[:, basis]
+is nonsingular (its inverse taken afresh), and x_B = B^-1 b_eq is
+>= -FEAS_TOL * b_scale with B x_B = b_eq to the same tolerance.  An optimal
+solve's own `LpResult.warm`, re-entered on the very A_eq and b_eq arrays it
+was solved on (`is`; `LpProblem.with_objective` keeps them), needs only the
+x_B checks with its carried inverse, inv(A_eq[:, basis]) to the bit; when
+they fail, or on any other arrays, it is re-entered as its bare basis, and
+its inverse is not read.  An accepted start runs phase 2 at once, shifted
+through the B already gathered, and no all-artificial start is built; any
+other basis (None included) takes the cold two-phase path, so a stale basis
+costs time, never a wrong answer.  Every hot-path LP starts from a feasible
+basis: a crash basis of the unit-bound rows (`dc_model`'s
+`FeasibilityMatrices.crash_basis` and `solve_dcopf`) or, for the attack's
+P-LPs, an earlier optimum over the same rows (see `attack`), so none runs
+phase 1.
 """
 
 import functools
@@ -81,15 +79,13 @@ from .errors import DeadlineSignal, SolverError
 # A x <= b + FEAS_TOL counts as satisfied, here and in dc_model, attack and
 # defense; a Farkas ray normalized to ||y||_1 = 1 has ||A^T y||_inf <=
 # _CERT_TOL; _LP_TOL is the reduced-cost zero; _SHIFT scales the phase-2
-# perturbation, _INV_TOL bounds a carried inverse's residual, and the pivot
-# rules use the rest
+# perturbation, and the pivot rules use the rest
 FEAS_TOL = 1e-8
 _CERT_TOL = 1e-9
 _LP_TOL = 1e-9
 _REFACTOR_EVERY = 64
 _ITER_FACTOR = 60
 _SHIFT = 1e-7
-_INV_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -145,6 +141,15 @@ class FarkasCertificate:
         return h_max <= tol and gap > 0, {"h_max": h_max, "gap": gap}
 
 
+class WarmStart(NamedTuple):
+    """An optimal basis of real columns with inv(A_eq[:, basis]) from its
+    final refactorization, to the bit, and the (A_eq, b_eq) arrays solved."""
+
+    basis: np.ndarray
+    B_inv: np.ndarray
+    rows: tuple = None
+
+
 @dataclass
 class LpResult:
     status: str
@@ -154,27 +159,9 @@ class LpResult:
     certificate: FarkasCertificate = None
     ray: np.ndarray = None
     iterations: int = 0
-    phase1_objective: float = 0.0
-    # optimal basis (real column indices) and inv(A_eq[:, basis]) from the
-    # final refactorization, to the bit; None when an artificial stays basic
-    basis: np.ndarray = None
-    B_inv: np.ndarray = None
-    rows: tuple = None              # the (A_eq, b_eq) arrays solved
-
-    @property
-    def warm(self):
-        """The basis with its inverse, for a later `lp_solve`, or None."""
-        return None if self.basis is None else \
-            WarmStart(self.basis, self.B_inv, self.rows)
-
-
-class WarmStart(NamedTuple):
-    """A basis of real columns and its inverse, for `lp_solve`; `rows` holds
-    the (A_eq, b_eq) arrays of the solve that returned it."""
-
-    basis: np.ndarray
-    B_inv: np.ndarray
-    rows: tuple = None
+    # an optimum's start for a later `lp_solve`; None when an artificial
+    # stays basic
+    warm: WarmStart = None
 
 
 class _Simplex:
@@ -201,31 +188,26 @@ class _Simplex:
 
     def warm_start(self, basis):
         """Re-enter at a caller's basis of real columns, bare or as a
-        `WarmStart` with its inverse (acceptance rules in the module
-        docstring).  An accepted basis leaves no artificial, so phase 2 can
-        run at once; a rejected one returns False, sets nothing, and the
-        caller runs `cold_start`.  A_eq[:, basis] is kept as `Bmat`."""
+        `WarmStart` (acceptance rules in the module docstring).  An accepted
+        basis leaves no artificial, so phase 2 can run at once; a rejected
+        one returns False, sets nothing, and the caller runs `cold_start`.
+        A_eq[:, basis] is kept as `Bmat`."""
         basis, B_inv, rows = basis if isinstance(basis, WarmStart) \
             else (basis, None, None)
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
-        # a carried inverse is copied too: the eta updates edit it in place
+        # an own inverse is copied too: the eta updates edit it in place
         if rows and rows[0] is self.A and rows[1] is self.b and self._enter(
                 basis, np.array(B_inv, dtype=float), self.A[:, basis]):
             return True
         if basis.size != self.M or \
-                (self.M and (basis.min() < 0 or basis.max() >= self.N)):
+                (self.M and (basis.min() < 0 or basis.max() >= self.N)) or \
+                np.unique(basis).size != self.M:
             return False
         Bmat = self.A[:, basis]
-        if np.shape(B_inv) == (self.M, self.M) and abs(
-                B_inv @ Bmat - np.eye(self.M)).max(initial=0.0) <= _INV_TOL:
-            B_inv = np.array(B_inv, dtype=float)
-        elif np.unique(basis).size != self.M:
+        try:
+            B_inv = np.linalg.inv(Bmat)
+        except np.linalg.LinAlgError:
             return False
-        else:
-            try:
-                B_inv = np.linalg.inv(Bmat)
-            except np.linalg.LinAlgError:
-                return False
         return self._enter(basis, B_inv, Bmat)
 
     def _enter(self, basis, B_inv, Bmat):
@@ -361,11 +343,10 @@ def _shift(M):
 def lp_solve(prob: LpProblem, basis=None, deadline=None) -> LpResult:
     """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
     UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and c^T x < 0,
-    OPTIMAL results carry their equality duals y, basis and its inverse.  A
-    given `basis` (an index array or `LpResult.warm`) skips phase 1 when it
+    OPTIMAL results carry their equality duals y and `warm`.  A given
+    `basis` (an index array or an `LpResult.warm`) skips phase 1 when it
     passes the warm-start checks (module docstring) and is ignored
-    otherwise; an `LpResult.warm` on its own A_eq and b_eq arrays needs only
-    its x_B checks.  Past `deadline`, a time.monotonic() value checked every
+    otherwise.  Past `deadline`, a time.monotonic() value checked every
     _REFACTOR_EVERY pivots, the solve raises DeadlineSignal."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
@@ -376,7 +357,6 @@ def _solve(prob, basis, deadline, perturb):
     sx = _Simplex(prob, deadline)
     N, M = sx.N, sx.M
 
-    z1 = 0.0
     warm = basis is not None and sx.warm_start(basis)
     if not warm:
         sx.cold_start()
@@ -391,7 +371,7 @@ def _solve(prob, basis, deadline, perturb):
                 raise SolverError(
                     f"phase-1 Farkas certificate failed verification: {detail}")
             return LpResult(status=INFEASIBLE, certificate=cert,
-                            iterations=sx.iterations, phase1_objective=z1)
+                            iterations=sx.iterations)
         sx.pinned = True
 
     perturb = perturb and not sx.n_art
@@ -411,8 +391,7 @@ def _solve(prob, basis, deadline, perturb):
         if eq_resid > 1e-7 * (1.0 + float(np.max(np.abs(ray)))) \
                 or prob.c @ ray >= 0:
             raise SolverError("unbounded ray failed verification")
-        return LpResult(status=UNBOUNDED, ray=ray, iterations=sx.iterations,
-                        phase1_objective=z1)
+        return LpResult(status=UNBOUNDED, ray=ray, iterations=sx.iterations)
 
     # x_B afresh from the final basis and the restored b: the per-pivot
     # updates drift, by up to 1e-9 in the row residuals after a long
@@ -429,10 +408,9 @@ def _solve(prob, basis, deadline, perturb):
     real = ~sx.art
     x[sx.basis[real]] = sx.xB[real]
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
-                    iterations=sx.iterations, phase1_objective=z1,
-                    basis=None if sx.n_art else sx.basis.copy(),
-                    B_inv=None if sx.n_art else sx.B_inv,
-                    rows=(prob.A_eq, prob.b_eq))
+                    iterations=sx.iterations,
+                    warm=None if sx.n_art else WarmStart(
+                        sx.basis.copy(), sx.B_inv, (prob.A_eq, prob.b_eq)))
 
 
 def normalize_farkas_ray(rows, rhs, y):

@@ -21,9 +21,6 @@ The multistart is handed lb, and stops once a certified attack meets it to
 by more.
 """
 
-import csv
-import io
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -102,17 +99,6 @@ class BoundsReport:
             "attack": self.attack,
             "defense": self.defense,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def trace_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["elapsed_s", "side", "value"])
-        for e, s, v in self.trace:
-            writer.writerow([f"{e:.6f}", s, repr(v)])
-        return buf.getvalue()
 
 
 def cross_feed(mats, defense_best):

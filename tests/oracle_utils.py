@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from dcattack.dc_model import FeasibilityMatrices
+from dcattack.dc_model import FeasibilityMatrices, build_ptdf
 
 
 def scipy_feasible(A, rhs):
@@ -187,7 +187,7 @@ def model1_margins(mats, p_full, delta=None):
     inj -= case.p_d()
     if delta is not None:
         np.subtract.at(inj, mats.load_pos, np.asarray(delta, float))
-    flows = mats.ptdf.phi @ inj
+    flows = build_ptdf(case, mats.ref_bus) @ inj
     rates = np.array([br.rate for br in case.branches if br.rate is not None])
     bounded = [k for k, br in enumerate(case.branches) if br.rate is not None]
     lo, hi = case.gen_bounds()
@@ -214,7 +214,7 @@ def one_row(a, b, c):
         row_labels=("row",), slack_gen=0, ref_bus=0,
         gen_order=np.arange(a.size), held=np.arange(0), emitted=np.arange(1),
         load_pos=np.arange(b.size), load_bus_ids=tuple(range(b.size)),
-        case=None, ptdf=None)
+        case=None)
 
 
 def row_radius(a, b, c, p0, G=None):
@@ -227,6 +227,7 @@ def row_radius(a, b, c, p0, G=None):
 
 
 MAX_EXACT_UNITS = 4
+_NOISE = 1e-12
 
 
 def _implied(rows, h, r):
@@ -251,20 +252,26 @@ def exact_distance(mats):
     is the projection D = {delta : M delta <= h}, implied rows included.
     The nearest delta outside D lies on a facet, and an implied row's
     boundary is no nearer than D's, so the value is (min_i h_i / ||M_i||)^2
-    over the rows with M_i != 0; inf when there are none.  Refuses more than MAX_EXACT_UNITS movable units, where the
-    projection grows past what a test can wait for."""
+    over the rows with M_i != 0; inf when there are none.  An entry at most
+    _NOISE times the size of the terms that made it is rounding noise (a
+    PTDF entry that is 0 on a radial line, or two parallel lines' rows
+    cancelling) and is set to 0, so that noise is neither eliminated nor
+    normalized up to a row.  Refuses more than MAX_EXACT_UNITS movable
+    units, where the projection grows past what a test can wait for."""
     n = mats.n_reduced
     if n > MAX_EXACT_UNITS:
         raise ValueError(f"exact_distance: {n} movable units; the projection "
                          f"is practical for at most {MAX_EXACT_UNITS}")
     rows, h = np.hstack([mats.A, mats.B]), -mats.c
+    size = np.abs(rows).max(axis=1)
+    rows[np.abs(rows) <= _NOISE * size[:, None]] = 0.0
     made = [frozenset([i]) for i in range(h.size)]
     for k in range(n):
-        a = rows[:, 0]
+        a, size = rows[:, 0], np.abs(rows).max(axis=1)
         pos, neg = np.flatnonzero(a > 0), np.flatnonzero(a < 0)
         zero = np.flatnonzero(a == 0)
         new_rows, new_h = [rows[zero, 1:]], [h[zero]]
-        new_made = [made[i] for i in zero]
+        new_made, terms = [made[i] for i in zero], [size[zero]]
         for i in pos:
             for j in neg:
                 if len(made[i] | made[j]) > k + 2:
@@ -272,7 +279,9 @@ def exact_distance(mats):
                 new_rows.append((-a[j] * rows[i, 1:] + a[i] * rows[j, 1:])[None])
                 new_h.append([-a[j] * h[i] + a[i] * h[j]])
                 new_made.append(made[i] | made[j])
+                terms.append([-a[j] * size[i] + a[i] * size[j]])
         rows, h, made = np.vstack(new_rows), np.concatenate(new_h), new_made
+        rows[np.abs(rows) <= _NOISE * np.concatenate(terms)[:, None]] = 0.0
         scale = np.abs(rows).max(axis=1)
         live = scale > 0
         if np.any(h[~live] < 0):

@@ -310,21 +310,21 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     monkeypatch.undo()
 
     def entry(res):
-        return mats.B.T @ np.maximum(res.x, 0.0), res.basis
+        return mats.B.T @ np.maximum(res.x, 0.0), res.warm.basis
 
     assert starts[0][2] == 0
     np.testing.assert_array_equal(p_lps[0][1], mats.crash_basis())
     assert lin_solve._Simplex(p_lps[0][0]).warm_start(p_lps[0][1])
     origin = entry(p_lps[0][2])
     for prob, _basis, res in p_lps:
-        assert res.basis is None \
-            or lin_solve._Simplex(prob).warm_start(res.basis)
+        assert res.warm is None \
+            or lin_solve._Simplex(prob).warm_start(res.warm.basis)
     picked = []
     for i, (g, label, first, out) in enumerate(starts):
         if i:
             before = [entry(res) for _prob, _basis, res in p_lps[:first]
                       if res.status == lin_solve.OPTIMAL
-                      and res.basis is not None]
+                      and res.warm is not None]
             k = int(np.argmax([float(g @ gw) for gw, _basis in before]))
             np.testing.assert_array_equal(p_lps[first][1].basis, before[k][1])
             picked.append(k)
@@ -354,6 +354,29 @@ def test_a_non_finite_hint_is_dropped(fill):
     assert rep.best.norm_sq == clean.best.norm_sq
     assert rep.best.start == clean.best.start
     assert rep.starts == clean.starts
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e308, 5e-324])
+def test_the_scale_of_a_hint_changes_nothing(scale):
+    """A hint is scaled by an exact power of two before its ascent, so a
+    hint of ones times 1e300, 1e308, 1e-300 or 5e-324 (subnormal) runs
+    as the hint of ones to the bit, certifying from hint0, without an
+    overflow warning (warnings are errors here); all-NaN, all-inf and
+    all-zero hints are dropped, as if no hint were given."""
+    mats = build_feasibility(load_case(pglib_path("case14_ieee")))
+    cfg, ones = AttackConfig(), np.ones(mats.n_delta)
+    ref = multistart_attack(mats, cfg, extra_directions=[ones])
+    assert ref.best.start == "hint0"
+    assert ref.best.norm_sq.hex() == "0x1.6ceac6a33ab01p-3"
+    rep = multistart_attack(mats, cfg, extra_directions=[scale * ones])
+    assert rep.best.start == "hint0"
+    assert rep.best.norm_sq.hex() == ref.best.norm_sq.hex()
+    assert rep.best.delta.tobytes() == ref.best.delta.tobytes()
+    assert rep.starts == ref.starts
+    bare = multistart_attack(mats, cfg)
+    for fill in (np.nan, np.inf, 0.0):
+        rep = multistart_attack(mats, cfg, extra_directions=[fill * ones])
+        assert rep.starts == bare.starts, fill
 
 
 def test_pool_ties_go_to_the_earliest_entry(monkeypatch):

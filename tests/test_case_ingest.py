@@ -1,4 +1,3 @@
-import io
 import json
 import re
 
@@ -6,8 +5,7 @@ import numpy as np
 import pytest
 
 from dcattack.case_ingest import (
-    build_case, case_from_json, case_to_json, load_case, parse_case,
-    parse_case_text,
+    build_case, case_from_json, case_to_json, load_case, parse_case_text,
 )
 from dcattack.errors import CaseError
 
@@ -71,10 +69,12 @@ def test_a_short_gencost_table_is_rejected():
         == [14.0, 15.0, 30.0, 40.0, 10.0]
 
 
-def test_parse_case_accepts_stream():
-    case = parse_case(io.StringIO(TWO_BUS), name="desk2")
+def test_load_case_reads_a_matpower_file_as_its_text_parses(tmp_path):
+    path = tmp_path / "desk2.m"
+    path.write_text(TWO_BUS)
+    case = load_case(str(path))
     assert case.name == "desk2"
-    assert case == parse_case(TWO_BUS, name="desk2")
+    assert case == parse_case_text(TWO_BUS, name="desk2")
 
 
 def test_parse_drops_out_of_service():

@@ -166,9 +166,15 @@ def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
     assert rep["ub"] == pytest.approx(169.0 / 500.0, rel=1e-3)
     disk = json.loads(out_json.read_text())
     assert disk["lb"] == rep["lb"]
-    lines = out_csv.read_text().strip().splitlines()
-    assert lines[0] == "elapsed_s,side,value"
-    assert len(lines) >= 3
+    # one row per trace entry, as csv writes them: \r\n row ends
+    raw = out_csv.read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n") == len(rep["trace"]) + 1
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["elapsed_s", "side", "value"]] + [
+        [f"{e['elapsed_s']:.6f}", e["side"], repr(e["value"])]
+        for e in rep["trace"]]
+    assert len(rows) >= 3
 
 
 def test_dump_matrices(desk2_m, tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_infeasible_certificate():
     assert res.status == INFEASIBLE
     ok, detail = res.certificate.verify(prob)
     assert ok, detail
-    assert res.phase1_objective > 1e-6
+    assert res.certificate.gap == detail["gap"] > 1e-6
 
 
 def test_infeasible_with_bounds():
@@ -288,35 +288,45 @@ def _separable_delta(mats):
     return u * (1.01 * s + 1e-6)
 
 
-def _assert_warm_optimal(prob):
+def _assert_warm_optimal(prob, monkeypatch):
     cold = lp_solve(prob)
     ref = _scipy_solve(prob)
     assert cold.status == OPTIMAL and ref.status == 0
-    assert cold.basis is not None
-    warm = lp_solve(prob, basis=cold.basis)
+    assert cold.warm is not None
+    colds, real = [], lin_solve._Simplex.cold_start
+    with monkeypatch.context() as m:
+        m.setattr(lin_solve._Simplex, "cold_start",
+                  lambda sx: colds.append(1) or real(sx))
+        warm = lp_solve(prob, basis=cold.warm.basis)
+    assert colds == []                    # no phase 1
     assert warm.status == cold.status
     assert warm.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
     assert warm.iterations == 1           # one pricing pass, no pivot
-    assert warm.phase1_objective == 0.0
-    np.testing.assert_array_equal(np.sort(warm.basis), np.sort(cold.basis))
+    np.testing.assert_array_equal(np.sort(warm.warm.basis),
+                                  np.sort(cold.warm.basis))
 
 
-def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats):
+def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats,
+                                                         monkeypatch):
     rng = np.random.default_rng(31)
     for _ in range(10):
         rows = int(rng.integers(1, 8))
-        _assert_warm_optimal(_random_wide_problem(rng, rows,
-                                                  rows + int(rng.integers(1, 20))))
-    _assert_warm_optimal(_mu_problem(bundled_mats, _separable_delta(bundled_mats)))
+        _assert_warm_optimal(_random_wide_problem(
+            rng, rows, rows + int(rng.integers(1, 20))), monkeypatch)
+    _assert_warm_optimal(
+        _mu_problem(bundled_mats, _separable_delta(bundled_mats)), monkeypatch)
 
 
 def _same_result(a, b, label=""):
     """Two LpResults agree to the bit in every field a later solve reads."""
     assert (a.status, a.iterations, a.objective) == \
         (b.status, b.iterations, b.objective), label
-    for name in ("x", "y", "basis", "B_inv"):
+    for name in ("x", "y"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), \
             (label, name)
+    for name in ("basis", "B_inv"):
+        assert getattr(a.warm, name).tobytes() == \
+            getattr(b.warm, name).tobytes(), (label, name)
 
 
 def test_rejected_bases_fall_back_to_the_cold_solve():
@@ -324,14 +334,14 @@ def test_rejected_bases_fall_back_to_the_cold_solve():
     prob = _random_wide_problem(rng, 5, 14)
     cold = lp_solve(prob)
     assert cold.status == OPTIMAL and cold.iterations > 1
-    n_real = prob.c.size
-    dup = cold.basis.copy()
+    n_real, basis = prob.c.size, cold.warm.basis
+    dup = basis.copy()
     dup[1] = dup[0]
-    bad = {"short": cold.basis[:-1], "long": np.append(cold.basis, 0),
+    bad = {"short": basis[:-1], "long": np.append(basis, 0),
            "duplicate": dup}
     for name, index in (("artificial", n_real), ("out-of-range", n_real + 50),
                         ("negative", -1)):
-        b = cold.basis.copy()
+        b = basis.copy()
         b[0] = index
         bad[name] = b
     # columns 0 and 1 made identical: any basis holding both is singular
@@ -371,7 +381,7 @@ def test_a_pinned_artificial_blocks_in_phase_2(monkeypatch):
     monkeypatch.setattr(lin_solve._Simplex, "_ratio", spy)
     res = lp_solve(prob)
     assert any(pinned_blocks)
-    assert res.status == OPTIMAL and res.basis is None
+    assert res.status == OPTIMAL and res.warm is None
     ref = _scipy_solve(prob)
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
@@ -424,7 +434,7 @@ def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
         g = mats.B.T @ res.x
         delta = g * ((eps - float(res.x @ mats.c)) / float(g @ g))
         prob = _mu_problem(mats, delta, eps)
-        basis, kept = res.basis, res.basis.copy()
+        basis, kept = res.warm.basis, res.warm.basis.copy()
         assert lin_solve._Simplex(prob).warm_start(basis)
         res = lp_solve(prob, basis=basis)
         # the caller's basis is not pivoted in place
@@ -609,9 +619,9 @@ def test_a_perturbed_p_lp_chain_meets_the_original_rows(monkeypatch):
     degenerate = 0
     for prob, res in _p_chain(mats, 4, seed=11):
         _assert_scipy_optimum(prob, res)
-        degenerate += int(np.sum(res.x[res.basis] <= lin_solve.FEAS_TOL))
-        inv = np.linalg.inv(prob.A_eq[:, res.basis])
-        assert [v.hex() for v in res.B_inv.ravel()] == \
+        degenerate += int(np.sum(res.x[res.warm.basis] <= lin_solve.FEAS_TOL))
+        inv = np.linalg.inv(prob.A_eq[:, res.warm.basis])
+        assert [v.hex() for v in res.warm.B_inv.ravel()] == \
             [v.hex() for v in inv.ravel()]
     # the vertices hold basic columns at 0
     assert len(shifted) == 4 and degenerate > 4
@@ -635,43 +645,39 @@ def test_a_failed_restore_falls_back_to_an_unperturbed_cold_solve(monkeypatch):
     assert flags.count(True) == 6 and flags.count(False) >= 1
 
 
-def test_a_corrupted_carried_inverse_is_rejected():
-    """A carried inverse that does not invert A_eq[:, basis] is replaced by
-    a fresh one: the solve is the bare basis's to the bit, and matches
-    scipy.  A sound carried inverse gives the same bits too, and the
-    caller's array is not edited by the pivots."""
+def test_a_warm_start_on_other_arrays_is_reentered_as_its_bare_basis():
+    """A WarmStart on arrays other than the ones it was solved on, or built
+    by a caller, is re-entered as its bare basis: its B_inv is not read, so
+    a NaN-filled, scaled, damaged or misshapen one gives the bare basis's
+    solve to the bit, which matches scipy.  A duplicated basis is rejected
+    whatever inverse comes with it, and the solve is the cold one to the
+    bit.  The caller's arrays are not edited by the pivots."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
-    bare = lp_solve(prob, basis=first.basis)
+    basis, inv = first.warm.basis, first.warm.B_inv
+    kept = (basis.copy(), inv.copy())
+    bare = lp_solve(prob, basis=basis)
     assert bare.iterations > 1
-    kept = first.B_inv.copy()
-    _same_result(lp_solve(prob, basis=first.warm), bare, "sound")
-    np.testing.assert_array_equal(first.B_inv, kept)
-    for name, bad in (("scaled", kept * (1 + 1e-6)),
-                      ("one column", kept + np.eye(kept.shape[0])[0] * 1e-3),
-                      ("shape", kept[:-1])):
-        res = lp_solve(prob, basis=lin_solve.WarmStart(first.basis, bad))
+    rows, nan = (prob.A_eq.copy(), prob.b_eq.copy()), np.full_like(inv, np.nan)
+    for name, bad, on in (("sound", inv, None), ("nan", nan, None),
+                          ("nan, other rows", nan, rows),
+                          ("scaled", inv * (1 + 1e-6), None),
+                          ("one column", inv + np.eye(len(inv))[0] * 1e-3, None),
+                          ("shape", inv[:-1], rows)):
+        res = lp_solve(prob, basis=lin_solve.WarmStart(basis, bad, on))
         _same_result(res, bare, name)
     _assert_scipy_optimum(prob, bare)
-
-
-def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
-    """A carried inverse skips the distinct-index check only when it passes
-    the residual test, which a duplicated basis cannot pass: paired with the
-    true inverse of the undamaged basis or with the pseudo-inverse of the
-    duplicated one, the basis is rejected and the solve is the cold one to
-    the bit."""
-    mats = build_feasibility(bench_ladder(30, 2, False))
-    (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
-    dup = first.basis.copy()
+    dup = basis.copy()
     dup[1] = dup[0]
     cold = lp_solve(prob)
-    for name, inv in (("inverse", first.B_inv),
+    for name, bad in (("inverse", inv),
                       ("pseudo-inverse", np.linalg.pinv(prob.A_eq[:, dup]))):
-        warm = lin_solve.WarmStart(dup, inv)
+        warm = lin_solve.WarmStart(dup, bad)
         assert not lin_solve._Simplex(prob).warm_start(warm), name
         _same_result(lp_solve(prob, basis=warm), cold, name)
     _assert_scipy_optimum(prob, cold)
+    np.testing.assert_array_equal(basis, kept[0])
+    assert inv.tobytes() == kept[1].tobytes()
 
 
 def _spy_inv(monkeypatch):
@@ -683,20 +689,18 @@ def _spy_inv(monkeypatch):
 
 def test_an_own_warm_start_reenters_its_rows_without_reproof(monkeypatch):
     """An `LpResult.warm` re-entered on the very A_eq and b_eq arrays it was
-    solved on skips the index and inverse checks.  With the inverse check
-    made to fail every carried inverse, a re-entry that makes no pivot
-    still takes no inverse, and both it and a re-entry that pivots are the
-    bare basis's solves to the bit.  On a copy of the rows, equal but not
-    the same arrays, the same WarmStart takes the full checks: its inverse
-    fails them and is computed again, to the same bits."""
+    solved on skips the index checks and takes no inverse: a re-entry that
+    makes no pivot takes none at all, and both it and a re-entry that
+    pivots are the bare basis's solves to the bit.  On a copy of the rows,
+    equal but not the same arrays, the same WarmStart is re-entered as its
+    bare basis, with exactly one inverse, to the same bits."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (own, first), (prob, _res) = _p_chain(mats, 2, seed=4)
     assert prob.A_eq is own.A_eq and prob.b_eq is own.b_eq
     assert first.warm.rows[0] is own.A_eq and first.warm.rows[1] is own.b_eq
     twin = LpProblem(c=own.c, A_eq=own.A_eq.copy(), b_eq=own.b_eq.copy())
-    bare = {name: lp_solve(p, basis=first.basis)
+    bare = {name: lp_solve(p, basis=first.warm.basis)
             for name, p in (("own", own), ("next", prob), ("twin", twin))}
-    monkeypatch.setattr(lin_solve, "_INV_TOL", -1.0)
     calls = _spy_inv(monkeypatch)
     again = lp_solve(own, basis=first.warm)
     assert again.iterations == 1 and calls == []
@@ -712,11 +716,12 @@ def test_an_own_warm_start_reenters_its_rows_without_reproof(monkeypatch):
 
 def test_an_own_warm_start_that_fails_its_x_checks_is_proved_afresh():
     """An own WarmStart whose B_inv was doubled in place fails the residual
-    check B x_B = b_eq that re-entry keeps; the full checks then replace
-    the inverse, so the solve is the bare basis's to the bit."""
+    check B x_B = b_eq that re-entry keeps; it is then re-entered as its
+    bare basis with a fresh inverse, so the solve is the bare basis's to
+    the bit."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (_own, first), (prob, _res) = _p_chain(mats, 2, seed=4)
-    bare = lp_solve(prob, basis=first.basis)
+    bare = lp_solve(prob, basis=first.warm.basis)
     warm = first.warm
     warm.B_inv[:] *= 2.0
     Bmat = prob.A_eq[:, warm.basis]
@@ -730,9 +735,8 @@ def test_an_own_warm_start_that_fails_its_x_checks_is_proved_afresh():
 
 def test_every_short_reentry_passes_the_full_checks(monkeypatch):
     """During a multistart, every own WarmStart that re-entry accepts on
-    its x_B checks alone is accepted by the full checks too, handed over
-    untagged as WarmStart(basis, B_inv), with the same inverse and x_B to
-    the bit."""
+    its x_B checks alone is accepted as its bare basis too, with the same
+    inverse and x_B to the bit."""
     mats = build_feasibility(bench_ladder(60, 0, False))
     real, short = lin_solve._Simplex.warm_start, []
 
@@ -743,8 +747,7 @@ def test_every_short_reentry_passes_the_full_checks(monkeypatch):
             idx = np.array(basis.basis)
             probe, full = lin_solve._Simplex(rows), lin_solve._Simplex(rows)
             if probe._enter(idx, np.array(basis.B_inv), sx.A[:, idx]):
-                assert full.warm_start(
-                    lin_solve.WarmStart(basis.basis, basis.B_inv))
+                assert full.warm_start(basis.basis)
                 assert full.B_inv.tobytes() == probe.B_inv.tobytes()
                 assert full.xB.tobytes() == probe.xB.tobytes()
                 short.append(idx)

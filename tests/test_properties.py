@@ -9,8 +9,9 @@ affine SOCP's optimality against the rank-1 and fixed-dispatch policies, and
 the squeeze's early stop against a full multistart.  On the bundled networks
 and the 30-bus ladders, the lower bound is checked for invariance to the
 choice of slack unit and to the power base.  On the networks with at most
-four movable units, the bracket is checked against the exact value of a
-Fourier-Motzkin projection (`oracle_utils.exact_distance`).
+four movable units, and on every random network, the bracket is checked
+against the exact value of a Fourier-Motzkin projection
+(`oracle_utils.exact_distance`).
 """
 
 import dataclasses
@@ -167,6 +168,21 @@ def test_the_bracket_holds_the_exact_value(name, request):
     ub = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best.norm_sq
     assert lb <= exact * (1.0 + 1e-12)
     assert (exact - lb) / exact <= 1e-8
+    assert exact <= ub
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=networks())
+def test_the_bracket_holds_the_exact_value_on_random_networks(net):
+    """lb <= exact <= ub on networks of 0 to 2 movable units.  lb may stay
+    below exact: the best affine policy need not reach the exact value."""
+    mats = build_feasibility(_case(net))
+    assert mats.n_reduced <= oracle_utils.MAX_EXACT_UNITS
+    exact = oracle_utils.exact_distance(mats)
+    lb = defense_local(mats).t
+    ub = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best.norm_sq
+    assert lb <= exact * (1.0 + 1e-12)
     assert exact <= ub
 
 

@@ -645,13 +645,12 @@ def test_a_failed_restore_falls_back_to_an_unperturbed_cold_solve(monkeypatch):
     assert flags.count(True) == 6 and flags.count(False) >= 1
 
 
-def test_a_warm_start_on_other_arrays_is_reentered_as_its_bare_basis():
+def test_a_corrupted_carried_inverse_is_rejected():
     """A WarmStart on arrays other than the ones it was solved on, or built
-    by a caller, is re-entered as its bare basis: its B_inv is not read, so
-    a NaN-filled, scaled, damaged or misshapen one gives the bare basis's
-    solve to the bit, which matches scipy.  A duplicated basis is rejected
-    whatever inverse comes with it, and the solve is the cold one to the
-    bit.  The caller's arrays are not edited by the pivots."""
+    by a caller, is re-entered as its bare basis: its carried B_inv is not
+    read, so a NaN-filled, scaled, damaged or misshapen one gives the bare
+    basis's solve to the bit, which matches scipy.  The caller's arrays are
+    not edited by the pivots."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
     basis, inv = first.warm.basis, first.warm.B_inv
@@ -667,6 +666,19 @@ def test_a_warm_start_on_other_arrays_is_reentered_as_its_bare_basis():
         res = lp_solve(prob, basis=lin_solve.WarmStart(basis, bad, on))
         _same_result(res, bare, name)
     _assert_scipy_optimum(prob, bare)
+    np.testing.assert_array_equal(basis, kept[0])
+    assert inv.tobytes() == kept[1].tobytes()
+
+
+def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
+    """A WarmStart whose basis repeats an index is rejected whatever inverse
+    comes with it, a true inverse of the other columns or a pseudo-inverse
+    of the singular B, and the solve is the cold one to the bit.  The
+    caller's arrays are not edited."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
+    basis, inv = first.warm.basis, first.warm.B_inv
+    kept = (basis.copy(), inv.copy())
     dup = basis.copy()
     dup[1] = dup[0]
     cold = lp_solve(prob)

@@ -24,19 +24,19 @@ certifies.
 
 A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and a warm
-start runs phase 2 only.  `multistart_attack` builds P's rows once per
-network and pools a (B^T mu, basis) pair for every optimal step, the basis
-carried with its inverse (`lin_solve.WarmStart`).  Every P-LP shares P's
-A_eq and b_eq arrays (`LpProblem.with_objective`), so a pooled basis
-re-enters `lp_solve` without re-proof: no factorization and no inverse
-check, only the feasibility and residual checks of x_B.  The first start's
-first step starts from P's crash basis (`FeasibilityMatrices.crash_basis`:
-mu = 1 / (p_max - p_min) on one unit's two bound rows); a later start's
-first step maximizes g^T B^T mu, so it warm-starts from the pooled vertex
-with the largest g^T B^T mu (the earliest on ties), and each later step
-from its own previous one.  A unique optimum does not depend on the basis a
-step starts from, but the reported best start may change among starts
-whose norms tie to rounding.
+start runs phase 2 only.  `multistart_attack` builds P's rows and an empty
+pool once per network, and `attack_local` fills it with a (B^T mu, basis)
+pair for every optimal step, the basis carried with its inverse
+(`lin_solve.WarmStart`).  Every P-LP shares P's A_eq and b_eq arrays
+(`LpProblem.with_objective`), so a pooled basis re-enters `lp_solve`
+without re-proof: no factorization and no inverse check, only the
+feasibility and residual checks of x_B.  The first start's first step
+starts from P's crash basis (`FeasibilityMatrices.crash_basis`: mu = 1 /
+(p_max - p_min) on one unit's two bound rows); a later start's first step
+maximizes g^T B^T mu, so it warm-starts from the pooled vertex with the
+largest g^T B^T mu (the earliest on ties), and each later step from its own
+previous one.  A unique optimum does not depend on the starting basis, but
+the reported best start may change among starts whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -167,23 +167,19 @@ def _polytope(mats):
                                b_eq=np.eye(mats.n_reduced + 1)[-1])
 
 
-def _p_lp(mats, P, g, basis, pool=None, deadline=None):
+def _p_lp(mats, P, g, basis, deadline=None):
     """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
     min -(B g)^T mu over its rows, from `basis` (`lp_solve`'s warm start).
     Returns (mu, value, optimal basis with its inverse), with mu clipped at
     0: a basic value may sit up to FEAS_TOL below its bound, and the
-    reported mu is that vertex scaled up by EPS / 1e-6.  An optimum is also
-    appended to `pool` as (B^T mu, basis).  Without an optimum, mu is a ray
-    (module docstring), value +inf (-inf when P is empty and B g <= 0) and
-    basis None.  Raises DeadlineSignal when `deadline` passes inside the LP."""
+    reported mu is that vertex scaled up by EPS / 1e-6.  Without an optimum,
+    mu is a ray (module docstring), value +inf (-inf when P is empty and
+    B g <= 0) and basis None.  Raises DeadlineSignal once `deadline` passes."""
     bg = mats.B @ g
     res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis,
                              deadline=deadline)
     if res.status == lin_solve.OPTIMAL:
-        mu = np.maximum(res.x, 0.0)
-        if pool is not None and res.warm is not None:
-            pool.append((mats.B.T @ mu, res.warm))
-        return mu, -res.objective, res.warm
+        return np.maximum(res.x, 0.0), -res.objective, res.warm
     ray = res.ray
     if res.status == lin_solve.INFEASIBLE and mats.n_reduced == 0:
         ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
@@ -227,19 +223,24 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
         raise RestartSignal("zero start direction")
     P = _polytope(mats) if P is None else P
     pool = [] if pool is None else pool
+
+    def step(g, basis, deadline):
+        mu, value, basis = _p_lp(mats, P, g, basis, deadline)
+        gw = mats.B.T @ mu
+        if basis is not None:
+            pool.append((gw, basis))
+        return mu, gw, value, basis
+
     # the first P-LP's objective at a pooled vertex is g^T B^T mu; max()
     # keeps the earliest entry on ties
     _gw, basis = max(pool, key=lambda entry: float(g @ entry[0]),
                      default=(None, mats.crash_basis()))
-    mu, value, basis = _p_lp(mats, P, g, basis, pool,
-                             deadline if pool else None)
+    mu, gw, value, basis = step(g, basis, deadline if pool else None)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
-    history = []
-    status, iterations = "cap", 1
+    history, status, iterations = [], "cap", 1
     while True:
-        gw = mats.B.T @ mu
         if value == np.inf:
             status, delta = "zero-distance", gw / np.linalg.norm(gw)
             break
@@ -252,15 +253,15 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
             status = "deadline"
             break
         try:
-            step = _p_lp(mats, P, gw, basis, pool, deadline)
+            nxt = step(gw, basis, deadline)
         except DeadlineSignal:
             status = "deadline"
             break
         iterations += 1
-        if step[1] <= v * (1.0 + _STEP_TOL):
+        if nxt[2] <= v * (1.0 + _STEP_TOL):
             status = "tight"
             break
-        mu, value, basis = step
+        mu, gw, value, basis = nxt
     return _solution(mats, delta, mu, start, status, iterations, history)
 
 

@@ -11,6 +11,7 @@ certified bound, ...), 1 for unexpected ones.
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -224,10 +225,10 @@ def cmd_squeeze(args, manifest):
 def _render_table(rows, fmt):
     header = ["case", "lb", "ub", "gap", "matched", "match_time_s"]
     if fmt == "csv":
-        buf = [",".join(header)]
-        for r in rows:
-            buf.append(",".join(str(r[h]) for h in header))
-        return "\n".join(buf) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[r[h] for h in header] for r in rows])
+        return buf.getvalue()
     widths = [max(len(h), *(len(str(r[h])) for r in rows)) for h in header]
     def line(vals):
         return "| " + " | ".join(str(v).ljust(w) for v, w in zip(vals, widths)) + " |"

@@ -241,7 +241,6 @@ def build_feasibility(case, slack_gen=None):
     A = np.zeros((m, n_red))
     B = np.zeros((m, n_delta))
     c = np.zeros(m)
-    labels = []
 
     fu = slice(0, nb)
     A[fu] = phi_gen[bounded]
@@ -251,10 +250,9 @@ def build_feasibility(case, slack_gen=None):
     A[fl] = -phi_gen[bounded]
     B[fl] = phi_load[bounded]
     c[fl] = -flow0[bounded] - rates
-    for tag, sl in (("flow-upper", fu), ("flow-lower", fl)):
-        for k in bounded:
-            br = case.branches[k]
-            labels.append(f"{tag}:br{k}:{br.f_bus}-{br.t_bus}")
+    rated = [(k, case.branches[k]) for k in bounded]
+    labels = [f"{tag}:br{k}:{br.f_bus}-{br.t_bus}"
+              for tag in ("flow-upper", "flow-lower") for k, br in rated]
 
     r = 2 * nb
     slack_bus_id = case.generators[slack_gen].bus

@@ -111,11 +111,10 @@ class DefensePolicy:
     # -<W, B> <= lambda for every policy; None when no dual iterate made one
     dual: tuple = None
 
-    def summary(self, mats=None):
+    def summary(self, mats):
         row = self.binding_row
-        label = (mats.row_labels[row]
-                 if mats is not None and row is not None else row)
-        return {"t": self.t, "binding_row": label,
+        return {"t": self.t,
+                "binding_row": None if row is None else mats.row_labels[row],
                 "verified_samples": self.verified_samples,
                 "p0": self.p0.tolist(), "G": self.G.tolist(), **self.meta}
 
@@ -279,7 +278,7 @@ def _newton_factor(A, Ay, u, W, s):
     return solve
 
 
-def _socp(mats, p_start, deadline, outside=None):
+def _socp(mats, p_start, deadline, meta, outside=None):
     """Primal-dual solve of the program in the module docstring, from G = 0
     and a dispatch with every margin negative; `_feasible_dual` makes each
     dual iterate feasible.  Past a gap of _GAP_TOL, steps go on while each
@@ -287,9 +286,9 @@ def _socp(mats, p_start, deadline, outside=None):
     it.  At the first gap of at most _GROW_GAP, `outside(q, lam, G)`, if
     given, returns the rows beyond mats whose cones the best iterate
     violates; if there are any, the solve stops there as "grow".  Returns
-    (q, lam, G) of the smallest-lambda iterate, the best dual and an info
-    dict: why the solve stopped, its Newton steps, its solves of the Newton
-    system and the relative gap between the two."""
+    (q, lam, G) of the smallest-lambda iterate and the best dual; adds its
+    steps and solves to meta["newton_steps"] and meta["solves"], and sets
+    meta["stop"] and meta["gap"] (`defense_local`)."""
     A, B, c, m = mats.A, mats.B, mats.c, mats.m
     Ay = np.hstack([A, c[:, None]])
     units = mats.unit_rows()
@@ -303,25 +302,24 @@ def _socp(mats, p_start, deadline, outside=None):
     nz = _jnorm(z)
     e_lam = np.eye(x.size)[-1]
     best, dual, bound = (x, G), None, -np.inf
-    info = {"stop": "step-failed", "newton_steps": 0, "solves": 0,
-            "gap": np.inf}
+    meta["stop"], gap = "step-failed", np.inf
     for _ in range(_MAX_STEPS):
         cand, lb = _feasible_dual(mats, units, z[:, 0], z[:, 1:])
         if lb > bound:
             dual, bound = cand, lb
-        last, info["gap"] = info["gap"], 1.0 - bound / best[0][-1]
-        if outside is not None and info["gap"] <= _GROW_GAP:
+        last, gap = gap, 1.0 - bound / best[0][-1]
+        if outside is not None and gap <= _GROW_GAP:
             if outside(best[0][:-1], best[0][-1], best[1]).size:
-                info["stop"] = "grow"
+                meta["stop"] = "grow"
                 break
             outside = None
-        if info["gap"] <= _GAP_TOL:
-            info["stop"] = "converged"
-            if info["gap"] > 0.1 * last:
+        if gap <= _GAP_TOL:
+            meta["stop"] = "converged"
+            if gap > 0.1 * last:
                 break
         if deadline is not None and time.monotonic() >= deadline:
-            if info["stop"] != "converged":
-                info["stop"] = "deadline"
+            if meta["stop"] != "converged":
+                meta["stop"] = "deadline"
             break
         beta, wb = _nt_scaling(s, z, ns, nz)
         scale = _scaler(beta, wb)
@@ -342,7 +340,7 @@ def _socp(mats, p_start, deadline, outside=None):
                 if k >= passes and max(np.abs(g_y).max(), np.abs(g_G).max(
                         initial=0.0)) <= _REFINE_TOL:
                     break
-                info["solves"] += 1
+                meta["solves"] += 1
                 ey, eG = solve(g_y, g_G)
                 es = scale(_stack(-(Ay @ ey), A @ eG), inverse=True)
                 dy, dG, ds = (dy + ey, dG + eG, ds + es) if k else (ey, eG, es)
@@ -362,7 +360,7 @@ def _socp(mats, p_start, deadline, outside=None):
             ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
             r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
             r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
-            refine = info["stop"] != "converged"
+            refine = meta["stop"] != "converged"
             dy, dG, d = direction(_jsolve(lm, n_lm, r), 1 if refine else 2,
                                   refine)
         except np.linalg.LinAlgError:
@@ -371,15 +369,15 @@ def _socp(mats, p_start, deadline, outside=None):
         x, G = x + alpha * dy, G + alpha * dG
         z = z + alpha * scale(d[m:], inverse=True)
         s = _stack(-(Ay @ x), A @ G + B)
-        info["newton_steps"] += 1
+        meta["newton_steps"] += 1
         ns, nz = _jnorm(s), _jnorm(z)
         if ns is None or nz is None:
             break
         if x[-1] < best[0][-1]:
             best = (x, G)
     x, G = best
-    info["gap"] = float(1.0 - bound / x[-1]) if dual is not None else None
-    return (x[:-1], float(x[-1]), G), dual, info
+    meta["gap"] = float(1.0 - bound / x[-1]) if dual is not None else None
+    return (x[:-1], float(x[-1]), G), dual
 
 
 def _feasible_dual(mats, units, y, W):
@@ -404,16 +402,13 @@ def _feasible_dual(mats, units, y, W):
     return (y / scale, W), -float(np.sum(W * mats.B))
 
 
-def _socp_on_rows(mats, p_w, t_init, deadline):
+def _socp_on_rows(mats, p_w, t_init, deadline, meta):
     """`_socp` on generated rows (module docstring) from the warm-start
-    dispatch p_w, whose fixed-dispatch radius is t_init.  Returns (p0, lam,
-    G), the dual padded with zeros to every row, and `_socp`'s info with the
-    steps and solves summed over the rounds, the last subset's size as
-    "rows" and the number of subset solves, those that stopped to grow
-    included, as "rounds".  lam is None when the deadline cut the rounds
-    with a row outside the subset still violated; p0, G are then the warm
-    start if p0 breaks a row or its exact radius is no larger than
-    t_init."""
+    dispatch p_w, whose fixed-dispatch radius is t_init.  Returns (p0, G)
+    and the dual padded with zeros to every row; counts meta["rounds"] and
+    sets meta["rows"], and meta["lambda"] when the last round left no row
+    violated.  If the deadline cuts the rounds short instead, p0, G are the
+    warm start when p0 breaks a row or its exact radius is at most t_init."""
     m, n = mats.m, mats.n_reduced
     flow = m - 2 * n - 2
     nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
@@ -428,30 +423,27 @@ def _socp_on_rows(mats, p_w, t_init, deadline):
         cut[rows] = False
         return np.flatnonzero(cut)
 
-    steps = solves = rounds = 0
     while True:
-        (q, lam, G), dual, info = _socp(mats.take(rows), p_w, deadline,
-                                        outside)
-        steps, rounds = steps + info["newton_steps"], rounds + 1
-        solves += info["solves"]
+        (q, lam, G), dual = _socp(mats.take(rows), p_w, deadline, meta,
+                                  outside)
+        meta["rounds"] += 1
         p0, new = q / lam, outside(q, lam, G)
         if not new.size:
+            meta["lambda"] = lam
             break
         if deadline is not None and time.monotonic() >= deadline:
-            info.update(stop="deadline", gap=None)
-            lam = None
+            meta.update(stop="deadline", gap=None)
             if np.any(mats.margins(p0) > lin_solve.FEAS_TOL) \
                     or t_tilde(mats, p0, G)[0] <= t_init:
                 p0, G = p_w, np.zeros_like(G)
             break
         rows = np.union1d(rows, new)
+    meta["rows"] = int(rows.size)
     if dual is not None:
         y, W = np.zeros(m), np.zeros((m, mats.n_delta))
         y[rows], W[rows] = dual
         dual = (y, W)
-    info.update(newton_steps=steps, solves=solves, rows=int(rows.size),
-                rounds=rounds)
-    return (p0, lam, G), dual, info
+    return (p0, G), dual
 
 
 def defense_local(mats, budget_s=None):
@@ -460,29 +452,28 @@ def defense_local(mats, budget_s=None):
 
     Starts from `warm_start_defense`.  `budget_s` bounds the wall time of the
     interior-point loop and its rounds; on expiry the best iterate so far is
-    returned with meta["deadline"] set.  meta["stop"] says why the solve
-    ended: "converged" (certified duality gap below 1e-8), "step-failed" (a
-    factor was singular, a step left the cones, or 60 steps did not
-    converge), "deadline", or "no-interior" when no dispatch is strictly
-    interior (the warm start is returned then).  meta["newton_steps"] counts
-    interior-point iterations over every round and meta["solves"] the Newton
-    system solves (LU factorizations) they took; meta["rows"] is the size of
-    the last row subset and meta["rounds"] the number of subset solves,
-    counting those that stopped at a gap of 1e-2 to grow the subset;
-    meta["lambda"] is the last solve's lambda, absent when no solve ran or
-    the deadline cut the rounds short; meta["gap"] is the relative duality
-    gap (lambda + <W, B>) / lambda between the returned policy and dual;
-    meta["stalled"] flags a policy no better than the warm start."""
+    returned.  meta, built here and filled by `_socp_on_rows` and `_socp`,
+    holds "t_init", the warm start's fixed-dispatch radius; "stop", why the
+    solve ended: "converged" (certified duality gap below 1e-8),
+    "step-failed" (a factor was singular, a step left the cones, or 60 steps
+    did not converge), "deadline", or "no-interior" when no dispatch is
+    strictly interior (the warm start is returned then); "newton_steps",
+    the interior-point iterations over every round, and "solves", the Newton
+    system solves (LU factorizations) they took; "gap", the relative duality
+    gap (lambda + <W, B>) / lambda between the returned policy and dual,
+    None without a dual or when the deadline cut the rounds short; "rows",
+    the size of the last row subset, and "rounds", the number of subset
+    solves, counting those stopped at a gap of 1e-2 to grow the subset;
+    "lambda", the last solve's lambda, absent when no solve ran or the
+    rounds were cut; "deadline", whether the deadline ended the solve; and
+    "stalled", whether the policy is no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     p_w, G0, t_init = warm_start_defense(mats)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
             "solves": 0, "gap": None, "rows": 0, "rounds": 0}
     p0, G, dual = p_w, G0, None
     if float(np.max(mats.margins(p_w))) < 0.0:
-        (p0, lam, G), dual, info = _socp_on_rows(mats, p_w, t_init, deadline)
-        meta.update(info)
-        if lam is not None:
-            meta["lambda"] = lam
+        (p0, G), dual = _socp_on_rows(mats, p_w, t_init, deadline, meta)
     meta["deadline"] = meta["stop"] == "deadline"
     try:
         t, row = t_tilde(mats, p0, G)

@@ -130,16 +130,30 @@ def test_oracle_ray_invariants(desk2_limited):
     assert y @ rhs < 0
 
 
-def test_unbounded_direction_raises_restart():
+def _string3():
     # two unlimited lines in a string, one huge generator: shifting load
     # between buses 2 and 3 never breaks anything
-    case = build_case("string3", 1.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
-                      [(1, 2, 0.1, None), (2, 3, 0.1, None)],
-                      [(1, 0.0, 10.0, 1.0)])
-    mats = build_feasibility(case)
+    return build_feasibility(build_case(
+        "string3", 1.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
+        [(1, 2, 0.1, None), (2, 3, 0.1, None)], [(1, 0.0, 10.0, 1.0)]))
+
+
+def test_unbounded_direction_raises_restart():
+    mats = _string3()
     assert oracle_utils.direction_boundary(mats, np.array([1.0, -1.0])) is None
     with pytest.raises(RestartSignal):
         attack_local(mats, np.array([1.0, -1.0]))
+
+
+def test_a_restarted_hint_is_noted_and_the_other_starts_go_on():
+    """A caller's direction along which F never closes is noted "restart"
+    with the signal's reason, and the multistart still certifies."""
+    rep = multistart_attack(_string3(), AttackConfig(restarts=5, seed=0),
+                            extra_directions=[np.array([1.0, -1.0])])
+    assert rep.starts[0] == {
+        "start": "hint0", "status": "restart",
+        "reason": "feasible set never closes along this direction"}
+    assert rep.best.certified and np.isfinite(rep.best.norm_sq)
 
 
 def test_nominally_infeasible_case_raises():
@@ -580,9 +594,9 @@ def test_p_is_built_once_per_network(monkeypatch):
     steps, solved = [], []
     real_step, real_solve = attack._p_lp, lin_solve.lp_solve
 
-    def step_spy(mats, P, g, basis, pool=None, deadline=None):
+    def step_spy(mats, P, g, basis, deadline=None):
         steps.append(P.A_eq)
-        return real_step(mats, P, g, basis, pool, deadline)
+        return real_step(mats, P, g, basis, deadline)
 
     def solve_spy(prob, basis=None, deadline=None):
         if np.array_equal(prob.A_eq[-1], -mats.c):

@@ -203,6 +203,17 @@ def test_table_renders_md_and_csv(desk2_m, desk3_json, capsys):
     assert lines[1].startswith("desk2,")
 
 
+def test_table_csv_quotes_a_case_name_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "a,b.m"
+    path.write_text(DESK2_M)
+    code, out = _run(capsys, ["table", str(path), "--seed", "2",
+                              "--budget", "60", "--format", "csv"])
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert len(header) == len(row) == 6
+    assert row[0] == "a,b"
+
+
 def test_table_empty_case_list_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table"])

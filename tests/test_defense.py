@@ -316,8 +316,8 @@ def test_socp_error_names_the_stage_and_the_row(desk3, monkeypatch):
     real = defense._socp
 
     def overclaiming(*args):
-        (q, lam, G), dual, info = real(*args)
-        return (0.5 * q, 0.5 * lam, G), dual, info
+        (q, lam, G), dual = real(*args)
+        return (0.5 * q, 0.5 * lam, G), dual
 
     monkeypatch.setattr(defense, "_socp", overclaiming)
     with pytest.raises(SolverError, match=r"socp final: .* at row \S+:"):
@@ -415,7 +415,8 @@ def test_socp_iterates_before_the_deadline_are_sound(name, k, desk3,
 def _full_row_t(mats):
     """t of one SOCP solve on every row of mats."""
     p_w, _G0, _t = warm_start_defense(mats)
-    (q, lam, G), _dual, _info = defense._socp(mats, p_w, None)
+    (q, lam, G), _dual = defense._socp(mats, p_w, None,
+                                       {"newton_steps": 0, "solves": 0})
     return t_tilde(mats, q / lam, G)[0]
 
 

@@ -6,7 +6,8 @@ and the CLI compose them.  No module reaches a private numpy name: those
 move between numpy releases (`numpy._core` does not exist in numpy 1.23,
 which pyproject.toml admits), so skipping a wrapper through one trades a
 few microseconds for a broken import.  No public function or class goes
-uncalled unless an allow-list says why it stays."""
+uncalled unless an allow-list says why it stays, and no function binds a
+local name it never reads."""
 
 import ast
 import os
@@ -137,6 +138,53 @@ def test_a_squeeze_imports_no_scipy():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _dead_locals(source):
+    """(function, name) for each name a function binds (an assignment or
+    loop target, a with or except alias) and that neither it nor a function
+    nested in it reads; names starting with "_" and names declared global
+    or nonlocal are exempt."""
+    dead = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, read = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        dead |= {(fn.name, name) for name in bound - read
+                 if not name.startswith("_")}
+    return dead
+
+
+def test_the_dead_local_reader_finds_every_form():
+    source = ("def f(xs):\n"
+              "    total = n = 0\n"
+              "    for tag, sl in xs:\n"
+              "        n += 1\n"
+              "        with open(tag) as fh, open(tag) as _fh:\n"
+              "            pass\n"
+              "    try:\n"
+              "        pass\n"
+              "    except ValueError as exc:\n"
+              "        pass\n"
+              "    def g():\n"
+              "        nonlocal total\n"
+              "        total = 1\n"
+              "    return g, total\n")
+    assert _dead_locals(source) == {("f", name)
+                                    for name in ("n", "sl", "fh", "exc")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_function_binds_a_local_it_never_reads(path):
+    assert _dead_locals(path.read_text()) == set()
 
 
 # public names that nothing in src/, bench/*.py or README.md refers to, and

@@ -23,16 +23,17 @@ each step's LP.  Every iterate is a vertex of P, hence an attack that
 certifies.
 
 A pool of vertices per network.  The P-LPs differ only in their objective,
-so every optimal basis is primal feasible for every later one and a warm
-start runs phase 2 only.  `multistart_attack` builds P's rows and an empty
-pool once per network, and `attack_local` fills it with a (B^T mu, basis)
+so every optimal basis is primal feasible for every later one and can
+start it.  `multistart_attack` builds P's rows and an empty pool once per
+network, and `attack_local` fills it with a (B^T mu, basis)
 pair for every optimal step, the basis carried with its inverse
 (`lin_solve.WarmStart`).  Every P-LP shares P's A_eq and b_eq arrays
 (`LpProblem.with_objective`), so a pooled basis re-enters `lp_solve`
 without re-proof: no factorization and no inverse check, only the
 feasibility and residual checks of x_B.  The first start's first step
 starts from P's crash basis (`FeasibilityMatrices.crash_basis`: mu = 1 /
-(p_max - p_min) on one unit's two bound rows); a later start's first step
+(p_max - p_min) on one unit's two bound rows, or 1 / -c_i on the one row
+of largest -c_i when no unit moves); a later start's first step
 maximizes g^T B^T mu, so it warm-starts from the pooled vertex with the
 largest g^T B^T mu (the earliest on ties), and each later step from its own
 previous one.  A unique optimum does not depend on the starting basis, but
@@ -46,18 +47,20 @@ it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
 emptiness at (1 + _CERT_INFLATION) delta, _CERT_INFLATION = 1e-4, from mu
 itself.  y = mu / 1^T mu, re-verified, lies in Q = {y >= 0 : A^T y = 0,
 1^T y = 1}, so y^T rhs below `check_feasible`'s bar puts min rhs^T y over
-Q, the cold LP's verdict, below it too; only a failing mu takes that LP.
+Q, the LP's verdict, below it too; only a failing mu takes that LP, from
+Q's crash basis.
 The multistart certifies a start's candidate as the start ends, and only
 when its norm is below the certified incumbent's, so the reported attack is
 the smallest candidate that certifies (the earliest on ties).
 
 Zero distance.  A P-LP without an optimum is unbounded along a verified
 ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
-"Theory of Linear and Integer Programming", 1986), or P is empty, which for
-`build_feasibility` rows needs A without columns and c = 0, so every row is
-such a ray.  Then mu^T (B s u + c) = s ||B^T mu|| > 0 for every s > 0 at
-u = B^T mu / ||B^T mu||: rows of F(0) are implicit equalities that move with
-delta.  The ascent stops there, status "zero-distance", at the unit point u.
+"Theory of Linear and Integer Programming", 1986), or P is empty.  For
+`build_feasibility` rows that needs A without columns and every c_i >= 0,
+so c = 0 as F(0) is nonempty, and every row is such a ray; `_p_lp` tells
+this case from c before it poses any LP.  Then mu^T (B s u + c) =
+s ||B^T mu|| > 0 for every s > 0 at u = B^T mu / ||B^T mu||: rows of F(0)
+are implicit equalities that move with delta.  The ascent stops there, status "zero-distance", at the unit point u.
 """
 
 import time
@@ -127,7 +130,8 @@ def certify_infeasible(mats, delta, mu=None):
     """(True, ray) with a normalized verified Farkas ray when F(delta) is
     empty, else (False, witness_dispatch).  The ray is mu / 1^T mu when a
     given `mu` re-verifies and clears `lin_solve.scaled_tol` (module
-    docstring); otherwise `lin_solve.check_feasible` decides cold."""
+    docstring); otherwise `lin_solve.check_feasible` decides from
+    `mats.crash_basis()`."""
     rhs = mats.rhs(delta)
     if mu is not None:
         try:
@@ -136,7 +140,8 @@ def certify_infeasible(mats, delta, mu=None):
                 return True, y
         except SolverError:
             pass
-    feasible, x, ray = lin_solve.check_feasible(mats.A, rhs)
+    feasible, x, ray = lin_solve.check_feasible(mats.A, rhs,
+                                                mats.crash_basis())
     return (False, x) if feasible else (True, ray)
 
 
@@ -176,13 +181,14 @@ def _p_lp(mats, P, g, basis, deadline=None):
     mu is a ray (module docstring), value +inf (-inf when P is empty and
     B g <= 0) and basis None.  Raises DeadlineSignal once `deadline` passes."""
     bg = mats.B @ g
-    res = lin_solve.lp_solve(P.with_objective(-bg), basis=basis,
-                             deadline=deadline)
-    if res.status == lin_solve.OPTIMAL:
-        return np.maximum(res.x, 0.0), -res.objective, res.warm
-    ray = res.ray
-    if res.status == lin_solve.INFEASIBLE and mats.n_reduced == 0:
+    if not mats.n_reduced and np.all(mats.c >= 0.0):
+        # P is empty: its one row -c^T mu = 1 has no solution mu >= 0
         ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
+    else:
+        res = lin_solve.lp_solve(P.with_objective(-bg), basis, deadline)
+        if res.status == lin_solve.OPTIMAL:
+            return np.maximum(res.x, 0.0), -res.objective, res.warm
+        ray = res.ray
     return np.maximum(ray, 0.0), np.inf if bg @ ray > 0 else -np.inf, None
 
 
@@ -274,7 +280,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     by a power of two, so a direction's scale changes nothing.  A candidate
     below the certified incumbent's norm, or any while there is none, is
     certified from its own mu (`certify_infeasible`) as its start ends and
-    becomes the incumbent, with `oracle_ray` its mu / 1^T mu or the cold
+    becomes the incumbent, with `oracle_ray` its mu / 1^T mu or the
     LP's ray, or is noted "refuted".  A note says certified exactly for the
     candidates that lowered the incumbent; the last is the reported
     attack.  Once `budget_s` seconds have passed, the running ascent stops

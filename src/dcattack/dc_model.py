@@ -108,15 +108,24 @@ class FeasibilityMatrices:
         n, m = self.n_reduced, self.m
         return np.arange(m - 2 * n - 1, m - n - 1), np.arange(m - n, m)
 
+    def row_blocks(self):
+        """(flow, bounds): the positions of the flow rows, which open the
+        row stacking order, and of the slack and unit bound rows (the last
+        2 n_reduced + 2), which end it."""
+        split = self.m - 2 * self.n_reduced - 2
+        return np.arange(split), np.arange(split, self.m)
+
     def crash_basis(self):
         """A feasible start of the wide forms P and Q read off `unit_rows`
-        (Bixby 1992's crash basis), None when no unit moves.  For their rows
-        [A^T; r^T] mu = e_last (r = -c or 1): every upper row and the widest
-        unit u's lower row, nonsingular as a_i = +-e_j, with mu_up(u) =
-        mu_lo(u) = 1/(p_max - p_min) or 1/2; any u would do, and the widest
-        keeps the bundled lb within 4e-13 of a cold start's."""
+        (Bixby 1992's crash basis).  For their rows [A^T; r^T] mu = e_last
+        (r = -c or 1): every upper row and the widest unit u's lower row,
+        nonsingular as a_i = +-e_j, with mu_up(u) = mu_lo(u) =
+        1/(p_max - p_min) or 1/2; any u would do, and the pick stays fixed
+        because the vertices the LPs reach follow from it.  With no movable
+        unit the one row is r^T mu = 1, and the basis is the row of largest
+        -c_i: feasible for Q, and for P whenever P is nonempty."""
         if not self.n_reduced:
-            return None
+            return np.argmax(-self.c, keepdims=True)
         up, lo = self.unit_rows()
         return np.append(up, lo[np.argmax(-self.c[up] - self.c[lo])])
 
@@ -293,16 +302,15 @@ def build_feasibility(case, slack_gen=None):
 class DcopfResult:
     feasible: bool
     p_hat: np.ndarray = None
-    p_full: np.ndarray = None
-    cost: float = None
     ray: np.ndarray = None   # normalized Farkas ray over the rows when infeasible
 
 
 def solve_dcopf(mats, delta=None):
     """Cost-minimizing dispatch inside F(delta), or a certified-infeasible flag.
 
-    The slack generator's cost is folded into the reduced objective through the
-    power-balance substitution, so the reported cost is the true total cost.
+    The slack generator's cost is folded into the reduced objective through
+    the power-balance substitution; `mats.full_dispatch(p_hat, delta)` gives
+    every unit's output.
 
     The LP  min c_red^T p s.t. A p <= rhs  is solved through its dual
 
@@ -311,26 +319,21 @@ def solve_dcopf(mats, delta=None):
     whose basis has n_reduced rows instead of m.  It starts from the
     merit-order corner of the unit rows (`FeasibilityMatrices.unit_rows`):
     unit j's upper row when red_cost[j] <= 0, else its lower one, so
-    B = diag(+-1) and x_B = |red_cost| >= 0; with no movable unit it starts
-    cold.  The dispatch is read off the equality duals and returned only
-    once it satisfies every row and closes the duality gap; an unbounded
-    dual is a Farkas ray of F(delta).
+    B = diag(+-1) and x_B = |red_cost| >= 0, empty when no unit moves.  The
+    dispatch is read off the equality duals and returned only once it
+    satisfies every row and closes the duality gap; an unbounded dual is a
+    Farkas ray of F(delta).
     """
-    case = mats.case
-    costs = case.gen_costs()
+    costs = mats.case.gen_costs()
     red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
     rhs = mats.rhs(delta)
     up, lo = mats.unit_rows()
     res = lin_solve.lp_solve(
         lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost),
-        np.where(red_cost <= 0, up, lo) if mats.n_reduced else None)
+        np.where(red_cost <= 0, up, lo))
     if res.status == lin_solve.UNBOUNDED:
         ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray)
         return DcopfResult(feasible=False, ray=ray)
-    if res.status != lin_solve.OPTIMAL:
-        raise ModelError(
-            f"dispatch dual LP returned {res.status}; generator bounds should "
-            "make the polytope bounded")
     p_hat = res.y
     tol = lin_solve.scaled_tol(rhs)
     worst = float(np.max(mats.A @ p_hat - rhs))
@@ -338,6 +341,4 @@ def solve_dcopf(mats, delta=None):
     if worst > tol or abs(gap) > tol * (1.0 + float(np.abs(res.x) @ np.abs(rhs))):
         raise SolverError(f"dispatch from the dual LP fails its check: worst row "
                           f"{worst:.3e}, duality gap {gap:.3e}")
-    p_full = mats.full_dispatch(p_hat, delta)
-    return DcopfResult(feasible=True, p_hat=p_hat, p_full=p_full,
-                       cost=float(costs @ p_full))
+    return DcopfResult(feasible=True, p_hat=p_hat)

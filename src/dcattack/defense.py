@@ -410,9 +410,9 @@ def _socp_on_rows(mats, p_w, t_init, deadline, meta):
     violated.  If the deadline cuts the rounds short instead, p0, G are the
     warm start when p0 breaks a row or its exact radius is at most t_init."""
     m, n = mats.m, mats.n_reduced
-    flow = m - 2 * n - 2
-    nearest = np.argsort(mats.radii(p_w)[:flow], kind="stable")[:4 * n]
-    rows = np.concatenate([np.sort(nearest), np.arange(flow, m)])
+    flow, bounds = mats.row_blocks()
+    nearest = np.argsort(mats.radii(p_w)[flow], kind="stable")[:4 * n]
+    rows = np.concatenate([np.sort(nearest), bounds])
 
     def outside(q, lam, G):
         # the rows outside the subset whose cone ||g_i|| <= -(a_i^T q + lam

@@ -1,4 +1,4 @@
-"""Standard-form revised simplex with Farkas infeasibility certificates.
+"""Standard-form revised simplex, phase 2 only, from a caller's feasible basis.
 
 Kernel for every linear program in the package, and only that (the row
 geometry, radii and crossing points, lives in `dc_model`):
@@ -7,36 +7,33 @@ geometry, radii and crossing points, lives in `dc_model`):
 
 Dense numpy throughout: the target systems (reduced DC-OPF polytopes) stay
 below ~500 rows, where an explicit basis inverse with periodic
-refactorization is fast enough and easy to audit.  Certificates are first
-class: an INFEASIBLE verdict always carries a Farkas vector y with
-A_eq^T y <= 0 and b_eq^T y > 0, re-verified before it is returned.
+refactorization is fast enough and easy to audit.
 
-Every nonbasic column sits at 0, so the kernel keeps only the basic values.
-Phase 1 starts from one artificial column per row, sign(b_i) e_i, kept
-implicit: it exists only as a basis index >= N (N real columns) and as a
-signed unit column when the basis is refactorized.  An artificial never
-re-enters once it leaves.  The pivot rules are fixed on purpose, because the
+Every LP the package poses has a primal feasible basis by construction, so
+`lp_solve(prob, basis)` takes one from its caller and runs phase 2 from it:
+there are no artificial columns and no infeasible verdict.  The result is
+OPTIMAL, with the equality duals y and an optimal `warm`, or UNBOUNDED,
+with a re-checked ray.  Every nonbasic column sits at 0, so the kernel keeps
+only the basic values.  The pivot rules are fixed on purpose, because the
 attack's vertices (and so its bounds) follow from them:
   - Dantzig pricing: the most negative reduced cost enters, the lowest
     column index on ties;
   - the ratio test takes every row within 1e-9 (absolute plus relative) of
-    the minimum ratio as a tie, prefers a leaving artificial, then the
-    largest |w|;
-  - in phase 2 a basic artificial is pinned at 0 and blocks either way;
+    the minimum ratio as a tie, then the largest |w|;
   - after 30 pivots without a 1e-12 relative decrease, Bland's rule (lowest
     entering index, lowest basis index leaving) until the objective moves;
-  - a phase 2 that starts with no basic artificial runs on b_eq + B u, x_B
-    shifted by a fixed u in [1, 2]^M * _SHIFT * b_scale (b_scale = 1 +
-    ||b_eq||_inf; Wolfe, "A technique for resolving degeneracy in linear
-    programming", 1963), so the highly degenerate vertices of the attack's
-    Farkas polytope do not stall it; at the end b_eq is restored, x_B and y
-    come afresh from the final basis's inverse (refactorized when pivots
-    edited it, since eta updates drift), and if x_B is then below
-    -FEAS_TOL * b_scale the LP is solved again cold without the shift;
+  - phase 2 runs on b_eq + B u, x_B shifted by a fixed u in [1, 2]^M *
+    _SHIFT * b_scale (b_scale = 1 + ||b_eq||_inf; Wolfe, "A technique for
+    resolving degeneracy in linear programming", 1963), so the highly
+    degenerate vertices of the attack's Farkas polytope do not stall it; at
+    the end b_eq is restored, x_B and y come afresh from the final basis's
+    inverse (refactorized when pivots edited it, since eta updates drift),
+    and if x_B is then below -FEAS_TOL * b_scale the LP is solved again from
+    the caller's basis without the shift;
   - the inverse is refactorized every _REFACTOR_EVERY pivots, where a
     caller's deadline is checked;
   - _ITER_FACTOR * (N + 2 M) + 200 pricing passes at most;
-  - every unbounded ray and every Farkas certificate is re-checked.
+  - every unbounded ray is re-checked.
 
 The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 (408 against 23 on a 120-bus network), and a simplex basis is as large as the
@@ -48,23 +45,20 @@ the defense its max-margin warm start) and the nominal dispatch
 (`dc_model.solve_dcopf`).  Primal points are read off the equality duals y
 and re-checked against the rows; Farkas rays are the multipliers themselves.
 
-Warm start.  `lp_solve(prob, basis)` re-enters the simplex at a caller's
-basis, in one of two kinds.  A bare array of M real column indices is
-accepted only when its indices are in range and distinct, B = A_eq[:, basis]
-is nonsingular (its inverse taken afresh), and x_B = B^-1 b_eq is
->= -FEAS_TOL * b_scale with B x_B = b_eq to the same tolerance.  An optimal
-solve's own `LpResult.warm`, re-entered on the very A_eq and b_eq arrays it
-was solved on (`is`; `LpProblem.with_objective` keeps them), needs only the
-x_B checks with its carried inverse, inv(A_eq[:, basis]) to the bit; when
-they fail, or on any other arrays, it is re-entered as its bare basis, and
-its inverse is not read.  An accepted start runs phase 2 at once, shifted
-through the B already gathered, and no all-artificial start is built; any
-other basis (None included) takes the cold two-phase path, so a stale basis
-costs time, never a wrong answer.  Every hot-path LP starts from a feasible
-basis: a crash basis of the unit-bound rows (`dc_model`'s
-`FeasibilityMatrices.crash_basis` and `solve_dcopf`) or, for the attack's
-P-LPs, an earlier optimum over the same rows (see `attack`), so none runs
-phase 1.
+Start basis.  The basis comes in one of two kinds.  A bare array of M
+column indices is accepted only when its indices are in range and
+distinct, B = A_eq[:, basis] is nonsingular (its inverse taken afresh), and
+x_B = B^-1 b_eq is >= -FEAS_TOL * b_scale with B x_B = b_eq to the same
+tolerance.  An optimal solve's own `LpResult.warm`, re-entered on the very
+A_eq and b_eq arrays it was solved on (`is`; `LpProblem.with_objective`
+keeps them), needs only the x_B checks with its carried inverse,
+inv(A_eq[:, basis]) to the bit; when they fail, or on any other arrays, it
+is re-entered as its bare basis, and its inverse is not read.  A basis that
+fails a check raises SolverError naming the check.  The callers' starts: a
+crash basis of the unit-bound rows (`dc_model`'s
+`FeasibilityMatrices.crash_basis` and `solve_dcopf`'s merit-order corner)
+or, for the attack's P-LPs, an earlier optimum over the same rows (see
+`attack`).
 """
 
 import functools
@@ -88,7 +82,6 @@ _ITER_FACTOR = 60
 _SHIFT = 1e-7
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -124,26 +117,9 @@ class LpProblem:
         return out
 
 
-@dataclass
-class FarkasCertificate:
-    """Proof that {x >= 0 : A_eq x = b_eq} is empty: A_eq^T y <= 0 and
-    gap = b_eq^T y > 0, while any x of the set would give
-    b_eq^T y = x^T A_eq^T y <= 0."""
-
-    y: np.ndarray
-    gap: float
-
-    def verify(self, prob):
-        """Recompute every claim from scratch; returns (ok, detail dict)."""
-        tol = _CERT_TOL * (1.0 + float(np.abs(self.y).sum()))
-        h_max = float(np.max(prob.A_eq.T @ self.y, initial=0.0))
-        gap = float(prob.b_eq @ self.y)
-        return h_max <= tol and gap > 0, {"h_max": h_max, "gap": gap}
-
-
 class WarmStart(NamedTuple):
-    """An optimal basis of real columns with inv(A_eq[:, basis]) from its
-    final refactorization, to the bit, and the (A_eq, b_eq) arrays solved."""
+    """An optimal basis with inv(A_eq[:, basis]) from its final
+    refactorization, to the bit, and the (A_eq, b_eq) arrays solved."""
 
     basis: np.ndarray
     B_inv: np.ndarray
@@ -156,85 +132,66 @@ class LpResult:
     x: np.ndarray = None
     objective: float = None
     y: np.ndarray = None            # equality duals B^-T c_B at an optimum
-    certificate: FarkasCertificate = None
     ray: np.ndarray = None
     iterations: int = 0
-    # an optimum's start for a later `lp_solve`; None when an artificial
-    # stays basic
-    warm: WarmStart = None
+    warm: WarmStart = None          # an optimum's start for a later `lp_solve`
 
 
 class _Simplex:
-    """Two-phase revised simplex on A x = b, x >= 0 with implicit artificial
-    columns sign(b_i) e_i, numbered N + i."""
+    """Revised simplex on A x = b, x >= 0, entered at a feasible basis."""
 
-    def __init__(self, prob, deadline=None):
+    def __init__(self, prob, basis, deadline=None):
         self.A, self.b = prob.A_eq, prob.b_eq
         self.M, self.N = self.A.shape
         self.b_scale = 1.0 + float(abs(self.b).max(initial=0.0))
-        self.pinned = False                         # phase 2: artificials at 0
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.deadline = deadline
+        self._start(basis)
 
-    def cold_start(self):
-        """Phase 1's all-artificial basis, built only on the cold path."""
-        self.sign = np.where(self.b >= 0, 1.0, -1.0)
-        self.basis = np.arange(self.N, self.N + self.M)
-        self.art = np.ones(self.M, dtype=bool)      # basis position holds an artificial
-        self.n_art = self.M                         # basic artificials
-        self.B_inv = np.diag(self.sign)
-        self.xB = np.abs(self.b)
-
-    def warm_start(self, basis):
-        """Re-enter at a caller's basis of real columns, bare or as a
-        `WarmStart` (acceptance rules in the module docstring).  An accepted
-        basis leaves no artificial, so phase 2 can run at once; a rejected
-        one returns False, sets nothing, and the caller runs `cold_start`.
-        A_eq[:, basis] is kept as `Bmat`."""
+    def _start(self, basis):
+        """Enter at the caller's basis, bare or as a `WarmStart` (checks in
+        the module docstring); A_eq[:, basis] is kept as `Bmat`.  Raises
+        SolverError naming the check a bare basis fails."""
         basis, B_inv, rows = basis if isinstance(basis, WarmStart) \
             else (basis, None, None)
         basis = np.array(basis, dtype=int).ravel()     # a copy: pivots edit it
         # an own inverse is copied too: the eta updates edit it in place
-        if rows and rows[0] is self.A and rows[1] is self.b and self._enter(
+        if rows and rows[0] is self.A and rows[1] is self.b and not self._enter(
                 basis, np.array(B_inv, dtype=float), self.A[:, basis]):
-            return True
-        if basis.size != self.M or \
-                (self.M and (basis.min() < 0 or basis.max() >= self.N)) or \
-                np.unique(basis).size != self.M:
-            return False
+            return
+        if basis.size != self.M:
+            raise SolverError(f"start basis has {basis.size} columns, "
+                              f"expected {self.M}")
+        if self.M and (basis.min() < 0 or basis.max() >= self.N):
+            raise SolverError(f"start basis holds a column outside [0, {self.N})")
+        if np.unique(basis).size != self.M:
+            raise SolverError("start basis repeats a column")
         Bmat = self.A[:, basis]
         try:
             B_inv = np.linalg.inv(Bmat)
         except np.linalg.LinAlgError:
-            return False
-        return self._enter(basis, B_inv, Bmat)
+            raise SolverError("start basis is singular")
+        failed = self._enter(basis, B_inv, Bmat)
+        if failed:
+            raise SolverError(f"start basis fails its {failed} check")
 
     def _enter(self, basis, B_inv, Bmat):
         """Take the basis when x_B = B_inv b_eq passes the feasibility and
-        residual checks of the module docstring; else False."""
+        residual checks of the module docstring; else name the failed one."""
         x_B = B_inv @ self.b
         tol = FEAS_TOL * self.b_scale
         # written so that a NaN or an inf in x_B fails too
-        if not (x_B.min(initial=0.0) >= -tol
-                and abs(Bmat @ x_B - self.b).max(initial=0.0) <= tol):
-            return False
+        if not x_B.min(initial=0.0) >= -tol:
+            return "x_B >= 0"
+        if not abs(Bmat @ x_B - self.b).max(initial=0.0) <= tol:
+            return "B x_B = b_eq"
         self.basis, self.B_inv, self.xB, self.Bmat = basis, B_inv, x_B, Bmat
-        self.art = np.zeros(self.M, dtype=bool)
-        self.n_art = 0
-        return True
+        return None
 
     def _refactor(self):
-        if self.n_art:
-            Bmat = np.zeros((self.M, self.M))
-            real = ~self.art
-            Bmat[:, real] = self.A[:, self.basis[real]]
-            rows = self.basis[self.art] - self.N
-            Bmat[rows, self.art] = self.sign[rows]
-        else:
-            Bmat = self.A[:, self.basis]
         try:
-            self.B_inv = np.linalg.inv(Bmat)
+            self.B_inv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}")
         self.xB = self.B_inv @ self.b
@@ -243,12 +200,8 @@ class _Simplex:
     def _ratio(self, w, bland):
         """Leaving basis position for the entering column B^-1 a_j = w, and
         its step; (inf, None) when nothing blocks.  Only the blocking
-        positions are divided: w > 1e-10, and in phase 2 a basic artificial
-        with w < -1e-10."""
-        block = w > 1e-10
-        if self.pinned and self.n_art:
-            block |= (w < -1e-10) & self.art
-        pos = block.nonzero()[0]
+        positions, w > 1e-10, are divided."""
+        pos = (w > 1e-10).nonzero()[0]
         if not pos.size:
             return np.inf, None
         t = self.xB[pos] / w[pos]
@@ -261,9 +214,7 @@ class _Simplex:
         elif cand.size == 1:
             r = int(cand[0])
         else:
-            arts = self.art[cand]
-            pool = cand[arts] if arts.any() else cand
-            r = int(pool[np.argmax(np.abs(w[pool]))])
+            r = int(cand[np.argmax(np.abs(w[cand]))])
         return max(0.0, float(self.xB[r] / w[r])), r
 
     def _pivot(self, j, t, r, w):
@@ -273,9 +224,6 @@ class _Simplex:
         self.xB -= t * w
         self.xB[r] = t
         self.basis[r] = j
-        if self.art[r]:
-            self.art[r] = False
-            self.n_art -= 1
         # eta update of the explicit inverse
         Binv_r = self.B_inv[r] / w[r]
         self.B_inv -= np.multiply.outer(w, Binv_r)
@@ -288,18 +236,16 @@ class _Simplex:
                     f"deadline passed after {self.iterations} pricing passes")
         return leave
 
-    def run_phase(self, cost):
-        """Minimize cost (N real entries, then M artificial ones) from the
-        current basis; returns (status, y, extra) with extra = (j, w) for an
-        unbounded entering column."""
+    def run(self, c):
+        """Minimize c^T x from the current basis; returns (status, y, extra)
+        with extra = (j, w) for an unbounded entering column."""
         iter_cap = _ITER_FACTOR * (self.N + 2 * self.M) + 200
         A, AT, N = self.A, self.A.T, self.N
-        c = cost[:N]
         # reduced costs of basic columns read +inf, so they never enter
         price = c.copy()
-        price[self.basis[~self.art]] = np.inf
+        price[self.basis] = np.inf
         stall, bland = 0, False
-        cB = cost[self.basis]
+        cB = c[self.basis]
         z = float(cB @ self.xB)
         while True:
             if self.iterations > iter_cap:
@@ -319,9 +265,8 @@ class _Simplex:
                 return UNBOUNDED, y, (j, w)
             leave = self._pivot(j, t, r, w)
             price[j] = np.inf
-            if leave < N:
-                price[leave] = c[leave]
-            cB[r] = cost[j]
+            price[leave] = c[leave]
+            cB[r] = c[j]
             z_new = float(cB @ self.xB)
             if z - z_new > 1e-12 * (1.0 + abs(z)):
                 stall, bland = 0, False
@@ -340,53 +285,29 @@ def _shift(M):
     return u
 
 
-def lp_solve(prob: LpProblem, basis=None, deadline=None) -> LpResult:
-    """Solve an LpProblem; INFEASIBLE results carry a verified FarkasCertificate,
-    UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and c^T x < 0,
-    OPTIMAL results carry their equality duals y and `warm`.  A given
-    `basis` (an index array or an `LpResult.warm`) skips phase 1 when it
-    passes the warm-start checks (module docstring) and is ignored
-    otherwise.  Past `deadline`, a time.monotonic() value checked every
-    _REFACTOR_EVERY pivots, the solve raises DeadlineSignal."""
+def lp_solve(prob: LpProblem, basis, deadline=None) -> LpResult:
+    """Solve an LpProblem from `basis`, an index array or an `LpResult.warm`
+    that passes the start checks (module docstring; SolverError names a
+    failed one).  UNBOUNDED results carry a ray x >= 0 with A_eq x = 0 and
+    c^T x < 0, OPTIMAL results their equality duals y and `warm`.  Past
+    `deadline`, a time.monotonic() value checked every _REFACTOR_EVERY
+    pivots, the solve raises DeadlineSignal."""
     if not isinstance(prob, LpProblem):
         raise TypeError("lp_solve expects an LpProblem")
     return _solve(prob, basis, deadline, perturb=True)
 
 
 def _solve(prob, basis, deadline, perturb):
-    sx = _Simplex(prob, deadline)
-    N, M = sx.N, sx.M
-
-    warm = basis is not None and sx.warm_start(basis)
-    if not warm:
-        sx.cold_start()
-        status, y, _ = sx.run_phase(np.concatenate([np.zeros(N), np.ones(M)]))
-        if status != OPTIMAL:
-            raise SolverError("phase 1 cannot be unbounded; numerical failure")
-        z1 = float(sx.xB[sx.art].sum())
-        if z1 > FEAS_TOL * sx.b_scale:
-            cert = FarkasCertificate(y=y, gap=float(prob.b_eq @ y))
-            ok, detail = cert.verify(prob)
-            if not ok:
-                raise SolverError(
-                    f"phase-1 Farkas certificate failed verification: {detail}")
-            return LpResult(status=INFEASIBLE, certificate=cert,
-                            iterations=sx.iterations)
-        sx.pinned = True
-
-    perturb = perturb and not sx.n_art
+    sx = _Simplex(prob, basis, deadline)
     if perturb:
-        u = _shift(M) * sx.b_scale
-        Bmat = sx.Bmat if warm else sx.A[:, sx.basis]
-        sx.b, sx.xB = sx.b + Bmat @ u, sx.xB + u
-    cost = np.concatenate([prob.c, np.zeros(M)])
-    status, y, extra = sx.run_phase(cost)
+        u = _shift(sx.M) * sx.b_scale
+        sx.b, sx.xB = sx.b + sx.Bmat @ u, sx.xB + u
+    status, y, extra = sx.run(prob.c)
     if status == UNBOUNDED:
         j, w = extra
-        ray = np.zeros(N)
+        ray = np.zeros(sx.N)
         ray[j] = 1.0
-        real = ~sx.art
-        ray[sx.basis[real]] = -w[real]
+        ray[sx.basis] = -w
         eq_resid = float(np.max(np.abs(prob.A_eq @ ray), initial=0.0))
         if eq_resid > 1e-7 * (1.0 + float(np.max(np.abs(ray)))) \
                 or prob.c @ ray >= 0:
@@ -395,22 +316,21 @@ def _solve(prob, basis, deadline, perturb):
 
     # x_B afresh from the final basis and the restored b: the per-pivot
     # updates drift, by up to 1e-9 in the row residuals after a long
-    # warm-started phase 2
+    # shifted phase 2
     sx.b = prob.b_eq
     if sx.pivots_since_refactor:
         sx._refactor()
     else:
         sx.xB = sx.B_inv @ sx.b
     if perturb and not sx.xB.min(initial=0.0) >= -FEAS_TOL * sx.b_scale:
-        return _solve(prob, None, deadline, perturb=False)
-    y = sx.B_inv.T @ cost[sx.basis]
-    x = np.zeros(N)
-    real = ~sx.art
-    x[sx.basis[real]] = sx.xB[real]
+        return _solve(prob, basis, deadline, perturb=False)
+    y = sx.B_inv.T @ prob.c[sx.basis]
+    x = np.zeros(sx.N)
+    x[sx.basis] = sx.xB
     return LpResult(status=OPTIMAL, x=x, objective=float(prob.c @ x), y=y,
                     iterations=sx.iterations,
-                    warm=None if sx.n_art else WarmStart(
-                        sx.basis.copy(), sx.B_inv, (prob.A_eq, prob.b_eq)))
+                    warm=WarmStart(sx.basis.copy(), sx.B_inv,
+                                   (prob.A_eq, prob.b_eq)))
 
 
 def normalize_farkas_ray(rows, rhs, y):
@@ -437,17 +357,16 @@ def scaled_tol(rhs):
     return FEAS_TOL * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
 
 
-def check_feasible(rows, rhs, basis=None):
+def check_feasible(rows, rhs, basis):
     """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
         min rhs^T y  s.t.  rows^T y = 0,  1^T y = 1,  y >= 0,
 
-    whose basis has n + 1 rows however many rows the system has.  A negative
-    optimum is a Farkas ray.  Otherwise the equality duals (x, t) solve the
-    dual  max t s.t. rows x + t <= rhs, so x is a max-margin witness.  When no
-    such y exists at all (typical for m <= n), Gordan's theorem gives a
-    direction z with rows z < 0, and a scaled z is the witness.  A given
-    `basis`, bare row indices, is `lp_solve`'s warm start.
+    whose basis has n + 1 rows however many rows the system has, solved by
+    `lp_solve` from `basis`, row indices feasible for those rows (such as
+    `FeasibilityMatrices.crash_basis`).  A negative optimum is a Farkas ray.
+    Otherwise the equality duals (x, t) solve the dual  max t s.t.
+    rows x + t <= rhs, so x is a max-margin witness.
 
     Returns (True, x, None) with a witness re-checked against rows x <= rhs,
     or (False, None, y) where y is a Farkas ray normalized to ||y||_1 = 1
@@ -458,26 +377,16 @@ def check_feasible(rows, rhs, basis=None):
         raise ValueError("rows must be 2-D")
     rhs = np.asarray(rhs, dtype=float).ravel()
     m, n = rows.shape
-    if m == 0:
-        return True, np.zeros(n), None
     e = np.zeros(n + 1)
     e[-1] = 1.0
     prob = LpProblem(c=rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]), b_eq=e)
     res = lp_solve(prob, basis)
-    tol = scaled_tol(rhs)
-    if res.status == OPTIMAL:
-        if res.objective < -tol:
-            return False, None, normalize_farkas_ray(rows, rhs, res.x)
-        x = res.y[:n]
-    elif res.status == INFEASIBLE:
-        # the certificate (z, s) has rows z + s 1 <= 0 with s > 0: rows z < 0
-        z = res.certificate.y[:n]
-        slope = rows @ z
-        if not np.all(slope < 0.0):
-            raise SolverError("Gordan direction failed re-verification")
-        x = 2.0 * max(0.0, float(np.max(rhs / slope))) * z
-    else:
+    if res.status != OPTIMAL:
         raise SolverError(f"feasibility probe returned {res.status}")
+    tol = scaled_tol(rhs)
+    if res.objective < -tol:
+        return False, None, normalize_farkas_ray(rows, rhs, res.x)
+    x = res.y[:n]
     worst = float(np.max(rows @ x - rhs))
     if worst > tol:
         raise SolverError(f"feasibility witness violates a row by {worst:.3e}")

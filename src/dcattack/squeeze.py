@@ -14,8 +14,9 @@ Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
 append.  The attack's final certificate is the multistart's own, its mu
 re-verified at the inflated incumbent (1 + `attack._CERT_INFLATION`) delta
-(a cold LP's ray where mu fails).  The report keeps the attack's `summary()`,
-start and delta, not the ray, which stays on `AttackSolution.oracle_ray`.
+(the feasibility LP's ray where mu fails).  The report keeps the attack's
+`summary()`, start and delta, not the ray, which stays on
+`AttackSolution.oracle_ray`.
 The multistart is handed lb, and stops once a certified attack meets it to
 1e-8 relative: the bracket is closed, and no further start could lower ub
 by more.

@@ -147,18 +147,14 @@ def p_polytope_max(mats, g):
     return float(-res.fun)
 
 
-def full_ratio_test(xB, w, art, basis, pinned, bland):
+def full_ratio_test(xB, w, basis, bland):
     """The simplex ratio test in its full-array form, the reference for
     `lin_solve._Simplex._ratio`: every basis position gets a ratio (+inf
-    where w <= 1e-10), a phase-2 basic artificial with w < -1e-10 blocks at
-    (0 - xB) / -w, ratios are clipped at 0, and the tie window, Bland's
-    lowest basis index, the artificial preference and the largest |w| pick
-    the row.  Returns (t, r), or (inf, None) when nothing blocks."""
+    where w <= 1e-10), ratios are clipped at 0, and the tie window, Bland's
+    lowest basis index and the largest |w| pick the row.  Returns (t, r),
+    or (inf, None) when nothing blocks."""
     t = np.full(xB.size, np.inf)
     np.divide(xB, w, out=t, where=w > 1e-10)
-    if pinned and art.any():
-        inc = (w < -1e-10) & art
-        t[inc] = (0.0 - xB[inc]) / -w[inc]
     np.maximum(t, 0.0, out=t)
     t_min = float(t.min()) if xB.size else np.inf
     if not t_min < np.inf:
@@ -166,12 +162,8 @@ def full_ratio_test(xB, w, art, basis, pinned, bland):
     cand = (t <= t_min + 1e-9 * (1.0 + t_min)).nonzero()[0]
     if bland:
         r = int(cand[np.argmin(basis[cand])])
-    elif cand.size == 1:
-        r = int(cand[0])
     else:
-        arts = art[cand]
-        pool = cand[arts] if arts.any() else cand
-        r = int(pool[np.argmax(np.abs(w[pool]))])
+        r = int(cand[np.argmax(np.abs(w[cand]))])
     return float(t[r]), r
 
 

@@ -95,7 +95,7 @@ def test_criterion_2_certificate_soundness(desk2, desk2_limited, desk2_single,
         rep = multistart_attack(mats, AttackConfig(seed=0))
         delta = rep.best.delta * (1.0 + 1e-4)
         assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta)), \
-            f"{case.name}: attack bound failed the phase-1 oracle"
+            f"{case.name}: attack bound failed the feasibility oracle"
         attacks += 1
         pol = defense_local(mats)
         verify_policy(mats, pol, samples=1000, seed=1)
@@ -140,16 +140,22 @@ def test_criterion_3_projection_vs_dense_kkt():
 
 
 def test_criterion_4_farkas_alternative():
-    """Exactly one of {feasible witness, verified Farkas ray} per instance."""
+    """Exactly one of {feasible witness, verified Farkas ray} per instance.
+    Each system ends with box rows x <= x0 + w and -x <= w - x0, as a
+    network ends with its unit bound rows, so the LP over Q starts from the
+    same kind of crash basis: every upper row and the first lower row."""
     rng = np.random.default_rng(7)
     outcomes = {True: 0, False: 0}
     for _ in range(200):
         m = int(rng.integers(1, 21))
         n = int(rng.integers(1, 11))
-        A = rng.normal(size=(m, n))
+        x0 = rng.normal(size=n)
+        width = rng.uniform(0.5, 3.0, size=n)
+        A = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
         slack = rng.normal(loc=-0.3, size=m)
-        rhs = A @ rng.normal(size=n) + slack
-        feasible, x, ray = lin_solve.check_feasible(A, rhs)
+        rhs = np.concatenate([A[:m] @ x0 + slack, x0 + width, width - x0])
+        crash = np.append(np.arange(m, m + n), m + n)
+        feasible, x, ray = lin_solve.check_feasible(A, rhs, crash)
         if feasible:
             assert ray is None
             assert x is not None

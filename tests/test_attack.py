@@ -210,9 +210,8 @@ def test_fixed_dispatch_start_crosses_its_row(desk2_single):
 
 def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     """Every P-LP step of every start gets a basis from the network's pool
-    or its own previous step's; every such basis must pass the warm-start
-    checks (so no step falls back to phase 1), and every warm optimum must
-    match scipy."""
+    or its own previous step's; every such basis must pass the start
+    checks, and every warm optimum must match scipy."""
     calls = []
     solve = lin_solve.lp_solve
 
@@ -226,7 +225,7 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
     warm = [(prob, basis, res) for prob, basis, res in calls if basis is not None]
     assert warm
     for prob, basis, res in warm:
-        assert lin_solve._Simplex(prob).warm_start(basis)
+        lin_solve._Simplex(prob, basis)     # raises unless the checks pass
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
                       method="highs")
         assert res.status == lin_solve.OPTIMAL and ref.status == 0
@@ -234,13 +233,13 @@ def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
 
 
 def test_p_steps_match_scipy(bundled_mats):
-    """Each step of an ascent, cold or warm-started from the previous step's
-    basis, reaches scipy's optimum over P at a point of P."""
+    """Each step of an ascent, from the crash basis or warm-started from the
+    previous step's basis, reaches scipy's optimum over P at a point of P."""
     mats = bundled_mats
     P = _polytope(mats)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        g, basis = rng.normal(size=mats.n_delta), None
+        g, basis = rng.normal(size=mats.n_delta), mats.crash_basis()
         for _step in range(4):
             mu, value, basis = _p_lp(mats, P, g, basis)
             assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
@@ -271,8 +270,8 @@ def test_ascent_ends_at_a_fixed_point_on_its_ray_boundary(bundled_mats):
 
 def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
     """The network's one P-LP without a pooled basis, its first, starts
-    from `crash_basis()`, which the warm-start checks accept; no P-LP is
-    handed basis=None, so none runs phase 1."""
+    from `crash_basis()`, which the start checks accept; every later one
+    starts from a pooled or a previous step's optimum."""
     given = []
     solve = lin_solve.lp_solve
 
@@ -287,16 +286,18 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
     assert len(given) > 1 and all(basis is not None for _p, basis in given)
     prob, crash = given[0]
     np.testing.assert_array_equal(crash, bundled_mats.crash_basis())
-    assert lin_solve._Simplex(prob).warm_start(crash)
+    lin_solve._Simplex(prob, crash)         # raises unless the checks pass
+    assert all(isinstance(basis, lin_solve.WarmStart)
+               for _p, basis in given[1:])
 
 
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60",))
 def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     """The pool holds every optimal P-LP solved on the network.  The first
-    start's first P-LP starts from the crash basis, which the warm-start
-    checks accept; each later start's first P-LP gets the pooled basis
-    whose vertex scores highest on that LP's objective, g^T B^T mu, the
-    earliest on ties; every pooled basis passes the warm-start checks; and
+    start's first P-LP starts from the crash basis, which the start checks
+    accept; each later start's first P-LP gets the pooled basis whose
+    vertex scores highest on that LP's objective, g^T B^T mu, the earliest
+    on ties; every pooled basis passes the start checks; and
     each start reaches the norm that its ascent reaches alone from the
     first P-LP's basis."""
     case = bench_ladder(60, 0, False) if net == "ladder60" \
@@ -328,11 +329,11 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
 
     assert starts[0][2] == 0
     np.testing.assert_array_equal(p_lps[0][1], mats.crash_basis())
-    assert lin_solve._Simplex(p_lps[0][0]).warm_start(p_lps[0][1])
+    lin_solve._Simplex(p_lps[0][0], p_lps[0][1])
     origin = entry(p_lps[0][2])
     for prob, _basis, res in p_lps:
-        assert res.warm is None \
-            or lin_solve._Simplex(prob).warm_start(res.warm.basis)
+        if res.warm is not None:
+            lin_solve._Simplex(prob, res.warm.basis)
     picked = []
     for i, (g, label, first, out) in enumerate(starts):
         if i:
@@ -399,9 +400,10 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
     mats = build_feasibility(load_case(pglib_path("case14_ieee")))
     P = _polytope(mats)
     rng = np.random.default_rng(3)
-    bases = [_p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]]
+    crash = mats.crash_basis()
+    bases = [_p_lp(mats, P, rng.normal(size=mats.n_delta), crash)[2]]
     while len(bases) < 2:
-        basis = _p_lp(mats, P, rng.normal(size=mats.n_delta), None)[2]
+        basis = _p_lp(mats, P, rng.normal(size=mats.n_delta), crash)[2]
         bases += [] if np.array_equal(basis.basis, bases[0].basis) else [basis]
     given, real = [], lin_solve.lp_solve
 
@@ -464,16 +466,24 @@ def test_an_unbounded_step_ends_the_ascent_on_its_ray(case):
 def test_zero_distance_networks_keep_a_certified_attack(kind, monkeypatch):
     """An implicit equality that moves with delta leaves no finite ascent:
     every start ends on a ray of P, at a unit point that its own ray
-    certifies, with no LP."""
+    certifies, with no LP, and the squeeze flags it.  Without a movable
+    unit and with every c_i >= 0, P is empty, which `_p_lp` tells from c:
+    no LP over P is posed; otherwise each start's LP over P is unbounded."""
     from dcattack.squeeze import SqueezeConfig, squeeze_run
 
     case = ZERO_DISTANCE[kind]
     mats = build_feasibility(case)
+    assert mats.n_reduced == 0
+    assert np.all(mats.c >= 0.0) == (kind == "p-empty")
     expected = None if kind == "p-empty" else np.inf
     assert oracle_utils.p_polytope_max(mats, np.ones(mats.n_delta)) == expected
     calls = _spy_certification(monkeypatch)
+    rows, spied = [], lin_solve.lp_solve
+    monkeypatch.setattr(lin_solve, "lp_solve", lambda prob, *args: rows.append(
+        prob.A_eq.shape[0]) or spied(prob, *args))
     rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
     monkeypatch.undo()
+    assert (1 in rows) == (kind == "p-unbounded")
     best = rep.best
     assert best.certified and best.convergence == "zero-distance"
     assert calls[-1]["mu"] is best.mu and not any(c["lps"] for c in calls)
@@ -483,7 +493,7 @@ def test_zero_distance_networks_keep_a_certified_attack(kind, monkeypatch):
     assert abs(best.residuals["eps_residual"]) <= 1e-12
     bounds = squeeze_run(case, SqueezeConfig(seed=0))
     assert bounds.ub == pytest.approx(best.norm_sq, rel=1e-12)
-    assert bounds.lb <= bounds.ub
+    assert bounds.lb <= bounds.ub and "zero-distance" in bounds.flags
 
 
 def test_expired_deadline_still_certifies():
@@ -650,9 +660,8 @@ def test_the_bare_multistart_certifies_240_buses(seed, monkeypatch):
     fallback alone, the first step of the uniform-up start circled to the
     iteration cap on these networks.  The phase-2 perturbation gets every
     step through, and scipy confirms the certified attack.  Every LP starts
-    from a feasible basis (crash, pooled or the candidate's vertex), so no
-    phase 1 runs and no ratio test falls back to Bland's rule; the cold
-    first P-LP's phase 1 took 55 and 52 of them."""
+    from a feasible basis (crash, pooled or the candidate's vertex), and no
+    ratio test falls back to Bland's rule."""
     mats = build_feasibility(bench_ladder(240, seed, False))
     bland, real_ratio = [], lin_solve._Simplex._ratio
 
@@ -767,7 +776,7 @@ def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
     """Each candidate is certified from its own multiplier, the vertex mu of
     P its delta came from: y = mu / 1^T mu re-verifies at the inflated point
     and clears `check_feasible`'s bar, so no LP runs.  The reported ray is
-    that y, and every candidate's verdict is the cold solve's and scipy's."""
+    that y, and every candidate's verdict is the LP's over Q and scipy's."""
     n = {"ladder60": 60, "ladder240": 240}.get(net)
     case = bench_ladder(n, 0, False) if n else load_case(pglib_path(net))
     mats = build_feasibility(case)
@@ -799,10 +808,10 @@ def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
 
 
 def test_a_multiplier_that_fails_gives_the_cold_result(monkeypatch):
-    """Certification falls back to the cold LP over Q, bit for bit, for a mu
-    that `normalize_farkas_ray` rejects, for one that it accepts but whose
-    value misses `check_feasible`'s bar, and at half the attack, where the
-    cold witness is returned."""
+    """Certification falls back to the LP over Q from its crash basis, bit
+    for bit, for a mu that `normalize_farkas_ray` rejects, for one that it
+    accepts but whose value misses `check_feasible`'s bar, and at half the
+    attack, where the LP's witness is returned."""
     mats = build_feasibility(bench_ladder(30, 0, False))
     best = multistart_attack(mats).best
     delta = (1 + 1e-4) * best.delta

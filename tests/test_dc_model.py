@@ -110,12 +110,18 @@ def test_reduction_matches_direct_model_single_gen(desk2_single):
                                    atol=1e-12)
 
 
+def _dispatch_cost(mats, p_hat, delta=None):
+    return float(mats.case.gen_costs() @ mats.full_dispatch(p_hat, delta))
+
+
 def test_solve_dcopf_cheapest_first(desk2):
-    res = solve_dcopf(build_feasibility(desk2, slack_gen=0))
+    mats = build_feasibility(desk2, slack_gen=0)
+    res = solve_dcopf(mats)
     assert res.feasible
     # cheap unit (bus 1, $10) runs at its 2.0 cap, the $20 unit covers the rest
-    np.testing.assert_allclose(res.p_full, [2.0, 1.0], atol=1e-9)
-    assert res.cost == pytest.approx(40.0, abs=1e-7)
+    np.testing.assert_allclose(mats.full_dispatch(res.p_hat), [2.0, 1.0],
+                               atol=1e-9)
+    assert _dispatch_cost(mats, res.p_hat) == pytest.approx(40.0, abs=1e-7)
 
 
 def test_solve_dcopf_respects_line_limit(desk3):
@@ -123,8 +129,9 @@ def test_solve_dcopf_respects_line_limit(desk3):
     res = solve_dcopf(mats)
     assert res.feasible
     assert np.max(mats.margins(res.p_hat, None)) <= 1e-8
+    p_full = mats.full_dispatch(res.p_hat)
     flows = build_ptdf(mats.case, mats.ref_bus) @ (
-        np.array([res.p_full[0], 0.0, res.p_full[1]]) - desk3.p_d())
+        np.array([p_full[0], 0.0, p_full[1]]) - desk3.p_d())
     assert abs(flows[0]) <= 1.6 + 1e-9
 
 
@@ -146,7 +153,7 @@ def _scipy_dispatch_cost(mats, delta):
     if ref.status == 2:
         return None
     assert ref.status == 0, ref.message
-    return float(costs @ mats.full_dispatch(ref.x, delta))
+    return _dispatch_cost(mats, ref.x, delta)
 
 
 def test_solve_dcopf_matches_scipy_on_bundled_cases(bundled_mats):
@@ -158,7 +165,8 @@ def test_solve_dcopf_matches_scipy_on_bundled_cases(bundled_mats):
         res = solve_dcopf(mats, delta)
         ref = _scipy_dispatch_cost(mats, delta)
         assert res.feasible and ref is not None
-        assert res.cost == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert _dispatch_cost(mats, res.p_hat, delta) == \
+            pytest.approx(ref, rel=1e-9, abs=1e-9)
         assert np.max(mats.margins(res.p_hat, delta)) <= 1e-8
     _lo, hi = mats.case.gen_bounds()
     headroom = float(hi.sum()) - mats.case.total_load()
@@ -175,9 +183,10 @@ def test_solve_dcopf_matches_scipy_on_bundled_cases(bundled_mats):
 def test_slack_choice_invariance(desk3):
     costs = []
     for slack in range(desk3.n_gen):
-        res = solve_dcopf(build_feasibility(desk3, slack_gen=slack))
+        mats = build_feasibility(desk3, slack_gen=slack)
+        res = solve_dcopf(mats)
         assert res.feasible
-        costs.append(res.cost)
+        costs.append(_dispatch_cost(mats, res.p_hat))
     assert abs(costs[0] - costs[1]) <= 1e-7
 
 
@@ -288,22 +297,15 @@ _CRASHED = BUNDLED + tuple(f"ladder{n}{kind}" for n in (30, 60, 120)
 
 def _crash_lps(mats, monkeypatch):
     """Every LP of the defense's warm start and of a bare multistart, as
-    (prob, basis, result, what `_Simplex.warm_start` returned)."""
+    (prob, basis, result); `lp_solve` raises on a basis that fails its
+    start checks."""
     calls, real_solve = [], lin_solve.lp_solve
-    real_warm = lin_solve._Simplex.warm_start
 
-    def solve_spy(prob, basis=None, deadline=None):
-        calls.append([prob, basis, None, []])
-        calls[-1][2] = real_solve(prob, basis=basis, deadline=deadline)
+    def solve_spy(prob, basis, deadline=None):
+        calls.append((prob, basis, real_solve(prob, basis, deadline)))
         return calls[-1][2]
 
-    def warm_spy(sx, basis):
-        ok = real_warm(sx, basis)
-        calls[-1][3].append(ok)
-        return ok
-
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
-    monkeypatch.setattr(lin_solve._Simplex, "warm_start", warm_spy)
     warm_start_defense(mats)
     multistart_attack(mats, AttackConfig(restarts=0, seed=0))
     monkeypatch.undo()
@@ -314,9 +316,8 @@ def _crash_lps(mats, monkeypatch):
 def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
         name, request, monkeypatch):
     """The defense's max-margin LP over Q, the nominal DC-OPF's dual and the
-    multistart's first P-LP each start from `crash_basis`, which
-    `_Simplex.warm_start` accepts, and each reaches the cold solve's
-    optimum and scipy's."""
+    multistart's first P-LP each start from `crash_basis`, which the start
+    checks accept, and each reaches the optimum of scipy's cold solve."""
     n, _, kind = name.removeprefix("ladder").partition("-")
     case = (request.getfixturevalue(name) if name.startswith("desk")
             else load_case(pglib_path(name)) if name in BUNDLED
@@ -328,28 +329,34 @@ def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
     p = next(c for c in calls[2:] if np.array_equal(c[0].A_eq[-1], -mats.c))
     assert q[0].A_eq.shape[0] == dcopf[0].A_eq.shape[0] + 1
     red_cost = -dcopf[0].b_eq
-    for (prob, basis, res, accepted), crash in (
+    for (prob, basis, res), crash in (
             (q, mats.crash_basis()), (p, mats.crash_basis()),
             (dcopf, np.where(red_cost <= 0, up, lo))):
         np.testing.assert_array_equal(basis, crash)
-        assert accepted == [True]
-        cold = lin_solve.lp_solve(prob)
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
                       bounds=(0, None), method="highs")
-        assert res.status == cold.status == lin_solve.OPTIMAL
-        assert ref.status == 0
-        assert res.objective == pytest.approx(cold.objective, rel=1e-9,
-                                              abs=1e-12)
+        assert res.status == lin_solve.OPTIMAL and ref.status == 0
         assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
 
 
-def test_without_a_movable_unit_every_lp_starts_cold(desk2_single,
-                                                     monkeypatch):
-    """With n_reduced = 0 there is no crash basis: the defense's warm start,
-    the nominal DC-OPF and the first P-LP are handed none and solve cold."""
+def test_without_a_movable_unit_every_lp_starts_from_the_one_row_basis(
+        desk2_single, monkeypatch):
+    """With n_reduced = 0, Q and P have the one row r^T mu = 1 and the
+    crash basis is the row of largest -c_i, feasible for both: the
+    defense's warm start and the first P-LP start from it, the nominal
+    DC-OPF from the empty merit-order corner, and each reaches scipy's
+    optimum."""
     mats = build_feasibility(desk2_single)
-    assert mats.n_reduced == 0 and mats.crash_basis() is None
+    assert mats.n_reduced == 0
+    np.testing.assert_array_equal(mats.crash_basis(), [np.argmax(-mats.c)])
     calls = _crash_lps(mats, monkeypatch)
     assert len(calls) >= 3
-    assert all(basis is None and accepted == [] for _p, basis, _r, accepted
-               in calls[:3])
+    for (prob, basis, res), start in zip(calls, (mats.crash_basis(),
+                                                 np.zeros(0, int),
+                                                 mats.crash_basis())):
+        np.testing.assert_array_equal(basis, start)
+        ref = linprog(prob.c, A_eq=prob.A_eq if prob.A_eq.size else None,
+                      b_eq=prob.b_eq if prob.b_eq.size else None,
+                      bounds=(0, None), method="highs")
+        assert res.status == lin_solve.OPTIMAL and ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)

@@ -187,6 +187,53 @@ def test_no_function_binds_a_local_it_never_reads(path):
     assert _dead_locals(path.read_text()) == set()
 
 
+# the position of the start basis among each LP entry point's arguments
+_BASIS_AT = {"lp_solve": 1, "check_feasible": 2}
+
+
+def _lp_calls(source):
+    """(line, name, basis given) for each call of an LP entry point, by bare
+    name or as an attribute: the basis counts as given when it is passed,
+    by position or as `basis=`, and is not the constant None."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        if name not in _BASIS_AT:
+            continue
+        at = _BASIS_AT[name]
+        given = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "basis"), None)
+        calls.append((node.lineno, name, given is not None and not (
+            isinstance(given, ast.Constant) and given.value is None)))
+    return calls
+
+
+def test_the_lp_call_reader_finds_every_form():
+    source = ("lp_solve(p)\nlin_solve.lp_solve(p, b)\nlp_solve(p, basis=b)\n"
+              "lp_solve(p, None)\nlp_solve(p, basis=None, deadline=d)\n"
+              "check_feasible(r, h)\nlin_solve.check_feasible(r, h, b)\n"
+              "check_feasible(r, h, basis=None)\nother(p)\n")
+    assert _lp_calls(source) == [
+        (1, "lp_solve", False), (2, "lp_solve", True), (3, "lp_solve", True),
+        (4, "lp_solve", False), (5, "lp_solve", False),
+        (6, "check_feasible", False), (7, "check_feasible", True),
+        (8, "check_feasible", False)]
+
+
+def test_every_lp_call_passes_a_start_basis():
+    """The simplex runs phase 2 only, from its caller's feasible basis, so
+    every call of `lp_solve` and `check_feasible` in src/ hands one over."""
+    calls = {path.stem: _lp_calls(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for found in calls.values() for _line, name, _given in found} \
+        == set(_BASIS_AT)
+    assert {stem: [(line, name) for line, name, given in found if not given]
+            for stem, found in calls.items()} == {stem: [] for stem in calls}
+
+
 # public names that nothing in src/, bench/*.py or README.md refers to, and
 # why each stays
 _UNCALLED = {

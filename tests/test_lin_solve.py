@@ -5,12 +5,11 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.attack import AttackConfig, multistart_attack
+from dcattack.attack import AttackConfig, _polytope, multistart_attack
 from dcattack.dc_model import build_feasibility
-from dcattack.errors import DeadlineSignal
+from dcattack.errors import DeadlineSignal, SolverError
 from dcattack.lin_solve import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, FarkasCertificate, LpProblem, check_feasible,
-    lp_solve,
+    OPTIMAL, UNBOUNDED, LpProblem, check_feasible, lp_solve,
 )
 
 import oracle_utils
@@ -57,59 +56,72 @@ def _standard(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, lb=None, ub=None):
     return prob, x0, T
 
 
+def _slacks(prob, T):
+    """The slack basis of a `_standard` problem without equality rows,
+    feasible when x0 meets every row."""
+    return np.arange(T.shape[1], prob.c.size)
+
+
 def _original(x_std, x0, T):
     return x0 + T @ x_std[:T.shape[1]]
 
 
 def test_simple_bound():
-    # min x s.t. x >= 1
+    # min x s.t. x >= 1, with x = u+ - u- free: the one feasible basis is
+    # u+ = 1, as the slack would be -1 at x0 = 0
     prob, x0, T = _standard([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
-    res = lp_solve(prob)
+    res = lp_solve(prob, [0])
     assert res.status == OPTIMAL
     assert _original(res.x, x0, T)[0] == pytest.approx(1.0, abs=1e-10)
     assert res.objective == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_variable_vertex():
-    # min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0
+    # min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0, from the origin
     prob, x0, T = _standard([-1.0, -2.0], A_ub=[[1, 1]], b_ub=[4], lb=0.0,
                             ub=[3.0, 2.0])
-    res = lp_solve(prob)
-    assert res.status == OPTIMAL
+    res = lp_solve(prob, _slacks(prob, T))
+    assert res.status == OPTIMAL and res.iterations > 1
     assert _original(res.x, x0, T) == pytest.approx([2.0, 2.0], abs=1e-9)
     assert res.objective == pytest.approx(-6.0, abs=1e-9)
 
 
 def test_equality_rows():
     # min x + y s.t. x + 2y = 3, x - y = 0  ->  x = y = 1
-    res = lp_solve(LpProblem(c=[1.0, 1.0], A_eq=[[1, 2], [1, -1]], b_eq=[3, 0]))
+    res = lp_solve(LpProblem(c=[1.0, 1.0], A_eq=[[1, 2], [1, -1]], b_eq=[3, 0]),
+                   [0, 1])
     assert res.status == OPTIMAL
     assert res.x == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
+def _assert_farkas_ray(rows, rhs, ray):
+    assert np.all(ray >= 0) and ray.sum() == pytest.approx(1.0)
+    assert np.max(np.abs(rows.T @ ray)) <= lin_solve._CERT_TOL
+    assert ray @ rhs < 0
+
+
 def test_infeasible_certificate():
-    # x <= 1 and x >= 2 cannot both hold
-    prob, _x0, _T = _standard([0.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
-    res = lp_solve(prob)
-    assert res.status == INFEASIBLE
-    ok, detail = res.certificate.verify(prob)
-    assert ok, detail
-    assert res.certificate.gap == detail["gap"] > 1e-6
+    # x <= 1 and x >= 2 cannot both hold; the two rows are a unit's bound
+    # rows, so y = (1/2, 1/2) is Q's crash basis
+    rows, rhs = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+    feas, x, ray = check_feasible(rows, rhs, [0, 1])
+    assert not feas and x is None
+    _assert_farkas_ray(rows, rhs, ray)
 
 
 def test_infeasible_with_bounds():
-    # rows force x >= 5 while ub pins x <= 1
-    prob, _x0, _T = _standard([0.0], A_ub=[[-1.0]], b_ub=[-5.0], lb=0.0, ub=1.0)
-    res = lp_solve(prob)
-    assert res.status == INFEASIBLE
-    ok, detail = res.certificate.verify(prob)
-    assert ok, detail
+    # a row forces x >= 5 while the bounds pin 0 <= x <= 1
+    rows, rhs = np.array([[-1.0], [1.0], [-1.0]]), np.array([-5.0, 1.0, 0.0])
+    feas, _x, ray = check_feasible(rows, rhs, [1, 2])
+    assert not feas
+    _assert_farkas_ray(rows, rhs, ray)
+    assert ray[0] > 0
 
 
 def test_unbounded_ray():
-    # min -x with x >= 0 free above
+    # min -x with x >= 0 free above, from x = 0
     prob, x0, T = _standard([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
-    res = lp_solve(prob)
+    res = lp_solve(prob, _slacks(prob, T))
     assert res.status == UNBOUNDED
     assert (T @ res.ray[:T.shape[1]])[0] > 0
 
@@ -134,27 +146,21 @@ def test_malformed_problem_rejected():
 def test_free_variable_optimum():
     # min |x|-style: x free, rows x >= -3, objective +x drives x to -3
     prob, x0, T = _standard([1.0], A_ub=[[-1.0]], b_ub=[3.0])
-    res = lp_solve(prob)
+    res = lp_solve(prob, _slacks(prob, T))
     assert res.status == OPTIMAL
     assert _original(res.x, x0, T)[0] == pytest.approx(-3.0, abs=1e-9)
 
 
-def _random_problem(rng, n, m, k, box=True, poison=False):
-    """A general LP as keyword arguments of `_standard`."""
-    c = rng.normal(size=n)
-    A_ub = rng.normal(size=(m, n))
-    # anchor rhs at a random interior point so most draws are feasible
-    x0 = rng.normal(size=n)
-    b_ub = A_ub @ x0 + rng.uniform(0.1, 2.0, size=m)
-    if poison and m:
-        # append the negated sum of the rows with an rhs that forces 0 <= -gap
-        A_ub = np.vstack([A_ub, -A_ub.sum(axis=0)])
-        b_ub = np.concatenate([b_ub, [-b_ub.sum() - rng.uniform(0.5, 2.0)]])
-    A_eq = rng.normal(size=(k, n)) if k else None
-    b_eq = (A_eq @ x0) if k else None
-    lb = x0 - rng.uniform(0.5, 3.0, size=n) if box else None
-    ub = x0 + rng.uniform(0.5, 3.0, size=n) if box else None
-    return dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+def _planted(rng, rows, cols, zeros=0.0, c=None):
+    """min c^T x s.t. A x = b, x >= 0 with b = A_B x_B for a planted basis
+    B of `rows` distinct columns and x_B >= 0, about a share `zeros` of it
+    0 (a degenerate start); c > 0, which keeps the LP bounded, unless
+    given.  Returns (prob, B)."""
+    A = rng.normal(size=(rows, cols))
+    basis = rng.permutation(cols)[:rows]
+    x_B = np.where(rng.random(rows) < zeros, 0.0, rng.uniform(0.1, 2.0, rows))
+    c = rng.uniform(0.1, 2.0, size=cols) if c is None else c
+    return LpProblem(c=c, A_eq=A, b_eq=A[:, basis] @ x_B), basis
 
 
 def _scipy_solve(prob):
@@ -164,111 +170,84 @@ def _scipy_solve(prob):
 
 
 def test_random_lps_match_reference_solver():
-    """Dual-route check on 200 random LPs: our simplex against scipy HiGHS."""
+    """Dual-route check on 200 random LPs with a planted feasible basis, half
+    of them degenerate, against scipy HiGHS: the same optimum, a point, duals
+    that close the gap and price every column, or a verified ray."""
     rng = np.random.default_rng(1234)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {OPTIMAL: 0, UNBOUNDED: 0}
     for trial in range(200):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 13))
-        k = int(rng.integers(0, min(n, 4)))
-        box = trial % 3 != 0
-        gen = _random_problem(rng, n, m, k, box=box, poison=trial % 5 == 4)
-        prob, x0, T = _standard(**gen)
-        res = lp_solve(prob)
+        rows = int(rng.integers(1, 9))
+        cols = rows + int(rng.integers(1, 12))
+        prob, basis = _planted(rng, rows, cols, zeros=0.3 * (trial % 2),
+                               c=rng.normal(size=cols) if trial % 3 else None)
+        res = lp_solve(prob, basis)
         ref = _scipy_solve(prob)
         if res.status == OPTIMAL:
             assert ref.status == 0, f"trial {trial}: we optimal, scipy {ref.status}"
             assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7), \
                 f"trial {trial}"
-            # primal feasibility of our point, in both forms
-            if prob.A_eq.size:
-                assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-8
+            assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-8
             assert np.all(res.x >= -1e-8)
-            x = _original(res.x, x0, T)
-            if m:
-                assert np.max(gen["A_ub"] @ x - gen["b_ub"]) <= 1e-8
-            if k:
-                assert np.max(np.abs(gen["A_eq"] @ x - gen["b_eq"])) <= 1e-8
-            if box:
-                assert np.all(x >= gen["lb"] - 1e-8)
-                assert np.all(x <= gen["ub"] + 1e-8)
-            # strong duality
+            # strong duality, and no column prices below zero
             assert float(prob.b_eq @ res.y) == \
                 pytest.approx(res.objective, abs=1e-8 * (1 + abs(res.objective)))
-        elif res.status == INFEASIBLE:
-            assert ref.status == 2, f"trial {trial}: we infeasible, scipy {ref.status}"
-            ok, detail = res.certificate.verify(prob)
-            assert ok, f"trial {trial}: {detail}"
+            assert np.min(prob.c - prob.A_eq.T @ res.y) >= -1e-8
         else:
             assert ref.status == 3, f"trial {trial}: we unbounded, scipy {ref.status}"
             ray = res.ray
             assert prob.c @ ray < 0
             assert np.all(ray >= 0)
-            if prob.A_eq.size:
-                assert np.max(np.abs(prob.A_eq @ ray)) <= 1e-7 * (1 + np.max(np.abs(ray)))
-            d = T @ ray[:T.shape[1]]
-            if m:
-                assert np.max(gen["A_ub"] @ d) <= 1e-7 * (1 + np.max(np.abs(ray)))
-            if k:
-                assert np.max(np.abs(gen["A_eq"] @ d)) <= 1e-7 * (1 + np.max(np.abs(ray)))
+            assert np.max(np.abs(prob.A_eq @ ray)) <= 1e-7 * (1 + np.max(np.abs(ray)))
         statuses[res.status] += 1
-    # the draw should exercise every branch
-    assert statuses["optimal"] > 100
-    assert statuses["infeasible"] > 5
+    # the draw should exercise both outcomes
+    assert statuses[OPTIMAL] > 100 and statuses[UNBOUNDED] > 10, statuses
 
 
 def test_farkas_certificate_rejects_corrupted_vectors():
-    """verify() re-derives A_eq^T y <= 0 and b_eq^T y > 0 itself: the negated
-    certificate and one with a single entry pushed until a column of
-    A_eq^T y turns positive must both fail, on every infeasible draw."""
+    """`normalize_farkas_ray` re-derives y >= 0, rows^T y = 0 and y @ rhs < 0
+    itself: on every draw, made infeasible by a poison row, check_feasible's
+    ray passes it, and the negated ray and one with a unit weight added on
+    one row both fail.  Each draw ends with box rows, so Q starts from the
+    crash basis of every upper row and the first lower one."""
     rng = np.random.default_rng(1234)
     checked = 0
-    for trial in range(200):
+    for _ in range(200):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
-        gen = _random_problem(rng, n, m, 0, box=trial % 2 == 0, poison=True)
-        prob, _x0, _T = _standard(**gen)
-        res = lp_solve(prob)
-        if res.status != INFEASIBLE:
-            continue
-        # the poison row makes every draw infeasible; the interior-point
-        # solver confirms it (HiGHS's simplex reports a solve error on one)
-        ref = linprog(gen["c"], A_ub=gen["A_ub"], b_ub=gen["b_ub"],
-                      bounds=list(zip(gen["lb"], gen["ub"])) if trial % 2 == 0
-                      else (None, None), method="highs-ipm")
-        assert ref.status == 2
-        cert = res.certificate
-        assert cert.verify(prob)[0]
-        assert not FarkasCertificate(y=-cert.y, gap=-cert.gap).verify(prob)[0]
-        h = prob.A_eq.T @ cert.y
-        j = int(np.argmax(h))
-        i = int(np.argmax(np.abs(prob.A_eq[:, j])))
-        y = cert.y.copy()
-        y[i] += np.sign(prob.A_eq[i, j]) * (abs(h[j]) + 1.0) / abs(prob.A_eq[i, j])
-        ok, detail = FarkasCertificate(y=y, gap=cert.gap).verify(prob)
-        assert not ok and detail["h_max"] >= 1.0 - 1e-9
+        x0 = rng.normal(size=n)
+        A = rng.normal(size=(m, n))
+        b = A @ x0 + rng.uniform(0.1, 2.0, size=m)
+        # the negated sum of the rows with an rhs that forces 0 <= -gap
+        A = np.vstack([A, -A.sum(axis=0), np.eye(n), -np.eye(n)])
+        width = rng.uniform(0.5, 3.0, size=n)
+        rhs = np.concatenate([b, [-b.sum() - rng.uniform(0.5, 2.0)],
+                              x0 + width, width - x0])
+        crash = np.append(np.arange(m + 1, m + n + 1), m + n + 1)
+        feas, _x, ray = check_feasible(A, rhs, crash)
+        assert not feas and not oracle_utils.scipy_feasible(A, rhs)
+        np.testing.assert_allclose(
+            lin_solve.normalize_farkas_ray(A, rhs, ray), ray, rtol=1e-12)
+        with pytest.raises(SolverError, match="degenerate"):
+            lin_solve.normalize_farkas_ray(A, rhs, -ray)
+        # weight on x_1's upper box row puts about 1/2 in rows^T y
+        pushed = ray.copy()
+        pushed[m + 1] += 1.0
+        with pytest.raises(SolverError, match="re-verification"):
+            lin_solve.normalize_farkas_ray(A, rhs, pushed)
         checked += 1
-    assert checked > 5
+    assert checked == 200
 
 
 def test_degenerate_stacked_rows():
     # many redundant copies of the same facet: stalls must not cycle
     A = np.vstack([np.tile([1.0, 1.0], (8, 1)), [[-1, 0]], [[0, -1]]])
     b = np.concatenate([np.full(8, 1.0), [0.0, 0.0]])
-    prob, _x0, _T = _standard([-1.0, -1.0], A_ub=A, b_ub=b)
-    res = lp_solve(prob)
+    prob, _x0, T = _standard([-1.0, -1.0], A_ub=A, b_ub=b)
+    res = lp_solve(prob, _slacks(prob, T))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
 
-# -- warm start ----------------------------------------------------------------
-
-
-def _random_wide_problem(rng, rows, cols):
-    """min c^T x s.t. A x = b, x >= 0 with b = A x0, x0 >= 0: feasible, and
-    bounded because c > 0."""
-    A = rng.normal(size=(rows, cols))
-    b = A @ rng.uniform(0.0, 1.0, size=cols)
-    return LpProblem(c=rng.uniform(0.1, 2.0, size=cols), A_eq=A, b_eq=b)
+# -- start bases ---------------------------------------------------------------
 
 
 def _mu_problem(mats, delta, eps=1e-3):
@@ -281,6 +260,18 @@ def _mu_problem(mats, delta, eps=1e-3):
                      b_eq=b_eq)
 
 
+def _mu_start(mats, delta):
+    """A feasible basis of `_mu_problem(mats, delta)`: the optimal one of
+    max (B delta)^T mu over P, from P's crash basis.  Its vertex mu has
+    (B delta)^T mu > 1 when F(delta) is empty, so the same columns stay
+    nonsingular under the mu-LP's last row and hold
+    mu eps / (B delta + c)^T mu >= 0."""
+    res = lp_solve(_polytope(mats).with_objective(-(mats.B @ delta)),
+                   mats.crash_basis())
+    assert res.status == OPTIMAL and -res.objective > 1.0
+    return res.warm.basis
+
+
 def _separable_delta(mats):
     """A point just past the feasibility boundary along uniform load growth."""
     u = np.ones(mats.n_delta) / np.sqrt(mats.n_delta)
@@ -288,33 +279,25 @@ def _separable_delta(mats):
     return u * (1.01 * s + 1e-6)
 
 
-def _assert_warm_optimal(prob, monkeypatch):
-    cold = lp_solve(prob)
+def _assert_warm_optimal(prob, start):
+    first = lp_solve(prob, start)
     ref = _scipy_solve(prob)
-    assert cold.status == OPTIMAL and ref.status == 0
-    assert cold.warm is not None
-    colds, real = [], lin_solve._Simplex.cold_start
-    with monkeypatch.context() as m:
-        m.setattr(lin_solve._Simplex, "cold_start",
-                  lambda sx: colds.append(1) or real(sx))
-        warm = lp_solve(prob, basis=cold.warm.basis)
-    assert colds == []                    # no phase 1
-    assert warm.status == cold.status
-    assert warm.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
-    assert warm.iterations == 1           # one pricing pass, no pivot
-    np.testing.assert_array_equal(np.sort(warm.warm.basis),
-                                  np.sort(cold.warm.basis))
+    assert first.status == OPTIMAL and ref.status == 0
+    again = lp_solve(prob, first.warm.basis)
+    assert again.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert again.iterations == 1          # one pricing pass, no pivot
+    np.testing.assert_array_equal(np.sort(again.warm.basis),
+                                  np.sort(first.warm.basis))
 
 
-def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats,
-                                                         monkeypatch):
+def test_warm_start_at_the_optimal_basis_takes_no_pivot(bundled_mats):
     rng = np.random.default_rng(31)
     for _ in range(10):
         rows = int(rng.integers(1, 8))
-        _assert_warm_optimal(_random_wide_problem(
-            rng, rows, rows + int(rng.integers(1, 20))), monkeypatch)
-    _assert_warm_optimal(
-        _mu_problem(bundled_mats, _separable_delta(bundled_mats)), monkeypatch)
+        _assert_warm_optimal(*_planted(rng, rows, rows + int(rng.integers(1, 20))))
+    delta = _separable_delta(bundled_mats)
+    _assert_warm_optimal(_mu_problem(bundled_mats, delta),
+                         _mu_start(bundled_mats, delta))
 
 
 def _same_result(a, b, label=""):
@@ -329,24 +312,24 @@ def _same_result(a, b, label=""):
             getattr(b.warm, name).tobytes(), (label, name)
 
 
-def test_rejected_bases_fall_back_to_the_cold_solve():
+def test_malformed_bases_raise_solver_error():
+    """A start basis that fails a check raises SolverError naming it, bare
+    or wrapped in a WarmStart built by a caller: a wrong size, an index out
+    of range, a repeated index, a singular B and an x_B below 0.  The
+    planted basis still solves."""
     rng = np.random.default_rng(32)
-    prob = _random_wide_problem(rng, 5, 14)
-    cold = lp_solve(prob)
-    assert cold.status == OPTIMAL and cold.iterations > 1
-    n_real, basis = prob.c.size, cold.warm.basis
-    dup = basis.copy()
+    prob, start = _planted(rng, 5, 14)
+    n_real = prob.c.size
+    dup = start.copy()
     dup[1] = dup[0]
-    bad = {"short": basis[:-1], "long": np.append(basis, 0),
-           "duplicate": dup}
-    for name, index in (("artificial", n_real), ("out-of-range", n_real + 50),
-                        ("negative", -1)):
-        b = basis.copy()
+    bad = {"short": (start[:-1], "has 4 columns"),
+           "long": (np.append(start, 0), "has 6 columns"),
+           "duplicate": (dup, "repeats a column")}
+    for name, index in (("one past the end", n_real),
+                        ("far out of range", n_real + 50), ("negative", -1)):
+        b = start.copy()
         b[0] = index
-        bad[name] = b
-    # columns 0 and 1 made identical: any basis holding both is singular
-    twin = LpProblem(c=prob.c, A_eq=prob.A_eq.copy(), b_eq=prob.b_eq)
-    twin.A_eq[:, 1] = twin.A_eq[:, 0]
+        bad[name] = (b, "outside")
     # a basis that factorizes but whose basic solution leaves x >= 0
     infeasible = None
     for cols in (rng.permutation(n_real)[:5] for _ in range(200)):
@@ -356,46 +339,28 @@ def test_rejected_bases_fall_back_to_the_cold_solve():
             infeasible = cols
             break
     assert infeasible is not None
-    bad["primal-infeasible"] = infeasible
-    for name, basis in bad.items():
-        _same_result(lp_solve(prob, basis=basis), cold, name)
-    twin_cold = lp_solve(twin)
-    _same_result(lp_solve(twin, basis=np.array([0, 1, 2, 3, 4])), twin_cold)
-    assert twin_cold.objective == pytest.approx(_scipy_solve(twin).fun, rel=1e-9)
-
-
-def test_a_pinned_artificial_blocks_in_phase_2(monkeypatch):
-    """Row 3 repeats row 1 twice over, so one artificial stays basic to the
-    end; row 2 (-x2 = 0) leaves its artificial basic at 0 after phase 1,
-    where x2 has w < 0 in its row.  In phase 2 x2 enters, and that pinned
-    artificial blocks it at a zero step."""
-    prob = LpProblem(c=[2.0, -1.0, 1.0],
-                     A_eq=[[1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [2.0, 2.0, 2.0]],
-                     b_eq=[1.0, 0.0, 2.0])
-    pinned_blocks, ratio = [], lin_solve._Simplex._ratio
-
-    def spy(sx, w, bland):
-        pinned_blocks.append(sx.pinned and bool(np.any(sx.art & (w < -1e-10))))
-        return ratio(sx, w, bland)
-
-    monkeypatch.setattr(lin_solve._Simplex, "_ratio", spy)
-    res = lp_solve(prob)
-    assert any(pinned_blocks)
-    assert res.status == OPTIMAL and res.warm is None
-    ref = _scipy_solve(prob)
-    assert ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
-    assert np.max(np.abs(prob.A_eq @ res.x - prob.b_eq)) <= 1e-12
+    bad["primal-infeasible"] = (infeasible, "x_B >= 0")
+    for name, (basis, message) in bad.items():
+        for given in (basis, lin_solve.WarmStart(basis, np.eye(5))):
+            with pytest.raises(SolverError, match=message):
+                lp_solve(prob, given)
+    # columns 0 and 1 made identical: any basis holding both is singular
+    twin = LpProblem(c=prob.c, A_eq=prob.A_eq.copy(), b_eq=prob.b_eq)
+    twin.A_eq[:, 1] = twin.A_eq[:, 0]
+    with pytest.raises(SolverError, match="singular"):
+        lp_solve(twin, np.array([0, 1, 2, 3, 4]))
+    res = lp_solve(prob, start)
+    assert res.objective == pytest.approx(_scipy_solve(prob).fun, rel=1e-9)
 
 
 def test_ratio_test_matches_the_full_array_reference():
     """_ratio divides only at the blocking positions; on seeded random basic
-    values and columns, with forced ties, Bland's rule and pinned
-    artificials, it returns the full-array reference's (t, r) bit for bit."""
+    values and columns, with forced ties and Bland's rule, it returns the
+    full-array reference's (t, r) bit for bit."""
     rng = np.random.default_rng(19)
     M, N = 9, 12
-    sx = lin_solve._Simplex(LpProblem(c=np.zeros(N), A_eq=np.zeros((M, N)),
-                                      b_eq=np.zeros(M)))
+    sx = lin_solve._Simplex(LpProblem(c=np.zeros(N), A_eq=np.eye(M, N),
+                                      b_eq=np.ones(M)), np.arange(M))
     seen = set()
     for _ in range(4000):
         w = rng.normal(size=M) * np.where(rng.random(M) < 0.2, 1e-10, 1.0)
@@ -404,22 +369,18 @@ def test_ratio_test_matches_the_full_array_reference():
         xB[tied] = 0.7 * np.abs(w[tied])
         xB[rng.random(M) < 0.15] = 0.0
         xB[rng.random(M) < 0.05] = -1e-9
-        art = rng.random(M) < 0.3
-        sx.xB, sx.art, sx.n_art = xB, art, int(art.sum())
-        sx.basis = np.where(art, N + np.arange(M), rng.permutation(N)[:M])
-        sx.pinned, bland = bool(rng.random() < 0.5), bool(rng.random() < 0.3)
+        sx.xB, sx.basis = xB, rng.permutation(N)[:M]
+        bland = bool(rng.random() < 0.3)
         t, r = sx._ratio(w, bland)
-        t_ref, r_ref = oracle_utils.full_ratio_test(xB, w, art, sx.basis,
-                                                    sx.pinned, bland)
+        t_ref, r_ref = oracle_utils.full_ratio_test(xB, w, sx.basis, bland)
         assert r == r_ref and t.hex() == t_ref.hex()
         if r is not None:
             seen.add("bland" if bland else "dantzig")
-            seen.update(["pinned"] if sx.art[r] and w[r] < 0 else [])
             seen.update(["tie"] if np.sum(tied & (w > 1e-10)) > 1
                         and abs(t - 0.7) < 1e-12 else [])
         else:
             seen.add("unblocked")
-    assert seen == {"bland", "dantzig", "pinned", "tie", "unblocked"}
+    assert seen == {"bland", "dantzig", "tie", "unblocked"}
 
 
 def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
@@ -428,15 +389,15 @@ def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
     mu_k), and every warm optimum matches scipy."""
     mats, eps = bundled_mats, 1e-3
     delta = _separable_delta(mats)
-    res = lp_solve(_mu_problem(mats, delta, eps))
+    res = lp_solve(_mu_problem(mats, delta, eps), _mu_start(mats, delta))
     assert res.status == OPTIMAL
     for _ in range(4):
         g = mats.B.T @ res.x
         delta = g * ((eps - float(res.x @ mats.c)) / float(g @ g))
         prob = _mu_problem(mats, delta, eps)
         basis, kept = res.warm.basis, res.warm.basis.copy()
-        assert lin_solve._Simplex(prob).warm_start(basis)
-        res = lp_solve(prob, basis=basis)
+        lin_solve._Simplex(prob, basis)     # raises unless the checks pass
+        res = lp_solve(prob, basis)
         # the caller's basis is not pivoted in place
         np.testing.assert_array_equal(basis, kept)
         ref = _scipy_solve(prob)
@@ -446,33 +407,15 @@ def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
         assert res.x.min() >= -1e-12
 
 
-def test_check_feasible_gordan_branch():
-    """m <= n generic rows leave {y >= 0 : rows^T y = 0, 1^T y = 1} empty, so
-    the witness must come from a Gordan direction rows z < 0."""
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, n + 1))
-        rows = rng.normal(size=(m, n))
-        rhs = rng.normal(loc=-1.0, size=m)
-        wide = linprog(rhs, A_eq=np.vstack([rows.T, np.ones((1, m))]),
-                       b_eq=np.eye(n + 1)[-1], bounds=(0, None), method="highs")
-        assert wide.status == 2
-        feas, x, ray = check_feasible(rows, rhs)
-        assert feas and ray is None
-        assert np.max(rows @ x - rhs) <= 1e-9
-
-
 def test_check_feasible_witness_and_ray():
+    # y = 1/3 on each row is the one point of Q
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -0.5]))
+    feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -0.5]), np.arange(3))
     assert feas and np.max(rows @ x - [1.0, 1.0, -0.5]) <= 1e-8
 
-    feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -3.0]))
+    feas, x, ray = check_feasible(rows, np.array([1.0, 1.0, -3.0]), np.arange(3))
     assert not feas
-    assert np.all(ray >= 0) and ray.sum() == pytest.approx(1.0)
-    assert np.max(np.abs(rows.T @ ray)) <= lin_solve._CERT_TOL
-    assert ray @ [1.0, 1.0, -3.0] < 0
+    _assert_farkas_ray(rows, np.array([1.0, 1.0, -3.0]), ray)
 
 
 # -- projections --------------------------------------------------------------
@@ -583,17 +526,15 @@ def test_projection_degenerate_rows():
 def _p_chain(mats, steps, seed):
     """An ascent's chain of LPs over the Farkas polytope P = {mu >= 0 :
     A^T mu = 0, -c^T mu = 1}, whose right-hand side is one unit entry, so
-    its vertices are highly degenerate: max (B g)^T mu, then g = B^T mu
-    with the optimal basis and its inverse carried to the next step.
-    Returns [(prob, result)]."""
-    P = LpProblem(c=np.zeros(mats.m),
-                  A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
-                  b_eq=np.eye(mats.n_reduced + 1)[-1])
+    its vertices are highly degenerate: max (B g)^T mu from P's crash basis,
+    then g = B^T mu with the optimal basis and its inverse carried to the
+    next step.  Returns [(prob, result)]."""
+    P = _polytope(mats)
     g = np.random.default_rng(seed).normal(size=mats.n_delta)
-    out, warm = [], None
+    out, warm = [], mats.crash_basis()
     for _ in range(steps):
         prob = P.with_objective(-(mats.B @ g))
-        res = lp_solve(prob, basis=warm)
+        res = lp_solve(prob, warm)
         assert res.status == OPTIMAL
         out.append((prob, res))
         g, warm = mats.B.T @ np.maximum(res.x, 0.0), res.warm
@@ -627,22 +568,25 @@ def test_a_perturbed_p_lp_chain_meets_the_original_rows(monkeypatch):
     assert len(shifted) == 4 and degenerate > 4
 
 
-def test_a_failed_restore_falls_back_to_an_unperturbed_cold_solve(monkeypatch):
+def test_a_failed_restore_falls_back_to_an_unperturbed_solve(monkeypatch):
     """A shift far too large leaves a final basis that the restored b makes
-    infeasible: the solve starts again cold without the shift, and still
-    reaches scipy's optimum."""
+    infeasible: the solve starts again without the shift, from the basis
+    the caller gave, and still reaches scipy's optimum."""
     monkeypatch.setattr(lin_solve, "_shift", lambda M: np.full(M, 0.5))
-    flags, solve = [], lin_solve._solve
+    calls, solve = [], lin_solve._solve
 
     def spy(prob, basis, deadline, perturb):
-        flags.append(perturb)
+        calls.append((perturb, basis))
         return solve(prob, basis, deadline, perturb)
 
     monkeypatch.setattr(lin_solve, "_solve", spy)
     mats = build_feasibility(bench_ladder(60, 0, False))
     for prob, res in _p_chain(mats, 6, seed=11):
         _assert_scipy_optimum(prob, res)
+    flags = [perturb for perturb, _basis in calls]
     assert flags.count(True) == 6 and flags.count(False) >= 1
+    for (perturb, basis), (again, start) in zip(calls, calls[1:]):
+        assert again or (perturb and start is basis)
 
 
 def test_a_corrupted_carried_inverse_is_rejected():
@@ -655,7 +599,7 @@ def test_a_corrupted_carried_inverse_is_rejected():
     (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
     basis, inv = first.warm.basis, first.warm.B_inv
     kept = (basis.copy(), inv.copy())
-    bare = lp_solve(prob, basis=basis)
+    bare = lp_solve(prob, basis)
     assert bare.iterations > 1
     rows, nan = (prob.A_eq.copy(), prob.b_eq.copy()), np.full_like(inv, np.nan)
     for name, bad, on in (("sound", inv, None), ("nan", nan, None),
@@ -663,7 +607,7 @@ def test_a_corrupted_carried_inverse_is_rejected():
                           ("scaled", inv * (1 + 1e-6), None),
                           ("one column", inv + np.eye(len(inv))[0] * 1e-3, None),
                           ("shape", inv[:-1], rows)):
-        res = lp_solve(prob, basis=lin_solve.WarmStart(basis, bad, on))
+        res = lp_solve(prob, lin_solve.WarmStart(basis, bad, on))
         _same_result(res, bare, name)
     _assert_scipy_optimum(prob, bare)
     np.testing.assert_array_equal(basis, kept[0])
@@ -673,7 +617,7 @@ def test_a_corrupted_carried_inverse_is_rejected():
 def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
     """A WarmStart whose basis repeats an index is rejected whatever inverse
     comes with it, a true inverse of the other columns or a pseudo-inverse
-    of the singular B, and the solve is the cold one to the bit.  The
+    of the singular B: the solve raises SolverError naming the check.  The
     caller's arrays are not edited."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (_p0, first), (prob, _res) = _p_chain(mats, 2, seed=4)
@@ -681,13 +625,10 @@ def test_a_carried_inverse_with_a_duplicated_basis_is_rejected():
     kept = (basis.copy(), inv.copy())
     dup = basis.copy()
     dup[1] = dup[0]
-    cold = lp_solve(prob)
     for name, bad in (("inverse", inv),
                       ("pseudo-inverse", np.linalg.pinv(prob.A_eq[:, dup]))):
-        warm = lin_solve.WarmStart(dup, bad)
-        assert not lin_solve._Simplex(prob).warm_start(warm), name
-        _same_result(lp_solve(prob, basis=warm), cold, name)
-    _assert_scipy_optimum(prob, cold)
+        with pytest.raises(SolverError, match="repeats a column"):
+            lp_solve(prob, lin_solve.WarmStart(dup, bad))
     np.testing.assert_array_equal(basis, kept[0])
     assert inv.tobytes() == kept[1].tobytes()
 
@@ -711,19 +652,37 @@ def test_an_own_warm_start_reenters_its_rows_without_reproof(monkeypatch):
     assert prob.A_eq is own.A_eq and prob.b_eq is own.b_eq
     assert first.warm.rows[0] is own.A_eq and first.warm.rows[1] is own.b_eq
     twin = LpProblem(c=own.c, A_eq=own.A_eq.copy(), b_eq=own.b_eq.copy())
-    bare = {name: lp_solve(p, basis=first.warm.basis)
+    bare = {name: lp_solve(p, first.warm.basis)
             for name, p in (("own", own), ("next", prob), ("twin", twin))}
     calls = _spy_inv(monkeypatch)
-    again = lp_solve(own, basis=first.warm)
+    again = lp_solve(own, first.warm)
     assert again.iterations == 1 and calls == []
     _same_result(again, bare["own"], "no pivot")
-    step = lp_solve(prob, basis=first.warm)
+    step = lp_solve(prob, first.warm)
     assert step.iterations > 1
     _same_result(step, bare["next"], "pivots")
     calls.clear()
-    copy = lp_solve(twin, basis=first.warm)
+    copy = lp_solve(twin, first.warm)
     assert copy.iterations == 1 and len(calls) == 1
     _same_result(copy, bare["twin"], "copy of the rows")
+
+
+def test_every_optimal_warm_reenters_on_its_own_arrays(bundled_mats,
+                                                       monkeypatch):
+    """Along P-LP chains of the bundled networks, every optimum's `warm`
+    names the very arrays it was solved on, which every later P-LP shares,
+    and re-enters there on its x_B checks alone: no inverse is taken, and
+    the carried one is kept to the bit."""
+    for seed in range(3):
+        chain = _p_chain(bundled_mats, 4, seed)
+        calls = _spy_inv(monkeypatch)
+        for prob, res in chain:
+            assert res.warm.rows[0] is prob.A_eq is chain[0][0].A_eq
+            assert res.warm.rows[1] is prob.b_eq is chain[0][0].b_eq
+            sx = lin_solve._Simplex(chain[-1][0], res.warm)
+            assert sx.B_inv.tobytes() == res.warm.B_inv.tobytes()
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_an_own_warm_start_that_fails_its_x_checks_is_proved_afresh():
@@ -733,16 +692,15 @@ def test_an_own_warm_start_that_fails_its_x_checks_is_proved_afresh():
     the bit."""
     mats = build_feasibility(bench_ladder(30, 2, False))
     (_own, first), (prob, _res) = _p_chain(mats, 2, seed=4)
-    bare = lp_solve(prob, basis=first.warm.basis)
+    bare = lp_solve(prob, first.warm.basis)
     warm = first.warm
     warm.B_inv[:] *= 2.0
     Bmat = prob.A_eq[:, warm.basis]
     assert abs(Bmat @ (warm.B_inv @ prob.b_eq) - prob.b_eq).max() \
         > lin_solve.FEAS_TOL
-    sx = lin_solve._Simplex(prob)
-    assert sx.warm_start(warm)
+    sx = lin_solve._Simplex(prob, warm)
     assert sx.B_inv.tobytes() == np.linalg.inv(Bmat).tobytes()
-    _same_result(lp_solve(prob, basis=warm), bare)
+    _same_result(lp_solve(prob, warm), bare)
 
 
 def test_every_short_reentry_passes_the_full_checks(monkeypatch):
@@ -750,22 +708,23 @@ def test_every_short_reentry_passes_the_full_checks(monkeypatch):
     its x_B checks alone is accepted as its bare basis too, with the same
     inverse and x_B to the bit."""
     mats = build_feasibility(bench_ladder(60, 0, False))
-    real, short = lin_solve._Simplex.warm_start, []
+    real, short = lin_solve._Simplex._start, []
 
     def spy(sx, basis):
         if isinstance(basis, lin_solve.WarmStart) and basis.rows is not None \
                 and basis.rows[0] is sx.A and basis.rows[1] is sx.b:
             rows = types.SimpleNamespace(A_eq=sx.A, b_eq=sx.b)
             idx = np.array(basis.basis)
-            probe, full = lin_solve._Simplex(rows), lin_solve._Simplex(rows)
-            if probe._enter(idx, np.array(basis.B_inv), sx.A[:, idx]):
-                assert full.warm_start(basis.basis)
+            probe = object.__new__(lin_solve._Simplex)
+            probe.A, probe.b, probe.b_scale = sx.A, sx.b, sx.b_scale
+            if probe._enter(idx, np.array(basis.B_inv), sx.A[:, idx]) is None:
+                full = lin_solve._Simplex(rows, idx)
                 assert full.B_inv.tobytes() == probe.B_inv.tobytes()
                 assert full.xB.tobytes() == probe.xB.tobytes()
                 short.append(idx)
         return real(sx, basis)
 
-    monkeypatch.setattr(lin_solve._Simplex, "warm_start", spy)
+    monkeypatch.setattr(lin_solve._Simplex, "_start", spy)
     multistart_attack(mats, AttackConfig(restarts=5, seed=0))
     assert len(short) >= 20, len(short)
 
@@ -777,10 +736,10 @@ def test_the_deadline_is_checked_at_each_refactorization(monkeypatch):
     monkeypatch.setattr(lin_solve, "_REFACTOR_EVERY", 1)
     monkeypatch.setattr(lin_solve, "time",
                         types.SimpleNamespace(monotonic=lambda: 10.0))
-    prob = _random_wide_problem(np.random.default_rng(32), 5, 14)
-    cold = lp_solve(prob)
-    assert cold.iterations > 1
+    prob, start = _planted(np.random.default_rng(32), 5, 14)
+    first = lp_solve(prob, start)
+    assert first.iterations > 1
     with pytest.raises(DeadlineSignal, match="after 1 pricing passes"):
-        lp_solve(prob, deadline=5.0)
-    assert lp_solve(prob, basis=cold.warm, deadline=5.0).iterations == 1
-    assert lp_solve(prob, deadline=20.0).objective == cold.objective
+        lp_solve(prob, start, deadline=5.0)
+    assert lp_solve(prob, first.warm, deadline=5.0).iterations == 1
+    assert lp_solve(prob, start, deadline=20.0).objective == first.objective

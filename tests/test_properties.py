@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
-from dcattack.attack import AttackConfig, multistart_attack
+from dcattack.attack import AttackConfig, _p_lp, _polytope, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local, t_tilde, warm_start_defense
@@ -41,18 +41,17 @@ def _flows(n_bus, branches, injections):
     return b * (E @ theta)
 
 
-@st.composite
-def networks(draw):
-    n = draw(st.integers(3, 6))
-    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _network(n, seed, chords, n_gen):
+    """One network of the module docstring, as `_case` reads it: n buses,
+    `chords` extra branches and n_gen units, drawn from `seed`."""
+    rnd = np.random.default_rng(seed)
     branches = [(int(rnd.integers(0, k)), k, float(rnd.uniform(0.05, 0.3)))
                 for k in range(1, n)]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(chords):
         f, t = rnd.choice(n, size=2, replace=False)
         branches.append((int(f), int(t), float(rnd.uniform(0.05, 0.3))))
     loads = np.where(rnd.random(n) < 0.7, rnd.uniform(0.2, 1.5, n), 0.0)
     loads[-1] = max(loads[-1], 0.5)
-    n_gen = draw(st.integers(1, 3))
     gen_bus = rnd.choice(n, size=n_gen, replace=False)
     p_max = rnd.uniform(1.2, 2.5, n_gen) * loads.sum() / n_gen
     p_min = rnd.uniform(0.0, 0.3, n_gen) * loads.sum() / n_gen
@@ -69,6 +68,12 @@ def networks(draw):
                   for k, (f, t, x) in enumerate(branches)],
         generators=[(int(gen_bus[j]) + 1, float(p_min[j]), float(p_max[j]))
                     for j in range(n_gen)])
+
+
+@st.composite
+def networks(draw):
+    return _network(draw(st.integers(3, 6)), draw(st.integers(0, 2**32 - 1)),
+                    draw(st.integers(0, 2)), draw(st.integers(1, 3)))
 
 
 def _case(net, ids=None):
@@ -184,6 +189,54 @@ def test_the_bracket_holds_the_exact_value_on_random_networks(net):
     ub = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best.norm_sq
     assert lb <= exact * (1.0 + 1e-12)
     assert exact <= ub
+
+
+# networks whose one unit is the slack (n_reduced = 0): the attack's ub and
+# the squeeze's lb, pinned
+NO_MOVER = {
+    "desk2_single": (1.000002000001, 1.0),
+    "one3_0": (0.006032646816296984, 0.00603263475102145),
+    "one3_1": (0.1673705324145387, 0.167370197673976),
+    "one3_2": (0.17059952664620923, 0.17059918544766775),
+    "one4_0": (0.0606461923127897, 0.060646071020587014),
+    "one4_1": (0.3366957226919332, 0.3366950493014978),
+    "one4_2": (0.5261824416865947, 0.5261813893232902),
+    "one5_0": (0.01633462978662005, 0.01633459711740948),
+    "one5_1": (0.035663923294711714, 0.03566385196697213),
+    "one5_2": (0.06415842408965962, 0.0641582957730039),
+    "one6_0": (0.12179099609350226, 0.12179075251187547),
+    "one6_1": (0.06506497558143046, 0.06506484545167453),
+    "one6_2": (0.0476638076484979, 0.047663712321025606),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_MOVER))
+def test_without_a_movable_unit_the_p_lps_start_from_one_row(name, request):
+    """With n_reduced = 0, P = {mu >= 0 : -c^T mu = 1} has one row, and
+    its crash basis is the row of largest -c_i: a P-LP from it meets
+    scipy's optimum over P for the uniform and seeded directions.  The
+    attack's ub and the squeeze's bracket keep their pinned values."""
+    if name.startswith("one"):
+        n, seed = map(int, name[3:].split("_"))
+        case = _case(_network(n, seed, seed, 1))
+    else:
+        case = request.getfixturevalue(name)
+    mats = build_feasibility(case)
+    assert mats.n_reduced == 0 and np.any(mats.c < 0.0)
+    crash = mats.crash_basis()
+    np.testing.assert_array_equal(crash, [np.argmax(-mats.c)])
+    rng = np.random.default_rng(seed=1)
+    for g in (np.ones(mats.n_delta), rng.normal(size=mats.n_delta)):
+        _mu, value, _basis = _p_lp(mats, _polytope(mats), g, crash)
+        assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
+                                      rel=1e-12, abs=1e-15)
+    ub, lb = NO_MOVER[name]
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert rep.best.certified
+    assert rep.best.norm_sq == pytest.approx(ub, rel=1e-12)
+    bounds = squeeze_run(case, SqueezeConfig(seed=0))
+    assert bounds.ub == pytest.approx(ub, rel=1e-12)
+    assert bounds.lb == pytest.approx(lb, rel=1e-12)
 
 
 def test_the_exact_oracle_refuses_more_than_four_units():

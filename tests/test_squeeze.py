@@ -219,7 +219,7 @@ def test_an_open_bracket_runs_every_start(monkeypatch):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_lp_budget(name, monkeypatch):
     """Regression guard: one bundled squeeze runs at most 7 LPs (the nominal
-    dispatch, the SOCP warm start, P's cold LP and the ascents' steps); the
+    dispatch, the SOCP warm start, P's crash-started LP and the ascents' steps); the
     incumbent is certified from its own multiplier, so its inflated point
     never reaches `check_feasible`."""
     case = load_case(pglib_path(name))

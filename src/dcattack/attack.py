@@ -2,8 +2,9 @@
 
 The attack looks for the smallest ||delta||^2 such that F(delta) is empty.
 By Farkas' lemma F(delta) is empty iff some mu >= 0 with A^T mu = 0 has
-mu^T (B delta + c) > 0.  F(0) is nonempty, so -c^T mu >= 0 for every such
-mu, and the ones that matter are scaled onto one fixed polytope
+mu^T (B delta + c) > 0.  F(0) is nonempty (`multistart_attack` checks
+it), so -c^T mu >= 0 for every such mu, and the ones that matter are
+scaled onto one fixed polytope
 
   P = { mu >= 0 : A^T mu = 0, -c^T mu = 1 }.
 
@@ -25,19 +26,18 @@ certifies.
 A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and can
 start it.  `multistart_attack` builds P's rows and an empty pool once per
-network, and `attack_local` fills it with a (B^T mu, basis)
-pair for every optimal step, the basis carried with its inverse
+network, and `attack_local` fills it with every optimal step's B^T mu, a
+row of one array, and its basis, carried with its inverse
 (`lin_solve.WarmStart`).  Every P-LP shares P's A_eq and b_eq arrays
 (`LpProblem.with_objective`), so a pooled basis re-enters `lp_solve`
 without re-proof: no factorization and no inverse check, only the
 feasibility and residual checks of x_B.  The first start's first step
-starts from P's crash basis (`FeasibilityMatrices.crash_basis`: mu = 1 /
-(p_max - p_min) on one unit's two bound rows, or 1 / -c_i on the one row
-of largest -c_i when no unit moves); a later start's first step
-maximizes g^T B^T mu, so it warm-starts from the pooled vertex with the
-largest g^T B^T mu (the earliest on ties), and each later step from its own
-previous one.  A unique optimum does not depend on the starting basis, but
-the reported best start may change among starts whose norms tie to rounding.
+starts from P's crash basis (`FeasibilityMatrices.crash_basis`); a later
+start's first step maximizes g^T B^T mu, so it warm-starts from the pooled
+vertex that one product of that array with g scores highest (the earliest
+on ties), and each later step from its own previous one.  A unique optimum
+does not depend on the starting basis, but the reported best start may
+change among starts whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -69,7 +69,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lin_solve
-from .dc_model import solve_dcopf
 from .errors import AttackError, DeadlineSignal, RestartSignal, SolverError
 
 # the reported mu has mu^T (B delta + c) = EPS; the ascent reports
@@ -156,8 +155,7 @@ def fixed_dispatch_lb(mats, p0):
     per = mats.radii(p0)
     tight = np.isfinite(per) & (np.abs(mats.margins(p0)) <= lin_solve.FEAS_TOL)
     per[tight] = 0.0
-    if not np.any(np.isfinite(per)):
-        return np.inf, None
+    # all +inf: row 0, whose direction vanishes, so its crossing is None
     row = int(np.argmin(per))
     start = mats.B[row] / np.linalg.norm(mats.B[row]) if tight[row] \
         else mats.crossing(p0, None, row)
@@ -207,18 +205,38 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=()):
         history=list(history))
 
 
+class _Pool:
+    """The vertices that optimal P-LPs reached on one network: each one's
+    B^T mu as a row of one array, beside its basis."""
+
+    def __init__(self, n_delta):
+        self.gw, self.bases = np.empty((16, n_delta)), []
+
+    def add(self, gw, basis):
+        if len(self.bases) == len(self.gw):      # double the capacity
+            self.gw = np.vstack([self.gw, self.gw])
+        self.gw[len(self.bases)] = gw
+        self.bases.append(basis)
+
+    def best(self, g):
+        """The basis whose vertex scores highest on g^T B^T mu, the earliest
+        on ties, or None from an empty pool."""
+        k = len(self.bases)
+        return self.bases[int(np.argmax(self.gw[:k] @ g))] if k else None
+
+
 def attack_local(mats, init_delta, start="", pool=None, deadline=None,
                  P=None):
-    """One ascent on P from a start direction (module docstring).  `pool`
-    holds a (B^T mu, basis) pair per optimal P-LP solved so far on this
-    network: the first step warm-starts from the pooled basis whose vertex
-    scores highest on that step's objective, and every optimal step of this
-    ascent is appended.  `deadline`, a time.monotonic() value, is checked
-    between steps and inside each step's LP, and an expired one returns the
-    current vertex; a first step from an empty pool (from the crash basis)
-    ignores it, so a multistart always has a vertex.  `P` is
-    `_polytope(mats)`, built here when not given.  A step without an
-    optimum ends the ascent on its ray (module docstring).
+    """One ascent on P from a start direction (module docstring).  `pool`,
+    a `_Pool`, holds every optimal P-LP solved so far on this network: the
+    first step warm-starts from the pooled basis whose vertex scores highest
+    on that step's objective, and every optimal step of this ascent is
+    added.  `deadline`, a time.monotonic() value, is checked between steps
+    and inside each step's LP, and an expired one returns the current
+    vertex; a first step from an empty pool (from the crash basis) ignores
+    it, so a multistart always has a vertex.  `P` is `_polytope(mats)`,
+    built here when not given.  A step without an optimum ends the ascent
+    on its ray (module docstring).
 
     Raises RestartSignal when no multiplier in P separates any point along
     the start direction (F never closes along it), and DeadlineSignal when
@@ -228,20 +246,18 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     if not np.any(g):
         raise RestartSignal("zero start direction")
     P = _polytope(mats) if P is None else P
-    pool = [] if pool is None else pool
+    pool = _Pool(mats.n_delta) if pool is None else pool
 
     def step(g, basis, deadline):
         mu, value, basis = _p_lp(mats, P, g, basis, deadline)
         gw = mats.B.T @ mu
         if basis is not None:
-            pool.append((gw, basis))
+            pool.add(gw, basis)
         return mu, gw, value, basis
 
-    # the first P-LP's objective at a pooled vertex is g^T B^T mu; max()
-    # keeps the earliest entry on ties
-    _gw, basis = max(pool, key=lambda entry: float(g @ entry[0]),
-                     default=(None, mats.crash_basis()))
-    mu, gw, value, basis = step(g, basis, deadline if pool else None)
+    warm = pool.best(g)
+    first = (mats.crash_basis(), None) if warm is None else (warm, deadline)
+    mu, gw, value, basis = step(g, *first)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -274,7 +290,8 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None):
     """Run attack_local from the caller's `extra_directions`, then the
-    fixed-dispatch start, uniform growth and seeded random starts (the
+    fixed-dispatch start at `mats.max_margin()` (ModelError when F(0) is
+    empty), uniform growth and seeded random starts (the
     first P-LP crash-started, the rest pooled); a direction that is zero,
     of the wrong size or not finite is dropped, and the others are scaled
     by a power of two, so a direction's scale changes nothing.  A candidate
@@ -298,12 +315,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
-    nominal = solve_dcopf(mats)
-    if not nominal.feasible:
-        worst = mats.row_labels[int(np.argmax(nominal.ray))]
-        raise AttackError("case is infeasible before any perturbation "
-                          f"(Farkas ray heaviest on {worst})")
-    lb0, binding = fixed_dispatch_lb(mats, nominal.p_hat)
+    lb0, binding = fixed_dispatch_lb(mats, mats.max_margin())
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
@@ -322,7 +334,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
             kept.append((label, np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])))
     starts = kept
 
-    P, pool = _polytope(mats), []
+    P, pool = _polytope(mats), _Pool(mats.n_delta)
     notes, refuted, best = [], [], None
     for i, (label, direction) in enumerate(starts):
         note = {"start": label, "status": "skipped"}

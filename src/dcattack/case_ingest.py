@@ -2,7 +2,8 @@
 
 Only the fields the DC model consumes are kept: bus ids and active loads,
 branch endpoints / reactance / thermal rating / status, generator bus, active
-limits, status and linear cost. Everything is converted to per-unit on the
+limits, status and linear cost (which no bound reads). Everything is
+converted to per-unit on the
 system base at parse time. A rating of 0 in MATPOWER means "unlimited" and is
 stored as None; any other rating must be finite and positive.
 """
@@ -83,9 +84,6 @@ class NetworkCase:
         lo = np.array([g.p_min for g in self.generators])
         hi = np.array([g.p_max for g in self.generators])
         return lo, hi
-
-    def gen_costs(self):
-        return np.array([g.cost for g in self.generators])
 
 
 def build_case(name, base_mva, buses, branches, generators):

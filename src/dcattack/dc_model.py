@@ -27,13 +27,17 @@ minimum is the policy's radius (the lower bound), and the attack starts
 from crossing points.  A row with g_i = 0 has neither (radius +inf, even
 when tight).  `FeasibilityMatrices.radii` and `.crossing` are the one copy
 of this formula; only `attack.fixed_dispatch_lb` adds a tight-row rule.
+
+No bound depends on generator costs, so the one nominal point is
+`FeasibilityMatrices.max_margin`, the dispatch of F(0) with the largest
+margin: the attack and the defense start there, and its LP checks F(0).
 """
 
 import numpy as np
 from dataclasses import dataclass, replace
 
 from . import lin_solve
-from .errors import ModelError, PreconditionError, SolverError
+from .errors import ModelError, PreconditionError
 
 
 def build_ptdf(case, ref_bus):
@@ -83,7 +87,6 @@ class FeasibilityMatrices:
     slack_gen: int
     ref_bus: int
     gen_order: np.ndarray    # reduced column -> original generator index
-    held: np.ndarray         # fixed units folded into c, at their output
     emitted: np.ndarray      # each row's position in the unpruned stacking
     load_pos: np.ndarray     # dense bus positions of delta components
     load_bus_ids: tuple
@@ -128,6 +131,18 @@ class FeasibilityMatrices:
             return np.argmax(-self.c, keepdims=True)
         up, lo = self.unit_rows()
         return np.append(up, lo[np.argmax(-self.c[up] - self.c[lo])])
+
+    def max_margin(self):
+        """F(0)'s max-margin dispatch, min m s.t. a_i^T p + c_i <= m, by
+        `lin_solve.check_feasible` from `crash_basis()`; ModelError naming
+        the heaviest row of the Farkas ray when F(0) is empty."""
+        ok, p, ray = lin_solve.check_feasible(self.A, self.rhs(),
+                                              self.crash_basis())
+        if not ok:
+            worst = self.row_labels[int(np.argmax(ray))]
+            raise ModelError("max-margin LP: no dispatch satisfies the nominal "
+                             f"constraints (Farkas ray heaviest on {worst})")
+        return p
 
     def margins(self, p_hat, delta=None):
         """A p + B delta + c, the reduced-system row margins."""
@@ -182,19 +197,6 @@ class FeasibilityMatrices:
         if delta is None:
             return -self.c
         return -(self.B @ np.asarray(delta, float) + self.c)
-
-    def full_dispatch(self, p_hat, delta=None):
-        """Reinsert the held units' outputs and the slack generator's
-        balancing injection."""
-        p_hat = np.asarray(p_hat, float)
-        total = self.case.total_load()
-        if delta is not None:
-            total += float(np.sum(delta))
-        p_full = self.case.gen_bounds()[1].copy()
-        p_full[self.gen_order] = p_hat
-        p_full[self.slack_gen] = total - float(p_hat.sum()) \
-            - float(p_full[self.held].sum())
-        return p_full
 
     def to_json_dict(self):
         return {
@@ -289,7 +291,7 @@ def build_feasibility(case, slack_gen=None):
 
     mats = FeasibilityMatrices(
         A=A, B=B, c=c, row_labels=tuple(labels), slack_gen=int(slack_gen),
-        ref_bus=ref, gen_order=others, held=held, emitted=np.arange(m),
+        ref_bus=ref, gen_order=others, emitted=np.arange(m),
         load_pos=load_pos,
         load_bus_ids=tuple(int(case.buses[i].id) for i in load_pos),
         case=case)
@@ -297,48 +299,3 @@ def build_feasibility(case, slack_gen=None):
                              | (c > lin_solve.FEAS_TOL))
     return mats if emitted.size == m else mats.take(emitted)
 
-
-@dataclass
-class DcopfResult:
-    feasible: bool
-    p_hat: np.ndarray = None
-    ray: np.ndarray = None   # normalized Farkas ray over the rows when infeasible
-
-
-def solve_dcopf(mats, delta=None):
-    """Cost-minimizing dispatch inside F(delta), or a certified-infeasible flag.
-
-    The slack generator's cost is folded into the reduced objective through
-    the power-balance substitution; `mats.full_dispatch(p_hat, delta)` gives
-    every unit's output.
-
-    The LP  min c_red^T p s.t. A p <= rhs  is solved through its dual
-
-        min rhs^T mu  s.t.  A^T mu = -c_red,  mu >= 0,
-
-    whose basis has n_reduced rows instead of m.  It starts from the
-    merit-order corner of the unit rows (`FeasibilityMatrices.unit_rows`):
-    unit j's upper row when red_cost[j] <= 0, else its lower one, so
-    B = diag(+-1) and x_B = |red_cost| >= 0, empty when no unit moves.  The
-    dispatch is read off the equality duals and returned only once it
-    satisfies every row and closes the duality gap; an unbounded dual is a
-    Farkas ray of F(delta).
-    """
-    costs = mats.case.gen_costs()
-    red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
-    rhs = mats.rhs(delta)
-    up, lo = mats.unit_rows()
-    res = lin_solve.lp_solve(
-        lin_solve.LpProblem(c=rhs, A_eq=mats.A.T, b_eq=-red_cost),
-        np.where(red_cost <= 0, up, lo))
-    if res.status == lin_solve.UNBOUNDED:
-        ray = lin_solve.normalize_farkas_ray(mats.A, rhs, res.ray)
-        return DcopfResult(feasible=False, ray=ray)
-    p_hat = res.y
-    tol = lin_solve.scaled_tol(rhs)
-    worst = float(np.max(mats.A @ p_hat - rhs))
-    gap = float(red_cost @ p_hat + res.objective)
-    if worst > tol or abs(gap) > tol * (1.0 + float(np.abs(res.x) @ np.abs(rhs))):
-        raise SolverError(f"dispatch from the dual LP fails its check: worst row "
-                          f"{worst:.3e}, duality gap {gap:.3e}")
-    return DcopfResult(feasible=True, p_hat=p_hat)

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lin_solve
-from .errors import (GeometryError, ModelError, PolicyVerificationError,
+from .errors import (GeometryError, PolicyVerificationError,
                      PreconditionError, SolverError)
 
 # the solve converges once the certified duality gap is below _GAP_TOL; a
@@ -148,16 +148,10 @@ def t_tilde(mats, p0, G):
 
 
 def warm_start_defense(mats):
-    """Max-margin dispatch and its fixed-dispatch radius: min m s.t.
-    a_i^T p + c_i <= m, the wide LP of `lin_solve.check_feasible` from
-    `mats.crash_basis()`, where y = 1/2 on one unit's two bound rows."""
-    ok, p, ray = lin_solve.check_feasible(mats.A, -mats.c, mats.crash_basis())
-    if not ok:
-        worst = mats.row_labels[int(np.argmax(ray))]
-        raise ModelError("max-margin LP: no dispatch satisfies the nominal "
-                         f"constraints (Farkas ray heaviest on {worst})")
-    t_init, _row = t_tilde(mats, p, None)
-    return p, np.zeros((mats.n_reduced, mats.n_delta)), float(t_init)
+    """`mats.max_margin()` (ModelError when F(0) is empty), G = 0 and that
+    dispatch's fixed-dispatch radius."""
+    p, G0 = mats.max_margin(), np.zeros((mats.n_reduced, mats.n_delta))
+    return p, G0, t_tilde(mats, p, None)[0]
 
 
 # Cone vectors are the rows x = (x_0, x_1) of an m x (k+1) array, one second-

@@ -39,11 +39,11 @@ The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 (408 against 23 on a 120-bus network), and a simplex basis is as large as the
 row count.  So every LP is posed in the wide multiplier form
 min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0, whose basis has only
-n_reduced + 1 rows: the attack's steps over the Farkas polytope
-(`attack._p_lp`), the feasibility probe (`check_feasible`, which also gives
-the defense its max-margin warm start) and the nominal dispatch
-(`dc_model.solve_dcopf`).  Primal points are read off the equality duals y
-and re-checked against the rows; Farkas rays are the multipliers themselves.
+n_reduced + 1 rows, for the two callers of `lp_solve`: the attack's steps
+over the Farkas polytope (`attack._p_lp`) and the feasibility probe
+(`check_feasible`, which also finds the max-margin nominal dispatch).
+Primal points are read off the equality duals y and re-checked against the
+rows; Farkas rays are the multipliers themselves.
 
 Start basis.  The basis comes in one of two kinds.  A bare array of M
 column indices is accepted only when its indices are in range and
@@ -55,9 +55,8 @@ keeps them), needs only the x_B checks with its carried inverse,
 inv(A_eq[:, basis]) to the bit; when they fail, or on any other arrays, it
 is re-entered as its bare basis, and its inverse is not read.  A basis that
 fails a check raises SolverError naming the check.  The callers' starts: a
-crash basis of the unit-bound rows (`dc_model`'s
-`FeasibilityMatrices.crash_basis` and `solve_dcopf`'s merit-order corner)
-or, for the attack's P-LPs, an earlier optimum over the same rows (see
+crash basis of the unit-bound rows (`FeasibilityMatrices.crash_basis`) or,
+for the attack's P-LPs, an earlier optimum over the same rows (see
 `attack`).
 """
 

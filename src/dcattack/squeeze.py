@@ -5,18 +5,18 @@ distance, and every policy radius is a lower bound.  The lower bound is exact
 for affine policies (`defense.defense_local` solves the convex program), so
 the squeeze runs once: the policy SOCP within the wall-clock budget, one
 attack multistart seeded from the policy (`cross_feed`) within what is left
-of that budget, then sampled verification of the policy.  The SOCP's
-max-margin warm start checks that F(0) is nonempty, naming a row if not.
-A SolverError on one side leaves the other side's certified bound, flagged:
-ub None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
+of that budget, then sampled verification of the policy.  Both sides start
+from `FeasibilityMatrices.max_margin`, whose ModelError names a row when
+F(0) is empty.  A SolverError on one side keeps the other's certified bound,
+flagged: ub None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 
 Soundness rules: a value enters the trace only after certification (attack) or
-exact radius evaluation (defense); lb <= ub + 1e-6 is enforced at every
-append.  The attack's final certificate is the multistart's own, its mu
-re-verified at the inflated incumbent (1 + `attack._CERT_INFLATION`) delta
-(the feasibility LP's ray where mu fails).  The report keeps the attack's
-`summary()`, start and delta, not the ray, which stays on
-`AttackSolution.oracle_ray`.
+exact radius evaluation (defense); lb <= ub (1 + 1e-6), relative as lb <=
+exact <= ub holds at every scale, is enforced at every append.  The attack's
+final certificate is the multistart's own, its mu re-verified at the
+inflated incumbent (1 + `attack._CERT_INFLATION`) delta (the feasibility
+LP's ray where mu fails).  The report keeps the attack's `summary()`, start
+and delta, not the ray, which stays on `AttackSolution.oracle_ray`.
 The multistart is handed lb, and stops once a certified attack meets it to
 1e-8 relative: the bracket is closed, and no further start could lower ub
 by more.
@@ -70,7 +70,7 @@ class BoundsReport:
             self.lb = value
         else:
             self.ub = value
-        if self.ub is not None and self.lb > self.ub + 1e-6:
+        if self.ub is not None and self.lb > self.ub * (1.0 + 1e-6):
             raise ModelError(
                 f"bound ordering violated: lb {self.lb} > ub {self.ub}")
         self.trace.append((now, side, value))

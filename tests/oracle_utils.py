@@ -25,6 +25,27 @@ def scipy_feasible(A, rhs):
     raise RuntimeError(f"scipy feasibility probe failed: {res.message}")
 
 
+def boundary_dispatch(mats, p, d):
+    """Walk from p in F(0) along d, projected at each row it meets onto the
+    face of the rows met so far, until no row blocks it.  Returns the
+    dispatch reached: on the boundary of F(0), with every row met tight to
+    rounding."""
+    p, d, met = np.asarray(p, float), np.asarray(d, float), []
+    while True:
+        if met:
+            _u, sv, vt = np.linalg.svd(mats.A[met])
+            null = vt[int(np.sum(sv > 1e-12)):]
+            d = null.T @ (null @ d)
+        ad = mats.A @ d
+        up = np.flatnonzero(ad > 1e-12 * (1.0 + np.linalg.norm(d)))
+        if not up.size:
+            return p
+        steps = -mats.margins(p)[up] / ad[up]
+        k = int(np.argmin(steps))
+        p = p + max(float(steps[k]), 0.0) * d
+        met.append(int(up[k]))
+
+
 def grid_attack_oracle(mats, span, step):
     """Literal Cartesian sweep: smallest ||delta||^2 over the grid whose
     F(delta) is empty (np.inf if every grid point stays feasible)."""
@@ -167,6 +188,19 @@ def full_ratio_test(xB, w, basis, bland):
     return float(t[r]), r
 
 
+def full_dispatch(mats, p_hat, delta=None):
+    """Every unit's output for the reduced dispatch p_hat: the units with
+    p_min == p_max at their output, the movers at p_hat and the slack unit
+    balancing the load plus delta."""
+    total = mats.case.total_load() + (0.0 if delta is None
+                                      else float(np.sum(delta)))
+    p_full = mats.case.gen_bounds()[1].copy()
+    p_full[mats.gen_order] = np.asarray(p_hat, float)
+    p_full[mats.slack_gen] = 0.0
+    p_full[mats.slack_gen] = total - float(p_full.sum())
+    return p_full
+
+
 def model1_margins(mats, p_full, delta=None):
     """Independent margin computation straight from the dispatch model:
     full PTDF flows against ratings plus the raw bounds of the slack and the
@@ -204,7 +238,7 @@ def one_row(a, b, c):
     return FeasibilityMatrices(
         A=a[None, :], B=b[None, :], c=np.array([float(c)]),
         row_labels=("row",), slack_gen=0, ref_bus=0,
-        gen_order=np.arange(a.size), held=np.arange(0), emitted=np.arange(1),
+        gen_order=np.arange(a.size), emitted=np.arange(1),
         load_pos=np.arange(b.size), load_bus_ids=tuple(range(b.size)),
         case=None)
 

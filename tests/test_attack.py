@@ -18,12 +18,12 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import attack, lin_solve
-from dcattack.attack import (AttackConfig, _p_lp, _polytope, attack_local,
-                             certify_infeasible, fixed_dispatch_lb,
-                             multistart_attack)
+from dcattack.attack import (AttackConfig, _p_lp, _polytope, _Pool,
+                             attack_local, certify_infeasible,
+                             fixed_dispatch_lb, multistart_attack)
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility, solve_dcopf
-from dcattack.errors import AttackError, RestartSignal, SolverError
+from dcattack.dc_model import build_feasibility
+from dcattack.errors import ModelError, RestartSignal, SolverError
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
@@ -60,12 +60,13 @@ def test_desk2_limited_attack_uses_line_and_gen_caps(desk2_limited):
 
 def test_desk2_single_attack_equals_fixed_lb(desk2_single):
     mats = build_feasibility(desk2_single)
-    nominal = solve_dcopf(mats)
-    lb, _start = fixed_dispatch_lb(mats, nominal.p_hat)
+    # the one unit is the slack: the reduced dispatch is empty
+    lb, _start = fixed_dispatch_lb(mats, np.zeros(0))
     rep = multistart_attack(mats, AttackConfig(restarts=2, seed=1))
     # with a single generator there is no recourse, so the fixed-dispatch
     # lower bound is already tight
     assert lb == pytest.approx(1.0, abs=1e-12)
+    assert rep.fixed_lb == lb
     assert rep.best.norm_sq == pytest.approx(1.0, rel=1e-4)
 
 
@@ -157,24 +158,40 @@ def test_a_restarted_hint_is_noted_and_the_other_starts_go_on():
 
 
 def test_nominally_infeasible_case_raises():
+    """An empty F(0) fails the max-margin LP before any start, with a
+    ModelError that names the heaviest row of its Farkas ray."""
     case = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)], [(1, 2, 0.1, None)],
                       [(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)])
     mats = build_feasibility(case)
-    with pytest.raises(AttackError):
+    with pytest.raises(ModelError, match="max-margin LP") as exc:
         multistart_attack(mats, AttackConfig(restarts=1, seed=0))
+    assert any(label in str(exc.value) for label in mats.row_labels)
 
 
 def test_fixed_lb_bounds_every_certified_attack(desk2, desk2_limited, desk3):
-    for case in (desk2, desk2_limited, desk3):
+    """fixed_lb is the radius of the max-margin dispatch, the defense's
+    t_init to the bit, and bounds the attack."""
+    from dcattack.defense import warm_start_defense
+
+    for case in (desk2, desk2_limited, desk3, bench_ladder(30, 0, False)):
         mats, rep = _attack(case)
+        assert rep.fixed_lb == warm_start_defense(mats)[2] > 0.0
         assert rep.fixed_lb <= rep.best.norm_sq + 1e-9
 
 
+def _boundary(mats):
+    """A dispatch on the boundary of F(0): from the max-margin one, every
+    movable unit down (the slack up), along the face of each row met."""
+    return oracle_utils.boundary_dispatch(mats, mats.max_margin(),
+                                          -np.ones(mats.n_reduced))
+
+
 def test_binding_row_ignores_rounding_noise(bundled_mats):
-    """A nominal dispatch is tight on several rows; 1e-14 noise in it must not
-    change the direction that seeds the attack, nor lb0 beyond rounding."""
+    """A boundary dispatch is tight on the rows it met; 1e-14 noise in it
+    must not change the direction that seeds the attack, nor lb0 beyond
+    rounding."""
     mats = bundled_mats
-    p_nom = solve_dcopf(mats).p_hat
+    p_nom = _boundary(mats)
     lb0, d0 = fixed_dispatch_lb(mats, p_nom)
     for k in range(10):
         noise = np.random.default_rng(k).normal(size=p_nom.size)
@@ -185,11 +202,13 @@ def test_binding_row_ignores_rounding_noise(bundled_mats):
 
 @pytest.mark.parametrize("stem", ["case5_pjm", "case24_ieee_rts"])
 def test_fixed_lb_ignores_rounding_noise(stem):
-    """p_nom is an LP vertex, so delta-sensitive rows are tight up to rounding;
-    1e-14 noise in it must not move lb0."""
+    """The boundary dispatch meets the slack unit's upper row, which moves
+    with delta and is tight up to rounding: lb0 is 0 by the tight-row rule,
+    and 1e-14 noise in the dispatch must not move it."""
     mats = build_feasibility(load_case(pglib_path(stem)))
-    p_nom = solve_dcopf(mats).p_hat
+    p_nom = _boundary(mats)
     lb0, _start = fixed_dispatch_lb(mats, p_nom)
+    assert lb0 == 0.0
     for k in range(10):
         noise = np.random.default_rng(k).normal(size=p_nom.size)
         lb, _start = fixed_dispatch_lb(mats, p_nom + 1e-14 * noise)
@@ -200,12 +219,12 @@ def test_fixed_dispatch_start_crosses_its_row(desk2_single):
     """The start is the crossing point of the row that sets lb0: at radius
     lb0, every row holds just short of it and some row breaks just past."""
     mats = build_feasibility(desk2_single)
-    nominal = solve_dcopf(mats)
-    lb0, d = fixed_dispatch_lb(mats, nominal.p_hat)
+    p = np.zeros(0)             # the one unit is the slack
+    lb0, d = fixed_dispatch_lb(mats, p)
     assert d is not None
     assert float(d @ d) == pytest.approx(lb0, rel=1e-12)
-    assert np.all(mats.margins(nominal.p_hat, 0.999 * d) <= 0)
-    assert np.max(mats.margins(nominal.p_hat, 1.001 * d)) > 0
+    assert np.all(mats.margins(p, 0.999 * d) <= 0)
+    assert np.max(mats.margins(p, 1.001 * d)) > 0
 
 
 def test_every_chained_basis_is_primal_feasible(bundled_mats, monkeypatch):
@@ -330,7 +349,13 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     assert starts[0][2] == 0
     np.testing.assert_array_equal(p_lps[0][1], mats.crash_basis())
     lin_solve._Simplex(p_lps[0][0], p_lps[0][1])
-    origin = entry(p_lps[0][2])
+
+    def origin():
+        """A pool that holds the first P-LP's vertex alone."""
+        pool = _Pool(mats.n_delta)
+        pool.add(*entry(p_lps[0][2]))
+        return pool
+
     for prob, _basis, res in p_lps:
         if res.warm is not None:
             lin_solve._Simplex(prob, res.warm.basis)
@@ -345,9 +370,9 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
             picked.append(k)
         if out is None:         # the start raised RestartSignal
             with pytest.raises(RestartSignal):
-                attack_local(mats, g, label, [origin])
+                attack_local(mats, g, label, origin())
         else:
-            alone = attack_local(mats, g, label, [origin])
+            alone = attack_local(mats, g, label, origin())
             assert alone.norm_sq == pytest.approx(out.norm_sq, rel=1e-9)
     assert len(picked) == len(starts) - 1 >= 6
     # on case24 the first vertex scores highest for every later start
@@ -415,8 +440,10 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
     score = np.ones(mats.n_delta)
     for order in (bases, bases[::-1]):
         given.clear()
-        attack_local(mats, np.ones(mats.n_delta), "",
-                     [(score, b) for b in order], P=P)
+        pool = _Pool(mats.n_delta)
+        for basis in order:
+            pool.add(score, basis)
+        attack_local(mats, np.ones(mats.n_delta), "", pool, P=P)
         np.testing.assert_array_equal(given[0].basis, order[0].basis)
 
 
@@ -478,12 +505,16 @@ def test_zero_distance_networks_keep_a_certified_attack(kind, monkeypatch):
     expected = None if kind == "p-empty" else np.inf
     assert oracle_utils.p_polytope_max(mats, np.ones(mats.n_delta)) == expected
     calls = _spy_certification(monkeypatch)
-    rows, spied = [], lin_solve.lp_solve
-    monkeypatch.setattr(lin_solve, "lp_solve", lambda prob, *args: rows.append(
-        prob.A_eq.shape[0]) or spied(prob, *args))
+    over_p, spied = [], lin_solve.lp_solve
+    monkeypatch.setattr(lin_solve, "lp_solve", lambda prob, *args: over_p.append(
+        np.array_equal(prob.A_eq[-1], -mats.c)) or spied(prob, *args))
     rep = multistart_attack(mats, AttackConfig(restarts=2, seed=0))
     monkeypatch.undo()
-    assert (1 in rows) == (kind == "p-unbounded")
+    # the max-margin LP over Q runs on both; only P-unbounded poses a P-LP
+    assert any(over_p) == (kind == "p-unbounded")
+    # F(0) has no interior: a delta-sensitive row is tight at the max-margin
+    # dispatch, so the fixed-dispatch radius is 0 by the tight-row rule
+    assert rep.fixed_lb == 0.0
     best = rep.best
     assert best.certified and best.convergence == "zero-distance"
     assert calls[-1]["mu"] is best.mu and not any(c["lps"] for c in calls)
@@ -554,8 +585,9 @@ def test_the_reported_start_is_noted_certified(kind):
 
 def test_only_a_candidate_that_lowers_the_incumbent_is_certified(monkeypatch):
     """On the 30-bus ladder, one certification runs per candidate that
-    lowers the incumbent, and none for the rest."""
-    mats = build_feasibility(bench_ladder(30, 0, False))
+    lowers the incumbent, and none for the rest.  Network seed 2: the
+    fixed-dispatch start's first candidate is lowered once more."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
     calls = _spy_certification(monkeypatch)
     rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
     lowerings = _incumbent_lowerings(rep)
@@ -569,9 +601,11 @@ def test_a_refused_smallest_candidate_leaves_the_smallest_that_certifies(
         seed, monkeypatch):
     """The smallest candidate arrives after a certified one and its
     certificate is refused: it is noted refuted, and the reported attack is
-    the smallest candidate that certifies, the earliest on ties."""
-    mats = build_feasibility(bench_ladder(30, seed, False))
-    cfg = AttackConfig(restarts=5, seed=0)
+    the smallest candidate that certifies, the earliest on ties.  On the
+    30-bus ladder of network seed 2, for multistart seeds 0 and 1, a
+    random start lowers the fixed-dispatch start's candidate."""
+    mats = build_feasibility(bench_ladder(30, 2, False))
+    cfg = AttackConfig(restarts=5, seed=seed)
     clean = _incumbent_lowerings(multistart_attack(mats, cfg))
     assert len(clean) >= 2
     calls, real = [], attack.certify_infeasible
@@ -621,8 +655,8 @@ def test_p_is_built_once_per_network(monkeypatch):
 
 
 def _closing_inputs(mats):
-    """The squeeze's inputs to the multistart: the policy SOCP's t as lb, its
-    cross-fed starts and the nominal dispatch."""
+    """The squeeze's inputs to the multistart: the policy SOCP's t as lb and
+    its cross-fed starts."""
     from dcattack.defense import defense_local
     from dcattack.squeeze import cross_feed
 

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from dcattack import lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility, build_ptdf, solve_dcopf
+from dcattack.dc_model import build_feasibility, build_ptdf
 from dcattack.defense import defense_local, warm_start_defense
 from dcattack.errors import ModelError, PreconditionError
 from dcattack.lin_solve import FEAS_TOL
@@ -89,7 +89,7 @@ def test_reduction_matches_direct_model(name, desk3):
     for _ in range(100):
         p_hat = rng.normal(scale=2.0, size=mats.n_reduced)
         delta = rng.normal(scale=1.5, size=mats.n_delta)
-        p_full = mats.full_dispatch(p_hat, delta)
+        p_full = oracle_utils.full_dispatch(mats, p_hat, delta)
         # power balance holds by construction of the slack injection
         assert p_full.sum() == pytest.approx(case.total_load() + delta.sum(),
                                              abs=1e-12)
@@ -104,90 +104,36 @@ def test_reduction_matches_direct_model_single_gen(desk2_single):
     rng = np.random.default_rng(3)
     for _ in range(20):
         delta = rng.normal(size=1)
-        p_full = mats.full_dispatch(np.zeros(0), delta)
+        p_full = oracle_utils.full_dispatch(mats, np.zeros(0), delta)
         np.testing.assert_allclose(mats.margins(np.zeros(0), delta),
                                    oracle_utils.model1_margins(mats, p_full, delta),
                                    atol=1e-12)
 
 
-def _dispatch_cost(mats, p_hat, delta=None):
-    return float(mats.case.gen_costs() @ mats.full_dispatch(p_hat, delta))
-
-
-def test_solve_dcopf_cheapest_first(desk2):
-    mats = build_feasibility(desk2, slack_gen=0)
-    res = solve_dcopf(mats)
-    assert res.feasible
-    # cheap unit (bus 1, $10) runs at its 2.0 cap, the $20 unit covers the rest
-    np.testing.assert_allclose(mats.full_dispatch(res.p_hat), [2.0, 1.0],
-                               atol=1e-9)
-    assert _dispatch_cost(mats, res.p_hat) == pytest.approx(40.0, abs=1e-7)
-
-
-def test_solve_dcopf_respects_line_limit(desk3):
-    mats = build_feasibility(desk3, slack_gen=0)
-    res = solve_dcopf(mats)
-    assert res.feasible
-    assert np.max(mats.margins(res.p_hat, None)) <= 1e-8
-    p_full = mats.full_dispatch(res.p_hat)
-    flows = build_ptdf(mats.case, mats.ref_bus) @ (
-        np.array([p_full[0], 0.0, p_full[1]]) - desk3.p_d())
-    assert abs(flows[0]) <= 1.6 + 1e-9
-
-
-def test_solve_dcopf_infeasible_is_certified(desk2):
-    mats = build_feasibility(desk2, slack_gen=0)
-    res = solve_dcopf(mats, delta=np.array([1.2]))  # headroom is only 1.0
-    assert not res.feasible
-    y = res.ray
-    assert np.all(y >= 0) and y.sum() == pytest.approx(1.0)
-    assert np.max(np.abs(mats.A.T @ y)) <= 1e-9
-    assert y @ (mats.B @ np.array([1.2]) + mats.c) > 0
-
-
-def _scipy_dispatch_cost(mats, delta):
-    costs = mats.case.gen_costs()
-    red_cost = costs[mats.gen_order] - costs[mats.slack_gen]
-    ref = linprog(red_cost, A_ub=mats.A, b_ub=mats.rhs(delta),
-                  bounds=(None, None), method="highs")
-    if ref.status == 2:
-        return None
-    assert ref.status == 0, ref.message
-    return _dispatch_cost(mats, ref.x, delta)
-
-
-def test_solve_dcopf_matches_scipy_on_bundled_cases(bundled_mats):
-    """The dual-form dispatch against scipy's primal LP: same cost, a feasible
-    dispatch; past the fleet's headroom, a Farkas ray that verifies."""
+def test_max_margin_matches_scipy_on_bundled_cases(bundled_mats):
+    """The nominal point has scipy's largest margin, min_p max_i
+    a_i^T p + c_i, and satisfies every row of F(0)."""
     mats = bundled_mats
-    rng = np.random.default_rng(5)
-    for delta in (None, 0.01 * rng.normal(size=mats.n_delta)):
-        res = solve_dcopf(mats, delta)
-        ref = _scipy_dispatch_cost(mats, delta)
-        assert res.feasible and ref is not None
-        assert _dispatch_cost(mats, res.p_hat, delta) == \
-            pytest.approx(ref, rel=1e-9, abs=1e-9)
-        assert np.max(mats.margins(res.p_hat, delta)) <= 1e-8
-    _lo, hi = mats.case.gen_bounds()
-    headroom = float(hi.sum()) - mats.case.total_load()
-    delta = np.full(mats.n_delta, 1.5 * headroom / mats.n_delta)
-    res = solve_dcopf(mats, delta)
-    assert not res.feasible
-    assert _scipy_dispatch_cost(mats, delta) is None
-    y, rhs = res.ray, mats.rhs(delta)
-    assert np.all(y >= 0) and y.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(mats.A.T @ y)) <= 1e-9
-    assert y @ rhs < 0
+    p = mats.max_margin()
+    ref = linprog(np.eye(mats.n_reduced + 1)[-1],
+                  A_ub=np.hstack([mats.A, -np.ones((mats.m, 1))]),
+                  b_ub=-mats.c, bounds=(None, None), method="highs")
+    assert ref.status == 0
+    assert float(np.max(mats.margins(p))) == pytest.approx(ref.fun, rel=1e-9,
+                                                           abs=1e-12)
+    assert ref.fun < 0.0
 
 
-def test_slack_choice_invariance(desk3):
-    costs = []
-    for slack in range(desk3.n_gen):
-        mats = build_feasibility(desk3, slack_gen=slack)
-        res = solve_dcopf(mats)
-        assert res.feasible
-        costs.append(_dispatch_cost(mats, res.p_hat))
-    assert abs(costs[0] - costs[1]) <= 1e-7
+def test_max_margin_of_an_empty_nominal_set_names_a_row():
+    """Load past the fleet's capacity: the max-margin LP's Farkas ray proves
+    F(0) empty, and the ModelError names its heaviest row, the slack
+    unit's upper bound."""
+    case = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)],
+                      [(1, 2, 0.1, None)], [(1, 0.0, 2.0), (2, 0.0, 2.0)])
+    mats = build_feasibility(case)
+    assert not oracle_utils.scipy_feasible(mats.A, mats.rhs())
+    with pytest.raises(ModelError, match="heaviest on slack-gen-upper:g0@bus1"):
+        mats.max_margin()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -253,13 +199,13 @@ def test_radii_min_and_precondition(desk2):
 
 def test_radii_and_crossing_match_the_row_projection(bundled_mats):
     """The vectorized radii and the per-row crossing points agree, under the
-    SOCP policy and at the nominal dispatch: each row's crossing point is
+    SOCP policy and at the max-margin dispatch: each row's crossing point is
     the one of the bare row (`oracle_utils.one_row`), and its squared norm
     is the row's radius.  A row whose direction vanishes has no crossing
     point and reads +inf in radii, even when tight."""
     mats = bundled_mats
     pol = defense_local(mats)
-    for p0, G in ((pol.p0, pol.G), (solve_dcopf(mats).p_hat, None)):
+    for p0, G in ((pol.p0, pol.G), (mats.max_margin(), None)):
         per = mats.radii(p0, G)
         dead = ~np.any(mats.directions(G) != 0.0, axis=1)
         for i in range(mats.m):
@@ -297,8 +243,8 @@ _CRASHED = BUNDLED + tuple(f"ladder{n}{kind}" for n in (30, 60, 120)
 
 def _crash_lps(mats, monkeypatch):
     """Every LP of the defense's warm start and of a bare multistart, as
-    (prob, basis, result); `lp_solve` raises on a basis that fails its
-    start checks."""
+    (prob, basis, result): the max-margin LP of each, then the P-LPs;
+    `lp_solve` raises on a basis that fails its start checks."""
     calls, real_solve = [], lin_solve.lp_solve
 
     def solve_spy(prob, basis, deadline=None):
@@ -315,24 +261,22 @@ def _crash_lps(mats, monkeypatch):
 @pytest.mark.parametrize("name", _CRASHED)
 def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
         name, request, monkeypatch):
-    """The defense's max-margin LP over Q, the nominal DC-OPF's dual and the
-    multistart's first P-LP each start from `crash_basis`, which the start
-    checks accept, and each reaches the optimum of scipy's cold solve."""
+    """The max-margin LP over Q, which the defense's warm start and the
+    multistart each run to the same optimum, and the multistart's first
+    P-LP start from `crash_basis`, which the start checks accept, and each
+    reaches the optimum of scipy's cold solve."""
     n, _, kind = name.removeprefix("ladder").partition("-")
     case = (request.getfixturevalue(name) if name.startswith("desk")
             else load_case(pglib_path(name)) if name in BUNDLED
             else bench_ladder(int(n), 0, kind == "degenerate"))
     mats = build_feasibility(case)
-    up, lo = mats.unit_rows()
     calls = _crash_lps(mats, monkeypatch)
-    q, dcopf = calls[:2]
-    p = next(c for c in calls[2:] if np.array_equal(c[0].A_eq[-1], -mats.c))
-    assert q[0].A_eq.shape[0] == dcopf[0].A_eq.shape[0] + 1
-    red_cost = -dcopf[0].b_eq
-    for (prob, basis, res), crash in (
-            (q, mats.crash_basis()), (p, mats.crash_basis()),
-            (dcopf, np.where(red_cost <= 0, up, lo))):
-        np.testing.assert_array_equal(basis, crash)
+    q, again, p = calls[:3]
+    assert np.array_equal(p[0].A_eq[-1], -mats.c)
+    assert np.array_equal(again[0].A_eq, q[0].A_eq)
+    assert again[2].y.tobytes() == q[2].y.tobytes()
+    for prob, basis, res in (q, p):
+        np.testing.assert_array_equal(basis, mats.crash_basis())
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
                       bounds=(0, None), method="highs")
         assert res.status == lin_solve.OPTIMAL and ref.status == 0
@@ -343,20 +287,16 @@ def test_without_a_movable_unit_every_lp_starts_from_the_one_row_basis(
         desk2_single, monkeypatch):
     """With n_reduced = 0, Q and P have the one row r^T mu = 1 and the
     crash basis is the row of largest -c_i, feasible for both: the
-    defense's warm start and the first P-LP start from it, the nominal
-    DC-OPF from the empty merit-order corner, and each reaches scipy's
-    optimum."""
+    max-margin LPs of the defense's warm start and of the multistart and
+    the first P-LP start from it, and each reaches scipy's optimum."""
     mats = build_feasibility(desk2_single)
     assert mats.n_reduced == 0
     np.testing.assert_array_equal(mats.crash_basis(), [np.argmax(-mats.c)])
     calls = _crash_lps(mats, monkeypatch)
     assert len(calls) >= 3
-    for (prob, basis, res), start in zip(calls, (mats.crash_basis(),
-                                                 np.zeros(0, int),
-                                                 mats.crash_basis())):
-        np.testing.assert_array_equal(basis, start)
-        ref = linprog(prob.c, A_eq=prob.A_eq if prob.A_eq.size else None,
-                      b_eq=prob.b_eq if prob.b_eq.size else None,
+    for prob, basis, res in calls[:3]:
+        np.testing.assert_array_equal(basis, mats.crash_basis())
+        ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
                       bounds=(0, None), method="highs")
         assert res.status == lin_solve.OPTIMAL and ref.status == 0
         assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)

@@ -21,7 +21,7 @@ import pytest
 
 from dcattack.attack import multistart_attack, AttackConfig
 from dcattack.case_ingest import build_case, load_case
-from dcattack.dc_model import build_feasibility, solve_dcopf
+from dcattack.dc_model import build_feasibility
 from dcattack.defense import (DefensePolicy, defense_local, simplex_policy_fit,
                               t_tilde, verify_policy, warm_start_defense)
 from dcattack import defense, lin_solve
@@ -70,8 +70,8 @@ def test_warm_start_desk3_hand_lp(desk3):
 
 def test_t_tilde_zero_on_boundary_dispatch(desk2):
     mats = build_feasibility(desk2)
-    nominal = solve_dcopf(mats)          # slack generator sits at its cap
-    t, row = t_tilde(mats, nominal.p_hat, None)
+    # the slack unit at its 2.0 cap, the other unit covers the remaining 1.0
+    t, row = t_tilde(mats, np.array([1.0]), None)
     assert t == 0.0
     assert mats.row_labels[row].startswith("slack-gen-upper")
 
@@ -261,13 +261,14 @@ def test_socp_desk2_single_has_only_lambda(desk2_single):
 
 
 def test_case14_folds_its_fixed_units_into_the_model():
-    """Units 2-4 have p_min == p_max: no column, no rows, and full_dispatch
+    """Units 2-4 have p_min == p_max: no column, no rows, and a full dispatch
     holds them at their output; the policy program then has an interior."""
     case = load_case(pglib_path("case14_ieee"))
     mats = build_feasibility(case)
     assert mats.gen_order.tolist() == [1] and mats.m == 4
     _lo, hi = case.gen_bounds()
-    p_full = mats.full_dispatch(np.array([0.3]), np.full(mats.n_delta, 0.01))
+    p_full = oracle_utils.full_dispatch(mats, np.array([0.3]),
+                                        np.full(mats.n_delta, 0.01))
     assert np.array_equal(p_full[2:], hi[2:])
     pol = defense_local(mats)
     assert pol.meta["stop"] == "converged"
@@ -283,7 +284,7 @@ def test_rank1_policies_leave_fixed_units_alone():
     [0, 0.59]; its upper row binds, with direction 1/2 on each of the 11
     loads, so t = 0.295^2 / (11 / 4)."""
     mats = build_feasibility(load_case(pglib_path("case14_ieee")))
-    assert mats.held.size == 3 and mats.gen_order.tolist() == [1]
+    assert mats.gen_order.tolist() == [1]     # units 2-4 are fixed
     p0, G = _shares(mats)
     assert G == pytest.approx(0.5 * np.ones((1, mats.n_delta)))
     t, row = t_tilde(mats, p0, G)

@@ -234,6 +234,40 @@ def test_every_lp_call_passes_a_start_basis():
             for stem, found in calls.items()} == {stem: [] for stem in calls}
 
 
+def _callers(source, name):
+    """The innermost function (None at module level) around each call of
+    `name`, by bare name or as an attribute, in `source`."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None),
+                    getattr(child.func, "id", None)):
+                found.add(fn)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_caller_reader_names_the_innermost_function():
+    source = ("def f():\n    def g():\n        return k.lp_solve(p, b)\n"
+              "    return lp_solve(p, b)\n"
+              "def h():\n    return solve(p)\nlp_solve(p, b)\n")
+    assert _callers(source, "lp_solve") == {"f", "g", None}
+
+
+def test_the_simplex_serves_two_lp_forms():
+    """One LP form per caller of `lp_solve`: the attack's steps over P and
+    the feasibility probe over Q, which also finds the max-margin nominal
+    point.  No other LP, such as a cost-minimizing dispatch, is posed."""
+    calls = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+             for fn in _callers(path.read_text(), "lp_solve")}
+    assert calls == {("attack", "_p_lp"), ("lin_solve", "check_feasible")}
+
+
 # public names that nothing in src/, bench/*.py or README.md refers to, and
 # why each stays
 _UNCALLED = {

@@ -101,7 +101,8 @@ def test_bounds_are_sound_on_random_networks(net, relabel):
     # change 1^T delta in equal shares or in proportion to their outputs,
     # and that dispatch's fixed radius
     p_w, _G0, t_fixed = warm_start_defense(mats)
-    base = mats.full_dispatch(p_w)[np.append(mats.slack_gen, mats.gen_order)]
+    base = oracle_utils.full_dispatch(mats, p_w)[
+        np.append(mats.slack_gen, mats.gen_order)]
     radii = [t_fixed]
     shares = [np.full(base.size, 1.0 / base.size)]
     if abs(float(base.sum())) >= 1e-12:
@@ -189,6 +190,21 @@ def test_the_bracket_holds_the_exact_value_on_random_networks(net):
     ub = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best.norm_sq
     assert lb <= exact * (1.0 + 1e-12)
     assert exact <= ub
+
+
+def test_the_bare_multistart_reaches_the_exact_value_on_a_fuzzed_network():
+    """A 5-bus network that the fuzzing above draws, with units at buses 4
+    and 2: from the cost-minimizing dispatch, the bare multistart stopped at
+    0.7363499, 51% above the exact 0.48676662.  From the max-margin
+    dispatch its fixed-dispatch start reaches exact (1 + 1e-6)^2, the
+    reported attack's inflation of the exact optimum."""
+    mats = build_feasibility(_case(_network(5, 302, 2, 2)))
+    assert [g.bus for g in mats.case.generators] == [4, 2]
+    exact = oracle_utils.exact_distance(mats)
+    assert exact == pytest.approx(0.48676662, rel=1e-8)
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert rep.best.norm_sq == pytest.approx(exact * (1.0 + 1e-6) ** 2,
+                                             rel=1e-9)
 
 
 # networks whose one unit is the slack (n_reduced = 0): the attack's ub and

@@ -73,10 +73,16 @@ def test_report_serialization_roundtrip(desk2):
 
 
 def test_bound_ordering_violation_is_fatal():
-    rep = BoundsReport(case_name="x")
-    rep.append(0.0, "attack", 1.0)
-    with pytest.raises(ModelError):
-        rep.append(0.0, "defense", 1.5)
+    """lb above ub fails at any scale: the bar is relative to ub, so a pair
+    far below 1e-6 pu^2 fails too, and lb = ub (1 + 1e-7) passes."""
+    for ub, lb in ((1.0, 1.5), (1e-8, 5e-7)):
+        rep = BoundsReport(case_name="x")
+        rep.append(0.0, "attack", ub)
+        with pytest.raises(ModelError):
+            rep.append(0.0, "defense", lb)
+        rep = BoundsReport(case_name="x")
+        rep.append(0.0, "attack", ub)
+        rep.append(0.0, "defense", ub * (1.0 + 1e-7))
 
 
 def test_report_without_attack_serializes():
@@ -218,8 +224,9 @@ def test_an_open_bracket_runs_every_start(monkeypatch):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_lp_budget(name, monkeypatch):
-    """Regression guard: one bundled squeeze runs at most 7 LPs (the nominal
-    dispatch, the SOCP warm start, P's crash-started LP and the ascents' steps); the
+    """Regression guard: one bundled squeeze runs at most 7 LPs (the
+    max-margin LP of the SOCP's warm start and again of the multistart, P's
+    crash-started LP and the ascents' steps); the
     incumbent is certified from its own multiplier, so its inflated point
     never reaches `check_feasible`."""
     case = load_case(pglib_path(name))

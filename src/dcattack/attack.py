@@ -288,10 +288,10 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
 
 
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
-                      lb=None):
+                      lb=None, nominal=None):
     """Run attack_local from the caller's `extra_directions`, then the
-    fixed-dispatch start at `mats.max_margin()` (ModelError when F(0) is
-    empty), uniform growth and seeded random starts (the
+    fixed-dispatch start at `nominal` or `mats.max_margin()` (ModelError
+    when F(0) is empty), uniform growth and seeded random starts (the
     first P-LP crash-started, the rest pooled); a direction that is zero,
     of the wrong size or not finite is dropped, and the others are scaled
     by a power of two, so a direction's scale changes nothing.  A candidate
@@ -315,7 +315,8 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
-    lb0, binding = fixed_dispatch_lb(mats, mats.max_margin())
+    lb0, binding = fixed_dispatch_lb(
+        mats, mats.max_margin() if nominal is None else nominal)
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 

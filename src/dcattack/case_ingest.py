@@ -1,16 +1,22 @@
 """MATPOWER-subset case ingestion and a canonical JSON form.
 
 Only the fields the DC model consumes are kept: bus ids and active loads,
-branch endpoints / reactance / thermal rating / status, generator bus, active
-limits, status and linear cost (which no bound reads). Everything is
-converted to per-unit on the
-system base at parse time. A rating of 0 in MATPOWER means "unlimited" and is
-stored as None; any other rating must be finite and positive.
+branch endpoints / reactance / thermal rating / status, and generator bus,
+active limits and status; no bound reads a cost, so `gencost` is not read.
+Everything is converted to per-unit on the system base at parse time. A
+rating of 0 in MATPOWER means "unlimited" and is stored as None; any other
+rating must be finite and positive.
+
+The bus, branch and gen tables (`mpc.<table> = [ ... ];`) are each read as
+one float array; a row ends at `;` or at the end of its line. They are
+rectangular, as in MATLAB: every row holds as many numbers as the first. An
+error names the line at fault.
 """
 
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,7 +43,6 @@ class Generator:
     bus: int
     p_min: float  # p.u.
     p_max: float  # p.u.
-    cost: float = 0.0  # linear coefficient, $/MWh
 
 
 @dataclass(frozen=True)
@@ -69,13 +74,6 @@ class NetworkCase:
     def p_d(self):
         return np.array([bus.p_d for bus in self.buses])
 
-    def load_positions(self):
-        """Positions of perturbable (nonzero-load) buses, ascending."""
-        return np.flatnonzero(self.p_d() != 0.0)
-
-    def total_load(self):
-        return float(self.p_d().sum())
-
     def gen_positions(self):
         pos = self.bus_position()
         return np.array([pos[g.bus] for g in self.generators], dtype=int)
@@ -90,102 +88,113 @@ def build_case(name, base_mva, buses, branches, generators):
     """Assemble and validate a NetworkCase from per-unit records.
 
     buses: (id, p_d), branches: (f, t, x, rate-or-None), generators:
-    (bus, p_min, p_max[, cost]).  Used by tests and fixtures; file ingestion
-    goes through parse_case_text/load_case.
+    (bus, p_min, p_max).  Used by tests and fixtures; file ingestion goes
+    through parse_case_text/load_case.
     """
-    bus_objs = tuple(Bus(id=i, p_d=float(pd)) for i, pd in buses)
-    br_objs = []
-    for f, t, x, rate in branches:
+    for f, t, x, _rate in branches:
         if x == 0:
             raise CaseError(f"branch {f}-{t} has zero reactance")
-        br_objs.append(Branch(f_bus=f, t_bus=t, b=1.0 / float(x),
-                              rate=None if rate is None else float(rate)))
-    gen_objs = tuple(Generator(bus=g[0], p_min=float(g[1]), p_max=float(g[2]),
-                               cost=float(g[3]) if len(g) > 3 else 0.0)
-                     for g in generators)
-    case = NetworkCase(name=name, base_mva=float(base_mva), buses=bus_objs,
-                       branches=tuple(br_objs), generators=gen_objs)
-    validate_case(case)
-    return case
+    return validate_case(NetworkCase(
+        name=name, base_mva=float(base_mva),
+        buses=tuple(Bus(i, float(pd)) for i, pd in buses),
+        branches=tuple(Branch(f, t, 1.0 / float(x),
+                              None if rate is None else float(rate))
+                       for f, t, x, rate in branches),
+        generators=tuple(Generator(g, float(lo), float(hi))
+                         for g, lo, hi in generators)))
 
 
-def _finite(*values):
-    """Every value a finite number; a bool is not one (JSON `true`)."""
-    if bool in map(type, values):
-        return False
-    try:
-        return all(map(math.isfinite, values))
-    except (TypeError, OverflowError):    # not a number, or an int too
-        return False                      # large for a float (JSON input)
+def _reals(values):
+    """`values` as a float array, nan for any that is not a number a float
+    holds: a bool (JSON `true`), a str, None, or an int past its range."""
+    return np.array([v if type(v) is float else float(v)
+                     if type(v) is int and abs(v) <= sys.float_info.max
+                     else math.nan for v in values], dtype=float)
+
+
+def _first(bad, say):
+    """CaseError with say(k) for the first k where the bools `bad` hold."""
+    if True in bad:
+        raise CaseError(say(list(bad).index(True)))
 
 
 def validate_case(case):
-    """Raise CaseError naming the first bad record.  Bus ids must be ints
-    (a bool is not): a float id is never truncated onto another bus."""
-    if not _finite(case.base_mva) or case.base_mva <= 0:
+    """Raise CaseError naming a bad record: each check runs over a whole
+    table and names its first failing record.  Bus ids must be ints (a
+    bool is not): a float id is never truncated onto another bus."""
+    return _check(case, _reals([bus.p_d for bus in case.buses]),
+                  _reals([br.b for br in case.branches]),
+                  _reals([1.0 if br.rate is None else br.rate
+                          for br in case.branches]),
+                  _reals([g.p_min for g in case.generators]),
+                  _reals([g.p_max for g in case.generators]))
+
+
+def _check(case, p_d, b, rate, lo, hi):
+    """`validate_case`, given the loads, susceptances, ratings (1 for
+    unlimited) and unit limits as float arrays, nan where a record holds
+    no number."""
+    if not (np.isfinite(_reals([case.base_mva])[0]) and case.base_mva > 0):
         raise CaseError(f"baseMVA must be positive, got {case.base_mva!r}")
     if case.n_bus == 0:
         raise CaseError("case has no buses")
     if case.n_gen == 0:
         raise CaseError("case has no in-service generators")
-    for bus in case.buses:
-        if type(bus.id) is not int:
-            raise CaseError(f"bus {bus.id!r}: the id is not an integer")
-        if not _finite(bus.p_d):
-            raise CaseError(f"bus {bus.id}: load {bus.p_d!r} is not finite")
-    ids = [bus.id for bus in case.buses]
-    if len(set(ids)) != len(ids):
+    buses, branches, gens = case.buses, case.branches, case.generators
+    ids = [bus.id for bus in buses]
+    _first([type(i) is not int for i in ids],
+           lambda k: f"bus {ids[k]!r}: the id is not an integer")
+    _first(~np.isfinite(p_d),
+           lambda k: f"bus {ids[k]}: load {buses[k].p_d!r} is not finite")
+    pos = dict(zip(ids, range(len(ids))))
+    if len(pos) < len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise CaseError(f"duplicate bus ids: {dup}")
-    known = set(ids)
-    for br in case.branches:
-        if type(br.f_bus) is not int or type(br.t_bus) is not int:
-            raise CaseError(f"branch {br.f_bus!r}-{br.t_bus!r}: an endpoint "
-                            f"is not an integer bus id")
-        rate = 1.0 if br.rate is None else br.rate
-        if not _finite(br.b, rate) or br.b == 0 or rate <= 0:
-            what = (f"susceptance must be finite and nonzero, got {br.b!r}"
-                    if not _finite(br.b) or br.b == 0 else
-                    f"rating must be finite and positive, got {br.rate!r}")
-            raise CaseError(f"branch {br.f_bus}-{br.t_bus}: {what}")
-        if br.f_bus not in known or br.t_bus not in known:
-            raise CaseError(f"branch {br.f_bus}-{br.t_bus} references unknown bus")
-        if br.f_bus == br.t_bus:
-            raise CaseError(f"branch {br.f_bus}-{br.t_bus} is a self-loop")
-    for i, g in enumerate(case.generators):
-        if type(g.bus) is not int:
-            raise CaseError(f"generator {i}: bus {g.bus!r} is not an integer")
-        if not _finite(g.p_min, g.p_max, g.cost):
-            raise CaseError(f"generator {i} at bus {g.bus}: limits and cost "
-                            f"must be finite ({g.p_min!r}, {g.p_max!r}, "
-                            f"{g.cost!r})")
-        if g.bus not in known:
-            raise CaseError(f"generator {i} references unknown bus {g.bus}")
-        if g.p_min > g.p_max:
-            raise CaseError(
-                f"generator {i} at bus {g.bus}: p_min {g.p_min} > p_max {g.p_max}")
-    _check_connected(case)
+
+    f, t = [br.f_bus for br in branches], [br.t_bus for br in branches]
+    _first([type(a) is not int for a in f + t],
+           lambda k: f"branch {f[k % len(f)]!r}-{t[k % len(f)]!r}: an "
+                     "endpoint is not an integer bus id")
+    _first(~np.isfinite(b) | (b == 0),
+           lambda k: f"branch {f[k]}-{t[k]}: susceptance must be finite "
+                     f"and nonzero, got {branches[k].b!r}")
+    _first(~np.isfinite(rate) | (rate <= 0),
+           lambda k: f"branch {f[k]}-{t[k]}: rating must be finite and "
+                     f"positive, got {branches[k].rate!r}")
+    at_f, at_t = (np.array([pos.get(a, -1) for a in ends], dtype=int)
+                  for ends in (f, t))
+    _first((at_f < 0) | (at_t < 0),
+           lambda k: f"branch {f[k]}-{t[k]} references unknown bus")
+    _first(at_f == at_t, lambda k: f"branch {f[k]}-{t[k]} is a self-loop")
+
+    at = [g.bus for g in gens]
+    _first([type(a) is not int for a in at],
+           lambda k: f"generator {k}: bus {at[k]!r} is not an integer")
+    _first(~(np.isfinite(lo) & np.isfinite(hi)),
+           lambda k: f"generator {k} at bus {at[k]}: limits must be finite "
+                     f"({gens[k].p_min!r}, {gens[k].p_max!r})")
+    _first([a not in pos for a in at],
+           lambda k: f"generator {k} references unknown bus {at[k]}")
+    _first(lo > hi, lambda k: f"generator {k} at bus {at[k]}: p_min "
+                              f"{gens[k].p_min} > p_max {gens[k].p_max}")
+    _check_connected(case, at_f.tolist(), at_t.tolist())
     return case
 
 
-def _check_connected(case):
-    pos = case.bus_position()
+def _check_connected(case, f, t):
+    """CaseError unless the branches f[k]-t[k] (positions) reach every bus."""
     adj = [[] for _ in range(case.n_bus)]
-    for br in case.branches:
-        a, b = pos[br.f_bus], pos[br.t_bus]
+    for a, b in zip(f, t):
         adj[a].append(b)
         adj[b].append(a)
-    seen = np.zeros(case.n_bus, dtype=bool)
-    stack = [0]
-    seen[0] = True
+    seen, stack = [True] + [False] * (case.n_bus - 1), [0]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
+        for v in adj[stack.pop()]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)
-    if not seen.all():
-        missing = [case.buses[i].id for i in np.flatnonzero(~seen)[:8]]
+    if not all(seen):
+        missing = [bus.id for bus, s in zip(case.buses, seen) if not s][:8]
         raise CaseError(
             f"network is disconnected: buses {missing} unreachable from bus "
             f"{case.buses[0].id} over in-service branches")
@@ -198,72 +207,102 @@ def _check_connected(case):
 _SCALAR_RE = re.compile(
     r"^(?:mpc\.)?(\w+)\s*=\s*([0-9.eE+-]+|[+-]?(?:nan|inf(?:inity)?))\s*;", re.I)
 _TABLE_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
+_COMMENT_RE = re.compile(r"%.*")
+_CLOSE_RE = re.compile(r"\];[^\S\n]*$", re.M)
 
 
 def _tokenize_tables(text):
-    """Extract scalar fields, numeric tables and each table's opening line;
-    rows carry line numbers."""
-    scalars, tables, opened, current = {}, {}, {}, None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+    """Scalar fields, and each table as (the line it opens on, its text
+    from its '[' to its '];', comments cut): a table ends at the first line
+    that ends in '];', and no line before that holds a '='."""
+    text = _COMMENT_RE.sub("", "\n".join(text.splitlines())) + "\n"
+    scalars, tables, lineno, pos = {}, {}, 0, 0
+    while pos < len(text):
+        end = text.index("\n", pos)
+        line, lineno, pos = text[pos:end].strip(), lineno + 1, end + 1
+        m = _SCALAR_RE.match(line)
+        if m:
+            try:
+                scalars[m.group(1)] = float(m.group(2))
+            except ValueError:
+                raise CaseError(f"line {lineno}: bad number "
+                                f"{m.group(2)!r} for {m.group(1)}")
             continue
-        if current is not None and "=" in line:   # no table row has one
-            raise CaseError(f"line {lineno}: table '{current}', opened on "
-                            f"line {opened[current]}, is never closed with '];'")
-        if current is None:
-            m = _SCALAR_RE.match(line)
-            if m:
-                try:
-                    scalars[m.group(1)] = float(m.group(2))
-                except ValueError:
-                    raise CaseError(f"line {lineno}: bad number "
-                                    f"{m.group(2)!r} for {m.group(1)}")
-                continue
-            m = _TABLE_RE.match(line)
-            if not m:
-                continue
-            current, line = m.group(1), m.group(2)
-            tables[current], opened[current] = [], lineno
-        closed = line.endswith("];")
-        for chunk in (line[:-2] if closed else line).split(";"):
-            if chunk.strip():
-                tables[current].append((lineno, chunk.strip()))
-        if closed:
-            current = None
-    if current is not None:
-        raise CaseError(f"table '{current}', opened on line "
-                        f"{opened[current]}, is never closed with '];'")
-    return scalars, tables, opened
+        m = _TABLE_RE.match(line)
+        if not m:
+            continue
+        name, body, opened = m.group(1), m.group(2), lineno
+        if not body.endswith("];"):
+            close = _CLOSE_RE.search(text, pos)
+            rest = text[pos:close.start() if close else len(text)]
+            equals = rest.find("=")              # no table row has one
+            if close is None or equals >= 0:
+                at = lineno + 1 + rest.count("\n", 0, equals)
+                raise CaseError(("" if equals < 0 else f"line {at}: ")
+                                + f"table '{name}', opened on line {opened}, "
+                                "is never closed with '];'")
+            body = f"{body}\n{rest}];"
+            lineno += rest.count("\n") + 1
+            pos = close.end() + 1
+        tables[name] = (opened, body[:-2])
+    return scalars, tables
 
 
-def _numeric_rows(table, name, min_cols):
-    out = []
-    for lineno, chunk in table:
-        parts = chunk.replace(",", " ").split()
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise CaseError(f"line {lineno}: bad number in {name} row: {exc}")
-        if len(row) < min_cols:
-            raise CaseError(
-                f"line {lineno}: {name} row has {len(row)} columns, "
-                f"need at least {min_cols}")
-        out.append((lineno, row))
-    return out
+def _rows(table):
+    """A table's rows as (line number, text), split at ';' and line ends."""
+    opened, body = table
+    return [(lineno, chunk)
+            for lineno, line in enumerate(body.split("\n"), opened)
+            for chunk in line.replace(",", " ").split(";") if chunk.strip()]
 
 
-def _integer(value, lineno, what):
-    """An id, status or count field as an int; CaseError naming the line
-    when it is not integral (nan and inf are not)."""
-    if not value.is_integer():
-        raise CaseError(f"line {lineno}: {what} {value!r} is not an integer")
-    return int(value)
+def _fault(table, name, min_cols):
+    """The message for a table's first row holding a token np.loadtxt
+    rejects, fewer than `min_cols` numbers, or not as many as the first."""
+    width = None
+    for lineno, row in _rows(table):
+        for token in row.split():
+            try:
+                np.loadtxt([token], comments=None)
+            except ValueError:
+                return f"line {lineno}: bad number {token!r} in {name} row"
+        n = len(row.split())
+        width = width or n
+        if n < min_cols:
+            return (f"line {lineno}: {name} row has {n} columns, need at "
+                    f"least {min_cols}")
+        if n != width:
+            return (f"line {lineno}: {name} row has {n} columns where the "
+                    f"table's first row has {width}")
+    return f"line {table[0]}: table '{name}' does not read as numbers"
+
+
+def _array(table, name, min_cols):
+    """A table as one float array, read by np.loadtxt in one pass; CaseError
+    naming the line of the first bad row (`_fault`)."""
+    text = table[1].replace(",", " ").replace(";", "\n")
+    if not text or text.isspace():               # np.loadtxt warns on no rows
+        return np.empty((0, min_cols))
+    try:
+        out = np.loadtxt(text.split("\n"), ndmin=2, comments=None)
+        if out.shape[1] >= min_cols:
+            return out
+    except ValueError:
+        pass
+    raise CaseError(_fault(table, name, min_cols))
+
+
+def _integers(table, col, what, rows=True):
+    """CaseError naming the line of the first of `rows` whose entry of
+    `col` is not an integer (nan and inf are not)."""
+    _first(rows & ~(np.isfinite(col) & (col == np.trunc(col))),
+           lambda i: f"line {_rows(table)[i][0]}: {what} {float(col[i])!r} "
+                     "is not an integer")
 
 
 def parse_case_text(text, name="case"):
     """Parse MATPOWER-format text into a validated NetworkCase."""
-    scalars, tables, opened = _tokenize_tables(text)
+    scalars, tables = _tokenize_tables(text)
     if "baseMVA" not in scalars:
         raise CaseError("missing baseMVA")
     base = scalars["baseMVA"]
@@ -275,66 +314,37 @@ def parse_case_text(text, name="case"):
         if required not in tables:
             raise CaseError(f"missing mpc.{required} table")
 
-    buses = []
-    for lineno, row in _numeric_rows(tables["bus"], "bus", 3):
-        buses.append(Bus(id=_integer(row[0], lineno, "bus id"),
-                         p_d=row[2] / base))
+    bus, branch, gen = (_array(tables[t], t, k)
+                        for t, k in (("bus", 3), ("branch", 6), ("gen", 10)))
+    status = branch[:, 10] if branch.shape[1] > 10 else np.ones(len(branch))
+    on, gen_on = status > 0, gen[:, 7] > 0
+    _integers(tables["bus"], bus[:, 0], "bus id")
+    _integers(tables["branch"], status, "status")
+    _integers(tables["branch"], branch[:, 0], "bus id", on)
+    _integers(tables["branch"], branch[:, 1], "bus id", on)
+    _integers(tables["gen"], gen[:, 7], "status")
+    _integers(tables["gen"], gen[:, 0], "bus id", gen_on)
+    _first(on & (branch[:, 3] == 0),
+           lambda i: f"line {_rows(tables['branch'])[i][0]}: in-service "
+                     f"branch {int(branch[i, 0])}-{int(branch[i, 1])} has "
+                     "zero reactance")
+    branch, gen = branch[on], gen[gen_on]
 
-    branches = []
-    for lineno, row in _numeric_rows(tables["branch"], "branch", 6):
-        status = _integer(row[10], lineno, "status") if len(row) > 10 else 1
-        if status <= 0:
-            continue
-        f = _integer(row[0], lineno, "bus id")
-        t = _integer(row[1], lineno, "bus id")
-        x = row[3]
-        if x == 0:
-            raise CaseError(f"line {lineno}: in-service branch "
-                            f"{f}-{t} has zero reactance")
-        rate = None if row[5] == 0 else row[5] / base   # validated below
-        branches.append(Branch(f_bus=f, t_bus=t, b=1.0 / x, rate=rate))
-
-    raw_gens = []
-    for lineno, row in _numeric_rows(tables["gen"], "gen", 10):
-        if _integer(row[7], lineno, "status") <= 0:
-            raw_gens.append(None)
-            continue
-        raw_gens.append(Generator(bus=_integer(row[0], lineno, "bus id"),
-                                  p_min=row[9] / base,
-                                  p_max=row[8] / base))
-
-    if "gencost" in tables:
-        cost_rows = _numeric_rows(tables["gencost"], "gencost", 4)
-        if any(g is not None for g in raw_gens[len(cost_rows):]):
-            # an in-service unit without a cost row; out-of-service ones
-            # are dropped, whether or not they have one
-            raise CaseError(
-                f"line {opened['gencost']}: gencost has {len(cost_rows)} "
-                f"rows for {len(raw_gens)} gen rows")
-        # MATPOWER permits 2*n_gen rows (reactive costs follow); take the first block
-        cost_rows = cost_rows[:len(raw_gens)]
-        for i, (lineno, row) in enumerate(cost_rows):
-            if raw_gens[i] is None:
-                continue
-            model = _integer(row[0], lineno, "gencost model")
-            ncost = _integer(row[3], lineno, "ncost")
-            if model != 2:
-                raise CaseError(
-                    f"line {lineno}: unsupported gencost model {model} "
-                    "(only polynomial, model 2)")
-            coeffs = row[4:4 + ncost]
-            if len(coeffs) != ncost:
-                raise CaseError(f"line {lineno}: gencost row promises {ncost} "
-                                f"coefficients, has {len(coeffs)}")
-            linear = coeffs[-2] if ncost >= 2 else 0.0
-            raw_gens[i] = Generator(bus=raw_gens[i].bus, p_min=raw_gens[i].p_min,
-                                    p_max=raw_gens[i].p_max, cost=linear)
-
-    gens = tuple(g for g in raw_gens if g is not None)
-    case = NetworkCase(name=name, base_mva=base, buses=tuple(buses),
-                       branches=tuple(branches), generators=gens)
-    validate_case(case)
-    return case
+    with np.errstate(over="ignore"):     # inf, as float division gives
+        p_d, b, rate = bus[:, 2] / base, 1 / branch[:, 3], branch[:, 5] / base
+        p_min, p_max = gen[:, 9] / base, gen[:, 8] / base
+    unlimited = branch[:, 5] == 0
+    rates = [None if u else r
+             for u, r in zip(unlimited.tolist(), rate.tolist())]
+    ints = [map(int, col.tolist())
+            for col in (bus[:, 0], branch[:, 0], branch[:, 1], gen[:, 0])]
+    case = NetworkCase(
+        name=name, base_mva=base,
+        buses=tuple(map(Bus, ints[0], p_d.tolist())),
+        branches=tuple(map(Branch, ints[1], ints[2], b.tolist(), rates)),
+        generators=tuple(map(Generator, ints[3], p_min.tolist(),
+                             p_max.tolist())))
+    return _check(case, p_d, b, np.where(unlimited, 1.0, rate), p_min, p_max)
 
 
 def load_case(path):
@@ -386,11 +396,14 @@ def case_from_json(text):
             base_mva=doc["base_mva"],
             buses=tuple(Bus(**b) for b in doc["buses"]),
             branches=tuple(Branch(**b) for b in doc["branches"]),
-            generators=tuple(Generator(**g) for g in doc["generators"]),
+            # a version-1 document may carry a `cost`, which no bound reads
+            generators=tuple(Generator(**{k: v for k, v in g.items()
+                                          if k != "cost"})
+                             for g in doc["generators"]),
         )
     except KeyError as exc:
         raise CaseError(f"case JSON lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CaseError(f"malformed case JSON: {exc}") from None
     validate_case(case)
     return case

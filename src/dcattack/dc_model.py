@@ -51,15 +51,16 @@ def build_ptdf(case, ref_bus):
     n_b, n_l = case.n_bus, case.n_branch
     if not 0 <= ref_bus < n_b:
         raise PreconditionError(f"ref_bus {ref_bus} out of range")
-    pos = case.bus_position()
-    E = np.zeros((n_l, n_b))
-    b = np.empty(n_l)
-    for k, br in enumerate(case.branches):
-        E[k, pos[br.f_bus]] = 1.0
-        E[k, pos[br.t_bus]] = -1.0
-        b[k] = br.b
-    keep = np.arange(n_b) != ref_bus
-    E_hat = E[:, keep]
+    # the incidence matrix without the reference column, column-major: the
+    # layout sets the order in which BLAS sums below, so phi's last bits
+    pos, keep = case.bus_position(), np.arange(n_b) != ref_bus
+    col = np.cumsum(keep) - 1               # bus position -> column of E_hat
+    E_hat = np.zeros((n_l, n_b - 1), order="F")
+    for sign, end in ((1.0, "f_bus"), (-1.0, "t_bus")):
+        at = np.array([pos[getattr(br, end)] for br in case.branches], int)
+        rows = np.flatnonzero(keep[at])
+        E_hat[rows, col[at[rows]]] = sign
+    b = np.array([br.b for br in case.branches], dtype=float)
     YlE_hat = b[:, None] * E_hat
     L_hat = E_hat.T @ YlE_hat
     try:
@@ -226,7 +227,8 @@ def build_feasibility(case, slack_gen=None):
         slack_gen = int(np.argmin(fixed))
     if not 0 <= slack_gen < case.n_gen:
         raise PreconditionError(f"slack_gen {slack_gen} out of range")
-    load_pos = case.load_positions()
+    p_d = case.p_d()
+    load_pos = np.flatnonzero(p_d != 0.0)
     if load_pos.size == 0:
         raise ModelError("case has no nonzero loads to perturb")
     gen_pos = case.gen_positions()
@@ -235,67 +237,46 @@ def build_feasibility(case, slack_gen=None):
     not_slack = np.arange(case.n_gen) != slack_gen
     others = np.flatnonzero(not_slack & ~fixed)
     held = np.flatnonzero(not_slack & fixed)
-    # branch flows and the load left to the slack and the movers at p = 0,
-    # delta = 0, with the held units at their output
-    flow0 = phi[:, gen_pos[held]] @ hi[held] - phi @ case.p_d()
-    net_load = case.total_load() - float(hi[held].sum())
-    n_red = others.size
-    n_delta = load_pos.size
-
-    phi_gen = phi[:, gen_pos[others]]
-    phi_load = phi[:, load_pos]
-    bounded = [k for k, br in enumerate(case.branches) if br.rate is not None]
-    rates = np.array([case.branches[k].rate for k in bounded])
-
-    nb = len(bounded)
+    rated = [(k, br) for k, br in enumerate(case.branches)
+             if br.rate is not None]
+    bounded = np.array([k for k, _ in rated], dtype=int)
+    rates = np.array([br.rate for _, br in rated])
+    # rated branches' flows and the load left to the slack and the movers
+    # at p = 0, delta = 0, with the held units at their output
+    flow0 = (phi[:, gen_pos[held]] @ hi[held] - phi @ p_d)[bounded]
+    net_load = float(p_d.sum()) - float(hi[held].sum())
+    phi_rated = phi[bounded]
+    phi_gen, phi_load = phi_rated[:, gen_pos[others]], phi_rated[:, load_pos]
+    nb, n_red = len(bounded), others.size
     m = 2 * nb + 2 * n_red + 2
-    A = np.zeros((m, n_red))
-    B = np.zeros((m, n_delta))
-    c = np.zeros(m)
-
-    fu = slice(0, nb)
-    A[fu] = phi_gen[bounded]
-    B[fu] = -phi_load[bounded]
-    c[fu] = flow0[bounded] - rates
-    fl = slice(nb, 2 * nb)
-    A[fl] = -phi_gen[bounded]
-    B[fl] = phi_load[bounded]
-    c[fl] = -flow0[bounded] - rates
-    rated = [(k, case.branches[k]) for k in bounded]
-    labels = [f"{tag}:br{k}:{br.f_bus}-{br.t_bus}"
-              for tag in ("flow-upper", "flow-lower") for k, br in rated]
-
-    r = 2 * nb
-    slack_bus_id = case.generators[slack_gen].bus
-    A[r] = -1.0
-    B[r] = 1.0
-    c[r] = net_load - hi[slack_gen]
-    labels.append(f"slack-gen-upper:g{slack_gen}@bus{slack_bus_id}")
-    r += 1
-    gu = slice(r, r + n_red)
-    A[gu] = np.eye(n_red)
-    c[gu] = -hi[others]
-    for j in others:
-        labels.append(f"gen-upper:g{j}@bus{case.generators[j].bus}")
-    r += n_red
-    A[r] = 1.0
-    B[r] = -1.0
-    c[r] = lo[slack_gen] - net_load
-    labels.append(f"slack-gen-lower:g{slack_gen}@bus{slack_bus_id}")
-    r += 1
-    gl = slice(r, r + n_red)
-    A[gl] = -np.eye(n_red)
-    c[gl] = lo[others]
-    for j in others:
-        labels.append(f"gen-lower:g{j}@bus{case.generators[j].bus}")
+    A, B = np.zeros((m, n_red)), np.zeros((m, load_pos.size))
+    # the row blocks in stacking order (module docstring)
+    A[:nb], B[nb:2 * nb] = phi_gen, phi_load
+    np.negative(phi_gen, out=A[nb:2 * nb])
+    np.negative(phi_load, out=B[:nb])
+    up, low = 2 * nb, 2 * nb + n_red + 1          # the slack unit's rows
+    A[up], B[up], A[low], B[low] = -1.0, 1.0, 1.0, -1.0
+    A[up + 1:low], A[low + 1:] = np.eye(n_red), -np.eye(n_red)
+    c = np.concatenate([flow0 - rates, -flow0 - rates,
+                        [net_load - hi[slack_gen]], -hi[others],
+                        [lo[slack_gen] - net_load], lo[others]])
+    branches = [f"br{k}:{br.f_bus}-{br.t_bus}" for k, br in rated]
+    slack = f"g{slack_gen}@bus{case.generators[slack_gen].bus}"
+    units = [f"g{j}@bus{case.generators[j].bus}" for j in others.tolist()]
+    labels = [f"flow-upper:{s}" for s in branches] \
+        + [f"flow-lower:{s}" for s in branches] \
+        + [f"slack-gen-upper:{slack}"] + [f"gen-upper:{s}" for s in units] \
+        + [f"slack-gen-lower:{slack}"] + [f"gen-lower:{s}" for s in units]
 
     mats = FeasibilityMatrices(
         A=A, B=B, c=c, row_labels=tuple(labels), slack_gen=int(slack_gen),
         ref_bus=ref, gen_order=others, emitted=np.arange(m),
         load_pos=load_pos,
-        load_bus_ids=tuple(int(case.buses[i].id) for i in load_pos),
+        load_bus_ids=tuple(case.buses[i].id for i in load_pos.tolist()),
         case=case)
-    emitted = np.flatnonzero(np.any(A != 0.0, axis=1) | np.any(B != 0.0, axis=1)
-                             | (c > lin_solve.FEAS_TOL))
+    # only a flow row can be zero in A and B: each slack or unit row has a 1
+    live = np.any(phi_gen != 0.0, axis=1) | np.any(phi_load != 0.0, axis=1)
+    live = np.concatenate([live, live, np.ones(m - 2 * nb, dtype=bool)])
+    emitted = np.flatnonzero(live | (c > lin_solve.FEAS_TOL))
     return mats if emitted.size == m else mats.take(emitted)
 

@@ -110,6 +110,7 @@ class DefensePolicy:
     # rounding (A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i), so
     # -<W, B> <= lambda for every policy; None when no dual iterate made one
     dual: tuple = None
+    nominal: np.ndarray = None   # the max-margin dispatch it started from
 
     def summary(self, mats):
         row = self.binding_row
@@ -478,7 +479,8 @@ def defense_local(mats, budget_s=None):
             f"socp final: exact radius {t:.9e} is below 1/lambda^2 = "
             f"{meta['lambda'] ** -2:.9e} at row {mats.row_labels[row]}")
     meta["stalled"] = not t > t_init
-    return DefensePolicy(p0, G, float(t), row, meta=meta, dual=dual)
+    return DefensePolicy(p0, G, float(t), row, meta=meta, dual=dual,
+                         nominal=p_w)
 
 
 def verify_policy(mats, pol, samples=1000, seed=0):

@@ -7,8 +7,9 @@ the squeeze runs once: the policy SOCP within the wall-clock budget, one
 attack multistart seeded from the policy (`cross_feed`) within what is left
 of that budget, then sampled verification of the policy.  Both sides start
 from `FeasibilityMatrices.max_margin`, whose ModelError names a row when
-F(0) is empty.  A SolverError on one side keeps the other's certified bound,
-flagged: ub None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
+F(0) is empty; the defense solves it once for both (`DefensePolicy.nominal`).
+A SolverError on one side keeps the other's certified bound, flagged: ub
+None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub (1 + 1e-6), relative as lb <=
@@ -149,7 +150,8 @@ def squeeze_run(case, config=None, mats=None):
         rep = multistart_attack(
             mats, AttackConfig(restarts=cfg.restarts, seed=cfg.seed),
             extra_directions=hints,
-            budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb)
+            budget_s=cfg.budget_s - (time.monotonic() - t0), lb=lb,
+            nominal=best_pol.nominal if best_pol else None)
         best_att = rep.best
         report.append(t0, "attack", best_att.norm_sq)
         if any(note.get("convergence") == "zero-distance"

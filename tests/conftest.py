@@ -16,7 +16,7 @@ def desk2():
         "desk2", 100.0,
         buses=[(1, 0.0), (2, 3.0)],
         branches=[(1, 2, 0.1, None)],
-        generators=[(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)],
+        generators=[(1, 0.0, 2.0), (2, 0.0, 2.0)],
     )
 
 
@@ -28,7 +28,7 @@ def desk2_limited():
         "desk2_limited", 100.0,
         buses=[(1, 0.0), (2, 3.0)],
         branches=[(1, 2, 0.1, 1.5)],
-        generators=[(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)],
+        generators=[(1, 0.0, 2.0), (2, 0.0, 2.0)],
     )
 
 
@@ -40,7 +40,7 @@ def desk2_single():
         "desk2_single", 100.0,
         buses=[(1, 0.0), (2, 3.0)],
         branches=[(1, 2, 0.1, None)],
-        generators=[(1, 0.0, 4.0, 5.0)],
+        generators=[(1, 0.0, 4.0)],
     )
 
 
@@ -51,7 +51,7 @@ def desk3():
         "desk3", 100.0,
         buses=[(1, 0.0), (2, 2.0), (3, 0.5)],
         branches=[(1, 2, 0.1, 1.6), (2, 3, 0.1, 5.0), (3, 1, 0.1, 5.0)],
-        generators=[(1, 0.0, 3.0, 5.0), (3, 0.0, 1.0, 8.0)],
+        generators=[(1, 0.0, 3.0), (3, 0.0, 1.0)],
     )
 
 
@@ -68,17 +68,24 @@ def pglib_path(stem):
     return None
 
 
-def bench_ladder(n, seed, degenerate):
-    """A network of the benchmark's ladder generator (bench/ladder.py, read
-    only), parsed from its MATPOWER text in memory."""
-    from dcattack.case_ingest import parse_case_text
+def bench_ladder_text(n, seed, degenerate):
+    """(name, MATPOWER text) of a network of the benchmark's ladder
+    generator (bench/ladder.py, read only)."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                         "ladder.py")
     spec = importlib.util.spec_from_file_location("bench_ladder", path)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     net = ladder.ladder(n, seed, degenerate=degenerate)
-    return parse_case_text(ladder.to_matpower(net), net["name"])
+    return net["name"], ladder.to_matpower(net)
+
+
+def bench_ladder(n, seed, degenerate):
+    """A network of the benchmark's ladder generator, parsed from its
+    MATPOWER text in memory."""
+    from dcattack.case_ingest import parse_case_text
+    name, text = bench_ladder_text(n, seed, degenerate)
+    return parse_case_text(text, name)
 
 
 BUNDLED = ("case5_pjm", "case14_ieee", "case24_ieee_rts", "case30_as")

@@ -5,10 +5,14 @@ values in the tests were computed with these helpers and then frozen.
 """
 
 import itertools
+import re
 
 import numpy as np
 from scipy.optimize import linprog
 
+from dcattack.case_ingest import (
+    Branch, Bus, Generator, NetworkCase, validate_case,
+)
 from dcattack.dc_model import FeasibilityMatrices, build_ptdf
 
 
@@ -192,8 +196,8 @@ def full_dispatch(mats, p_hat, delta=None):
     """Every unit's output for the reduced dispatch p_hat: the units with
     p_min == p_max at their output, the movers at p_hat and the slack unit
     balancing the load plus delta."""
-    total = mats.case.total_load() + (0.0 if delta is None
-                                      else float(np.sum(delta)))
+    total = float(mats.case.p_d().sum()) + (0.0 if delta is None
+                                            else float(np.sum(delta)))
     p_full = mats.case.gen_bounds()[1].copy()
     p_full[mats.gen_order] = np.asarray(p_hat, float)
     p_full[mats.slack_gen] = 0.0
@@ -326,3 +330,53 @@ def exact_distance(mats):
     if not np.any(live):
         return np.inf
     return float(np.min(h[live] / norms[live])) ** 2
+
+
+_SCALAR_RE = re.compile(
+    r"^(?:mpc\.)?(\w+)\s*=\s*([0-9.eE+-]+|[+-]?(?:nan|inf(?:inity)?))\s*;", re.I)
+_TABLE_RE = re.compile(r"^(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
+
+
+def reference_case(text, name="case"):
+    """The MATPOWER reader as it was before tables were read as arrays: one
+    float() per token and one record per row, with no rectangular rule.  A
+    parity reference for `case_ingest.parse_case_text` on files it accepts;
+    returns the validated NetworkCase."""
+    scalars, tables, current = {}, {}, None
+    for raw in text.splitlines():
+        line = raw.split("%", 1)[0].strip()
+        if current is None:
+            m = _SCALAR_RE.match(line)
+            if m:
+                scalars[m.group(1)] = float(m.group(2))
+                continue
+            m = _TABLE_RE.match(line)
+            if not m:
+                continue
+            current, line = m.group(1), m.group(2)
+            tables[current] = []
+        closed = line.endswith("];")
+        for chunk in (line[:-2] if closed else line).split(";"):
+            if chunk.strip():
+                tables[current].append(
+                    [float(p) for p in chunk.replace(",", " ").split()])
+        if closed:
+            current = None
+    base = scalars["baseMVA"]
+
+    def as_int(value):
+        assert value.is_integer()
+        return int(value)
+
+    buses = tuple(Bus(id=as_int(row[0]), p_d=row[2] / base)
+                  for row in tables["bus"])
+    branches = tuple(
+        Branch(f_bus=as_int(row[0]), t_bus=as_int(row[1]), b=1.0 / row[3],
+               rate=None if row[5] == 0 else row[5] / base)
+        for row in tables["branch"]
+        if (as_int(row[10]) if len(row) > 10 else 1) > 0)
+    gens = tuple(Generator(bus=as_int(row[0]), p_min=row[9] / base,
+                           p_max=row[8] / base)
+                 for row in tables["gen"] if as_int(row[7]) > 0)
+    return validate_case(NetworkCase(name=name, base_mva=base, buses=buses,
+                                     branches=branches, generators=gens))

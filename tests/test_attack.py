@@ -136,7 +136,7 @@ def _string3():
     # between buses 2 and 3 never breaks anything
     return build_feasibility(build_case(
         "string3", 1.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
-        [(1, 2, 0.1, None), (2, 3, 0.1, None)], [(1, 0.0, 10.0, 1.0)]))
+        [(1, 2, 0.1, None), (2, 3, 0.1, None)], [(1, 0.0, 10.0)]))
 
 
 def test_unbounded_direction_raises_restart():
@@ -161,7 +161,7 @@ def test_nominally_infeasible_case_raises():
     """An empty F(0) fails the max-margin LP before any start, with a
     ModelError that names the heaviest row of its Farkas ray."""
     case = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)], [(1, 2, 0.1, None)],
-                      [(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)])
+                      [(1, 0.0, 2.0), (2, 0.0, 2.0)])
     mats = build_feasibility(case)
     with pytest.raises(ModelError, match="max-margin LP") as exc:
         multistart_attack(mats, AttackConfig(restarts=1, seed=0))
@@ -456,11 +456,11 @@ def test_case5_attack_reaches_the_vertex_enumeration_optimum():
 ZERO_DISTANCE = {
     # one unit, fixed at the load: P is empty
     "p-empty": build_case("zd", 100.0, [(1, 0.0), (2, 2.0)],
-                          [(1, 2, 0.1, None)], [(1, 2.0, 2.0, 10.0)]),
+                          [(1, 2, 0.1, None)], [(1, 2.0, 2.0)]),
     # a fixed unit beside rated lines: P is unbounded along the slack rows
     "p-unbounded": build_case("zd3", 100.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
                               [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)],
-                              [(1, 2.0, 2.0, 10.0)]),
+                              [(1, 2.0, 2.0)]),
 }
 
 
@@ -468,7 +468,7 @@ ZERO_DISTANCE = {
 CAPACITY_AT_LOAD = build_case(
     "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
     [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
-    [(1, 0.0, 0.15, 10.0), (3, 0.0, 0.15, 20.0)])
+    [(1, 0.0, 0.15), (3, 0.0, 0.15)])
 
 
 @pytest.mark.parametrize("case", [ZERO_DISTANCE["p-empty"],

@@ -7,6 +7,7 @@ import pytest
 from dcattack.case_ingest import (
     build_case, case_from_json, case_to_json, load_case, parse_case_text,
 )
+from dcattack.dc_model import build_feasibility
 from dcattack.errors import CaseError
 
 from conftest import pglib_path
@@ -32,6 +33,10 @@ mpc.gencost = [
 """
 
 
+BUS2 = "\t2\t1\t50\t10\t0\t0\t1\t1\t0\t230\t1\t1.1\t0.9;"
+BRANCH = "\t1\t2\t0\t0.1\t0\t100\t0\t0\t0\t0\t1\t-30\t30;"
+
+
 def test_parse_two_bus_units():
     case = parse_case_text(TWO_BUS, name="desk2")
     assert case.base_mva == 100.0
@@ -41,32 +46,67 @@ def test_parse_two_bus_units():
     assert br.rate == pytest.approx(1.0)
     g = case.generators[0]
     assert (g.p_min, g.p_max) == (0.0, 2.0)
-    assert g.cost == 12.0
 
 
-def test_a_short_gencost_table_is_rejected():
-    """case5_pjm without its last gencost row would leave that unit at cost
-    0; the error names both row counts and the line that opens the table.
-    No table at all still means cost 0, and a 2 n_gen table (reactive costs
-    after the active ones) still reads its first block."""
+def _case5_text():
     with open(pglib_path("case5_pjm")) as fh:
-        text = fh.read()
-    last = "\t2\t0.0\t0.0\t2\t10.0\t0.0;\n"
-    assert text.count(last) == 1
-    opens = text[:text.index("mpc.gencost")].count("\n") + 1
-    with pytest.raises(CaseError, match=rf"line {opens}: gencost has 4 rows "
-                                        "for 5 gen rows"):
-        parse_case_text(text.replace(last, ""))
+        return fh.read()
+
+
+_CASE5_FIRST_COST = "\t2\t0.0\t0.0\t2\t14.0\t0.0;\n"
+
+
+def _without_gencost(text):
     block = text[text.index("mpc.gencost"):]
-    block = block[:block.index("];") + 2]
-    assert [g.cost for g in parse_case_text(text).generators] \
-        == [14.0, 15.0, 30.0, 40.0, 10.0]
-    assert [g.cost for g in parse_case_text(text.replace(block, "")
-                                            ).generators] == [0.0] * 5
-    reactive = "\t2\t0.0\t0.0\t2\t99.0\t0.0;\n" * 5
-    doubled = text.replace(block, block[:-2] + reactive + "];")
-    assert [g.cost for g in parse_case_text(doubled).generators] \
-        == [14.0, 15.0, 30.0, 40.0, 10.0]
+    return text.replace(block[:block.index("];") + 2], "")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace(_CASE5_FIRST_COST, "\t1\t0.0\t0.0\t2\t0\t0\t40\t560;\n"),
+    lambda t: t.replace("\t2\t0.0\t0.0\t2\t10.0\t0.0;\n", ""),
+    lambda t: t.replace(_CASE5_FIRST_COST, "\t2\t0.0\t0.0\t5\t14.0\t0.0;\n"),
+    lambda t: t.replace(_CASE5_FIRST_COST, "\t2.5\t0.0\t0.0\t2\t14.0\t0.0;\n"),
+    lambda t: t.replace(_CASE5_FIRST_COST, "\t2\t0.0\t0.0\tnan\t14.0\t0.0;\n"),
+    lambda t: t.replace(_CASE5_FIRST_COST, "\t2\t0.0\t0.0\t2\tInf\t0.0;\n"),
+    _without_gencost,
+], ids=["model-1", "short-table", "ncost-mismatch", "model-fraction",
+        "ncost-nan", "cost-inf", "no-table"])
+def test_gencost_edits_are_ignored(edit):
+    """No bound reads a cost, so the gencost table is not read: case5_pjm
+    with any edit to it (a piecewise-linear model-1 row, a missing row, a
+    wrong or non-integer model or coefficient count, a non-finite
+    coefficient, no table at all) loads as the same case, to the same
+    feasibility system."""
+    text = _case5_text()
+    edited = edit(text)
+    assert edited != text
+    case, want = parse_case_text(edited), parse_case_text(text)
+    assert case == want
+    got, ref = build_feasibility(case), build_feasibility(want)
+    for field in ("A", "B", "c", "emitted"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+    assert got.row_labels == ref.row_labels
+
+
+def test_a_version_1_document_with_costs_loads_without_them(desk3):
+    """Canonical JSON written before costs were dropped carries a `cost` on
+    each generator; it loads, and the cost is ignored."""
+    doc = json.loads(case_to_json(desk3))
+    for k, g in enumerate(doc["generators"]):
+        g["cost"] = 10.0 * (k + 1)
+    assert case_from_json(json.dumps(doc)) == desk3
+    assert "cost" not in case_to_json(desk3)
+
+
+def test_load_case_reads_the_file_as_it_is_now(tmp_path):
+    """No reader state outlives a call: a file rewritten between two calls
+    loads as its new text."""
+    path = tmp_path / "desk2.m"
+    path.write_text(TWO_BUS)
+    first = load_case(path)
+    path.write_text(TWO_BUS.replace("\t2\t1\t50\t", "\t2\t1\t70\t"))
+    assert [b.p_d for b in first.buses] == [0.0, 0.5]
+    assert [b.p_d for b in load_case(path).buses] == [0.0, 0.7]
 
 
 def test_load_case_reads_a_matpower_file_as_its_text_parses(tmp_path):
@@ -192,10 +232,18 @@ def _two_bus_json(edit):
      "branch 1-2: rating must be finite and positive, got -1.0"),
     (TWO_BUS.replace("\t1\t200\t0;", "\t1\t200;"),
      "line 10: gen row has 9 columns, need at least 10"),
-    (TWO_BUS.replace("\t2\t0\t0\t3\t0", "\t1\t0\t0\t3\t0"),
-     "line 16: unsupported gencost model 1"),
-    (TWO_BUS.replace("\t2\t0\t0\t3\t0", "\t2\t0\t0\t5\t0"),
-     "line 16: gencost row promises 5 coefficients, has 3"),
+    (TWO_BUS.replace(BUS2, BUS2[:-1] + "\t7;"),
+     "line 7: bus row has 14 columns where the table's first row has 13"),
+    (TWO_BUS.replace(BUS2, BUS2.replace("\t0.9;", ";")),
+     "line 7: bus row has 12 columns where the table's first row has 13"),
+    (TWO_BUS.replace(BUS2, BUS2.replace("0.9", "O.9")),
+     "line 7: bad number 'O.9' in bus row"),
+    (TWO_BUS.replace(BUS2, BUS2.replace("\t50\t", "\t5_0\t")),
+     "line 7: bad number '5_0' in bus row"),
+    (TWO_BUS.replace(BRANCH, BRANCH + " " + BRANCH.replace("0.1", "x")),
+     "line 13: bad number 'x' in branch row"),
+    (TWO_BUS.replace(BRANCH, BRANCH + "\n\t1\t2\t0\t0.2;"),
+     "line 14: branch row has 4 columns, need at least 6"),
     ("{\"format\": ", "invalid case JSON"),
     (_two_bus_json(lambda d: d.update(format="matpower")),
      "not a dcattack-case document"),
@@ -203,18 +251,25 @@ def _two_bus_json(edit):
      "unsupported case JSON version 2"),
     (re.sub(r"mpc.bus = \[\n.*?\];", "mpc.bus = [\n];", TWO_BUS,
             flags=re.S), "case has no buses"),
+    (re.sub(r"mpc.bus = \[\n.*?\];", "mpc.bus = [];", TWO_BUS, flags=re.S),
+     "case has no buses"),
     (_two_bus_json(lambda d: d.update(buses=[])), "case has no buses"),
     (TWO_BUS.replace("\t1\t200\t0;", "\t0\t200\t0;"),
      "case has no in-service generators"),
     (_two_bus_json(lambda d: d.update(generators=[])),
      "case has no in-service generators"),
 ], ids=["self-loop", "json-self-loop", "unknown-bus", "json-unknown-bus",
-        "json-zero-susceptance", "json-negative-rating", "short-gen-row", "gencost-model-1", "ncost-mismatch", "json-invalid",
-        "json-format", "json-version", "no-buses", "json-no-buses",
-        "no-unit-in-service", "json-no-units"])
+        "json-zero-susceptance", "json-negative-rating", "short-gen-row",
+        "bus-row-too-wide", "bus-row-too-narrow", "letter-o", "underscore",
+        "second-row-on-a-line", "short-after-wide", "json-invalid",
+        "json-format", "json-version", "no-buses", "no-buses-one-line",
+        "json-no-buses", "no-unit-in-service", "json-no-units"])
 def test_each_rejected_case_names_its_fault(text, message):
     """The parser's and validator's remaining error paths, over the two-bus
-    text and its JSON form."""
+    text and its JSON form.  Tables are rectangular: a row wider or
+    narrower than its table's first row names its line, as does a token
+    np.loadtxt does not read (nor Python's `5_0`).  An empty table reaches
+    the case's own check, not np.loadtxt's warning (an error here)."""
     parse = case_from_json if text.lstrip().startswith("{") \
         else parse_case_text
     with pytest.raises(CaseError, match=re.escape(message)):
@@ -280,8 +335,7 @@ def test_load_case_matpower(tmp_path):
 
 
 def test_helper_arrays(desk3):
-    assert desk3.total_load() == pytest.approx(2.5)
-    np.testing.assert_array_equal(desk3.load_positions(), [1, 2])
+    np.testing.assert_array_equal(desk3.p_d(), [0.0, 2.0, 0.5])
     np.testing.assert_array_equal(desk3.gen_positions(), [0, 2])
     lo, hi = desk3.gen_bounds()
     np.testing.assert_allclose(hi, [3.0, 1.0])
@@ -364,9 +418,8 @@ def test_load_case_json_error_is_a_case_error(tmp_path):
     ("\t1\t2\t0\t0.1\t0\t100\t", "\t1\t2\t0\t0.1\t0\tInf\t", "branch 1-2"),
     ("\t1\t200\t0;", "\t1\tnan\t0;", "generator 0"),
     ("\t1\t200\t0;", "\t1\t200\tnan;", "generator 0"),
-    ("\t3\t0\t12\t0;", "\t3\t0\tInf\t0;", "generator 0"),
 ], ids=["load-nan", "load-neg-inf", "x-nan", "x-inf", "rating-nan",
-        "rating-inf", "p_max-nan", "p_min-nan", "cost-inf"])
+        "rating-inf", "p_max-nan", "p_min-nan"])
 def test_non_finite_matpower_values_name_the_record(old, new, record):
     assert TWO_BUS.count(old) == 1
     with pytest.raises(CaseError, match=record):
@@ -380,13 +433,11 @@ def test_non_finite_matpower_values_name_the_record(old, new, record):
     ("\t0\t1\t-30\t30;", "\t0\t0.5\t-30\t30;", "status 0.5"),
     ("\n\t1\t0\t0\t30", "\n\t1.5\t0\t0\t30", "bus id 1.5"),
     ("\t1\t200\t0;", "\tnan\t200\t0;", "status nan"),
-    ("\t2\t0\t0\t3\t0", "\t2.5\t0\t0\t3\t0", "gencost model 2.5"),
-    ("\t2\t0\t0\t3\t0", "\t2\t0\t0\tnan\t0", "ncost nan"),
 ], ids=["bus-nan", "bus-fraction", "branch-inf", "branch-status",
-        "gen-bus", "gen-status", "gencost-model", "ncost"])
+        "gen-bus", "gen-status"])
 def test_integer_fields_must_be_integers(old, new, what):
-    """Ids, status flags and gencost model/ncost are integers; any other
-    number is an error naming its line, never a truncated id."""
+    """Ids and status flags are integers; any other number is an error
+    naming its line, never a truncated id."""
     assert TWO_BUS.count(old) == 1
     with pytest.raises(CaseError, match=rf"line \d+: {what} is not an integer"):
         parse_case_text(TWO_BUS.replace(old, new))
@@ -402,10 +453,7 @@ NAN, INF = float("nan"), float("inf")
     ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, INF)], [(1, 0.0, 2.0)], "branch 1-2"),
     ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, NAN, 2.0)], "generator 0"),
     ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, 0.0, INF)], "generator 0"),
-    ([(1, 0.0), (2, 1.0)], [(1, 2, 0.1, None)], [(1, 0.0, 2.0, NAN)],
-     "generator 0"),
-], ids=["load-nan", "x-nan", "x-inf", "rating-inf", "p_min-nan", "p_max-inf",
-        "cost-nan"])
+], ids=["load-nan", "x-nan", "x-inf", "rating-inf", "p_min-nan", "p_max-inf"])
 def test_build_case_rejects_non_finite_values(buses, branches, generators,
                                               record):
     with pytest.raises(CaseError, match=record):
@@ -419,7 +467,7 @@ def _rename(records, old, new, columns):
 
 _DESK3 = dict(buses=[(1, 0.0), (2, 2.0), (3, 0.5)],
               branches=[(1, 2, 0.1, 1.6), (2, 3, 0.1, 5.0), (3, 1, 0.1, 5.0)],
-              generators=[(1, 0.0, 3.0, 5.0), (3, 0.0, 1.0, 8.0)])
+              generators=[(1, 0.0, 3.0), (3, 0.0, 1.0)])
 _EVERYWHERE = dict(buses={0}, branches={0, 1}, generators={0})
 
 
@@ -433,8 +481,8 @@ def _via_json(records):
            "buses": [{"id": i, "p_d": pd} for i, pd in records["buses"]],
            "branches": [{"f_bus": f, "t_bus": t, "b": 1.0 / x, "rate": r}
                         for f, t, x, r in records["branches"]],
-           "generators": [{"bus": b, "p_min": lo, "p_max": hi, "cost": c}
-                          for b, lo, hi, c in records["generators"]]}
+           "generators": [{"bus": b, "p_min": lo, "p_max": hi}
+                          for b, lo, hi in records["generators"]]}
     return case_from_json(json.dumps(doc))
 
 

@@ -91,7 +91,7 @@ def test_reduction_matches_direct_model(name, desk3):
         delta = rng.normal(scale=1.5, size=mats.n_delta)
         p_full = oracle_utils.full_dispatch(mats, p_hat, delta)
         # power balance holds by construction of the slack injection
-        assert p_full.sum() == pytest.approx(case.total_load() + delta.sum(),
+        assert p_full.sum() == pytest.approx(case.p_d().sum() + delta.sum(),
                                              abs=1e-12)
         np.testing.assert_allclose(mats.margins(p_hat, delta),
                                    oracle_utils.model1_margins(mats, p_full, delta),
@@ -242,9 +242,10 @@ _CRASHED = BUNDLED + tuple(f"ladder{n}{kind}" for n in (30, 60, 120)
 
 
 def _crash_lps(mats, monkeypatch):
-    """Every LP of the defense's warm start and of a bare multistart, as
-    (prob, basis, result): the max-margin LP of each, then the P-LPs;
-    `lp_solve` raises on a basis that fails its start checks."""
+    """Every LP of the defense's warm start and of a multistart handed its
+    dispatch, as the squeeze runs them, as (prob, basis, result): the
+    max-margin LP, then the P-LPs; `lp_solve` raises on a basis that fails
+    its start checks."""
     calls, real_solve = [], lin_solve.lp_solve
 
     def solve_spy(prob, basis, deadline=None):
@@ -252,8 +253,8 @@ def _crash_lps(mats, monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
-    warm_start_defense(mats)
-    multistart_attack(mats, AttackConfig(restarts=0, seed=0))
+    nominal = warm_start_defense(mats)[0]
+    multistart_attack(mats, AttackConfig(restarts=0, seed=0), nominal=nominal)
     monkeypatch.undo()
     return calls
 
@@ -261,20 +262,20 @@ def _crash_lps(mats, monkeypatch):
 @pytest.mark.parametrize("name", _CRASHED)
 def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
         name, request, monkeypatch):
-    """The max-margin LP over Q, which the defense's warm start and the
-    multistart each run to the same optimum, and the multistart's first
-    P-LP start from `crash_basis`, which the start checks accept, and each
-    reaches the optimum of scipy's cold solve."""
+    """The max-margin LP over Q, which the defense's warm start runs once
+    for both sides, and the multistart's first P-LP start from
+    `crash_basis`, which the start checks accept, and each reaches the
+    optimum of scipy's cold solve; every later LP is over P."""
     n, _, kind = name.removeprefix("ladder").partition("-")
     case = (request.getfixturevalue(name) if name.startswith("desk")
             else load_case(pglib_path(name)) if name in BUNDLED
             else bench_ladder(int(n), 0, kind == "degenerate"))
     mats = build_feasibility(case)
     calls = _crash_lps(mats, monkeypatch)
-    q, again, p = calls[:3]
-    assert np.array_equal(p[0].A_eq[-1], -mats.c)
-    assert np.array_equal(again[0].A_eq, q[0].A_eq)
-    assert again[2].y.tobytes() == q[2].y.tobytes()
+    q, p = calls[:2]
+    assert not np.array_equal(q[0].A_eq[-1], -mats.c)
+    assert all(np.array_equal(prob.A_eq[-1], -mats.c)
+               for prob, _basis, _res in calls[1:])
     for prob, basis, res in (q, p):
         np.testing.assert_array_equal(basis, mats.crash_basis())
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
@@ -286,15 +287,15 @@ def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
 def test_without_a_movable_unit_every_lp_starts_from_the_one_row_basis(
         desk2_single, monkeypatch):
     """With n_reduced = 0, Q and P have the one row r^T mu = 1 and the
-    crash basis is the row of largest -c_i, feasible for both: the
-    max-margin LPs of the defense's warm start and of the multistart and
-    the first P-LP start from it, and each reaches scipy's optimum."""
+    crash basis is the row of largest -c_i, feasible for both: the one
+    max-margin LP and the first P-LP start from it, and each reaches
+    scipy's optimum."""
     mats = build_feasibility(desk2_single)
     assert mats.n_reduced == 0
     np.testing.assert_array_equal(mats.crash_basis(), [np.argmax(-mats.c)])
     calls = _crash_lps(mats, monkeypatch)
-    assert len(calls) >= 3
-    for prob, basis, res in calls[:3]:
+    assert len(calls) >= 2
+    for prob, basis, res in calls[:2]:
         np.testing.assert_array_equal(basis, mats.crash_basis())
         ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
                       bounds=(0, None), method="highs")

@@ -344,7 +344,7 @@ def test_warm_start_runs_no_tall_lp(bundled_mats, monkeypatch):
 
 FIXED_SLACK = build_case("fixed_slack", 100.0, [(1, 0.0), (2, 2.5)],
                          [(1, 2, 0.1, None)],
-                         [(1, 1.0, 1.0, 10.0), (2, 0.0, 2.0, 20.0)])
+                         [(1, 1.0, 1.0), (2, 0.0, 2.0)])
 
 
 def test_socp_without_interior_returns_the_warm_start():

@@ -147,7 +147,7 @@ def test_zero_distance_is_flagged():
     with delta: the infimum is 0, the ub is only a certified point, and the
     report says so."""
     case = build_case("zd3", 100.0, [(1, 0.0), (2, 1.0), (3, 1.0)],
-                      [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)], [(1, 2.0, 2.0, 10.0)])
+                      [(1, 2, 0.1, 5.0), (2, 3, 0.1, 5.0)], [(1, 2.0, 2.0)])
     rep = squeeze_run(case, SqueezeConfig(seed=0))
     assert rep.attack["convergence"] == "zero-distance"
     assert "zero-distance" in rep.flags
@@ -183,7 +183,7 @@ def test_a_proven_zero_distance_is_flagged_whatever_wins(monkeypatch):
     case = build_case(
         "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
         [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
-        [(1, 0.0, 0.15, 10.0), (3, 0.0, 0.15, 20.0)])
+        [(1, 0.0, 0.15), (3, 0.0, 0.15)])
     rep, att, _ascents = _spied_squeeze(case, monkeypatch)
     assert any(note.get("convergence") == "zero-distance" for note in att.starts)
     assert rep.attack["convergence"] != "zero-distance"
@@ -224,11 +224,11 @@ def test_an_open_bracket_runs_every_start(monkeypatch):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_lp_budget(name, monkeypatch):
-    """Regression guard: one bundled squeeze runs at most 7 LPs (the
-    max-margin LP of the SOCP's warm start and again of the multistart, P's
-    crash-started LP and the ascents' steps); the
-    incumbent is certified from its own multiplier, so its inflated point
-    never reaches `check_feasible`."""
+    """Regression guard: one bundled squeeze runs at most 6 LPs (the
+    max-margin LP of the SOCP's warm start, whose dispatch the multistart
+    reuses, P's crash-started LP and the ascents' steps); the incumbent is
+    certified from its own multiplier, so its inflated point never reaches
+    `check_feasible`."""
     case = load_case(pglib_path(name))
     mats = build_feasibility(case)
     solves, probes = [], []
@@ -245,9 +245,29 @@ def test_squeeze_lp_budget(name, monkeypatch):
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
     monkeypatch.setattr(lin_solve, "check_feasible", check_spy)
     rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
-    assert len(solves) <= 7
+    assert len(solves) <= 6
     point = mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"]))
     assert probes and not any(np.array_equal(rhs, point) for rhs in probes)
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_each_squeeze_solves_the_max_margin_lp_once(desk3, runs,
+                                                    monkeypatch):
+    """The defense solves F(0)'s max-margin LP and hands its dispatch to
+    the multistart, which would otherwise solve it again; nothing keeps it
+    on `mats` between calls, so each call solves it once."""
+    mats = build_feasibility(desk3)
+    calls, real = [], lin_solve.check_feasible
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lin_solve, "check_feasible", spy)
+    for _ in range(runs):
+        rep = squeeze_run(desk3, SqueezeConfig(seed=0), mats=mats)
+        assert rep.matched
+    assert len(calls) == runs
 
 
 def test_a_failing_attack_keeps_the_certified_lb(monkeypatch):
@@ -289,9 +309,10 @@ def test_a_failing_defense_keeps_the_certified_ub(monkeypatch):
     def fail(mats, budget_s=None):
         raise SolverError("policy SOCP diverged (spy)")
 
-    def spy(mats, config=None, extra_directions=(), budget_s=None, lb=None):
-        handed.append((list(extra_directions), lb))
-        return real(mats, config, extra_directions, budget_s, lb)
+    def spy(mats, config=None, extra_directions=(), budget_s=None, lb=None,
+            nominal=None):
+        handed.append((list(extra_directions), lb, nominal))
+        return real(mats, config, extra_directions, budget_s, lb, nominal)
 
     def no_policy(*args, **kw):
         raise AssertionError("no policy to verify")
@@ -300,7 +321,7 @@ def test_a_failing_defense_keeps_the_certified_ub(monkeypatch):
     monkeypatch.setattr(squeeze, "multistart_attack", spy)
     monkeypatch.setattr(squeeze, "verify_policy", no_policy)
     rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
-    assert handed == [([], None)]
+    assert handed == [([], None, None)]
     assert rep.lb == 0.0 and rep.defense is None
     assert rep.ub == bare.best.norm_sq and rep.attack["certified"]
     assert rep.flags == ["defense-round0: policy SOCP diverged (spy)",
@@ -314,6 +335,6 @@ def test_a_failing_defense_keeps_the_certified_ub(monkeypatch):
     monkeypatch.setattr(squeeze, "defense_local", defense_local)
     overload = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)],
                           [(1, 2, 0.1, None)],
-                          [(1, 0.0, 2.0, 10.0), (2, 0.0, 2.0, 20.0)])
+                          [(1, 0.0, 2.0), (2, 0.0, 2.0)])
     with pytest.raises(ModelError, match="max-margin LP"):
         squeeze_run(overload, SqueezeConfig(seed=0))

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .attack import AttackConfig, multistart_attack
 from .case_ingest import load_case
-from .dc_model import build_feasibility
+from .dc_model import build_feasibility, json_default
 from .defense import defense_local, verify_policy
 from .errors import DcAttackError
 from .squeeze import SqueezeConfig, squeeze_run
@@ -113,7 +113,7 @@ def _manifest(args):
 def _emit(report, args):
     """Write --json first: a failed write prints nothing, so the error
     report is then the only JSON on stdout."""
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, default=json_default)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
@@ -161,7 +161,7 @@ def cmd_attack(args, manifest):
         "case": case.name,
         **sol.summary(),
         "fixed_dispatch_lb": rep.fixed_lb,
-        "delta": sol.delta.tolist(),
+        "delta": sol.delta,
         "per_bus": per_bus,
         "starts": rep.starts,
         "elapsed_s": time.monotonic() - t0,
@@ -256,7 +256,7 @@ def cmd_table(args, manifest):
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"schema": "dcattack-table/1", "manifest": manifest,
-                       "runs": reports}, fh, indent=2)
+                       "runs": reports}, fh, indent=2, default=json_default)
     sys.stdout.write(_render_table(rows, args.format))
     return code
 

@@ -215,6 +215,14 @@ class FeasibilityMatrices:
         }
 
 
+def json_default(value):
+    """`default=` of every json.dump of a report: reports keep their numpy
+    arrays, which JSON writes as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def build_feasibility(case, slack_gen=None):
     """Assemble F(delta) for the case (module docstring).  The slack is
     `slack_gen`, by default the first unit with p_min < p_max (unit 0 when

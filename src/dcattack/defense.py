@@ -88,7 +88,7 @@ from .errors import (GeometryError, PolicyVerificationError,
 # dual residual is above _REFINE_TOL, a hundredth of the gap it must certify:
 # two fixed passes once left a 7e-9 residual on ladder(480, 0) and failed the
 # round; verify_policy samples strictly inside the radius, ||delta||^2 <=
-# t (1 - _BALL_SHRINK)
+# t (1 - _BALL_SHRINK), checking rows in blocks of about _VERIFY_BLOCK margins
 _GAP_TOL = 1e-8
 _GROW_GAP = 1e-2
 _STEP = 0.99
@@ -96,6 +96,7 @@ _MAX_STEPS = 60
 _REFINE_TOL = 1e-10
 _MAX_PASSES = 4
 _BALL_SHRINK = 1e-6
+_VERIFY_BLOCK = 1 << 14
 
 
 @dataclass
@@ -117,7 +118,7 @@ class DefensePolicy:
         return {"t": self.t,
                 "binding_row": None if row is None else mats.row_labels[row],
                 "verified_samples": self.verified_samples,
-                "p0": self.p0.tolist(), "G": self.G.tolist(), **self.meta}
+                "p0": self.p0, "G": self.G, **self.meta}
 
 
 @dataclass
@@ -487,28 +488,37 @@ def verify_policy(mats, pol, samples=1000, seed=0):
     """Randomized soundness check: `samples` perturbations drawn uniformly in
     the ball ||delta||^2 <= t*(1 - _BALL_SHRINK), plus a deterministic probe
     along the binding row's own crossing direction.  Any violated row is a
-    hard error."""
+    hard error.  The rows meet the samples in blocks of about _VERIFY_BLOCK
+    margins, in row order, up to the first block with a violation, so the
+    error names the row and delta that a check of all rows at once would."""
     t = pol.t
     if not np.isfinite(t):
         t = 1e6 * (1.0 + float(np.max(np.abs(mats.c), initial=0.0))) ** 2
     r = np.sqrt(max(t, 0.0) * (1.0 - _BALL_SHRINK))
     n = mats.n_delta
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(samples, n))
+    deltas = np.empty((samples + 1, n))
+    u = deltas[:samples]
+    rng.standard_normal(out=u)
     u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-    radii = r * rng.random(samples) ** (1.0 / n)
-    deltas = u * radii[:, None]
+    u *= (r * rng.random(samples) ** (1.0 / n))[:, None]
+    kept = samples
     if pol.binding_row is not None and np.isfinite(pol.t) and pol.t > 0:
         d = mats.crossing(pol.p0, pol.G, pol.binding_row)
         if d is not None and np.linalg.norm(d) > 0:
-            deltas = np.vstack([deltas, (d / np.linalg.norm(d) * r)[None, :]])
-    viol = mats.margins(pol.p0)[:, None] + mats.directions(pol.G) @ deltas.T \
-        > lin_solve.FEAS_TOL
-    if np.any(viol):
-        row, col = np.argwhere(viol)[0]
-        raise PolicyVerificationError(
-            f"policy with t={pol.t:.6e} violates row "
-            f"{mats.row_labels[int(row)]} at delta={deltas[int(col)]}")
+            deltas[samples] = d / np.linalg.norm(d) * r
+            kept += 1
+    deltas = deltas[:kept]
+    margins, dirs = mats.margins(pol.p0), mats.directions(pol.G)
+    step = max(1, _VERIFY_BLOCK // (samples + 1))
+    for lo in range(0, mats.m, step):
+        viol = margins[lo:lo + step, None] + dirs[lo:lo + step] @ deltas.T \
+            > lin_solve.FEAS_TOL
+        if np.any(viol):
+            row, col = np.argwhere(viol)[0]
+            raise PolicyVerificationError(
+                f"policy with t={pol.t:.6e} violates row "
+                f"{mats.row_labels[lo + row]} at delta={deltas[col]}")
     pol.verified_samples = samples
     return samples
 

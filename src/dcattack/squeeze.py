@@ -5,9 +5,11 @@ distance, and every policy radius is a lower bound.  The lower bound is exact
 for affine policies (`defense.defense_local` solves the convex program), so
 the squeeze runs once: the policy SOCP within the wall-clock budget, one
 attack multistart seeded from the policy (`cross_feed`) within what is left
-of that budget, then sampled verification of the policy.  Both sides start
-from `FeasibilityMatrices.max_margin`, whose ModelError names a row when
-F(0) is empty; the defense solves it once for both (`DefensePolicy.nominal`).
+of that budget, then sampled verification of the policy (`verify_policy`
+checks the rows in blocks against one set of samples and stops at the first
+block with a violation).  Both sides start from
+`FeasibilityMatrices.max_margin`, whose ModelError names a row when F(0) is
+empty; the defense solves it once for both (`DefensePolicy.nominal`).
 A SolverError on one side keeps the other's certified bound, flagged: ub
 None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 
@@ -17,7 +19,8 @@ exact <= ub holds at every scale, is enforced at every append.  The attack's
 final certificate is the multistart's own, its mu re-verified at the
 inflated incumbent (1 + `attack._CERT_INFLATION`) delta (the feasibility
 LP's ray where mu fails).  The report keeps the attack's `summary()`, start
-and delta, not the ray, which stays on `AttackSolution.oracle_ray`.
+and delta, not the ray, which stays on `AttackSolution.oracle_ray`; delta,
+and the policy's p0 and G, stay numpy arrays until `to_dict()`.
 The multistart is handed lb, and stops once a certified attack meets it to
 1e-8 relative: the bracket is closed, and no further start could lower ub
 by more.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .attack import EPS, AttackConfig, multistart_attack
 from .defense import defense_local, verify_policy
-from .dc_model import build_feasibility
+from .dc_model import build_feasibility, json_default
 from .errors import AttackError, ModelError, SolverError
 
 
@@ -98,9 +101,15 @@ class BoundsReport:
             "flags": self.flags,
             "trace": [{"elapsed_s": e, "side": s, "value": v}
                       for e, s, v in self.trace],
-            "attack": self.attack,
-            "defense": self.defense,
+            "attack": _listed(self.attack),
+            "defense": _listed(self.defense),
         }
+
+
+def _listed(fields):
+    """A report dict, or None, with its arrays as JSON writes them."""
+    return fields and {k: json_default(v) if isinstance(v, np.ndarray) else v
+                       for k, v in fields.items()}
 
 
 def cross_feed(mats, defense_best):
@@ -167,7 +176,7 @@ def squeeze_run(case, config=None, mats=None):
         if not best_att.certified:
             raise ModelError("attack incumbent is not certified")
         report.attack = {**best_att.summary(), "start": best_att.start,
-                         "delta": best_att.delta.tolist()}
+                         "delta": best_att.delta}
     else:
         report.flags.append("no-certified-attack")
     if best_pol is not None:

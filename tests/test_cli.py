@@ -177,6 +177,60 @@ def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
     assert len(rows) >= 3
 
 
+def _listified(value):
+    """`value` with every numpy array in it, at any depth, as nested
+    lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _listified(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_listified(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("net", ["case5_pjm", "case14_ieee"])
+@pytest.mark.parametrize("command", ["attack", "defend", "squeeze"])
+def test_report_json_is_the_listified_report(command, net, tmp_path,
+                                             monkeypatch, capsys):
+    """Reports keep their numpy arrays until JSON is written: stdout and
+    --json are, byte for byte, the report with its arrays as lists."""
+    reports, real = [], cli._emit
+
+    def spy(report, args):
+        reports.append(report)
+        real(report, args)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    path = tmp_path / "report.json"
+    code, out = _run(capsys, [command, pglib_path(net), "--seed", "0",
+                              "--json", str(path)])
+    assert code == 0
+    text = json.dumps(_listified(reports[0]), indent=2) + "\n"
+    assert out == text and path.read_text() == text
+
+
+def test_table_json_is_the_listified_reports(tmp_path, monkeypatch, capsys):
+    reps, real = [], cli.squeeze_run
+
+    def spy(*args, **kw):
+        reps.append(real(*args, **kw))
+        return reps[-1]
+
+    monkeypatch.setattr(cli, "squeeze_run", spy)
+    paths = [pglib_path("case5_pjm"), pglib_path("case14_ieee")]
+    out = tmp_path / "table.json"
+    code, _out = _run(capsys, ["table", *paths, "--seed", "0",
+                               "--json", str(out)])
+    assert code == 0
+    text = out.read_text()
+    doc = {"schema": "dcattack-table/1",
+           "manifest": json.loads(text)["manifest"],
+           "runs": [{**_listified(rep.to_dict()), "path": path}
+                    for rep, path in zip(reps, paths)]}
+    assert text == json.dumps(doc, indent=2)
+
+
 def test_dump_matrices(desk2_m, tmp_path, capsys):
     path = tmp_path / "mats.json"
     code, _out = _run(capsys, ["defend", desk2_m,

@@ -15,6 +15,7 @@ line 1-2 rated 1.6, caps 3+1, loads 2.0/0.5):
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,3 +540,84 @@ def test_the_480_bus_ladder_converges_with_an_on_demand_refinement():
     assert pol.meta["stop"] == "converged" and pol.meta["rounds"] <= 3
     assert _check_dual(mats, pol) == []
     assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
+
+
+@pytest.fixture(scope="module", params=[(90, True), (240, False)],
+                ids=["D90_0", "L240_0"])
+def ladder_policy(request):
+    """(mats, verified policy) on ladder(90, 0, degenerate) (262 rows) and
+    ladder(240, 0) (816 rows): each has more rows than one block of the
+    sampled check holds at 1000 samples."""
+    n, degenerate = request.param
+    mats = build_feasibility(bench_ladder(n, 0, degenerate))
+    pol = defense_local(mats)
+    assert verify_policy(mats, pol, samples=1000, seed=0) == 1000
+    return mats, pol
+
+
+def _one_shot_message(mats, pol, samples, seed):
+    """The sampled check with every row against every sample at once, as
+    two m x (samples + 1) arrays: the message of the error it raises, or
+    None.  The draws are those of `verify_policy`."""
+    r = np.sqrt(pol.t * (1.0 - defense._BALL_SHRINK))
+    n = mats.n_delta
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(samples, n))
+    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
+    deltas = u * (r * rng.random(samples) ** (1.0 / n))[:, None]
+    d = mats.crossing(pol.p0, pol.G, pol.binding_row)
+    deltas = np.vstack([deltas, (d / np.linalg.norm(d) * r)[None, :]])
+    viol = mats.margins(pol.p0)[:, None] + mats.directions(pol.G) @ deltas.T \
+        > lin_solve.FEAS_TOL
+    if not np.any(viol):
+        return None
+    row, col = np.argwhere(viol)[0]
+    return (f"policy with t={pol.t:.6e} violates row "
+            f"{mats.row_labels[int(row)]} at delta={deltas[int(col)]}")
+
+
+@pytest.mark.parametrize("block", [defense._VERIFY_BLOCK, 300])
+@pytest.mark.parametrize("samples", [0, 7, 1000])
+@pytest.mark.parametrize("inflate", [1.05, 1.5, 4.0])
+def test_blocked_verification_names_the_one_shot_violation(
+        ladder_policy, inflate, samples, block, monkeypatch):
+    """The rows are checked in blocks, in row order, and the check stops at
+    the first block with a violation: the error names the row and the delta
+    that the check of every row at once names first, whatever the block."""
+    mats, pol = ladder_policy
+    bogus = DefensePolicy(pol.p0, pol.G, inflate * pol.t, pol.binding_row)
+    expected = _one_shot_message(mats, bogus, samples, seed=3)
+    assert expected is not None
+    monkeypatch.setattr(defense, "_VERIFY_BLOCK", block)
+    with pytest.raises(PolicyVerificationError) as err:
+        verify_policy(mats, bogus, samples=samples, seed=3)
+    assert str(err.value) == expected
+    assert bogus.verified_samples == 0
+
+
+def test_blocked_verification_passes_through_a_partial_last_block(
+        ladder_policy):
+    """1200 samples make blocks of 13 rows, which divide neither network's
+    row count, so the last block is partial."""
+    mats, pol = ladder_policy
+    samples = 1200
+    assert mats.m % (defense._VERIFY_BLOCK // (samples + 1)) != 0
+    assert _one_shot_message(mats, pol, samples, seed=5) is None
+    assert verify_policy(mats, pol, samples=samples, seed=5) == samples
+    assert pol.verified_samples == samples
+
+
+def test_blocked_verification_holds_less_than_one_margin_array(ladder_policy):
+    """The check never holds an m x (samples + 1) array of margins: the
+    traced peak over the call stays below the size of one, 6.5 MB on
+    ladder(240, 0) (816 rows, 1001 columns)."""
+    mats, pol = ladder_policy
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert verify_policy(mats, pol, samples=1000, seed=0) == 1000
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * mats.m * (1000 + 1)

@@ -7,7 +7,8 @@ move between numpy releases (`numpy._core` does not exist in numpy 1.23,
 which pyproject.toml admits), so skipping a wrapper through one trades a
 few microseconds for a broken import.  No public function or class goes
 uncalled unless an allow-list says why it stays, and no function binds a
-local name it never reads."""
+local name it never reads.  The attack, the defense and the squeeze call
+no `.tolist()`: their reports keep numpy arrays until JSON is written."""
 
 import ast
 import os
@@ -62,6 +63,28 @@ def test_the_reader_finds_both_relative_forms():
     `from .errors import ...`, squeeze `from .attack import ...`."""
     assert _package_imports("defense") == {"lin_solve", "errors"}
     assert {"attack", "defense", "dc_model"} <= _package_imports("squeeze")
+
+
+def _tolist_lines(source):
+    """The lines of `source` that call `.tolist()` on anything."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "tolist")
+
+
+def test_the_tolist_reader_skips_prose():
+    source = ('"""x.tolist() in a docstring"""\n'
+              "a = x.tolist()\n# y.tolist()\nb = f(x).T.tolist()\n")
+    assert _tolist_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("module", ["attack", "defense", "squeeze"])
+def test_reports_keep_their_arrays_until_json(module):
+    """The attack, the defense and the squeeze hand their arrays to the
+    reports as they are: JSON turns them into lists once, at the
+    boundary (`dc_model.json_default`)."""
+    assert _tolist_lines((SRC / f"{module}.py").read_text()) == []
 
 
 def _numpy_names(source):

@@ -1,6 +1,7 @@
 """Squeeze coordination tests (desk scale)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dcattack import attack, lin_solve, squeeze
 from dcattack.attack import AttackConfig, attack_local, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
-from dcattack.defense import defense_local
+from dcattack.defense import DefensePolicy, defense_local, verify_policy
 from dcattack.errors import ModelError, SolverError
 from dcattack.squeeze import (BoundsReport, SqueezeConfig, cross_feed,
                               squeeze_run)
@@ -127,12 +128,70 @@ def test_bundled_squeeze_closes_the_gap(name):
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta))
 
 
-def test_the_240_bus_ladder_closes():
+def _spy(monkeypatch, name):
+    """Replace squeeze.<name> by a wrapper; returns the list of its
+    results."""
+    real, results = getattr(squeeze, name), []
+
+    def spy(*args, **kw):
+        results.append(real(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(squeeze, name, spy)
+    return results
+
+
+def test_the_240_bus_ladder_closes(monkeypatch):
     """The only tier-1 squeeze that solves the policy SOCP at 240 buses;
-    its rounds stop to grow at a gap of 1e-2, so the steps stay few."""
-    rep = squeeze_run(bench_ladder(240, 0, False), SqueezeConfig(budget_s=60))
+    its rounds stop to grow at a gap of 1e-2, so the steps stay few.  Both
+    certificates re-check from the report: the Farkas multiplier at the
+    inflated delta, and the policy by a sampled check of its own.  The
+    squeeze's traced peak is about 9.4 MB; when the sampled check held all
+    816 x 1001 margins at once, it was 17.8 MB."""
+    mats = build_feasibility(bench_ladder(240, 0, False))
+    attacks = _spy(monkeypatch, "multistart_attack")
+    tracemalloc.start()
+    try:
+        rep = squeeze_run(mats.case, SqueezeConfig(budget_s=60), mats=mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.matched and rep.gap <= 2.1e-6 and rep.flags == []
     assert rep.defense["newton_steps"] <= 40
+    assert rep.lb <= rep.ub
+    delta = (1 + attack._CERT_INFLATION) * rep.attack["delta"]
+    lin_solve.normalize_farkas_ray(mats.A, mats.rhs(delta),
+                                   attacks[0].best.oracle_ray)
+    pol = DefensePolicy(rep.defense["p0"], rep.defense["G"], rep.lb,
+                        mats.row_labels.index(rep.defense["binding_row"]))
+    assert verify_policy(mats, pol, samples=1000, seed=1) == 1000
+    assert peak < 12e6
+
+
+def test_reports_keep_arrays_until_json(monkeypatch):
+    """The report's p0, G and delta are the policy's and the attack's own
+    float64 arrays; to_dict() turns every array into lists."""
+    attacks = _spy(monkeypatch, "multistart_attack")
+    policies = _spy(monkeypatch, "defense_local")
+    rep = squeeze_run(load_case(pglib_path("case14_ieee")),
+                      SqueezeConfig(seed=0))
+    pol, best = policies[0], attacks[0].best
+    for got, own in ((rep.defense["p0"], pol.p0), (rep.defense["G"], pol.G),
+                     (rep.attack["delta"], best.delta)):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == own.shape and got.tobytes() == own.tobytes()
+
+    def arrays(value):
+        if isinstance(value, dict):
+            return sum(arrays(v) for v in value.values())
+        if isinstance(value, (list, tuple)):
+            return sum(arrays(v) for v in value)
+        return int(isinstance(value, np.ndarray))
+
+    doc = rep.to_dict()
+    assert arrays(doc) == 0
+    assert doc["defense"]["G"] == pol.G.tolist()
+    assert doc["attack"]["delta"] == best.delta.tolist()
 
 
 def test_squeeze_with_no_budget_stays_sound(desk3):
@@ -158,18 +217,13 @@ def test_zero_distance_is_flagged():
 def _spied_squeeze(case, monkeypatch):
     """squeeze_run with the multistart's report captured and the ascents
     counted."""
-    reports, ascents = [], []
-    real_ms, real_local = squeeze.multistart_attack, attack.attack_local
-
-    def ms_spy(*args, **kw):
-        reports.append(real_ms(*args, **kw))
-        return reports[-1]
+    reports, ascents = _spy(monkeypatch, "multistart_attack"), []
+    real_local = attack.attack_local
 
     def local_spy(*args, **kw):
         ascents.append(1)
         return real_local(*args, **kw)
 
-    monkeypatch.setattr(squeeze, "multistart_attack", ms_spy)
     monkeypatch.setattr(attack, "attack_local", local_spy)
     rep = squeeze_run(case, SqueezeConfig(seed=0))
     monkeypatch.undo()

@@ -25,19 +25,23 @@ certifies.
 
 A pool of vertices per network.  The P-LPs differ only in their objective,
 so every optimal basis is primal feasible for every later one and can
-start it.  `multistart_attack` builds P's rows and an empty pool once per
-network, and `attack_local` fills it with every optimal step's B^T mu, a
-row of one array, and its basis, carried with its inverse
-(`lin_solve.WarmStart`).  Every P-LP shares P's A_eq and b_eq arrays
-(`LpProblem.with_objective`), so a pooled basis re-enters `lp_solve`
-without re-proof: no factorization and no inverse check, only the
-feasibility and residual checks of x_B.  The first start's first step
-starts from P's crash basis (`FeasibilityMatrices.crash_basis`); a later
-start's first step maximizes g^T B^T mu, so it warm-starts from the pooled
-vertex that one product of that array with g scores highest (the earliest
-on ties), and each later step from its own previous one.  A unique optimum
-does not depend on the starting basis, but the reported best start may
-change among starts whose norms tie to rounding.
+start it.  All of them, the nominal max-margin LP (max 1^T mu,
+`FeasibilityMatrices.max_margin`) included, pose their objective on P's
+arrays (`FeasibilityMatrices.polytope`, built once per network), so a
+pooled basis, carried with its inverse (`lin_solve.WarmStart`), re-enters
+`lp_solve` without re-proof: only the checks of x_B.  `multistart_attack`
+opens the pool with the max-margin LP's vertex, its B^T mu a row of one
+array beside its basis, and `attack_local` adds every optimal step.  A
+start's first step warm-starts from the pooled vertex that one product of
+that array with its objective scores highest (the earliest on ties), and
+a later step too when that vertex scores above the current vertex's value
+v, else from its own basis.  Only with no pooled vertex (a bare
+`attack_local`, or after the max-margin LP's fallback over Q) does a first
+step start from P's crash basis (`FeasibilityMatrices.crash_basis`), and
+until some ascent has pooled a vertex a first step ignores the deadline,
+so a multistart's first start always reaches one.  A unique optimum does
+not depend on the starting basis, but the reported best start may change
+among starts whose norms tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -162,17 +166,9 @@ def fixed_dispatch_lb(mats, p0):
     return float(per[row]), start
 
 
-def _polytope(mats):
-    """P's rows as an LpProblem with a zero objective:
-    [A^T; -c^T] mu = [0; 1], mu >= 0 (n_reduced + 1 rows)."""
-    return lin_solve.LpProblem(c=np.zeros(mats.m),
-                               A_eq=np.vstack([mats.A.T, -mats.c[None, :]]),
-                               b_eq=np.eye(mats.n_reduced + 1)[-1])
-
-
-def _p_lp(mats, P, g, basis, deadline=None):
-    """max (B g)^T mu over P (`_polytope(mats)`, built once per network), as
-    min -(B g)^T mu over its rows, from `basis` (`lp_solve`'s warm start).
+def _p_lp(mats, g, basis, deadline=None):
+    """max (B g)^T mu over P (`mats.polytope`), as min -(B g)^T mu over its
+    rows, from `basis` (`lp_solve`'s warm start).
     Returns (mu, value, optimal basis with its inverse), with mu clipped at
     0: a basic value may sit up to FEAS_TOL below its bound, and the
     reported mu is that vertex scaled up by EPS / 1e-6.  Without an optimum,
@@ -183,7 +179,8 @@ def _p_lp(mats, P, g, basis, deadline=None):
         # P is empty: its one row -c^T mu = 1 has no solution mu >= 0
         ray = (np.arange(mats.m) == np.argmax(bg)).astype(float)
     else:
-        res = lin_solve.lp_solve(P.with_objective(-bg), basis, deadline)
+        res = lin_solve.lp_solve(mats.polytope.with_objective(-bg), basis,
+                                  deadline)
         if res.status == lin_solve.OPTIMAL:
             return np.maximum(res.x, 0.0), -res.objective, res.warm
         ray = res.ray
@@ -206,11 +203,15 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=()):
 
 
 class _Pool:
-    """The vertices that optimal P-LPs reached on one network: each one's
-    B^T mu as a row of one array, beside its basis."""
+    """The vertices of P known on one network: each one's B^T mu as a row of
+    one array, beside its basis; the first `seeds`, the max-margin LP's,
+    came from no ascent."""
 
-    def __init__(self, n_delta):
+    def __init__(self, n_delta, seed=None):
         self.gw, self.bases = np.empty((16, n_delta)), []
+        if seed is not None:
+            self.add(*seed)
+        self.seeds = len(self.bases)
 
     def add(self, gw, basis):
         if len(self.bases) == len(self.gw):      # double the capacity
@@ -218,25 +219,24 @@ class _Pool:
         self.gw[len(self.bases)] = gw
         self.bases.append(basis)
 
-    def best(self, g):
+    def best(self, g, floor=-np.inf):
         """The basis whose vertex scores highest on g^T B^T mu, the earliest
-        on ties, or None from an empty pool."""
-        k = len(self.bases)
-        return self.bases[int(np.argmax(self.gw[:k] @ g))] if k else None
+        on ties, when that score is above `floor`; else None, as from an
+        empty pool."""
+        scores = self.gw[:len(self.bases)] @ g
+        if scores.size and scores.max() > floor:
+            return self.bases[int(np.argmax(scores))]
+        return None
 
 
-def attack_local(mats, init_delta, start="", pool=None, deadline=None,
-                 P=None):
+def attack_local(mats, init_delta, start="", pool=None, deadline=None):
     """One ascent on P from a start direction (module docstring).  `pool`,
-    a `_Pool`, holds every optimal P-LP solved so far on this network: the
-    first step warm-starts from the pooled basis whose vertex scores highest
-    on that step's objective, and every optimal step of this ascent is
-    added.  `deadline`, a time.monotonic() value, is checked between steps
-    and inside each step's LP, and an expired one returns the current
-    vertex; a first step from an empty pool (from the crash basis) ignores
-    it, so a multistart always has a vertex.  `P` is `_polytope(mats)`,
-    built here when not given.  A step without an optimum ends the ascent
-    on its ray (module docstring).
+    a `_Pool`, holds the vertices of P known on this network, from which
+    the steps warm-start, and gains every optimal step of this ascent.
+    `deadline`, a time.monotonic() value, is checked between steps and
+    inside each step's LP, and an expired one returns the current vertex; a
+    first step ignores it until some ascent has pooled a vertex.  A step
+    without an optimum ends the ascent on its ray (module docstring).
 
     Raises RestartSignal when no multiplier in P separates any point along
     the start direction (F never closes along it), and DeadlineSignal when
@@ -245,19 +245,19 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
     g = np.asarray(init_delta, float)
     if not np.any(g):
         raise RestartSignal("zero start direction")
-    P = _polytope(mats) if P is None else P
     pool = _Pool(mats.n_delta) if pool is None else pool
 
     def step(g, basis, deadline):
-        mu, value, basis = _p_lp(mats, P, g, basis, deadline)
+        mu, value, basis = _p_lp(mats, g, basis, deadline)
         gw = mats.B.T @ mu
         if basis is not None:
             pool.add(gw, basis)
         return mu, gw, value, basis
 
     warm = pool.best(g)
-    first = (mats.crash_basis(), None) if warm is None else (warm, deadline)
-    mu, gw, value, basis = step(g, *first)
+    mu, gw, value, basis = step(
+        g, mats.crash_basis() if warm is None else warm,
+        deadline if len(pool.bases) > pool.seeds else None)
     if value <= 0:
         raise RestartSignal("feasible set never closes along this direction")
 
@@ -274,8 +274,9 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
         if deadline is not None and time.monotonic() >= deadline:
             status = "deadline"
             break
+        warm = pool.best(gw, floor=v)
         try:
-            nxt = step(gw, basis, deadline)
+            nxt = step(gw, basis if warm is None else warm, deadline)
         except DeadlineSignal:
             status = "deadline"
             break
@@ -290,11 +291,12 @@ def attack_local(mats, init_delta, start="", pool=None, deadline=None,
 def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None, nominal=None):
     """Run attack_local from the caller's `extra_directions`, then the
-    fixed-dispatch start at `nominal` or `mats.max_margin()` (ModelError
-    when F(0) is empty), uniform growth and seeded random starts (the
-    first P-LP crash-started, the rest pooled); a direction that is zero,
+    fixed-dispatch start at the max-margin dispatch, uniform growth and
+    seeded random starts; a direction that is zero,
     of the wrong size or not finite is dropped, and the others are scaled
-    by a power of two, so a direction's scale changes nothing.  A candidate
+    by a power of two, so a direction's scale changes nothing.  `nominal`
+    is a `mats.max_margin()` result, solved here when None (ModelError when
+    F(0) is empty), whose vertex opens the pool.  A candidate
     below the certified incumbent's norm, or any while there is none, is
     certified from its own mu (`certify_infeasible`) as its start ends and
     becomes the incumbent, with `oracle_ray` its mu / 1^T mu or the
@@ -315,8 +317,8 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     noted "closed".  A refuted candidate stops nothing."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
     cfg = config or AttackConfig()
-    lb0, binding = fixed_dispatch_lb(
-        mats, mats.max_margin() if nominal is None else nominal)
+    p_nom, res = mats.max_margin() if nominal is None else nominal
+    lb0, binding = fixed_dispatch_lb(mats, p_nom)
     close_at = -np.inf if lb is None else \
         (1.0 + _INFLATE) ** 2 * lb * (1.0 + _CLOSE_TOL)
 
@@ -335,7 +337,8 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
             kept.append((label, np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])))
     starts = kept
 
-    P, pool = _polytope(mats), _Pool(mats.n_delta)
+    pool = _Pool(mats.n_delta, None if res is None else
+                 (mats.B.T @ np.maximum(res.x, 0.0), res.warm))
     notes, refuted, best = [], [], None
     for i, (label, direction) in enumerate(starts):
         note = {"start": label, "status": "skipped"}
@@ -345,7 +348,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
             note["reason"] = "deadline"
         else:
             try:
-                sol = attack_local(mats, direction, label, pool, deadline, P)
+                sol = attack_local(mats, direction, label, pool, deadline)
             except RestartSignal as exc:
                 note.update(status="restart", reason=str(exc))
             except DeadlineSignal:

@@ -31,10 +31,15 @@ of this formula; only `attack.fixed_dispatch_lb` adds a tight-row rule.
 No bound depends on generator costs, so the one nominal point is
 `FeasibilityMatrices.max_margin`, the dispatch of F(0) with the largest
 margin: the attack and the defense start there, and its LP checks F(0).
+That LP is posed over the attack's Farkas polytope P
+(`FeasibilityMatrices.polytope`), so its optimal vertex also starts the
+attack's ascents.
 """
 
-import numpy as np
+import functools
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import lin_solve
 from .errors import ModelError, PreconditionError
@@ -133,17 +138,41 @@ class FeasibilityMatrices:
         up, lo = self.unit_rows()
         return np.append(up, lo[np.argmax(-self.c[up] - self.c[lo])])
 
+    @functools.cached_property
+    def polytope(self):
+        """The attack's Farkas polytope P = {mu >= 0 : A^T mu = 0,
+        -c^T mu = 1} as an LpProblem with a zero objective, built once:
+        every LP over P poses its objective on these very arrays, so an
+        optimal basis over P re-enters `lin_solve.lp_solve` without
+        re-proof."""
+        return lin_solve.LpProblem(
+            c=np.zeros(self.m), A_eq=np.vstack([self.A.T, -self.c[None, :]]),
+            b_eq=np.eye(self.n_reduced + 1)[-1])
+
     def max_margin(self):
-        """F(0)'s max-margin dispatch, min m s.t. a_i^T p + c_i <= m, by
-        `lin_solve.check_feasible` from `crash_basis()`; ModelError naming
-        the heaviest row of the Farkas ray when F(0) is empty."""
-        ok, p, ray = lin_solve.check_feasible(self.A, self.rhs(),
-                                              self.crash_basis())
+        """(p, res): F(0)'s max-margin dispatch p, min m s.t. a_i^T p + c_i
+        <= m, and res, the optimal `LpResult` of max 1^T mu over P from
+        `crash_basis()`, whose vertex starts the attack's ascents.  That LP
+        is the dual of max tau s.t. a_i^T x - c_i tau <= -1, so 1^T mu* is
+        1 / t* for the largest margin t*, and p = -x / tau, re-checked
+        against every row as `lin_solve.check_feasible`'s witness is.
+        Without a movable unit, or when the LP is unbounded (exactly when
+        F(0) has no interior point), `check_feasible` over Q decides from
+        the same basis, with res None: ModelError naming the heaviest row
+        of its Farkas ray when F(0) is empty."""
+        rhs, crash = self.rhs(), self.crash_basis()
+        if self.n_reduced:
+            res = lin_solve.lp_solve(
+                self.polytope.with_objective(-np.ones(self.m)), crash)
+            if res.status == lin_solve.OPTIMAL:
+                return lin_solve.checked_witness(
+                    self.A, rhs, res.y[:-1] / -res.y[-1]), res
+        ok, p, ray = lin_solve.check_feasible(self.A, rhs, crash)
         if not ok:
             worst = self.row_labels[int(np.argmax(ray))]
             raise ModelError("max-margin LP: no dispatch satisfies the nominal "
                              f"constraints (Farkas ray heaviest on {worst})")
-        return p
+        return p, None
 
     def margins(self, p_hat, delta=None):
         """A p + B delta + c, the reduced-system row margins."""

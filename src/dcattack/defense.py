@@ -111,7 +111,9 @@ class DefensePolicy:
     # rounding (A^T y = 0, c^T y = -1, A^T W = 0, ||w_i|| <= y_i), so
     # -<W, B> <= lambda for every policy; None when no dual iterate made one
     dual: tuple = None
-    nominal: np.ndarray = None   # the max-margin dispatch it started from
+    # the `mats.max_margin()` result it started from, (p, res); the squeeze
+    # hands it to the multistart, whose pool opens with res's vertex
+    nominal: tuple = None
 
     def summary(self, mats):
         row = self.binding_row
@@ -149,10 +151,12 @@ def t_tilde(mats, p0, G):
     return float(per[row]), row
 
 
-def warm_start_defense(mats):
-    """`mats.max_margin()` (ModelError when F(0) is empty), G = 0 and that
-    dispatch's fixed-dispatch radius."""
-    p, G0 = mats.max_margin(), np.zeros((mats.n_reduced, mats.n_delta))
+def warm_start_defense(mats, nominal=None):
+    """The max-margin dispatch p of `nominal`, a `mats.max_margin()` result
+    solved here when None (ModelError when F(0) is empty), G = 0 and p's
+    fixed-dispatch radius."""
+    p, G0 = (mats.max_margin() if nominal is None else nominal)[0], \
+        np.zeros((mats.n_reduced, mats.n_delta))
     return p, G0, t_tilde(mats, p, None)[0]
 
 
@@ -446,7 +450,8 @@ def defense_local(mats, budget_s=None):
     """The best affine policy, by the primal-dual SOCP solve of the module
     docstring, on generated rows.
 
-    Starts from `warm_start_defense`.  `budget_s` bounds the wall time of the
+    Starts from `warm_start_defense` at `mats.max_margin()`, kept as the
+    policy's `nominal`.  `budget_s` bounds the wall time of the
     interior-point loop and its rounds; on expiry the best iterate so far is
     returned.  meta, built here and filled by `_socp_on_rows` and `_socp`,
     holds "t_init", the warm start's fixed-dispatch radius; "stop", why the
@@ -464,7 +469,8 @@ def defense_local(mats, budget_s=None):
     rounds were cut; "deadline", whether the deadline ended the solve; and
     "stalled", whether the policy is no better than the warm start."""
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    p_w, G0, t_init = warm_start_defense(mats)
+    nominal = mats.max_margin()
+    p_w, G0, t_init = warm_start_defense(mats, nominal)
     meta = {"t_init": t_init, "stop": "no-interior", "newton_steps": 0,
             "solves": 0, "gap": None, "rows": 0, "rounds": 0}
     p0, G, dual = p_w, G0, None
@@ -481,7 +487,7 @@ def defense_local(mats, budget_s=None):
             f"{meta['lambda'] ** -2:.9e} at row {mats.row_labels[row]}")
     meta["stalled"] = not t > t_init
     return DefensePolicy(p0, G, float(t), row, meta=meta, dual=dual,
-                         nominal=p_w)
+                         nominal=nominal)
 
 
 def verify_policy(mats, pol, samples=1000, seed=0):

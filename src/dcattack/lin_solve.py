@@ -5,8 +5,9 @@ geometry, radii and crossing points, lives in `dc_model`):
 
     min c^T x  s.t.  A_eq x = b_eq,  x >= 0.
 
-Dense numpy throughout: the target systems (reduced DC-OPF polytopes) stay
-below ~500 rows, where an explicit basis inverse with periodic
+Dense numpy throughout: every LP is posed in a wide form (below) whose
+basis has n_reduced + 1 rows, 192 on a 960-bus network whose reduced
+system has 3,264 rows, where an explicit basis inverse with periodic
 refactorization is fast enough and easy to audit.
 
 Every LP the package poses has a primal feasible basis by construction, so
@@ -39,11 +40,14 @@ The reduced polytope A p <= rhs is tall: m rows against n_reduced columns
 (408 against 23 on a 120-bus network), and a simplex basis is as large as the
 row count.  So every LP is posed in the wide multiplier form
 min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0, whose basis has only
-n_reduced + 1 rows, for the two callers of `lp_solve`: the attack's steps
-over the Farkas polytope (`attack._p_lp`) and the feasibility probe
-(`check_feasible`, which also finds the max-margin nominal dispatch).
-Primal points are read off the equality duals y and re-checked against the
-rows; Farkas rays are the multipliers themselves.
+n_reduced + 1 rows.  There are two such forms.  The Farkas polytope P
+(`dc_model.FeasibilityMatrices.polytope`, r = -c) carries the hot path:
+the max-margin nominal LP and every step of the attack (`attack._p_lp`).
+The feasibility probe's Q (`check_feasible`, r = 1) is a fallback only:
+for the max-margin LP when the LP over P has no optimum or there is no
+movable unit, and for certification when an attack's own multiplier
+fails.  Primal points are read off the equality duals y and
+re-checked against the rows; Farkas rays are the multipliers themselves.
 
 Start basis.  The basis comes in one of two kinds.  A bare array of M
 column indices is accepted only when its indices are in range and
@@ -356,6 +360,15 @@ def scaled_tol(rhs):
     return FEAS_TOL * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
 
 
+def checked_witness(rows, rhs, x):
+    """x, a point read off an LP's duals, once it meets rows x <= rhs to
+    `scaled_tol(rhs)`; SolverError with the worst violation otherwise."""
+    worst = float(np.max(rows @ x - rhs))
+    if worst > scaled_tol(rhs):
+        raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
+    return x
+
+
 def check_feasible(rows, rhs, basis):
     """Feasibility of {x : rows @ x <= rhs} with x free, in the wide form
 
@@ -382,11 +395,6 @@ def check_feasible(rows, rhs, basis):
     res = lp_solve(prob, basis)
     if res.status != OPTIMAL:
         raise SolverError(f"feasibility probe returned {res.status}")
-    tol = scaled_tol(rhs)
-    if res.objective < -tol:
+    if res.objective < -scaled_tol(rhs):
         return False, None, normalize_farkas_ray(rows, rhs, res.x)
-    x = res.y[:n]
-    worst = float(np.max(rows @ x - rhs))
-    if worst > tol:
-        raise SolverError(f"feasibility witness violates a row by {worst:.3e}")
-    return True, x, None
+    return True, checked_witness(rows, rhs, res.y[:n]), None

@@ -9,7 +9,9 @@ of that budget, then sampled verification of the policy (`verify_policy`
 checks the rows in blocks against one set of samples and stops at the first
 block with a violation).  Both sides start from
 `FeasibilityMatrices.max_margin`, whose ModelError names a row when F(0) is
-empty; the defense solves it once for both (`DefensePolicy.nominal`).
+empty; the defense solves it once for both and hands it over as
+`DefensePolicy.nominal`: the dispatch, and the LP over P with its optimal
+basis, whose vertex seeds the multistart's pool.
 A SolverError on one side keeps the other's certified bound, flagged: ub
 None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 

@@ -18,7 +18,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import attack, lin_solve
-from dcattack.attack import (AttackConfig, _p_lp, _polytope, _Pool,
+from dcattack.attack import (AttackConfig, _p_lp, _Pool,
                              attack_local, certify_infeasible,
                              fixed_dispatch_lb, multistart_attack)
 from dcattack.case_ingest import build_case, load_case
@@ -182,7 +182,7 @@ def test_fixed_lb_bounds_every_certified_attack(desk2, desk2_limited, desk3):
 def _boundary(mats):
     """A dispatch on the boundary of F(0): from the max-margin one, every
     movable unit down (the slack up), along the face of each row met."""
-    return oracle_utils.boundary_dispatch(mats, mats.max_margin(),
+    return oracle_utils.boundary_dispatch(mats, mats.max_margin()[0],
                                           -np.ones(mats.n_reduced))
 
 
@@ -255,12 +255,11 @@ def test_p_steps_match_scipy(bundled_mats):
     """Each step of an ascent, from the crash basis or warm-started from the
     previous step's basis, reaches scipy's optimum over P at a point of P."""
     mats = bundled_mats
-    P = _polytope(mats)
     rng = np.random.default_rng(5)
     for _ in range(3):
         g, basis = rng.normal(size=mats.n_delta), mats.crash_basis()
         for _step in range(4):
-            mu, value, basis = _p_lp(mats, P, g, basis)
+            mu, value, basis = _p_lp(mats, g, basis)
             assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
                                           rel=1e-9, abs=1e-12)
             assert float(mats.B.T @ mu @ g) == pytest.approx(value, rel=1e-9)
@@ -288,9 +287,10 @@ def test_ascent_ends_at_a_fixed_point_on_its_ray_boundary(bundled_mats):
 
 
 def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
-    """The network's one P-LP without a pooled basis, its first, starts
-    from `crash_basis()`, which the start checks accept; every later one
-    starts from a pooled or a previous step's optimum."""
+    """The network's one P-LP without a pooled basis, its first, the
+    max-margin LP, starts from `crash_basis()`, which the start checks
+    accept; every later one starts from a pooled or a previous step's
+    optimum."""
     given = []
     solve = lin_solve.lp_solve
 
@@ -310,15 +310,62 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
                for _p, basis in given[1:])
 
 
+def test_ladder_attack_pricing_pass_budget(monkeypatch):
+    """Regression guard on the benchmark's `ladder-attack` networks of seed
+    0 (30, 60 and 120 buses, five load snapshots each): the bare
+    multistart, restarts 5 and seed 0, takes at most 5,500 pricing passes
+    over all of them (6,326 when the max-margin LP was posed over Q and
+    every start climbed P from the crash basis), and never probes Q.  On
+    each network the pool's first entry is the max-margin LP's vertex,
+    and the fixed-dispatch start's first P-LP enters from its basis."""
+    passes, probes, p_lps, firsts, pools = [0], [], [], {}, []
+    real_solve, real_local = lin_solve.lp_solve, attack.attack_local
+
+    def solve_spy(prob, basis=None, deadline=None):
+        res = real_solve(prob, basis=basis, deadline=deadline)
+        passes[0] += res.iterations
+        p_lps.append((prob, basis, res))
+        return res
+
+    def local_spy(mats, g, label, pool, *rest):
+        firsts[label] = len(p_lps)
+        pools.append(pool)
+        return real_local(mats, g, label, pool, *rest)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(lin_solve, "check_feasible",
+                        lambda *a, **k: probes.append(1))
+    monkeypatch.setattr(attack, "attack_local", local_spy)
+    for n in (30, 60, 120):
+        for s in range(5):
+            mats = build_feasibility(bench_ladder(n, s, False))
+            p_lps.clear()
+            pools.clear()
+            rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+            assert rep.best.certified
+            prob, crash, res = p_lps[0]
+            assert prob.A_eq is mats.polytope.A_eq and np.all(prob.c == -1.0)
+            np.testing.assert_array_equal(crash, mats.crash_basis())
+            pool = pools[0]
+            assert pool.seeds == 1 and pool.bases[0] is res.warm
+            np.testing.assert_array_equal(
+                pool.gw[0], mats.B.T @ np.maximum(res.x, 0.0))
+            assert p_lps[firsts["binding-row"]][1] is res.warm
+    assert not probes
+    assert passes[0] <= 5500
+
+
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60",))
 def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
-    """The pool holds every optimal P-LP solved on the network.  The first
-    start's first P-LP starts from the crash basis, which the start checks
-    accept; each later start's first P-LP gets the pooled basis whose
-    vertex scores highest on that LP's objective, g^T B^T mu, the earliest
-    on ties; every pooled basis passes the start checks; and
-    each start reaches the norm that its ascent reaches alone from the
-    first P-LP's basis."""
+    """The pool holds the max-margin LP's vertex, the network's first P-LP
+    and the one from the crash basis, which the start checks accept, and
+    then every optimal P-LP of the ascents.  Each start's first P-LP gets
+    the pooled basis whose vertex scores highest on that LP's objective,
+    g^T B^T mu, the earliest on ties; each later step gets that basis only
+    when it scores above the step's own vertex's value v, and else its own
+    previous one; every pooled basis passes the start checks; and each
+    start reaches the norm that its ascent reaches alone from a pool that
+    holds the max-margin vertex alone."""
     case = bench_ladder(60, 0, False) if net == "ladder60" \
         else load_case(pglib_path(net))
     mats = build_feasibility(case)
@@ -327,8 +374,7 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
 
     def solve_spy(prob, basis=None, deadline=None):
         res = real_solve(prob, basis=basis, deadline=deadline)
-        if prob.A_eq.shape[0] == mats.n_reduced + 1 \
-                and np.array_equal(prob.A_eq[-1], -mats.c):
+        if prob.A_eq is mats.polytope.A_eq:
             p_lps.append((prob, basis, res))
         return res
 
@@ -344,39 +390,51 @@ def test_each_start_warm_starts_from_the_best_pooled_vertex(net, monkeypatch):
     monkeypatch.undo()
 
     def entry(res):
-        return mats.B.T @ np.maximum(res.x, 0.0), res.warm.basis
+        return mats.B.T @ np.maximum(res.x, 0.0), res.warm
 
-    assert starts[0][2] == 0
-    np.testing.assert_array_equal(p_lps[0][1], mats.crash_basis())
-    lin_solve._Simplex(p_lps[0][0], p_lps[0][1])
+    def pooled(j):
+        """The pool as the j-th P-LP found it."""
+        return [entry(res) for _prob, _basis, res in p_lps[:j]
+                if res.status == lin_solve.OPTIMAL]
 
-    def origin():
-        """A pool that holds the first P-LP's vertex alone."""
-        pool = _Pool(mats.n_delta)
-        pool.add(*entry(p_lps[0][2]))
-        return pool
-
+    mm_prob, crash, _res = p_lps[0]
+    assert starts[0][2] == 1 and np.all(mm_prob.c == -1.0)
+    np.testing.assert_array_equal(crash, mats.crash_basis())
+    lin_solve._Simplex(mm_prob, crash)
     for prob, _basis, res in p_lps:
         if res.warm is not None:
             lin_solve._Simplex(prob, res.warm.basis)
-    picked = []
-    for i, (g, label, first, out) in enumerate(starts):
-        if i:
-            before = [entry(res) for _prob, _basis, res in p_lps[:first]
-                      if res.status == lin_solve.OPTIMAL
-                      and res.warm is not None]
-            k = int(np.argmax([float(g @ gw) for gw, _basis in before]))
-            np.testing.assert_array_equal(p_lps[first][1].basis, before[k][1])
-            picked.append(k)
+    picked, floored = [], 0
+    ends = [first for _g, _l, first, _o in starts[1:]] + [len(p_lps)]
+    for (g, label, first, out), end in zip(starts, ends):
+        before = pooled(first)
+        k = int(np.argmax([float(g @ gw) for gw, _warm in before]))
+        np.testing.assert_array_equal(p_lps[first][1].basis,
+                                      before[k][1].basis)
+        picked.append(k)
+        for j in range(first + 1, end):
+            gw = entry(p_lps[j - 1][2])[0]
+            v = float(gw @ gw)
+            scores = [float(gw @ other) for other, _warm in pooled(j)]
+            k = int(np.argmax(scores))
+            if scores[k] > v * (1.0 + 1e-12):
+                np.testing.assert_array_equal(p_lps[j][1].basis,
+                                              pooled(j)[k][1].basis)
+                floored += 1
+            elif scores[k] < v * (1.0 - 1e-12):
+                np.testing.assert_array_equal(p_lps[j][1].basis,
+                                              p_lps[j - 1][2].warm.basis)
+        seed = _Pool(mats.n_delta, entry(p_lps[0][2]))
         if out is None:         # the start raised RestartSignal
             with pytest.raises(RestartSignal):
-                attack_local(mats, g, label, origin())
+                attack_local(mats, g, label, seed)
         else:
-            alone = attack_local(mats, g, label, origin())
+            alone = attack_local(mats, g, label, seed)
             assert alone.norm_sq == pytest.approx(out.norm_sq, rel=1e-9)
-    assert len(picked) == len(starts) - 1 >= 6
-    # on case24 the first vertex scores highest for every later start
+    assert len(picked) == len(starts) >= 7 and picked[0] == 0
+    # on case24 the max-margin vertex scores highest for every start
     assert any(picked) or net == "case24_ieee_rts"
+    assert floored or net != "ladder60"
 
 
 @pytest.mark.parametrize("fill", ["inf", "nan", "mixed"])
@@ -423,12 +481,11 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
     """Two pooled vertices with the same score: the first step warm-starts
     from the one pooled first, whichever order the pool has."""
     mats = build_feasibility(load_case(pglib_path("case14_ieee")))
-    P = _polytope(mats)
     rng = np.random.default_rng(3)
     crash = mats.crash_basis()
-    bases = [_p_lp(mats, P, rng.normal(size=mats.n_delta), crash)[2]]
+    bases = [_p_lp(mats, rng.normal(size=mats.n_delta), crash)[2]]
     while len(bases) < 2:
-        basis = _p_lp(mats, P, rng.normal(size=mats.n_delta), crash)[2]
+        basis = _p_lp(mats, rng.normal(size=mats.n_delta), crash)[2]
         bases += [] if np.array_equal(basis.basis, bases[0].basis) else [basis]
     given, real = [], lin_solve.lp_solve
 
@@ -443,7 +500,7 @@ def test_pool_ties_go_to_the_earliest_entry(monkeypatch):
         pool = _Pool(mats.n_delta)
         for basis in order:
             pool.add(score, basis)
-        attack_local(mats, np.ones(mats.n_delta), "", pool, P=P)
+        attack_local(mats, np.ones(mats.n_delta), "", pool)
         np.testing.assert_array_equal(given[0].basis, order[0].basis)
 
 
@@ -585,9 +642,9 @@ def test_the_reported_start_is_noted_certified(kind):
 
 def test_only_a_candidate_that_lowers_the_incumbent_is_certified(monkeypatch):
     """On the 30-bus ladder, one certification runs per candidate that
-    lowers the incumbent, and none for the rest.  Network seed 2: the
-    fixed-dispatch start's first candidate is lowered once more."""
-    mats = build_feasibility(bench_ladder(30, 2, False))
+    lowers the incumbent, and none for the rest.  Network seed 4: a random
+    start lowers the fixed-dispatch start's candidate."""
+    mats = build_feasibility(bench_ladder(30, 4, False))
     calls = _spy_certification(monkeypatch)
     rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
     lowerings = _incumbent_lowerings(rep)
@@ -602,9 +659,9 @@ def test_a_refused_smallest_candidate_leaves_the_smallest_that_certifies(
     """The smallest candidate arrives after a certified one and its
     certificate is refused: it is noted refuted, and the reported attack is
     the smallest candidate that certifies, the earliest on ties.  On the
-    30-bus ladder of network seed 2, for multistart seeds 0 and 1, a
+    30-bus ladder of network seed 4, for multistart seeds 0 and 1, a
     random start lowers the fixed-dispatch start's candidate."""
-    mats = build_feasibility(bench_ladder(30, 2, False))
+    mats = build_feasibility(bench_ladder(30, 4, False))
     cfg = AttackConfig(restarts=5, seed=seed)
     clean = _incumbent_lowerings(multistart_attack(mats, cfg))
     assert len(clean) >= 2
@@ -632,15 +689,16 @@ def test_a_refused_smallest_candidate_leaves_the_smallest_that_certifies(
 
 
 def test_p_is_built_once_per_network(monkeypatch):
-    """Every step over P, in every start, is handed the same constraint
-    matrix, and the kernel solves over that very array."""
+    """P's rows are built once per network, as `mats.polytope`: the
+    max-margin LP and every step over P, in every start and in a second
+    multistart, solve over that very array."""
     mats = build_feasibility(load_case(pglib_path("case24_ieee_rts")))
     steps, solved = [], []
     real_step, real_solve = attack._p_lp, lin_solve.lp_solve
 
-    def step_spy(mats, P, g, basis, deadline=None):
-        steps.append(P.A_eq)
-        return real_step(mats, P, g, basis, deadline)
+    def step_spy(mats, g, basis, deadline=None):
+        steps.append(1)
+        return real_step(mats, g, basis, deadline)
 
     def solve_spy(prob, basis=None, deadline=None):
         if np.array_equal(prob.A_eq[-1], -mats.c):
@@ -649,9 +707,11 @@ def test_p_is_built_once_per_network(monkeypatch):
 
     monkeypatch.setattr(attack, "_p_lp", step_spy)
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
-    multistart_attack(mats, AttackConfig(restarts=3, seed=4))
-    assert len(steps) > 5 and len(solved) == len(steps)
-    assert all(a is steps[0] for a in steps + solved)
+    P = mats.polytope
+    for _ in range(2):
+        multistart_attack(mats, AttackConfig(restarts=3, seed=4))
+    assert len(steps) > 10 and len(solved) == len(steps) + 2
+    assert all(a is P.A_eq for a in solved) and mats.polytope is P
 
 
 def _closing_inputs(mats):

@@ -8,7 +8,7 @@ from dcattack import lin_solve
 from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility, build_ptdf
-from dcattack.defense import defense_local, warm_start_defense
+from dcattack.defense import defense_local
 from dcattack.errors import ModelError, PreconditionError
 from dcattack.lin_solve import FEAS_TOL
 
@@ -110,30 +110,86 @@ def test_reduction_matches_direct_model_single_gen(desk2_single):
                                    atol=1e-12)
 
 
-def test_max_margin_matches_scipy_on_bundled_cases(bundled_mats):
-    """The nominal point has scipy's largest margin, min_p max_i
-    a_i^T p + c_i, and satisfies every row of F(0)."""
-    mats = bundled_mats
-    p = mats.max_margin()
+def _assert_max_margin_over_p(mats):
+    """The max-margin LP is max 1^T mu over P: its dispatch's margin is
+    1 / 1^T mu* to 1e-12, that margin is scipy's largest, min_p max_i
+    a_i^T p + c_i, to 1e-9, and the dispatch satisfies every row of F(0)."""
+    p, res = mats.max_margin()
+    assert res.status == lin_solve.OPTIMAL
+    worst = float(np.max(mats.margins(p)))
+    assert -worst == pytest.approx(1.0 / float(res.x.sum()), rel=1e-12)
     ref = linprog(np.eye(mats.n_reduced + 1)[-1],
                   A_ub=np.hstack([mats.A, -np.ones((mats.m, 1))]),
                   b_ub=-mats.c, bounds=(None, None), method="highs")
     assert ref.status == 0
-    assert float(np.max(mats.margins(p))) == pytest.approx(ref.fun, rel=1e-9,
-                                                           abs=1e-12)
+    assert worst == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
     assert ref.fun < 0.0
 
 
-def test_max_margin_of_an_empty_nominal_set_names_a_row():
-    """Load past the fleet's capacity: the max-margin LP's Farkas ray proves
-    F(0) empty, and the ModelError names its heaviest row, the slack
-    unit's upper bound."""
+def test_max_margin_matches_scipy_on_bundled_cases(bundled_mats):
+    _assert_max_margin_over_p(bundled_mats)
+
+
+@pytest.mark.parametrize("n, degenerate", [(30, False), (60, False),
+                                           (120, False), (30, True),
+                                           (60, True), (90, True)])
+def test_max_margin_over_p_matches_scipy_on_the_ladders(n, degenerate):
+    mats = build_feasibility(bench_ladder(n, 0, degenerate))
+    _assert_max_margin_over_p(mats)
+
+
+def _spy_lp_forms(mats, monkeypatch):
+    """Records the status of each LP over P, and each probe over Q, as
+    ("P", status) and ("Q",) in the returned list."""
+    calls = []
+    real_solve, real_check = lin_solve.lp_solve, lin_solve.check_feasible
+
+    def solve_spy(prob, *args, **kw):
+        res = real_solve(prob, *args, **kw)
+        if prob.A_eq is mats.polytope.A_eq:
+            calls.append(("P", res.status))
+        return res
+
+    def check_spy(*args, **kw):
+        calls.append(("Q",))
+        return real_check(*args, **kw)
+
+    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    monkeypatch.setattr(lin_solve, "check_feasible", check_spy)
+    return calls
+
+
+def test_a_zero_margin_takes_the_fallback_over_q(monkeypatch):
+    """Total capacity equal to the load, with one movable unit: F(0) has no
+    interior point, so max 1^T mu over P is unbounded, and the probe over
+    Q returns the zero-margin dispatch, bit for bit the one it returned
+    when it was the only max-margin LP, with no LP result to pool."""
+    case = build_case(
+        "cap", 100.0, [(1, 0.0), (2, 0.1), (3, 0.2)],
+        [(1, 2, 0.1, 0.5), (2, 3, 0.1, 0.5), (1, 3, 0.1, 0.5)],
+        [(1, 0.0, 0.15), (3, 0.0, 0.15)])
+    mats = build_feasibility(case)
+    assert mats.n_reduced == 1
+    calls = _spy_lp_forms(mats, monkeypatch)
+    p, res = mats.max_margin()
+    assert calls == [("P", lin_solve.UNBOUNDED), ("Q",)] and res is None
+    assert [x.hex() for x in p] == ["0x1.3333333333334p-3"]
+    assert abs(float(np.max(mats.margins(p)))) <= FEAS_TOL
+
+
+def test_max_margin_of_an_empty_nominal_set_names_a_row(monkeypatch):
+    """Load past the fleet's capacity, with one movable unit: the LP over P
+    is unbounded, and the fallback's Farkas ray over Q proves F(0) empty;
+    the ModelError names its heaviest row, the slack unit's upper bound."""
     case = build_case("overload", 1.0, [(1, 0.0), (2, 10.0)],
                       [(1, 2, 0.1, None)], [(1, 0.0, 2.0), (2, 0.0, 2.0)])
     mats = build_feasibility(case)
+    assert mats.n_reduced == 1
     assert not oracle_utils.scipy_feasible(mats.A, mats.rhs())
+    calls = _spy_lp_forms(mats, monkeypatch)
     with pytest.raises(ModelError, match="heaviest on slack-gen-upper:g0@bus1"):
         mats.max_margin()
+    assert calls == [("P", lin_solve.UNBOUNDED), ("Q",)]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -205,7 +261,7 @@ def test_radii_and_crossing_match_the_row_projection(bundled_mats):
     point and reads +inf in radii, even when tight."""
     mats = bundled_mats
     pol = defense_local(mats)
-    for p0, G in ((pol.p0, pol.G), (mats.max_margin(), None)):
+    for p0, G in ((pol.p0, pol.G), (mats.max_margin()[0], None)):
         per = mats.radii(p0, G)
         dead = ~np.any(mats.directions(G) != 0.0, axis=1)
         for i in range(mats.m):
@@ -242,10 +298,9 @@ _CRASHED = BUNDLED + tuple(f"ladder{n}{kind}" for n in (30, 60, 120)
 
 
 def _crash_lps(mats, monkeypatch):
-    """Every LP of the defense's warm start and of a multistart handed its
-    dispatch, as the squeeze runs them, as (prob, basis, result): the
-    max-margin LP, then the P-LPs; `lp_solve` raises on a basis that fails
-    its start checks."""
+    """Every LP of the max-margin LP and of a multistart handed its result,
+    as the squeeze runs them, as (prob, basis, result); `lp_solve` raises
+    on a basis that fails its start checks."""
     calls, real_solve = [], lin_solve.lp_solve
 
     def solve_spy(prob, basis, deadline=None):
@@ -253,7 +308,7 @@ def _crash_lps(mats, monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
-    nominal = warm_start_defense(mats)[0]
+    nominal = mats.max_margin()
     multistart_attack(mats, AttackConfig(restarts=0, seed=0), nominal=nominal)
     monkeypatch.undo()
     return calls
@@ -262,26 +317,29 @@ def _crash_lps(mats, monkeypatch):
 @pytest.mark.parametrize("name", _CRASHED)
 def test_every_crash_basis_is_feasible_and_reaches_the_cold_optimum(
         name, request, monkeypatch):
-    """The max-margin LP over Q, which the defense's warm start runs once
-    for both sides, and the multistart's first P-LP start from
-    `crash_basis`, which the start checks accept, and each reaches the
-    optimum of scipy's cold solve; every later LP is over P."""
+    """The max-margin LP over P, which the defense's warm start runs once
+    for both sides, starts from `crash_basis`, which the start checks
+    accept, and reaches the optimum of scipy's cold solve.  Every later LP
+    is over the same P, and the multistart's first starts from the
+    max-margin LP's optimal basis: no other LP is crash-started."""
     n, _, kind = name.removeprefix("ladder").partition("-")
     case = (request.getfixturevalue(name) if name.startswith("desk")
             else load_case(pglib_path(name)) if name in BUNDLED
             else bench_ladder(int(n), 0, kind == "degenerate"))
     mats = build_feasibility(case)
+    assert mats.n_reduced > 0
     calls = _crash_lps(mats, monkeypatch)
-    q, p = calls[:2]
-    assert not np.array_equal(q[0].A_eq[-1], -mats.c)
-    assert all(np.array_equal(prob.A_eq[-1], -mats.c)
-               for prob, _basis, _res in calls[1:])
-    for prob, basis, res in (q, p):
-        np.testing.assert_array_equal(basis, mats.crash_basis())
-        ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
-                      bounds=(0, None), method="highs")
-        assert res.status == lin_solve.OPTIMAL and ref.status == 0
-        assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert all(prob.A_eq is mats.polytope.A_eq for prob, _b, _r in calls)
+    (prob, basis, res), first = calls[:2]
+    np.testing.assert_array_equal(basis, mats.crash_basis())
+    np.testing.assert_array_equal(prob.c, -np.ones(mats.m))
+    ref = linprog(prob.c, A_eq=prob.A_eq, b_eq=prob.b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status == lin_solve.OPTIMAL and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert first[1] is res.warm
+    assert all(isinstance(basis, lin_solve.WarmStart)
+               for _prob, basis, _res in calls[1:])
 
 
 def test_without_a_movable_unit_every_lp_starts_from_the_one_row_basis(

@@ -282,13 +282,31 @@ def test_the_caller_reader_names_the_innermost_function():
     assert _callers(source, "lp_solve") == {"f", "g", None}
 
 
+def _all_callers(name):
+    """(module, innermost function) around each call of `name` in src/."""
+    return {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+            for fn in _callers(path.read_text(), name)}
+
+
 def test_the_simplex_serves_two_lp_forms():
-    """One LP form per caller of `lp_solve`: the attack's steps over P and
-    the feasibility probe over Q, which also finds the max-margin nominal
-    point.  No other LP, such as a cost-minimizing dispatch, is posed."""
-    calls = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
-             for fn in _callers(path.read_text(), "lp_solve")}
-    assert calls == {("attack", "_p_lp"), ("lin_solve", "check_feasible")}
+    """Two LP forms, each built in one place: P, the Farkas polytope
+    (`FeasibilityMatrices.polytope`), and Q, the feasibility probe's
+    (`check_feasible`).  `lp_solve` runs the attack's steps and the
+    max-margin LP over P, and the probe over Q.  No other LP, such as a
+    cost-minimizing dispatch, is posed."""
+    assert _all_callers("LpProblem") == {("dc_model", "polytope"),
+                                         ("lin_solve", "check_feasible")}
+    assert _all_callers("lp_solve") == {("attack", "_p_lp"),
+                                        ("dc_model", "max_margin"),
+                                        ("lin_solve", "check_feasible")}
+
+
+def test_q_is_a_fallback_only():
+    """The probe over Q has two callers, each a fallback: the max-margin
+    LP's, when the LP over P has no optimum or there is no movable unit,
+    and `certify_infeasible`'s, when an attack's own multiplier fails."""
+    assert _all_callers("check_feasible") == {
+        ("dc_model", "max_margin"), ("attack", "certify_infeasible")}
 
 
 # public names that nothing in src/, bench/*.py or README.md refers to, and

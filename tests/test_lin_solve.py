@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dcattack import lin_solve
-from dcattack.attack import AttackConfig, _polytope, multistart_attack
+from dcattack.attack import AttackConfig, multistart_attack
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import DeadlineSignal, SolverError
 from dcattack.lin_solve import (
@@ -266,7 +266,7 @@ def _mu_start(mats, delta):
     (B delta)^T mu > 1 when F(delta) is empty, so the same columns stay
     nonsingular under the mu-LP's last row and hold
     mu eps / (B delta + c)^T mu >= 0."""
-    res = lp_solve(_polytope(mats).with_objective(-(mats.B @ delta)),
+    res = lp_solve(mats.polytope.with_objective(-(mats.B @ delta)),
                    mats.crash_basis())
     assert res.status == OPTIMAL and -res.objective > 1.0
     return res.warm.basis
@@ -529,7 +529,7 @@ def _p_chain(mats, steps, seed):
     its vertices are highly degenerate: max (B g)^T mu from P's crash basis,
     then g = B^T mu with the optimal basis and its inverse carried to the
     next step.  Returns [(prob, result)]."""
-    P = _polytope(mats)
+    P = mats.polytope
     g = np.random.default_rng(seed).normal(size=mats.n_delta)
     out, warm = [], mats.crash_basis()
     for _ in range(steps):

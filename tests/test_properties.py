@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
-from dcattack.attack import AttackConfig, _p_lp, _polytope, multistart_attack
+from dcattack.attack import AttackConfig, _p_lp, multistart_attack
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local, t_tilde, warm_start_defense
@@ -231,7 +231,8 @@ def test_without_a_movable_unit_the_p_lps_start_from_one_row(name, request):
     """With n_reduced = 0, P = {mu >= 0 : -c^T mu = 1} has one row, and
     its crash basis is the row of largest -c_i: a P-LP from it meets
     scipy's optimum over P for the uniform and seeded directions.  The
-    attack's ub and the squeeze's bracket keep their pinned values."""
+    max-margin LP takes the fallback over Q, and the attack's ub and the
+    squeeze's bracket keep their pinned values."""
     if name.startswith("one"):
         n, seed = map(int, name[3:].split("_"))
         case = _case(_network(n, seed, seed, 1))
@@ -243,9 +244,10 @@ def test_without_a_movable_unit_the_p_lps_start_from_one_row(name, request):
     np.testing.assert_array_equal(crash, [np.argmax(-mats.c)])
     rng = np.random.default_rng(seed=1)
     for g in (np.ones(mats.n_delta), rng.normal(size=mats.n_delta)):
-        _mu, value, _basis = _p_lp(mats, _polytope(mats), g, crash)
+        _mu, value, _basis = _p_lp(mats, g, crash)
         assert value == pytest.approx(oracle_utils.p_polytope_max(mats, g),
                                       rel=1e-12, abs=1e-15)
+    assert mats.max_margin()[1] is None     # the fallback over Q
     ub, lb = NO_MOVER[name]
     rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
     assert rep.best.certified

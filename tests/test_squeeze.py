@@ -279,10 +279,10 @@ def test_an_open_bracket_runs_every_start(monkeypatch):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_squeeze_lp_budget(name, monkeypatch):
     """Regression guard: one bundled squeeze runs at most 6 LPs (the
-    max-margin LP of the SOCP's warm start, whose dispatch the multistart
-    reuses, P's crash-started LP and the ascents' steps); the incumbent is
-    certified from its own multiplier, so its inflated point never reaches
-    `check_feasible`."""
+    max-margin LP over P of the SOCP's warm start, whose result the
+    multistart reuses, and the ascents' steps), and no probe over Q: the
+    max-margin LP has an optimum, and the incumbent is certified from its
+    own multiplier."""
     case = load_case(pglib_path(name))
     mats = build_feasibility(case)
     solves, probes = [], []
@@ -292,32 +292,33 @@ def test_squeeze_lp_budget(name, monkeypatch):
         solves.append(1)
         return real_solve(*args, **kw)
 
-    def check_spy(rows, rhs, *args, **kw):
-        probes.append(np.array(rhs))
-        return real_check(rows, rhs, *args, **kw)
+    def check_spy(*args, **kw):
+        probes.append(1)
+        return real_check(*args, **kw)
 
     monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
     monkeypatch.setattr(lin_solve, "check_feasible", check_spy)
     rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
-    assert len(solves) <= 6
-    point = mats.rhs((1 + 1e-4) * np.asarray(rep.attack["delta"]))
-    assert probes and not any(np.array_equal(rhs, point) for rhs in probes)
+    assert rep.attack["certified"]
+    assert len(solves) <= 6 and not probes
 
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_each_squeeze_solves_the_max_margin_lp_once(desk3, runs,
                                                     monkeypatch):
-    """The defense solves F(0)'s max-margin LP and hands its dispatch to
-    the multistart, which would otherwise solve it again; nothing keeps it
-    on `mats` between calls, so each call solves it once."""
+    """The defense solves F(0)'s max-margin LP, max 1^T mu over P, and hands
+    its result to the multistart, which would otherwise solve it again;
+    nothing keeps it on `mats` between calls, so each call solves it
+    once."""
     mats = build_feasibility(desk3)
-    calls, real = [], lin_solve.check_feasible
+    calls, real = [], lin_solve.lp_solve
 
-    def spy(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
+    def spy(prob, *args, **kw):
+        if prob.A_eq is mats.polytope.A_eq and np.all(prob.c == -1.0):
+            calls.append(1)
+        return real(prob, *args, **kw)
 
-    monkeypatch.setattr(lin_solve, "check_feasible", spy)
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
     for _ in range(runs):
         rep = squeeze_run(desk3, SqueezeConfig(seed=0), mats=mats)
         assert rep.matched
@@ -325,20 +326,18 @@ def test_each_squeeze_solves_the_max_margin_lp_once(desk3, runs,
 
 
 def test_a_failing_attack_keeps_the_certified_lb(monkeypatch):
-    """Every P-LP raises SolverError: each start is noted failed, nothing
-    certifies, and the squeeze still reports the policy's certified lb with
-    ub None, flagged, under the same report keys."""
+    """Every P-LP of the attack's ascents raises SolverError: each start is
+    noted failed, nothing certifies, and the squeeze still reports the
+    policy's certified lb with ub None, flagged, under the same report
+    keys."""
     case = load_case(pglib_path("case14_ieee"))
     mats = build_feasibility(case)
     clean = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
-    real = lin_solve.lp_solve
 
-    def spy(prob, *args, **kw):
-        if np.array_equal(prob.A_eq[-1], -mats.c):
-            raise SolverError("iteration cap exceeded (spy)")
-        return real(prob, *args, **kw)
+    def spy(*args, **kw):
+        raise SolverError("iteration cap exceeded (spy)")
 
-    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    monkeypatch.setattr(attack, "_p_lp", spy)
     rep = squeeze_run(case, SqueezeConfig(seed=0), mats=mats)
     assert rep.lb == clean.lb > 0 and rep.ub is None and rep.attack is None
     assert "no-certified-attack" in rep.flags

@@ -31,17 +31,18 @@ arrays (`FeasibilityMatrices.polytope`, built once per network), so a
 pooled basis, carried with its inverse (`lin_solve.WarmStart`), re-enters
 `lp_solve` without re-proof: only the checks of x_B.  `multistart_attack`
 opens the pool with the max-margin LP's vertex, its B^T mu a row of one
-array beside its basis, and `attack_local` adds every optimal step.  A
-start's first step warm-starts from the pooled vertex that one product of
-that array with its objective scores highest (the earliest on ties), and
-a later step too when that vertex scores above the current vertex's value
-v, else from its own basis.  Only with no pooled vertex (a bare
-`attack_local`, or after the max-margin LP's fallback over Q) does a first
-step start from P's crash basis (`FeasibilityMatrices.crash_basis`), and
-until some ascent has pooled a vertex a first step ignores the deadline,
-so a multistart's first start always reaches one.  A unique optimum does
-not depend on the starting basis, but the reported best start may change
-among starts whose norms tie to rounding.
+array beside its basis, and `attack_local` adds every optimal step whose
+column set is not yet pooled.  A start's first step warm-starts from the
+pooled vertex that one product of that array with its objective scores
+highest (the earliest on ties), and a later step too when that vertex
+scores above the current vertex's value v, else from its own basis.  Only
+with no pooled vertex (a bare `attack_local`, or after the max-margin LP's
+fallback over Q) does a first step start from P's crash basis
+(`FeasibilityMatrices.crash_basis`), and until some ascent has pooled a
+vertex a first step ignores the deadline, so a multistart's first start
+always reaches one.  A unique optimum does not depend on the starting
+basis, but the reported best start may change among starts whose norms
+tie to rounding.
 
 Reported attack.  delta = (1 + 1e-6) B^T mu / v lies just past mu's
 hyperplane, and mu is rescaled so that mu^T (B delta + c) = EPS = 1e-3.
@@ -204,20 +205,23 @@ def _solution(mats, delta, mu, start, status, iterations=0, history=()):
 
 class _Pool:
     """The vertices of P known on one network: each one's B^T mu as a row of
-    one array, beside its basis; the first `seeds`, the max-margin LP's,
-    came from no ascent."""
+    one array, beside its basis, each column set once (the earliest entry
+    stays); the first `seeds`, the max-margin LP's, came from no ascent."""
 
     def __init__(self, n_delta, seed=None):
-        self.gw, self.bases = np.empty((16, n_delta)), []
+        self.gw, self.bases, self.keys = np.empty((16, n_delta)), [], set()
         if seed is not None:
             self.add(*seed)
         self.seeds = len(self.bases)
 
     def add(self, gw, basis):
-        if len(self.bases) == len(self.gw):      # double the capacity
-            self.gw = np.vstack([self.gw, self.gw])
-        self.gw[len(self.bases)] = gw
-        self.bases.append(basis)
+        key = np.sort(basis.basis).tobytes()
+        if key not in self.keys:
+            self.keys.add(key)
+            if len(self.bases) == len(self.gw):      # double the capacity
+                self.gw = np.vstack([self.gw, self.gw])
+            self.gw[len(self.bases)] = gw
+            self.bases.append(basis)
 
     def best(self, g, floor=-np.inf):
         """The basis whose vertex scores highest on g^T B^T mu, the earliest
@@ -232,7 +236,7 @@ class _Pool:
 def attack_local(mats, init_delta, start="", pool=None, deadline=None):
     """One ascent on P from a start direction (module docstring).  `pool`,
     a `_Pool`, holds the vertices of P known on this network, from which
-    the steps warm-start, and gains every optimal step of this ascent.
+    the steps warm-start, and gains each optimal step's new column set.
     `deadline`, a time.monotonic() value, is checked between steps and
     inside each step's LP, and an expired one returns the current vertex; a
     first step ignores it until some ascent has pooled a vertex.  A step

@@ -5,9 +5,8 @@ geometry, radii and crossing points, lives in `dc_model`):
 
     min c^T x  s.t.  A_eq x = b_eq,  x >= 0.
 
-Dense numpy throughout: every LP is posed in a wide form (below) whose
-basis has n_reduced + 1 rows, 192 on a 960-bus network whose reduced
-system has 3,264 rows, where an explicit basis inverse with periodic
+Dense numpy throughout: every LP's basis has n_reduced + 1 rows (below),
+192 on a 960-bus network, where an explicit basis inverse with periodic
 refactorization is fast enough and easy to audit.
 
 Every LP the package poses has a primal feasible basis by construction, so
@@ -17,8 +16,10 @@ OPTIMAL, with the equality duals y and an optimal `warm`, or UNBOUNDED,
 with a re-checked ray.  Every nonbasic column sits at 0, so the kernel keeps
 only the basic values.  The pivot rules are fixed on purpose, because the
 attack's vertices (and so its bounds) follow from them:
-  - Dantzig pricing: the most negative reduced cost enters, the lowest
-    column index on ties;
+  - weighted pricing (Harris's Devex 1973; Forrest and Goldfarb's steepest
+    edge 1992): of the columns with reduced cost d_j < -_LP_TOL, the largest
+    d_j^2/gamma_j enters, lowest index on ties; gamma_j = 1 + ||B^-1 a_j||^2
+    is exact at the first improving pass and at refactorization, fixed between;
   - the ratio test takes every row within 1e-9 (absolute plus relative) of
     the minimum ratio as a tie, then the largest |w|;
   - after 30 pivots without a 1e-12 relative decrease, Bland's rule (lowest
@@ -150,6 +151,7 @@ class _Simplex:
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.deadline = deadline
+        self.scale = None               # gamma^-1/2; None when stale
         self._start(basis)
 
     def _start(self, basis):
@@ -199,6 +201,12 @@ class _Simplex:
             raise SolverError(f"singular basis during refactorization: {exc}")
         self.xB = self.B_inv @ self.b
         self.pivots_since_refactor = 0
+        self.scale = None
+
+    def _weights(self):
+        """The reference weights 1 + ||B^-1 a_j||^2 of every column."""
+        W = self.B_inv @ self.A
+        return 1.0 + np.einsum("ij,ij->j", W, W)
 
     def _ratio(self, w, bland):
         """Leaving basis position for the entering column B^-1 a_j = w, and
@@ -262,6 +270,14 @@ class _Simplex:
                 return OPTIMAL, y, None
             if bland:
                 j = int(np.argmax(d < -_LP_TOL))      # the lowest eligible index
+            else:
+                if self.scale is None:
+                    self.scale = self._weights() ** -0.5
+                # max d_j^2 / gamma_j over d_j < -_LP_TOL: min d_j gamma_j^-1/2
+                e = d * self.scale
+                j = int(e.argmin())
+                if not d[j] < -_LP_TOL:
+                    j = int(np.where(d < -_LP_TOL, e, 0.0).argmin())
             w = self.B_inv @ A[:, j]
             t, r = self._ratio(w, bland)
             if r is None:

@@ -313,9 +313,10 @@ def test_one_cold_p_lp_per_network(bundled_mats, monkeypatch):
 def test_ladder_attack_pricing_pass_budget(monkeypatch):
     """Regression guard on the benchmark's `ladder-attack` networks of seed
     0 (30, 60 and 120 buses, five load snapshots each): the bare
-    multistart, restarts 5 and seed 0, takes at most 5,500 pricing passes
-    over all of them (6,326 when the max-margin LP was posed over Q and
-    every start climbed P from the crash basis), and never probes Q.  On
+    multistart, restarts 5 and seed 0, takes at most 3,400 pricing passes
+    over all of them (5,392 under Dantzig's pricing, and 6,326 before that,
+    when the max-margin LP was posed over Q and every start climbed P from
+    the crash basis), and never probes Q.  On
     each network the pool's first entry is the max-margin LP's vertex,
     and the fixed-dispatch start's first P-LP enters from its basis."""
     passes, probes, p_lps, firsts, pools = [0], [], [], {}, []
@@ -352,7 +353,28 @@ def test_ladder_attack_pricing_pass_budget(monkeypatch):
                 pool.gw[0], mats.B.T @ np.maximum(res.x, 0.0))
             assert p_lps[firsts["binding-row"]][1] is res.warm
     assert not probes
-    assert passes[0] <= 5500
+    assert passes[0] <= 3400
+
+
+def test_the_pool_holds_each_basis_once(monkeypatch):
+    """On the seed-0 `ladder-attack` networks the ascents reach many
+    vertices more than once (an ascent's last, "tight" step ends where it
+    started); after each bare multistart no two pool entries share a
+    column set."""
+    pools, real_local = [], attack.attack_local
+
+    def local_spy(mats, g, label, pool, *rest):
+        pools.append(pool)
+        return real_local(mats, g, label, pool, *rest)
+
+    monkeypatch.setattr(attack, "attack_local", local_spy)
+    for n in (30, 60, 120):
+        for s in range(5):
+            pools.clear()
+            multistart_attack(build_feasibility(bench_ladder(n, s, False)),
+                              AttackConfig(restarts=5, seed=0))
+            keys = [tuple(np.sort(b.basis)) for b in pools[0].bases]
+            assert len(set(keys)) == len(keys) > 1
 
 
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60",))
@@ -750,9 +772,9 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_bare_multistart_certifies_240_buses(seed, monkeypatch):
-    """P's vertices are highly degenerate; with Dantzig's rule and a Bland
-    fallback alone, the first step of the uniform-up start circled to the
-    iteration cap on these networks.  The phase-2 perturbation gets every
+    """P's vertices are highly degenerate; with a Bland fallback alone, the
+    first step of the uniform-up start once circled to the iteration cap on
+    these networks.  The phase-2 perturbation gets every
     step through, and scipy confirms the certified attack.  Every LP starts
     from a feasible basis (crash, pooled or the candidate's vertex), and no
     ratio test falls back to Bland's rule."""
@@ -768,6 +790,27 @@ def test_the_bare_multistart_certifies_240_buses(seed, monkeypatch):
     assert bland and not any(bland)
     assert rep.best.certified
     assert all(n["status"] in ("candidate", "restart") for n in rep.starts)
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_bare_multistart_certifies_480_buses(seed, monkeypatch):
+    """The largest tier-1 rung: the bare multistart certifies an attack
+    that scipy confirms, in at most 8,000 pricing passes (14,664 and 14,090
+    under Dantzig's pricing; 7,309 and 6,119 under the weighted rule)."""
+    mats = build_feasibility(bench_ladder(480, seed, False))
+    passes, real = [0], lin_solve.lp_solve
+
+    def spy(prob, basis=None, deadline=None):
+        res = real(prob, basis=basis, deadline=deadline)
+        passes[0] += res.iterations
+        return res
+
+    monkeypatch.setattr(lin_solve, "lp_solve", spy)
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0))
+    assert rep.best.certified
+    assert passes[0] <= 8000
     assert not oracle_utils.scipy_feasible(
         mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
 

@@ -375,12 +375,12 @@ def test_ratio_test_matches_the_full_array_reference():
         t_ref, r_ref = oracle_utils.full_ratio_test(xB, w, sx.basis, bland)
         assert r == r_ref and t.hex() == t_ref.hex()
         if r is not None:
-            seen.add("bland" if bland else "dantzig")
+            seen.add("bland" if bland else "largest |w|")
             seen.update(["tie"] if np.sum(tied & (w > 1e-10)) > 1
                         and abs(t - 0.7) < 1e-12 else [])
         else:
             seen.add("unblocked")
-    assert seen == {"bland", "dantzig", "tie", "unblocked"}
+    assert seen == {"bland", "largest |w|", "tie", "unblocked"}
 
 
 def test_mu_lp_chain_warm_starts_match_scipy(bundled_mats):
@@ -743,3 +743,51 @@ def test_the_deadline_is_checked_at_each_refactorization(monkeypatch):
         lp_solve(prob, start, deadline=5.0)
     assert lp_solve(prob, first.warm, deadline=5.0).iterations == 1
     assert lp_solve(prob, start, deadline=20.0).objective == first.objective
+
+
+def test_pricing_weights_are_fresh_edge_norms(monkeypatch):
+    """The weights gamma_j = 1 + ||B^-1 a_j||^2 are computed at the first
+    pricing pass that finds an improving column and at the first pass after
+    each refactorization (here every 2 pivots), each time equal to those of
+    a fresh inverse of the current basis; an LP entered at its optimal
+    basis, bare or as its warm start, computes none."""
+    monkeypatch.setattr(lin_solve, "_REFACTOR_EVERY", 2)
+    calls, real = [], lin_solve._Simplex._weights
+
+    def spy(sx):
+        gamma = real(sx)
+        W = np.linalg.solve(sx.A[:, sx.basis], sx.A)
+        np.testing.assert_allclose(gamma, 1.0 + (W * W).sum(axis=0),
+                                   rtol=1e-9)
+        calls.append((sx.iterations, sx.pivots_since_refactor))
+        return gamma
+
+    monkeypatch.setattr(lin_solve._Simplex, "_weights", spy)
+    prob, start = _planted(np.random.default_rng(0), 8, 30)
+    res = lp_solve(prob, start)
+    assert res.status == OPTIMAL and res.iterations >= 6
+    assert calls == [(k, 0) for k in range(1, res.iterations, 2)]
+    for warm in (res.warm, res.warm.basis):
+        calls.clear()
+        assert lp_solve(prob, warm).iterations == 1
+        assert not calls
+
+
+def test_weighted_pricing_enters_a_column_dantzig_would_not(monkeypatch):
+    """min -x1 - 2 x2 s.t. x0 + x1 + 10 x2 = 1 from the basis {x0}: Dantzig's
+    rule would enter x2 (reduced cost -2 against -1), but the weights 2 and
+    101 score x1 at 1/2 and x2 at 4/101, so x1 enters, and that one pivot
+    reaches the optimum x1 = 1."""
+    prob = LpProblem(c=[0.0, -1.0, -2.0], A_eq=[[1.0, 1.0, 10.0]],
+                     b_eq=[1.0])
+    entered, real = [], lin_solve._Simplex._pivot
+
+    def spy(sx, j, t, r, w):
+        entered.append(j)
+        return real(sx, j, t, r, w)
+
+    monkeypatch.setattr(lin_solve._Simplex, "_pivot", spy)
+    res = lp_solve(prob, [0])
+    assert int(np.argmin(prob.c)) == 2 and entered == [1]
+    assert res.status == OPTIMAL and res.iterations == 2
+    assert res.objective == pytest.approx(-1.0)

@@ -50,10 +50,13 @@ EPS is the epsilon of the parameterized Farkas' lemma; it only fixes the
 scale of the reported certificate, and no bound, delta or flag depends on
 it.  Soundness is never left to the ascent: `certify_infeasible` re-proves
 emptiness at (1 + _CERT_INFLATION) delta, _CERT_INFLATION = 1e-4, from mu
-itself.  y = mu / 1^T mu, re-verified, lies in Q = {y >= 0 : A^T y = 0,
-1^T y = 1}, so y^T rhs below `check_feasible`'s bar puts min rhs^T y over
-Q, the LP's verdict, below it too; only a failing mu takes that LP, from
-Q's crash basis.
+alone and in closed form, by the residual rule of Neumaier and Shcherbina
+("Safe bounds in linear and mixed-integer linear programming", 2004).
+Every p in F(delta) meets the unit rows, so ||p||_1 is at most box =
+sum_j max(|p_min,j|, |p_max,j|), and for mu >= 0 the rows give
+mu^T (B delta + c) <= -(A^T mu)^T p <= ||A^T mu||_inf box.  So a mu >= 0
+with mu^T (B delta + c) > ||A^T mu||_inf box leaves no p in F(delta); no
+LP runs, and a mu that fails the rule leaves its candidate refuted.
 The multistart certifies a start's candidate as the start ends, and only
 when its norm is below the certified incumbent's, so the reported attack is
 the smallest candidate that certifies (the earliest on ties).
@@ -65,7 +68,8 @@ ray mu >= 0 with A^T mu = 0, c^T mu = 0 and (B g)^T mu > 0 (Schrijver,
 so c = 0 as F(0) is nonempty, and every row is such a ray; `_p_lp` tells
 this case from c before it poses any LP.  Then mu^T (B s u + c) =
 s ||B^T mu|| > 0 for every s > 0 at u = B^T mu / ||B^T mu||: rows of F(0)
-are implicit equalities that move with delta.  The ascent stops there, status "zero-distance", at the unit point u.
+are implicit equalities that move with delta.  The ascent stops there,
+status "zero-distance", at the unit point u.
 """
 
 import time
@@ -122,6 +126,13 @@ class AttackSolution:
             "residuals": self.residuals,
         }
 
+    def certificate(self, row_labels):
+        """The report's ub certificate, for a certified attack: the labels
+        and weights of `oracle_ray`, mu / 1^T mu, on its support."""
+        rows = np.flatnonzero(self.oracle_ray)
+        return {"farkas_rows": [row_labels[i] for i in rows],
+                "farkas_weights": self.oracle_ray[rows]}
+
 
 @dataclass
 class AttackReport:
@@ -130,23 +141,15 @@ class AttackReport:
     fixed_lb: float
 
 
-def certify_infeasible(mats, delta, mu=None):
-    """(True, ray) with a normalized verified Farkas ray when F(delta) is
-    empty, else (False, witness_dispatch).  The ray is mu / 1^T mu when a
-    given `mu` re-verifies and clears `lin_solve.scaled_tol` (module
-    docstring); otherwise `lin_solve.check_feasible` decides from
-    `mats.crash_basis()`."""
-    rhs = mats.rhs(delta)
-    if mu is not None:
-        try:
-            y = lin_solve.normalize_farkas_ray(mats.A, rhs, mu)
-            if y @ rhs < -lin_solve.scaled_tol(rhs):
-                return True, y
-        except SolverError:
-            pass
-    feasible, x, ray = lin_solve.check_feasible(mats.A, rhs,
-                                                mats.crash_basis())
-    return (False, x) if feasible else (True, ray)
+def certify_infeasible(mats, delta, mu):
+    """(True, mu / 1^T mu) when mu proves F(delta) empty by the residual rule
+    of the module docstring, else (False, None)."""
+    up, lo = mats.unit_rows()
+    box = float(np.maximum(np.abs(mats.c[up]), np.abs(mats.c[lo])).sum())
+    resid = float(np.max(np.abs(mats.A.T @ mu), initial=0.0))
+    if mu.min() >= 0.0 and mu @ (mats.B @ delta + mats.c) > resid * box:
+        return True, mu / mu.sum()
+    return False, None
 
 
 def fixed_dispatch_lb(mats, p0):
@@ -303,10 +306,9 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     F(0) is empty), whose vertex opens the pool.  A candidate
     below the certified incumbent's norm, or any while there is none, is
     certified from its own mu (`certify_infeasible`) as its start ends and
-    becomes the incumbent, with `oracle_ray` its mu / 1^T mu or the
-    LP's ray, or is noted "refuted".  A note says certified exactly for the
-    candidates that lowered the incumbent; the last is the reported
-    attack.  Once `budget_s` seconds have passed, the running ascent stops
+    becomes the incumbent, with `oracle_ray` its mu / 1^T mu, or is noted
+    "refuted".  A note says certified exactly for the candidates that
+    lowered the incumbent; the last is the reported attack.  Once `budget_s` seconds have passed, the running ascent stops
     at its current vertex, even inside a step's LP, and the starts after
     the first are skipped; so is a start whose first step the deadline
     cuts.  A start whose LP raises SolverError is noted "failed" with the

@@ -162,6 +162,7 @@ def cmd_attack(args, manifest):
         **sol.summary(),
         "fixed_dispatch_lb": rep.fixed_lb,
         "delta": sol.delta,
+        **sol.certificate(mats.row_labels),
         "per_bus": per_bus,
         "starts": rep.starts,
         "elapsed_s": time.monotonic() - t0,

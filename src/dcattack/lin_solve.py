@@ -44,11 +44,12 @@ min w^T mu s.t. [A^T; r^T] mu = e, mu >= 0, whose basis has only
 n_reduced + 1 rows.  There are two such forms.  The Farkas polytope P
 (`dc_model.FeasibilityMatrices.polytope`, r = -c) carries the hot path:
 the max-margin nominal LP and every step of the attack (`attack._p_lp`).
-The feasibility probe's Q (`check_feasible`, r = 1) is a fallback only:
-for the max-margin LP when the LP over P has no optimum or there is no
-movable unit, and for certification when an attack's own multiplier
-fails.  Primal points are read off the equality duals y and
-re-checked against the rows; Farkas rays are the multipliers themselves.
+The feasibility probe's Q (`check_feasible`, r = 1) has one caller, the
+max-margin LP's fallback (`FeasibilityMatrices.max_margin`), when the LP
+over P has no optimum or there is no movable unit; an attack is certified
+in closed form, with no LP (`attack.certify_infeasible`).  Primal points
+are read off the equality duals y and re-checked against the rows; Farkas
+rays are the multipliers themselves.
 
 Start basis.  The basis comes in one of two kinds.  A bare array of M
 column indices is accepted only when its indices are in range and

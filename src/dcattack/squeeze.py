@@ -18,11 +18,11 @@ None and `no-certified-attack`, or lb 0 and `no-certified-policy`.
 Soundness rules: a value enters the trace only after certification (attack) or
 exact radius evaluation (defense); lb <= ub (1 + 1e-6), relative as lb <=
 exact <= ub holds at every scale, is enforced at every append.  The attack's
-final certificate is the multistart's own, its mu re-verified at the
-inflated incumbent (1 + `attack._CERT_INFLATION`) delta (the feasibility
-LP's ray where mu fails).  The report keeps the attack's `summary()`, start
-and delta, not the ray, which stays on `AttackSolution.oracle_ray`; delta,
-and the policy's p0 and G, stay numpy arrays until `to_dict()`.
+final certificate is the multistart's own, its mu proved by the residual
+rule at the inflated incumbent (1 + `attack._CERT_INFLATION`) delta.  The
+report keeps the attack's `summary()`, start, delta and certificate (the
+ray `AttackSolution.oracle_ray` on its support); delta, the ray's
+weights, and the policy's p0 and G, stay numpy arrays until `to_dict()`.
 The multistart is handed lb, and stops once a certified attack meets it to
 1e-8 relative: the bracket is closed, and no further start could lower ub
 by more.
@@ -178,7 +178,8 @@ def squeeze_run(case, config=None, mats=None):
         if not best_att.certified:
             raise ModelError("attack incumbent is not certified")
         report.attack = {**best_att.summary(), "start": best_att.start,
-                         "delta": best_att.delta}
+                         "delta": best_att.delta,
+                         **best_att.certificate(mats.row_labels)}
     else:
         report.flags.append("no-certified-attack")
     if best_pol is not None:

@@ -113,12 +113,13 @@ def test_accepted_history_is_monotone(desk3):
     assert np.all(np.diff(hist) <= 1e-12)
 
 
-def test_certify_interior_point_returns_witness(desk2):
-    mats = build_feasibility(desk2)
-    infeasible, payload = certify_infeasible(mats, np.array([0.1]))
-    assert not infeasible
-    # payload is a feasible dispatch witness
-    assert np.all(mats.margins(payload, np.array([0.1])) <= 1e-8)
+def test_certify_refuses_an_interior_point(desk2):
+    """At a point inside the attack's ball the attack's own multiplier is
+    refused, with no ray, and scipy finds a dispatch there."""
+    mats, rep = _attack(desk2)
+    point = np.array([0.1])
+    assert certify_infeasible(mats, point, rep.best.mu) == (False, None)
+    assert oracle_utils.scipy_feasible(mats.A, mats.rhs(point))
 
 
 def test_oracle_ray_invariants(desk2_limited):
@@ -689,7 +690,7 @@ def test_a_refused_smallest_candidate_leaves_the_smallest_that_certifies(
     assert len(clean) >= 2
     calls, real = [], attack.certify_infeasible
 
-    def refuse_smallest(mats, delta, mu=None):
+    def refuse_smallest(mats, delta, mu):
         calls.append(delta)
         return (False, None) if len(calls) == len(clean) \
             else real(mats, delta, mu)
@@ -754,9 +755,9 @@ def test_a_refuted_closing_candidate_stops_nothing(monkeypatch):
     kw = _closing_inputs(mats)
     calls, real = [], attack.certify_infeasible
 
-    def refute_first(mats, delta, mu=None):
+    def refute_first(mats, delta, mu):
         calls.append(delta)
-        return (False, None) if len(calls) == 1 else real(mats, delta)
+        return (False, None) if len(calls) == 1 else real(mats, delta, mu)
 
     monkeypatch.setattr(attack, "certify_infeasible", refute_first)
     rep = multistart_attack(mats, AttackConfig(seed=0), **kw)
@@ -880,11 +881,12 @@ def test_a_failing_start_is_noted_and_the_others_go_on(monkeypatch):
 
 def _spy_certification(monkeypatch):
     """Records each certification as {"delta", "mu", "lps"}, where "lps"
-    counts the `lin_solve.lp_solve` calls made inside it."""
+    counts the `lin_solve.lp_solve` and `lin_solve.check_feasible` calls
+    made inside it."""
     calls, inside = [], [False]
-    real_cert, real_solve = attack.certify_infeasible, lin_solve.lp_solve
+    real_cert = attack.certify_infeasible
 
-    def cert_spy(mats, delta, mu=None):
+    def cert_spy(mats, delta, mu):
         calls.append({"delta": delta, "mu": mu, "lps": 0})
         inside[0] = True
         try:
@@ -892,13 +894,16 @@ def _spy_certification(monkeypatch):
         finally:
             inside[0] = False
 
-    def solve_spy(*args, **kw):
-        if inside[0]:
-            calls[-1]["lps"] += 1
-        return real_solve(*args, **kw)
+    def counted(real):
+        def spy(*args, **kw):
+            if inside[0]:
+                calls[-1]["lps"] += 1
+            return real(*args, **kw)
+        return spy
 
     monkeypatch.setattr(attack, "certify_infeasible", cert_spy)
-    monkeypatch.setattr(lin_solve, "lp_solve", solve_spy)
+    for name in ("lp_solve", "check_feasible"):
+        monkeypatch.setattr(lin_solve, name, counted(getattr(lin_solve, name)))
     return calls
 
 
@@ -911,9 +916,9 @@ def _assert_verified_ray(mats, delta, y):
 @pytest.mark.parametrize("net", BUNDLED + ("ladder60", "ladder240"))
 def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
     """Each candidate is certified from its own multiplier, the vertex mu of
-    P its delta came from: y = mu / 1^T mu re-verifies at the inflated point
-    and clears `check_feasible`'s bar, so no LP runs.  The reported ray is
-    that y, and every candidate's verdict is the LP's over Q and scipy's."""
+    P its delta came from, by the residual rule alone: no LP runs inside a
+    certification.  The reported ray is mu / 1^T mu, and every candidate's
+    verdict at its inflated point is scipy's."""
     n = {"ladder60": 60, "ladder240": 240}.get(net)
     case = bench_ladder(n, 0, False) if n else load_case(pglib_path(net))
     mats = build_feasibility(case)
@@ -937,47 +942,46 @@ def test_each_candidate_is_certified_from_its_own_vertex(net, monkeypatch):
     assert best.certified
     assert np.max(np.abs(best.oracle_ray - best.mu / best.mu.sum())) <= 1e-15
     _assert_verified_ray(mats, (1 + 1e-4) * best.delta, best.oracle_ray)
-    for point, own in zip(points, owns):
-        cold = certify_infeasible(mats, point)
-        assert own[0] == cold[0] == \
+    for point, sol, own in zip(points, cands, owns):
+        assert own[0] == \
             (not oracle_utils.scipy_feasible(mats.A, mats.rhs(point)))
-        _assert_verified_ray(mats, point, own[1])
+        assert own[1].tobytes() == (sol.mu / sol.mu.sum()).tobytes()
 
 
-def test_a_multiplier_that_fails_gives_the_cold_result(monkeypatch):
-    """Certification falls back to the LP over Q from its crash basis, bit
-    for bit, for a mu that `normalize_farkas_ray` rejects, for one that it
-    accepts but whose value misses `check_feasible`'s bar, and at half the
-    attack, where the LP's witness is returned."""
+def test_a_multiplier_that_fails_the_rule_is_refuted_without_an_lp(
+        monkeypatch):
+    """The rule refuses, with no ray and no LP, a mu with one support entry
+    doubled or zeroed (A^T mu = 0 breaks) and the attack's own mu at half
+    the attack.  Its bar is ||A^T mu||_inf times the units' box
+    sum_j max(|p_min,j|, |p_max,j|), read off the case: along the attack's
+    direction, a point 1e-6 past that bar is accepted, and scipy finds F
+    empty there, and a point 1e-6 short of it is refused."""
     mats = build_feasibility(bench_ladder(30, 0, False))
     best = multistart_attack(mats).best
     delta = (1 + 1e-4) * best.delta
-    rhs = mats.rhs(delta)
-    # one entry of mu doubled breaks A^T y = 0
     i = int(np.argmax(best.mu * np.abs(mats.A).sum(axis=1)))
-    broken = best.mu.copy()
-    broken[i] *= 2.0
-    with pytest.raises(SolverError):
-        lin_solve.normalize_farkas_ray(mats.A, rhs, broken)
-    # mu itself at the point along delta where y^T rhs = -FEAS_TOL / 2
-    y = best.mu / best.mu.sum()
-    yb, yc = float(y @ (mats.B @ best.delta)), float(y @ mats.c)
-    shallow = (0.5 * lin_solve.FEAS_TOL - yc) / yb * best.delta
-    value = float(lin_solve.normalize_farkas_ray(
-        mats.A, mats.rhs(shallow), best.mu) @ mats.rhs(shallow))
-    assert -lin_solve.scaled_tol(mats.rhs(shallow)) <= value < -1e-12
-    for point, mu in ((delta, broken), (shallow, best.mu),
+    doubled, zeroed = best.mu.copy(), best.mu.copy()
+    doubled[i] *= 2.0
+    zeroed[i] = 0.0
+    calls = _spy_certification(monkeypatch)
+    for point, mu in ((delta, doubled), (delta, zeroed),
                       (0.5 * delta, best.mu)):
-        cold = certify_infeasible(mats, point)
-        calls = _spy_certification(monkeypatch)
-        got = attack.certify_infeasible(mats, point, mu)
-        monkeypatch.undo()
-        assert calls[0]["lps"] == 1
-        assert got[0] == cold[0] and got[1].tobytes() == cold[1].tobytes()
-    assert certify_infeasible(mats, delta)[0]
-    feasible, x = certify_infeasible(mats, 0.5 * delta, best.mu)
-    assert not feasible
-    assert np.all(mats.margins(x, 0.5 * delta) <= 1e-8)
+        assert attack.certify_infeasible(mats, point, mu) == (False, None)
+    monkeypatch.undo()
+    assert len(calls) == 3 and not any(c["lps"] for c in calls)
+    assert oracle_utils.scipy_feasible(mats.A, mats.rhs(0.5 * delta))
+    lo, hi = mats.case.gen_bounds()
+    box = float(np.maximum(np.abs(lo), np.abs(hi))[mats.gen_order].sum())
+    bar = float(np.max(np.abs(mats.A.T @ doubled))) * box
+    # mu^T (B s delta + c) = s mu^T B delta + mu^T c meets the bar at s0
+    s0 = (bar - doubled @ mats.c) / (doubled @ (mats.B @ delta))
+    assert s0 > 1.0
+    ok, ray = certify_infeasible(mats, (1 + 1e-6) * s0 * delta, doubled)
+    assert ok and ray.tobytes() == (doubled / doubled.sum()).tobytes()
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-6) * s0 * delta))
+    assert certify_infeasible(mats, (1 - 1e-6) * s0 * delta, doubled) == \
+        (False, None)
 
 
 def test_the_ladder_attack_networks_never_stall(monkeypatch):

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcattack.attack import certify_infeasible
 from dcattack.case_ingest import case_to_json, load_case
 from dcattack import cli, squeeze
 from dcattack.cli import build_parser, main
 from dcattack.dc_model import build_feasibility
 from dcattack.errors import SolverError
 
-from conftest import pglib_path
+from conftest import BUNDLED, pglib_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,7 +72,8 @@ def test_attack_command_end_to_end(desk2_m, tmp_path, capsys):
     assert set(rep) == {
         "schema", "manifest", "case", "norm_sq", "objective", "eps",
         "certified", "converged", "convergence", "iterations", "residuals",
-        "fixed_dispatch_lb", "delta", "per_bus", "starts", "elapsed_s"}
+        "fixed_dispatch_lb", "delta", "farkas_rows", "farkas_weights",
+        "per_bus", "starts", "elapsed_s"}
     assert rep["eps"] == 1e-3
     assert rep["certified"] is True
     assert rep["norm_sq"] == pytest.approx(1.0, rel=1e-3)
@@ -160,7 +162,8 @@ def test_squeeze_writes_artifacts(desk3_json, tmp_path, capsys):
         "seed", "flags", "trace", "attack", "defense"}
     assert set(rep["attack"]) == {
         "norm_sq", "objective", "eps", "converged", "convergence",
-        "iterations", "certified", "start", "residuals", "delta"}
+        "iterations", "certified", "start", "residuals", "delta",
+        "farkas_rows", "farkas_weights"}
     assert rep["eps"] == rep["attack"]["eps"] == 1e-3
     assert rep["matched"] is True
     assert rep["ub"] == pytest.approx(169.0 / 500.0, rel=1e-3)
@@ -208,6 +211,29 @@ def test_report_json_is_the_listified_report(command, net, tmp_path,
     assert code == 0
     text = json.dumps(_listified(reports[0]), indent=2) + "\n"
     assert out == text and path.read_text() == text
+
+
+@pytest.mark.parametrize("net", BUNDLED)
+def test_each_report_carries_a_farkas_certificate_that_checks(net, capsys):
+    """The attack report and the bounds report's attack block carry mu /
+    1^T mu on its support, as row labels and weights.  mu rebuilt from the
+    JSON alone is the multistart's ray to the bit, and the residual rule
+    accepts it at the inflated point (1 + 1e-4) delta."""
+    mats = build_feasibility(load_case(pglib_path(net)))
+    for command in ("attack", "squeeze"):
+        code, out = _run(capsys, [command, pglib_path(net), "--seed", "0"])
+        assert code == 0
+        rep = json.loads(out)
+        block = rep if command == "attack" else rep["attack"]
+        rows = [mats.row_labels.index(label) for label in block["farkas_rows"]]
+        assert rows == sorted(set(rows))
+        assert 0 < len(rows) <= mats.n_reduced + 1
+        mu = np.zeros(mats.m)
+        mu[rows] = block["farkas_weights"]
+        assert np.all(mu[rows] > 0) and abs(mu.sum() - 1.0) <= 1e-12
+        delta = (1.0 + 1e-4) * np.array(block["delta"])
+        ok, ray = certify_infeasible(mats, delta, mu)
+        assert ok and ray.tobytes() == (mu / mu.sum()).tobytes()
 
 
 def test_table_json_is_the_listified_reports(tmp_path, monkeypatch, capsys):

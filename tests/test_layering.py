@@ -302,11 +302,22 @@ def test_the_simplex_serves_two_lp_forms():
 
 
 def test_q_is_a_fallback_only():
-    """The probe over Q has two callers, each a fallback: the max-margin
-    LP's, when the LP over P has no optimum or there is no movable unit,
-    and `certify_infeasible`'s, when an attack's own multiplier fails."""
-    assert _all_callers("check_feasible") == {
-        ("dc_model", "max_margin"), ("attack", "certify_infeasible")}
+    """The probe over Q has one caller in src/, the max-margin LP's
+    fallback, when the LP over P has no optimum or there is no movable
+    unit."""
+    assert _all_callers("check_feasible") == {("dc_model", "max_margin")}
+
+
+def test_certification_solves_no_lp():
+    """`certify_infeasible` decides by the closed-form residual rule: it
+    calls neither LP entry point, directly or through a nested function."""
+    tree = ast.parse((SRC / "attack.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "certify_infeasible")
+    called = {getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+              for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "unit_rows" in called
+    assert not called & {"lp_solve", "check_feasible"}
 
 
 # public names that nothing in src/, bench/*.py or README.md refers to, and

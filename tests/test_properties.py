@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_utils
 from conftest import BUNDLED, bench_ladder, pglib_path
-from dcattack.attack import AttackConfig, _p_lp, multistart_attack
+from dcattack.attack import (AttackConfig, _p_lp, certify_infeasible,
+                             multistart_attack)
 from dcattack.case_ingest import build_case, load_case
 from dcattack.dc_model import build_feasibility
 from dcattack.defense import defense_local, t_tilde, warm_start_defense
@@ -262,3 +263,48 @@ def test_the_exact_oracle_refuses_more_than_four_units():
     assert mats.n_reduced > oracle_utils.MAX_EXACT_UNITS
     with pytest.raises(ValueError, match="movable units"):
         oracle_utils.exact_distance(mats)
+
+
+def _rule_trials(mats, best):
+    """The residual rule's verdict on the certified attack and on three
+    perturbations of it: one support entry of mu doubled, one zeroed (each
+    entry in turn), and delta halved.  Whenever the rule accepts, scipy
+    finds F empty at the inflated point.  Returns the verdicts, the
+    unperturbed one first and the halved delta's second."""
+    point = (1.0 + 1e-4) * best.delta
+    trials = [(point, best.mu), (0.5 * point, best.mu)]
+    for i in np.flatnonzero(best.mu):
+        for factor in (2.0, 0.0):
+            mu = best.mu.copy()
+            mu[i] *= factor
+            trials.append((point, mu))
+    verdicts = []
+    for delta, mu in trials:
+        ok, ray = certify_infeasible(mats, delta, mu)
+        verdicts.append(ok)
+        if ok:
+            assert ray.min() >= 0.0 and abs(ray.sum() - 1.0) <= 1e-12
+            assert not oracle_utils.scipy_feasible(mats.A, mats.rhs(delta))
+        else:
+            assert ray is None
+    return verdicts
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(net=networks())
+def test_the_farkas_rule_is_sound_on_random_networks(net):
+    mats = build_feasibility(_case(net))
+    best = multistart_attack(mats, AttackConfig(restarts=2, seed=0)).best
+    assert _rule_trials(mats, best)[0]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_farkas_rule_is_sound_on_the_bundled_networks(name):
+    """On these networks the attack is within 1e-4 of the exact minimum
+    (the squeeze closes them), so half of it leaves F nonempty and the rule
+    must refuse it; so it does for at least one broken multiplier."""
+    mats = build_feasibility(load_case(pglib_path(name)))
+    best = multistart_attack(mats, AttackConfig(restarts=5, seed=0)).best
+    verdicts = _rule_trials(mats, best)
+    assert verdicts[0] and not verdicts[1] and not all(verdicts[2:])

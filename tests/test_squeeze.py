@@ -391,3 +391,30 @@ def test_a_failing_defense_keeps_the_certified_ub(monkeypatch):
                           [(1, 0.0, 2.0), (2, 0.0, 2.0)])
     with pytest.raises(ModelError, match="max-margin LP"):
         squeeze_run(overload, SqueezeConfig(seed=0))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_bare_multistart_certifies_960_buses(seed):
+    """Opt-in (`-m slow`): the bare multistart certifies an attack on each
+    960-bus ladder that scipy confirms, and no start fails on the simplex's
+    iteration cap (under Dantzig's pricing, seed 2 lost `random1` to it)."""
+    mats = build_feasibility(bench_ladder(960, seed, False))
+    rep = multistart_attack(mats, AttackConfig(restarts=5, seed=0),
+                            budget_s=120)
+    assert rep.best.certified
+    assert all(n["status"] in ("candidate", "restart") for n in rep.starts)
+    assert not oracle_utils.scipy_feasible(
+        mats.A, mats.rhs((1 + 1e-4) * rep.best.delta))
+
+
+@pytest.mark.slow
+def test_the_960_bus_squeeze_closes_within_its_budget():
+    """Opt-in (`-m slow`): the seed-0 squeeze of `ladder(960, 0)` closes
+    its bracket within a 120 s budget (under Dantzig's pricing it certified
+    no attack and returned after about 190 s)."""
+    mats = build_feasibility(bench_ladder(960, 0, False))
+    rep = squeeze_run(mats.case, SqueezeConfig(budget_s=120, seed=0),
+                      mats=mats)
+    assert rep.matched and rep.flags == [] and rep.attack["certified"]
+    assert rep.elapsed <= 120

@@ -299,7 +299,7 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
                       lb=None, nominal=None):
     """Run attack_local from the caller's `extra_directions`, then the
     fixed-dispatch start at the max-margin dispatch, uniform growth and
-    seeded random starts; a direction that is zero,
+    seeded random starts, each drawn as it begins; a direction that is zero,
     of the wrong size or not finite is dropped, and the others are scaled
     by a power of two, so a direction's scale changes nothing.  `nominal`
     is a `mats.max_margin()` result, solved here when None (ModelError when
@@ -331,17 +331,16 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
     starts = [(f"hint{i}", d) for i, d in enumerate(extra_directions)]
     starts.append(("binding-row", binding))
     starts.append(("uniform-up", np.ones(mats.n_delta)))
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
-        starts.append((f"random{k}", rng.normal(size=mats.n_delta)))
     kept = []
     for label, d in starts:
         d = np.asarray(d, float)    # None reads as nan and is dropped
         if d.size == mats.n_delta and np.all(np.isfinite(d)) and np.any(d):
-            # a power of two puts its largest |entry| in [0.5, 1): exact
-            # but for entries 2^-1022 below that one, and nothing overflows
-            kept.append((label, np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])))
-    starts = kept
+            kept.append((label, d))
+    # a random start is drawn only as it begins: n_delta >= 1 normal draws
+    # are finite and nonzero, so none is dropped
+    starts = kept + [(f"random{k}", lambda k=k: np.random.default_rng(
+        np.random.SeedSequence((cfg.seed, k))).normal(size=mats.n_delta))
+        for k in range(cfg.restarts)]
 
     pool = _Pool(mats.n_delta, None if res is None else
                  (mats.B.T @ np.maximum(res.x, 0.0), res.warm))
@@ -353,6 +352,10 @@ def multistart_attack(mats, config=None, extra_directions=(), budget_s=None,
         elif i and deadline is not None and time.monotonic() >= deadline:
             note["reason"] = "deadline"
         else:
+            d = direction() if callable(direction) else direction
+            # a power of two puts its largest |entry| in [0.5, 1): exact
+            # but for entries 2^-1022 below that one, and nothing overflows
+            direction = np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
             try:
                 sol = attack_local(mats, direction, label, pool, deadline)
             except RestartSignal as exc:

@@ -36,6 +36,11 @@ residual is above 1e-10, up to four solves, and after it the corrector takes
 two fixed passes.  meta["solves"] counts the solves over every round.
 Each step computes each cone's row norm and J-norm once and hands them on:
 those of s and z come from the interior tests that end the step before.
+The scaled point lambda = W z = W^-1 s has a closed form in the normalized
+s and z that the scaling is built from (`_nt_scaling`), with ||lambda||_J =
+sqrt(||s||_J ||z||_J), so no product with W makes it; and the predictor's
+right-hand side -lambda makes z + W^-1 (-lambda) = 0, so its residual is
+(e_lam, 0) exactly and its solve skips the G block.
 
 The slacks are recomputed from the primal iterate (q, lambda, G) every step,
 so every iterate is a sound policy and an expired deadline or a failed step
@@ -189,25 +194,30 @@ def _stack(col, rest):
     return out
 
 
-def _jprod(x, y):
-    """The Jordan product x o y = (x^T y, x_0 y_1 + y_0 x_1) per cone."""
-    return _stack(_rowdot(x, y), x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:])
-
-
 def _jsolve(x, nx, r):
-    """v with x o v = r per cone; nx is `_jnorm(x)`."""
+    """v with x o v = r per cone, the Jordan product x o v = (x^T v, x_0 v_1 +
+    v_0 x_1); nx is `_jnorm(x)`."""
     v0 = (x[:, 0] * r[:, 0] - _rowdot(x[:, 1:], r[:, 1:])) / nx ** 2
     return _stack(v0, (r[:, 1:] - v0[:, None] * x[:, 1:]) / x[:, :1])
 
 
 def _nt_scaling(s, z, ns, nz):
-    """(beta, wb) per cone, wb^T J wb = 1, of the NT scaling W = beta [[wb_0,
-    wb_1^T], [wb_1, I + wb_1 wb_1^T / (1 + wb_0)]], W z = W^-1 s; ns and nz
-    are `_jnorm(s)` and `_jnorm(z)`."""
+    """(beta, wb, lbar, nl) per cone: wb^T J wb = 1 and beta give the NT
+    scaling W = beta [[wb_0, wb_1^T], [wb_1, I + wb_1 wb_1^T / (1 + wb_0)]],
+    W z = W^-1 s; ns and nz are `_jnorm(s)` and `_jnorm(z)`.  The scaled
+    point lambda = W z is nl lbar, with ||lambda||_J = nl = sqrt(ns nz) and,
+    from the normalized sb = s / ns, zb = z / nz and gamma^2 = (1 + sb^T
+    zb) / 2, lbar = (gamma, ((gamma + zb_0) sb_1 + (gamma + sb_0) zb_1) /
+    (sb_0 + zb_0 + 2 gamma)), lbar^T J lbar = 1 (Vandenberghe 2010): no
+    product with W."""
     sb, zb = s / ns[:, None], z / nz[:, None]
     gam = np.sqrt(0.5 * (1.0 + _rowdot(sb, zb)))
+    den = sb[:, 0] + zb[:, 0] + 2.0 * gam
+    lbar = _stack(gam, ((gam + zb[:, 0]) / den)[:, None] * sb[:, 1:]
+                  + ((gam + sb[:, 0]) / den)[:, None] * zb[:, 1:])
     zb[:, 1:] *= -1.0
-    return np.sqrt(ns / nz), (sb + zb) / (2.0 * gam)[:, None]
+    return np.sqrt(ns / nz), (sb + zb) / (2.0 * gam)[:, None], lbar, \
+        np.sqrt(ns * nz)
 
 
 def _scaler(beta, wb):
@@ -228,12 +238,12 @@ def _scaler(beta, wb):
     return scale
 
 
-def _max_step(x, nx, d):
+def _max_step(xb, nx, d):
     """The largest alpha with x + alpha d_j in every cone for every block d_j
-    of len(x) rows of d (x interior, nx its `_jnorm`; inf when none binds),
-    after one hyperbolic rotation of x onto (1, 0) for all blocks."""
-    xb = x / nx[:, None]
-    d = d.reshape(-1, *x.shape)
+    of len(x) rows of d (x = nx xb interior, xb^T J xb = 1; inf when none
+    binds), after one hyperbolic rotation of xb onto (1, 0) for all
+    blocks."""
+    d = d.reshape(-1, *xb.shape)
     rho0 = xb[:, 0] * d[..., 0] - np.einsum("ij,kij->ki", xb[:, 1:],
                                             d[..., 1:])
     rho1 = d[..., 1:] - ((rho0 + d[..., 0]) / (xb[:, 0] + 1.0))[..., None] \
@@ -244,36 +254,40 @@ def _max_step(x, nx, d):
 
 def _newton_factor(A, Ay, u, W, s):
     """Factor the Hessian H of -sum_i log s_i, s_i = u_i^2 - ||w_i||^2, in
-    (q, lam, G) at (u, W, s); return solve(g_y, g_G) = (dy, dG) = -H^-1 g.
+    (q, lam, G) at (u, W, s); return solve(g_y, g_G) = (dy, dG) = -H^-1 g,
+    with g_G None for a zero G block.
     H = diag(-Ay^T D Ay, kron(K, I)) + sum_i v_i v_i^T with Ay = [A c],
     D = diag(2 / s), K = A^T D A = R^T R (R from a QR of D^1/2 A: near the
     optimum D spans twenty decades) and v_i = (d_i u_i Ay_i, d_i vec(a_i
     w_i^T)).  Eliminating G leaves a bordered system in dy and the weights
-    of the v_i; its block C = I + (D^1/2 Q Q^T D^1/2) o (W W^T) grows
+    of the v_i; its block C = I + (D^1/2 Q)(D^1/2 Q)^T o (W W^T) grows
     ill-conditioned near the optimum, so LU with pivoting solves it whole.
     Raises LinAlgError on a singular factor."""
     n = A.shape[1]
     d = 2.0 / s
     r = np.sqrt(d)
     Q, R = np.linalg.qr(r[:, None] * A)
+    Q *= r[:, None]                 # D^1/2 Q from here on
     M = np.empty((n + 1 + s.size,) * 2)
     M[:n + 1, :n + 1] = -(Ay.T @ (d[:, None] * Ay))
     M[:n + 1, n + 1:] = Ay.T * (d * u)
     M[n + 1:, :n + 1] = M[:n + 1, n + 1:].T
     C = M[n + 1:, n + 1:]
-    np.multiply(r[:, None], r, out=C)
-    C *= Q @ Q.T
+    np.matmul(Q, Q.T, out=C)
     C *= W @ W.T
     np.negative(C, out=C)
     C[np.diag_indices(s.size)] -= 1.0
     R_inv = np.linalg.inv(R)
 
     def solve(g_y, g_G):
-        Y = R_inv.T @ g_G
-        sol = np.linalg.solve(M, np.concatenate([-g_y,
-                                                 r * _rowdot(Q @ Y, W)]))
-        t = r * sol[n + 1:]
-        return sol[:n + 1], -R_inv @ (Y + Q.T @ (t[:, None] * W))
+        rhs = np.zeros(M.shape[0])
+        rhs[:n + 1] = -g_y
+        if g_G is not None:
+            Y = R_inv.T @ g_G
+            rhs[n + 1:] = _rowdot(Q @ Y, W)
+        sol = np.linalg.solve(M, rhs)
+        X = Q.T @ (sol[n + 1:, None] * W)
+        return sol[:n + 1], -R_inv @ (X if g_G is None else Y + X)
 
     return solve
 
@@ -300,11 +314,12 @@ def _socp(mats, p_start, deadline, meta, outside=None):
     z = s * (lam / m / ns ** 2)[:, None]     # s o z = (lam / m) e
     z[:, 1:] *= -1.0
     nz = _jnorm(z)
-    e_lam = np.eye(x.size)[-1]
+    e_lam = np.zeros(x.size)
+    e_lam[-1] = 1.0
     best, dual, bound = (x, G), None, -np.inf
     meta["stop"], gap = "step-failed", np.inf
     for _ in range(_MAX_STEPS):
-        cand, lb = _feasible_dual(mats, units, z[:, 0], z[:, 1:])
+        cand, lb = _feasible_dual(mats, units, z)
         if lb > bound:
             dual, bound = cand, lb
         last, gap = gap, 1.0 - bound / best[0][-1]
@@ -321,30 +336,37 @@ def _socp(mats, p_start, deadline, meta, outside=None):
             if meta["stop"] != "converged":
                 meta["stop"] = "deadline"
             break
-        beta, wb = _nt_scaling(s, z, ns, nz)
+        beta, wb, lbar, n_lm = _nt_scaling(s, z, ns, nz)
+        lm = lbar * n_lm[:, None]
         scale = _scaler(beta, wb)
-        lm = scale(z)
-        n_lm = _jnorm(lm)
-        if n_lm is None:            # the scaled point lost its digits
-            break
+        d = np.empty((2 * m, z.shape[1]))
+        ds, dz = d[:m], d[m:]
 
-        def direction(xi, passes, refine=False):
-            # dx and the scaled (W^-1 ds, W dz) of F^T dz = -(F^T z + e_lam),
-            # W dz + W^-1 ds = xi, ds = -F dx, solved `passes` times, and with
-            # `refine` on again while the residual is above _REFINE_TOL, up to
-            # _MAX_PASSES solves; ds sums the corrections' slack changes, so
-            # the residual is exact
+        def direction(xi, passes, refine=False, g=None):
+            # dx and, into d, the scaled (W^-1 ds, W dz) of F^T dz = -(F^T z
+            # + e_lam), W dz + W^-1 ds = xi, ds = -F dx, solved `passes`
+            # times, and with `refine` on again while the residual is above
+            # _REFINE_TOL, up to _MAX_PASSES solves; g = (g_y, g_G), when
+            # given, is the residual F^T (z + W^-1 xi) + (e_lam, 0) at d = 0;
+            # ds sums the corrections' slack changes, so each residual is
+            # exact
+            ds.fill(0.0)
             for k in range(_MAX_PASSES if refine else passes):
-                zz = z + scale(xi - ds if k else xi, inverse=True)
-                g_y, g_G = Ay.T @ zz[:, 0] + e_lam, -(A.T @ zz[:, 1:])
-                if k >= passes and max(np.abs(g_y).max(), np.abs(g_G).max(
-                        initial=0.0)) <= _REFINE_TOL:
-                    break
+                if k or g is None:
+                    g = Ay.T @ (z + scale(np.subtract(xi, ds, out=dz) if k
+                                          else xi, inverse=True))
+                    g[-1, 0] += 1.0
+                    g = g[:, 0], -g[:-1, 1:]
+                    if k >= passes and max(np.abs(g[0]).max(), np.abs(
+                            g[1]).max(initial=0.0)) <= _REFINE_TOL:
+                        break
                 meta["solves"] += 1
-                ey, eG = solve(g_y, g_G)
-                es = scale(_stack(-(Ay @ ey), A @ eG), inverse=True)
-                dy, dG, ds = (dy + ey, dG + eG, ds + es) if k else (ey, eG, es)
-            return dy, dG, np.concatenate([ds, xi - ds])
+                ey, eG = solve(*g)
+                np.add(ds, scale(_stack(-(Ay @ ey), A @ eG), inverse=True),
+                       out=ds)
+                dy, dG = (dy + ey, dG + eG) if k else (ey, eG)
+            np.subtract(xi, ds, out=dz)
+            return dy, dG
 
         # W^-2 is the barrier Hessian at the virtual point sqrt(2) beta wb.
         # The affine predictor sets sigma and the second-order term of the
@@ -354,20 +376,24 @@ def _socp(mats, p_start, deadline, meta, outside=None):
         v = np.sqrt(2.0) * beta[:, None] * wb
         try:
             solve = _newton_factor(A, Ay, v[:, 0], v[:, 1:], 2.0 * beta ** 2)
-            _dy, _dG, d = direction(-lm, 1)
-            alpha = min(1.0, _max_step(lm, n_lm, d))
+            # the predictor's xi = -lm = -W z makes its residual (e_lam, 0)
+            direction(-lm, 1, g=(e_lam, None))
+            alpha = min(1.0, _max_step(lbar, n_lm, d))
             mu = float(np.sum(lm * lm))
-            ahead = float(np.sum((lm + alpha * d[:m]) * (lm + alpha * d[m:])))
-            r = -_jprod(lm, lm) - _jprod(d[:m], d[m:])
-            r[:, 0] += (ahead / mu) ** 3 * mu / m        # sigma mu e
+            ahead = float(np.sum((lm + alpha * ds) * (lm + alpha * dz)))
             refine = meta["stop"] != "converged"
-            dy, dG, d = direction(_jsolve(lm, n_lm, r), 1 if refine else 2,
-                                  refine)
+            # lm o xi = sigma mu e - lm o lm - ds o dz, sigma = (ahead / mu)^3
+            dy, dG = direction(_jsolve(lm, n_lm, _stack(
+                (ahead / mu) ** 3 * mu / m
+                - (_rowdot(lm, lm) + _rowdot(ds, dz)),
+                -(2.0 * lm[:, :1] * lm[:, 1:]
+                  + (ds[:, :1] * dz[:, 1:] + dz[:, :1] * ds[:, 1:])))),
+                1 if refine else 2, refine)
         except np.linalg.LinAlgError:
             break
-        alpha = min(1.0, _STEP * _max_step(lm, n_lm, d))
+        alpha = min(1.0, _STEP * _max_step(lbar, n_lm, d))
         x, G = x + alpha * dy, G + alpha * dG
-        z = z + alpha * scale(d[m:], inverse=True)
+        z = z + alpha * scale(dz, inverse=True)
         s = _stack(-(Ay @ x), A @ G + B)
         meta["newton_steps"] += 1
         ns, nz = _jnorm(s), _jnorm(z)
@@ -380,26 +406,29 @@ def _socp(mats, p_start, deadline, meta, outside=None):
     return (x[:-1], float(x[-1]), G), dual
 
 
-def _feasible_dual(mats, units, y, W):
-    """Restore A^T y = 0 and A^T W = 0 through each unit's own bound rows
-    (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i survives by the triangle
-    inequality), then scale onto c^T y = -1.  Mass added to both bound rows
-    of unit j moves only c^T y, by -(p_max - p_min), so a residual costs
-    bound, never soundness; `units` is `mats.unit_rows()`.  Returns the dual
-    and its bound -<W, B>, or (None, -inf) when c^T y ends up nonnegative."""
+def _feasible_dual(mats, units, z):
+    """Restore A^T y = 0 and A^T W = 0 in the dual iterate z = [y W] through
+    each unit's own bound rows (a_i = +-e_j, b_i = 0; ||w_i|| <= y_i
+    survives by the triangle inequality), then scale onto c^T y = -1.  Mass
+    added to both bound rows of unit j moves only c^T y, by -(p_max -
+    p_min), so a residual costs bound, never soundness; `units` is
+    `mats.unit_rows()`.  Returns the dual (y, W), views of one copy of z,
+    and its bound -<W, B>, or (None, -inf) when c^T y ends up
+    nonnegative."""
     up, lo = units
-    r, R = mats.A.T @ y, mats.A.T @ W
+    Rz = mats.A.T @ z
+    r, R = Rz[:, 0], Rz[:, 1:]
     half = 0.5 * _rownorm(R)
-    y, W = y.copy(), W.copy()
-    y[up] += half + np.maximum(-r, 0.0)
-    y[lo] += half + np.maximum(r, 0.0)
-    W[up] -= 0.5 * R
-    W[lo] += 0.5 * R
-    scale = -float(mats.c @ y)
+    z = z.copy()
+    z[up, 0] += half + np.maximum(-r, 0.0)
+    z[lo, 0] += half + np.maximum(r, 0.0)
+    z[up, 1:] -= 0.5 * R
+    z[lo, 1:] += 0.5 * R
+    scale = -float(mats.c @ z[:, 0])
     if not scale > 0.0:
         return None, -np.inf
-    W = W / scale
-    return (y / scale, W), -float(np.sum(W * mats.B))
+    z /= scale
+    return (z[:, 0], z[:, 1:]), -float(np.sum(z[:, 1:] * mats.B))
 
 
 def _socp_on_rows(mats, p_w, t_init, deadline, meta):

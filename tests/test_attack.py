@@ -1003,3 +1003,75 @@ def test_the_ladder_attack_networks_never_stall(monkeypatch):
             assert rep.best.certified, (n, seed)
     assert bland and not any(bland)
     assert len(calls) >= 15 and not any(c["lps"] for c in calls)
+
+
+def _eager_random(mats, seed, k):
+    """start random{k}'s direction as the draws were once made, all before
+    the first start: normals of the stream (seed, k), scaled by the power
+    of two that puts the largest |entry| in [0.5, 1)."""
+    d = np.random.default_rng(np.random.SeedSequence((seed, k))).normal(
+        size=mats.n_delta)
+    return np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+
+
+def test_a_bundled_squeeze_draws_no_random_start(monkeypatch):
+    """Each bundled squeeze closes its bracket on the policy's hints, so
+    its random starts are all skipped as "closed", and since a random start
+    is drawn only as it begins, no stream (seed, k) is ever seeded."""
+    from dcattack import squeeze
+    seeded, reports = [], []
+    real_seq, real_multi = np.random.SeedSequence, squeeze.multistart_attack
+
+    def seq_spy(*args, **kw):
+        seeded.append(args)
+        return real_seq(*args, **kw)
+
+    def multi_spy(*args, **kw):
+        reports.append(real_multi(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(np.random, "SeedSequence", seq_spy)
+    monkeypatch.setattr(squeeze, "multistart_attack", multi_spy)
+    for name in BUNDLED:
+        squeeze.squeeze_run(load_case(pglib_path(name)),
+                            squeeze.SqueezeConfig(seed=0))
+        randoms = [n for n in reports[-1].starts
+                   if n["start"].startswith("random")]
+        assert [n["start"] for n in randoms] == [f"random{k}"
+                                                  for k in range(5)]
+        assert all(n == {"start": n["start"], "status": "skipped",
+                         "reason": "closed"} for n in randoms)
+    assert seeded == []
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_random_starts_drawn_late_are_the_eager_draws(seed, monkeypatch):
+    """The bare multistart hands attack_local, in the same order, the
+    directions the eager draws gave, byte for byte, so its start notes and
+    best attack are those of the eager draws; two runs agree byte for
+    byte."""
+    runs, real = [], attack.attack_local
+
+    def spy(mats, g, label, *rest):
+        runs[-1].append((label, g.tobytes()))
+        return real(mats, g, label, *rest)
+
+    monkeypatch.setattr(attack, "attack_local", spy)
+    for n, s in ((30, 0), (60, 2)):
+        mats = build_feasibility(bench_ladder(n, s, False))
+        reps = []
+        for _ in range(2):
+            runs.append([])
+            reps.append(multistart_attack(
+                mats, AttackConfig(restarts=5, seed=seed)))
+        labels = ["binding-row", "uniform-up"] + [f"random{k}"
+                                                  for k in range(5)]
+        assert [label for label, _g in runs[-1]] == labels
+        assert runs[-1][2:] == [(f"random{k}",
+                                 _eager_random(mats, seed, k).tobytes())
+                                for k in range(5)]
+        assert runs[-2] == runs[-1]
+        assert [n["start"] for n in reps[0].starts][:7] == labels
+        assert repr(reps[0].starts) == repr(reps[1].starts)
+        assert reps[0].best.delta.tobytes() == reps[1].best.delta.tobytes()
+        assert reps[0].best.start == reps[1].best.start

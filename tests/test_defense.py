@@ -542,6 +542,123 @@ def test_the_480_bus_ladder_converges_with_an_on_demand_refinement():
     assert 1.0 / pol.meta["lambda"] ** 2 <= pol.t * (1 + 1e-12)
 
 
+# -- the Newton step's algebra and budgets ------------------------------------
+
+def _step_mats(net):
+    """A bundled network by name, or "L60_3" / "D90_3": ladder(60, 3) and
+    ladder(90, 3, degenerate=True)."""
+    if net in BUNDLED:
+        return build_feasibility(load_case(pglib_path(net)))
+    return build_feasibility(bench_ladder(int(net[1:3]), int(net[-1]),
+                                          net[0] == "D"))
+
+
+@pytest.mark.parametrize("net", [*BUNDLED, "L60_3", "D90_3"])
+def test_each_step_takes_the_closed_form_point_and_the_exact_residual(
+        net, monkeypatch):
+    """At every Newton step of every round, per cone: the scaled point
+    lambda = nl * lbar of `_nt_scaling` equals W z and W^-1 s, computed by
+    products with the step's NT scaling, and lambda^T J lambda computed
+    from W z equals nl^2 = ||s||_J ||z||_J, each to 1e-12 relative to the
+    scale of the product, ||W|| ||z|| = ||W^-1|| ||s|| (squared for the
+    J-norm; ||W|| = beta (wb_0 + ||wb_1||)).  Near the optimum s and z
+    sit on the cone boundary to working precision, so no elementwise
+    relative bound holds there for either form.  And the predictor's solve
+    gets the residual F^T (z + W^-1 (-lambda)) + e_lam computed in full,
+    which is (e_lam, 0) up to rounding: by 64 ulps of |F|^T times each
+    cone's ||W^-1|| ||W|| ||z||, as lambda's own rounding is that of a
+    product with W."""
+    real_scaling, real_factor = defense._nt_scaling, defense._newton_factor
+    step, checks = {}, []
+
+    def scaling(s, z, ns, nz):
+        beta, wb, lbar, nl = out = real_scaling(s, z, ns, nz)
+        scale = defense._scaler(beta, wb)
+        lam, wz = lbar * nl[:, None], scale(z)
+        size = beta * (wb[:, 0] + defense._rownorm(wb[:, 1:])) \
+            * defense._rownorm(z)
+        for ref in (wz, scale(s, inverse=True)):
+            assert np.all(defense._rownorm(lam - ref) <= 1e-12 * size)
+        jnorm_sq = wz[:, 0] ** 2 - defense._rowdot(wz[:, 1:], wz[:, 1:])
+        assert np.all(np.abs(jnorm_sq - ns * nz) <= 1e-12 * size ** 2)
+        np.testing.assert_allclose(nl ** 2, ns * nz, rtol=1e-12)
+        step.update(z=z, lam=lam, scale=scale, size=size / beta ** 2
+                    * (wb[:, 0] + defense._rownorm(wb[:, 1:])))
+        return out
+
+    def factor(A, Ay, u, W, s):
+        solve, calls = real_factor(A, Ay, u, W, s), []
+
+        def spy(g_y, g_G):
+            if not calls:
+                zz = step["z"] + step["scale"](-step["lam"], inverse=True)
+                e_lam = np.zeros(Ay.shape[1])
+                e_lam[-1] = 1.0
+                res_y = Ay.T @ zz[:, 0] + e_lam
+                res_G = A.T @ zz[:, 1:]
+                bound = 64 * np.finfo(float).eps * (np.abs(Ay.T)
+                                                    @ step["size"])
+                assert np.all(np.abs(res_y - g_y) <= bound)
+                assert np.all(np.abs(res_G - (0.0 if g_G is None else g_G))
+                              <= bound[:-1, None])
+                checks.append(1)
+            calls.append(1)
+            return solve(g_y, g_G)
+
+        return spy
+
+    monkeypatch.setattr(defense, "_nt_scaling", scaling)
+    monkeypatch.setattr(defense, "_newton_factor", factor)
+    pol = defense_local(_step_mats(net))
+    assert pol.meta["stop"] == "converged"
+    assert len(checks) == pol.meta["newton_steps"] > 0
+
+
+@pytest.mark.parametrize("nets, steps, solves, rounds, t", [
+    pytest.param(BUNDLED, 43, 100, 4, None, id="bundled"),
+    pytest.param(("L480_0",), 32, 68, 3, 1.401855999442584e-02,
+                 id="L480_0", marks=pytest.mark.slow)])
+def test_the_policy_socp_keeps_its_step_and_solve_budget(nets, steps, solves,
+                                                         rounds, t):
+    """Regression guard on the policy SOCP's work: the bundled four take 43
+    Newton steps (13/8/11/11), 100 solves (31/19/25/25) and one round each;
+    ladder(480, 0) (opt-in, about 3 s) takes 32 steps, 68 solves and 3
+    rounds, and its t agrees to 1e-10 relative with the value pinned here."""
+    total = {"newton_steps": 0, "solves": 0, "rounds": 0}
+    for net in nets:
+        mats = (_step_mats(net) if net in BUNDLED
+                else build_feasibility(bench_ladder(480, 0, False)))
+        pol = defense_local(mats)
+        assert pol.meta["stop"] == "converged"
+        for key in total:
+            total[key] += pol.meta[key]
+    assert total["newton_steps"] <= steps and total["solves"] <= solves
+    assert total["rounds"] <= rounds
+    if t is not None:
+        assert pol.t == pytest.approx(t, rel=1e-10)
+
+
+def test_the_policy_socp_peak_memory_stays_within_its_budget():
+    """tracemalloc's peak over `defense_local` on ladder(240, 0) (296 rows
+    in its last subset, 145 columns per cone array) stays at or below 8.48
+    MB, the peak of a Newton step that built C through r r^T and held the
+    corrector's right-hand side and a concatenated copy of each direction
+    (8.0 MB without them).  A small solve first runs every lazy set-up, so
+    the window holds the solve alone."""
+    defense_local(_step_mats("case5_pjm"))
+    mats = build_feasibility(bench_ladder(240, 0, False))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pol = defense_local(mats)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pol.meta["stop"] == "converged"
+    assert peak <= 8.48e6
+
+
 @pytest.fixture(scope="module", params=[(90, True), (240, False)],
                 ids=["D90_0", "L240_0"])
 def ladder_policy(request):
